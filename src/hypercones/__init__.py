@@ -9,7 +9,7 @@ admissibility questions are answered by the geometry.
 
 from .config import Budgets, Tolerances, DEFAULT_BUDGETS, DEFAULT_TOLERANCES
 from .errors import (AdmissibilityError, ChargeMismatchError,
-                     ConstructionFailure, DegenerateGeometry, FitFailure,
+                     ConstructionFailure, DegenerateGeometry,
                      HyperconesError, SceneError)
 from .minkowski import (CausalClass, FourVector, LorentzTransform,
                         PoincareElement, causal_class, decompose_translation,
@@ -45,7 +45,7 @@ from .charges import (AxiomReport, ChargeElement, ChargeGroup,
 __all__ = [
     "Budgets", "Tolerances", "DEFAULT_BUDGETS", "DEFAULT_TOLERANCES",
     "AdmissibilityError", "ChargeMismatchError", "ConstructionFailure",
-    "DegenerateGeometry", "FitFailure", "HyperconesError", "SceneError",
+    "DegenerateGeometry", "HyperconesError", "SceneError",
     "CausalClass", "FourVector", "LorentzTransform", "PoincareElement",
     "causal_class", "decompose_translation", "in_light_cone", "in_semigroup",
     "kappa_split", "lightlike_boost", "minkowski_product",
@@ -71,4 +71,4 @@ __all__ = [
     "shift_light_cone", "transport_chain", "verify_group_axioms",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import FitFailure
-from .minkowski import FourVector, LorentzTransform
+from .minkowski import ETA, FourVector, LorentzTransform
 from .spherical import orthonormal_frame as _orthonormal_frame
 
 __all__ = [
@@ -23,7 +22,7 @@ __all__ = [
     "project_to_ball", "lift_from_ball", "hyperboloid_distance",
     "ball_distance", "shadow_radius", "euclidean_radius_of_centered_ball",
     "lorentz_ball_action", "boost_ball_action", "sphere_action",
-    "ball_action_many", "homology_through", "cap_image",
+    "ball_action_many", "homology_through", "ray_exits", "cap_image",
 ]
 
 
@@ -286,6 +285,30 @@ def homology_through_many(u0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w, axis=1)[:, None]
 
 
+def ray_exits(apex: np.ndarray, pts: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Where the rays from an interior apex through the rows of pts leave
+    the sphere.
+
+    Returns (unit exit rows, mask of rows coinciding with the apex); the
+    ray of a masked row is undefined and its exit row is nan.
+    """
+    pts = np.atleast_2d(pts)
+    d = pts - apex
+    dd = np.einsum("ij,ij->i", d, d)
+    degenerate = dd < 1e-28
+    dd_safe = np.where(degenerate, 1.0, dd)
+    ad = d @ apex
+    aa = float(apex @ apex)
+    disc = np.sqrt(ad * ad + dd_safe * (1.0 - aa))
+    # positive quadratic root, in the cancellation-free arrangement
+    t = np.where(ad > 0.0, (1.0 - aa) / (ad + disc), (disc - ad) / dd_safe)
+    exits = apex + t[:, None] * d
+    exits[degenerate] = np.nan
+    exits /= np.linalg.norm(exits, axis=1)[:, None]
+    return exits, degenerate
+
+
 def fit_cap(points: np.ndarray, inside_hint: np.ndarray,
             tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Cap, float]:
     """Fit a spherical cap whose boundary passes through unit points.
@@ -294,7 +317,9 @@ def fit_cap(points: np.ndarray, inside_hint: np.ndarray,
     deficient direction of the centered samples recovers the plane normal.
     inside_hint (a unit vector known to lie inside the cap region) picks
     which of the two complementary caps to return. Returns (cap, residual)
-    where the residual is the worst angular misfit of the samples.
+    where the residual is the worst angular misfit of the samples. The
+    library transforms caps exactly (cap_image); this refit stays as an
+    independent oracle for the tests and the self-test.
     """
     pts = np.atleast_2d(points)
     centroid = pts.mean(axis=0)
@@ -310,22 +335,19 @@ def fit_cap(points: np.ndarray, inside_hint: np.ndarray,
     return Cap(SphereDirection.normalized(normal), half_angle), residual
 
 
-def cap_image(transform: LorentzTransform, cap: Cap, *, samples: int = 16,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> Cap:
+def cap_image(transform: LorentzTransform, cap: Cap) -> Cap:
     """Image of a cap under the boundary action of a Lorentz transform.
 
-    The boundary circle maps to a circle; at least four mapped samples are
-    refit by a plane. Raises FitFailure when the refit residual exceeds the
-    configured bound (which would indicate the samples do not lie on any
-    circle to working precision).
+    The cap {d : d.n > cos psi} is the set of null rays (1, d) on which the
+    spacelike covector k = (-cos psi, n) is positive. The transform M sends
+    each ray x to Mx and the covector to k' = eta M eta k, which pairs with
+    Mx as k pairs with x (Ratcliffe, Foundations of Hyperbolic Manifolds:
+    hyperplanes of the hyperboloid model). So the image cap has axis
+    n' = k'_s / |k'_s| and cos psi' = -k'_0 / |k'_s|; since M keeps
+    |k'_s|^2 - k'_0^2 = sin^2 psi, the angle is read off as
+    atan2(sin psi, -k'_0), accurate for thin and wide caps alike.
     """
-    if samples < 4:
-        raise ValueError("need at least four boundary samples")
-    mapped = sphere_action(transform, cap.boundary_points(samples))
-    hint = sphere_action(transform, cap.axis.v[None, :])[0]
-    fitted, residual = fit_cap(mapped, hint, tol)
-    if residual > tol.circle_fit:
-        raise FitFailure(
-            f"mapped boundary circle refit residual {residual:.3e} exceeds "
-            f"{tol.circle_fit:.1e}")
-    return fitted
+    k = np.concatenate(([-cap.cos_half], cap.axis.v))
+    k = ETA @ transform.matrix @ ETA @ k
+    return Cap(SphereDirection.normalized(k[1:]),
+               math.atan2(math.sin(cap.half_angle), -float(k[0])))

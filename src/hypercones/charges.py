@@ -183,14 +183,13 @@ def _check_frames(s: Morphism, t: Morphism) -> None:
 
 
 def compose(s: Morphism, t: Morphism,
-            tol: Tolerances = DEFAULT_TOLERANCES,
-            budgets: Budgets = DEFAULT_BUDGETS
+            tol: Tolerances = DEFAULT_TOLERANCES
             ) -> Morphism | ComposedUnlocalized:
     """Composition: charges add; the localization is a cone enclosing both
     factors when one exists, otherwise the result is tagged unlocalized."""
     _check_frames(s, t)
     total = s.charge + t.charge
-    cover = enclosing_cone(s.localization, t.localization, tol, budgets)
+    cover = enclosing_cone(s.localization, t.localization, tol)
     if cover is None:
         return ComposedUnlocalized(total, (s.localization, t.localization),
                                    s.shell)
@@ -220,15 +219,14 @@ def exchange_statistics(s: Morphism, t: Morphism,
 
 
 def intertwiner_region(s: Morphism, t: Morphism,
-                       tol: Tolerances = DEFAULT_TOLERANCES,
-                       budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                       tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Cone in which a unitary relating two same-charge carriers can be
     localized: any cone enclosing both localizations."""
     _check_frames(s, t)
     if s.charge != t.charge:
         raise ChargeMismatchError(
             "intertwiners only relate carriers of the same charge")
-    cover = enclosing_cone(s.localization, t.localization, tol, budgets)
+    cover = enclosing_cone(s.localization, t.localization, tol)
     if cover is None:
         raise AdmissibilityError(
             "no cone encloses both localizations; shrink one side with "

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import scene as scene_io
 from .charges import ComposedUnlocalized, compose, exchange_statistics
-from .config import (DEFAULT_BUDGETS, DEFAULT_TOLERANCES, Budgets,
-                     Tolerances, load_tolerances)
+from .config import (DEFAULT_BUDGETS, DEFAULT_TOLERANCES, Tolerances,
+                     load_tolerances)
 from .cones import (BallCone, Hyperball, Hypercone, cone_leq, disjoint,
                     hyperball_in_cone, in_causal_completion, point_margin)
 from .constructions import (avoid_ball_inside, common_complement_cone,
@@ -28,7 +28,7 @@ from .constructions import (avoid_ball_inside, common_complement_cone,
                             robust_enclosure_lorentz, shrink_across_shells,
                             shrink_for_connectivity, translate_enclosure,
                             wrap_ball_in_complement)
-from .errors import (ConstructionFailure, DegenerateGeometry, FitFailure,
+from .errors import (ConstructionFailure, DegenerateGeometry,
                      HyperconesError, SceneError)
 from .minkowski import FourVector, LorentzTransform
 from .render import render_to_file
@@ -106,8 +106,7 @@ def _parse_generator(text: str) -> LorentzTransform:
 # ------------------------------------------------------------------ check
 
 
-def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances,
-                 budgets: Budgets) -> None:
+def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances) -> None:
     words = query.split()
     if not words:
         raise SceneError("empty query")
@@ -115,7 +114,7 @@ def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances,
 
     if op == "disjoint" and len(args) == 2:
         a, b = (_resolve_cone(scene, n) for n in args)
-        res = disjoint(a, b, tol, budgets)
+        res = disjoint(a, b, tol)
         if res.disjoint:
             w, c = res.plane
             print(f"true, margin={res.margin:.6g}, "
@@ -162,7 +161,7 @@ def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances,
 
     if op == "compose" and len(args) == 2:
         s, t = (_resolve_morphism(scene, n) for n in args)
-        result = compose(s, t, tol, budgets)
+        result = compose(s, t, tol)
         charge = _fmt_vec(result.charge.coords)
         if isinstance(result, ComposedUnlocalized):
             print(f"charge={charge}, unlocalized")
@@ -192,8 +191,7 @@ def cmd_check(ns) -> int:
     scene = scene_io.load(ns.scene)
     tol = load_tolerances(ns.tolerances) if ns.tolerances \
         else DEFAULT_TOLERANCES
-    budgets = DEFAULT_BUDGETS.scaled(ns.budget)
-    _query_check(scene, ns.query, tol, budgets)
+    _query_check(scene, ns.query, tol)
     return _EXIT_OK
 
 
@@ -325,7 +323,7 @@ def cmd_construct(ns) -> int:
         for chi in (0.5, 1.0, 2.0):
             g = family.boost_maker(family.directions[0], chi)
             _report(f"leq(boosted(chi={chi:g}),{names[0]})",
-                    bool(cone_leq(map_cone(g, cone, tol), cone, tol)))
+                    bool(cone_leq(map_cone(g, cone), cone, tol)))
         if ns.ball:
             ball = _resolve_ball(scene, ns.ball)
             n = escape_ball(cone, ball, family.directions[0], ns.nmax,
@@ -491,7 +489,7 @@ def main(argv=None) -> int:
     except DegenerateGeometry as err:
         print(f"degenerate: {err}", file=sys.stderr)
         return _EXIT_DEGENERATE
-    except (SceneError, ConstructionFailure, FitFailure,
+    except (SceneError, ConstructionFailure,
             HyperconesError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_ERROR

@@ -7,6 +7,12 @@ reduces to an exit-point test (follow the ray from the apex and ask where it
 leaves the sphere), containment of one cone in another reduces to cap
 inclusion plus apex membership, and disjointness is decided by GJK on the
 closed hulls with support-function-certified separating planes.
+
+Lorentz maps act on cones exactly: the apex by the ball action and the cap
+by its covector image (``cap_image``). Each cone caches its apex frame, the
+boost that moves its apex to the origin together with the image cap; the
+opposite cone, the shell-metric distances and the shared-apex tests all
+work in that frame.
 """
 from __future__ import annotations
 
@@ -18,10 +24,9 @@ import numpy as np
 from scipy import optimize
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         ball_action_many, cap_image,
-                         homology_through_many, fit_cap,
-                         lorentz_ball_action, shadow_radius, sphere_action)
-from .config import (DEFAULT_BUDGETS, DEFAULT_TOLERANCES, Budgets, Tolerances)
+                         ball_action_many, cap_image, lorentz_ball_action,
+                         ray_exits, shadow_radius, sphere_action)
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .convex import ConeHullSupport, Ellipsoid, gjk_distance, \
     hyperball_ellipsoid
 from .errors import DegenerateGeometry
@@ -61,22 +66,11 @@ class BallCone:
                                                         np.ndarray]:
         """Where rays from the apex through the rows of pts leave the sphere.
 
-        Returns (unit exit rows, mask of rows coinciding with the apex).
+        Returns (unit exit rows, mask of rows coinciding with the apex); a
+        masked row exits along the cap axis.
         """
-        a = self.apex.v
-        pts = np.atleast_2d(pts)
-        d = pts - a
-        dd = np.einsum("ij,ij->i", d, d)
-        degenerate = dd < 1e-28
-        dd_safe = np.where(degenerate, 1.0, dd)
-        ad = d @ a
-        aa = float(a @ a)
-        disc = np.sqrt(ad * ad + dd_safe * (1.0 - aa))
-        # positive quadratic root, in the cancellation-free arrangement
-        t = np.where(ad > 0.0, (1.0 - aa) / (ad + disc), (disc - ad) / dd_safe)
-        exits = a + t[:, None] * d
+        exits, degenerate = ray_exits(self.apex.v, pts)
         exits[degenerate] = self.base.axis.v
-        exits /= np.linalg.norm(exits, axis=1)[:, None]
         return exits, degenerate
 
     def interior_margins(self, pts: np.ndarray) -> np.ndarray:
@@ -126,7 +120,11 @@ class BallCone:
     def apex_frame(self) -> tuple[LorentzTransform, Cap]:
         """Boost whose ball action moves the apex to the origin, with the
         image of the cap under it; computed once per cone."""
-        frame = _normalizing_transform(self.apex)
+        a = float(np.linalg.norm(self.apex.v))
+        if a < 1e-14:
+            frame = LorentzTransform.identity()
+        else:
+            frame = LorentzTransform.boost(self.apex.v / a, -math.atanh(a))
         return frame, cap_image(frame, self.base)
 
 
@@ -225,22 +223,19 @@ class LeqResult:
     holds: bool
     cap_margin: float     # radians of cap-inclusion slack
     apex_margin: float    # cos-space closed-membership margin of the apex
-    sample_margin: float  # worst cos-space margin over certificate samples
 
     def __bool__(self) -> bool:
         return self.holds
 
 
 def cone_leq(inner: BallCone, outer: BallCone,
-             tol: Tolerances = DEFAULT_TOLERANCES,
-             budgets: Budgets = DEFAULT_BUDGETS) -> LeqResult:
+             tol: Tolerances = DEFAULT_TOLERANCES) -> LeqResult:
     """Closed containment inner <= outer (a partial order on cones).
 
     The closed hull of a cone is generated by its apex and its cap region,
     and the sphere trace of the outer hull is exactly the outer cap, so the
     test is: inner cap included in outer cap, and inner apex in the outer
-    closed hull. Both parts are exact up to the configured slacks; sampled
-    base/interior points provide the reported defense-in-depth margin.
+    closed hull. Both parts are exact up to the configured slacks.
     """
     gamma = angle_between(inner.base.axis.v, outer.base.axis.v)
     cap_margin = outer.base.half_angle - inner.base.half_angle - gamma
@@ -249,14 +244,7 @@ def cone_leq(inner: BallCone, outer: BallCone,
         apex_margin = 0.0
     holds = (cap_margin >= -tol.cap_angle_slack
              and apex_margin >= -tol.containment_slack)
-
-    s_grid = np.linspace(0.0, 1.0, max(4, budgets.interior_samples // 16))
-    samples = np.vstack([
-        inner.lateral_points(budgets.base_samples // 4 or 4, s_grid),
-        inner.apex.v[None, :],
-    ])
-    sample_margin = float(np.min(outer.interior_margins(samples)))
-    return LeqResult(holds, cap_margin, apex_margin, sample_margin)
+    return LeqResult(holds, cap_margin, apex_margin)
 
 
 @dataclass(frozen=True)
@@ -272,14 +260,6 @@ class DisjointResult:
         return self.disjoint
 
 
-def _normalizing_transform(apex: BallPoint) -> LorentzTransform:
-    """Boost whose ball action moves the apex to the origin."""
-    a = float(np.linalg.norm(apex.v))
-    if a < 1e-14:
-        return LorentzTransform.identity()
-    return LorentzTransform.boost(apex.v / a, -math.atanh(a))
-
-
 def _plane_from_points(q0, q1, q2) -> tuple[np.ndarray, float]:
     w = np.cross(q1 - q0, q2 - q0)
     w /= np.linalg.norm(w)
@@ -291,17 +271,16 @@ def _cap_min_value(cone: BallCone, w: np.ndarray) -> float:
     return float(w @ cone.support_body().cap_support(-w))
 
 
-def _common_apex_disjoint(k1: BallCone, k2: BallCone, tol: Tolerances,
-                          budgets: Budgets) -> DisjointResult:
-    norm = _normalizing_transform(k1.apex)
-    c1 = cap_image(norm, k1.base, tol=tol)
-    c2 = cap_image(norm, k2.base, tol=tol)
+def _common_apex_disjoint(k1: BallCone, k2: BallCone,
+                          tol: Tolerances) -> DisjointResult:
+    frame, c1 = k1.apex_frame
+    c2 = cap_image(frame, k2.base)
     gamma = angle_between(c1.axis.v, c2.axis.v)
     gap = gamma - c1.half_angle - c2.half_angle
     if abs(gap) <= tol.degenerate_window:
         raise DegenerateGeometry(
             "cones with a shared apex are angularly tangent; perturb inputs")
-    inv = norm.inverse()
+    inv = frame.inverse()
     if gap > 0.0:
         # plane through the apex separating the two direction sectors
         beta = 0.5 * ((math.pi - gamma) + (c2.half_angle - c1.half_angle))
@@ -413,8 +392,7 @@ def _deepest_common_point(k1: BallCone, k2: BallCone, seed: np.ndarray,
 
 
 def disjoint(k1: BallCone, k2: BallCone,
-             tol: Tolerances = DEFAULT_TOLERANCES,
-             budgets: Budgets = DEFAULT_BUDGETS) -> DisjointResult:
+             tol: Tolerances = DEFAULT_TOLERANCES) -> DisjointResult:
     """Whether two open cones have empty intersection.
 
     On True the witness is a separating plane (unit normal w, offset c) with
@@ -426,7 +404,7 @@ def disjoint(k1: BallCone, k2: BallCone,
     disjointness permits).
     """
     if np.linalg.norm(k1.apex.v - k2.apex.v) <= 1e-12:
-        return _common_apex_disjoint(k1, k2, tol, budgets)
+        return _common_apex_disjoint(k1, k2, tol)
     result = gjk_distance(k1.support_body(), k2.support_body())
     if result.distance > tol.degenerate_window:
         w = result.point_b - result.point_a
@@ -450,24 +428,18 @@ def disjoint(k1: BallCone, k2: BallCone,
     return DisjointResult(False, float(-depth), None, point)
 
 
-def opposite(cone: BallCone, *, samples: int = 16,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def opposite(cone: BallCone) -> BallCone:
     """Cone of the rays opposite to a cone's rays, across its apex.
 
-    The asymptotic endpoints of the opposite rays are the images of the base
-    circle under the involution through the apex; they again form a circle,
-    refit as a cap. Applying the construction twice returns the input.
+    It is the image of the cone under the point reflection at the apex. In
+    the apex frame the apex is the origin and that reflection is the
+    antipodal map, so the opposite cap there is the frame cap with its axis
+    negated; the inverse frame carries it back exactly. Applying the
+    construction twice returns the input.
     """
-    ring = cone.base.boundary_points(max(4, samples))
-    mapped = homology_through_many(cone.apex.v, ring)
-    hint = homology_through_many(cone.apex.v, cone.base.axis.v[None, :])[0]
-    fitted, residual = fit_cap(mapped, hint, tol)
-    if residual > tol.circle_fit:
-        from .errors import FitFailure
-        raise FitFailure(
-            f"opposite-cap refit residual {residual:.3e} exceeds "
-            f"{tol.circle_fit:.1e}")
-    return BallCone(cone.apex, fitted)
+    frame, cap = cone.apex_frame
+    flipped = Cap(SphereDirection(-cap.axis.v), cap.half_angle)
+    return BallCone(cone.apex, cap_image(frame.inverse(), flipped))
 
 
 def _covering_cap(caps: list[Cap], pad: float,
@@ -497,8 +469,7 @@ _APEX_DEPTH_LADDER = (0.5, 0.75, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6,
 
 
 def enclosing_cone(k1: BallCone, k2: BallCone,
-                   tol: Tolerances = DEFAULT_TOLERANCES,
-                   budgets: Budgets = DEFAULT_BUDGETS) -> BallCone | None:
+                   tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone | None:
     """Smallest-effort common upper bound of two cones, or None.
 
     Covers both caps by one padded cap and walks the apex down the ray
@@ -506,9 +477,9 @@ def enclosing_cone(k1: BallCone, k2: BallCone,
     (returns None) when the covering cap would exceed the valid range or no
     ladder depth works.
     """
-    if cone_leq(k1, k2, tol, budgets):
+    if cone_leq(k1, k2, tol):
         return k2
-    if cone_leq(k2, k1, tol, budgets):
+    if cone_leq(k2, k1, tol):
         return k1
     for pad in (0.02, 0.1, 0.25):
         cover = _covering_cap([k1.base, k2.base], pad, tol)
@@ -519,8 +490,7 @@ def enclosing_cone(k1: BallCone, k2: BallCone,
             if float(cover.axis.v @ apex.v) >= cover.cos_half:
                 continue
             candidate = BallCone(apex, cover)
-            if (cone_leq(k1, candidate, tol, budgets)
-                    and cone_leq(k2, candidate, tol, budgets)):
+            if cone_leq(k1, candidate, tol) and cone_leq(k2, candidate, tol):
                 return candidate
     return None
 
@@ -601,11 +571,10 @@ def in_causal_completion(x: FourVector, region: Hypercone,
     return bool(hyperball_in_cone(ball, region.cone, tol))
 
 
-def map_cone(transform: LorentzTransform, cone: BallCone,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
     """Image of a cone under the ball action of a Lorentz transform."""
     return BallCone(lorentz_ball_action(transform, cone.apex),
-                    cap_image(transform, cone.base, tol=tol))
+                    cap_image(transform, cone.base))
 
 
 def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball | Ellipsoid,

@@ -41,10 +41,6 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Budgets:
-    # points sampled on a base circle when certifying containment
-    base_samples: int = 64
-    # interior points sampled when certifying containment
-    interior_samples: int = 256
     # points used by Monte Carlo membership oracles
     membership_samples: int = 10_000
     # cap on bisection/adjustment rounds inside constructions
@@ -52,8 +48,6 @@ class Budgets:
 
     def scaled(self, factor: float) -> "Budgets":
         return Budgets(
-            base_samples=max(8, int(self.base_samples * factor)),
-            interior_samples=max(16, int(self.interior_samples * factor)),
             membership_samples=max(64, int(self.membership_samples * factor)),
             search_rounds=self.search_rounds,
         )

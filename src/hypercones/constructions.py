@@ -17,11 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         cap_image, lift_from_ball, shadow_radius)
+                         lift_from_ball, ray_exits, shadow_radius)
 from .cones import (BallCone, Hyperball, Hypercone, _covering_cap,
-                    _normalizing_transform, cone_hyperball_disjoint,
-                    cone_leq, disjoint, hyperball_in_cone,
-                    in_causal_completion, map_cone, opposite)
+                    cone_hyperball_disjoint, cone_leq, disjoint,
+                    hyperball_in_cone, in_causal_completion, map_cone,
+                    opposite)
 from .config import Budgets, Tolerances, DEFAULT_BUDGETS, DEFAULT_TOLERANCES
 from .convex import Ellipsoid, hyperball_ellipsoid
 from .errors import ConstructionFailure, DegenerateGeometry
@@ -286,10 +286,10 @@ def funnel_from_exhaustion(cones: Sequence[BallCone],
     for i in range(len(members) - 1):
         if not cone_leq(members[i], members[i + 1], tol):
             raise ValueError(f"input sequence is not increasing at index {i}")
-    funnel = [opposite(members[0], tol=tol)]
+    funnel = [opposite(members[0])]
     for i, src in enumerate(members[1:]):
         prev = funnel[-1]
-        opp = opposite(src, tol=tol)
+        opp = opposite(src)
         if not cone_leq(opp, prev, tol):
             lens = _lens_cap(opp.base, prev.base)
             _require(lens is not None,
@@ -352,16 +352,6 @@ def avoid_ball_inside(ball: Hyperball, cone: BallCone,
         "exhausted its validity range")
 
 
-def _chord_exits(apex: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Sphere exit points of the rays from an interior apex through pts."""
-    d = pts - apex
-    dd = np.sum(d * d, axis=1)
-    ad = pts @ apex - float(apex @ apex)  # (p-a)·a rowwise
-    aa = float(apex @ apex)
-    t = (-ad + np.sqrt(ad * ad + dd * (1.0 - aa))) / dd
-    return apex + t[:, None] * d
-
-
 def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
                             tol: Tolerances = DEFAULT_TOLERANCES,
                             budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
@@ -382,7 +372,7 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
     for apex, pad in itertools.product(candidates, (0.02, 0.05, 0.12, 0.25)):
         if np.linalg.norm(apex) >= 1.0 - 1e-9:
             continue
-        exits = _chord_exits(apex, cloud)
+        exits, _ = ray_exits(apex, cloud)
         mean = exits.mean(axis=0)
         norm = np.linalg.norm(mean)
         if norm < 1e-12:
@@ -827,9 +817,8 @@ def contracting_boosts(cone: BallCone,
     circles toward the boost direction, and a cap of opening below a right
     angle is geodesically convex.
     """
-    frame = _normalizing_transform(cone.apex)
+    frame, cap_n = cone.apex_frame
     frame_inv = frame.inverse()
-    cap_n = cap_image(frame, cone.base, tol=tol)
     psi = cap_n.half_angle
 
     def maker(l: SphereDirection, chi: float) -> LorentzTransform:
@@ -847,7 +836,7 @@ def contracting_boosts(cone: BallCone,
                   *(SphereDirection.normalized(r) for r in ring))
     for d in directions[:3]:
         for chi in (0.5, 1.0, 2.0):
-            mapped = map_cone(maker(d, chi), cone, tol)
+            mapped = map_cone(maker(d, chi), cone)
             _require(bool(cone_leq(mapped, cone, tol)),
                      "boosted cone escaped the source cone")
     return ContractingBoosts(directions, psi, maker)
@@ -864,7 +853,7 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
     ell = ball.ellipsoid()
     for n in range(nmax + 1):
         mapped = cone if n == 0 else map_cone(
-            family.boost_maker(direction, float(n)), cone, tol)
+            family.boost_maker(direction, float(n)), cone)
         if n > 0 and not cone_leq(mapped, cone, tol):
             raise ConstructionFailure(
                 "boosted cone escaped the source cone", failing_index=n)
@@ -890,7 +879,7 @@ def robust_enclosure_lorentz(cone: BallCone,
         ring.extend([g, g.inverse()])
     words = list(ring)
     words.extend(a @ b for a, b in itertools.product(ring, ring))
-    images = [map_cone(w, cone, tol) for w in words]
+    images = [map_cone(w, cone) for w in words]
     caps = [img.base for img in images]
     cover = _covering_cap(caps, 0.0, tol)
     if cover is None:
@@ -905,14 +894,7 @@ def robust_enclosure_lorentz(cone: BallCone,
         # the cap must also cover where rays from the candidate apex
         # through every image apex leave the sphere
         e = -rho * axis
-        d = apexes - e
-        ad = d @ e
-        dd = np.einsum("ij,ij->i", d, d)
-        disc = np.sqrt(ad * ad + dd * (1.0 - rho * rho))
-        t = np.where(ad > 0.0, (1.0 - rho * rho) / (ad + disc),
-                     (disc - ad) / dd)
-        exits = e + t[:, None] * d
-        exits /= np.linalg.norm(exits, axis=1)[:, None]
+        exits, _ = ray_exits(e, apexes)
         apex_need = float(np.max(np.arccos(np.clip(exits @ axis, -1.0,
                                                    1.0))))
         psi = max(cap_need, apex_need) + pad
@@ -987,9 +969,10 @@ def translate_enclosure(cone: BallCone, tau: float,
             raise ValueError(
                 f"translation {i} is not future-directed (closure of the "
                 "forward cone)")
-    frame = _normalizing_transform(cone.apex)
+    # the frame sends the apex to the origin
+    frame, cap_n = cone.apex_frame
     frame_inv = frame.inverse()
-    cone_n = map_cone(frame, cone, tol)
+    cone_n = BallCone(BallPoint(np.zeros(3)), cap_n)
     shifted = [frame.apply(t) for t in trans]
     t_dom = max((s.x0 + float(np.linalg.norm(s.xs)) for s in shifted),
                 default=0.0)
@@ -1045,7 +1028,7 @@ def translate_enclosure(cone: BallCone, tau: float,
             ok = False
         if not ok:
             continue
-        region = map_cone(frame_inv, region_n, tol)
+        region = map_cone(frame_inv, region_n)
         rng = np.random.default_rng(7)
         n_checks = 12
         us = cone.sample_points(n_checks, rng)

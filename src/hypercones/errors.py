@@ -17,10 +17,6 @@ class ConstructionFailure(HyperconesError):
         self.failing_index = failing_index
 
 
-class FitFailure(HyperconesError):
-    """A refit (circle/plane) exceeded its residual tolerance."""
-
-
 class AdmissibilityError(HyperconesError):
     """A charge operation was asked on localizations whose geometry does
     not admit it; the message suggests a remedy when one exists."""

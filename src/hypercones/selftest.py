@@ -175,7 +175,7 @@ def _check_transport_membership(rng, n, tol, budgets) -> PropertyResult:
         cone = _random_cone(rng)
         g = _random_transform(rng, scale=0.6)
         try:
-            image = map_cone(g, cone, tol)
+            image = map_cone(g, cone)
         except DegenerateGeometry:
             continue
         pts = cone.sample_points(64, rng)
@@ -199,7 +199,7 @@ def _check_disjoint_certificates(rng, n, tol, budgets) -> PropertyResult:
     for k in range(n):
         a, b = _random_cone(rng), _random_cone(rng)
         try:
-            res = disjoint(a, b, tol, budgets)
+            res = disjoint(a, b, tol)
         except DegenerateGeometry:
             continue
         if res.disjoint:
@@ -299,7 +299,7 @@ def _check_common_complement(rng, n, tol, budgets) -> PropertyResult:
                      Cap(SphereDirection.normalized(-axis + 0.1 * tilt),
                          psi))
         try:
-            if not disjoint(a, b, tol, budgets).disjoint:
+            if not disjoint(a, b, tol).disjoint:
                 continue
         except DegenerateGeometry:
             continue
@@ -309,8 +309,8 @@ def _check_common_complement(rng, n, tol, budgets) -> PropertyResult:
         except (ConstructionFailure, DegenerateGeometry) as err:
             bad.append(f"pair {k}: no common complement cone ({err})")
             continue
-        if not (disjoint(w, a, tol, budgets).disjoint
-                and disjoint(w, b, tol, budgets).disjoint):
+        if not (disjoint(w, a, tol).disjoint
+                and disjoint(w, b, tol).disjoint):
             bad.append(f"pair {k}: complement witness touches an input")
     return PropertyResult("disjoint_pairs_admit_complement_cone", n, bad,
                           float(built))
@@ -368,7 +368,7 @@ def _check_completion_equivariance(rng, n, tol, budgets) -> PropertyResult:
             continue
         g = _random_transform(rng, scale=0.4)
         try:
-            mapped_cone = map_cone(g, cone, tol)
+            mapped_cone = map_cone(g, cone)
         except DegenerateGeometry:
             continue
         after = in_causal_completion(g.apply(x),

@@ -14,6 +14,7 @@ from hypercones import (BallPoint, Cap, FourVector, Hyperboloid,
                         homology_through, hyperboloid_distance,
                         lift_from_ball, lorentz_ball_action, project_to_ball,
                         shadow_radius, sphere_action)
+from hypercones.spherical import angle_between
 from tests.conftest import interior_point, random_transform, unit_vector
 
 
@@ -254,6 +255,21 @@ class TestCapFitting:
                                               -1.0, 1.0))
                             - image.half_angle)
             assert float(np.max(misfit)) < 1e-7
+
+    def test_cap_image_matches_refit_oracle(self):
+        # the covector image against the plane refit of mapped boundary
+        # points, up to rapidity 3
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            cap = Cap(SphereDirection(unit_vector(rng)),
+                      float(rng.uniform(0.1, 2.0)))
+            g = random_transform(rng, max_rapidity=3.0)
+            image = cap_image(g, cap)
+            hint = sphere_action(g, cap.axis.v[None, :])[0]
+            fitted, _ = fit_cap(sphere_action(g, cap.boundary_points(32)),
+                                hint)
+            assert angle_between(image.axis.v, fitted.axis.v) <= 1e-12
+            assert abs(image.half_angle - fitted.half_angle) <= 1e-12
 
     def test_cap_image_composes(self):
         rng = np.random.default_rng(15)

@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         FourVector, Hyperball, Hyperboloid, Hypercone,
-                        SphereDirection, ball_distance, cone_hyperball_disjoint,
+                        LorentzTransform, SphereDirection, ball_distance,
+                        cone_hyperball_disjoint,
                         cone_leq, contains_point, disjoint, enclosing_cone,
                         hyperball_in_cone, in_causal_completion,
                         lift_from_ball, lorentz_ball_action, map_cone,
                         opposite, point_margin)
-from hypercones.ball_model import ball_distance_many
+from hypercones.ball_model import ball_distance_many, homology_through_many
 from hypercones.cones import _min_boundary_distance
-from hypercones.spherical import orthonormal_frame, rotate_toward
+from hypercones.spherical import angle_between, orthonormal_frame, \
+    rotate_toward
 from tests.conftest import (disjoint_cone_pair, interior_point, random_cone,
                             random_transform, unit_vector)
 
@@ -201,6 +205,28 @@ class TestOpposite:
             opp = opposite(cone)
             assert np.array_equal(opp.apex.v, cone.apex.v)
             assert disjoint(cone, opp).disjoint
+
+    def test_double_opposite_is_exact(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            cone = random_cone(rng, psi_max=1.4, apex_r=0.9)
+            back = opposite(opposite(cone))
+            assert np.array_equal(back.apex.v, cone.apex.v)
+            assert angle_between(back.base.axis.v, cone.base.axis.v) <= 1e-12
+            assert abs(back.base.half_angle - cone.base.half_angle) <= 1e-12
+
+    def test_boundary_matches_homology_oracle(self):
+        # the opposite cap's boundary circle is where the chords from the
+        # apex through the source circle leave the sphere again
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            cone = random_cone(rng, psi_max=1.4, apex_r=0.9)
+            opp = opposite(cone)
+            ends = homology_through_many(cone.apex.v,
+                                         cone.base.boundary_points(32))
+            angles = np.arccos(np.clip(ends @ opp.base.axis.v, -1.0, 1.0))
+            assert float(np.max(np.abs(angles - opp.base.half_angle))) \
+                <= 1e-12
 
     def test_centered_opposite_is_mirror(self):
         cone = BallCone(BallPoint(np.zeros(3)), Cap(SphereDirection(Z), 0.6))
@@ -443,8 +469,67 @@ class TestMapCone:
                                               slack=1e-7))
 
     def test_identity_is_neutral(self):
-        from hypercones import LorentzTransform
         cone = simple_cone(0.1, 0.5)
         image = map_cone(LorentzTransform.identity(), cone)
         assert np.max(np.abs(image.apex.v - cone.apex.v)) < 1e-12
         assert abs(image.base.half_angle - cone.base.half_angle) < 1e-9
+
+
+directions = st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: np.array(v) / np.linalg.norm(v))
+
+transforms = st.builds(
+    lambda l, chi, r, angle: (LorentzTransform.rotation(r, angle)
+                              @ LorentzTransform.boost(l, chi)),
+    directions, st.floats(-1.5, 1.5), directions,
+    st.floats(0.0, 2.0 * math.pi))
+
+
+@st.composite
+def cones(draw):
+    axis = draw(directions)
+    psi = draw(st.floats(0.12, 1.2))
+    apex = draw(st.floats(0.0, 0.6)) * draw(directions)
+    assume(float(axis @ apex) < math.cos(psi) - 1e-6)
+    return BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi))
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones; half the time the first is drawn inside the second."""
+    outer = draw(cones())
+    if draw(st.booleans()):
+        return draw(cones()), outer
+    psi = draw(st.floats(0.1, 0.9)) * outer.base.half_angle
+    tilt = draw(st.floats(0.0, 1.0)) * (outer.base.half_angle - psi)
+    axis = rotate_toward(outer.base.axis.v, draw(directions), tilt)
+    apex = outer.apex.v + draw(st.floats(0.0, 0.9)) * (
+        outer.base.axis.v - outer.apex.v)
+    assume(float(axis @ apex) < math.cos(psi) - 1e-6)
+    inner = BallCone(BallPoint(apex),
+                     Cap(SphereDirection.normalized(axis), psi))
+    return inner, outer
+
+
+class TestLorentzInvariance:
+    """Outside the degenerate window the predicates answer the same for
+    a pair of cones and for its image under a Lorentz map."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cone_pairs(), transforms)
+    def test_disjoint(self, pair, g):
+        a, b = pair
+        try:
+            before = disjoint(a, b).disjoint
+            after = disjoint(map_cone(g, a), map_cone(g, b)).disjoint
+        except DegenerateGeometry:
+            reject()
+        assert before == after
+
+    @settings(max_examples=200, deadline=None)
+    @given(cone_pairs(), transforms)
+    def test_cone_leq(self, pair, g):
+        a, b = pair
+        assert (cone_leq(a, b).holds
+                == cone_leq(map_cone(g, a), map_cone(g, b)).holds)
