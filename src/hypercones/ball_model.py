@@ -137,8 +137,7 @@ class Cap:
         return dirs @ self.axis.v > self.cos_half + slack
 
 
-def project_to_ball(a: FourVector, shell: Hyperboloid,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> BallPoint:
+def project_to_ball(a: FourVector, shell: Hyperboloid) -> BallPoint:
     """Map a point of the shell to u = a_s / a0."""
     expected = math.sqrt(float(a.xs @ a.xs) + shell.tau ** 2)
     if abs(a.x0 - expected) > 1e-9 * max(1.0, abs(a.x0)):
@@ -163,8 +162,8 @@ def _acosh_clamped(arg: float, tol: Tolerances) -> float:
 def hyperboloid_distance(a: FourVector, b: FourVector, shell: Hyperboloid,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Geodesic distance on the shell from the Lorentz pairing."""
-    project_to_ball(a, shell, tol)
-    project_to_ball(b, shell, tol)
+    project_to_ball(a, shell)
+    project_to_ball(b, shell)
     from .minkowski import minkowski_product
     arg = minkowski_product(a, b) / shell.tau ** 2
     return shell.tau * _acosh_clamped(arg, tol)
@@ -309,8 +308,8 @@ def ray_exits(apex: np.ndarray, pts: np.ndarray
     return exits, degenerate
 
 
-def fit_cap(points: np.ndarray, inside_hint: np.ndarray,
-            tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Cap, float]:
+def fit_cap(points: np.ndarray,
+            inside_hint: np.ndarray) -> tuple[Cap, float]:
     """Fit a spherical cap whose boundary passes through unit points.
 
     The boundary circle of a cap spans a plane; a rank-

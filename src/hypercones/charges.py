@@ -237,14 +237,13 @@ def intertwiner_region(s: Morphism, t: Morphism,
 
 def transport_chain(s: Morphism, target: BallCone,
                     forbidden: BallCone | None = None,
-                    tol: Tolerances = DEFAULT_TOLERANCES,
-                    budgets: Budgets = DEFAULT_BUDGETS) -> ConePath:
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> ConePath:
     """Certified cone path moving a carrier's localization to a target
     cone, optionally staying in the complement of a forbidden cone."""
     if forbidden is None:
-        return path_connect(s.localization, target, tol, budgets)
+        return path_connect(s.localization, target, tol)
     return path_connect_in_complement(forbidden, s.localization, target,
-                                      tol, budgets)
+                                      tol)
 
 
 def verify_group_axioms(group: ChargeGroup, eps: StatisticsCharacter,

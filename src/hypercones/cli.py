@@ -241,7 +241,7 @@ def cmd_construct(ns) -> int:
         if len(names) < 2:
             raise SceneError("A2 needs at least two exhaustion cone names")
         cones = [_resolve_cone(scene, n) for n in names]
-        funnel = funnel_from_exhaustion(cones, tol, budgets)
+        funnel = funnel_from_exhaustion(cones, tol)
         added = [_append_cone(scene, c, "Op") for c in funnel.cones]
         for i, nm in enumerate(added):
             _report(f"disjoint({nm},{names[i]})", True)
@@ -271,13 +271,13 @@ def cmd_construct(ns) -> int:
         if lemma == "A5":
             need(2, "cone, cone")
             path = path_connect(_resolve_cone(scene, names[0]),
-                                _resolve_cone(scene, names[1]), tol, budgets)
+                                _resolve_cone(scene, names[1]), tol)
         else:
             need(3, "forbidden cone, cone, cone")
             path = path_connect_in_complement(
                 _resolve_cone(scene, names[0]),
                 _resolve_cone(scene, names[1]),
-                _resolve_cone(scene, names[2]), tol, budgets)
+                _resolve_cone(scene, names[2]), tol)
         node_names = [_append_cone(scene, c, "P") for c in path.nodes]
         _report("path adjacency witnesses "
                 f"({len(path.witnesses)})", True)
@@ -316,7 +316,7 @@ def cmd_construct(ns) -> int:
     elif lemma == "A11":
         need(1, "cone")
         cone = _resolve_cone(scene, names[0])
-        family = contracting_boosts(cone, tol, budgets)
+        family = contracting_boosts(cone, tol)
         print(f"contracting directions: {len(family.directions)}, "
               f"cap half-angle {math.degrees(family.half_angle):.4g} deg")
         from .cones import map_cone
@@ -327,7 +327,7 @@ def cmd_construct(ns) -> int:
         if ns.ball:
             ball = _resolve_ball(scene, ns.ball)
             n = escape_ball(cone, ball, family.directions[0], ns.nmax,
-                            tol, budgets)
+                            tol)
             _report(f"escape({names[0]},{ns.ball})", True, f"n={n}")
             print(f"escape count: {n}")
 
@@ -372,14 +372,13 @@ def cmd_path(ns) -> int:
     scene = scene_io.load(ns.scene)
     tol = load_tolerances(ns.tolerances) if ns.tolerances \
         else DEFAULT_TOLERANCES
-    budgets = DEFAULT_BUDGETS.scaled(ns.budget)
     a = _resolve_cone(scene, ns.start)
     b = _resolve_cone(scene, ns.goal)
     if ns.forbidden:
         forb = _resolve_cone(scene, ns.forbidden)
-        path = path_connect_in_complement(forb, a, b, tol, budgets)
+        path = path_connect_in_complement(forb, a, b, tol)
     else:
-        path = path_connect(a, b, tol, budgets)
+        path = path_connect(a, b, tol)
     node_names = [_append_cone(scene, c, "P") for c in path.nodes]
     print(f"path: {len(path.nodes)} nodes, {len(path.witnesses)} "
           f"witnesses: {', '.join(node_names)}")

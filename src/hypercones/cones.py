@@ -127,6 +127,15 @@ class BallCone:
             frame = LorentzTransform.boost(self.apex.v / a, -math.atanh(a))
         return frame, cap_image(frame, self.base)
 
+    @cached_property
+    def apex_frame_scalars(self) -> tuple[float, ...]:
+        """The apex frame as plain floats for the scalar membership kernel:
+        the 16 matrix entries row by row, then the image cap axis n' and
+        half-angle psi'."""
+        frame, cap = self.apex_frame
+        return (*frame.matrix.ravel().tolist(), *cap.axis.v.tolist(),
+                cap.half_angle)
+
 
 @dataclass(frozen=True)
 class Hypercone:
@@ -152,8 +161,7 @@ class Hyperball:
         return hyperball_ellipsoid(self.center.v, self.radius, self.shell.tau)
 
 
-def contains_point(cone: BallCone, u: BallPoint,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def contains_point(cone: BallCone, u: BallPoint) -> bool:
     """Strict membership of a ball point in the open cone.
 
     The ray from the apex through u exits the sphere somewhere; u is inside
@@ -504,40 +512,62 @@ class InclusionResult:
         return self.holds
 
 
+def _frame_clearance(cone: BallCone, c, tau: float) -> tuple[float, bool]:
+    """Shell distance from the ball point c (three floats) to the cone's
+    lateral boundary, and whether c lies in the open cone.
+
+    The cone's apex frame sends the apex to the origin and the cone to
+    every point whose direction lies within psi' of the image cap axis n'.
+    A point at distance r and angle theta from n' is nearest to the
+    boundary ray in its own plane through n', at angle |theta - psi'| from
+    it; the right-angled triangle relation sinh a = sinh c sin A (Beardon,
+    The Geometry of Discrete Groups, ch. 7) gives the distance, and from a
+    right angle on the apex itself is the nearest boundary point. The point
+    is inside exactly when theta < psi'. Plain floats throughout: at one
+    point per call, array dispatch would cost more than the arithmetic.
+    """
+    (m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23,
+     m30, m31, m32, m33, nx, ny, nz, psi) = cone.apex_frame_scalars
+    x, y, z = c
+    den = m00 + m01 * x + m02 * y + m03 * z
+    px = (m10 + m11 * x + m12 * y + m13 * z) / den
+    py = (m20 + m21 * x + m22 * y + m23 * z) / den
+    pz = (m30 + m31 * x + m32 * y + m33 * z) / den
+    norm = math.sqrt(px * px + py * py + pz * pz)
+    if norm == 0.0:
+        return 0.0, False
+    px, py, pz = px / norm, py / norm, pz / norm
+    sx, sy, sz = py * nz - pz * ny, pz * nx - px * nz, px * ny - py * nx
+    theta = math.atan2(math.sqrt(sx * sx + sy * sy + sz * sz),
+                       px * nx + py * ny + pz * nz)
+    r = math.atanh(norm)
+    gap = abs(theta - psi)
+    if gap >= 0.5 * math.pi:
+        return tau * r, theta < psi
+    return tau * math.asinh(math.sinh(r) * math.sin(gap)), theta < psi
+
+
 def _min_boundary_distance(cone: BallCone, center: BallPoint,
                            tau: float) -> float:
     """Minimum shell distance from a ball point to the cone's lateral
-    boundary (the cap face sits at infinite distance).
-
-    In the apex frame the lateral boundary is the union of geodesic rays
-    from the origin at angle psi' to the cap axis n'. A point at distance r
-    and angle theta from n' is nearest to the ray in its own plane through
-    n', at angle |theta - psi'| from it. The right-angled triangle relation
-    sinh a = sinh c sin A then gives the distance; from a right angle on,
-    the apex itself is the nearest boundary point.
-    """
-    frame, cap = cone.apex_frame
-    c = ball_action_many(frame, center.v[None, :])[0]
-    norm = float(np.linalg.norm(c))
-    if norm == 0.0:
-        return 0.0
-    r = math.atanh(norm)
-    gap = abs(angle_between(c / norm, cap.axis.v) - cap.half_angle)
-    if gap >= 0.5 * math.pi:
-        return tau * r
-    return tau * math.asinh(math.sinh(r) * math.sin(gap))
+    boundary (the cap face sits at infinite distance), in closed form in
+    the apex frame (see _frame_clearance)."""
+    return _frame_clearance(cone, center.v.tolist(), tau)[0]
 
 
 def hyperball_in_cone(ball: Hyperball, cone: BallCone,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> InclusionResult:
     """Whether a closed metric ball lies inside the open cone.
 
-    Decided by comparing the ball radius with the minimal shell distance
-    from the center to the cone boundary; a difference inside the degenerate
-    window raises DegenerateGeometry.
+    The ball is inside exactly when its center is inside and the center's
+    shell distance to the lateral boundary exceeds the radius; both are
+    read in closed form in the cone's apex frame (_frame_clearance). The
+    margin is that distance minus the radius, negated (distance plus
+    radius) for an outside center. A distance within the degenerate window
+    of the radius raises DegenerateGeometry.
     """
-    boundary = _min_boundary_distance(cone, ball.center, ball.shell.tau)
-    inside = bool(cone.contains_many(ball.center.v[None, :])[0])
+    boundary, inside = _frame_clearance(cone, ball.center.v.tolist(),
+                                        ball.shell.tau)
     margin = boundary - ball.radius if inside else -(boundary + ball.radius)
     if abs(boundary - ball.radius) <= tol.degenerate_window:
         raise DegenerateGeometry(
@@ -550,25 +580,37 @@ def in_causal_completion(x: FourVector, region: Hypercone,
     """Whether a forward-cone event belongs to the causal completion of the
     region a cone spans on the shell.
 
-    The event's causal shadow on the shell is a metric ball; the event is in
-    the completion exactly when that shadow fits inside the cone. Events on
-    the light cone boundary (zero Minkowski square) are never inside.
+    The event's causal shadow on the shell is the metric ball about
+    u = x_s / x0 whose radius is the shadow radius of sqrt(x.x) on tau; the
+    event is in the completion exactly when that ball fits inside the cone,
+    which the apex-frame closed form (_frame_clearance) decides on plain
+    floats. Events on the light cone boundary (zero Minkowski square) are
+    never inside. An event that is not a finite point of the closed forward
+    cone raises ValueError; a shadow radius within the degenerate window of
+    the boundary distance raises DegenerateGeometry.
     """
-    if not isinstance(x, FourVector):
-        x = FourVector.from_array(np.asarray(x, dtype=float))
-    radial = float(np.linalg.norm(x.xs))
-    if x.x0 < radial - tol.linear_identity or x.x0 <= 0.0:
+    a = (x.components if isinstance(x, FourVector)
+         else np.asarray(x, dtype=float).reshape(4))
+    x0, x1, x2, x3 = a.tolist()
+    rr = x1 * x1 + x2 * x2 + x3 * x3
+    square = x0 * x0 - rr
+    if (x0 < math.sqrt(rr) - tol.linear_identity or x0 <= 0.0
+            or not math.isfinite(square)):
         raise ValueError("event must lie in the closed forward cone")
-    square = x.square()
     if square <= tol.linear_identity:
         return False
-    sigma = math.sqrt(square)
-    center = BallPoint(x.xs / x.x0)
-    radius = shadow_radius(sigma, region.shell.tau, tol)
-    if radius <= 1e-15 * region.shell.tau:
-        return contains_point(region.cone, center, tol)
-    ball = Hyperball(region.shell, center, radius)
-    return bool(hyperball_in_cone(ball, region.cone, tol))
+    u = (x1 / x0, x2 / x0, x3 / x0)
+    if not math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) < 1.0:
+        raise ValueError("ball point must satisfy |u| < 1")
+    tau = region.shell.tau
+    radius = shadow_radius(math.sqrt(square), tau, tol)
+    if radius <= 1e-15 * tau:
+        return contains_point(region.cone, BallPoint(u))
+    boundary, inside = _frame_clearance(region.cone, u, tau)
+    if abs(boundary - radius) <= tol.degenerate_window:
+        raise DegenerateGeometry(
+            "ball touches the cone boundary within the window")
+    return inside and boundary > radius
 
 
 def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:

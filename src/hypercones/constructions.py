@@ -262,8 +262,7 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
 
 
 def funnel_from_exhaustion(cones: Sequence[BallCone],
-                           tol: Tolerances = DEFAULT_TOLERANCES,
-                           budgets: Budgets = DEFAULT_BUDGETS) -> Funnel:
+                           tol: Tolerances = DEFAULT_TOLERANCES) -> Funnel:
     """Decreasing funnel of subcones of the opposites of an increasing
     sequence.
 
@@ -467,7 +466,6 @@ def _certify_path(path: ConePath, tol: Tolerances) -> None:
 
 def path_connect(cone_a: BallCone, cone_b: BallCone,
                  tol: Tolerances = DEFAULT_TOLERANCES,
-                 budgets: Budgets = DEFAULT_BUDGETS,
                  max_subdivisions: int = 10) -> ConePath:
     """Cone sequence from `cone_a` to `cone_b` where every adjacent pair
     shares a certified common subcone.
@@ -507,8 +505,7 @@ def _azimuth(d: np.ndarray, pole: np.ndarray, e1: np.ndarray,
 
 def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
                                cone_b: BallCone,
-                               tol: Tolerances = DEFAULT_TOLERANCES,
-                               budgets: Budgets = DEFAULT_BUDGETS
+                               tol: Tolerances = DEFAULT_TOLERANCES
                                ) -> ConePath:
     """Cone path from `cone_a` to `cone_b` all of whose nodes and witnesses
     stay disjoint from the forbidden cone.
@@ -695,14 +692,13 @@ def _quick_cloud_ok(samples: np.ndarray, radius: float, tau: float,
 
 
 def _full_ball_checks(samples: np.ndarray, radius: float, shell: Hyperboloid,
-                      region: BallCone, tol: Tolerances,
-                      count: int = 6) -> bool:
-    margins = region.interior_margins(samples)
-    order = np.argsort(margins)
-    picked = samples[order[:count]]
+                      region: BallCone, tol: Tolerances) -> bool:
+    """Whether the metric ball of the given radius about every sample lies
+    inside the region, by the exact test; contact within the window counts
+    as a failure."""
     try:
         return all(hyperball_in_cone(Hyperball(shell, BallPoint(p), radius),
-                                     region, tol).holds for p in picked)
+                                     region, tol).holds for p in samples)
     except DegenerateGeometry:
         return False
 
@@ -785,8 +781,7 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float,
                                          s_depths=(0.05, 0.3, 0.7, 0.95))
         if not _quick_cloud_ok(samples, radius, tau, cone, tol):
             continue
-        if not _full_ball_checks(samples, radius, shell, cone, tol,
-                                 count=4):
+        if not _full_ball_checks(samples, radius, shell, cone, tol):
             continue
         rng = np.random.default_rng(5)
         base_pts = witness.sample_points(budgets.membership_samples, rng)
@@ -806,8 +801,7 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float,
 
 
 def contracting_boosts(cone: BallCone,
-                       tol: Tolerances = DEFAULT_TOLERANCES,
-                       budgets: Budgets = DEFAULT_BUDGETS
+                       tol: Tolerances = DEFAULT_TOLERANCES
                        ) -> ContractingBoosts:
     """Open direction family and boost factory contracting a cone into
     itself.
@@ -844,12 +838,11 @@ def contracting_boosts(cone: BallCone,
 
 def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
                 nmax: int,
-                tol: Tolerances = DEFAULT_TOLERANCES,
-                budgets: Budgets = DEFAULT_BUDGETS) -> int:
+                tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Smallest boost count n <= nmax whose contraction of the cone clears
     the ball; the direction must be admissible for `contracting_boosts`.
     """
-    family = contracting_boosts(cone, tol, budgets)
+    family = contracting_boosts(cone, tol)
     ell = ball.ellipsoid()
     for n in range(nmax + 1):
         mapped = cone if n == 0 else map_cone(

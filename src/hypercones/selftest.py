@@ -147,7 +147,7 @@ def _check_circle_preservation(rng, n, tol, budgets) -> PropertyResult:
             g, SphereDirection.normalized(p)).v for p in ring])
         inside = lorentz_ball_action(g, SphereDirection(cap.axis.v)).v
         try:
-            _, residual = fit_cap(mapped, inside, tol)
+            _, residual = fit_cap(mapped, inside)
         except Exception as err:  # fit failure is itself a violation
             bad.append(f"sample {k}: cap fit failed ({err})")
             continue
@@ -274,7 +274,7 @@ def _check_paths(rng, n, tol, budgets) -> PropertyResult:
     for k in range(n):
         a, b = _random_cone(rng, psi_max=0.7), _random_cone(rng, psi_max=0.7)
         try:
-            path = path_connect(a, b, tol, budgets)
+            path = path_connect(a, b, tol)
         except ConstructionFailure as err:
             bad.append(f"pair {k}: path failed ({err})")
             continue

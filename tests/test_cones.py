@@ -14,9 +14,11 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         cone_leq, contains_point, disjoint, enclosing_cone,
                         hyperball_in_cone, in_causal_completion,
                         lift_from_ball, lorentz_ball_action, map_cone,
-                        opposite, point_margin)
-from hypercones.ball_model import ball_distance_many, homology_through_many
+                        opposite, point_margin, shadow_radius)
+from hypercones.ball_model import (ball_action_many, ball_distance_many,
+                                   homology_through_many)
 from hypercones.cones import _min_boundary_distance
+from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward
 from tests.conftest import (disjoint_cone_pair, interior_point, random_cone,
@@ -453,6 +455,141 @@ class TestCausalCompletion:
         x = lift_from_ball(BallPoint(np.array([0.0, 0.0, 0.3])), shell)
         shifted = x + FourVector.from_parts(0.2, (0.0, 0.0, 0.0))
         assert in_causal_completion(shifted, region)
+
+
+def _reference_ball_in_cone(ball, cone, tol=DEFAULT_TOLERANCES):
+    """(holds, margin) by the composition the apex-frame kernel replaced:
+    the ball action of the frame on one row, the angle through np.cross,
+    and the exit-ray membership test of contains_many."""
+    frame, cap = cone.apex_frame
+    c = ball_action_many(frame, ball.center.v[None, :])[0]
+    norm = float(np.linalg.norm(c))
+    tau = ball.shell.tau
+    if norm == 0.0:
+        boundary = 0.0
+    else:
+        r = math.atanh(norm)
+        gap = abs(angle_between(c / norm, cap.axis.v) - cap.half_angle)
+        boundary = (tau * r if gap >= 0.5 * math.pi
+                    else tau * math.asinh(math.sinh(r) * math.sin(gap)))
+    inside = bool(cone.contains_many(ball.center.v[None, :])[0])
+    margin = boundary - ball.radius if inside else -(boundary + ball.radius)
+    if abs(boundary - ball.radius) <= tol.degenerate_window:
+        raise DegenerateGeometry("reference: ball touches the boundary")
+    return inside and boundary > ball.radius, margin
+
+
+def _reference_completion(x, region, tol=DEFAULT_TOLERANCES):
+    """Completion membership through BallPoint, Hyperball and the
+    reference ball test above."""
+    if not isinstance(x, FourVector):
+        x = FourVector.from_array(np.asarray(x, dtype=float))
+    if (x.x0 < float(np.linalg.norm(x.xs)) - tol.linear_identity
+            or x.x0 <= 0.0):
+        raise ValueError("reference: outside the closed forward cone")
+    square = x.square()
+    if square <= tol.linear_identity:
+        return False
+    sigma = math.sqrt(square)
+    center = BallPoint(x.xs / x.x0)
+    radius = shadow_radius(sigma, region.shell.tau, tol)
+    if radius <= 1e-15 * region.shell.tau:
+        return contains_point(region.cone, center)
+    ball = Hyperball(region.shell, center, radius)
+    return _reference_ball_in_cone(ball, region.cone, tol)[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, DegenerateGeometry) as exc:
+        return type(exc)
+
+
+class TestCompletionKernel:
+    """The closed-form apex-frame kernel against the reference
+    composition, on events from every branch."""
+
+    def _region(self, rng, apex_at_origin=False):
+        cone = random_cone(rng)
+        if apex_at_origin:
+            cone = BallCone(BallPoint(np.zeros(3)), cone.base)
+        return Hypercone(Hyperboloid(rng.uniform(0.7, 1.5)), cone)
+
+    def _events(self, rng, region):
+        """Seeded events of every branch, tagged with the branch."""
+        cone, tau = region.cone, region.shell.tau
+        pts = np.vstack([cone.sample_points(30, rng),
+                         [interior_point(rng, 0.95) for _ in range(10)]])
+        for p in pts:
+            x = lift_from_ball(BallPoint(p), region.shell).components
+            yield "lift", x * math.exp(rng.uniform(-0.3, 0.5))
+        yield "past", np.array([-1.0, *(0.1 * unit_vector(rng))])
+        yield "spacelike", np.array([0.5, *(0.9 * unit_vector(rng))])
+        yield "lightlike", np.array([1.0, *unit_vector(rng)])
+        yield "non-finite", np.array([math.inf, 0.0, 0.0, 0.0])
+        yield "non-finite", np.array([math.nan, *(0.1 * unit_vector(rng))])
+        # sigma = tau exactly: the shadow vanishes
+        yield "sigma=tau", np.array([tau, 0.0, 0.0, 0.0])
+        yield "sigma=tau", lift_from_ball(cone.centroid(),
+                                          region.shell).components
+        # the lift of the apex sits at the frame origin
+        apex = lift_from_ball(cone.apex, region.shell).components
+        yield "apex", apex * math.exp(rng.uniform(0.1, 0.5))
+        # the shadow radius equals the boundary distance
+        center = cone.centroid()
+        d = _min_boundary_distance(cone, center, tau)
+        sigma = tau * math.exp(d / tau)
+        scale = sigma / math.sqrt(1.0 - float(center.v @ center.v))
+        yield "window", scale * np.array([1.0, *center.v])
+
+    def test_matches_reference_composition(self):
+        rng = np.random.default_rng(43)
+        seen = {}
+        for k in range(60):
+            region = self._region(rng, apex_at_origin=k % 4 == 0)
+            for branch, x in self._events(rng, region):
+                for event in (x, FourVector.from_array(x)):
+                    got = _outcome(in_causal_completion, event, region)
+                    want = _outcome(_reference_completion, event, region)
+                    assert got == want, (branch, x)
+                    seen.setdefault(branch, set()).add(
+                        got if isinstance(got, type) else bool(got))
+        assert seen["lift"] == {True, False}
+        assert (seen["past"] == seen["spacelike"] == seen["non-finite"]
+                == {ValueError})
+        assert seen["lightlike"] == {False}
+        assert seen["sigma=tau"] == {True, False}
+        assert seen["apex"] == {False}
+        assert seen["window"] == {DegenerateGeometry}
+
+    def test_ball_center_rounding_onto_the_sphere_is_rejected(self):
+        # inside the forward cone in floats, yet |x_s / x0| rounds to 1
+        region = Hypercone(Hyperboloid(1.0), simple_cone(0.0, 0.7))
+        x = FourVector(119349263.58184914, 81571858.03396149,
+                       87122205.51855269, 0.0)
+        assert _outcome(_reference_completion, x, region) is ValueError
+        with pytest.raises(ValueError):
+            in_causal_completion(x, region)
+
+    def test_ball_inclusion_matches_exit_ray_decision(self):
+        rng = np.random.default_rng(44)
+        holds = []
+        for _ in range(40):
+            cone = random_cone(rng)
+            shell = Hyperboloid(rng.uniform(0.5, 2.0))
+            for p in np.vstack(_inside_and_outside_points(rng, cone, 10)):
+                ball = Hyperball(shell, BallPoint(p), rng.uniform(0.01, 1.0))
+                try:
+                    want, margin = _reference_ball_in_cone(ball, cone)
+                except DegenerateGeometry:
+                    continue
+                got = hyperball_in_cone(ball, cone)
+                assert got.holds == want
+                assert got.margin == pytest.approx(margin, rel=1e-12,
+                                                   abs=1e-12)
+                holds.append(want)
+        assert 0 < sum(holds) < len(holds)
 
 
 class TestMapCone:

@@ -9,15 +9,17 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         FourVector, Hyperball, Hyperboloid, Hypercone,
                         LorentzTransform, SphereDirection, avoid_ball_inside,
                         common_complement_cone, cone_hyperball_disjoint,
-                        cone_leq, contracting_boosts, disjoint,
-                        enclose_shadow, escape_ball, funnel_from_exhaustion,
-                        funnel_in, hyperball_in_cone, in_causal_completion,
-                        interval_expansion, lift_from_ball, lightray_offset,
+                        cone_leq, contains_point, contracting_boosts,
+                        disjoint, enclose_shadow, escape_ball,
+                        funnel_from_exhaustion, funnel_in, hyperball_in_cone,
+                        in_causal_completion, interval_expansion,
+                        lift_from_ball, lightray_offset,
                         lightray_point, map_cone, opposite, path_connect,
                         path_connect_in_complement, robust_enclosure_lorentz,
                         shadow_radius, shrink_across_shells,
                         shrink_for_connectivity, translate_enclosure,
                         wrap_ball_in_complement)
+from hypercones.cones import _min_boundary_distance
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
                             exhaustion_family, random_cone, random_transform,
                             unit_vector)
@@ -235,6 +237,28 @@ class TestShadowOperations:
                 ball = Hyperball(shell, BallPoint(p), growth)
                 res = hyperball_in_cone(ball, grown)
                 assert res.holds
+
+    def test_enclosure_holds_the_shadow_of_every_source_point(self):
+        # drawn like the acceptance suite's A9 instances; checking only the
+        # hull samples of least cos-margin let this enclosure miss part of
+        # the shadow by 0.02 in the shell metric
+        cone = BallCone(
+            BallPoint(np.array([-0.2132798859662888, 0.3649801765220891,
+                                -0.0009778997748470122])),
+            Cap(SphereDirection.normalized(
+                [-0.8591210224531539, 0.5116551166147152,
+                 -0.01095948999860914]), 0.7401522848049469))
+        sigma, tau = 0.7403318013118344, 1.1912258101186652
+        grown = enclose_shadow(cone, sigma, tau)
+        radius = shadow_radius(sigma, tau)
+        rng = np.random.default_rng(11)
+        pts = np.vstack([cone.sample_points(2000, rng),
+                         cone.lateral_points(64, np.linspace(0.0, 0.999,
+                                                             40))])
+        for p in pts:
+            center = BallPoint(p)
+            assert contains_point(grown, center)
+            assert _min_boundary_distance(grown, center, tau) > radius
 
     def test_equal_shells_return_enlarged_copy(self):
         cone = axis_cone(0.4, 0.15)
