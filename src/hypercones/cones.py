@@ -112,7 +112,9 @@ class BallCone:
         s = rng.random(n) ** 0.5
         return self.apex.v + s[:, None] * (dirs - self.apex.v)
 
+    @cached_property
     def support_body(self) -> ConeHullSupport:
+        """Support map of the closed hull, for GJK; built once per cone."""
         return ConeHullSupport(self.apex.v, self.base.axis.v,
                                self.base.half_angle)
 
@@ -276,7 +278,7 @@ def _plane_from_points(q0, q1, q2) -> tuple[np.ndarray, float]:
 
 def _cap_min_value(cone: BallCone, w: np.ndarray) -> float:
     """min of w.x over the closed cap region of the cone."""
-    return float(w @ cone.support_body().cap_support(-w))
+    return float(w @ cone.support_body.cap_support(-w))
 
 
 def _common_apex_disjoint(k1: BallCone, k2: BallCone,
@@ -301,7 +303,7 @@ def _common_apex_disjoint(k1: BallCone, k2: BallCone,
         if m1 < 0.0:
             w, c = -w, -c
             m1 = _cap_min_value(k1, w) - c
-        m2 = c - k2.support_body().cap_support(w) @ w
+        m2 = c - k2.support_body.cap_support(w) @ w
         margin = min(m1, m2)
         if margin <= tol.degenerate_window:
             raise DegenerateGeometry(
@@ -413,14 +415,13 @@ def disjoint(k1: BallCone, k2: BallCone,
     """
     if np.linalg.norm(k1.apex.v - k2.apex.v) <= 1e-12:
         return _common_apex_disjoint(k1, k2, tol)
-    result = gjk_distance(k1.support_body(), k2.support_body())
+    result = gjk_distance(k1.support_body, k2.support_body)
     if result.distance > tol.degenerate_window:
         w = result.point_b - result.point_a
         w /= np.linalg.norm(w)
         c = float(w @ (0.5 * (result.point_a + result.point_b)))
-        body1, body2 = k1.support_body(), k2.support_body()
-        m1 = c - float(w @ body1.support(w))
-        m2 = float(w @ body2.support(-w)) - c
+        m1 = c - float(w @ k1.support_body.support(w))
+        m2 = float(w @ k2.support_body.support(-w)) - c
         margin = min(m1, m2)
         if margin <= tol.degenerate_window:
             raise DegenerateGeometry("separation margin inside the window")
@@ -624,7 +625,7 @@ def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball | Ellipsoid,
                             ) -> DisjointResult:
     """Disjointness of a cone hull from a metric ball's Euclidean hull."""
     ell = ball.ellipsoid() if isinstance(ball, Hyperball) else ball
-    result = gjk_distance(cone.support_body(), ell)
+    result = gjk_distance(cone.support_body, ell)
     if result.distance > tol.degenerate_window:
         w = result.point_b - result.point_a
         w /= np.linalg.norm(w)

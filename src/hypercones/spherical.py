@@ -10,8 +10,13 @@ __all__ = ["angle_between", "rotate_toward", "slerp", "orthonormal_frame",
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between unit vectors, stable near 0 and pi."""
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v))
+    """Angle between unit vectors, stable near 0 and pi; computed on the
+    three components as floats."""
+    ux, uy, uz = np.asarray(u, dtype=float).tolist()
+    vx, vy, vz = np.asarray(v, dtype=float).tolist()
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz),
+                      ux * vx + uy * vy + uz * vz)
 
 
 def any_perpendicular(u: np.ndarray) -> np.ndarray:

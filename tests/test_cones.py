@@ -178,6 +178,30 @@ class TestDisjointness:
         assert bool(a.contains_many(p[None, :])[0])
         assert bool(b.contains_many(p[None, :])[0])
 
+    def test_boosted_mirror_pair_overlapping_in_a_sliver(self):
+        # a cone whose hull reaches x = 2e-7 through its cap and its mirror
+        # through x = 0, both boosted (rapidity 0.26): the hulls overlap
+        # only near the sphere, where GJK's |v| falls below 1e-6 before it
+        # meets the overlap, so its duality-gap stop must be relative
+        a = BallCone(
+            BallPoint(np.array([-0.5068657699499255, 0.15206999750219155,
+                                -0.2809432759397855])),
+            Cap(SphereDirection.normalized(np.array(
+                [-0.8626323090432146, 0.11018940229520628,
+                 0.49368390192166184])), 0.8431585414444454))
+        b = BallCone(
+            BallPoint(np.array([0.16450749010740462, 0.16217966226917865,
+                                -0.3207999649549833])),
+            Cap(SphereDirection.normalized(np.array(
+                [0.7950349791502652, 0.10242573708102111,
+                 0.597853117672683])), 1.1167709642606347))
+        res = disjoint(a, b)
+        assert not res.disjoint
+        assert res.margin < -10.0 * DEFAULT_TOLERANCES.degenerate_window
+        p = res.common_point
+        assert bool(a.contains_many(p[None, :])[0])
+        assert bool(b.contains_many(p[None, :])[0])
+
     def test_nested_cones_are_not_disjoint(self):
         outer = simple_cone(0.0, 0.8)
         inner = simple_cone(0.3, 0.2)
