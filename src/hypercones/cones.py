@@ -6,7 +6,9 @@ of the open chords from the apex to the points of the open cap. Membership
 reduces to an exit-point test (follow the ray from the apex and ask where it
 leaves the sphere), containment of one cone in another reduces to cap
 inclusion plus apex membership, and disjointness is decided by GJK on the
-closed hulls with support-function-certified separating planes.
+closed hulls with support-function-certified separating planes. Contact is
+decided by GJK again, on the hulls shrunk to the points deeper than the
+degenerate window, which are hulls of the same kind.
 
 Lorentz maps act on cones exactly: the apex by the ball action and the cap
 by its covector image (``cap_image``). Each cone caches its apex frame, the
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          ball_action_many, cap_image, lorentz_ball_action,
@@ -73,18 +74,20 @@ class BallCone:
         exits[degenerate] = self.base.axis.v
         return exits, degenerate
 
+    def _margins(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        exits, degenerate = self.exit_directions(pts)
+        margins = exits @ self.base.axis.v - self.base.cos_half
+        return np.where(degenerate, 0.0, margins), degenerate
+
     def interior_margins(self, pts: np.ndarray) -> np.ndarray:
         """Cos-space margin of each row: positive strictly inside the open
         cone, negative outside the closed hull, ~0 on the boundary."""
-        exits, degenerate = self.exit_directions(pts)
-        margins = exits @ self.base.axis.v - self.base.cos_half
-        return np.where(degenerate, 0.0, margins)
+        return self._margins(pts)[0]
 
     def contains_many(self, pts: np.ndarray, *, slack: float = 0.0,
                       closed: bool = False) -> np.ndarray:
-        m = self.interior_margins(pts)
+        m, degenerate = self._margins(pts)
         if closed:
-            _, degenerate = self.exit_directions(pts)
             return (m >= -slack) | degenerate
         return m > slack
 
@@ -176,28 +179,48 @@ def contains_point(cone: BallCone, u: BallPoint) -> bool:
     return float(exits[0] @ cone.base.axis.v) > cone.base.cos_half
 
 
-def _lateral_segment_distances(cone: BallCone, p: np.ndarray,
-                               thetas: np.ndarray) -> np.ndarray:
-    ring = np.array([cone.base.boundary_point(t) for t in thetas])
-    a = cone.apex.v
-    d = ring - a
-    dd = np.einsum("ij,ij->i", d, d)
-    t = np.clip(((p - a) @ d.T) / dd, 0.0, 1.0)
-    closest = a + t[:, None] * d
-    return np.linalg.norm(closest - p, axis=1)
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def _lateral_distance(cone: BallCone, p: np.ndarray, seeds: int = 64) -> float:
-    thetas = np.linspace(0.0, 2.0 * math.pi, seeds, endpoint=False)
-    dists = _lateral_segment_distances(cone, p, thetas)
-    best = int(np.argmin(dists))
+    """Euclidean distance from p to the ruled lateral surface: the nearest
+    of the segments from the apex to `seeds` base-circle points, refined by
+    golden-section search on the circle angle around it, to 1e-12 rad."""
+    n, psi, a = cone.base.axis.v, cone.base.half_angle, cone.apex.v
+    e1, e2 = orthonormal_frame(n)
+    # apex to the base circle's centre, the circle's radius vectors, and
+    # apex to p
+    ux, uy, uz = (math.cos(psi) * n - a).tolist()
+    e1x, e1y, e1z = (math.sin(psi) * e1).tolist()
+    e2x, e2y, e2z = (math.sin(psi) * e2).tolist()
+    qx, qy, qz = (p - a).tolist()
+
+    def dist(theta: float) -> float:
+        # to the segment from the apex to the base-circle point at theta
+        c, s = math.cos(theta), math.sin(theta)
+        dx = ux + c * e1x + s * e2x
+        dy = uy + c * e1y + s * e2y
+        dz = uz + c * e1z + s * e2z
+        t = (qx * dx + qy * dy + qz * dz) / (dx * dx + dy * dy + dz * dz)
+        t = min(max(t, 0.0), 1.0)
+        rx, ry, rz = qx - t * dx, qy - t * dy, qz - t * dz
+        return math.sqrt(rx * rx + ry * ry + rz * rz)
+
     width = 2.0 * math.pi / seeds
-    res = optimize.minimize_scalar(
-        lambda th: float(_lateral_segment_distances(
-            cone, p, np.array([th]))[0]),
-        bounds=(thetas[best] - width, thetas[best] + width),
-        method="bounded", options={"xatol": 1e-12})
-    return min(float(dists[best]), float(res.fun))
+    found, best = min((dist(i * width), i) for i in range(seeds))
+    lo, hi = (best - 1) * width, (best + 1) * width
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = dist(x1), dist(x2)
+    while hi - lo > 1e-12:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = dist(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = dist(x2)
+    return min(found, f1, f2)
 
 
 def _cap_face_distance(cone: BallCone, p: np.ndarray) -> float:
@@ -365,40 +388,108 @@ def _overlap_seed_candidates(k1: BallCone, k2: BallCone,
     return np.vstack([np.atleast_2d(np.asarray(c)) for c in cands])
 
 
+# Depth of a point in a body: a cone's cos-space interior margin, or an
+# ellipsoid's 1 - |s| for the point m + M s. The points of depth at least t
+# form a body of the same kind: the hull of the apex and the cap shrunk to
+# cos psi' = cos psi + t, or the ellipsoid scaled by 1 - t about its centre.
+
+def _depth(body: BallCone | Ellipsoid, p: np.ndarray) -> float:
+    if isinstance(body, Ellipsoid):
+        return float(body.depths(p[None, :])[0])
+    return float(body.interior_margins(p[None, :])[0])
+
+
+def _shrunk(body: BallCone | Ellipsoid, t: float
+            ) -> ConeHullSupport | Ellipsoid | None:
+    """Closed hull of the points of depth at least t, or None if empty."""
+    if isinstance(body, Ellipsoid):
+        return body.scaled(1.0 - t) if t < 1.0 else None
+    c = body.base.cos_half + t
+    if c >= 1.0:
+        return None
+    return ConeHullSupport(body.apex.v, body.base.axis.v, math.acos(c))
+
+
+# doublings of the depth level, then bisections of its last bracket
+_SHRINK_STEPS = 64
+
+
+def _shrunk_hull_witness(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid,
+                         window: float) -> tuple[np.ndarray | None, float]:
+    """A common point of two bodies and its depth, the smaller of its
+    depths in each: above the window unless the bodies hold no such point.
+
+    Every shrunk cone hull keeps its apex, at depth 0, and GJK may return
+    it as the common point, so an apex that lies deeper than the window in
+    the other body is tested first. Toward the apex, the depth of the
+    points on its axis chord tends to the smaller of the apex's depth in the
+    other body and 1 - cos psi; halving the step until a point reaches half
+    of that yields a witness. Then GJK decides whether the two bodies
+    shrunk to depth t = window meet. If they do, t doubles, starting from
+    the deepest witness so far and so past the depth of every apex, until
+    they separate, keeping the deepest common point GJK returns, each depth
+    measured again; the depth found is then at least half the deepest. A
+    common point GJK returns on the shrunk boundary can measure just under
+    the window, so the last bracket of t is then bisected.
+    """
+    def depth(p):
+        if float(p @ p) >= 1.0:
+            return -math.inf  # a cap point, not a ball point
+        return min(_depth(b1, p), _depth(b2, p))
+
+    best, best_depth = None, -math.inf
+    for body, other in ((b1, b2), (b2, b1)):
+        if not isinstance(body, BallCone):
+            continue
+        limit = min(_depth(other, body.apex.v), 1.0 - body.base.cos_half)
+        if limit <= window:
+            continue
+        step = body.base.axis.v - body.apex.v
+        s, d = 0.5, -math.inf
+        while s > 1e-15 and d <= max(window, 0.5 * limit):
+            p = body.apex.v + s * step
+            d = depth(p)
+            if d > best_depth:
+                best, best_depth = p, d
+            s *= 0.5
+    t, lo, hi = window, None, None
+    for _ in range(_SHRINK_STEPS):
+        h1, h2 = _shrunk(b1, t), _shrunk(b2, t)
+        p = (None if h1 is None or h2 is None
+             else gjk_distance(h1, h2).common_point)
+        if p is None:
+            hi = t
+        else:
+            lo = t
+            d = depth(p)
+            if d > best_depth:
+                best, best_depth = p, d
+        if hi is None:
+            t = 2.0 * max(t, best_depth)
+        elif lo is None or best_depth > window:
+            break
+        else:
+            t = 0.5 * (lo + hi)
+    return best, best_depth
+
+
 def _deepest_common_point(k1: BallCone, k2: BallCone, seed: np.ndarray,
-                          window: float) -> tuple[np.ndarray, float]:
+                          window: float) -> tuple[np.ndarray | None, float]:
     """Common point of depth above the window if one exists.
 
-    Structured candidates decide the common case outright; the optimizer
-    only runs when every candidate sits inside the contact window, to
-    separate genuine tangency from a thin but real overlap.
+    Structured candidates decide the common case outright. When every
+    candidate sits inside the window, the shrunk-hull decision
+    (_shrunk_hull_witness) tells a thin but real overlap, whose depth it
+    reports to within a factor 2, from contact inside the window.
     """
-    def neg_depth(p):
-        p = np.asarray(p)
-        if np.linalg.norm(p) >= 1.0:
-            return 1.0
-        return -min(float(k1.interior_margins(p[None, :])[0]),
-                    float(k2.interior_margins(p[None, :])[0]))
-
     candidates = _overlap_seed_candidates(k1, k2, seed)
     depths = np.minimum(k1.interior_margins(candidates),
                         k2.interior_margins(candidates))
     depths[np.linalg.norm(candidates, axis=1) >= 1.0] = -1.0
-    order = np.argsort(depths)[::-1]
-    best = candidates[order[0]]
-    best_depth = float(depths[order[0]])
-    if best_depth > window:
-        return best, best_depth
-    for idx in order[:3]:
-        res = optimize.minimize(neg_depth, candidates[idx],
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-12,
-                                         "maxiter": 400})
-        if neg_depth(res.x) < neg_depth(best):
-            best = np.asarray(res.x)
-            if -neg_depth(best) > window:
-                break
-    return best, -neg_depth(best)
+    best = int(np.argsort(depths)[-1])
+    if depths[best] > window:
+        return candidates[best], float(depths[best])
+    return _shrunk_hull_witness(k1, k2, window)
 
 
 def disjoint(k1: BallCone, k2: BallCone,
@@ -408,10 +499,13 @@ def disjoint(k1: BallCone, k2: BallCone,
     On True the witness is a separating plane (unit normal w, offset c) with
     the first cone on the w.x > c side; its margin is certified against the
     closed cap regions by support values. On False the witness is a common
-    interior point. Contact tighter than the degenerate window raises
-    DegenerateGeometry. Cones sharing an apex are handled by an exact
-    angular comparison (their closures always meet at the apex, which open
-    disjointness permits).
+    interior point. When GJK finds the hulls in contact and no structured
+    candidate lies deeper than the window in both cones, GJK decides again
+    on the cones shrunk to the points of depth above the window (each the
+    hull of its apex and a narrower cap): separated shrunk hulls mean
+    contact inside the window, which raises DegenerateGeometry. Cones
+    sharing an apex are handled by an exact angular comparison (their
+    closures always meet at the apex, which open disjointness permits).
     """
     if np.linalg.norm(k1.apex.v - k2.apex.v) <= 1e-12:
         return _common_apex_disjoint(k1, k2, tol)
@@ -623,7 +717,18 @@ def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
 def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball | Ellipsoid,
                             tol: Tolerances = DEFAULT_TOLERANCES
                             ) -> DisjointResult:
-    """Disjointness of a cone hull from a metric ball's Euclidean hull."""
+    """Disjointness of a cone hull from a metric ball's Euclidean hull.
+
+    GJK on the two hulls gives a separating plane, or a contact. On
+    contact, GJK's common point or the ellipsoid's centre is the witness
+    when it lies deeper than the window in the cone; otherwise the
+    shrunk-hull decision of `disjoint` runs on the cone and the ellipsoid
+    (_shrunk_hull_witness): an apex inside the ellipsoid first, then GJK on
+    both bodies shrunk to the points of depth above the window, the
+    ellipsoid's depth being 1 - |s| for its point m + M s; the margin is
+    then minus the witness's smaller depth in the two. Contact inside the
+    window raises DegenerateGeometry.
+    """
     ell = ball.ellipsoid() if isinstance(ball, Hyperball) else ball
     result = gjk_distance(cone.support_body, ell)
     if result.distance > tol.degenerate_window:
@@ -637,6 +742,8 @@ def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball | Ellipsoid,
     center_depth = float(cone.interior_margins(ell.center[None, :])[0])
     if center_depth > depth:
         seed, depth = ell.center, center_depth
+    if depth <= tol.degenerate_window:
+        seed, depth = _shrunk_hull_witness(cone, ell, tol.degenerate_window)
     if depth <= tol.degenerate_window:
         raise DegenerateGeometry(
             "cone and ball hull touch within the window")

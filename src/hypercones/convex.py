@@ -129,10 +129,24 @@ class Ellipsoid:
         return self.center + self._apply(np.atleast_2d(dirs),
                                          self.a_par, self.a_perp)
 
-    def contains(self, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    def _radii(self, pts: np.ndarray) -> np.ndarray:
+        """|s| of each row m + M s: below 1 inside, 1 on the surface."""
         d = np.atleast_2d(pts) - self.center
-        s = self._apply(d, 1.0 / self.a_par, 1.0 / self.a_perp)
-        return np.linalg.norm(s, axis=1) <= 1.0 + slack
+        return np.linalg.norm(self._apply(d, 1.0 / self.a_par,
+                                          1.0 / self.a_perp), axis=1)
+
+    def contains(self, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
+        return self._radii(pts) <= 1.0 + slack
+
+    def depths(self, pts: np.ndarray) -> np.ndarray:
+        """1 - |s| of each row: 1 at the centre, 0 on the surface."""
+        return 1.0 - self._radii(pts)
+
+    def scaled(self, factor: float) -> "Ellipsoid":
+        """The spheroid scaled about its centre: the points of depth at
+        least 1 - factor."""
+        return Ellipsoid(self.center, self.axis, factor * self.a_par,
+                         factor * self.a_perp)
 
 
 def hyperball_ellipsoid(center: np.ndarray, radius: float,

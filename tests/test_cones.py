@@ -1,12 +1,16 @@
 """Cap cones on the ball: membership, inclusion, disjointness, completion."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+import hypercones
 from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         FourVector, Hyperball, Hyperboloid, Hypercone,
                         LorentzTransform, SphereDirection, ball_distance,
@@ -17,7 +21,8 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         opposite, point_margin, shadow_radius)
 from hypercones.ball_model import (ball_action_many, ball_distance_many,
                                    homology_through_many)
-from hypercones.cones import _min_boundary_distance
+from hypercones.cones import (_cap_face_distance, _lateral_distance,
+                              _min_boundary_distance)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward
@@ -25,11 +30,27 @@ from tests.conftest import (disjoint_cone_pair, interior_point, random_cone,
                             random_transform, unit_vector)
 
 Z = np.array([0.0, 0.0, 1.0])
+WINDOW = DEFAULT_TOLERANCES.degenerate_window
 
 
 def simple_cone(apex_z=0.1, psi=0.5) -> BallCone:
     return BallCone(BallPoint(np.array([0.0, 0.0, apex_z])),
                     Cap(SphereDirection(Z), psi))
+
+
+def raw_cone(apex, axis, psi) -> BallCone:
+    return BallCone(BallPoint(np.array(apex)),
+                    Cap(SphereDirection.normalized(np.array(axis)), psi))
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(hypercones.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypercones; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConeValidity:
@@ -85,6 +106,20 @@ class TestMembership:
         assert point_margin(cone, outside) < 0
         edge = cone.lateral_points(8, np.array([0.5]))[0]
         assert abs(point_margin(cone, edge)) < 1e-6
+
+    def test_point_margin_matches_bounded_scalar_search(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            cone = random_cone(rng)
+            for pts in _inside_and_outside_points(rng, cone, 3):
+                for p in pts:
+                    want = _bounded_search_lateral_distance(cone, p)
+                    assert abs(_lateral_distance(cone, p) - want) <= 1e-12
+                    want = min(want, _cap_face_distance(cone, p))
+                    got = point_margin(cone, p)
+                    assert abs(abs(got) - want) <= 1e-12
+                    assert (got > 0) == bool(cone.contains_many(
+                        p[None, :])[0])
 
     def test_sample_points_are_members(self):
         rng = np.random.default_rng(2)
@@ -201,6 +236,54 @@ class TestDisjointness:
         p = res.common_point
         assert bool(a.contains_many(p[None, :])[0])
         assert bool(b.contains_many(p[None, :])[0])
+
+    @pytest.mark.parametrize("pair", [
+        (((0.04118881399647606, -0.00888462957721463, -0.06562960956115263),
+          (-0.8671134960311356, 0.28861786361564, -0.40597279933833713),
+          0.5346320356480766),
+         ((0.0032724726162226157, 0.18589241971989515, -0.19931379680107975),
+          (-0.6285399080060328, 0.24854338438504622, 0.73699645190611),
+          0.3835353620779023)),
+        (((-0.078859203228559, -0.28977284044825397, 0.1305050570800625),
+          (0.09048507377394706, -0.9686345656231538, -0.23142931902455144),
+          0.5857108625515601),
+         ((-0.3228039820613493, -0.10689745490471174, -0.05684199600156856),
+          (0.2179540802193491, -0.35357967944411955, 0.9096578638147044),
+          0.5773045925888967)),
+    ])
+    def test_thin_overlap_past_the_candidates_has_a_deep_witness(self, pair):
+        # overlaps from the acceptance suite's A6 paths that no structured
+        # candidate reaches: the shrunk-hull decision must find a witness
+        a, b = (raw_cone(*cone) for cone in pair)
+        res = disjoint(a, b)
+        assert not res.disjoint
+        p = res.common_point
+        depth = min(float(a.interior_margins(p[None, :])[0]),
+                    float(b.interior_margins(p[None, :])[0]))
+        assert depth > WINDOW
+        assert res.margin == -depth
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rotated_mirror_pair_inside_the_window_raises(self, sign):
+        # a cone whose hull reaches x = g through its cap and its mirror
+        # through x = 0, at |g| a third of the window, then rotated
+        rng = np.random.default_rng(44)
+        g = sign * WINDOW / 3.0
+        x = np.array([1.0, 0.0, 0.0])
+        flip = np.array([-1.0, 1.0, 1.0])
+        for _ in range(10):
+            psi = rng.uniform(0.2, 1.0)
+            az = rng.uniform(0.0, 2.0 * math.pi)
+            v = np.array([0.0, math.cos(az), math.sin(az)])
+            theta = psi + math.acos(g)
+            axis = math.cos(theta) * x + math.sin(theta) * v
+            apex = -rng.uniform(0.05, 0.4) * x - rng.uniform(0.0, 0.4) * v
+            rot = LorentzTransform.rotation(unit_vector(rng),
+                                            rng.uniform(0.0, 2.0 * math.pi))
+            a = map_cone(rot, raw_cone(apex, axis, psi))
+            b = map_cone(rot, raw_cone(apex * flip, axis * flip, psi))
+            with pytest.raises(DegenerateGeometry):
+                disjoint(a, b)
 
     def test_nested_cones_are_not_disjoint(self):
         outer = simple_cone(0.0, 0.8)
@@ -324,6 +407,28 @@ class TestHyperballPredicates:
         ball = Hyperball(shell, cone.centroid(), 0.3)
         assert not cone_hyperball_disjoint(cone, ball).disjoint
 
+    def test_ball_hull_past_the_apex_is_not_disjoint(self, shell):
+        # a cone with apex -alpha z over a cap about z and a ball on the
+        # -z axis whose hull pokes g past the apex, both moved by one
+        # Lorentz map: the points just past the apex on the axis chord are
+        # common, at cos-depth 1 - cos psi in the cone
+        rng = np.random.default_rng(5)
+        for _ in range(240):
+            g = math.exp(rng.uniform(math.log(1e-8), math.log(1e-2)))
+            alpha, psi = rng.uniform(0.0, 0.5), rng.uniform(0.3, 1.2)
+            m = random_transform(rng, max_rapidity=0.5)
+            cone = map_cone(m, simple_cone(-alpha, psi))
+            zeta = min(alpha + rng.uniform(0.05, 0.3), 0.95)
+            # the ball's top, at shell radius rho, is at z = g - alpha
+            rho = math.atanh(zeta) + math.atanh(g - alpha)
+            center = lorentz_ball_action(m, BallPoint(-zeta * Z))
+            ball = Hyperball(shell, center, shell.tau * rho)
+            res = cone_hyperball_disjoint(cone, ball)
+            assert not res.disjoint
+            p = res.common_point
+            assert float(cone.interior_margins(p[None, :])[0]) > WINDOW
+            assert bool(ball.ellipsoid().contains(p[None, :])[0])
+
 
 def _inside_and_outside_points(rng, cone, n):
     """n points strictly inside the cone and n points outside its hull."""
@@ -334,6 +439,29 @@ def _inside_and_outside_points(rng, cone, n):
         if cone.interior_margins(p[None, :])[0] < -1e-6:
             outside.append(p)
     return inside, np.array(outside)
+
+
+def _bounded_search_lateral_distance(cone, p, seeds=64):
+    """Reference Euclidean distance to the lateral surface: the nearest of
+    64 apex-to-rim segments, polished by scipy's bounded scalar search."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def dists(thetas):
+        ring = np.array([cone.base.boundary_point(t) for t in thetas])
+        a = cone.apex.v
+        d = ring - a
+        t = np.clip(((p - a) @ d.T) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+        return np.linalg.norm(a + t[:, None] * d - p, axis=1)
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, seeds, endpoint=False)
+    found = dists(thetas)
+    best = int(np.argmin(found))
+    width = 2.0 * math.pi / seeds
+    res = optimize.minimize_scalar(
+        lambda th: float(dists([th])[0]),
+        bounds=(thetas[best] - width, thetas[best] + width),
+        method="bounded", options={"xatol": 1e-12})
+    return min(float(found[best]), float(res.fun))
 
 
 def _searched_boundary_distance(cone, center, tau):

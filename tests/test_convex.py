@@ -212,3 +212,16 @@ class TestSupportWrappers:
         x, y, z = body.cap_support_xyz(0.0, 0.0, -1.0)
         assert z == pytest.approx(math.cos(0.5))
         assert math.hypot(x, y) == pytest.approx(math.sin(0.5))
+
+
+class TestEllipsoidDepth:
+    def test_depth_is_one_at_the_centre_and_zero_on_the_surface(self, rng):
+        ell = Ellipsoid(np.array([0.1, 0.0, -0.2]), np.array([1.0, 2.0, 2.0]),
+                        0.3, 0.2)
+        dirs = rng.normal(size=(50, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        assert ell.depths(ell.center[None, :])[0] == 1.0
+        assert np.max(np.abs(ell.depths(ell.boundary_points(dirs)))) < 1e-12
+        # the scaled spheroid is the level set of depth 1 - factor
+        inner = ell.scaled(0.25).boundary_points(dirs)
+        assert np.max(np.abs(ell.depths(inner) - 0.75)) < 1e-12
