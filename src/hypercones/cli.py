@@ -3,7 +3,7 @@ paths, section rendering, and the seeded self-test.
 
 Exit codes: 0 on success, 2 when a query hits a degenerate configuration
 (the answer would depend on tolerance), 1 on any error (bad file, bad
-arguments, failed construction).
+arguments or flags, failed construction).
 """
 
 from __future__ import annotations
@@ -217,7 +217,6 @@ def cmd_construct(ns) -> int:
     scene = scene_io.load(ns.scene)
     tol = load_tolerances(ns.tolerances) if ns.tolerances \
         else DEFAULT_TOLERANCES
-    budgets = DEFAULT_BUDGETS.scaled(ns.budget)
     lemma = ns.lemma.upper()
     names = ns.names
     shell = scene.shell
@@ -230,7 +229,7 @@ def cmd_construct(ns) -> int:
         need(2, "cone, probe ball")
         cone = _resolve_cone(scene, names[0])
         probe = _resolve_ball(scene, names[1])
-        funnel = funnel_in(cone, ns.depth, probe, tol, budgets)
+        funnel = funnel_in(cone, ns.depth, probe, tol)
         added = [_append_cone(scene, c, "F") for c in funnel.cones]
         for i in range(len(added) - 1):
             _report(f"leq({added[i + 1]},{added[i]})", True)
@@ -251,7 +250,7 @@ def cmd_construct(ns) -> int:
         need(2, "ball, cone")
         ball = _resolve_ball(scene, names[0])
         cone = _resolve_cone(scene, names[1])
-        result = avoid_ball_inside(ball, cone, tol, budgets)
+        result = avoid_ball_inside(ball, cone, tol)
         name = _append_cone(scene, result)
         _report(f"leq({name},{names[1]})", True)
         _report(f"clear({name},{names[0]})", True)
@@ -261,7 +260,7 @@ def cmd_construct(ns) -> int:
         need(2, "ball, cone")
         ball = _resolve_ball(scene, names[0])
         cone = _resolve_cone(scene, names[1])
-        result = wrap_ball_in_complement(ball, cone, tol, budgets)
+        result = wrap_ball_in_complement(ball, cone, tol)
         name = _append_cone(scene, result)
         _report(f"contains({name},{names[0]})", True)
         _report(f"disjoint({name},{names[1]})", True)
@@ -287,7 +286,7 @@ def cmd_construct(ns) -> int:
         need(2, "cone, cone")
         result = shrink_for_connectivity(_resolve_cone(scene, names[0]),
                                          _resolve_cone(scene, names[1]),
-                                         tol, budgets)
+                                         tol)
         name = _append_cone(scene, result)
         _report(f"leq({name},{names[0]})", True)
         print(f"witness cone: {name}")
@@ -296,7 +295,7 @@ def cmd_construct(ns) -> int:
         need(2, "cone, cone")
         a = _resolve_cone(scene, names[0])
         b = _resolve_cone(scene, names[1])
-        result = common_complement_cone(a, b, tol, budgets)
+        result = common_complement_cone(a, b, tol)
         name = _append_cone(scene, result)
         _report(f"disjoint({name},{names[0]})", True)
         _report(f"disjoint({name},{names[1]})", True)
@@ -306,7 +305,7 @@ def cmd_construct(ns) -> int:
         need(1, "cone")
         cone = _resolve_cone(scene, names[0])
         op = enclose_shadow if lemma == "A9" else shrink_across_shells
-        result = op(cone, ns.sigma, ns.tau, tol, budgets)
+        result = op(cone, ns.sigma, ns.tau, tol)
         name = _append_cone(scene, result)
         label = "contains-shadow" if lemma == "A9" else "shadow-inside"
         _report(f"{label}({name},{names[0]})", True,
@@ -337,7 +336,7 @@ def cmd_construct(ns) -> int:
         if not ns.generator:
             raise SceneError("A12 needs at least one --generator")
         gens = [_parse_generator(g) for g in ns.generator]
-        result = robust_enclosure_lorentz(cone, gens, tol, budgets)
+        result = robust_enclosure_lorentz(cone, gens, tol)
         name = _append_cone(scene, result)
         _report(f"contains-orbit({name},{names[0]})", True,
                 f"generators={len(gens)}")
@@ -349,8 +348,8 @@ def cmd_construct(ns) -> int:
         if not ns.t:
             raise SceneError("A13 needs at least one --t translation")
         translations = [_parse_four_vector(t) for t in ns.t]
-        result = translate_enclosure(cone, scene.tau, translations,
-                                     tol, budgets)
+        result = translate_enclosure(cone, scene.tau, translations, tol,
+                                     DEFAULT_BUDGETS.scaled(ns.budget))
         name = _append_cone(scene, result)
         _report(f"contains-shifted-completion({name},{names[0]})", True,
                 f"translations={len(translations)}")
@@ -414,9 +413,16 @@ def cmd_selftest(ns) -> int:
 # ------------------------------------------------------------------ main
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with code 1, like every
+    other bad input; code 2 stays reserved for degenerate geometry."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized certificates")
     parser.add_argument("--budget", type=float, default=1.0,
                         help="sampling budget scale factor")
     parser.add_argument("--tolerances", metavar="FILE",
@@ -424,7 +430,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypercones",
         description="Cone geometry on the light-cone ball model: queries, "
                     "certified constructions, section drawings, self-test.")
@@ -474,6 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("selftest", help="run the seeded property suite")
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed of the property suite")
     _add_common(p)
     p.set_defaults(func=cmd_selftest)
 

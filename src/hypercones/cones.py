@@ -31,7 +31,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .convex import ConeHullSupport, Ellipsoid, gjk_distance, \
     hyperball_ellipsoid
 from .errors import DegenerateGeometry
-from .minkowski import FourVector, LorentzTransform, in_light_cone
+from .minkowski import FourVector, LorentzTransform
 from .spherical import angle_between, orthonormal_frame, rotate_toward, slerp
 
 __all__ = [
@@ -182,10 +182,39 @@ def contains_point(cone: BallCone, u: BallPoint) -> bool:
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
+def _circle_minimum(f, seeds: int, centres=()) -> float:
+    """Least value of a function of an angle: `seeds` equally spaced
+    angles, then golden-section search, to 1e-12 rad, on the bracket of
+    neighbouring seeds around the best one, around every other strict
+    local minimum among them, and around each of the given centres."""
+    width = 2.0 * math.pi / seeds
+    values = [f(i * width) for i in range(seeds)]
+    found = min(values)
+    best = values.index(found)
+    brackets = [((i - 1) * width, (i + 1) * width)
+                for i, v in enumerate(values)
+                if i == best or values[i - 1] > v < values[(i + 1) % seeds]]
+    brackets += [(c - width, c + width) for c in centres]
+    for lo, hi in brackets:
+        x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        f1, f2 = f(x1), f(x2)
+        while hi - lo > 1e-12:
+            if f1 < f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = f(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = f(x2)
+        found = min(found, f1, f2)
+    return found
+
+
 def _lateral_distance(cone: BallCone, p: np.ndarray, seeds: int = 64) -> float:
     """Euclidean distance from p to the ruled lateral surface: the nearest
-    of the segments from the apex to `seeds` base-circle points, refined by
-    golden-section search on the circle angle around it, to 1e-12 rad."""
+    of the segments from the apex to the base-circle points, over the circle
+    angle (_circle_minimum)."""
     n, psi, a = cone.base.axis.v, cone.base.half_angle, cone.apex.v
     e1, e2 = orthonormal_frame(n)
     # apex to the base circle's centre, the circle's radius vectors, and
@@ -206,21 +235,7 @@ def _lateral_distance(cone: BallCone, p: np.ndarray, seeds: int = 64) -> float:
         rx, ry, rz = qx - t * dx, qy - t * dy, qz - t * dz
         return math.sqrt(rx * rx + ry * ry + rz * rz)
 
-    width = 2.0 * math.pi / seeds
-    found, best = min((dist(i * width), i) for i in range(seeds))
-    lo, hi = (best - 1) * width, (best + 1) * width
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = dist(x1), dist(x2)
-    while hi - lo > 1e-12:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = dist(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = dist(x2)
-    return min(found, f1, f2)
+    return _circle_minimum(dist, seeds)
 
 
 def _cap_face_distance(cone: BallCone, p: np.ndarray) -> float:
@@ -648,6 +663,73 @@ def _min_boundary_distance(cone: BallCone, center: BallPoint,
     boundary (the cap face sits at infinite distance), in closed form in
     the apex frame (see _frame_clearance)."""
     return _frame_clearance(cone, center.v.tolist(), tau)[0]
+
+
+def _cone_clearance(inner: BallCone, outer: BallCone, tau: float,
+                    seeds: int = 16) -> float:
+    """Least shell distance from a point of `inner` to the lateral boundary
+    of `outer`; at most 0 when a ray of `inner` leaves `outer`.
+
+    In inner's apex frame, inner is the union of the geodesic rays from
+    e0 = (1, 0, 0, 0) toward the ideal points c of its cap (n, psi). Outer
+    is the intersection of the half-spaces bounded by its tangent planes:
+    at azimuth phi the unit spacelike covector M is outer's apex-frame
+    normal (0, sin psi' n' - cos psi' e_phi) carried into inner's frame,
+    and l(X) = -<X, M> is sinh of the signed distance to that plane
+    (Ratcliffe, Foundations of Hyperbolic Manifolds, section 3.2). Along
+    the ray toward c, l = alpha cosh s + beta sinh s with alpha = -M0 and
+    alpha + beta = p = alpha + c.Ms; over s >= 0 its least value is alpha
+    if p >= alpha and sqrt(p (2 alpha - p)) if 0 < p < alpha, while p <= 0
+    or alpha <= 0 lets the ray leave the half-space. That value grows with
+    p, and p is least at the cap point nearest -Ms: -|Ms| when -Ms lies in
+    the cap, else -|Ms| cos(gamma - psi) with gamma its angle to n. The
+    clearance is tau asinh of the least value over phi (_circle_minimum).
+
+    That least value need not be unimodal in phi: it takes its smallest
+    value at the apex (alpha, least at phi = atan2(d0, b0) below) or far
+    out along a ray, where a cap nearly touching outer's cap gives a
+    narrow dip at about the azimuth of inner's cap axis in outer's apex
+    frame. The search therefore also refines around those two azimuths.
+    Plain floats throughout, as in _frame_clearance.
+    """
+    frame_k, cap_k = inner.apex_frame
+    frame_r, cap_r = outer.apex_frame
+    carry = (frame_k @ frame_r.inverse()).matrix[:, 1:]
+    e1, e2 = orthonormal_frame(cap_r.axis.v)
+    psi = cap_r.half_angle
+    # M at azimuth phi is a + cos(phi) b + sin(phi) d
+    a0, ax, ay, az = (carry @ (math.sin(psi) * cap_r.axis.v)).tolist()
+    b0, bx, by, bz = (carry @ (-math.cos(psi) * e1)).tolist()
+    d0, dx, dy, dz = (carry @ (-math.cos(psi) * e2)).tolist()
+    nx, ny, nz = cap_k.axis.v.tolist()
+    cos_k, sin_k = cap_k.cos_half, math.sin(cap_k.half_angle)
+    inner_axis = cap_image(frame_r, inner.base).axis.v  # in outer's frame
+    centres = (math.atan2(d0, b0),
+               math.atan2(float(inner_axis @ e2), float(inner_axis @ e1)))
+
+    def least(phi: float) -> float:
+        # least sinh-distance from inner to the tangent plane at phi
+        c, s = math.cos(phi), math.sin(phi)
+        alpha = -(a0 + c * b0 + s * d0)
+        mx, my, mz = ax + c * bx + s * dx, ay + c * by + s * dy, \
+            az + c * bz + s * dz
+        size = math.sqrt(mx * mx + my * my + mz * mz)
+        toward = -(mx * nx + my * ny + mz * nz)  # |Ms| cos gamma
+        if toward >= size * cos_k:
+            reach = size
+        else:
+            sx, sy, sz = my * nz - mz * ny, mz * nx - mx * nz, \
+                mx * ny - my * nx
+            reach = (toward * cos_k
+                     + math.sqrt(sx * sx + sy * sy + sz * sz) * sin_k)
+        p = alpha - reach
+        if p >= alpha:
+            return alpha
+        if 0.0 < p:
+            return math.sqrt(p * (2.0 * alpha - p))
+        return min(alpha, p)
+
+    return tau * math.asinh(_circle_minimum(least, seeds, centres))
 
 
 def hyperball_in_cone(ball: Hyperball, cone: BallCone,

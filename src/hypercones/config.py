@@ -1,9 +1,11 @@
 """Centralized numeric tolerances and sampling budgets.
 
 Every predicate and construction in the package reads its thresholds from a
-single :class:`Tolerances` record and its sample counts from a single
-:class:`Budgets` record, so a test run or a CLI invocation can tighten or
-loosen everything in one place.
+single :class:`Tolerances` record, so a test run or a CLI invocation can
+tighten or loosen everything in one place. The :class:`Budgets` record
+holds the one sample count left: the translated-completion enclosure
+(``translate_enclosure``) still checks its witness on sampled points, and
+every other construction is certified by exact predicates.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ class Tolerances:
     linear_identity: float = 1e-12
     # clamp window for acosh arguments slightly below 1
     acosh_clamp: float = 1e-12
-    # max residual accepted when refitting a mapped circle to a cap
+    # max residual of a circle fitted to a mapped circle in the selftest's
+    # circle-preservation check
     circle_fit: float = 1e-7
     # separation/penetration below this is reported as degenerate
     degenerate_window: float = 1e-9
@@ -41,16 +44,12 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Budgets:
-    # points used by Monte Carlo membership oracles
+    # points of the sampled check of translate_enclosure
     membership_samples: int = 10_000
-    # cap on bisection/adjustment rounds inside constructions
-    search_rounds: int = 60
 
     def scaled(self, factor: float) -> "Budgets":
         return Budgets(
-            membership_samples=max(64, int(self.membership_samples * factor)),
-            search_rounds=self.search_rounds,
-        )
+            membership_samples=max(64, int(self.membership_samples * factor)))
 
 
 DEFAULT_TOLERANCES = Tolerances()

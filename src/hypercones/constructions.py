@@ -5,7 +5,11 @@ common-subcone witnesses, complement cones, cross-shell enclosures,
 contracting boost families, and translation-robust enclosures.  Every
 builder certifies its output with the predicates from ``hypercones.cones``
 — a code path independent of the construction itself — and raises
-``ConstructionFailure`` instead of returning an unverified witness.
+``ConstructionFailure`` instead of returning an unverified witness. The
+certificates are exact: cone order, disjointness, ball clearance and the
+closed-form clearance of one cone inside another (``_cone_clearance``) for
+the cross-shell shadows. Only ``translate_enclosure`` still checks its
+witness on sampled points, as many as ``Budgets.membership_samples``.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          lift_from_ball, ray_exits, shadow_radius)
-from .cones import (BallCone, Hyperball, Hypercone, _covering_cap,
+from .cones import (BallCone, Hyperball, Hypercone, _cone_clearance,
+                    _covering_cap, _min_boundary_distance,
                     cone_hyperball_disjoint, cone_leq, disjoint,
                     hyperball_in_cone, in_causal_completion, map_cone,
                     opposite)
@@ -73,6 +78,9 @@ class ContractingBoosts:
 # --------------------------------------------------------------------------
 # shared helpers
 
+
+# chord levels or halvings a construction tries before it gives up
+_SEARCH_ROUNDS = 60
 
 _CLOUD_DIRS = None
 
@@ -167,46 +175,6 @@ def _membership_violations(cone: BallCone, pts: np.ndarray,
     return int(np.sum(~inside))
 
 
-def _thickened_samples(points: np.ndarray, radius: float, tau: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """One random point inside the metric ball of the given radius around
-    each input point (vectorized over rows)."""
-    pts = np.atleast_2d(points)
-    n = pts.shape[0]
-    a = np.linalg.norm(pts, axis=1)
-    r0 = math.tanh(radius / tau)
-    safe_a = np.where(a < 1e-12, 1.0, a)
-    axis = pts / safe_a[:, None]
-    axis[a < 1e-12] = np.array([0.0, 0.0, 1.0])
-    ch2 = 1.0 / (1.0 - a * a)
-    sh2 = a * a * ch2
-    d = 1.0 / (ch2 - sh2 * r0 * r0)
-    e_center = np.sqrt(sh2 * ch2) * (1.0 - r0 * r0) * d
-    a_par = r0 * d
-    a_perp = r0 * np.sqrt(d)
-    # random directions and radii inside the unit ball, then scale
-    u = rng.normal(size=(n, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rho = rng.random(n) ** (1.0 / 3.0)
-    z = rho[:, None] * u
-    z_par = np.sum(z * axis, axis=1)
-    z_perp = z - z_par[:, None] * axis
-    return (e_center[:, None] * axis + (a_par * z_par)[:, None] * axis
-            + a_perp[:, None] * z_perp)
-
-
-def _hull_boundary_samples(cone: BallCone, *, n_theta: int = 8,
-                           s_depths: Sequence[float] = (0.02, 0.1, 0.3,
-                                                        0.6, 0.85, 0.97)
-                           ) -> np.ndarray:
-    """Representative points of a cone hull: apex, lateral grid, and deep
-    points along interior directions."""
-    s = np.asarray(s_depths)
-    lateral = cone.lateral_points(n_theta, s)
-    axis_line = cone.apex.v + s[:, None] * (cone.base.axis.v - cone.apex.v)
-    return np.vstack([cone.apex.v[None, :], lateral, axis_line])
-
-
 def _support_cloud(center: np.ndarray, radius: float,
                    tau: float) -> np.ndarray:
     """Boundary points of the Euclidean spheroid realizing a metric ball."""
@@ -219,8 +187,7 @@ def _support_cloud(center: np.ndarray, radius: float,
 
 
 def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
-              tol: Tolerances = DEFAULT_TOLERANCES,
-              budgets: Budgets = DEFAULT_BUDGETS) -> Funnel:
+              tol: Tolerances = DEFAULT_TOLERANCES) -> Funnel:
     """Decreasing sequence of `depth` cones inside `cone` whose last member
     has a hull disjoint from the probe ball's hull.
 
@@ -231,8 +198,7 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
     if depth < 1:
         raise ValueError("depth must be at least 1")
     target = _steer_target(cone, probe.center.v)
-    levels = _chord_levels(cone, target, max(depth, budgets.search_rounds),
-                           tol)
+    levels = _chord_levels(cone, target, max(depth, _SEARCH_ROUNDS), tol)
     _require(bool(levels), "no valid shrinking levels inside the cone")
     ell = probe.ellipsoid()
     cleared = next((i for i, lv in enumerate(levels)
@@ -253,11 +219,6 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
     _require(_ball_clear(chosen[-1], ell, tol),
              "last funnel member still meets the probe ball",
              len(chosen) - 1)
-    rng = np.random.default_rng(0)
-    pts = chosen[-1].sample_points(budgets.membership_samples, rng)
-    bad = int(np.sum(ell.contains(pts, slack=-tol.containment_slack)))
-    _require(bad == 0, f"{bad} sampled points of the last member lie in "
-             "the probe ball")
     return Funnel(tuple(chosen), len(chosen), probe)
 
 
@@ -325,26 +286,19 @@ def _lens_cap(a: Cap, b: Cap) -> Cap | None:
 
 
 def avoid_ball_inside(ball: Hyperball, cone: BallCone,
-                      tol: Tolerances = DEFAULT_TOLERANCES,
-                      budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                      tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Subcone of `cone` whose hull avoids the ball's hull.
 
     Marches the apex along a chord toward the base circle, steered away
     from the ball, until the hulls separate.
     """
     target = _steer_target(cone, ball.center.v)
-    levels = _chord_levels(cone, target, budgets.search_rounds, tol)
+    levels = _chord_levels(cone, target, _SEARCH_ROUNDS, tol)
     ell = ball.ellipsoid()
     for i, level in enumerate(levels):
         if _ball_clear(level, ell, tol):
             _require(bool(cone_leq(level, cone, tol)),
                      "separated level escaped the source cone", i)
-            rng = np.random.default_rng(1)
-            pts = level.sample_points(budgets.membership_samples, rng)
-            bad = int(np.sum(ell.contains(pts,
-                                          slack=-tol.containment_slack)))
-            _require(bad == 0,
-                     f"{bad} sampled points of the witness lie in the ball")
             return level
     raise ConstructionFailure(
         "no chord level separated from the ball before the apex march "
@@ -352,8 +306,7 @@ def avoid_ball_inside(ball: Hyperball, cone: BallCone,
 
 
 def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
-                            tol: Tolerances = DEFAULT_TOLERANCES,
-                            budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                            tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Cone containing the ball while staying disjoint from `cone`.
 
     Requires the ball's hull disjoint from the cone's hull.  The apex is
@@ -391,12 +344,6 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
         except DegenerateGeometry:
             continue
         if inside.holds and clear.disjoint:
-            rng = np.random.default_rng(2)
-            pts = region.sample_points(budgets.membership_samples, rng)
-            bad = int(np.sum(cone.contains_many(pts, slack=tol.
-                                                containment_slack)))
-            _require(bad == 0, f"{bad} sampled witness points lie in the "
-                     "forbidden cone")
             return region
     raise ConstructionFailure(
         "no cap-based cone over the ball stayed disjoint from the cone; "
@@ -587,8 +534,7 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
 
 
 def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone,
-                            tol: Tolerances = DEFAULT_TOLERANCES,
-                            budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                            tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Subcone of `cone_a` whose complement meshes with that of `cone_b`.
 
     When the caps are separated the result is additionally disjoint from
@@ -602,7 +548,7 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone,
     if gamma > total:
         target = _steer_target(cone_a, cone_b.base.axis.v)
         for i, level in enumerate(_chord_levels(cone_a, target,
-                                                budgets.search_rounds, tol)):
+                                                _SEARCH_ROUNDS, tol)):
             if _is_disjoint(level, cone_b, tol):
                 _require(bool(cone_leq(level, cone_a, tol)),
                          "shrunken cone escaped its source", i)
@@ -617,8 +563,7 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone,
 
 
 def common_complement_cone(cone_a: BallCone, cone_b: BallCone,
-                           tol: Tolerances = DEFAULT_TOLERANCES,
-                           budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                           tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Cone disjoint from both inputs; the inputs must be disjoint.
 
     Aims a thin near-sphere cone at the direction with the largest angular
@@ -645,21 +590,12 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone,
     m, clear = cand[best], float(clearance[best])
     _require(clear > 1e-6, "no direction clears both closed caps")
     psi = min(0.45 * clear, 0.2)
-    for n_ in range(1, budgets.search_rounds + 1):
+    for n_ in range(1, _SEARCH_ROUNDS + 1):
         witness = _thin_cone(m, psi, 0.5 ** n_)
         if witness is None:
             break
         if (_is_disjoint(witness, cone_a, tol)
                 and _is_disjoint(witness, cone_b, tol)):
-            rng = np.random.default_rng(3)
-            pts = witness.sample_points(budgets.membership_samples, rng)
-            bad_a = int(np.sum(cone_a.contains_many(
-                pts, slack=tol.containment_slack)))
-            bad_b = int(np.sum(cone_b.contains_many(
-                pts, slack=tol.containment_slack)))
-            _require(bad_a == 0 and bad_b == 0,
-                     f"{bad_a + bad_b} sampled witness points lie inside "
-                     "an input cone")
             return witness
     raise ConstructionFailure(
         "thin cone in the cleared direction never separated from both "
@@ -680,47 +616,39 @@ def _grow_pad(cone: BallCone) -> BallCone:
     return BallCone(BallPoint(apex), Cap(cone.base.axis, psi))
 
 
-def _quick_cloud_ok(samples: np.ndarray, radius: float, tau: float,
-                    region: BallCone, tol: Tolerances) -> bool:
-    clouds = [_support_cloud(p, radius, tau) for p in samples]
-    pts = np.vstack(clouds)
-    if np.any(np.linalg.norm(pts, axis=1) >= 1.0):
-        return False
-    return bool(np.all(region.contains_many(pts,
-                                            slack=tol.containment_slack,
-                                            closed=True)))
-
-
-def _full_ball_checks(samples: np.ndarray, radius: float, shell: Hyperboloid,
-                      region: BallCone, tol: Tolerances) -> bool:
-    """Whether the metric ball of the given radius about every sample lies
-    inside the region, by the exact test; contact within the window counts
-    as a failure."""
-    try:
-        return all(hyperball_in_cone(Hyperball(shell, BallPoint(p), radius),
-                                     region, tol).holds for p in samples)
-    except DegenerateGeometry:
-        return False
+def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
+                   tau: float, tol: Tolerances) -> bool:
+    """Whether the metric ball of the given radius on shell `tau` about
+    every point of `inner` lies inside `outer`: inner <= outer, and the
+    exact clearance of inner from outer's boundary (_cone_clearance)
+    exceeds the radius by more than the degenerate window. The clearance
+    of inner's apex alone, a closed form, turns most ladder steps away
+    first."""
+    window = tol.degenerate_window
+    return (bool(cone_leq(inner, outer, tol))
+            and _min_boundary_distance(outer, inner.apex, tau) - radius
+            > window
+            and _cone_clearance(inner, outer, tau) - radius > window)
 
 
 def enclose_shadow(cone: BallCone, sigma: float, tau: float,
-                   tol: Tolerances = DEFAULT_TOLERANCES,
-                   budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                   tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Cone on shell `tau` containing the causal shadow of a cone region
     living on shell `sigma`.
 
     The shadow is the metric thickening of the region by the cross-shell
     shadow radius; near the sphere the thickening collapses, so a padded
-    cap with a pulled-back apex always suffices.
+    cap with a pulled-back apex always suffices. The ladder of paddings
+    and apex depths stops at the first region whose exact clearance from
+    the source cone exceeds the radius (_shadow_inside), so the whole
+    shadow, not a sample of it, is certified inside.
     """
     radius = shadow_radius(sigma, tau, tol)
-    shell = Hyperboloid(tau)
     if radius <= 1e-12 * tau:
         grown = _grow_pad(cone)
         _require(bool(cone_leq(cone, grown, tol)),
                  "padded copy failed to contain the source cone")
         return grown
-    samples = _hull_boundary_samples(cone)
     axis = cone.base.axis.v
     for pad, rho in itertools.product((0.05, 0.12, 0.25, 0.45, 0.7,
                                        1.0, 1.35, 1.8, 2.2),
@@ -733,35 +661,23 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float,
             continue
         region = BallCone(BallPoint(-rho * axis),
                           Cap(cone.base.axis, psi))
-        if not _quick_cloud_ok(samples, radius, tau, region, tol):
-            continue
-        if not cone_leq(cone, region, tol):
-            continue
-        if not _full_ball_checks(samples, radius, shell, region, tol):
-            continue
-        rng = np.random.default_rng(4)
-        base_pts = cone.sample_points(budgets.membership_samples, rng)
-        thick = _thickened_samples(base_pts, radius, tau, rng)
-        thick = thick[np.linalg.norm(thick, axis=1) < 1.0]
-        bad = _membership_violations(region, thick, tol)
-        _require(bad == 0,
-                 f"{bad} sampled shadow points escape the enclosure")
-        return region
+        if _shadow_inside(cone, region, radius, tau, tol):
+            return region
     raise ConstructionFailure(
         "no padded cap enclosed the cross-shell shadow of the cone")
 
 
 def shrink_across_shells(cone: BallCone, sigma: float, tau: float,
-                         tol: Tolerances = DEFAULT_TOLERANCES,
-                         budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                         tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Cone on shell `tau` sitting so deep inside `cone` that even its
     cross-shell shadow stays inside `cone`.
 
     Realized by a thin cone along the source axis with a near-sphere apex;
     points deep along the axis are metrically far from the source boundary.
+    The first thin cone whose exact clearance from the source's boundary
+    exceeds the shadow radius (_shadow_inside) is returned.
     """
     radius = shadow_radius(sigma, tau, tol)
-    shell = Hyperboloid(tau)
     if radius <= 1e-12 * tau:
         psi = max(cone.base.half_angle - 0.01, 0.5 * cone.base.half_angle)
         inner = BallCone(cone.apex, Cap(cone.base.axis, psi))
@@ -771,26 +687,10 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float,
     axis = cone.base.axis.v
     psi0 = min(0.5 * cone.base.half_angle, 0.15)
     for j, n_ in itertools.product(range(4), range(1, 31)):
-        psi = psi0 * (0.5 ** j)
-        witness = _thin_cone(axis, psi, 0.5 ** n_)
-        if witness is None:
-            continue
-        if not cone_leq(witness, cone, tol):
-            continue
-        samples = _hull_boundary_samples(witness, n_theta=6,
-                                         s_depths=(0.05, 0.3, 0.7, 0.95))
-        if not _quick_cloud_ok(samples, radius, tau, cone, tol):
-            continue
-        if not _full_ball_checks(samples, radius, shell, cone, tol):
-            continue
-        rng = np.random.default_rng(5)
-        base_pts = witness.sample_points(budgets.membership_samples, rng)
-        thick = _thickened_samples(base_pts, radius, tau, rng)
-        thick = thick[np.linalg.norm(thick, axis=1) < 1.0]
-        bad = _membership_violations(cone, thick, tol)
-        _require(bad == 0,
-                 f"{bad} thickened sample points escape the source cone")
-        return witness
+        witness = _thin_cone(axis, psi0 * (0.5 ** j), 0.5 ** n_)
+        if witness is not None and _shadow_inside(witness, cone, radius,
+                                                  tau, tol):
+            return witness
     raise ConstructionFailure(
         "no thin axial cone kept its cross-shell shadow inside the source "
         "cone")
@@ -858,8 +758,8 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
 
 def robust_enclosure_lorentz(cone: BallCone,
                              generators: Sequence[LorentzTransform],
-                             tol: Tolerances = DEFAULT_TOLERANCES,
-                             budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                             tol: Tolerances = DEFAULT_TOLERANCES
+                             ) -> BallCone:
     """Cone containing every image of `cone` under the generators, their
     inverses, and all products of two such factors.
 
@@ -897,13 +797,6 @@ def robust_enclosure_lorentz(cone: BallCone,
             continue
         region = BallCone(BallPoint(e), Cap(cover.axis, psi))
         if all(cone_leq(img, region, tol) for img in images):
-            rng = np.random.default_rng(6)
-            per = max(1, budgets.membership_samples // len(images))
-            pts = np.vstack([img.sample_points(per, rng)
-                             for img in images])
-            bad = _membership_violations(region, pts, tol)
-            _require(bad == 0,
-                     f"{bad} sampled orbit points escape the enclosure")
             return region
     raise ConstructionFailure(
         "no covering cap enclosed the sampled Lorentz orbit of the cone")

@@ -19,7 +19,7 @@ from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          homology_through_many, lift_from_ball,
                          lorentz_ball_action, shadow_radius)
 from .charges import ChargeGroup, StatisticsCharacter, verify_group_axioms
-from .config import DEFAULT_BUDGETS, DEFAULT_TOLERANCES, Budgets, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .cones import BallCone, Hyperball, cone_leq, disjoint, map_cone
 from .constructions import (common_complement_cone, funnel_in,
                             interval_expansion, lightray_point, path_connect)
@@ -73,7 +73,7 @@ def _random_transform(rng: np.random.Generator,
     return r @ g
 
 
-def _check_metric_matches_lift(rng, n, tol, budgets) -> PropertyResult:
+def _check_metric_matches_lift(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         tau = rng.uniform(0.2, 5.0)
@@ -91,7 +91,7 @@ def _check_metric_matches_lift(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("metric_matches_hyperboloid_lift", n, bad, worst)
 
 
-def _check_shadow_radius_euclid(rng, n, tol, budgets) -> PropertyResult:
+def _check_shadow_radius_euclid(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         sigma = rng.uniform(0.1, 10.0)
@@ -106,7 +106,7 @@ def _check_shadow_radius_euclid(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("shadow_radius_matches_lightcone", n, bad, worst)
 
 
-def _check_boost_formula(rng, n, tol, budgets) -> PropertyResult:
+def _check_boost_formula(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         l = SphereDirection.normalized(_random_direction(rng))
@@ -122,7 +122,7 @@ def _check_boost_formula(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("boost_closed_form_matches_matrix", n, bad, worst)
 
 
-def _check_homology_involution(rng, n, tol, budgets) -> PropertyResult:
+def _check_homology_involution(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         u0 = _random_point(rng, 0.85)
@@ -136,7 +136,7 @@ def _check_homology_involution(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("interior_homology_is_involution", n, bad, worst)
 
 
-def _check_circle_preservation(rng, n, tol, budgets) -> PropertyResult:
+def _check_circle_preservation(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         cap = Cap(SphereDirection.normalized(_random_direction(rng)),
@@ -157,7 +157,7 @@ def _check_circle_preservation(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("sphere_action_preserves_circles", n, bad, worst)
 
 
-def _check_lorentz_inverse(rng, n, tol, budgets) -> PropertyResult:
+def _check_lorentz_inverse(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     eye = np.eye(4)
     for k in range(n):
@@ -169,7 +169,7 @@ def _check_lorentz_inverse(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("lorentz_inverse_identity", n, bad, worst)
 
 
-def _check_transport_membership(rng, n, tol, budgets) -> PropertyResult:
+def _check_transport_membership(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         cone = _random_cone(rng)
@@ -194,7 +194,7 @@ def _check_transport_membership(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("transport_preserves_membership", n, bad, worst)
 
 
-def _check_disjoint_certificates(rng, n, tol, budgets) -> PropertyResult:
+def _check_disjoint_certificates(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         a, b = _random_cone(rng), _random_cone(rng)
@@ -224,7 +224,7 @@ def _check_disjoint_certificates(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("disjoint_certificates_hold", n, bad, worst)
 
 
-def _check_enlargement_orders(rng, n, tol, budgets) -> PropertyResult:
+def _check_enlargement_orders(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         inner = _random_cone(rng, psi_max=0.7)
@@ -248,7 +248,7 @@ def _check_enlargement_orders(rng, n, tol, budgets) -> PropertyResult:
     return PropertyResult("cone_order_matches_membership", n, bad, worst)
 
 
-def _check_funnels(rng, n, tol, budgets) -> PropertyResult:
+def _check_funnels(rng, n, tol) -> PropertyResult:
     bad, built = [], 0
     for k in range(n):
         cone = _random_cone(rng, psi_max=0.7)
@@ -257,7 +257,7 @@ def _check_funnels(rng, n, tol, budgets) -> PropertyResult:
             probe_center = cone.centroid().v
         probe = Hyperball(Hyperboloid(1.0), BallPoint(probe_center), 0.05)
         try:
-            funnel = funnel_in(cone, 3, probe, tol, budgets)
+            funnel = funnel_in(cone, 3, probe, tol)
             built += 1
         except (ConstructionFailure, DegenerateGeometry) as err:
             bad.append(f"instance {k}: funnel failed ({err})")
@@ -269,7 +269,7 @@ def _check_funnels(rng, n, tol, budgets) -> PropertyResult:
                           float(built))
 
 
-def _check_paths(rng, n, tol, budgets) -> PropertyResult:
+def _check_paths(rng, n, tol) -> PropertyResult:
     bad = []
     for k in range(n):
         a, b = _random_cone(rng, psi_max=0.7), _random_cone(rng, psi_max=0.7)
@@ -286,7 +286,7 @@ def _check_paths(rng, n, tol, budgets) -> PropertyResult:
                           float(n - len(bad)))
 
 
-def _check_common_complement(rng, n, tol, budgets) -> PropertyResult:
+def _check_common_complement(rng, n, tol) -> PropertyResult:
     bad, built = [], 0
     for k in range(n):
         axis = _random_direction(rng)
@@ -304,7 +304,7 @@ def _check_common_complement(rng, n, tol, budgets) -> PropertyResult:
         except DegenerateGeometry:
             continue
         try:
-            w = common_complement_cone(a, b, tol, budgets)
+            w = common_complement_cone(a, b, tol)
             built += 1
         except (ConstructionFailure, DegenerateGeometry) as err:
             bad.append(f"pair {k}: no common complement cone ({err})")
@@ -316,7 +316,7 @@ def _check_common_complement(rng, n, tol, budgets) -> PropertyResult:
                           float(built))
 
 
-def _check_charge_axioms(rng, n, tol, budgets) -> PropertyResult:
+def _check_charge_axioms(rng, n, tol) -> PropertyResult:
     bad = []
     seed = int(rng.integers(0, 2 ** 31))
     for group, signs in (
@@ -331,7 +331,7 @@ def _check_charge_axioms(rng, n, tol, budgets) -> PropertyResult:
                           float(3 * n - len(bad)))
 
 
-def _check_lightray_interval(rng, n, tol, budgets) -> PropertyResult:
+def _check_lightray_interval(rng, n, tol) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         tau = rng.uniform(0.3, 3.0)
@@ -351,7 +351,7 @@ def _check_lightray_interval(rng, n, tol, budgets) -> PropertyResult:
                           worst)
 
 
-def _check_completion_equivariance(rng, n, tol, budgets) -> PropertyResult:
+def _check_completion_equivariance(rng, n, tol) -> PropertyResult:
     from .cones import Hypercone, in_causal_completion
     bad, checked = [], 0
     for k in range(n):
@@ -402,9 +402,7 @@ _CHECKS: list[tuple[Callable, int]] = [
 
 
 def run_selftest(seed: int = 0, budget: float = 1.0,
-                 tol: Tolerances = DEFAULT_TOLERANCES,
-                 budgets: Budgets = DEFAULT_BUDGETS
-                 ) -> tuple[str, bool]:
+                 tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[str, bool]:
     """Run every registered property; returns (report text, all passed)."""
     master = np.random.SeedSequence(seed)
     children = master.spawn(len(_CHECKS))
@@ -415,7 +413,7 @@ def run_selftest(seed: int = 0, budget: float = 1.0,
     for (check, base_n), child in zip(_CHECKS, children):
         n = max(1, int(round(base_n * budget)))
         rng = np.random.default_rng(child)
-        result = check(rng, n, tol, budgets)
+        result = check(rng, n, tol)
         results.append(result)
         all_ok = all_ok and result.passed
     for result in results:

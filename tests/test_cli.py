@@ -261,6 +261,24 @@ class TestExitCodes:
                            "--generator", "warp:x:0.1")
         assert code == 1 and "boost or rot" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("construct", DEMO, "A1", "A", "O", "--depth", "abc"),
+        ("check", DEMO),
+        ("check", DEMO, "disjoint A B", "--seed", "3"),
+    ])
+    def test_usage_errors_exit_one(self, capsys, argv):
+        # code 2 is kept for degenerate geometry
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        assert stop.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["construct", "--help"])
+        assert stop.value.code == 0
+        assert "--sigma" in capsys.readouterr().out
+
     def test_tangent_caps_exit_degenerate(self, capsys, tangent_scene):
         code, _, err = run(capsys, "construct", tangent_scene, "A7",
                            "T1", "T2")

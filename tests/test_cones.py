@@ -21,7 +21,8 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         opposite, point_margin, shadow_radius)
 from hypercones.ball_model import (ball_action_many, ball_distance_many,
                                    homology_through_many)
-from hypercones.cones import (_cap_face_distance, _lateral_distance,
+from hypercones.cones import (_cap_face_distance, _cone_clearance,
+                              _frame_clearance, _lateral_distance,
                               _min_boundary_distance)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
@@ -573,6 +574,57 @@ class TestMinBoundaryDistance:
                 exact = _min_boundary_distance(cone, center, tau)
                 searched = _searched_boundary_distance(cone, center, tau)
                 assert abs(exact - searched) <= 1e-9
+
+
+def _signed_clearance(cone, p, tau):
+    boundary, inside = _frame_clearance(cone, p.tolist(), tau)
+    return boundary if inside else -boundary
+
+
+def _nested_pairs(rng, count):
+    pairs = []
+    while len(pairs) < count:
+        outer = random_cone(rng, psi_min=0.4, psi_max=1.3)
+        inner = random_cone(rng, psi_max=0.8)
+        if cone_leq(inner, outer).holds:
+            pairs.append((inner, outer, rng.uniform(0.5, 2.0)))
+    return pairs
+
+
+class TestConeClearance:
+    def test_never_above_the_dense_minimum(self):
+        rng = np.random.default_rng(44)
+        for inner, outer, tau in _nested_pairs(rng, 200):
+            pts = np.vstack([inner.apex.v[None, :],
+                             inner.sample_points(300, rng),
+                             inner.lateral_points(32, np.linspace(0.0, 0.999,
+                                                                  12))])
+            sampled = min(_signed_clearance(outer, p, tau) for p in pts)
+            # every sampled point is a point of inner: an upper bound
+            assert _cone_clearance(inner, outer, tau) <= sampled + 1e-12
+
+    def test_sixteen_seeds_agree_with_2048(self):
+        rng = np.random.default_rng(45)
+        for inner, outer, tau in _nested_pairs(rng, 200):
+            assert _cone_clearance(inner, outer, tau) == pytest.approx(
+                _cone_clearance(inner, outer, tau, seeds=2048), abs=1e-12)
+
+    def test_apex_clearance_when_the_outer_cap_is_far(self):
+        # a thin cone around the axis from the apex of a wide cone with
+        # the same apex and axis: the shared apex has clearance 0
+        cone = BallCone(BallPoint(np.array([0.1, -0.2, 0.05])),
+                        Cap(SphereDirection(Z), 1.2))
+        thin = BallCone(cone.apex, Cap(SphereDirection(Z), 0.1))
+        assert abs(_cone_clearance(thin, cone, 1.3)) <= 1e-12
+
+    def test_not_positive_when_inner_leaves_outer(self):
+        rng = np.random.default_rng(46)
+        for _ in range(50):
+            outer = random_cone(rng, psi_max=0.8)
+            inner = random_cone(rng, psi_max=0.8)
+            if cone_leq(inner, outer).holds:
+                continue
+            assert _cone_clearance(inner, outer, 1.0) <= 1e-12
 
 
 class TestCausalCompletion:

@@ -260,6 +260,43 @@ class TestShadowOperations:
             assert contains_point(grown, center)
             assert _min_boundary_distance(grown, center, tau) > radius
 
+    # (apex, axis, half-angle, sigma, tau) of five instances drawn like the
+    # benchmark's A9 instances, on which an enclosure certified at sampled
+    # source points missed part of the shadow by 0.001 to 0.006
+    SAMPLED_MISSES = [
+        ([-0.06650971986767573, -0.015054556263048175, 0.013214162983971434],
+         [-0.4464848046393396, 0.886575266663972, -0.1209777490527807],
+         0.6572121188745316, 1.4129095653312334, 1.2231537236589192),
+        ([0.01020632794211386, -0.16205091030254343, 0.5351535337487161],
+         [-0.19600907603741294, -0.6166062925564392, 0.7624808994924154],
+         0.9794958483675155, 0.5653870525928975, 0.790921488173938),
+        ([-0.05796291856522845, -0.019176091351964877, 0.14640160680068817],
+         [0.3211210821243441, 0.283081307626063, -0.9037401307278594],
+         0.6413274674702868, 0.5179592546528471, 0.5972885415478593),
+        ([0.06439115566494164, 0.017071895101638312, -0.05261000401226171],
+         [0.6950384023386149, -0.6731276354665191, 0.25262780061948553],
+         0.9196414067389281, 0.8510773260891638, 1.1680667825256592),
+        ([0.02327143531289801, 0.07657014674356474, -0.019123856445045568],
+         [0.8659176064414775, -0.48656247561943805, 0.11594678164462406],
+         0.793556933824815, 1.6603826804297541, 1.0838541999464923),
+    ]
+
+    @pytest.mark.parametrize("apex, axis, psi, sigma, tau", SAMPLED_MISSES)
+    def test_enclosure_holds_the_shadow_between_hull_samples(
+            self, apex, axis, psi, sigma, tau):
+        cone = BallCone(BallPoint(np.array(apex)),
+                        Cap(SphereDirection.normalized(axis), psi))
+        grown = enclose_shadow(cone, sigma, tau)
+        radius = shadow_radius(sigma, tau)
+        rng = np.random.default_rng(11)
+        pts = np.vstack([cone.sample_points(2000, rng),
+                         cone.lateral_points(64, np.linspace(0.0, 0.999,
+                                                             40))])
+        for p in pts:
+            center = BallPoint(p)
+            assert contains_point(grown, center)
+            assert _min_boundary_distance(grown, center, tau) > radius
+
     def test_equal_shells_return_enlarged_copy(self):
         cone = axis_cone(0.4, 0.15)
         grown = enclose_shadow(cone, 1.0, 1.0)
@@ -414,3 +451,75 @@ class TestIntervalIdentity:
             if up * tau + lightray_offset(up, tau) <= tau + t:
                 continue
             assert interval_expansion(u, up, t, dot, tau) < 0
+
+
+class TestExactCertificates:
+    """Constructions certified by exact predicates draw no random points,
+    and return the witnesses they returned while they also re-checked
+    them on 10^4 sampled points."""
+
+    def test_constructions_draw_no_random_points(self, monkeypatch):
+        def refuse(self, n, rng):
+            raise AssertionError("a construction sampled cone points")
+
+        monkeypatch.setattr(BallCone, "sample_points", refuse)
+        unit = lambda *v: SphereDirection.normalized(np.array(v))  # noqa
+        shell = Hyperboloid(1.0)
+        k = BallCone(BallPoint(np.array([0.12, -0.08, 0.05])),
+                     Cap(unit(0.3, -0.2, 0.93), 0.62))
+        probe = Hyperball(shell, BallPoint(np.array([0.1, -0.05, 0.35])),
+                          0.12)
+        far = Hyperball(shell, BallPoint(np.array([-0.25, 0.3, -0.4])),
+                        0.15)
+        other = BallCone(BallPoint(np.array([-0.1, 0.15, -0.2])),
+                         Cap(unit(-0.4, 0.5, -0.77), 0.45))
+        wide = BallCone(BallPoint(np.array([0.05, 0.1, -0.1])),
+                        Cap(unit(0.2, 0.1, 0.97), 1.05))
+        gens = [LorentzTransform.boost(unit(0.6, 0.3, -0.74).v, 0.12),
+                LorentzTransform.rotation(unit(0.2, 0.9, 0.4).v, 0.25)]
+        got = {
+            "A1": funnel_in(k, 3, probe).cones[-1],
+            "A3": avoid_ball_inside(probe, k),
+            "A4": wrap_ball_in_complement(far, k),
+            "A8": common_complement_cone(k, other),
+            "A9": enclose_shadow(k, 0.8, 1.3),
+            "A10": shrink_across_shells(wide, 1.2, 0.9),
+            "A12": robust_enclosure_lorentz(k, gens),
+        }
+        want = {
+            "A1": ([0.3854389287817939, -0.6129598661462774,
+                    0.5208754947628034],
+                   [0.4162524128887422, -0.6390150159120251,
+                    0.6468336248242313], 0.0775),
+            "A3": ([0.2716793878753108, -0.3845484949407299,
+                    0.3190717112930305],
+                   [0.38018543988442244, -0.46706793559008664,
+                    0.7983148344127791], 0.31),
+            "A4": ([-0.03758186151657561, 0.07963754641036475,
+                    -0.13676507823663525],
+                   [-0.48365149897595505, 0.5415137415843974,
+                    -0.6876366011299708], 0.28559184151111333),
+            "A8": ([0.20186927010483324, -0.35845599869404365,
+                    -0.2841796875],
+                   [0.4037385402096665, -0.7169119973880873, -0.568359375],
+                   0.2),
+            "A9": ([-0.2917449004582795, 0.19449660030551966,
+                    -0.9044091914206663],
+                   [0.30076793861678297, -0.20051195907785532,
+                    0.9323806097120272], 1.07),
+            "A10": ([0.10045812911315204, 0.05022906455657602,
+                     0.48722192619878735],
+                    [0.20091625822630407, 0.10045812911315204,
+                     0.9744438523975747], 0.15),
+            "A12": ([-0.09094921496515675, 0.05475558787789942,
+                     -0.2805887843328157],
+                    [0.3031640498838558, -0.18251862625966475,
+                     0.9352959477760523], 1.1228691693599968),
+        }
+        for label, cone in got.items():
+            apex, axis, psi = want[label]
+            np.testing.assert_allclose(cone.apex.v, apex, rtol=0, atol=1e-12,
+                                       err_msg=label)
+            np.testing.assert_allclose(cone.base.axis.v, axis, rtol=0,
+                                       atol=1e-12, err_msg=label)
+            assert abs(cone.base.half_angle - psi) <= 1e-12, label
