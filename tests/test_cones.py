@@ -609,9 +609,26 @@ class TestConeClearance:
             assert _cone_clearance(inner, outer, tau) == pytest.approx(
                 _cone_clearance(inner, outer, tau, seeds=2048), abs=1e-12)
 
-    def test_apex_clearance_when_the_outer_cap_is_far(self):
-        # a thin cone around the axis from the apex of a wide cone with
-        # the same apex and axis: the shared apex has clearance 0
+    def test_finds_the_narrow_dip_of_a_nearly_tangent_cap(self):
+        # the caps are 0.0015 rad apart: the least value over the azimuth
+        # has a narrow dip far out along a ray, between two seeds whose
+        # values lie above a second, wider minimum at the apex
+        inner = raw_cone([-0.06143032754263875, 0.054674336228019295,
+                          0.037087510717826504],
+                         [-0.08881577012772214, 0.012834670004347827,
+                          0.9959653760159031], 0.02207068356785505)
+        outer = raw_cone([0.17446518205620967, -0.5929872335134785,
+                          -0.20532750147172676],
+                         [-0.957311658325234, -0.04259643285264576,
+                          0.28590196351690295], 1.2161504959973923)
+        got = _cone_clearance(inner, outer, 1.0)
+        assert got == pytest.approx(
+            _cone_clearance(inner, outer, 1.0, seeds=2048), abs=1e-12)
+        pts = inner.lateral_points(256, 1.0 - np.geomspace(1e-6, 1.0, 60))
+        assert got <= min(_signed_clearance(outer, p, 1.0)
+                          for p in pts) + 1e-12
+
+    def test_shared_apex_has_zero_clearance(self):
         cone = BallCone(BallPoint(np.array([0.1, -0.2, 0.05])),
                         Cap(SphereDirection(Z), 1.2))
         thin = BallCone(cone.apex, Cap(SphereDirection(Z), 0.1))
