@@ -7,7 +7,7 @@ cone-calculus existence facts, and an abelian charge calculus whose
 admissibility questions are answered by the geometry.
 """
 
-from .config import Budgets, Tolerances, DEFAULT_BUDGETS, DEFAULT_TOLERANCES
+from .config import Tolerances, DEFAULT_TOLERANCES
 from .errors import (AdmissibilityError, ChargeMismatchError,
                      ConstructionFailure, DegenerateGeometry,
                      HyperconesError, SceneError)
@@ -43,7 +43,7 @@ from .charges import (AxiomReport, ChargeElement, ChargeGroup,
                       shift_light_cone, transport_chain, verify_group_axioms)
 
 __all__ = [
-    "Budgets", "Tolerances", "DEFAULT_BUDGETS", "DEFAULT_TOLERANCES",
+    "Tolerances", "DEFAULT_TOLERANCES",
     "AdmissibilityError", "ChargeMismatchError", "ConstructionFailure",
     "DegenerateGeometry", "HyperconesError", "SceneError",
     "CausalClass", "FourVector", "LorentzTransform", "PoincareElement",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ball_model import Hyperboloid
 from .cones import BallCone, disjoint, enclosing_cone
-from .config import Budgets, Tolerances, DEFAULT_BUDGETS, DEFAULT_TOLERANCES
+from .config import Tolerances, DEFAULT_TOLERANCES
 from .constructions import (ConePath, path_connect,
                             path_connect_in_complement, translate_enclosure)
 from .errors import AdmissibilityError, ChargeMismatchError
@@ -280,13 +280,11 @@ def verify_group_axioms(group: ChargeGroup, eps: StatisticsCharacter,
 
 
 def shift_light_cone(s: Morphism, t0: FourVector,
-                     tol: Tolerances = DEFAULT_TOLERANCES,
-                     budgets: Budgets = DEFAULT_BUDGETS) -> ShiftedMorphism:
+                     tol: Tolerances = DEFAULT_TOLERANCES) -> ShiftedMorphism:
     """Carrier as seen from a frame whose light cone apex moved down by
     t0: the charge is unchanged and the localization grows to a cone whose
     completion provably contains the original region shifted by t0."""
     if float(np.max(np.abs(t0.components))) <= 1e-15:
         return ShiftedMorphism(s, t0)
-    grown = translate_enclosure(s.localization, s.shell.tau, [t0], tol,
-                                budgets)
+    grown = translate_enclosure(s.localization, s.shell.tau, [t0], tol)
     return ShiftedMorphism(Morphism(s.charge, grown, s.shell), t0)

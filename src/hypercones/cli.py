@@ -17,8 +17,7 @@ import numpy as np
 
 from . import scene as scene_io
 from .charges import ComposedUnlocalized, compose, exchange_statistics
-from .config import (DEFAULT_BUDGETS, DEFAULT_TOLERANCES, Tolerances,
-                     load_tolerances)
+from .config import DEFAULT_TOLERANCES, Tolerances, load_tolerances
 from .cones import (BallCone, Hyperball, Hypercone, cone_leq, disjoint,
                     hyperball_in_cone, in_causal_completion, point_margin)
 from .constructions import (avoid_ball_inside, common_complement_cone,
@@ -348,8 +347,7 @@ def cmd_construct(ns) -> int:
         if not ns.t:
             raise SceneError("A13 needs at least one --t translation")
         translations = [_parse_four_vector(t) for t in ns.t]
-        result = translate_enclosure(cone, scene.tau, translations, tol,
-                                     DEFAULT_BUDGETS.scaled(ns.budget))
+        result = translate_enclosure(cone, scene.tau, translations, tol)
         name = _append_cone(scene, result)
         _report(f"contains-shifted-completion({name},{names[0]})", True,
                 f"translations={len(translations)}")
@@ -423,8 +421,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=float, default=1.0,
-                        help="sampling budget scale factor")
     parser.add_argument("--tolerances", metavar="FILE",
                         help="JSON tolerance overrides")
 
@@ -482,6 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed of the property suite")
+    p.add_argument("--budget", type=float, default=1.0,
+                   help="scale factor of the property suite's trial counts")
     _add_common(p)
     p.set_defaults(func=cmd_selftest)
 

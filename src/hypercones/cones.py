@@ -182,14 +182,19 @@ def contains_point(cone: BallCone, u: BallPoint) -> bool:
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def _circle_minimum(f, seeds: int, centres=()) -> float:
+def _circle_minimum(f, seeds: int, centres=(),
+                    floor: float = -math.inf) -> float:
     """Least value of a function of an angle: `seeds` equally spaced
     angles, then golden-section search, to 1e-12 rad, on the bracket of
     neighbouring seeds around the best one, around every other strict
-    local minimum among them, and around each of the given centres."""
+    local minimum among them, and around each of the given centres. The
+    least seed value is returned unrefined when it is at or below
+    `floor`."""
     width = 2.0 * math.pi / seeds
     values = [f(i * width) for i in range(seeds)]
     found = min(values)
+    if found <= floor:
+        return found
     best = values.index(found)
     brackets = [((i - 1) * width, (i + 1) * width)
                 for i, v in enumerate(values)
@@ -665,28 +670,44 @@ def _min_boundary_distance(cone: BallCone, center: BallPoint,
     return _frame_clearance(cone, center.v.tolist(), tau)[0]
 
 
-def _cone_clearance(inner: BallCone, outer: BallCone, tau: float,
-                    seeds: int = 16) -> float:
-    """Least shell distance from a point of `inner` to the lateral boundary
-    of `outer`; at most 0 when a ray of `inner` leaves `outer`.
+def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
+                  shift=(0.0, 0.0, 0.0, 0.0), seeds: int = 16,
+                  floor: float = -math.inf) -> float:
+    """Least value, over the events X = tau y + t' with y a point of
+    `inner` on the shell and t' the translation `shift` seen in inner's
+    apex frame, and over the tangent planes of `outer`, of
+
+        (-<X, M> - (<X, X> - tau^2) / (2 tau)) / tau,
+
+    which is positive exactly when the causal shadow of X lies on the
+    inner side of the plane; -inf when some event's shadow crosses it
+    without bound. With no shift this is the least sinh-distance from
+    inner to outer's boundary (_cone_clearance).
 
     In inner's apex frame, inner is the union of the geodesic rays from
-    e0 = (1, 0, 0, 0) toward the ideal points c of its cap (n, psi). Outer
-    is the intersection of the half-spaces bounded by its tangent planes:
-    at azimuth phi the unit spacelike covector M is outer's apex-frame
+    e0 = (1, 0, 0, 0) toward the ideal points c of its cap (n, psi). At
+    azimuth phi the unit spacelike covector M is outer's apex-frame
     normal (0, sin psi' n' - cos psi' e_phi) carried into inner's frame,
-    and l(X) = -<X, M> is sinh of the signed distance to that plane
-    (Ratcliffe, Foundations of Hyperbolic Manifolds, section 3.2). Along
-    the ray toward c, l = alpha cosh s + beta sinh s with alpha = -M0 and
-    alpha + beta = p = alpha + c.Ms; over s >= 0 its least value is alpha
-    if p >= alpha and sqrt(p (2 alpha - p)) if 0 < p < alpha, while p <= 0
-    or alpha <= 0 lets the ray leave the half-space. That value grows with
-    p, and p is least at the cap point nearest -Ms: -|Ms| when -Ms lies in
-    the cap, else -|Ms| cos(gamma - psi) with gamma its angle to n. The
-    clearance is tau asinh of the least value over phi (_circle_minimum).
+    and -<Y, M> is sinh of the signed distance of a shell point Y/tau to
+    that plane (Ratcliffe, Foundations of Hyperbolic Manifolds, section
+    3.2). X with sigma^2 = <X, X> >= tau^2 (every shifted shell point
+    qualifies) has a shadow ball of radius rho, cosh rho = (sigma^2 +
+    tau^2) / (2 sigma tau), so sigma sinh rho = (sigma^2 - tau^2) / (2 tau),
+    and the ball lies on the inner side exactly when -<X, M> exceeds that.
+    Along the ray y = (cosh s, sinh s c) the quantity is linear in y:
+    A cosh s + B(c) sinh s - kappa with N = M + t'/tau, A = -N0,
+    B(c) = c.Ns and kappa = (<t', M> + <t', t'> / (2 tau)) / tau. Over
+    the cap B is least at the cap point nearest -Ns, -reach with reach =
+    |Ns| when -Ns lies in the cap, else |Ns| cos(gamma - psi) with gamma
+    its angle to n. With p = A - reach the least value over s >= 0 is
+    -inf if p < 0, A if reach <= 0, else sqrt(p (2A - p)); the test of
+    p comes first, since with kappa subtracted a finite value for p < 0
+    would accept escaping events. The least value over phi runs on
+    _circle_minimum, which returns the least seed value unrefined when it
+    is at or below `floor`.
 
     That least value need not be unimodal in phi: it takes its smallest
-    value at the apex (alpha, least at phi = atan2(d0, b0) below) or far
+    value at the shifted apex (s = 0, least at the azimuth below) or far
     out along a ray, where a cap nearly touching outer's cap gives a
     narrow dip at about the azimuth of inner's cap axis in outer's apex
     frame. The search therefore also refines around those two azimuths.
@@ -698,23 +719,28 @@ def _cone_clearance(inner: BallCone, outer: BallCone, tau: float,
     e1, e2 = orthonormal_frame(cap_r.axis.v)
     psi = cap_r.half_angle
     # M at azimuth phi is a + cos(phi) b + sin(phi) d
-    a0, ax, ay, az = (carry @ (math.sin(psi) * cap_r.axis.v)).tolist()
-    b0, bx, by, bz = (carry @ (-math.cos(psi) * e1)).tolist()
-    d0, dx, dy, dz = (carry @ (-math.cos(psi) * e2)).tolist()
+    a = carry @ (math.sin(psi) * cap_r.axis.v)
+    b = carry @ (-math.cos(psi) * e1)
+    d = carry @ (-math.cos(psi) * e2)
+    t = frame_k.matrix @ np.asarray(shift, dtype=float)
+    # <t, .> as a row: kappa at phi is ka + cos(phi) kb + sin(phi) kd
+    t_row = np.array([t[0], -t[1], -t[2], -t[3]]) / tau
+    ka = float(t_row @ a + t_row @ t / (2.0 * tau))
+    kb, kd = float(t_row @ b), float(t_row @ d)
+    a0, ax, ay, az = (a + t / tau).tolist()
+    b0, bx, by, bz = b.tolist()
+    d0, dx, dy, dz = d.tolist()
     nx, ny, nz = cap_k.axis.v.tolist()
     cos_k, sin_k = cap_k.cos_half, math.sin(cap_k.half_angle)
-    inner_axis = cap_image(frame_r, inner.base).axis.v  # in outer's frame
-    centres = (math.atan2(d0, b0),
-               math.atan2(float(inner_axis @ e2), float(inner_axis @ e1)))
 
     def least(phi: float) -> float:
-        # least sinh-distance from inner to the tangent plane at phi
+        # least margin of the shifted shadows against the plane at phi
         c, s = math.cos(phi), math.sin(phi)
         alpha = -(a0 + c * b0 + s * d0)
         mx, my, mz = ax + c * bx + s * dx, ay + c * by + s * dy, \
             az + c * bz + s * dz
         size = math.sqrt(mx * mx + my * my + mz * mz)
-        toward = -(mx * nx + my * ny + mz * nz)  # |Ms| cos gamma
+        toward = -(mx * nx + my * ny + mz * nz)  # |Ns| cos gamma
         if toward >= size * cos_k:
             reach = size
         else:
@@ -723,13 +749,29 @@ def _cone_clearance(inner: BallCone, outer: BallCone, tau: float,
             reach = (toward * cos_k
                      + math.sqrt(sx * sx + sy * sy + sz * sz) * sin_k)
         p = alpha - reach
-        if p >= alpha:
-            return alpha
-        if 0.0 < p:
-            return math.sqrt(p * (2.0 * alpha - p))
-        return min(alpha, p)
+        if p < 0.0:
+            return -math.inf
+        kappa = ka + c * kb + s * kd
+        if reach <= 0.0:
+            return alpha - kappa
+        return math.sqrt(p * (2.0 * alpha - p)) - kappa
 
-    return tau * math.asinh(_circle_minimum(least, seeds, centres))
+    def centres():
+        # drawn only when the seeds pass `floor`
+        yield math.atan2(d0 + kd, b0 + kb)
+        axis = cap_image(frame_r, inner.base).axis.v  # in outer's frame
+        yield math.atan2(float(axis @ e2), float(axis @ e1))
+
+    return _circle_minimum(least, seeds, centres(), floor)
+
+
+def _cone_clearance(inner: BallCone, outer: BallCone, tau: float,
+                    seeds: int = 16) -> float:
+    """Least shell distance from a point of `inner` to the lateral boundary
+    of `outer`: tau asinh of the unshifted _plane_margin. It is at most 0
+    when a point of `inner` lies outside `outer`, and -inf when a ray of
+    `inner` ends outside it."""
+    return tau * math.asinh(_plane_margin(inner, outer, tau, seeds=seeds))
 
 
 def hyperball_in_cone(ball: Hyperball, cone: BallCone,

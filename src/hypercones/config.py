@@ -1,19 +1,17 @@
-"""Centralized numeric tolerances and sampling budgets.
+"""Centralized numeric tolerances.
 
 Every predicate and construction in the package reads its thresholds from a
 single :class:`Tolerances` record, so a test run or a CLI invocation can
-tighten or loosen everything in one place. The :class:`Budgets` record
-holds the one sample count left: the translated-completion enclosure
-(``translate_enclosure``) still checks its witness on sampled points, and
-every other construction is certified by exact predicates.
+tighten or loosen everything in one place. No construction draws samples:
+each is certified by exact predicates, so there is no sampling budget to
+set.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["Tolerances", "Budgets", "DEFAULT_TOLERANCES", "DEFAULT_BUDGETS",
-           "load_tolerances"]
+__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "load_tolerances"]
 
 
 @dataclass(frozen=True)
@@ -42,18 +40,7 @@ class Tolerances:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class Budgets:
-    # points of the sampled check of translate_enclosure
-    membership_samples: int = 10_000
-
-    def scaled(self, factor: float) -> "Budgets":
-        return Budgets(
-            membership_samples=max(64, int(self.membership_samples * factor)))
-
-
 DEFAULT_TOLERANCES = Tolerances()
-DEFAULT_BUDGETS = Budgets()
 
 
 def load_tolerances(path: str) -> Tolerances:

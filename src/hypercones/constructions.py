@@ -8,8 +8,9 @@ builder certifies its output with the predicates from ``hypercones.cones``
 ``ConstructionFailure`` instead of returning an unverified witness. The
 certificates are exact: cone order, disjointness, ball clearance and the
 closed-form clearance of one cone inside another (``_cone_clearance``) for
-the cross-shell shadows. Only ``translate_enclosure`` still checks its
-witness on sampled points, as many as ``Budgets.membership_samples``.
+the cross-shell shadows, and for the translated completion
+(``translate_enclosure``) the same tangent-plane closed form on shifted
+shadows (``_plane_margin``). No construction draws random points.
 """
 from __future__ import annotations
 
@@ -20,15 +21,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         lift_from_ball, ray_exits, shadow_radius)
-from .cones import (BallCone, Hyperball, Hypercone, _cone_clearance,
+from .ball_model import (BallPoint, Cap, SphereDirection, ray_exits,
+                         shadow_radius)
+from .cones import (BallCone, Hyperball, _cone_clearance, _plane_margin,
                     _covering_cap, _min_boundary_distance,
                     cone_hyperball_disjoint, cone_leq, disjoint,
-                    hyperball_in_cone, in_causal_completion, map_cone,
-                    opposite)
-from .config import Budgets, Tolerances, DEFAULT_BUDGETS, DEFAULT_TOLERANCES
-from .convex import Ellipsoid, hyperball_ellipsoid
+                    hyperball_in_cone, map_cone, opposite)
+from .config import Tolerances, DEFAULT_TOLERANCES
+from .convex import Ellipsoid
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
 from .spherical import angle_between, orthonormal_frame, rotate_toward, slerp
@@ -166,20 +166,6 @@ def _thin_cone(direction: np.ndarray, half_angle: float,
         return None
     return BallCone(BallPoint((1.0 - depth) * direction),
                     Cap(SphereDirection.normalized(direction), half_angle))
-
-
-def _membership_violations(cone: BallCone, pts: np.ndarray,
-                           tol: Tolerances) -> int:
-    inside = cone.contains_many(pts, slack=tol.containment_slack,
-                                closed=True)
-    return int(np.sum(~inside))
-
-
-def _support_cloud(center: np.ndarray, radius: float,
-                   tau: float) -> np.ndarray:
-    """Boundary points of the Euclidean spheroid realizing a metric ball."""
-    ell = hyperball_ellipsoid(center, radius, tau)
-    return ell.boundary_points(_cloud_directions())
 
 
 # --------------------------------------------------------------------------
@@ -837,16 +823,29 @@ def interval_expansion(u: float, u_prime: float, t: float,
 
 def translate_enclosure(cone: BallCone, tau: float,
                         translations: Sequence[FourVector],
-                        tol: Tolerances = DEFAULT_TOLERANCES,
-                        budgets: Budgets = DEFAULT_BUDGETS) -> BallCone:
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Cone whose causal completion swallows the source completion shifted
     by every given future-directed translation.
 
-    Normalizes the apex to the center, dominates the translations by one
-    time translation, covers the shifted region's causal shadow on the
-    shell with a padded cap, and transports the cover back.
+    In the source cone K's apex frame, a ladder of padded caps with
+    pulled-back apexes is tried in order; a candidate R is accepted when
+    K <= R and, for every translation t, every shifted lift y + t of a
+    point y of K has its causal shadow inside R by more than the window:
+    the tangent-plane margin of cones._plane_margin, exact over the whole
+    cone. Seeds at or below the window reject a step at once.
+
+    Lifts suffice, given K <= R. Take X in K's completion. If X lies
+    above the shell, every past causal curve from X + t is a curve from X
+    shifted by t, which crosses the shell inside K: the curve passes
+    through a shifted lift z + t, whose completion membership sends it on
+    into R. If X lies below the shell and X + t too, the shadow of X + t
+    lies in the shadow of X, hence in K <= R. If X + t lies above the
+    shell, the segment from X to X + t crosses the shell at a point z of
+    X's shadow, so z lies in K and X + t <= z + t: X + t lies in the past
+    of a member of R's completion, above the shell, and so is a member
+    too (the domain-of-dependence argument; Hawking and Ellis, The Large
+    Scale Structure of Space-Time, section 6.5).
     """
-    shell = Hyperboloid(tau)
     trans = [t if isinstance(t, FourVector)
              else FourVector.from_array(np.asarray(t, dtype=float))
              for t in translations]
@@ -857,10 +856,9 @@ def translate_enclosure(cone: BallCone, tau: float,
                 "forward cone)")
     # the frame sends the apex to the origin
     frame, cap_n = cone.apex_frame
-    frame_inv = frame.inverse()
     cone_n = BallCone(BallPoint(np.zeros(3)), cap_n)
-    shifted = [frame.apply(t) for t in trans]
-    t_dom = max((s.x0 + float(np.linalg.norm(s.xs)) for s in shifted),
+    shifted = [frame.apply(t).components for t in trans]
+    t_dom = max((s[0] + float(np.linalg.norm(s[1:])) for s in shifted),
                 default=0.0)
     if t_dom <= 1e-14 * tau:
         grown = _grow_pad(cone)
@@ -868,81 +866,20 @@ def translate_enclosure(cone: BallCone, tau: float,
                  "padded copy failed to contain the source cone")
         return grown
 
-    axis_n = cone_n.base.axis.v
-    psi_n = cone_n.base.half_angle
-    ring = cone_n.base.boundary_points(8)
-    inner = [axis_n] + [slerp(axis_n, r, 0.5) for r in ring[:4]]
-    dirs = np.vstack([ring, inner])
-    s_grid = np.array([0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 0.99])
-    shadows: list[tuple[np.ndarray, float]] = []
-    for d in dirs:
-        for s in s_grid:
-            base = lift_from_ball(BallPoint(s * d), shell)
-            x = FourVector.from_parts(base.x0 + t_dom, base.xs)
-            sq = x.square()
-            if sq <= tol.linear_identity:
-                continue
-            sig = math.sqrt(sq)
-            center = x.xs / x.x0
-            shadows.append((center, shadow_radius(sig, tau, tol)))
-    clouds = np.vstack([_support_cloud(c, r, tau) for c, r in shadows])
-    clouds = clouds[np.linalg.norm(clouds, axis=1) < 1.0 - 1e-12]
-
+    window = tol.degenerate_window
+    axis_n = cap_n.axis.v
     for pad, rho in itertools.product(
             (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2),
             (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)):
-        psi = psi_n + pad
+        psi = cap_n.half_angle + pad
         if psi >= math.pi - tol.cap_limit:
             continue
         if -rho >= math.cos(psi) - 10.0 * tol.pointedness:
             continue
-        region_n = BallCone(BallPoint(-rho * axis_n), Cap(cone_n.base.axis,
-                                                          psi))
-        if not np.all(region_n.contains_many(clouds,
-                                             slack=tol.containment_slack,
-                                             closed=True)):
-            continue
-        if not cone_leq(cone_n, region_n, tol):
-            continue
-        worst = sorted(shadows, key=lambda cr: float(
-            region_n.interior_margins(cr[0][None, :])[0]))[:4]
-        try:
-            ok = all(hyperball_in_cone(
-                Hyperball(shell, BallPoint(c), r), region_n, tol).holds
-                for c, r in worst)
-        except DegenerateGeometry:
-            ok = False
-        if not ok:
-            continue
-        region = map_cone(frame_inv, region_n)
-        rng = np.random.default_rng(7)
-        n_checks = 12
-        us = cone.sample_points(n_checks, rng)
-        target = Hypercone(shell, region)
-        good = True
-        for u in us:
-            base = lift_from_ball(BallPoint(u), shell)
-            for t in trans:
-                x = base + t
-                if not in_causal_completion(x, target, tol):
-                    good = False
-                    break
-            if not good:
-                break
-        if not good:
-            continue
-        rng2 = np.random.default_rng(8)
-        base_pts = cone.sample_points(budgets.membership_samples, rng2)
-        xs0 = tau / np.sqrt(1.0 - np.sum(base_pts * base_pts, axis=1))
-        pick = rng2.integers(0, len(trans), size=base_pts.shape[0])
-        t_arr = np.array([t.components for t in trans])[pick]
-        ev_t = xs0 + t_arr[:, 0]
-        ev_s = base_pts * xs0[:, None] + t_arr[:, 1:]
-        shadow_centers = ev_s / ev_t[:, None]
-        bad = _membership_violations(region, shadow_centers, tol)
-        _require(bad == 0,
-                 f"{bad} sampled shifted shadow centers escape the "
-                 "enclosure")
-        return region
+        region_n = BallCone(BallPoint(-rho * axis_n), Cap(cap_n.axis, psi))
+        if (all(_plane_margin(cone_n, region_n, tau, t, floor=window)
+                > window for t in shifted)
+                and cone_leq(cone_n, region_n, tol)):
+            return map_cone(frame.inverse(), region_n)
     raise ConstructionFailure(
         "no padded cap enclosed the translated completion's shadow")

@@ -19,10 +19,19 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> float:
                       ux * vx + uy * vy + uz * vz)
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross product on the three components as floats: the same products
+    and differences as np.cross, without its dispatch."""
+    ux, uy, uz = u.tolist()
+    vx, vy, vz = v.tolist()
+    return np.array([uy * vz - uz * vy, uz * vx - ux * vz,
+                     ux * vy - uy * vx])
+
+
 def any_perpendicular(u: np.ndarray) -> np.ndarray:
     seed = np.zeros(3)
     seed[int(np.argmin(np.abs(u)))] = 1.0
-    w = np.cross(u, seed)
+    w = _cross(u, seed)
     return w / np.linalg.norm(w)
 
 
@@ -42,5 +51,5 @@ def slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 
 def orthonormal_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = any_perpendicular(n)
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return e1, e2

@@ -302,7 +302,10 @@ class TestToleranceOverrides:
                            "--tolerances", str(tol))
         assert code == 1 and "unknown tolerance fields" in err
 
-    def test_budget_scaling_accepted(self, capsys):
-        code, out, _ = run(capsys, "check", DEMO, "disjoint A B",
-                           "--budget", "0.2")
-        assert code == 0 and out.startswith("true")
+    def test_budget_is_rejected_outside_selftest(self, capsys):
+        # only the self-test scales trial counts; no construction samples
+        with pytest.raises(SystemExit) as stop:
+            main(["check", DEMO, "disjoint A B", "--budget", "0.2"])
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--budget" in err

@@ -23,7 +23,7 @@ from hypercones.ball_model import (ball_action_many, ball_distance_many,
                                    homology_through_many)
 from hypercones.cones import (_cap_face_distance, _cone_clearance,
                               _frame_clearance, _lateral_distance,
-                              _min_boundary_distance)
+                              _min_boundary_distance, _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward
@@ -642,6 +642,104 @@ class TestConeClearance:
             if cone_leq(inner, outer).holds:
                 continue
             assert _cone_clearance(inner, outer, 1.0) <= 1e-12
+
+
+# the (pad, rho) ladder of translate_enclosure
+_LADDER_PADS = (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2)
+_LADDER_RHOS = (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)
+
+
+def _ladder_cases(rng, count):
+    """(inner, region, tau, shift): a random cone moved to its apex frame,
+    a random step of the translate_enclosure ladder, and a random
+    future-directed translation, all in that frame."""
+    cases = []
+    while len(cases) < count:
+        frame, cap = random_cone(rng).apex_frame
+        pad = _LADDER_PADS[rng.integers(len(_LADDER_PADS))]
+        rho = _LADDER_RHOS[rng.integers(len(_LADDER_RHOS))]
+        psi = cap.half_angle + pad
+        if psi >= math.pi - 1e-3 or -rho >= math.cos(psi) - 1e-9:
+            continue
+        t0 = rng.uniform(0.05, 1.0)
+        shift = np.concatenate(
+            ([t0], rng.uniform(0.0, t0) * unit_vector(rng)))
+        cases.append((BallCone(BallPoint(np.zeros(3)), cap),
+                      BallCone(BallPoint(-rho * cap.axis.v),
+                               Cap(cap.axis, psi)),
+                      rng.uniform(0.5, 2.0), frame.matrix @ shift))
+    return cases
+
+
+def _shifted_escapes(inner, region, tau, shift):
+    """Lifts of points of inner, shifted, that leave the completion of
+    region: the axis and chords toward 72 directions at half, 0.9 and
+    0.999 of the cap, out to 1e-9 from the sphere."""
+    shell = Hyperboloid(tau)
+    target = Hypercone(shell, region)
+    t = FourVector.from_array(shift)
+    n = inner.base.axis.v
+    e1, e2 = orthonormal_frame(n)
+    dirs = [n]
+    for f in (0.5, 0.9, 0.999):
+        theta = f * inner.base.half_angle
+        for phi in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+            dirs.append(math.cos(theta) * n + math.sin(theta)
+                        * (math.cos(phi) * e1 + math.sin(phi) * e2))
+    s_values = np.concatenate((np.linspace(0.0, 0.95, 8),
+                               1.0 - np.geomspace(1e-9, 0.05, 8)))
+    escapes = 0
+    for d in dirs:
+        for s in s_values:
+            x = lift_from_ball(BallPoint(inner.apex.v + s * (d - inner.apex.v)),
+                               shell) + t
+            try:
+                escapes += not in_causal_completion(x, target)
+            except DegenerateGeometry:
+                escapes += 1
+    return escapes
+
+
+class TestPlaneMargin:
+    def test_sign_agrees_with_dense_shifted_lifts(self):
+        rng = np.random.default_rng(47)
+        kinds = set()
+        for inner, region, tau, shift in _ladder_cases(rng, 100):
+            margin = _plane_margin(inner, region, tau, shift)
+            escapes = _shifted_escapes(inner, region, tau, shift)
+            assert (margin > 0.0) == (escapes == 0), (margin, escapes)
+            kinds.add("inside" if margin > 0.0 else "unbounded"
+                      if margin == -math.inf else "outside")
+        assert kinds == {"inside", "outside", "unbounded"}
+
+    def test_sixteen_seeds_never_above_4096(self):
+        rng = np.random.default_rng(48)
+        for inner, region, tau, shift in _ladder_cases(rng, 100):
+            got = _plane_margin(inner, region, tau, shift)
+            dense = _plane_margin(inner, region, tau, shift, seeds=4096)
+            assert got <= dense + 1e-12
+
+    def test_unshifted_margin_is_the_clearance(self):
+        rng = np.random.default_rng(49)
+        for inner, outer, tau in _nested_pairs(rng, 50):
+            assert tau * math.asinh(_plane_margin(inner, outer, tau)) \
+                == _cone_clearance(inner, outer, tau)
+
+    def test_escaping_ideal_points_give_minus_infinity(self):
+        # inner's apex is outer's: A = -t0/tau < 0 at every plane, B_min
+        # = sin(0.5 - 0.1) > 0, and p = A + B_min < 0. The rays rise
+        # toward the planes, then the growing shadows cross them
+        inner = simple_cone(0.0, 0.1)
+        outer = simple_cone(0.0, 0.5)
+        shift = np.array([1.0, 0.0, 0.0, 0.0])
+        assert _plane_margin(inner, outer, 1.0, shift) == -math.inf
+        shell = Hyperboloid(1.0)
+        far = lift_from_ball(BallPoint(np.array([0.0, 0.0, 1.0 - 1e-6])),
+                             shell)
+        assert not in_causal_completion(far + FourVector.from_array(shift),
+                                        Hypercone(shell, outer))
+        # a small enough shift keeps the ideal points inside: p > 0
+        assert _plane_margin(inner, outer, 1.0, 0.1 * shift) > -math.inf
 
 
 class TestCausalCompletion:

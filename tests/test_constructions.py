@@ -16,10 +16,12 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         lift_from_ball, lightray_offset,
                         lightray_point, map_cone, opposite, path_connect,
                         path_connect_in_complement, robust_enclosure_lorentz,
-                        shadow_radius, shrink_across_shells,
+                        shadow_radius, shift_light_cone, shrink_across_shells,
                         shrink_for_connectivity, translate_enclosure,
                         wrap_ball_in_complement)
+from hypercones import charges, constructions
 from hypercones.cones import _min_boundary_distance
+from hypercones.spherical import orthonormal_frame
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
                             exhaustion_family, random_cone, random_transform,
                             unit_vector)
@@ -389,6 +391,72 @@ class TestTranslateEnclosure:
                 x = lift_from_ball(BallPoint(p), shell)
                 for t in ts:
                     assert in_causal_completion(x + t, target)
+
+    # (apex, axis, psi, tau, t) whose enclosures, certified on samples,
+    # let 56, 70, 40, 37 and 13 of the 432 shifted chord points below
+    # escape
+    ESCAPED = [
+        ([-0.11749068528448775, -0.10219893025242081, 0.07627266948710056],
+         [0.3829689713368751, -0.12287673762890684, -0.9155523329350719],
+         0.8657701012430442, 1.1247794304484837,
+         [0.8494137584673138, -0.05034426537160094, 0.01392454769961046,
+          0.18225136171250458]),
+        ([-0.060901662461670204, -0.031099357996537673, 0.08054140558192208],
+         [-0.9567156993271637, -0.17811974305175302, 0.23014870800444154],
+         0.7011210235856052, 1.0532308910869819,
+         [0.7091641783267888, 0.07755779710024752, 0.08470205466427863,
+          -0.02879998145034735]),
+        ([0.42020866811010144, 0.11067647796888905, -0.1844524886364545],
+         [0.8177504740148616, 0.2878794887133394, 0.49840702465616976],
+         0.7415762552838542, 0.9228639317277075,
+         [0.4952308735036135, -0.05273943381203063, 0.0014518567135572208,
+          -0.026487054034480723]),
+        ([0.005997410564347896, -0.031004417703752157, 0.0009944984924935216],
+         [0.4573845610002099, -0.8677145276027655, 0.19460437288446245],
+         0.5703002287271288, 1.402050726265593,
+         [0.5670872165770402, -0.09703134201617411, 0.029568833716350076,
+          -0.06606433993486993]),
+        ([0.04910904220373278, 0.0288817551873924, -0.054955244427828044],
+         [-0.7126818220466845, 0.1580207904329237, -0.6834574239227869],
+         0.6756035818477382, 1.2941216809913128,
+         [0.859933426172472, -0.041564476420545594, -0.06529879641731783,
+          0.18260268632939589]),
+    ]
+
+    @pytest.mark.parametrize("apex, axis, psi, tau, t", ESCAPED)
+    def test_near_rim_lifts_stay_in_pinned_enclosures(self, apex, axis, psi,
+                                                       tau, t):
+        cone = BallCone(BallPoint(np.array(apex)),
+                        Cap(SphereDirection.normalized(np.array(axis)), psi))
+        shell = Hyperboloid(tau)
+        shift = FourVector.from_array(np.array(t))
+        source = Hypercone(shell, cone)
+        target = Hypercone(shell, translate_enclosure(cone, tau, [shift]))
+        n = cone.base.axis.v
+        e1, e2 = orthonormal_frame(n)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False):
+            d = (math.cos(0.99 * psi) * n + math.sin(0.99 * psi)
+                 * (math.cos(phi) * e1 + math.sin(phi) * e2))
+            for k in range(1, 7):
+                u = cone.apex.v + (1.0 - 10.0 ** -k) * (d - cone.apex.v)
+                x = lift_from_ball(BallPoint(u), shell)
+                assert in_causal_completion(x, source)
+                assert in_causal_completion(x + shift, target)
+
+    def test_draws_no_random_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("A13 drew random points")
+
+        monkeypatch.setattr(BallCone, "sample_points", refuse)
+        monkeypatch.setattr(constructions.np.random, "default_rng", refuse)
+        cone = axis_cone(0.5, 0.1)
+        shift = FourVector.from_parts(0.4, (0.1, 0.0, 0.05))
+        region = translate_enclosure(cone, 1.0, [shift])
+        assert cone_leq(cone, region).holds
+        carrier = charges.Morphism(charges.ChargeGroup(1).element((1,)),
+                                   cone, Hyperboloid(1.0))
+        assert shift_light_cone(carrier, shift).morphism.localization \
+            == region
 
     def test_zero_shift_returns_enlarged_copy(self):
         cone = axis_cone(0.4, 0.1)
