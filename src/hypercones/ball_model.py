@@ -44,7 +44,8 @@ class BallPoint:
 
     def __init__(self, v):
         v = np.array(v, dtype=float).reshape(3)
-        if not np.linalg.norm(v) < 1.0:
+        x, y, z = v.tolist()
+        if not x * x + y * y + z * z < 1.0:
             raise ValueError("ball point must satisfy |u| < 1")
         v.flags.writeable = False
         self._v = v
@@ -290,21 +291,30 @@ def ray_exits(apex: np.ndarray, pts: np.ndarray
     the sphere.
 
     Returns (unit exit rows, mask of rows coinciding with the apex); the
-    ray of a masked row is undefined and its exit row is nan.
+    ray of a masked row is undefined and its exit row is nan. The array
+    path of the exit kernel: column by column, with the same elementwise
+    operations in the same order as BallCone.margin on one point, so both
+    round alike and give the same bits; no reduction goes through BLAS,
+    which would reorder or fuse the products.
     """
     pts = np.atleast_2d(pts)
-    d = pts - apex
-    dd = np.einsum("ij,ij->i", d, d)
+    ax, ay, az = apex.tolist()
+    dx, dy, dz = pts[:, 0] - ax, pts[:, 1] - ay, pts[:, 2] - az
+    dd = dx * dx + dy * dy + dz * dz
     degenerate = dd < 1e-28
-    dd_safe = np.where(degenerate, 1.0, dd)
-    ad = d @ apex
-    aa = float(apex @ apex)
-    disc = np.sqrt(ad * ad + dd_safe * (1.0 - aa))
+    dd = np.where(degenerate, 1.0, dd)
+    ad = dx * ax + dy * ay + dz * az
+    room = 1.0 - (ax * ax + ay * ay + az * az)
+    disc = np.sqrt(ad * ad + dd * room)
     # positive quadratic root, in the cancellation-free arrangement
-    t = np.where(ad > 0.0, (1.0 - aa) / (ad + disc), (disc - ad) / dd_safe)
-    exits = apex + t[:, None] * d
+    outward = ad > 0.0
+    t = (np.where(outward, room, disc - ad)
+         / np.where(outward, ad + disc, dd))
+    ex, ey, ez = ax + t * dx, ay + t * dy, az + t * dz
+    norm = np.sqrt(ex * ex + ey * ey + ez * ez)
+    norm = np.where(degenerate, 1.0, norm)
+    exits = np.stack([ex / norm, ey / norm, ez / norm], axis=1)
     exits[degenerate] = np.nan
-    exits /= np.linalg.norm(exits, axis=1)[:, None]
     return exits, degenerate
 
 

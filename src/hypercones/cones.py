@@ -63,20 +63,43 @@ class BallCone:
 
     # -- raw geometry helpers ------------------------------------------
 
-    def exit_directions(self, pts: np.ndarray) -> tuple[np.ndarray,
-                                                        np.ndarray]:
-        """Where rays from the apex through the rows of pts leave the sphere.
+    @cached_property
+    def exit_scalars(self) -> tuple[float, ...]:
+        """The apex, 1 - |apex|^2, the cap axis and cos psi as plain floats
+        for the one-point exit kernel (margin)."""
+        ax, ay, az = self.apex.v.tolist()
+        return (ax, ay, az, 1.0 - (ax * ax + ay * ay + az * az),
+                *self.base.axis.v.tolist(), self.base.cos_half)
 
-        Returns (unit exit rows, mask of rows coinciding with the apex); a
-        masked row exits along the cap axis.
+    def margin(self, p) -> float:
+        """Cos-space margin of one point p (three floats): the cosine of the
+        angle from the cap axis to where the ray from the apex through p
+        leaves the sphere, less cos psi, and 0.0 at the apex.
+
+        It is the matching row of interior_margins, to the bit: ray_exits
+        and _margins do the same operations in the same order on columns.
+        Plain floats throughout: at one point per call, array dispatch would
+        cost more than the arithmetic.
         """
-        exits, degenerate = ray_exits(self.apex.v, pts)
-        exits[degenerate] = self.base.axis.v
-        return exits, degenerate
+        ax, ay, az, room, nx, ny, nz, cos_half = self.exit_scalars
+        x, y, z = p
+        dx, dy, dz = x - ax, y - ay, z - az
+        dd = dx * dx + dy * dy + dz * dz
+        if dd < 1e-28:
+            return 0.0
+        ad = dx * ax + dy * ay + dz * az
+        disc = math.sqrt(ad * ad + dd * room)
+        # positive quadratic root, in the cancellation-free arrangement
+        t = room / (ad + disc) if ad > 0.0 else (disc - ad) / dd
+        ex, ey, ez = ax + t * dx, ay + t * dy, az + t * dz
+        norm = math.sqrt(ex * ex + ey * ey + ez * ez)
+        return ex / norm * nx + ey / norm * ny + ez / norm * nz - cos_half
 
     def _margins(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        exits, degenerate = self.exit_directions(pts)
-        margins = exits @ self.base.axis.v - self.base.cos_half
+        exits, degenerate = ray_exits(self.apex.v, pts)
+        nx, ny, nz, cos_half = self.exit_scalars[4:]
+        margins = (exits[:, 0] * nx + exits[:, 1] * ny + exits[:, 2] * nz
+                   - cos_half)
         return np.where(degenerate, 0.0, margins), degenerate
 
     def interior_margins(self, pts: np.ndarray) -> np.ndarray:
@@ -170,13 +193,11 @@ def contains_point(cone: BallCone, u: BallPoint) -> bool:
     """Strict membership of a ball point in the open cone.
 
     The ray from the apex through u exits the sphere somewhere; u is inside
-    exactly when that exit lies in the open cap region. Boundary points
+    exactly when that exit lies in the open cap region, that is when its
+    margin (BallCone.margin, on plain floats) is positive. Boundary points
     (including the apex itself) return False.
     """
-    exits, degenerate = cone.exit_directions(u.v[None, :])
-    if bool(degenerate[0]):
-        return False
-    return float(exits[0] @ cone.base.axis.v) > cone.base.cos_half
+    return cone.margin(u.v.tolist()) > 0.0
 
 
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -265,8 +286,7 @@ def point_margin(cone: BallCone, p: np.ndarray) -> float:
     and the spherical cap face.
     """
     dist = min(_lateral_distance(cone, p), _cap_face_distance(cone, p))
-    inside = bool(cone.contains_many(p[None, :])[0])
-    return dist if inside else -dist
+    return dist if cone.margin(p.tolist()) > 0.0 else -dist
 
 
 @dataclass(frozen=True)
@@ -292,9 +312,9 @@ def cone_leq(inner: BallCone, outer: BallCone,
     """
     gamma = angle_between(inner.base.axis.v, outer.base.axis.v)
     cap_margin = outer.base.half_angle - inner.base.half_angle - gamma
-    apex_margin = float(outer.interior_margins(inner.apex.v[None, :])[0])
-    if np.linalg.norm(inner.apex.v - outer.apex.v) < 1e-15:
-        apex_margin = 0.0
+    apex = inner.apex.v.tolist()
+    apex_margin = (0.0 if math.dist(apex, outer.apex.v.tolist()) < 1e-15
+                   else outer.margin(apex))
     holds = (cap_margin >= -tol.cap_angle_slack
              and apex_margin >= -tol.containment_slack)
     return LeqResult(holds, cap_margin, apex_margin)
@@ -357,8 +377,8 @@ def _common_apex_disjoint(k1: BallCone, k2: BallCone,
     alpha = min(max(alpha, 0.0), gamma)
     mid = rotate_toward(c1.axis.v, c2.axis.v, alpha)
     p = ball_action_many(inv, 0.5 * mid[None, :])[0]
-    depth = min(float(k1.interior_margins(p[None, :])[0]),
-                float(k2.interior_margins(p[None, :])[0]))
+    q = p.tolist()
+    depth = min(k1.margin(q), k2.margin(q))
     if depth <= tol.degenerate_window:
         raise DegenerateGeometry("shared-apex overlap is tangent; perturb")
     return DisjointResult(False, float(-depth), None, p)
@@ -416,7 +436,7 @@ def _overlap_seed_candidates(k1: BallCone, k2: BallCone,
 def _depth(body: BallCone | Ellipsoid, p: np.ndarray) -> float:
     if isinstance(body, Ellipsoid):
         return float(body.depths(p[None, :])[0])
-    return float(body.interior_margins(p[None, :])[0])
+    return body.margin(p.tolist())
 
 
 def _shrunk(body: BallCone | Ellipsoid, t: float
@@ -527,7 +547,7 @@ def disjoint(k1: BallCone, k2: BallCone,
     sharing an apex are handled by an exact angular comparison (their
     closures always meet at the apex, which open disjointness permits).
     """
-    if np.linalg.norm(k1.apex.v - k2.apex.v) <= 1e-12:
+    if math.dist(k1.apex.v.tolist(), k2.apex.v.tolist()) <= 1e-12:
         return _common_apex_disjoint(k1, k2, tol)
     result = gjk_distance(k1.support_body, k2.support_body)
     if result.distance > tol.degenerate_window:
@@ -862,8 +882,8 @@ def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball | Ellipsoid,
         return DisjointResult(True, result.distance, (-w, -c), None)
     seed = (result.common_point if result.common_point is not None
             else ell.center)
-    depth = float(cone.interior_margins(seed[None, :])[0])
-    center_depth = float(cone.interior_margins(ell.center[None, :])[0])
+    depth = cone.margin(seed.tolist())
+    center_depth = cone.margin(ell.center.tolist())
     if center_depth > depth:
         seed, depth = ell.center, center_depth
     if depth <= tol.degenerate_window:

@@ -361,10 +361,9 @@ def _common_subcone(a: BallCone, b: BallCone,
         witness = _thin_cone(m, psi_w, depth)
         if witness is None:
             continue
-        p = witness.apex.v[None, :]
-        if (a.contains_many(p, slack=tol.containment_slack, closed=True)[0]
-                and b.contains_many(p, slack=tol.containment_slack,
-                                    closed=True)[0]):
+        p = witness.apex.v.tolist()
+        if (a.margin(p) >= -tol.containment_slack
+                and b.margin(p) >= -tol.containment_slack):
             if cone_leq(witness, a, tol) and cone_leq(witness, b, tol):
                 return witness
     return None

@@ -16,6 +16,7 @@ import re
 
 import numpy as np
 
+from .ball_model import Cap
 from .cones import BallCone
 from .convex import Ellipsoid
 from .errors import SceneError
@@ -74,13 +75,17 @@ def _cone_section(cone: BallCone, origin: np.ndarray, e1: np.ndarray,
                   e2: np.ndarray, n_rays: int = 96) -> list | None:
     """Boundary polygon of the cone section, or None if the plane misses.
 
-    An interior seed is searched on segments from the apex into the cap;
-    each in-plane ray from the seed is then bisected against membership.
+    An interior seed is searched on segments from the apex to the cap
+    axis and to the ring at half the cap angle; each in-plane ray from the
+    seed is then bisected against membership. The segments stay inside
+    the cone: those to the base circle would lie in its boundary, where
+    membership is down to rounding.
     """
     normal = np.cross(e1, e2)
     height = float(normal @ (cone.apex.v - origin))
     seed = None
-    targets = [cone.base.axis.v] + list(cone.base.boundary_points(8))
+    ring = Cap(cone.base.axis, 0.5 * cone.base.half_angle).boundary_points(8)
+    targets = [cone.base.axis.v] + list(ring)
     for tgt in targets:
         span = float(normal @ (tgt - origin))
         same_side = (height > 0 and span > 0) or (height < 0 and span < 0)
@@ -93,7 +98,7 @@ def _cone_section(cone: BallCone, origin: np.ndarray, e1: np.ndarray,
         mid = cone.apex.v + 0.5 * (tgt - cone.apex.v)
         for pull in (0.0, 0.02, 0.1):
             p = (1 - pull) * cand + pull * mid
-            if cone.contains_many(p[None, :])[0]:
+            if cone.margin(p.tolist()) > 0.0:
                 seed = p
                 break
         if seed is not None:
@@ -108,7 +113,7 @@ def _cone_section(cone: BallCone, origin: np.ndarray, e1: np.ndarray,
         for _ in range(44):
             mid = 0.5 * (lo + hi)
             p = seed + mid * d
-            if (p @ p) < 1.0 and cone.contains_many(p[None, :])[0]:
+            if (p @ p) < 1.0 and cone.margin(p.tolist()) > 0.0:
                 lo = mid
             else:
                 hi = mid

@@ -20,7 +20,7 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         lift_from_ball, lorentz_ball_action, map_cone,
                         opposite, point_margin, shadow_radius)
 from hypercones.ball_model import (ball_action_many, ball_distance_many,
-                                   homology_through_many)
+                                   homology_through_many, ray_exits)
 from hypercones.cones import (_cap_face_distance, _cone_clearance,
                               _frame_clearance, _lateral_distance,
                               _min_boundary_distance, _plane_margin)
@@ -128,6 +128,62 @@ class TestMembership:
             cone = random_cone(rng)
             pts = cone.sample_points(512, rng)
             assert np.all(cone.contains_many(pts, closed=True, slack=1e-12))
+
+
+def _kernel_cases(rng):
+    """Seeded cones, a sixth of them with the apex at the origin, each with
+    random points of the ball, points of lateral chords from the apex to
+    rim points, points at |p| = 1 - 1e-12, and the apex itself."""
+    for i in range(600):
+        cone = random_cone(rng, psi_max=1.4, psi_min=0.02, apex_r=0.95)
+        if i % 6 == 0:
+            cone = BallCone(BallPoint(np.zeros(3)), cone.base)
+        rim = cone.base.boundary_points(10)
+        s = rng.random((5, 1, 1))
+        chords = cone.apex.v + s * (rim - cone.apex.v)
+        near = (1.0 - 1e-12) * np.array([unit_vector(rng) for _ in range(20)])
+        pts = np.vstack([rng.uniform(-1.0, 1.0, (120, 3)) / math.sqrt(3.0),
+                         chords.reshape(-1, 3), near, cone.apex.v[None, :]])
+        yield cone, pts
+
+
+class TestExitKernel:
+    def test_one_point_margin_is_the_array_row_to_the_bit(self):
+        rng = np.random.default_rng(13)
+        pairs = 0
+        for cone, pts in _kernel_cases(rng):
+            rows = cone.interior_margins(pts)
+            got = [cone.margin(p) for p in pts.tolist()]
+            assert got == rows.tolist()
+            assert got[-1] == 0.0  # the apex
+            pairs += len(got)
+        assert pairs >= 100_000
+
+    def test_membership_forms_are_sign_tests_on_the_margin(self):
+        rng = np.random.default_rng(14)
+        for cone, pts in _kernel_cases(rng):
+            m = np.array([cone.margin(p) for p in pts.tolist()])
+            for slack in (0.0, 1e-9):
+                assert np.array_equal(cone.contains_many(pts, slack=slack),
+                                      m > slack)
+                assert np.array_equal(
+                    cone.contains_many(pts, slack=slack, closed=True),
+                    m >= -slack)
+            for p, mm in zip(pts, m):
+                assert contains_point(cone, BallPoint(p)) == (mm > 0.0)
+
+    def test_apex_coincident_row_is_masked_without_a_floating_point_error(
+            self):
+        for apex in (np.zeros(3), np.array([0.3, -0.2, 0.1])):
+            pts = np.array([apex, apex + 1e-15, apex + [0.0, 0.0, 0.5]])
+            with np.errstate(all="raise"):
+                exits, degenerate = ray_exits(apex, pts)
+                cone = BallCone(BallPoint(apex), Cap(SphereDirection(Z), 0.5))
+                margins = cone.interior_margins(pts)
+            assert degenerate.tolist() == [True, True, False]
+            assert np.all(np.isnan(exits[:2]))
+            assert abs(float(exits[2] @ exits[2]) - 1.0) < 1e-15
+            assert margins[:2].tolist() == [0.0, 0.0]
 
 
 class TestConeOrder:

@@ -88,3 +88,15 @@ class TestContent:
         render_mod.render_to_file(demo_scene, "y=0", str(out))
         assert out.read_text(encoding="utf-8") == render_mod.render(
             demo_scene, "y=0")
+
+    @pytest.mark.parametrize("plane", ["x=0.1", "y=-0.2"])
+    def test_oblique_sections_keep_every_vertex(self, demo_scene, plane):
+        # a seed on the lateral surface let the outward rays collapse onto
+        # it; a seed inside the cone gives each of the 96 rays its vertex
+        origin, e1, e2 = render_mod._plane_frame(
+            *render_mod.parse_plane(plane))
+        for name in sorted(demo_scene.cones):
+            poly = render_mod._cone_section(demo_scene.cones[name], origin,
+                                            e1, e2)
+            assert poly is not None, name
+            assert len(set(poly)) == 96, name
