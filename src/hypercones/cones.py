@@ -6,9 +6,13 @@ of the open chords from the apex to the points of the open cap. Membership
 reduces to an exit-point test (follow the ray from the apex and ask where it
 leaves the sphere), containment of one cone in another reduces to cap
 inclusion plus apex membership, and disjointness is decided by GJK on the
-closed hulls with support-function-certified separating planes. Contact is
-decided by GJK again, on the hulls shrunk to the points deeper than the
-degenerate window, which are hulls of the same kind.
+closed hulls. Both disjointness predicates, cone against cone and cone
+against a metric ball's hull, share one certificate for each answer: a
+separating plane whose margin is read from the support values of both
+bodies (_separation), or a common point found by one mechanism, GJK again
+on the bodies shrunk to the points deeper than a level, which are bodies
+of the same kind, doubling the level from GJK's own common point while the
+shrunk bodies meet (_shrunk_hull_witness).
 
 Lorentz maps act on cones exactly: the apex by the ball action and the cap
 by its covector image (``cap_image``). Each cone caches its apex frame, the
@@ -28,11 +32,11 @@ from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          ball_action_many, cap_image, lorentz_ball_action,
                          ray_exits, shadow_radius, sphere_action)
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .convex import ConeHullSupport, Ellipsoid, gjk_distance, \
-    hyperball_ellipsoid
+from .convex import ConeHullSupport, Ellipsoid, GJKResult, \
+    gjk_distance, hyperball_ellipsoid
 from .errors import DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
-from .spherical import angle_between, orthonormal_frame, rotate_toward, slerp
+from .spherical import angle_between, orthonormal_frame, rotate_toward
 
 __all__ = [
     "BallCone", "Hypercone", "Hyperball", "contains_point", "cone_leq",
@@ -384,50 +388,6 @@ def _common_apex_disjoint(k1: BallCone, k2: BallCone,
     return DisjointResult(False, float(-depth), None, p)
 
 
-def _closest_segment_points(p0: np.ndarray, p1: np.ndarray, q0: np.ndarray,
-                            q1: np.ndarray) -> np.ndarray:
-    """Midpoint of the shortest connector between two segments."""
-    d1, d2, r = p1 - p0, q1 - q0, p0 - q0
-    a, e, f = float(d1 @ d1), float(d2 @ d2), float(d2 @ r)
-    b, c = float(d1 @ d2), float(d1 @ r)
-    den = a * e - b * b
-    s = 0.0 if den < 1e-15 else min(1.0, max(0.0, (b * f - c * e) / den))
-    t = 0.0 if e < 1e-15 else min(1.0, max(0.0, (b * s + f) / e))
-    return 0.5 * ((p0 + s * d1) + (q0 + t * d2))
-
-
-def _overlap_seed_candidates(k1: BallCone, k2: BallCone,
-                             seed: np.ndarray) -> np.ndarray:
-    """Structured interior candidates for the deepest common point.
-
-    Covers the three ways two cap cones can meet: overlapping caps (points
-    near the sphere toward the cap lens), bodies crossing (points along
-    chords from each apex toward its cap ring, which sweep the whole body),
-    and one cone swallowing the other's tip (apex-chord ladder points).
-    """
-    cands = [seed, 0.5 * (k1.centroid().v + k2.centroid().v),
-             k1.centroid().v, k2.centroid().v,
-             _closest_segment_points(k1.apex.v, k1.base.axis.v,
-                                     k2.apex.v, k2.base.axis.v)]
-    for w in (0.25, 0.5, 0.75):
-        m = slerp(k1.base.axis.v, k2.base.axis.v, w)
-        for apex in (k1.apex.v, k2.apex.v):
-            for t in (0.9, 0.99, 0.999):
-                cands.append(apex + t * (m - apex))
-    ladder = np.array([0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.85, 0.93,
-                       0.98, 0.997])
-    for cone in (k1, k2):
-        half = 0.5 * cone.base.half_angle
-        ring = Cap(cone.base.axis, half).boundary_points(8) \
-            if half > 1e-9 else np.empty((0, 3))
-        dirs = np.vstack([cone.base.axis.v[None, :],
-                          cone.base.boundary_points(8), ring])
-        chords = (cone.apex.v
-                  + ladder[:, None, None] * (dirs[None, :, :] - cone.apex.v))
-        cands.append(chords.reshape(-1, 3))
-    return np.vstack([np.atleast_2d(np.asarray(c)) for c in cands])
-
-
 # Depth of a point in a body: a cone's cos-space interior margin, or an
 # ellipsoid's 1 - |s| for the point m + M s. The points of depth at least t
 # form a body of the same kind: the hull of the apex and the cap shrunk to
@@ -437,6 +397,15 @@ def _depth(body: BallCone | Ellipsoid, p: np.ndarray) -> float:
     if isinstance(body, Ellipsoid):
         return float(body.depths(p[None, :])[0])
     return body.margin(p.tolist())
+
+
+def _common_depth(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid,
+                  p: np.ndarray) -> float:
+    """Depth of p in both bodies: the smaller of its two depths, and -inf
+    for |p| >= 1 (a cap point, not a ball point)."""
+    if float(p @ p) >= 1.0:
+        return -math.inf
+    return min(_depth(b1, p), _depth(b2, p))
 
 
 def _shrunk(body: BallCone | Ellipsoid, t: float
@@ -455,29 +424,34 @@ _SHRINK_STEPS = 64
 
 
 def _shrunk_hull_witness(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid,
-                         window: float) -> tuple[np.ndarray | None, float]:
-    """A common point of two bodies and its depth, the smaller of its
-    depths in each: above the window unless the bodies hold no such point.
+                         window: float, seeds
+                         ) -> tuple[np.ndarray | None, float]:
+    """A common point of two bodies and its depth (_common_depth): above the
+    window unless the bodies hold no such point, and then at least half the
+    depth of the deepest common point.
 
-    Every shrunk cone hull keeps its apex, at depth 0, and GJK may return
-    it as the common point, so an apex that lies deeper than the window in
-    the other body is tested first. Toward the apex, the depth of the
-    points on its axis chord tends to the smaller of the apex's depth in the
-    other body and 1 - cos psi; halving the step until a point reaches half
-    of that yields a witness. Then GJK decides whether the two bodies
-    shrunk to depth t = window meet. If they do, t doubles, starting from
-    the deepest witness so far and so past the depth of every apex, until
-    they separate, keeping the deepest common point GJK returns, each depth
-    measured again; the depth found is then at least half the deepest. A
-    common point GJK returns on the shrunk boundary can measure just under
-    the window, so the last bracket of t is then bisected.
+    The seeds, common points the caller already holds (GJK's), are measured
+    first. Every shrunk cone hull keeps its apex, at depth 0, and GJK may
+    return it as the common point, so an apex that lies deeper than the
+    window in the other body is tested next. Toward the apex, the depth of
+    the points on its axis chord tends to the smaller of the apex's depth in
+    the other body and 1 - cos psi; halving the step until a point reaches
+    half of that yields a witness. Then GJK decides whether the two bodies
+    shrunk to depth t meet, with t = window at first, or twice the deepest
+    witness so far when that lies deeper than the window. While they meet,
+    t doubles, starting from the deepest witness so far and so past the
+    depth of every apex, keeping the deepest common point GJK returns, each
+    depth measured again, until they separate; the depth found is then at
+    least half the deepest. Only whether the shrunk hulls meet matters, so
+    GJK stops at its first separating axis (decision_only). A common point
+    GJK returns on the shrunk boundary can measure just under the window,
+    so the last bracket of t is then bisected.
     """
-    def depth(p):
-        if float(p @ p) >= 1.0:
-            return -math.inf  # a cap point, not a ball point
-        return min(_depth(b1, p), _depth(b2, p))
-
     best, best_depth = None, -math.inf
+    for p in seeds:
+        d = _common_depth(b1, b2, p)
+        if d > best_depth:
+            best, best_depth = p, d
     for body, other in ((b1, b2), (b2, b1)):
         if not isinstance(body, BallCone):
             continue
@@ -488,20 +462,22 @@ def _shrunk_hull_witness(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid,
         s, d = 0.5, -math.inf
         while s > 1e-15 and d <= max(window, 0.5 * limit):
             p = body.apex.v + s * step
-            d = depth(p)
+            d = _common_depth(b1, b2, p)
             if d > best_depth:
                 best, best_depth = p, d
             s *= 0.5
     t, lo, hi = window, None, None
+    if best_depth > window:
+        t, lo = 2.0 * best_depth, best_depth
     for _ in range(_SHRINK_STEPS):
         h1, h2 = _shrunk(b1, t), _shrunk(b2, t)
         p = (None if h1 is None or h2 is None
-             else gjk_distance(h1, h2).common_point)
+             else gjk_distance(h1, h2, decision_only=True).common_point)
         if p is None:
             hi = t
         else:
             lo = t
-            d = depth(p)
+            d = _common_depth(b1, b2, p)
             if d > best_depth:
                 best, best_depth = p, d
         if hi is None:
@@ -513,23 +489,38 @@ def _shrunk_hull_witness(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid,
     return best, best_depth
 
 
-def _deepest_common_point(k1: BallCone, k2: BallCone, seed: np.ndarray,
-                          window: float) -> tuple[np.ndarray | None, float]:
-    """Common point of depth above the window if one exists.
+def _separation(body_a, body_b, result: GJKResult,
+                tol: Tolerances) -> DisjointResult:
+    """Separating plane of two bodies that GJK found apart, with the first
+    body on its positive side.
 
-    Structured candidates decide the common case outright. When every
-    candidate sits inside the window, the shrunk-hull decision
-    (_shrunk_hull_witness) tells a thin but real overlap, whose depth it
-    reports to within a factor 2, from contact inside the window.
+    The plane passes through the midpoint of GJK's closest points, normal
+    to the segment between them. Its margin is the smaller of the two
+    offsets of the bodies' support values from it, so it holds for the
+    whole of both bodies, not only for GJK's points; a margin inside the
+    window raises DegenerateGeometry.
     """
-    candidates = _overlap_seed_candidates(k1, k2, seed)
-    depths = np.minimum(k1.interior_margins(candidates),
-                        k2.interior_margins(candidates))
-    depths[np.linalg.norm(candidates, axis=1) >= 1.0] = -1.0
-    best = int(np.argsort(depths)[-1])
-    if depths[best] > window:
-        return candidates[best], float(depths[best])
-    return _shrunk_hull_witness(k1, k2, window)
+    w = result.point_b - result.point_a
+    w /= np.linalg.norm(w)
+    c = float(w @ (0.5 * (result.point_a + result.point_b)))
+    m1 = c - float(w @ np.array(body_a.support_xyz(*w.tolist())))
+    m2 = float(w @ np.array(body_b.support_xyz(*(-w).tolist()))) - c
+    margin = min(m1, m2)
+    if margin <= tol.degenerate_window:
+        raise DegenerateGeometry("separation margin inside the window")
+    return DisjointResult(True, float(margin), (-w, -c), None)
+
+
+def _overlap(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid, seeds,
+             tol: Tolerances) -> DisjointResult:
+    """The witness of two bodies whose hulls GJK found in contact:
+    _shrunk_hull_witness from the given seeds, with margin minus its depth;
+    contact inside the window raises DegenerateGeometry."""
+    point, depth = _shrunk_hull_witness(b1, b2, tol.degenerate_window, seeds)
+    if depth <= tol.degenerate_window:
+        raise DegenerateGeometry(
+            "hulls touch within the degenerate window; perturb inputs")
+    return DisjointResult(False, float(-depth), None, point)
 
 
 def disjoint(k1: BallCone, k2: BallCone,
@@ -538,37 +529,28 @@ def disjoint(k1: BallCone, k2: BallCone,
 
     On True the witness is a separating plane (unit normal w, offset c) with
     the first cone on the w.x > c side; its margin is certified against the
-    closed cap regions by support values. On False the witness is a common
-    interior point. When GJK finds the hulls in contact and no structured
-    candidate lies deeper than the window in both cones, GJK decides again
-    on the cones shrunk to the points of depth above the window (each the
-    hull of its apex and a narrower cap): separated shrunk hulls mean
-    contact inside the window, which raises DegenerateGeometry. Cones
-    sharing an apex are handled by an exact angular comparison (their
-    closures always meet at the apex, which open disjointness permits).
+    closed hulls by support values (_separation). On False the witness is a
+    common interior point, and the margin minus its depth, the smaller of
+    its cos-space depths in the two cones. When GJK finds the hulls in
+    contact, one mechanism decides (_shrunk_hull_witness): starting from
+    GJK's common point, or the midpoint of its closest points, GJK decides
+    again on the cones shrunk to the points of depth above a level (each
+    the hull of its apex and a narrower cap), doubling the level while they
+    meet, so the witness lies within a factor 2 of the deepest common
+    point. Shrunk hulls separated at the window mean contact inside the
+    window, which raises DegenerateGeometry, as does a separation margin
+    inside it. Cones sharing an apex are handled by an exact angular
+    comparison (their closures always meet at the apex, which open
+    disjointness permits).
     """
     if math.dist(k1.apex.v.tolist(), k2.apex.v.tolist()) <= 1e-12:
         return _common_apex_disjoint(k1, k2, tol)
     result = gjk_distance(k1.support_body, k2.support_body)
     if result.distance > tol.degenerate_window:
-        w = result.point_b - result.point_a
-        w /= np.linalg.norm(w)
-        c = float(w @ (0.5 * (result.point_a + result.point_b)))
-        m1 = c - float(w @ k1.support_body.support(w))
-        m2 = float(w @ k2.support_body.support(-w)) - c
-        margin = min(m1, m2)
-        if margin <= tol.degenerate_window:
-            raise DegenerateGeometry("separation margin inside the window")
-        # report with the first cone on the positive side
-        return DisjointResult(True, float(margin), (-w, -c), None)
+        return _separation(k1.support_body, k2.support_body, result, tol)
     seed = (result.common_point if result.common_point is not None
             else 0.5 * (result.point_a + result.point_b))
-    point, depth = _deepest_common_point(k1, k2, seed,
-                                         tol.degenerate_window)
-    if depth <= tol.degenerate_window:
-        raise DegenerateGeometry(
-            "cones touch within the degenerate window; perturb inputs")
-    return DisjointResult(False, float(-depth), None, point)
+    return _overlap(k1, k2, (seed,), tol)
 
 
 def opposite(cone: BallCone) -> BallCone:
@@ -861,34 +843,23 @@ def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
 def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball | Ellipsoid,
                             tol: Tolerances = DEFAULT_TOLERANCES
                             ) -> DisjointResult:
-    """Disjointness of a cone hull from a metric ball's Euclidean hull.
+    """Disjointness of a cone hull from a metric ball's Euclidean hull,
+    with the contract of `disjoint`.
 
-    GJK on the two hulls gives a separating plane, or a contact. On
-    contact, GJK's common point or the ellipsoid's centre is the witness
-    when it lies deeper than the window in the cone; otherwise the
-    shrunk-hull decision of `disjoint` runs on the cone and the ellipsoid
-    (_shrunk_hull_witness): an apex inside the ellipsoid first, then GJK on
-    both bodies shrunk to the points of depth above the window, the
-    ellipsoid's depth being 1 - |s| for its point m + M s; the margin is
-    then minus the witness's smaller depth in the two. Contact inside the
-    window raises DegenerateGeometry.
+    GJK on the two hulls gives a separating plane, certified by support
+    values as in `disjoint` (_separation): its margin is the smaller
+    offset of the two bodies from the plane, about half GJK's distance. On
+    contact, the deeper of GJK's common point and the ellipsoid's centre
+    seeds the shrunk-hull decision (_shrunk_hull_witness) on the cone and
+    the ellipsoid, the ellipsoid's depth being 1 - |s| for its point
+    m + M s; the margin is minus the witness's smaller depth in the two,
+    within a factor 2 of the deepest common point. A separation margin or
+    a contact inside the window raises DegenerateGeometry.
     """
     ell = ball.ellipsoid() if isinstance(ball, Hyperball) else ball
     result = gjk_distance(cone.support_body, ell)
     if result.distance > tol.degenerate_window:
-        w = result.point_b - result.point_a
-        w /= np.linalg.norm(w)
-        c = float(w @ (0.5 * (result.point_a + result.point_b)))
-        return DisjointResult(True, result.distance, (-w, -c), None)
-    seed = (result.common_point if result.common_point is not None
-            else ell.center)
-    depth = cone.margin(seed.tolist())
-    center_depth = cone.margin(ell.center.tolist())
-    if center_depth > depth:
-        seed, depth = ell.center, center_depth
-    if depth <= tol.degenerate_window:
-        seed, depth = _shrunk_hull_witness(cone, ell, tol.degenerate_window)
-    if depth <= tol.degenerate_window:
-        raise DegenerateGeometry(
-            "cone and ball hull touch within the window")
-    return DisjointResult(False, float(-depth), None, seed)
+        return _separation(cone.support_body, ell, result, tol)
+    seeds = (ell.center,) if result.common_point is None \
+        else (result.common_point, ell.center)
+    return _overlap(cone, ell, seeds, tol)

@@ -311,7 +311,8 @@ def _combine(lam, pts) -> np.ndarray:
     return np.array([x, y, z])
 
 
-def gjk_distance(body_a, body_b) -> GJKResult:
+def gjk_distance(body_a, body_b, *, decision_only: bool = False
+                 ) -> GJKResult:
     """Distance between two convex bodies given by float support maps.
 
     Returns closest points on each body; when the bodies overlap the
@@ -319,6 +320,16 @@ def gjk_distance(body_a, body_b) -> GJKResult:
     reconstructed from the terminal simplex barycentrics. The iteration
     stops when the duality gap |v|^2 - v.w falls below a fixed share of
     |v|^2, so it keeps converging however small the distance is.
+
+    With decision_only, the iteration stops at the first support point w
+    with v.w > _TOL |v|, where v = point_a - point_b is the current
+    closest point of the Minkowski difference: every point x of it then
+    has v.x >= v.w, so v is a separating axis, and the support values
+    certify a gap above the contact tolerance (Gilbert, Johnson and
+    Keerthi, 1988; Ericson, Real-Time Collision Detection, 2004, ch. 9).
+    The result then has no common point, and its distance is only that
+    certified lower bound, v.w / |v|. Overlapping bodies converge as
+    without it.
     """
     sup_a, sup_b = body_a.support_xyz, body_b.support_xyz
     a0 = sup_a(0.0, 0.0, 0.0)
@@ -334,14 +345,19 @@ def gjk_distance(body_a, body_b) -> GJKResult:
     for _ in range(_MAX_ITER):
         vx, vy, vz = v
         vv = vx * vx + vy * vy + vz * vz
-        if math.sqrt(vv) <= _TOL:
+        size = math.sqrt(vv)
+        if size <= _TOL:
             common = _combine(lam, pas)
             return GJKResult(0.0, common, common, common)
         pa = sup_a(-vx, -vy, -vz)
         pb = sup_b(vx, vy, vz)
         wx, wy, wz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
+        vw = vx * wx + vy * wy + vz * wz
+        if decision_only and vw > _TOL * size:
+            return GJKResult(vw / size, _combine(lam, pas),
+                             _combine(lam, pbs), None)
         # duality gap |v|^2 - v.w bounds the remaining improvement
-        if vv - (vx * wx + vy * wy + vz * wz) <= _TOL * vv:
+        if vv - vw <= _TOL * vv:
             break
         if any((wx - sx) ** 2 + (wy - sy) ** 2 + (wz - sz) ** 2 <= 1e-30
                for sx, sy, sz in ws):

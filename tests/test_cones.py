@@ -25,10 +25,12 @@ from hypercones.cones import (_cap_face_distance, _cone_clearance,
                               _frame_clearance, _lateral_distance,
                               _min_boundary_distance, _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
+from hypercones.convex import gjk_distance
 from hypercones.spherical import angle_between, orthonormal_frame, \
-    rotate_toward
-from tests.conftest import (disjoint_cone_pair, interior_point, random_cone,
-                            random_transform, unit_vector)
+    rotate_toward, slerp
+from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
+                            interior_point, random_cone, random_transform,
+                            unit_vector)
 
 Z = np.array([0.0, 0.0, 1.0])
 WINDOW = DEFAULT_TOLERANCES.degenerate_window
@@ -234,6 +236,44 @@ class TestConeOrder:
         assert cone_leq(a, c).holds
 
 
+def _segment_connector_midpoint(p0, p1, q0, q1):
+    """Midpoint of the shortest connector between two segments."""
+    d1, d2, r = p1 - p0, q1 - q0, p0 - q0
+    a, e, f = float(d1 @ d1), float(d2 @ d2), float(d2 @ r)
+    b, c = float(d1 @ d2), float(d1 @ r)
+    den = a * e - b * b
+    s = 0.0 if den < 1e-15 else min(1.0, max(0.0, (b * f - c * e) / den))
+    t = 0.0 if e < 1e-15 else min(1.0, max(0.0, (b * s + f) / e))
+    return 0.5 * ((p0 + s * d1) + (q0 + t * d2))
+
+
+def _reference_overlap_candidates(k1, k2):
+    """The structured candidates `disjoint` searched before the shrunk-hull
+    decision settled every overlap alone: points toward the cap lens, along
+    chords from each apex toward its cap ring, and an apex-chord ladder."""
+    cands = [0.5 * (k1.centroid().v + k2.centroid().v),
+             k1.centroid().v, k2.centroid().v,
+             _segment_connector_midpoint(k1.apex.v, k1.base.axis.v,
+                                         k2.apex.v, k2.base.axis.v)]
+    for w in (0.25, 0.5, 0.75):
+        m = slerp(k1.base.axis.v, k2.base.axis.v, w)
+        for apex in (k1.apex.v, k2.apex.v):
+            for t in (0.9, 0.99, 0.999):
+                cands.append(apex + t * (m - apex))
+    ladder = np.array([0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.85, 0.93,
+                       0.98, 0.997])
+    for cone in (k1, k2):
+        half = 0.5 * cone.base.half_angle
+        ring = Cap(cone.base.axis, half).boundary_points(8) \
+            if half > 1e-9 else np.empty((0, 3))
+        dirs = np.vstack([cone.base.axis.v[None, :],
+                          cone.base.boundary_points(8), ring])
+        chords = (cone.apex.v
+                  + ladder[:, None, None] * (dirs[None, :, :] - cone.apex.v))
+        cands.append(chords.reshape(-1, 3))
+    return np.vstack([np.atleast_2d(np.asarray(c)) for c in cands])
+
+
 class TestDisjointness:
     def test_mirror_cones_are_disjoint_with_plane(self):
         a = simple_cone(0.15, 0.45)
@@ -319,6 +359,28 @@ class TestDisjointness:
                     float(b.interior_margins(p[None, :])[0]))
         assert depth > WINDOW
         assert res.margin == -depth
+
+    def test_witness_is_within_a_factor_two_of_the_candidates(self):
+        # the shrunk-hull witness against the structured candidates it
+        # replaced: at least half as deep, deeper than the window in both
+        # cones, and reported as minus its depth
+        rng = np.random.default_rng(1109)
+        overlapping = 0
+        while overlapping < 1000:
+            a, b = random_cone(rng, psi_max=0.7), random_cone(rng, psi_max=0.7)
+            res = disjoint(a, b)
+            if res.disjoint:
+                continue
+            overlapping += 1
+            p = res.common_point
+            depth = min(a.margin(p.tolist()), b.margin(p.tolist()))
+            assert depth > WINDOW
+            assert res.margin == -depth
+            cands = _reference_overlap_candidates(a, b)
+            depths = np.minimum(a.interior_margins(cands),
+                                b.interior_margins(cands))
+            depths[np.linalg.norm(cands, axis=1) >= 1.0] = -1.0
+            assert depth >= 0.5 * float(np.max(depths))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_rotated_mirror_pair_inside_the_window_raises(self, sign):
@@ -485,6 +547,58 @@ class TestHyperballPredicates:
             p = res.common_point
             assert float(cone.interior_margins(p[None, :])[0]) > WINDOW
             assert bool(ball.ellipsoid().contains(p[None, :])[0])
+
+
+    def test_separating_plane_clears_sampled_points_by_its_margin(
+            self, shell):
+        # the plane's margin is certified by support values: every point of
+        # either hull lies at least that far from it, on its own side, and
+        # the plane sits midway, so the margin is at most half the distance
+        rng = np.random.default_rng(12)
+        dirs = rng.normal(size=(400, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for _ in range(40):
+            cone = random_cone(rng)
+            ball = ball_disjoint_from_cone(rng, cone, shell,
+                                           rng.uniform(0.05, 0.3))
+            ell = ball.ellipsoid()
+            gap = gjk_distance(cone.support_body, ell).distance
+            res = cone_hyperball_disjoint(cone, ball)
+            assert res.disjoint
+            assert res.margin <= 0.5 * gap + 1e-15
+            w, c = res.plane
+            cone_pts = np.vstack([cone.sample_points(400, rng),
+                                  cone.lateral_points(32,
+                                                      np.linspace(0, 1, 9))])
+            shrink = rng.random(400)[:, None]
+            ball_pts = np.vstack([ell.boundary_points(dirs),
+                                  ell.center + shrink
+                                  * (ell.boundary_points(dirs) - ell.center)])
+            assert float(np.min(cone_pts @ w)) - c >= res.margin - 1e-12
+            assert float(np.max(ball_pts @ w)) - c <= -res.margin + 1e-12
+
+    def test_ball_hull_just_past_the_window_from_the_apex_raises(
+            self, shell):
+        # a ball on the -z axis whose hull stops 4/3 of the window short of
+        # the apex, turned by rotations, which keep Euclidean distances:
+        # GJK's distance is above the window, but the plane midway between
+        # the hulls clears each by about half of it, inside the window
+        rng = np.random.default_rng(13)
+        gap = 4.0 * WINDOW / 3.0
+        for _ in range(20):
+            alpha, psi = rng.uniform(0.0, 0.5), rng.uniform(0.3, 1.2)
+            zeta = min(alpha + rng.uniform(0.05, 0.3), 0.95)
+            rho = math.atanh(zeta) - math.atanh(alpha + gap)
+            rot = LorentzTransform.rotation(unit_vector(rng),
+                                            rng.uniform(0.0, 2.0 * math.pi))
+            cone = map_cone(rot, simple_cone(-alpha, psi))
+            center = lorentz_ball_action(rot, BallPoint(-zeta * Z))
+            ball = Hyperball(shell, center, shell.tau * rho)
+            distance = gjk_distance(cone.support_body,
+                                    ball.ellipsoid()).distance
+            assert WINDOW < distance < 2.0 * WINDOW
+            with pytest.raises(DegenerateGeometry):
+                cone_hyperball_disjoint(cone, ball)
 
 
 def _inside_and_outside_points(rng, cone, n):

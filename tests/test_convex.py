@@ -175,6 +175,27 @@ class TestSphereDistance:
             assert np.linalg.norm(p - c1) <= r1 + 1e-12
             assert np.linalg.norm(p - c2) <= r2 + 1e-12
 
+    @pytest.mark.parametrize("gap", [0.5, 1e-2, 1e-4, 1e-6, 1e-7,
+                                     -0.5, -1e-3, -1e-6])
+    def test_decision_only_agrees_with_full_convergence(self, rng, gap):
+        # it says "separated" exactly when the full iteration does, and then
+        # its axis v = point_a - point_b separates the support values
+        for _ in range(20):
+            c1 = rng.normal(size=3)
+            r1, r2 = rng.uniform(0.1, 1.0, size=2)
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            a, b = _sphere(c1, r1), _sphere(c1 + (r1 + r2 + gap) * u, r2)
+            full = gjk_distance(a, b)
+            fast = gjk_distance(a, b, decision_only=True)
+            assert (fast.common_point is None) == (full.common_point is None)
+            if fast.common_point is None:
+                v = fast.point_a - fast.point_b
+                low = float(v @ np.array(a.support_xyz(*(-v).tolist())))
+                high = float(v @ np.array(b.support_xyz(*v.tolist())))
+                assert low > high
+                assert fast.distance <= full.distance + 1e-15
+
     def test_concentric_spheres_overlap(self):
         res = gjk_distance(_sphere([0.1, 0.2, 0.3], 0.5),
                            _sphere([0.1, 0.2, 0.3], 0.2))
