@@ -131,12 +131,6 @@ class Cap:
                 + math.sin(self.half_angle)
                 * (math.cos(theta) * e1 + math.sin(theta) * e2))
 
-    def contains_directions(self, dirs: np.ndarray,
-                            slack: float = 0.0) -> np.ndarray:
-        """Vectorized strict membership of unit rows in the open cap."""
-        dirs = np.atleast_2d(dirs)
-        return dirs @ self.axis.v > self.cos_half + slack
-
 
 def project_to_ball(a: FourVector, shell: Hyperboloid) -> BallPoint:
     """Map a point of the shell to u = a_s / a0."""

@@ -46,6 +46,14 @@ __all__ = [
 ]
 
 
+def apex_boost(p: np.ndarray) -> LorentzTransform:
+    """Boost whose ball action moves the ball point p to the origin."""
+    a = float(np.linalg.norm(p))
+    if a < 1e-14:
+        return LorentzTransform.identity()
+    return LorentzTransform.boost(p / a, -math.atanh(a))
+
+
 @dataclass(frozen=True)
 class BallCone:
     """Open cone spanned from an apex over a spherical cap region.
@@ -152,11 +160,7 @@ class BallCone:
     def apex_frame(self) -> tuple[LorentzTransform, Cap]:
         """Boost whose ball action moves the apex to the origin, with the
         image of the cap under it; computed once per cone."""
-        a = float(np.linalg.norm(self.apex.v))
-        if a < 1e-14:
-            frame = LorentzTransform.identity()
-        else:
-            frame = LorentzTransform.boost(self.apex.v / a, -math.atanh(a))
+        frame = apex_boost(self.apex.v)
         return frame, cap_image(frame, self.base)
 
     @cached_property

@@ -36,9 +36,6 @@ class Tolerances:
     # near-degenerate cap covering limit: no cap wider than pi - this
     cap_limit: float = 1e-3
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 DEFAULT_TOLERANCES = Tolerances()
 

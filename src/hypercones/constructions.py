@@ -10,7 +10,11 @@ certificates are exact: cone order, disjointness, ball clearance and the
 closed-form clearance of one cone inside another (``_cone_clearance``) for
 the cross-shell shadows, and for the translated completion
 (``translate_enclosure``) the same tangent-plane closed form on shifted
-shadows (``_plane_margin``). No construction draws random points.
+shadows (``_plane_margin``). No construction draws random points or
+scans a fixed direction sample: the base-circle point farthest from a
+ball (``_steer_target``), the cap of rays from an apex through a ball
+(``wrap_ball_in_complement``) and the direction clearest of two caps
+(``_clearest_direction``) are closed forms.
 """
 from __future__ import annotations
 
@@ -21,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball_model import (BallPoint, Cap, SphereDirection, ray_exits,
-                         shadow_radius)
+from .ball_model import (BallPoint, Cap, SphereDirection, ball_action_many,
+                         cap_image, ray_exits, shadow_radius)
 from .cones import (BallCone, Hyperball, _cone_clearance, _plane_margin,
-                    _covering_cap, _min_boundary_distance,
+                    _covering_cap, _min_boundary_distance, apex_boost,
                     cone_hyperball_disjoint, cone_leq, disjoint,
                     hyperball_in_cone, map_cone, opposite)
 from .config import Tolerances, DEFAULT_TOLERANCES
@@ -82,24 +86,6 @@ class ContractingBoosts:
 # chord levels or halvings a construction tries before it gives up
 _SEARCH_ROUNDS = 60
 
-_CLOUD_DIRS = None
-
-
-def _cloud_directions() -> np.ndarray:
-    """Fixed, well-spread direction set for support-point clouds."""
-    global _CLOUD_DIRS
-    if _CLOUD_DIRS is None:
-        dirs = []
-        for x in (-1.0, 0.0, 1.0):
-            for y in (-1.0, 0.0, 1.0):
-                for z in (-1.0, 0.0, 1.0):
-                    if x == y == z == 0.0:
-                        continue
-                    v = np.array([x, y, z])
-                    dirs.append(v / np.linalg.norm(v))
-        _CLOUD_DIRS = np.array(dirs)
-    return _CLOUD_DIRS
-
 
 def _require(condition: bool, message: str,
              failing_index: int | None = None) -> None:
@@ -152,10 +138,16 @@ def _chord_levels(cone: BallCone, target: np.ndarray, count: int,
 
 
 def _steer_target(cone: BallCone, away_from: np.ndarray) -> np.ndarray:
-    """Base-circle point farthest from a point to be avoided."""
-    ring = cone.base.boundary_points(32)
-    dist = np.linalg.norm(ring - away_from, axis=1)
-    return ring[int(np.argmax(dist))]
+    """Base-circle point farthest from a point q to be avoided, in closed
+    form: a circle point p = cos psi n + sin psi e has |p - q|^2 =
+    1 + |q|^2 - 2 p.q, largest when e points against q's offset from the
+    axis n. An on-axis q is equally far from every circle point."""
+    n = cone.base.axis.v
+    psi = cone.base.half_angle
+    offset = away_from - float(away_from @ n) * n
+    size = float(np.linalg.norm(offset))
+    e = -offset / size if size >= 1e-12 else orthonormal_frame(n)[0]
+    return math.cos(psi) * n + math.sin(psi) * e
 
 
 def _thin_cone(direction: np.ndarray, half_angle: float,
@@ -296,8 +288,14 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
     """Cone containing the ball while staying disjoint from `cone`.
 
     Requires the ball's hull disjoint from the cone's hull.  The apex is
-    placed on the separating plane delivered by that disjointness and the
-    cap is the padded cover of the ray exits through the ball.
+    placed on the separating plane delivered by that disjointness. In the
+    apex's own frame (cones.apex_boost) the ball is a metric ball of
+    radius rho = radius/tau about c', at distance r = atanh|c'| from the
+    origin, and the rays from the origin that meet it are exactly those
+    within A = asin(sinh rho / sinh r) of c': the right-angled triangle
+    relation sinh a = sinh c sin A (Beardon, The Geometry of Discrete
+    Groups, ch. 7). The cap about c' of half-angle A plus a pad is carried
+    back by the inverse frame (cap_image).
     """
     sep = cone_hyperball_disjoint(cone, ball, tol)
     if not sep.disjoint:
@@ -306,24 +304,25 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
     ell = ball.ellipsoid()
     proj = ell.center - (float(w @ ell.center) - c) * w
     candidates = [proj, 0.5 * (proj + c * w), c * w]
-    cloud = ell.boundary_points(_cloud_directions())
+    rho = ball.radius / ball.shell.tau
     for apex, pad in itertools.product(candidates, (0.02, 0.05, 0.12, 0.25)):
         if np.linalg.norm(apex) >= 1.0 - 1e-9:
             continue
-        exits, _ = ray_exits(apex, cloud)
-        mean = exits.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm < 1e-12:
+        frame = apex_boost(apex)
+        seen = ball_action_many(frame, ball.center.v)[0]
+        r = math.atanh(float(np.linalg.norm(seen)))
+        if r <= rho:
             continue
-        axis = mean / norm
-        half = float(np.max(np.arccos(np.clip(exits @ axis, -1.0, 1.0))))
-        half += pad
-        if half >= math.pi - tol.cap_limit:
+        half = math.asin(math.sinh(rho) / math.sinh(r)) + pad
+        if half >= 0.5 * math.pi:
             continue
-        if float(axis @ apex) >= math.cos(half) - 10.0 * tol.pointedness:
+        cap = cap_image(frame.inverse(),
+                        Cap(SphereDirection.normalized(seen), half))
+        if cap.half_angle >= math.pi - tol.cap_limit:
             continue
-        region = BallCone(BallPoint(apex),
-                          Cap(SphereDirection.normalized(axis), half))
+        if float(cap.axis.v @ apex) >= cap.cos_half - 10.0 * tol.pointedness:
+            continue
+        region = BallCone(BallPoint(apex), cap)
         try:
             inside = hyperball_in_cone(ball, region, tol)
             clear = disjoint(region, cone, tol)
@@ -547,32 +546,40 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone,
     return sub
 
 
+def _clearest_direction(cap_a: Cap, cap_b: Cap) -> tuple[np.ndarray, float]:
+    """Direction m with the largest angular clearance s from both closed
+    caps, and s, in closed form.
+
+    The directions at least s from the caps of half-angles psi_a, psi_b
+    about a and b are the caps of radii pi - psi_a - s and pi - psi_b - s
+    about -a and -b, and two caps meet exactly when their centres lie at
+    most the sum of their radii apart (Ratcliffe, Foundations of
+    Hyperbolic Manifolds, section 2.1). With gamma the angle between the
+    axes, the largest s is min(pi - psi_a, pi - psi_b,
+    pi - (psi_a + psi_b + gamma)/2), reached on the arc from -a toward -b
+    where the two clearances balance, clipped to the arc.
+    """
+    a, b = cap_a.axis.v, cap_b.axis.v
+    psi_a, psi_b = cap_a.half_angle, cap_b.half_angle
+    gamma = angle_between(a, b)
+    clear = min(math.pi - psi_a, math.pi - psi_b,
+                math.pi - 0.5 * (psi_a + psi_b + gamma))
+    t = min(max(0.5 * (gamma + psi_b - psi_a), 0.0), gamma)
+    return rotate_toward(-a, -b, t), clear
+
+
 def common_complement_cone(cone_a: BallCone, cone_b: BallCone,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
     """Cone disjoint from both inputs; the inputs must be disjoint.
 
     Aims a thin near-sphere cone at the direction with the largest angular
-    clearance from both closed caps.
+    clearance from both closed caps, found by the two-cap intersection
+    closed form (_clearest_direction), and deepens its apex until both
+    disjointness certificates hold.
     """
     if not disjoint(cone_a, cone_b, tol).disjoint:
         raise ValueError("input cones must be disjoint")
-    axes = np.array([cone_a.base.axis.v, cone_b.base.axis.v])
-    halves = np.array([cone_a.base.half_angle, cone_b.base.half_angle])
-    n = 512
-    k = np.arange(n)
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    zs = 1.0 - 2.0 * (k + 0.5) / n
-    phis = 2.0 * math.pi * k / golden
-    grid = np.column_stack([np.sqrt(1 - zs * zs) * np.cos(phis),
-                            np.sqrt(1 - zs * zs) * np.sin(phis), zs])
-    extra = [-axes[0], -axes[1],
-             slerp(axes[0], axes[1], 0.5),
-             -slerp(axes[0], axes[1], 0.5)]
-    cand = np.vstack([grid, extra])
-    ang = np.arccos(np.clip(cand @ axes.T, -1.0, 1.0))
-    clearance = np.min(ang - halves[None, :], axis=1)
-    best = int(np.argmax(clearance))
-    m, clear = cand[best], float(clearance[best])
+    m, clear = _clearest_direction(cone_a.base, cone_b.base)
     _require(clear > 1e-6, "no direction clears both closed caps")
     psi = min(0.45 * clear, 0.2)
     for n_ in range(1, _SEARCH_ROUNDS + 1):

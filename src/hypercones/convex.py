@@ -179,10 +179,6 @@ class GJKResult:
     point_b: np.ndarray
     common_point: np.ndarray | None
 
-    @property
-    def intersecting(self) -> bool:
-        return self.common_point is not None
-
 
 _Simplex = tuple[tuple[float, float, float], list[float], list[int]]
 

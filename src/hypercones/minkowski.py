@@ -174,11 +174,6 @@ class LorentzTransform:
         m[1:, 1:] = r
         return cls(m, _skip_check=True)
 
-    @classmethod
-    def from_matrix(cls, matrix,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> "LorentzTransform":
-        return cls(matrix, tol=tol)
-
     def verify(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
         try:
             _check_proper_orthochronous(np.array(self._m), tol)

@@ -20,8 +20,10 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         shrink_for_connectivity, translate_enclosure,
                         wrap_ball_in_complement)
 from hypercones import charges, constructions
-from hypercones.cones import _min_boundary_distance
-from hypercones.spherical import orthonormal_frame
+from hypercones.ball_model import ball_action_many
+from hypercones.cones import _min_boundary_distance, apex_boost
+from hypercones.spherical import angle_between, orthonormal_frame, \
+    rotate_toward
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
                             exhaustion_family, random_cone, random_transform,
                             unit_vector)
@@ -32,6 +34,36 @@ Z = np.array([0.0, 0.0, 1.0])
 def axis_cone(psi=0.5, apex_z=0.0) -> BallCone:
     return BallCone(BallPoint(np.array([0.0, 0.0, apex_z])),
                     Cap(SphereDirection(Z), psi))
+
+
+def assert_sampled_disjoint(a, b, rng, n=2_000):
+    """No sampled point of either cone lies in the other."""
+    assert not np.any(b.contains_many(a.sample_points(n, rng)))
+    assert not np.any(a.contains_many(b.sample_points(n, rng)))
+
+
+def near_covering_pair(rng):
+    """Disjoint cones, apexes on either side of a plane, whose caps leave
+    a band of width 5e-4 to 5e-3 uncovered."""
+    while True:
+        n = unit_vector(rng)
+        h = rng.uniform(-0.4, 0.4)
+        gap = rng.uniform(5e-4, 5e-3, size=2)
+        eps = rng.uniform(2e-4, 1e-3, size=2)
+        tilt = rng.uniform(0.0, 0.01, size=2)
+        axis_a = rotate_toward(-n, unit_vector(rng), tilt[0])
+        axis_b = rotate_toward(n, unit_vector(rng), tilt[1])
+        try:
+            a = BallCone(BallPoint((h - eps[0]) * n),
+                         Cap(SphereDirection.normalized(axis_a),
+                             math.pi - math.acos(h) - gap[0]))
+            b = BallCone(BallPoint((h + eps[1]) * n),
+                         Cap(SphereDirection.normalized(axis_b),
+                             math.acos(h) - gap[1]))
+            if disjoint(a, b).disjoint:
+                return a, b
+        except (ValueError, DegenerateGeometry):
+            continue
 
 
 def assert_path_valid(path, start, goal):
@@ -59,6 +91,28 @@ class TestFunnelIn:
         probe = Hyperball(shell, BallPoint(np.zeros(3)), 0.3)
         with pytest.raises(ValueError):
             funnel_in(axis_cone(), 0, probe)
+
+
+class TestSteerTarget:
+    def test_farthest_base_circle_point(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            cone = random_cone(rng)
+            q = rng.uniform(0.0, 0.9) * unit_vector(rng)
+            p = constructions._steer_target(cone, q)
+            n, psi = cone.base.axis.v, cone.base.half_angle
+            assert abs(np.linalg.norm(p) - 1.0) <= 1e-14
+            assert abs(float(p @ n) - math.cos(psi)) <= 1e-14
+            ring = cone.base.boundary_points(4096)
+            best = float(np.max(np.linalg.norm(ring - q, axis=1)))
+            assert np.linalg.norm(p - q) >= best - 1e-14
+
+    def test_on_axis_point_takes_the_frame_direction(self):
+        cone = axis_cone(psi=0.7, apex_z=-0.2)
+        p = constructions._steer_target(cone, np.array([0.0, 0.0, 0.4]))
+        e1, _ = orthonormal_frame(Z)
+        np.testing.assert_allclose(p, math.cos(0.7) * Z + math.sin(0.7) * e1,
+                                   rtol=0, atol=1e-15)
 
 
 class TestFunnelFromExhaustion:
@@ -119,6 +173,24 @@ class TestWrapBallInComplement:
             wrap = wrap_ball_in_complement(ball, cone)
             assert hyperball_in_cone(ball, wrap).holds
             assert disjoint(wrap, cone).disjoint
+
+    def test_margin_is_the_closed_form_of_the_apex_frame(self, shell):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            cone = random_cone(rng, psi_max=0.7)
+            ball = ball_disjoint_from_cone(rng, cone, shell,
+                                           radius=rng.uniform(0.05, 0.3))
+            wrap = wrap_ball_in_complement(ball, cone)
+            seen = ball_action_many(apex_boost(wrap.apex.v), ball.center.v)[0]
+            r = math.atanh(float(np.linalg.norm(seen)))
+            half = wrap.apex_frame[1].half_angle
+            rho = ball.radius / shell.tau
+            reach = math.asin(math.sinh(rho) / math.sinh(r))
+            assert min(abs(half - reach - pad)
+                       for pad in (0.02, 0.05, 0.12, 0.25)) <= 1e-12
+            margin = hyperball_in_cone(ball, wrap).margin
+            closed = shell.tau * math.asinh(math.sinh(r) * math.sin(half))
+            assert abs(margin - (closed - ball.radius)) <= 1e-12
 
     def test_transported_witness_stays_valid(self, shell):
         rng = np.random.default_rng(4)
@@ -213,6 +285,51 @@ class TestCommonComplement:
             c = common_complement_cone(a, b)
             assert disjoint(c, a).disjoint
             assert disjoint(c, b).disjoint
+
+    def test_nearly_covering_caps_leave_a_complement(self):
+        unit = lambda *v: SphereDirection.normalized(np.array(v))  # noqa
+        a = BallCone(BallPoint(np.array([-0.004426784652320018,
+                                         -0.0058428819523150596,
+                                         0.26627618494882965])),
+                     Cap(unit(0.016618490042534236, 0.021934628216749165,
+                              -0.9996212772213781), 1.8401133087811627))
+        b = BallCone(BallPoint(np.array([-0.004373771901220138,
+                                         -0.00598532755756219,
+                                         0.2681659154812893])),
+                     Cap(unit(-0.016303718870302866, -0.022310970953457354,
+                              0.9996181317513765), 1.2988857313462037))
+        assert disjoint(a, b).disjoint
+        c = common_complement_cone(a, b)
+        rng = np.random.default_rng(9)
+        for cone in (a, b):
+            assert disjoint(c, cone).disjoint
+            assert_sampled_disjoint(c, cone, rng, n=10_000)
+
+    def test_nearly_covering_family(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            a, b = near_covering_pair(rng)
+            c = common_complement_cone(a, b)
+            for cone in (a, b):
+                assert disjoint(c, cone).disjoint
+                assert_sampled_disjoint(c, cone, rng, n=400)
+
+    def test_clearest_direction_is_the_max_min(self):
+        rng = np.random.default_rng(11)
+        grid = rng.standard_normal((4096, 3))
+        grid /= np.linalg.norm(grid, axis=1)[:, None]
+        for _ in range(10_000):
+            caps = [Cap(SphereDirection(unit_vector(rng)),
+                        rng.uniform(0.01, math.pi - 0.01)) for _ in range(2)]
+            m, clear = constructions._clearest_direction(*caps)
+            at_m = min(angle_between(m, c.axis.v) - c.half_angle
+                       for c in caps)
+            assert abs(at_m - clear) <= 1e-12
+            ang = np.arccos(np.clip(grid @ np.array([c.axis.v for c in caps]).T,
+                                    -1.0, 1.0))
+            brute = float(np.max(np.min(
+                ang - np.array([c.half_angle for c in caps]), axis=1)))
+            assert brute <= clear + 1e-12
 
     def test_transported_witness_stays_valid(self):
         rng = np.random.default_rng(8)
@@ -523,8 +640,11 @@ class TestIntervalIdentity:
 
 class TestExactCertificates:
     """Constructions certified by exact predicates draw no random points,
-    and return the witnesses they returned while they also re-checked
-    them on 10^4 sampled points."""
+    and return pinned witnesses, each re-checked on 10^4 sampled points
+    by the acceptance suite's checkers when it was pinned. A1, A3, A4 and
+    A8 pin the witnesses of the closed-form directions (the farthest
+    base-circle point, the cap of rays through a ball seen from the apex,
+    the balanced arc point between two caps)."""
 
     def test_constructions_draw_no_random_points(self, monkeypatch):
         def refuse(self, n, rng):
@@ -555,22 +675,22 @@ class TestExactCertificates:
             "A12": robust_enclosure_lorentz(k, gens),
         }
         want = {
-            "A1": ([0.3854389287817939, -0.6129598661462774,
-                    0.5208754947628034],
-                   [0.4162524128887422, -0.6390150159120251,
-                    0.6468336248242313], 0.0775),
-            "A3": ([0.2716793878753108, -0.3845484949407299,
-                    0.3190717112930305],
-                   [0.38018543988442244, -0.46706793559008664,
-                    0.7983148344127791], 0.31),
+            "A1": ([0.42201862109724, -0.59605246907087,
+                    0.5127115933869417],
+                   [0.45339855797878525, -0.621845800287079,
+                    0.6385433018113027], 0.0775),
+            "A3": ([0.29258206919842283, -0.3748871251833542,
+                    0.3144066247925381],
+                   [0.40213434726738945, -0.45692299261749425,
+                    0.7934162498747451], 0.31),
             "A4": ([-0.03758186151657561, 0.07963754641036475,
                     -0.13676507823663525],
-                   [-0.48365149897595505, 0.5415137415843974,
-                    -0.6876366011299708], 0.28559184151111333),
-            "A8": ([0.20186927010483324, -0.35845599869404365,
-                    -0.2841796875],
-                   [0.4037385402096665, -0.7169119973880873, -0.568359375],
-                   0.2),
+                   [-0.4844785550779549, 0.5416231496117193,
+                    -0.686967898430675], 0.2836852812975453),
+            "A8": ([0.1235124018711696, -0.40468714692104907,
+                    -0.26640758191334557],
+                   [0.24702480374233923, -0.8093742938420982,
+                    -0.5328151638266913], 0.2),
             "A9": ([-0.2917449004582795, 0.19449660030551966,
                     -0.9044091914206663],
                    [0.30076793861678297, -0.20051195907785532,
