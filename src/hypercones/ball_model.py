@@ -146,57 +146,46 @@ def lift_from_ball(u: BallPoint, shell: Hyperboloid) -> FourVector:
     return FourVector.from_parts(a0, a0 * u.v)
 
 
-def _acosh_clamped(arg: float, tol: Tolerances) -> float:
-    if arg < 1.0:
-        if arg < 1.0 - tol.acosh_clamp:
-            raise ValueError(f"acosh argument {arg} below clamp window")
-        arg = 1.0
-    return math.acosh(arg)
-
-
-def hyperboloid_distance(a: FourVector, b: FourVector, shell: Hyperboloid,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Geodesic distance on the shell from the Lorentz pairing."""
+def hyperboloid_distance(a: FourVector, b: FourVector,
+                         shell: Hyperboloid) -> float:
+    """Geodesic distance on the shell, d = 2 tau asinh(sqrt(-<a - b, a - b>)
+    / (2 tau)): accurate for close points, where acosh of <a, b> cancels."""
     project_to_ball(a, shell)
     project_to_ball(b, shell)
-    from .minkowski import minkowski_product
-    arg = minkowski_product(a, b) / shell.tau ** 2
-    return shell.tau * _acosh_clamped(arg, tol)
+    x0, x1, x2, x3 = (a.components - b.components).tolist()
+    chord = math.sqrt(max(0.0, x1 * x1 + x2 * x2 + x3 * x3 - x0 * x0))
+    return 2.0 * shell.tau * math.asinh(0.5 * chord / shell.tau)
 
 
-def ball_distance(u: BallPoint, w: BallPoint, shell: Hyperboloid,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Geodesic distance between ball points in the shell metric."""
-    uu, ww = u.v, w.v
-    arg = ((1.0 - float(uu @ ww))
-           / math.sqrt((1.0 - float(uu @ uu)) * (1.0 - float(ww @ ww))))
-    return shell.tau * _acosh_clamped(arg, tol)
+def ball_distance(u: BallPoint, w: BallPoint, shell: Hyperboloid) -> float:
+    """Geodesic distance between ball points in the shell metric, from
+    sinh d = sqrt(|u - w|^2 - |u x (u - w)|^2) / sqrt((1 - |u|^2)(1 - |w|^2)),
+    which has no acosh to cancel for close points."""
+    return float(ball_distance_many(u.v, w.v, shell.tau)[0])
 
 
 def ball_distance_many(center: np.ndarray, pts: np.ndarray,
                        tau: float) -> np.ndarray:
-    """Vectorized shell distance from one ball point to (n, 3) ball points."""
+    """Vectorized shell distance from one ball point to (n, 3) ball points,
+    by the sinh form of ball_distance."""
     pts = np.atleast_2d(pts)
-    num = 1.0 - pts @ center
+    diff = center - pts
+    cross = np.cross(center, diff)
+    num = np.maximum(np.einsum("ij,ij->i", diff, diff)
+                     - np.einsum("ij,ij->i", cross, cross), 0.0)
     den = np.sqrt((1.0 - float(center @ center))
                   * (1.0 - np.einsum("ij,ij->i", pts, pts)))
-    arg = np.maximum(num / den, 1.0)
-    return tau * np.arccosh(arg)
+    return tau * np.arcsinh(np.sqrt(num) / den)
 
 
-def shadow_radius(sigma: float, tau: float,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def shadow_radius(sigma: float, tau: float) -> float:
     """Radius (in the shell-tau metric) of the causal shadow that a point on
-    shell sigma casts on shell tau.
-
-    The shadow of x with sqrt(x.x) = sigma is a metric ball on H_tau whose
-    radius depends only on the ratio of the two shell times; it vanishes
-    exactly when sigma = tau.
-    """
-    if not (sigma > 0.0 and tau > 0.0):
-        raise ValueError("shell parameters must be positive")
-    c = _acosh_clamped((sigma ** 2 + tau ** 2) / (2.0 * sigma * tau), tol)
-    return tau * c
+    shell sigma casts on shell tau: cosh(radius / tau) = (sigma/tau +
+    tau/sigma) / 2, so radius = tau |ln(sigma / tau)|, exactly 0 at
+    sigma = tau, with no acosh to cancel."""
+    if not (0.0 < sigma < math.inf and 0.0 < tau < math.inf):
+        raise ValueError("shell parameters must be positive and finite")
+    return tau * abs(math.log(sigma / tau))
 
 
 def euclidean_radius_of_centered_ball(radius: float, tau: float) -> float:

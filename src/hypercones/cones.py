@@ -5,20 +5,21 @@ closed spherical cap region on the boundary sphere: equivalently, the union
 of the open chords from the apex to the points of the open cap. Membership
 reduces to an exit-point test (follow the ray from the apex and ask where it
 leaves the sphere), containment of one cone in another reduces to cap
-inclusion plus apex membership, and disjointness is decided by GJK on the
-closed hulls. Both disjointness predicates, cone against cone and cone
-against a metric ball's hull, share one certificate for each answer: a
-separating plane whose margin is read from the support values of both
-bodies (_separation), or a common point found by one mechanism, GJK again
-on the bodies shrunk to the points deeper than a level, which are bodies
-of the same kind, doubling the level from GJK's own common point while the
-shrunk bodies meet (_shrunk_hull_witness).
+inclusion plus apex membership.
+
+Disjointness is decided in closed form in an apex frame. Against a cone
+(`disjoint`) the margin is an angle in the first cone's apex frame and
+the certificate a plane through its apex; on contact the same test on the
+cones shrunk to a cos-depth level, bisected on the level, gives a common
+point within a factor 2 of the deepest. Against a metric ball
+(`cone_hyperball_disjoint`) the margin is a shell distance and the
+certificate the plane bisecting the common perpendicular.
 
 Lorentz maps act on cones exactly: the apex by the ball action and the cap
 by its covector image (``cap_image``). Each cone caches its apex frame, the
 boost that moves its apex to the origin together with the image cap; the
-opposite cone, the shell-metric distances and the shared-apex tests all
-work in that frame.
+opposite cone, the shell-metric distances, the contact tests and the
+shared-apex tests all work in that frame.
 """
 from __future__ import annotations
 
@@ -29,14 +30,14 @@ from functools import cached_property
 import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         ball_action_many, cap_image, lorentz_ball_action,
-                         ray_exits, shadow_radius, sphere_action)
+                         cap_image, lorentz_ball_action, ray_exits,
+                         shadow_radius)
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .convex import ConeHullSupport, Ellipsoid, GJKResult, \
-    gjk_distance, hyperball_ellipsoid
+from .convex import Ellipsoid, hyperball_ellipsoid
 from .errors import DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
-from .spherical import angle_between, orthonormal_frame, rotate_toward
+from .spherical import (angle, angle_between, any_perpendicular, cross, dot,
+                        orthonormal_frame, rotate_toward, unit)
 
 __all__ = [
     "BallCone", "Hypercone", "Hyperball", "contains_point", "cone_leq",
@@ -151,26 +152,28 @@ class BallCone:
         return self.apex.v + s[:, None] * (dirs - self.apex.v)
 
     @cached_property
-    def support_body(self) -> ConeHullSupport:
-        """Support map of the closed hull, for GJK; built once per cone."""
-        return ConeHullSupport(self.apex.v, self.base.axis.v,
-                               self.base.half_angle)
-
-    @cached_property
     def apex_frame(self) -> tuple[LorentzTransform, Cap]:
         """Boost whose ball action moves the apex to the origin, with the
-        image of the cap under it; computed once per cone."""
-        frame = apex_boost(self.apex.v)
-        return frame, cap_image(frame, self.base)
+        image of the cap under it: apex_frame_scalars as objects."""
+        s = self.apex_frame_scalars
+        return (LorentzTransform(np.reshape(s[:16], (4, 4))),
+                Cap(SphereDirection(s[16:19]), s[19]))
 
     @cached_property
     def apex_frame_scalars(self) -> tuple[float, ...]:
-        """The apex frame as plain floats for the scalar membership kernel:
-        the 16 matrix entries row by row, then the image cap axis n' and
-        half-angle psi'."""
-        frame, cap = self.apex_frame
-        return (*frame.matrix.ravel().tolist(), *cap.axis.v.tolist(),
-                cap.half_angle)
+        """The apex frame on plain floats for the one-point kernels: the 16
+        entries, row by row, of the boost that moves the apex p to the origin
+        (cosh g = 1/sqrt(1 - |p|^2), sinh -g|p|), then the image cap axis and
+        half-angle."""
+        x, y, z, room = self.exit_scalars[:4]
+        g = 1.0 / math.sqrt(room)
+        h = g * g / (g + 1.0)  # (g - 1) / |p|^2
+        m = (g, -g * x, -g * y, -g * z, -g * x, 1.0 + h * x * x, h * x * y,
+             h * x * z, -g * y, h * y * x, 1.0 + h * y * y, h * y * z,
+             -g * z, h * z * x, h * z * y, 1.0 + h * z * z)
+        n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
+                            math.sin(self.base.half_angle))
+        return (*m, *n, math.atan2(s, c))
 
 
 @dataclass(frozen=True)
@@ -341,220 +344,220 @@ class DisjointResult:
         return self.disjoint
 
 
-def _plane_from_points(q0, q1, q2) -> tuple[np.ndarray, float]:
-    w = np.cross(q1 - q0, q2 - q0)
-    w /= np.linalg.norm(w)
-    return w, float(w @ q0)
+# The contact kernel runs on plain floats, as _frame_clearance does (the
+# vector helpers are spherical's); a 4x4 matrix is 16 floats, row by row.
+
+def _turn(a, b, by: float) -> tuple[float, float, float]:
+    """The unit a turned by the angle `by` on a great circle toward b."""
+    d = dot(a, b)
+    t = (b[0] - d * a[0], b[1] - d * a[1], b[2] - d * a[2])
+    t = unit(t) if dot(t, t) > 0.0 else any_perpendicular(np.array(a))
+    c, s = math.cos(by), math.sin(by)
+    return c * a[0] + s * t[0], c * a[1] + s * t[1], c * a[2] + s * t[2]
 
 
-def _cap_min_value(cone: BallCone, w: np.ndarray) -> float:
-    """min of w.x over the closed cap region of the cone."""
-    return float(w @ cone.support_body.cap_support(-w))
+def _act(m, p) -> tuple[float, float, float]:
+    """Ball action of the matrix m on the point p."""
+    x, y, z = p
+    den = m[0] + m[1] * x + m[2] * y + m[3] * z
+    return ((m[4] + m[5] * x + m[6] * y + m[7] * z) / den,
+            (m[8] + m[9] * x + m[10] * y + m[11] * z) / den,
+            (m[12] + m[13] * x + m[14] * y + m[15] * z) / den)
 
 
-def _common_apex_disjoint(k1: BallCone, k2: BallCone,
-                          tol: Tolerances) -> DisjointResult:
-    frame, c1 = k1.apex_frame
-    c2 = cap_image(frame, k2.base)
-    gamma = angle_between(c1.axis.v, c2.axis.v)
-    gap = gamma - c1.half_angle - c2.half_angle
-    if abs(gap) <= tol.degenerate_window:
-        raise DegenerateGeometry(
-            "cones with a shared apex are angularly tangent; perturb inputs")
-    inv = frame.inverse()
-    if gap > 0.0:
-        # plane through the apex separating the two direction sectors
-        beta = 0.5 * ((math.pi - gamma) + (c2.half_angle - c1.half_angle))
-        h = rotate_toward(c1.axis.v, -c2.axis.v, beta)
-        e1 = rotate_toward(h, c1.axis.v, 0.5 * math.pi)
-        e2 = np.cross(h, e1)
-        q = sphere_action(inv, np.array([e1, e2]))
-        w, c = _plane_from_points(k1.apex.v, q[0], q[1])
-        m1 = _cap_min_value(k1, w) - c
-        if m1 < 0.0:
-            w, c = -w, -c
-            m1 = _cap_min_value(k1, w) - c
-        m2 = c - k2.support_body.cap_support(w) @ w
-        margin = min(m1, m2)
-        if margin <= tol.degenerate_window:
-            raise DegenerateGeometry(
-                "separating plane margin through the shared apex collapsed")
-        return DisjointResult(True, float(margin), (w, c), None)
-    # overlapping sectors: exhibit a direction interior to both caps
-    alpha = 0.5 * (gamma + c1.half_angle - c2.half_angle)
-    alpha = min(max(alpha, 0.0), gamma)
-    mid = rotate_toward(c1.axis.v, c2.axis.v, alpha)
-    p = ball_action_many(inv, 0.5 * mid[None, :])[0]
-    q = p.tolist()
-    depth = min(k1.margin(q), k2.margin(q))
-    if depth <= tol.degenerate_window:
-        raise DegenerateGeometry("shared-apex overlap is tangent; perturb")
-    return DisjointResult(False, float(-depth), None, p)
+def _inverse(m) -> tuple[float, ...]:
+    """Inverse of a Lorentz matrix, eta m^T eta."""
+    return (m[0], -m[4], -m[8], -m[12], -m[1], m[5], m[9], m[13],
+            -m[2], m[6], m[10], m[14], -m[3], m[7], m[11], m[15])
 
 
-# Depth of a point in a body: a cone's cos-space interior margin, or an
-# ellipsoid's 1 - |s| for the point m + M s. The points of depth at least t
-# form a body of the same kind: the hull of the apex and the cap shrunk to
-# cos psi' = cos psi + t, or the ellipsoid scaled by 1 - t about its centre.
-
-def _depth(body: BallCone | Ellipsoid, p: np.ndarray) -> float:
-    if isinstance(body, Ellipsoid):
-        return float(body.depths(p[None, :])[0])
-    return body.margin(p.tolist())
-
-
-def _common_depth(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid,
-                  p: np.ndarray) -> float:
-    """Depth of p in both bodies: the smaller of its two depths, and -inf
-    for |p| >= 1 (a cap point, not a ball point)."""
-    if float(p @ p) >= 1.0:
-        return -math.inf
-    return min(_depth(b1, p), _depth(b2, p))
+def _plane(m, n) -> tuple[np.ndarray, float]:
+    """The plane {Z : <Z, N> = 0} of the frame m carried back to the ball:
+    unit normal w and offset c, with <Z, N> < 0 on the side w.x > c."""
+    i = _inverse(m)
+    n0, nx, ny, nz = (i[k] * n[0] + i[k + 1] * n[1] + i[k + 2] * n[2]
+                      + i[k + 3] * n[3] for k in (0, 4, 8, 12))
+    size = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return np.array([nx, ny, nz]) / size, n0 / size
 
 
-def _shrunk(body: BallCone | Ellipsoid, t: float
-            ) -> ConeHullSupport | Ellipsoid | None:
-    """Closed hull of the points of depth at least t, or None if empty."""
-    if isinstance(body, Ellipsoid):
-        return body.scaled(1.0 - t) if t < 1.0 else None
-    c = body.base.cos_half + t
-    if c >= 1.0:
-        return None
-    return ConeHullSupport(body.apex.v, body.base.axis.v, math.acos(c))
-
-
-# doublings of the depth level, then bisections of its last bracket
-_SHRINK_STEPS = 64
-
-
-def _shrunk_hull_witness(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid,
-                         window: float, seeds
-                         ) -> tuple[np.ndarray | None, float]:
-    """A common point of two bodies and its depth (_common_depth): above the
-    window unless the bodies hold no such point, and then at least half the
-    depth of the deepest common point.
-
-    The seeds, common points the caller already holds (GJK's), are measured
-    first. Every shrunk cone hull keeps its apex, at depth 0, and GJK may
-    return it as the common point, so an apex that lies deeper than the
-    window in the other body is tested next. Toward the apex, the depth of
-    the points on its axis chord tends to the smaller of the apex's depth in
-    the other body and 1 - cos psi; halving the step until a point reaches
-    half of that yields a witness. Then GJK decides whether the two bodies
-    shrunk to depth t meet, with t = window at first, or twice the deepest
-    witness so far when that lies deeper than the window. While they meet,
-    t doubles, starting from the deepest witness so far and so past the
-    depth of every apex, keeping the deepest common point GJK returns, each
-    depth measured again, until they separate; the depth found is then at
-    least half the deepest. Only whether the shrunk hulls meet matters, so
-    GJK stops at its first separating axis (decision_only). A common point
-    GJK returns on the shrunk boundary can measure just under the window,
-    so the last bracket of t is then bisected.
+def _hull_gap(n1, psi1: float, q, n2, c2: float, s2: float):
+    """Angle from the cap (n1, psi1) to S, less psi1, and the point of S
+    nearest n1 (n1 itself inside S). S, the radial projection of the hull
+    of the point q (None for the origin) and the cap (n2, c2, s2), is the
+    spherical hull of Q = q/|q| and the cap (Ratcliffe, Foundations of
+    Hyperbolic Manifolds, 2.1): for Q outside the cap, delta from n2, it
+    adds the sector at Q edged by the arcs tangent to the cap, half-angle
+    beta and radius l, sin beta = sin psi2 / sin delta and cos l =
+    cos delta / cos psi2 (Napier's rules; beta = pi/2 and l = pi once the
+    origin is on the hull). Outside S the nearest point lies on the cap,
+    or on an edge at its foot or Q.
     """
-    best, best_depth = None, -math.inf
-    for p in seeds:
-        d = _common_depth(b1, b2, p)
-        if d > best_depth:
-            best, best_depth = p, d
-    for body, other in ((b1, b2), (b2, b1)):
-        if not isinstance(body, BallCone):
-            continue
-        limit = min(_depth(other, body.apex.v), 1.0 - body.base.cos_half)
-        if limit <= window:
-            continue
-        step = body.base.axis.v - body.apex.v
-        s, d = 0.5, -math.inf
-        while s > 1e-15 and d <= max(window, 0.5 * limit):
-            p = body.apex.v + s * step
-            d = _common_depth(b1, b2, p)
-            if d > best_depth:
-                best, best_depth = p, d
-            s *= 0.5
-    t, lo, hi = window, None, None
-    if best_depth > window:
-        t, lo = 2.0 * best_depth, best_depth
-    for _ in range(_SHRINK_STEPS):
-        h1, h2 = _shrunk(b1, t), _shrunk(b2, t)
-        p = (None if h1 is None or h2 is None
-             else gjk_distance(h1, h2, decision_only=True).common_point)
-        if p is None:
-            hi = t
-        else:
-            lo = t
-            d = _common_depth(b1, b2, p)
-            if d > best_depth:
-                best, best_depth = p, d
-        if hi is None:
-            t = 2.0 * max(t, best_depth)
-        elif lo is None or best_depth > window:
-            break
-        else:
-            t = 0.5 * (lo + hi)
-    return best, best_depth
+    psi2 = math.atan2(s2, c2)
+    gap = angle(n1, n2) - psi2
+    if gap <= 0.0:
+        return -psi1, n1
+    x = _turn(n2, n1, psi2)
+    if q is None:
+        return gap - psi1, x
+    # n1 in the frame of Q, u toward n2 and v toward n1's nearer edge
+    big_q = unit(q)
+    u = _turn(big_q, n2, 0.5 * math.pi)
+    sin_d, cos_d = dot(n2, u), dot(n2, big_q)
+    if math.atan2(sin_d, cos_d) <= psi2:  # Q in the cap: S is the cap
+        return gap - psi1, x
+    if sin_d <= 0.0:  # -Q is n2: the origin lies in the hull
+        return -psi1, n1
+    root = math.sqrt(max(0.0, (sin_d - s2) * (sin_d + s2)))
+    sb, cb = min(1.0, s2 / sin_d), root / sin_d
+    reach = math.atan2(root, cos_d) if c2 > 0.0 else math.pi
+    v = cross(big_q, u)
+    if dot(n1, v) < 0.0:
+        v = [-a for a in v]
+    pq, pu, pv = dot(n1, big_q), dot(n1, u), dot(n1, v)
+    po, pe = cb * pv - sb * pu, cb * pu + sb * pv  # off and along the edge
+    rho = math.atan2(math.hypot(pu, pv), pq)
+    if po <= 0.0 and rho <= reach:
+        return -psi1, n1
+    foot = math.atan2(pe, pq)
+    edge = rho if foot < 0.0 else math.atan2(abs(po), math.hypot(pe, pq))
+    if foot <= reach and edge < gap:  # the foot is pq Q + pe e
+        gap, x = edge, (big_q if foot < 0.0 else unit(
+            [pq * a + pe * (cb * b + sb * c) for a, b, c in zip(big_q, u, v)]))
+    return gap - psi1, x
 
 
-def _separation(body_a, body_b, result: GJKResult,
-                tol: Tolerances) -> DisjointResult:
-    """Separating plane of two bodies that GJK found apart, with the first
-    body on its positive side.
-
-    The plane passes through the midpoint of GJK's closest points, normal
-    to the segment between them. Its margin is the smaller of the two
-    offsets of the bodies' support values from it, so it holds for the
-    whole of both bodies, not only for GJK's points; a margin inside the
-    window raises DegenerateGeometry.
-    """
-    w = result.point_b - result.point_a
-    w /= np.linalg.norm(w)
-    c = float(w @ (0.5 * (result.point_a + result.point_b)))
-    m1 = c - float(w @ np.array(body_a.support_xyz(*w.tolist())))
-    m2 = float(w @ np.array(body_b.support_xyz(*(-w).tolist()))) - c
-    margin = min(m1, m2)
-    if margin <= tol.degenerate_window:
-        raise DegenerateGeometry("separation margin inside the window")
-    return DisjointResult(True, float(margin), (-w, -c), None)
+def _cap_seen(m, n, c: float, s: float):
+    """Axis, cos and sin of the half-angle of the cap about n with cos c and
+    sin s, seen in the frame m: the covector (-c, n) maps as in cap_image."""
+    k = [c * m[i] + n[0] * m[i + 1] + n[1] * m[i + 2] + n[2] * m[i + 3]
+         for i in (0, 4, 8, 12)]
+    size = math.sqrt(k[1] * k[1] + k[2] * k[2] + k[3] * k[3])
+    return unit(k[1:]), k[0] / size, s / size
 
 
-def _overlap(b1: BallCone | Ellipsoid, b2: BallCone | Ellipsoid, seeds,
-             tol: Tolerances) -> DisjointResult:
-    """The witness of two bodies whose hulls GJK found in contact:
-    _shrunk_hull_witness from the given seeds, with margin minus its depth;
-    contact inside the window raises DegenerateGeometry."""
-    point, depth = _shrunk_hull_witness(b1, b2, tol.degenerate_window, seeds)
-    if depth <= tol.degenerate_window:
+def _caps(k1: BallCone, k2: BallCone, t: float, m):
+    """The caps (n1, psi1) and (n2, cos psi2, sin psi2) of the cones shrunk
+    to cos psi + t, their points of cos-depth above t, in k1's apex frame
+    m; None when one is empty."""
+    caps = []
+    for cone in (k1, k2):
+        c = cone.base.cos_half + t
+        if c >= 1.0:
+            return None
+        s = (math.sin(cone.base.half_angle) if t == 0.0
+             else math.sqrt((1.0 - c) * (1.0 + c)))
+        caps.append(_cap_seen(m, cone.exit_scalars[4:7], c, s))
+    return caps[0][0], math.atan2(caps[0][2], caps[0][1]), *caps[1]
+
+
+def _chord_middle(d, q, n, c: float) -> float | None:
+    """Middle r of the longest stretch of the ray {r d : 0 < r < 1} in the
+    open hull of the point q and the cap (n, c = cos psi), or None: r d is
+    inside when its ray from q crosses the plane x.n = c inside the ball,
+    |r U - W| < r A - B with A = d.n, B = q.n, U = A q + (c - B) d and
+    W = c q; stretches end at 0, 1, B/A and where the sides are equal."""
+    dn, qn = dot(d, n), dot(q, n)
+    u = [dn * a + (c - qn) * b for a, b in zip(q, d)]
+    w = [c * a for a in q]
+    qa, qb = dot(u, u) - dn * dn, dot(u, w) - dn * qn
+    qc = dot(w, w) - qn * qn
+    cuts = [0.0, 1.0] + ([qn / dn] if dn != 0.0 else [])
+    disc = qb * qb - qa * qc
+    if disc >= 0.0:
+        big = qb + math.copysign(math.sqrt(disc), qb)
+        cuts += [a / b for a, b in ((big, qa), (qc, big)) if b != 0.0]
+    cuts = sorted(r for r in cuts if 0.0 <= r <= 1.0)
+    best, middle = 0.0, None
+    for lo, hi in zip(cuts, cuts[1:]):
+        r = 0.5 * (lo + hi)
+        y = [r * a - b for a, b in zip(u, w)]
+        if hi - lo > best and math.sqrt(dot(y, y)) < r * dn - qn:
+            best, middle = hi - lo, r
+    return middle
+
+
+def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
+             window: float) -> DisjointResult:
+    """Common point of two meeting cones within a factor 2 of the deepest:
+    the cones shrunk to cos-depth t (_caps) meet, when k1's apex lies
+    deeper than t in k2 (`inner`) or their gap is negative, for t below
+    the deepest common depth, which bisecting log t between the window and
+    1 - cos psi brackets within a factor 1.5. The witness is the middle of
+    the chord through k2 of the ray along n1 or x turned into S."""
+    def meets(t):  # the caps at level t and, unless inner > t, the gap
+        caps = _caps(k1, k2, t, m)
+        if caps is None or inner > t:
+            return None if caps is None else (caps, None)
+        hit = _hull_gap(caps[0], caps[1], q, *caps[2:])
+        return (caps, hit) if hit[0] < 0.0 else None
+
+    lo, hi = window, min(1.0 - k1.base.cos_half, 1.0 - k2.base.cos_half)
+    found, depth = meets(lo) if lo < hi else None, -math.inf
+    while found is not None and hi > 1.5 * lo:
+        mid = math.sqrt(lo * hi)
+        hit = meets(mid)
+        lo, hi, found = (lo, mid, found) if hit is None else (mid, hi, hit)
+    if found is not None:
+        (n1, psi1, n2, c2, s2), hit = found
+        d = n1 if hit is None else _turn(
+            hit[1], n2, min(-0.5 * hit[0], 0.5 * angle(hit[1], n2)))
+        r = _chord_middle(d, q or (0.0, 0.0, 0.0), n2, c2)
+        if r is not None:
+            p = _act(_inverse(m), [r * a for a in d])
+            if dot(p, p) < 1.0:
+                depth = min(k1.margin(p), k2.margin(p))
+    if depth <= window:
         raise DegenerateGeometry(
-            "hulls touch within the degenerate window; perturb inputs")
-    return DisjointResult(False, float(-depth), None, point)
+            "cones meet only within the degenerate window; perturb inputs")
+    return DisjointResult(False, -depth, None, np.array(p))
 
 
 def disjoint(k1: BallCone, k2: BallCone,
              tol: Tolerances = DEFAULT_TOLERANCES) -> DisjointResult:
     """Whether two open cones have empty intersection.
 
-    On True the witness is a separating plane (unit normal w, offset c) with
-    the first cone on the w.x > c side; its margin is certified against the
-    closed hulls by support values (_separation). On False the witness is a
-    common interior point, and the margin minus its depth, the smaller of
-    its cos-space depths in the two cones. When GJK finds the hulls in
-    contact, one mechanism decides (_shrunk_hull_witness): starting from
-    GJK's common point, or the midpoint of its closest points, GJK decides
-    again on the cones shrunk to the points of depth above a level (each
-    the hull of its apex and a narrower cap), doubling the level while they
-    meet, so the witness lies within a factor 2 of the deepest common
-    point. Shrunk hulls separated at the window mean contact inside the
-    window, which raises DegenerateGeometry, as does a separation margin
-    inside it. Cones sharing an apex are handled by an exact angular
-    comparison (their closures always meet at the apex, which open
-    disjointness permits).
+    In k1's apex frame k1 is the open sector over its image cap (n1, psi1)
+    and k2 projects onto S, the spherical hull of its apex's direction and
+    its image cap (_hull_gap; the cap alone for a shared apex). They meet
+    when k1's apex lies in k2, and otherwise exactly when dist(n1, S) <
+    psi1. When apart, the margin is dist(n1, S) - psi1 in radians of k1's
+    apex frame, which Lorentz maps keep, and the witness a plane (unit
+    normal w, offset c) through k1's apex with k1 on its w.x > c side.
+    When they meet, the witness is a common point within a factor 2 of the
+    deepest and the margin minus its cos-depth, its lesser cos-space margin
+    (_overlap). A margin inside the window raises DegenerateGeometry.
     """
-    if math.dist(k1.apex.v.tolist(), k2.apex.v.tolist()) <= 1e-12:
-        return _common_apex_disjoint(k1, k2, tol)
-    result = gjk_distance(k1.support_body, k2.support_body)
-    if result.distance > tol.degenerate_window:
-        return _separation(k1.support_body, k2.support_body, result, tol)
-    seed = (result.common_point if result.common_point is not None
-            else 0.5 * (result.point_a + result.point_b))
-    return _overlap(k1, k2, (seed,), tol)
+    window = tol.degenerate_window
+    m = k1.apex_frame_scalars[:16]
+    a1 = k1.apex.v.tolist()
+    q, inner = None, -math.inf
+    if math.dist(a1, k2.apex.v.tolist()) > 1e-12:
+        q, inner = _act(m, k2.apex.v.tolist()), k2.margin(a1)
+    if inner <= 0.0:
+        caps = _caps(k1, k2, 0.0, m)
+        n1, psi1, n2, c2, s2 = caps
+        gap, x = _hull_gap(n1, psi1, q, n2, c2, s2)
+        if gap > window:
+            # the great circle normal to the arc n1 x, midway between the
+            # cap and x (or n1's equator) or at x, whichever clears more:
+            # the cap by the turn less psi1, S by its generators' least depth
+            gens = [(n2, math.atan2(s2, c2))] + (
+                [] if q is None else [(unit(q), 0.0)])
+            best, side = -math.inf, None
+            for turn in (min(0.5 * gap + psi1, 0.5 * math.pi), gap + psi1):
+                w = (n1 if turn >= 0.5 * math.pi  # k1 lies on w.P > 0
+                     else _turn(n1, x, turn - 0.5 * math.pi))
+                clear = min(turn - psi1, *(
+                    math.asin(max(-1.0, min(1.0, -dot(w, g)))) - r
+                    for g, r in gens))
+                if clear > best:
+                    best, side = clear, w
+            return DisjointResult(True, gap, _plane(m, (0.0, *side)), None)
+        if gap >= -window:
+            raise DegenerateGeometry(
+                "cones touch within the degenerate window; perturb inputs")
+    return _overlap(k1, k2, m, q, inner, window)
 
 
 def opposite(cone: BallCone) -> BallCone:
@@ -828,7 +831,7 @@ def in_causal_completion(x: FourVector, region: Hypercone,
     if not math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) < 1.0:
         raise ValueError("ball point must satisfy |u| < 1")
     tau = region.shell.tau
-    radius = shadow_radius(math.sqrt(square), tau, tol)
+    radius = shadow_radius(math.sqrt(square), tau)
     if radius <= 1e-15 * tau:
         return contains_point(region.cone, BallPoint(u))
     boundary, inside = _frame_clearance(region.cone, u, tau)
@@ -844,26 +847,50 @@ def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
                     cap_image(transform, cone.base))
 
 
-def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball | Ellipsoid,
+def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball,
                             tol: Tolerances = DEFAULT_TOLERANCES
                             ) -> DisjointResult:
-    """Disjointness of a cone hull from a metric ball's Euclidean hull,
-    with the contract of `disjoint`.
+    """Disjointness of a cone from a closed metric ball, with the contract
+    of `disjoint` and its margin in shell distance.
 
-    GJK on the two hulls gives a separating plane, certified by support
-    values as in `disjoint` (_separation): its margin is the smaller
-    offset of the two bodies from the plane, about half GJK's distance. On
-    contact, the deeper of GJK's common point and the ellipsoid's centre
-    seeds the shrunk-hull decision (_shrunk_hull_witness) on the cone and
-    the ellipsoid, the ellipsoid's depth being 1 - |s| for its point
-    m + M s; the margin is minus the witness's smaller depth in the two,
-    within a factor 2 of the deepest common point. A separation margin or
-    a contact inside the window raises DegenerateGeometry.
+    They are disjoint exactly when the ball's centre C lies outside the
+    cone and its shell distance D to the boundary (_frame_clearance)
+    exceeds the radius R; the margin is D - R, or -(D + R) for C inside.
+    In the apex frame the cone point X nearest C is the foot (C.b) b on the
+    nearest boundary ray b, or the apex. The certificate is the plane
+    {Z : <Z, X - Y> = 0} for the ball point Y nearest X, normal to the
+    geodesic CX at (D + R)/2, which each body clears by (D - R)/2. The
+    witness steps from X (C when inside) toward n'/2 by half the overlap,
+    bounded in the shell metric by 1/(1 - |z|^2) times the Euclidean step.
     """
-    ell = ball.ellipsoid() if isinstance(ball, Hyperball) else ball
-    result = gjk_distance(cone.support_body, ell)
-    if result.distance > tol.degenerate_window:
-        return _separation(cone.support_body, ell, result, tol)
-    seeds = (ell.center,) if result.common_point is None \
-        else (result.common_point, ell.center)
-    return _overlap(cone, ell, seeds, tol)
+    tau, radius = ball.shell.tau, ball.radius
+    dist, inside = _frame_clearance(cone, ball.center.v.tolist(), tau)
+    margin = -(dist + radius) if inside else dist - radius
+    if abs(margin) <= tol.degenerate_window:
+        raise DegenerateGeometry(
+            "ball touches the cone boundary within the window")
+    *m, nx, ny, nz, psi = cone.apex_frame_scalars
+    n = (nx, ny, nz)
+    c = _act(m, ball.center.v.tolist())
+    start, ahead = c, [-a for a in c]
+    if not inside:
+        start = (0.0, 0.0, 0.0)
+        if angle(c, n) - psi < 0.5 * math.pi:
+            b = _turn(n, c, psi)
+            start = [dot(c, b) * a for a in b]
+            ahead = [-a for a in _turn(n, c, psi + 0.5 * math.pi)]
+    if margin > 0.0:
+        # the unit tangent at C toward X: the lift's derivative along ahead
+        room, za = 1.0 - dot(c, c), dot(c, ahead)
+        t = [za, *(room * a + za * b for a, b in zip(ahead, c))]
+        size = math.sqrt(t[1] ** 2 + t[2] ** 2 + t[3] ** 2 - t[0] ** 2)
+        s, g = 0.5 * (dist + radius) / tau, 1.0 / math.sqrt(room)
+        normal = [math.sinh(s) * g * a + math.cosh(s) * b / size
+                  for a, b in zip((1.0, *c), t)]
+        return DisjointResult(True, margin, _plane(m, normal), None)
+    way = [0.5 * a - b for a, b in zip(n, start)]
+    length = math.sqrt(dot(way, way)) or 1.0
+    step = min((1.0 - max(dot(start, start), 0.25)) * 0.5 * (
+        radius - (0.0 if inside else dist)) / tau, 0.5 * length) / length
+    p = _act(_inverse(m), [a + step * b for a, b in zip(start, way)])
+    return DisjointResult(False, margin, None, np.array(p))

@@ -20,8 +20,6 @@ class Tolerances:
     matrix_identity: float = 1e-10
     # component-level linear identities (reconstructions, pinned values)
     linear_identity: float = 1e-12
-    # clamp window for acosh arguments slightly below 1
-    acosh_clamp: float = 1e-12
     # max residual of a circle fitted to a mapped circle in the selftest's
     # circle-preservation check
     circle_fit: float = 1e-7

@@ -32,7 +32,6 @@ from .cones import (BallCone, Hyperball, _cone_clearance, _plane_margin,
                     cone_hyperball_disjoint, cone_leq, disjoint,
                     hyperball_in_cone, map_cone, opposite)
 from .config import Tolerances, DEFAULT_TOLERANCES
-from .convex import Ellipsoid
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
 from .spherical import angle_between, orthonormal_frame, rotate_toward, slerp
@@ -102,8 +101,7 @@ def _is_disjoint(a: BallCone, b: BallCone, tol: Tolerances) -> bool:
         return False
 
 
-def _ball_clear(cone: BallCone, ball: Hyperball | Ellipsoid,
-                tol: Tolerances) -> bool:
+def _ball_clear(cone: BallCone, ball: Hyperball, tol: Tolerances) -> bool:
     try:
         return bool(cone_hyperball_disjoint(cone, ball, tol))
     except DegenerateGeometry:
@@ -178,9 +176,8 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
     target = _steer_target(cone, probe.center.v)
     levels = _chord_levels(cone, target, max(depth, _SEARCH_ROUNDS), tol)
     _require(bool(levels), "no valid shrinking levels inside the cone")
-    ell = probe.ellipsoid()
     cleared = next((i for i, lv in enumerate(levels)
-                    if _ball_clear(lv, ell, tol)), None)
+                    if _ball_clear(lv, probe, tol)), None)
     _require(cleared is not None,
              "collapsing levels never separated from the probe ball")
     if cleared + 1 <= depth:
@@ -194,7 +191,7 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
     for i in range(len(chosen) - 1):
         _require(bool(cone_leq(chosen[i + 1], chosen[i], tol)),
                  "funnel members are not decreasing", i)
-    _require(_ball_clear(chosen[-1], ell, tol),
+    _require(_ball_clear(chosen[-1], probe, tol),
              "last funnel member still meets the probe ball",
              len(chosen) - 1)
     return Funnel(tuple(chosen), len(chosen), probe)
@@ -272,9 +269,8 @@ def avoid_ball_inside(ball: Hyperball, cone: BallCone,
     """
     target = _steer_target(cone, ball.center.v)
     levels = _chord_levels(cone, target, _SEARCH_ROUNDS, tol)
-    ell = ball.ellipsoid()
     for i, level in enumerate(levels):
-        if _ball_clear(level, ell, tol):
+        if _ball_clear(level, ball, tol):
             _require(bool(cone_leq(level, cone, tol)),
                      "separated level escaped the source cone", i)
             return level
@@ -635,7 +631,7 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float,
     the source cone exceeds the radius (_shadow_inside), so the whole
     shadow, not a sample of it, is certified inside.
     """
-    radius = shadow_radius(sigma, tau, tol)
+    radius = shadow_radius(sigma, tau)
     if radius <= 1e-12 * tau:
         grown = _grow_pad(cone)
         _require(bool(cone_leq(cone, grown, tol)),
@@ -669,7 +665,7 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float,
     The first thin cone whose exact clearance from the source's boundary
     exceeds the shadow radius (_shadow_inside) is returned.
     """
-    radius = shadow_radius(sigma, tau, tol)
+    radius = shadow_radius(sigma, tau)
     if radius <= 1e-12 * tau:
         psi = max(cone.base.half_angle - 0.01, 0.5 * cone.base.half_angle)
         inner = BallCone(cone.apex, Cap(cone.base.axis, psi))
@@ -735,14 +731,13 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
     the ball; the direction must be admissible for `contracting_boosts`.
     """
     family = contracting_boosts(cone, tol)
-    ell = ball.ellipsoid()
     for n in range(nmax + 1):
         mapped = cone if n == 0 else map_cone(
             family.boost_maker(direction, float(n)), cone)
         if n > 0 and not cone_leq(mapped, cone, tol):
             raise ConstructionFailure(
                 "boosted cone escaped the source cone", failing_index=n)
-        if _ball_clear(mapped, ell, tol):
+        if _ball_clear(mapped, ball, tol):
             return n
     raise ConstructionFailure(
         f"boosts up to {nmax} never cleared the ball")

@@ -1,10 +1,11 @@
-"""Support-function machinery for the convex bodies used by the predicates.
+"""Support maps of the convex bodies in the projective ball, and GJK.
 
-Two body types cover everything the package needs: the closed hull of a cone
-(apex joined to a spherical cap region) and the ellipsoid realizing a metric
-ball of a shell in the projective model. Distances, witnesses and separating
-planes come from a GJK iteration driven by exact support maps, so reported
-margins are certified by support values rather than sampling alone.
+Two body types: the closed hull of a cone (apex joined to a spherical cap
+region) and the ellipsoid realizing a metric ball of a shell in the
+projective model. The predicates of ``hypercones.cones`` decide contact by
+closed forms in a cone's apex frame and call none of this; GJK on the
+Euclidean hulls stays as an independent oracle for the tests, and
+``render`` draws the ellipsoid.
 
 GJK runs on plain float triples: each body has one support map on floats
 (``support_xyz``), and the simplex step is closed form: the closest point of
@@ -137,16 +138,6 @@ class Ellipsoid:
 
     def contains(self, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
         return self._radii(pts) <= 1.0 + slack
-
-    def depths(self, pts: np.ndarray) -> np.ndarray:
-        """1 - |s| of each row: 1 at the centre, 0 on the surface."""
-        return 1.0 - self._radii(pts)
-
-    def scaled(self, factor: float) -> "Ellipsoid":
-        """The spheroid scaled about its centre: the points of depth at
-        least 1 - factor."""
-        return Ellipsoid(self.center, self.axis, factor * self.a_par,
-                         factor * self.a_perp)
 
 
 def hyperball_ellipsoid(center: np.ndarray, radius: float,
@@ -307,25 +298,16 @@ def _combine(lam, pts) -> np.ndarray:
     return np.array([x, y, z])
 
 
-def gjk_distance(body_a, body_b, *, decision_only: bool = False
-                 ) -> GJKResult:
+def gjk_distance(body_a, body_b) -> GJKResult:
     """Distance between two convex bodies given by float support maps.
 
     Returns closest points on each body; when the bodies overlap the
     returned distance is 0.0 and common_point carries a shared point
     reconstructed from the terminal simplex barycentrics. The iteration
     stops when the duality gap |v|^2 - v.w falls below a fixed share of
-    |v|^2, so it keeps converging however small the distance is.
-
-    With decision_only, the iteration stops at the first support point w
-    with v.w > _TOL |v|, where v = point_a - point_b is the current
-    closest point of the Minkowski difference: every point x of it then
-    has v.x >= v.w, so v is a separating axis, and the support values
-    certify a gap above the contact tolerance (Gilbert, Johnson and
-    Keerthi, 1988; Ericson, Real-Time Collision Detection, 2004, ch. 9).
-    The result then has no common point, and its distance is only that
-    certified lower bound, v.w / |v|. Overlapping bodies converge as
-    without it.
+    |v|^2, so it keeps converging however small the distance is (Gilbert,
+    Johnson and Keerthi, 1988; Ericson, Real-Time Collision Detection,
+    2004, ch. 9).
     """
     sup_a, sup_b = body_a.support_xyz, body_b.support_xyz
     a0 = sup_a(0.0, 0.0, 0.0)
@@ -349,9 +331,6 @@ def gjk_distance(body_a, body_b, *, decision_only: bool = False
         pb = sup_b(vx, vy, vz)
         wx, wy, wz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
         vw = vx * wx + vy * wy + vz * wz
-        if decision_only and vw > _TOL * size:
-            return GJKResult(vw / size, _combine(lam, pas),
-                             _combine(lam, pbs), None)
         # duality gap |v|^2 - v.w bounds the remaining improvement
         if vv - vw <= _TOL * vv:
             break

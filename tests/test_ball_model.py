@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercones import (BallPoint, Cap, FourVector, Hyperboloid,
@@ -111,9 +111,38 @@ class TestDistance:
                 ball_distance(u, w, shell), abs=1e-9)
 
 
+def _reference_distance(mpmath, u, w):
+    """Unit-shell distance of two ball points, at 40 digits."""
+    u, w = ([mpmath.mpf(x) for x in p.tolist()] for p in (u, w))
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b))  # noqa: E731
+    return mpmath.acosh((1 - dot(u, w))
+                        / mpmath.sqrt((1 - dot(u, u)) * (1 - dot(w, w))))
+
+
+def test_distances_of_close_pairs_match_a_40_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(40)
+    with mpmath.workdps(40):
+        for _ in range(400):
+            u = interior_point(rng, 0.9)
+            w = u + 10.0 ** rng.uniform(-9.0, -3.0) * unit_vector(rng)
+            shell = Hyperboloid(rng.uniform(0.5, 2.0))
+            ref = shell.tau * _reference_distance(mpmath, u, w)
+            got = ball_distance(BallPoint(u), BallPoint(w), shell)
+            assert abs(got - ref) <= 1e-6 * ref
+            a = lift_from_ball(BallPoint(u), shell)
+            b = lift_from_ball(BallPoint(w), shell)
+            # the lifts as floats, read back onto the shell at 40 digits
+            back = [x.xs / x.x0 for x in (a, b)]
+            ref = shell.tau * _reference_distance(mpmath, *back)
+            got = hyperboloid_distance(a, b, shell)
+            assert abs(got - ref) <= 1e-6 * ref
+
+
 class TestShadowRadius:
     @given(st.floats(min_value=0.1, max_value=10.0),
            st.floats(min_value=0.1, max_value=10.0))
+    @example(6.77162225536743, 6.77162225536743)
     @settings(max_examples=200, deadline=None)
     def test_tanh_identity(self, sigma, tau):
         c = shadow_radius(sigma, tau) / tau

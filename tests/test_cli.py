@@ -57,8 +57,10 @@ class TestCheck:
     def test_disjoint_true_reports_separating_plane(self, capsys):
         code, out, _ = run(capsys, "check", DEMO, "disjoint A B")
         assert code == 0
-        assert out.startswith("true, margin=0.15")
-        assert "plane n=(0, 0, 1)" in out
+        # the margin is an angle in A's apex frame: pi less both image
+        # half-angles, the plane the one through A's apex normal to z
+        assert out.startswith("true, margin=2.26018")
+        assert "plane n=(0, 0, 1) offset=0.15" in out
 
     def test_disjoint_false_reports_common_point(self, capsys):
         code, out, _ = run(capsys, "check", DEMO, "disjoint A big")

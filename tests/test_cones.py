@@ -25,7 +25,7 @@ from hypercones.cones import (_cap_face_distance, _cone_clearance,
                               _frame_clearance, _lateral_distance,
                               _min_boundary_distance, _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
-from hypercones.convex import gjk_distance
+from hypercones.convex import ConeHullSupport, gjk_distance
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward, slerp
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
@@ -417,6 +417,103 @@ class TestDisjointness:
             assert disjoint(a, b).disjoint == disjoint(b, a).disjoint
 
 
+def _c09_pairs():
+    """The cone pairs of acceptance criterion 9's draws: default_rng(109),
+    random_cone(psi_max=0.7)."""
+    rng = np.random.default_rng(109)
+    return [(random_cone(rng, psi_max=0.7), random_cone(rng, psi_max=0.7))
+            for _ in range(3000)]
+
+
+def _hull(cone):
+    return ConeHullSupport(cone.apex.v, cone.base.axis.v,
+                           cone.base.half_angle)
+
+
+def _mirror_pair(rng, g, rapidity):
+    """A cone whose hull reaches x = g through its cap and its mirror image
+    through x = 0, both moved by a rotation and a boost of the given
+    rapidity: disjoint exactly when g < 0."""
+    psi = rng.uniform(0.2, 1.0)
+    apex_x, depth = -rng.uniform(0.05, 0.4), rng.uniform(0.0, 0.4)
+    az = rng.uniform(0.0, 2.0 * math.pi)
+    x = np.array([1.0, 0.0, 0.0])
+    v = np.array([0.0, math.cos(az), math.sin(az)])
+    theta = psi + math.acos(g)
+    axis = math.cos(theta) * x + math.sin(theta) * v
+    apex = apex_x * x - depth * v
+    flip = np.array([-1.0, 1.0, 1.0])
+    m = (LorentzTransform.rotation(unit_vector(rng),
+                                   rng.uniform(0.0, 2.0 * math.pi))
+         @ LorentzTransform.boost(unit_vector(rng), rapidity))
+    return (map_cone(m, raw_cone(apex, axis, psi)),
+            map_cone(m, raw_cone(apex * flip, axis * flip, psi)))
+
+
+class TestContactAngles:
+    """The angular decision in the first cone's apex frame against
+    independent evidence."""
+
+    def test_answers_match_gjk_on_the_hulls(self):
+        for a, b in _c09_pairs():
+            apart = gjk_distance(_hull(a), _hull(b)).distance > WINDOW
+            assert disjoint(a, b).disjoint == apart
+            assert disjoint(b, a).disjoint == apart
+
+    def test_separated_margins_are_lorentz_invariant(self):
+        rng = np.random.default_rng(1090)
+        moved = 0
+        for a, b in _c09_pairs()[:1000]:
+            res = disjoint(a, b)
+            if not res.disjoint:
+                continue
+            for _ in range(3):
+                g = random_transform(rng)
+                image = disjoint(map_cone(g, a), map_cone(g, b))
+                assert abs(image.margin - res.margin) <= 1e-12
+                moved += 1
+        assert moved > 1500
+
+    def test_margin_is_never_above_a_dense_angular_sample(self):
+        # directions from the first apex to points of the second hull,
+        # read in the first cone's apex frame, lie in S; none is nearer
+        # the image axis than the margin says
+        rng = np.random.default_rng(1091)
+        checked = 0
+        for a, b in _c09_pairs()[:300]:
+            res = disjoint(a, b)
+            if not res.disjoint:
+                continue
+            frame, cap = a.apex_frame
+            pts = np.vstack([b.sample_points(2000, rng),
+                             b.lateral_points(64, np.geomspace(1e-6, 1, 40)),
+                             b.apex.v[None, :]])
+            seen = ball_action_many(frame, pts)
+            seen /= np.linalg.norm(seen, axis=1)[:, None]
+            angles = np.arccos(np.clip(seen @ cap.axis.v, -1.0, 1.0))
+            assert res.margin <= float(np.min(angles)) \
+                - cap.half_angle + 1e-12
+            checked += 1
+        assert checked > 150
+
+    def test_boosted_mirror_pairs_a_little_apart_are_disjoint(self):
+        # boosted pairs whose hulls are 1e-8 to 1e-4 apart, log-uniform:
+        # each of the 401 separated ones clears the window by ten times
+        separated = 0
+        for seed in (1, 9):
+            rng = np.random.default_rng(seed)
+            for _ in range(400):
+                g = -math.exp(rng.uniform(math.log(1e-8), math.log(1e-4)))
+                if rng.random() < 0.5:
+                    g = -g
+                a, b = _mirror_pair(rng, g, rng.uniform(0.0, 0.5))
+                if g < 0.0:
+                    res = disjoint(a, b)
+                    assert res.disjoint and res.margin > 10.0 * WINDOW
+                    separated += 1
+        assert separated == 401
+
+
 class TestOpposite:
     def test_involution(self):
         rng = np.random.default_rng(7)
@@ -551,22 +648,25 @@ class TestHyperballPredicates:
 
     def test_separating_plane_clears_sampled_points_by_its_margin(
             self, shell):
-        # the plane's margin is certified by support values: every point of
-        # either hull lies at least that far from it, on its own side, and
-        # the plane sits midway, so the margin is at most half the distance
+        # the margin is the shell gap from the ball to the cone, and the
+        # certificate the plane bisecting their common perpendicular: every
+        # point of either body lies on its own side, at least half the
+        # margin away in the shell metric
         rng = np.random.default_rng(12)
         dirs = rng.normal(size=(400, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        tau = shell.tau
         for _ in range(40):
             cone = random_cone(rng)
             ball = ball_disjoint_from_cone(rng, cone, shell,
                                            rng.uniform(0.05, 0.3))
-            ell = ball.ellipsoid()
-            gap = gjk_distance(cone.support_body, ell).distance
             res = cone_hyperball_disjoint(cone, ball)
             assert res.disjoint
-            assert res.margin <= 0.5 * gap + 1e-15
+            gap = _reference_ball_in_cone(ball, cone)[1]  # -(D + R)
+            gap = -gap - 2.0 * ball.radius
+            assert abs(res.margin - gap) <= 1e-12
             w, c = res.plane
+            ell = ball.ellipsoid()
             cone_pts = np.vstack([cone.sample_points(400, rng),
                                   cone.lateral_points(32,
                                                       np.linspace(0, 1, 9))])
@@ -574,31 +674,37 @@ class TestHyperballPredicates:
             ball_pts = np.vstack([ell.boundary_points(dirs),
                                   ell.center + shrink
                                   * (ell.boundary_points(dirs) - ell.center)])
-            assert float(np.min(cone_pts @ w)) - c >= res.margin - 1e-12
-            assert float(np.max(ball_pts @ w)) - c <= -res.margin + 1e-12
+            for pts, sign in ((cone_pts, 1.0), (ball_pts, -1.0)):
+                side = sign * (pts @ w - c)
+                assert float(np.min(side)) > 0.0
+                # sinh of the shell distance to the plane, off the sphere
+                room = 1.0 - np.einsum("ij,ij->i", pts, pts)
+                sinh = side[room > 0.0] / np.sqrt(room[room > 0.0]
+                                                  * (1.0 - c * c))
+                assert float(np.min(tau * np.arcsinh(sinh))) \
+                    >= 0.5 * res.margin - 1e-12
 
     def test_ball_hull_just_past_the_window_from_the_apex_raises(
             self, shell):
-        # a ball on the -z axis whose hull stops 4/3 of the window short of
-        # the apex, turned by rotations, which keep Euclidean distances:
-        # GJK's distance is above the window, but the plane midway between
-        # the hulls clears each by about half of it, inside the window
+        # a ball on the -z axis whose shell gap to the apex, its nearest
+        # cone point, is a third of the window raises, and one at 4/3 of
+        # it is disjoint by that gap; both turned by rotations and boosts
         rng = np.random.default_rng(13)
-        gap = 4.0 * WINDOW / 3.0
         for _ in range(20):
             alpha, psi = rng.uniform(0.0, 0.5), rng.uniform(0.3, 1.2)
             zeta = min(alpha + rng.uniform(0.05, 0.3), 0.95)
-            rho = math.atanh(zeta) - math.atanh(alpha + gap)
-            rot = LorentzTransform.rotation(unit_vector(rng),
-                                            rng.uniform(0.0, 2.0 * math.pi))
-            cone = map_cone(rot, simple_cone(-alpha, psi))
-            center = lorentz_ball_action(rot, BallPoint(-zeta * Z))
-            ball = Hyperball(shell, center, shell.tau * rho)
-            distance = gjk_distance(cone.support_body,
-                                    ball.ellipsoid()).distance
-            assert WINDOW < distance < 2.0 * WINDOW
+            m = random_transform(rng, max_rapidity=0.5)
+            cone = map_cone(m, simple_cone(-alpha, psi))
+            center = lorentz_ball_action(m, BallPoint(-zeta * Z))
+            reach = shell.tau * (math.atanh(zeta) - math.atanh(alpha))
             with pytest.raises(DegenerateGeometry):
-                cone_hyperball_disjoint(cone, ball)
+                cone_hyperball_disjoint(
+                    cone, Hyperball(shell, center, reach - WINDOW / 3.0))
+            gap = 4.0 * WINDOW / 3.0
+            res = cone_hyperball_disjoint(
+                cone, Hyperball(shell, center, reach - gap))
+            assert res.disjoint
+            assert res.margin == pytest.approx(gap, abs=1e-12)
 
 
 def _inside_and_outside_points(rng, cone, n):
@@ -923,6 +1029,26 @@ class TestCausalCompletion:
             x = lift_from_ball(BallPoint(u), shell)
             assert in_causal_completion(x, region)
 
+    def test_lifted_events_just_inside_are_members(self):
+        # events lifted onto the shell have sigma = tau up to rounding, so
+        # no shadow; 10^-8.5 to 10^-6 inside the cone in shell distance,
+        # well outside the window, each must be a member
+        rng = np.random.default_rng(830)
+        for _ in range(830):
+            cone = random_cone(rng)
+            shell = Hyperboloid(rng.uniform(0.7, 1.5))
+            frame, cap = cone.apex_frame
+            depth = 10.0 ** rng.uniform(-8.5, -6.0) / shell.tau
+            r = rng.uniform(0.3, 2.0)
+            # sinh(depth) = sinh(r) sin(delta) for the angle delta inside
+            delta = math.asin(math.sinh(depth) / math.sinh(r))
+            d = rotate_toward(cap.axis.v, unit_vector(rng),
+                              cap.half_angle - delta)
+            u = ball_action_many(frame.inverse(),
+                                 math.tanh(r) * d[None, :])[0]
+            x = lift_from_ball(BallPoint(u), shell)
+            assert in_causal_completion(x, Hypercone(shell, cone))
+
     def test_points_outside_cone_are_not_inside(self, shell):
         region = Hypercone(shell, simple_cone(0.1, 0.4))
         x = lift_from_ball(BallPoint(np.array([0.0, 0.0, -0.4])), shell)
@@ -981,7 +1107,7 @@ def _reference_completion(x, region, tol=DEFAULT_TOLERANCES):
         return False
     sigma = math.sqrt(square)
     center = BallPoint(x.xs / x.x0)
-    radius = shadow_radius(sigma, region.shell.tau, tol)
+    radius = shadow_radius(sigma, region.shell.tau)
     if radius <= 1e-15 * region.shell.tau:
         return contains_point(region.cone, center)
     ball = Hyperball(region.shell, center, radius)

@@ -683,10 +683,10 @@ class TestExactCertificates:
                     0.3144066247925381],
                    [0.40213434726738945, -0.45692299261749425,
                     0.7934162498747451], 0.31),
-            "A4": ([-0.03758186151657561, 0.07963754641036475,
-                    -0.13676507823663525],
-                   [-0.4844785550779549, 0.5416231496117193,
-                    -0.686967898430675], 0.2836852812975453),
+            "A4": ([-0.046661071696956075, 0.08775036782762083,
+                    -0.1451187399395177],
+                   [-0.48284422736420024, 0.5414279216048471,
+                    -0.6882712094862927], 0.2890707285871486),
             "A8": ([0.1235124018711696, -0.40468714692104907,
                     -0.26640758191334557],
                    [0.24702480374233923, -0.8093742938420982,
