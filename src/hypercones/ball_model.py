@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .minkowski import ETA, FourVector, LorentzTransform
 from .spherical import orthonormal_frame as _orthonormal_frame
 
@@ -58,9 +57,6 @@ class BallPoint:
         return isinstance(other, BallPoint) and bool(
             np.array_equal(self._v, other._v))
 
-    def approx_eq(self, other: "BallPoint", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self._v - other._v)) <= tol)
-
     def __repr__(self) -> str:
         return "BallPoint({}, {}, {})".format(*self._v)
 
@@ -70,7 +66,7 @@ class SphereDirection:
 
     __slots__ = ("_v",)
 
-    def __init__(self, v, *, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, v):
         v = np.array(v, dtype=float).reshape(3)
         n = np.linalg.norm(v)
         if abs(n - 1.0) > 1e-6:
@@ -94,9 +90,6 @@ class SphereDirection:
     def __eq__(self, other) -> bool:
         return isinstance(other, SphereDirection) and bool(
             np.array_equal(self._v, other._v))
-
-    def approx_eq(self, other: "SphereDirection", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self._v - other._v)) <= tol)
 
     def __repr__(self) -> str:
         return "SphereDirection({}, {}, {})".format(*self._v)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .ball_model import Hyperboloid
 from .cones import BallCone, disjoint, enclosing_cone
-from .config import Tolerances, DEFAULT_TOLERANCES
 from .constructions import (ConePath, path_connect,
                             path_connect_in_complement, translate_enclosure)
 from .errors import AdmissibilityError, ChargeMismatchError
@@ -182,14 +181,12 @@ def _check_frames(s: Morphism, t: Morphism) -> None:
         raise ChargeMismatchError("morphisms live on different shells")
 
 
-def compose(s: Morphism, t: Morphism,
-            tol: Tolerances = DEFAULT_TOLERANCES
-            ) -> Morphism | ComposedUnlocalized:
+def compose(s: Morphism, t: Morphism) -> Morphism | ComposedUnlocalized:
     """Composition: charges add; the localization is a cone enclosing both
     factors when one exists, otherwise the result is tagged unlocalized."""
     _check_frames(s, t)
     total = s.charge + t.charge
-    cover = enclosing_cone(s.localization, t.localization, tol)
+    cover = enclosing_cone(s.localization, t.localization)
     if cover is None:
         return ComposedUnlocalized(total, (s.localization, t.localization),
                                    s.shell)
@@ -202,8 +199,7 @@ def conjugate(s: Morphism) -> Morphism:
 
 
 def exchange_statistics(s: Morphism, t: Morphism,
-                        eps: StatisticsCharacter,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+                        eps: StatisticsCharacter) -> int:
     """Exchange sign of two same-charge carriers with disjoint
     localizations: the character value of their common charge."""
     _check_frames(s, t)
@@ -211,22 +207,21 @@ def exchange_statistics(s: Morphism, t: Morphism,
         raise ChargeMismatchError(
             "exchange statistics is defined for carriers of the same "
             "charge")
-    if not disjoint(s.localization, t.localization, tol).disjoint:
+    if not disjoint(s.localization, t.localization).disjoint:
         raise AdmissibilityError(
             "localizations are not spacelike separated; exchange needs "
             "disjoint cones (a common complement cone then always exists)")
     return eps.evaluate(s.charge)
 
 
-def intertwiner_region(s: Morphism, t: Morphism,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def intertwiner_region(s: Morphism, t: Morphism) -> BallCone:
     """Cone in which a unitary relating two same-charge carriers can be
     localized: any cone enclosing both localizations."""
     _check_frames(s, t)
     if s.charge != t.charge:
         raise ChargeMismatchError(
             "intertwiners only relate carriers of the same charge")
-    cover = enclosing_cone(s.localization, t.localization, tol)
+    cover = enclosing_cone(s.localization, t.localization)
     if cover is None:
         raise AdmissibilityError(
             "no cone encloses both localizations; shrink one side with "
@@ -236,14 +231,12 @@ def intertwiner_region(s: Morphism, t: Morphism,
 
 
 def transport_chain(s: Morphism, target: BallCone,
-                    forbidden: BallCone | None = None,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> ConePath:
+                    forbidden: BallCone | None = None) -> ConePath:
     """Certified cone path moving a carrier's localization to a target
     cone, optionally staying in the complement of a forbidden cone."""
     if forbidden is None:
-        return path_connect(s.localization, target, tol)
-    return path_connect_in_complement(forbidden, s.localization, target,
-                                      tol)
+        return path_connect(s.localization, target)
+    return path_connect_in_complement(forbidden, s.localization, target)
 
 
 def verify_group_axioms(group: ChargeGroup, eps: StatisticsCharacter,
@@ -279,12 +272,11 @@ def verify_group_axioms(group: ChargeGroup, eps: StatisticsCharacter,
     return AxiomReport(trials, tuple(violations))
 
 
-def shift_light_cone(s: Morphism, t0: FourVector,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> ShiftedMorphism:
+def shift_light_cone(s: Morphism, t0: FourVector) -> ShiftedMorphism:
     """Carrier as seen from a frame whose light cone apex moved down by
     t0: the charge is unchanged and the localization grows to a cone whose
     completion provably contains the original region shifted by t0."""
     if float(np.max(np.abs(t0.components))) <= 1e-15:
         return ShiftedMorphism(s, t0)
-    grown = translate_enclosure(s.localization, s.shell.tau, [t0], tol)
+    grown = translate_enclosure(s.localization, s.shell.tau, [t0])
     return ShiftedMorphism(Morphism(s.charge, grown, s.shell), t0)

@@ -2,7 +2,7 @@
 paths, section rendering, and the seeded self-test.
 
 Exit codes: 0 on success, 2 when a query hits a degenerate configuration
-(the answer would depend on tolerance), 1 on any error (bad file, bad
+(the answer would turn on rounding), 1 on any error (bad file, bad
 arguments or flags, failed construction).
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import scene as scene_io
 from .charges import ComposedUnlocalized, compose, exchange_statistics
-from .config import DEFAULT_TOLERANCES, Tolerances, load_tolerances
 from .cones import (BallCone, Hyperball, Hypercone, cone_leq, disjoint,
                     hyperball_in_cone, in_causal_completion, point_margin)
 from .constructions import (avoid_ball_inside, common_complement_cone,
@@ -105,7 +104,7 @@ def _parse_generator(text: str) -> LorentzTransform:
 # ------------------------------------------------------------------ check
 
 
-def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances) -> None:
+def _query_check(scene: scene_io.Scene, query: str) -> None:
     words = query.split()
     if not words:
         raise SceneError("empty query")
@@ -113,7 +112,7 @@ def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances) -> None:
 
     if op == "disjoint" and len(args) == 2:
         a, b = (_resolve_cone(scene, n) for n in args)
-        res = disjoint(a, b, tol)
+        res = disjoint(a, b)
         if res.disjoint:
             w, c = res.plane
             print(f"true, margin={res.margin:.6g}, "
@@ -125,7 +124,7 @@ def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances) -> None:
 
     if op == "leq" and len(args) == 2:
         a, b = (_resolve_cone(scene, n) for n in args)
-        res = cone_leq(a, b, tol)
+        res = cone_leq(a, b)
         print(f"{'true' if res.holds else 'false'}, "
               f"cap_margin={res.cap_margin:.6g}, "
               f"apex_margin={res.apex_margin:.6g}")
@@ -135,7 +134,7 @@ def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances) -> None:
         cone = _resolve_cone(scene, args[0])
         target = args[1]
         if target in scene.balls:
-            res = hyperball_in_cone(scene.balls[target], cone, tol)
+            res = hyperball_in_cone(scene.balls[target], cone)
             print(f"{'true' if res.holds else 'false'}, "
                   f"margin={res.margin:.6g}")
             return
@@ -154,13 +153,13 @@ def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances) -> None:
             raise SceneError(f"unknown event {args[0]!r}")
         cone = _resolve_cone(scene, args[1])
         inside = in_causal_completion(scene.events[args[0]],
-                                      Hypercone(scene.shell, cone), tol)
+                                      Hypercone(scene.shell, cone))
         print("true" if inside else "false")
         return
 
     if op == "compose" and len(args) == 2:
         s, t = (_resolve_morphism(scene, n) for n in args)
-        result = compose(s, t, tol)
+        result = compose(s, t)
         charge = _fmt_vec(result.charge.coords)
         if isinstance(result, ComposedUnlocalized):
             print(f"charge={charge}, unlocalized")
@@ -176,7 +175,7 @@ def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances) -> None:
         if scene.statistics is None:
             raise SceneError("scene has no statistics_signs")
         s, t = (_resolve_morphism(scene, n) for n in args)
-        sign = exchange_statistics(s, t, scene.statistics, tol)
+        sign = exchange_statistics(s, t, scene.statistics)
         print(f"{sign:+d}")
         return
 
@@ -188,9 +187,7 @@ def _query_check(scene: scene_io.Scene, query: str, tol: Tolerances) -> None:
 
 def cmd_check(ns) -> int:
     scene = scene_io.load(ns.scene)
-    tol = load_tolerances(ns.tolerances) if ns.tolerances \
-        else DEFAULT_TOLERANCES
-    _query_check(scene, ns.query, tol)
+    _query_check(scene, ns.query)
     return _EXIT_OK
 
 
@@ -214,8 +211,6 @@ def _append_cone(scene: scene_io.Scene, cone: BallCone,
 
 def cmd_construct(ns) -> int:
     scene = scene_io.load(ns.scene)
-    tol = load_tolerances(ns.tolerances) if ns.tolerances \
-        else DEFAULT_TOLERANCES
     lemma = ns.lemma.upper()
     names = ns.names
     shell = scene.shell
@@ -228,7 +223,7 @@ def cmd_construct(ns) -> int:
         need(2, "cone, probe ball")
         cone = _resolve_cone(scene, names[0])
         probe = _resolve_ball(scene, names[1])
-        funnel = funnel_in(cone, ns.depth, probe, tol)
+        funnel = funnel_in(cone, ns.depth, probe)
         added = [_append_cone(scene, c, "F") for c in funnel.cones]
         for i in range(len(added) - 1):
             _report(f"leq({added[i + 1]},{added[i]})", True)
@@ -239,7 +234,7 @@ def cmd_construct(ns) -> int:
         if len(names) < 2:
             raise SceneError("A2 needs at least two exhaustion cone names")
         cones = [_resolve_cone(scene, n) for n in names]
-        funnel = funnel_from_exhaustion(cones, tol)
+        funnel = funnel_from_exhaustion(cones)
         added = [_append_cone(scene, c, "Op") for c in funnel.cones]
         for i, nm in enumerate(added):
             _report(f"disjoint({nm},{names[i]})", True)
@@ -249,7 +244,7 @@ def cmd_construct(ns) -> int:
         need(2, "ball, cone")
         ball = _resolve_ball(scene, names[0])
         cone = _resolve_cone(scene, names[1])
-        result = avoid_ball_inside(ball, cone, tol)
+        result = avoid_ball_inside(ball, cone)
         name = _append_cone(scene, result)
         _report(f"leq({name},{names[1]})", True)
         _report(f"clear({name},{names[0]})", True)
@@ -259,7 +254,7 @@ def cmd_construct(ns) -> int:
         need(2, "ball, cone")
         ball = _resolve_ball(scene, names[0])
         cone = _resolve_cone(scene, names[1])
-        result = wrap_ball_in_complement(ball, cone, tol)
+        result = wrap_ball_in_complement(ball, cone)
         name = _append_cone(scene, result)
         _report(f"contains({name},{names[0]})", True)
         _report(f"disjoint({name},{names[1]})", True)
@@ -269,13 +264,13 @@ def cmd_construct(ns) -> int:
         if lemma == "A5":
             need(2, "cone, cone")
             path = path_connect(_resolve_cone(scene, names[0]),
-                                _resolve_cone(scene, names[1]), tol)
+                                _resolve_cone(scene, names[1]))
         else:
             need(3, "forbidden cone, cone, cone")
             path = path_connect_in_complement(
                 _resolve_cone(scene, names[0]),
                 _resolve_cone(scene, names[1]),
-                _resolve_cone(scene, names[2]), tol)
+                _resolve_cone(scene, names[2]))
         node_names = [_append_cone(scene, c, "P") for c in path.nodes]
         _report("path adjacency witnesses "
                 f"({len(path.witnesses)})", True)
@@ -284,8 +279,7 @@ def cmd_construct(ns) -> int:
     elif lemma == "A7":
         need(2, "cone, cone")
         result = shrink_for_connectivity(_resolve_cone(scene, names[0]),
-                                         _resolve_cone(scene, names[1]),
-                                         tol)
+                                         _resolve_cone(scene, names[1]))
         name = _append_cone(scene, result)
         _report(f"leq({name},{names[0]})", True)
         print(f"witness cone: {name}")
@@ -294,7 +288,7 @@ def cmd_construct(ns) -> int:
         need(2, "cone, cone")
         a = _resolve_cone(scene, names[0])
         b = _resolve_cone(scene, names[1])
-        result = common_complement_cone(a, b, tol)
+        result = common_complement_cone(a, b)
         name = _append_cone(scene, result)
         _report(f"disjoint({name},{names[0]})", True)
         _report(f"disjoint({name},{names[1]})", True)
@@ -304,7 +298,7 @@ def cmd_construct(ns) -> int:
         need(1, "cone")
         cone = _resolve_cone(scene, names[0])
         op = enclose_shadow if lemma == "A9" else shrink_across_shells
-        result = op(cone, ns.sigma, ns.tau, tol)
+        result = op(cone, ns.sigma, ns.tau)
         name = _append_cone(scene, result)
         label = "contains-shadow" if lemma == "A9" else "shadow-inside"
         _report(f"{label}({name},{names[0]})", True,
@@ -314,18 +308,17 @@ def cmd_construct(ns) -> int:
     elif lemma == "A11":
         need(1, "cone")
         cone = _resolve_cone(scene, names[0])
-        family = contracting_boosts(cone, tol)
+        family = contracting_boosts(cone)
         print(f"contracting directions: {len(family.directions)}, "
               f"cap half-angle {math.degrees(family.half_angle):.4g} deg")
         from .cones import map_cone
         for chi in (0.5, 1.0, 2.0):
             g = family.boost_maker(family.directions[0], chi)
             _report(f"leq(boosted(chi={chi:g}),{names[0]})",
-                    bool(cone_leq(map_cone(g, cone), cone, tol)))
+                    bool(cone_leq(map_cone(g, cone), cone)))
         if ns.ball:
             ball = _resolve_ball(scene, ns.ball)
-            n = escape_ball(cone, ball, family.directions[0], ns.nmax,
-                            tol)
+            n = escape_ball(cone, ball, family.directions[0], ns.nmax)
             _report(f"escape({names[0]},{ns.ball})", True, f"n={n}")
             print(f"escape count: {n}")
 
@@ -335,7 +328,7 @@ def cmd_construct(ns) -> int:
         if not ns.generator:
             raise SceneError("A12 needs at least one --generator")
         gens = [_parse_generator(g) for g in ns.generator]
-        result = robust_enclosure_lorentz(cone, gens, tol)
+        result = robust_enclosure_lorentz(cone, gens)
         name = _append_cone(scene, result)
         _report(f"contains-orbit({name},{names[0]})", True,
                 f"generators={len(gens)}")
@@ -347,7 +340,7 @@ def cmd_construct(ns) -> int:
         if not ns.t:
             raise SceneError("A13 needs at least one --t translation")
         translations = [_parse_four_vector(t) for t in ns.t]
-        result = translate_enclosure(cone, scene.tau, translations, tol)
+        result = translate_enclosure(cone, scene.tau, translations)
         name = _append_cone(scene, result)
         _report(f"contains-shifted-completion({name},{names[0]})", True,
                 f"translations={len(translations)}")
@@ -367,15 +360,13 @@ def cmd_construct(ns) -> int:
 
 def cmd_path(ns) -> int:
     scene = scene_io.load(ns.scene)
-    tol = load_tolerances(ns.tolerances) if ns.tolerances \
-        else DEFAULT_TOLERANCES
     a = _resolve_cone(scene, ns.start)
     b = _resolve_cone(scene, ns.goal)
     if ns.forbidden:
         forb = _resolve_cone(scene, ns.forbidden)
-        path = path_connect_in_complement(forb, a, b, tol)
+        path = path_connect_in_complement(forb, a, b)
     else:
-        path = path_connect(a, b, tol)
+        path = path_connect(a, b)
     node_names = [_append_cone(scene, c, "P") for c in path.nodes]
     print(f"path: {len(path.nodes)} nodes, {len(path.witnesses)} "
           f"witnesses: {', '.join(node_names)}")
@@ -399,10 +390,8 @@ def cmd_render(ns) -> int:
 
 
 def cmd_selftest(ns) -> int:
-    tol = load_tolerances(ns.tolerances) if ns.tolerances \
-        else DEFAULT_TOLERANCES
     started = time.monotonic()
-    report, ok = run_selftest(seed=ns.seed, budget=ns.budget, tol=tol)
+    report, ok = run_selftest(seed=ns.seed, budget=ns.budget)
     sys.stdout.write(report)
     print(f"elapsed: {time.monotonic() - started:.1f}s", file=sys.stderr)
     return _EXIT_OK if ok else _EXIT_ERROR
@@ -420,11 +409,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tolerances", metavar="FILE",
-                        help="JSON tolerance overrides")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hypercones",
@@ -435,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate one predicate on a scene")
     p.add_argument("scene")
     p.add_argument("query", help="e.g. 'disjoint A B' or 'compose s t'")
-    _add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct",
@@ -456,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", action="append", default=[],
                    help="translation t0,t1,t2,t3 (A13)")
     p.add_argument("--out", help="write the extended scene here")
-    _add_common(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("path", help="certified cone path between two cones")
@@ -465,14 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("goal")
     p.add_argument("--forbidden", help="cone the path must stay clear of")
     p.add_argument("--out", help="write the extended scene here")
-    _add_common(p)
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("render", help="draw a planar section as SVG")
     p.add_argument("scene")
     p.add_argument("--plane", default="z=0", help="section plane, e.g. z=0")
     p.add_argument("--out", required=True, help="output SVG path")
-    _add_common(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("selftest", help="run the seeded property suite")
@@ -480,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed of the property suite")
     p.add_argument("--budget", type=float, default=1.0,
                    help="scale factor of the property suite's trial counts")
-    _add_common(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -32,7 +32,7 @@ import numpy as np
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          cap_image, lorentz_ball_action, ray_exits,
                          shadow_radius)
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .convex import Ellipsoid, hyperball_ellipsoid
 from .errors import DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
@@ -312,22 +312,21 @@ class LeqResult:
         return self.holds
 
 
-def cone_leq(inner: BallCone, outer: BallCone,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> LeqResult:
+def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
     """Closed containment inner <= outer (a partial order on cones).
 
     The closed hull of a cone is generated by its apex and its cap region,
     and the sphere trace of the outer hull is exactly the outer cap, so the
     test is: inner cap included in outer cap, and inner apex in the outer
-    closed hull. Both parts are exact up to the configured slacks.
+    closed hull. Both parts are exact up to the fixed slacks.
     """
     gamma = angle_between(inner.base.axis.v, outer.base.axis.v)
     cap_margin = outer.base.half_angle - inner.base.half_angle - gamma
     apex = inner.apex.v.tolist()
     apex_margin = (0.0 if math.dist(apex, outer.apex.v.tolist()) < 1e-15
                    else outer.margin(apex))
-    holds = (cap_margin >= -tol.cap_angle_slack
-             and apex_margin >= -tol.containment_slack)
+    holds = (cap_margin >= -DEFAULT_TOLERANCES.cap_angle_slack
+             and apex_margin >= -DEFAULT_TOLERANCES.containment_slack)
     return LeqResult(holds, cap_margin, apex_margin)
 
 
@@ -513,8 +512,7 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
     return DisjointResult(False, -depth, None, np.array(p))
 
 
-def disjoint(k1: BallCone, k2: BallCone,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> DisjointResult:
+def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
     """Whether two open cones have empty intersection.
 
     In k1's apex frame k1 is the open sector over its image cap (n1, psi1)
@@ -528,7 +526,7 @@ def disjoint(k1: BallCone, k2: BallCone,
     deepest and the margin minus its cos-depth, its lesser cos-space margin
     (_overlap). A margin inside the window raises DegenerateGeometry.
     """
-    window = tol.degenerate_window
+    window = DEFAULT_TOLERANCES.degenerate_window
     m = k1.apex_frame_scalars[:16]
     a1 = k1.apex.v.tolist()
     q, inner = None, -math.inf
@@ -574,8 +572,7 @@ def opposite(cone: BallCone) -> BallCone:
     return BallCone(cone.apex, cap_image(frame.inverse(), flipped))
 
 
-def _covering_cap(caps: list[Cap], pad: float,
-                  tol: Tolerances) -> Cap | None:
+def _covering_cap(caps: list[Cap], pad: float) -> Cap | None:
     """Smallest-ish cap containing the given caps, padded; None when the
     required half-angle leaves the valid range."""
     axis = caps[0].axis.v
@@ -591,7 +588,7 @@ def _covering_cap(caps: list[Cap], pad: float,
         axis = rotate_toward(axis, cap.axis.v, new_half - half)
         half = new_half
     half += pad
-    if half >= math.pi - tol.cap_limit:
+    if half >= math.pi - DEFAULT_TOLERANCES.cap_limit:
         return None
     return Cap(SphereDirection.normalized(axis), half)
 
@@ -600,8 +597,7 @@ _APEX_DEPTH_LADDER = (0.5, 0.75, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6,
                       1.0 - 1e-8)
 
 
-def enclosing_cone(k1: BallCone, k2: BallCone,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone | None:
+def enclosing_cone(k1: BallCone, k2: BallCone) -> BallCone | None:
     """Smallest-effort common upper bound of two cones, or None.
 
     Covers both caps by one padded cap and walks the apex down the ray
@@ -609,12 +605,12 @@ def enclosing_cone(k1: BallCone, k2: BallCone,
     (returns None) when the covering cap would exceed the valid range or no
     ladder depth works.
     """
-    if cone_leq(k1, k2, tol):
+    if cone_leq(k1, k2):
         return k2
-    if cone_leq(k2, k1, tol):
+    if cone_leq(k2, k1):
         return k1
     for pad in (0.02, 0.1, 0.25):
-        cover = _covering_cap([k1.base, k2.base], pad, tol)
+        cover = _covering_cap([k1.base, k2.base], pad)
         if cover is None:
             return None
         for rho in _APEX_DEPTH_LADDER:
@@ -622,7 +618,7 @@ def enclosing_cone(k1: BallCone, k2: BallCone,
             if float(cover.axis.v @ apex.v) >= cover.cos_half:
                 continue
             candidate = BallCone(apex, cover)
-            if cone_leq(k1, candidate, tol) and cone_leq(k2, candidate, tol):
+            if cone_leq(k1, candidate) and cone_leq(k2, candidate):
                 return candidate
     return None
 
@@ -783,8 +779,7 @@ def _cone_clearance(inner: BallCone, outer: BallCone, tau: float,
     return tau * math.asinh(_plane_margin(inner, outer, tau, seeds=seeds))
 
 
-def hyperball_in_cone(ball: Hyperball, cone: BallCone,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> InclusionResult:
+def hyperball_in_cone(ball: Hyperball, cone: BallCone) -> InclusionResult:
     """Whether a closed metric ball lies inside the open cone.
 
     The ball is inside exactly when its center is inside and the center's
@@ -797,14 +792,13 @@ def hyperball_in_cone(ball: Hyperball, cone: BallCone,
     boundary, inside = _frame_clearance(cone, ball.center.v.tolist(),
                                         ball.shell.tau)
     margin = boundary - ball.radius if inside else -(boundary + ball.radius)
-    if abs(boundary - ball.radius) <= tol.degenerate_window:
+    if abs(boundary - ball.radius) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry(
             "ball touches the cone boundary within the window")
     return InclusionResult(inside and boundary > ball.radius, float(margin))
 
 
-def in_causal_completion(x: FourVector, region: Hypercone,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
     """Whether a forward-cone event belongs to the causal completion of the
     region a cone spans on the shell.
 
@@ -822,10 +816,10 @@ def in_causal_completion(x: FourVector, region: Hypercone,
     x0, x1, x2, x3 = a.tolist()
     rr = x1 * x1 + x2 * x2 + x3 * x3
     square = x0 * x0 - rr
-    if (x0 < math.sqrt(rr) - tol.linear_identity or x0 <= 0.0
-            or not math.isfinite(square)):
+    eps = DEFAULT_TOLERANCES.linear_identity
+    if x0 < math.sqrt(rr) - eps or x0 <= 0.0 or not math.isfinite(square):
         raise ValueError("event must lie in the closed forward cone")
-    if square <= tol.linear_identity:
+    if square <= eps:
         return False
     u = (x1 / x0, x2 / x0, x3 / x0)
     if not math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) < 1.0:
@@ -835,7 +829,7 @@ def in_causal_completion(x: FourVector, region: Hypercone,
     if radius <= 1e-15 * tau:
         return contains_point(region.cone, BallPoint(u))
     boundary, inside = _frame_clearance(region.cone, u, tau)
-    if abs(boundary - radius) <= tol.degenerate_window:
+    if abs(boundary - radius) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry(
             "ball touches the cone boundary within the window")
     return inside and boundary > radius
@@ -847,9 +841,8 @@ def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
                     cap_image(transform, cone.base))
 
 
-def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball,
-                            tol: Tolerances = DEFAULT_TOLERANCES
-                            ) -> DisjointResult:
+def cone_hyperball_disjoint(cone: BallCone,
+                            ball: Hyperball) -> DisjointResult:
     """Disjointness of a cone from a closed metric ball, with the contract
     of `disjoint` and its margin in shell distance.
 
@@ -866,7 +859,7 @@ def cone_hyperball_disjoint(cone: BallCone, ball: Hyperball,
     tau, radius = ball.shell.tau, ball.radius
     dist, inside = _frame_clearance(cone, ball.center.v.tolist(), tau)
     margin = -(dist + radius) if inside else dist - radius
-    if abs(margin) <= tol.degenerate_window:
+    if abs(margin) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry(
             "ball touches the cone boundary within the window")
     *m, nx, ny, nz, psi = cone.apex_frame_scalars

@@ -1,17 +1,16 @@
-"""Centralized numeric tolerances.
+"""The package's fixed numeric thresholds.
 
-Every predicate and construction in the package reads its thresholds from a
-single :class:`Tolerances` record, so a test run or a CLI invocation can
-tighten or loosen everything in one place. No construction draws samples:
-each is certified by exact predicates, so there is no sampling budget to
-set.
+:data:`DEFAULT_TOLERANCES` holds the thresholds that the predicates,
+constructions and self-test share. Each reads the fields it needs where it
+uses them and nothing sets them per call, so every answer depends on its
+inputs alone. No construction draws samples: each is certified by exact
+predicates, so there is no sampling budget either.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
-__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "load_tolerances"]
+__all__ = ["Tolerances", "DEFAULT_TOLERANCES"]
 
 
 @dataclass(frozen=True)
@@ -37,13 +36,3 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-
-def load_tolerances(path: str) -> Tolerances:
-    """Read a tolerance override file (JSON object of field -> value)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    known = {f.name for f in fields(Tolerances)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown tolerance fields: {sorted(unknown)}")
-    return replace(DEFAULT_TOLERANCES, **data)

@@ -31,7 +31,7 @@ from .cones import (BallCone, Hyperball, _cone_clearance, _plane_margin,
                     _covering_cap, _min_boundary_distance, apex_boost,
                     cone_hyperball_disjoint, cone_leq, disjoint,
                     hyperball_in_cone, map_cone, opposite)
-from .config import Tolerances, DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
 from .spherical import angle_between, orthonormal_frame, rotate_toward, slerp
@@ -92,25 +92,24 @@ def _require(condition: bool, message: str,
         raise ConstructionFailure(message, failing_index=failing_index)
 
 
-def _is_disjoint(a: BallCone, b: BallCone, tol: Tolerances) -> bool:
+def _is_disjoint(a: BallCone, b: BallCone) -> bool:
     """Disjointness as a boolean search primitive: contact inside the
     degenerate window counts as not-yet-separated."""
     try:
-        return bool(disjoint(a, b, tol))
+        return bool(disjoint(a, b))
     except DegenerateGeometry:
         return False
 
 
-def _ball_clear(cone: BallCone, ball: Hyperball, tol: Tolerances) -> bool:
+def _ball_clear(cone: BallCone, ball: Hyperball) -> bool:
     try:
-        return bool(cone_hyperball_disjoint(cone, ball, tol))
+        return bool(cone_hyperball_disjoint(cone, ball))
     except DegenerateGeometry:
         return False
 
 
-def _chord_levels(cone: BallCone, target: np.ndarray, count: int,
-                  tol: Tolerances, *, psi_floor: float = 1e-7
-                  ) -> list[BallCone]:
+def _chord_levels(cone: BallCone, target: np.ndarray,
+                  count: int) -> list[BallCone]:
     """Nested cones marching along the chord from the apex to a point of the
     base circle, caps internally tangent at the target.
 
@@ -124,11 +123,11 @@ def _chord_levels(cone: BallCone, target: np.ndarray, count: int,
     levels: list[BallCone] = []
     for n in range(1, count + 1):
         shrink = 0.5 ** n
-        psi = max(psi0 * shrink, psi_floor)
+        psi = max(psi0 * shrink, 1e-7)
         axis = rotate_toward(axis0, target, psi0 - psi)
         apex = target - shrink * chord
         validity = shrink * float(axis @ chord)
-        if validity <= 10.0 * tol.pointedness:
+        if validity <= 10.0 * DEFAULT_TOLERANCES.pointedness:
             break
         levels.append(BallCone(BallPoint(apex),
                                Cap(SphereDirection.normalized(axis), psi)))
@@ -148,6 +147,14 @@ def _steer_target(cone: BallCone, away_from: np.ndarray) -> np.ndarray:
     return math.cos(psi) * n + math.sin(psi) * e
 
 
+def _cap_fits(psi: float, height: float) -> bool:
+    """Whether a cap of half-angle psi stays clear of the covering limit
+    and an apex at `height` along its axis sits clearly below its
+    base-circle plane."""
+    return (psi < math.pi - DEFAULT_TOLERANCES.cap_limit
+            and height < math.cos(psi) - 10.0 * DEFAULT_TOLERANCES.pointedness)
+
+
 def _thin_cone(direction: np.ndarray, half_angle: float,
                depth: float) -> BallCone | None:
     """Cone with near-sphere apex (1-depth)*direction and cap around the
@@ -162,8 +169,7 @@ def _thin_cone(direction: np.ndarray, half_angle: float,
 # funnels
 
 
-def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> Funnel:
+def funnel_in(cone: BallCone, depth: int, probe: Hyperball) -> Funnel:
     """Decreasing sequence of `depth` cones inside `cone` whose last member
     has a hull disjoint from the probe ball's hull.
 
@@ -174,10 +180,10 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
     if depth < 1:
         raise ValueError("depth must be at least 1")
     target = _steer_target(cone, probe.center.v)
-    levels = _chord_levels(cone, target, max(depth, _SEARCH_ROUNDS), tol)
+    levels = _chord_levels(cone, target, max(depth, _SEARCH_ROUNDS))
     _require(bool(levels), "no valid shrinking levels inside the cone")
     cleared = next((i for i, lv in enumerate(levels)
-                    if _ball_clear(lv, probe, tol)), None)
+                    if _ball_clear(lv, probe)), None)
     _require(cleared is not None,
              "collapsing levels never separated from the probe ball")
     if cleared + 1 <= depth:
@@ -186,19 +192,18 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball,
             chosen = chosen + [chosen[-1]] * (depth - len(chosen))
     else:
         chosen = levels[cleared - depth + 1: cleared + 1]
-    _require(bool(cone_leq(chosen[0], cone, tol)),
+    _require(bool(cone_leq(chosen[0], cone)),
              "first funnel member is not inside the source cone", 0)
     for i in range(len(chosen) - 1):
-        _require(bool(cone_leq(chosen[i + 1], chosen[i], tol)),
+        _require(bool(cone_leq(chosen[i + 1], chosen[i])),
                  "funnel members are not decreasing", i)
-    _require(_ball_clear(chosen[-1], probe, tol),
+    _require(_ball_clear(chosen[-1], probe),
              "last funnel member still meets the probe ball",
              len(chosen) - 1)
     return Funnel(tuple(chosen), len(chosen), probe)
 
 
-def funnel_from_exhaustion(cones: Sequence[BallCone],
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> Funnel:
+def funnel_from_exhaustion(cones: Sequence[BallCone]) -> Funnel:
     """Decreasing funnel of subcones of the opposites of an increasing
     sequence.
 
@@ -219,23 +224,23 @@ def funnel_from_exhaustion(cones: Sequence[BallCone],
     if not members:
         raise ValueError("need at least one cone")
     for i in range(len(members) - 1):
-        if not cone_leq(members[i], members[i + 1], tol):
+        if not cone_leq(members[i], members[i + 1]):
             raise ValueError(f"input sequence is not increasing at index {i}")
     funnel = [opposite(members[0])]
     for i, src in enumerate(members[1:]):
         prev = funnel[-1]
         opp = opposite(src)
-        if not cone_leq(opp, prev, tol):
+        if not cone_leq(opp, prev):
             lens = _lens_cap(opp.base, prev.base)
             _require(lens is not None,
                      "opposite cap misses its predecessor's cap", i)
             opp = BallCone(opp.apex, lens)
-            _require(bool(cone_leq(opp, prev, tol)),
+            _require(bool(cone_leq(opp, prev)),
                      "clipped opposite cone is not inside its predecessor",
                      i)
         funnel.append(opp)
     for i, (vis, src) in enumerate(zip(funnel, members)):
-        _require(_is_disjoint(vis, src, tol),
+        _require(_is_disjoint(vis, src),
                  "opposite cone meets its source cone", i)
     return Funnel(tuple(funnel), len(funnel), None)
 
@@ -260,18 +265,17 @@ def _lens_cap(a: Cap, b: Cap) -> Cap | None:
 # dodging and wrapping balls
 
 
-def avoid_ball_inside(ball: Hyperball, cone: BallCone,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def avoid_ball_inside(ball: Hyperball, cone: BallCone) -> BallCone:
     """Subcone of `cone` whose hull avoids the ball's hull.
 
     Marches the apex along a chord toward the base circle, steered away
     from the ball, until the hulls separate.
     """
     target = _steer_target(cone, ball.center.v)
-    levels = _chord_levels(cone, target, _SEARCH_ROUNDS, tol)
+    levels = _chord_levels(cone, target, _SEARCH_ROUNDS)
     for i, level in enumerate(levels):
-        if _ball_clear(level, ball, tol):
-            _require(bool(cone_leq(level, cone, tol)),
+        if _ball_clear(level, ball):
+            _require(bool(cone_leq(level, cone)),
                      "separated level escaped the source cone", i)
             return level
     raise ConstructionFailure(
@@ -279,8 +283,7 @@ def avoid_ball_inside(ball: Hyperball, cone: BallCone,
         "exhausted its validity range")
 
 
-def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
     """Cone containing the ball while staying disjoint from `cone`.
 
     Requires the ball's hull disjoint from the cone's hull.  The apex is
@@ -293,7 +296,7 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
     Groups, ch. 7). The cap about c' of half-angle A plus a pad is carried
     back by the inverse frame (cap_image).
     """
-    sep = cone_hyperball_disjoint(cone, ball, tol)
+    sep = cone_hyperball_disjoint(cone, ball)
     if not sep.disjoint:
         raise ValueError("ball must be disjoint from the cone")
     w, c = sep.plane  # cone on the positive side
@@ -314,14 +317,12 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
             continue
         cap = cap_image(frame.inverse(),
                         Cap(SphereDirection.normalized(seen), half))
-        if cap.half_angle >= math.pi - tol.cap_limit:
-            continue
-        if float(cap.axis.v @ apex) >= cap.cos_half - 10.0 * tol.pointedness:
+        if not _cap_fits(cap.half_angle, float(cap.axis.v @ apex)):
             continue
         region = BallCone(BallPoint(apex), cap)
         try:
-            inside = hyperball_in_cone(ball, region, tol)
-            clear = disjoint(region, cone, tol)
+            inside = hyperball_in_cone(ball, region)
+            clear = disjoint(region, cone)
         except DegenerateGeometry:
             continue
         if inside.holds and clear.disjoint:
@@ -335,8 +336,7 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone,
 # interpolation paths
 
 
-def _common_subcone(a: BallCone, b: BallCone,
-                    tol: Tolerances) -> BallCone | None:
+def _common_subcone(a: BallCone, b: BallCone) -> BallCone | None:
     """Cone inside both inputs, or None when their caps barely overlap."""
     gamma = angle_between(a.base.axis.v, b.base.axis.v)
     psi_a, psi_b = a.base.half_angle, b.base.half_angle
@@ -357,9 +357,9 @@ def _common_subcone(a: BallCone, b: BallCone,
         if witness is None:
             continue
         p = witness.apex.v.tolist()
-        if (a.margin(p) >= -tol.containment_slack
-                and b.margin(p) >= -tol.containment_slack):
-            if cone_leq(witness, a, tol) and cone_leq(witness, b, tol):
+        if (a.margin(p) >= -DEFAULT_TOLERANCES.containment_slack
+                and b.margin(p) >= -DEFAULT_TOLERANCES.containment_slack):
+            if cone_leq(witness, a) and cone_leq(witness, b):
                 return witness
     return None
 
@@ -383,17 +383,15 @@ def _same_cone(a: BallCone, b: BallCone) -> bool:
             and abs(a.base.half_angle - b.base.half_angle) <= 1e-14)
 
 
-def _certify_path(path: ConePath, tol: Tolerances) -> None:
+def _certify_path(path: ConePath) -> None:
     for i, w in enumerate(path.witnesses):
-        _require(bool(cone_leq(w, path.nodes[i], tol)),
+        _require(bool(cone_leq(w, path.nodes[i])),
                  "path witness escapes its left node", i)
-        _require(bool(cone_leq(w, path.nodes[i + 1], tol)),
+        _require(bool(cone_leq(w, path.nodes[i + 1])),
                  "path witness escapes its right node", i)
 
 
-def path_connect(cone_a: BallCone, cone_b: BallCone,
-                 tol: Tolerances = DEFAULT_TOLERANCES,
-                 max_subdivisions: int = 10) -> ConePath:
+def path_connect(cone_a: BallCone, cone_b: BallCone) -> ConePath:
     """Cone sequence from `cone_a` to `cone_b` where every adjacent pair
     shares a certified common subcone.
 
@@ -402,7 +400,7 @@ def path_connect(cone_a: BallCone, cone_b: BallCone,
     """
     if _same_cone(cone_a, cone_b):
         return ConePath((cone_a,), ())
-    for k in range(max_subdivisions + 1):
+    for k in range(11):  # up to 2^10 segments
         n = 2 ** k
         inner = [_blend_cone(cone_a, cone_b, i / n) for i in range(1, n)]
         if any(c is None for c in inner):
@@ -410,13 +408,13 @@ def path_connect(cone_a: BallCone, cone_b: BallCone,
         nodes = [cone_a, *inner, cone_b]
         witnesses = []
         for i in range(len(nodes) - 1):
-            w = _common_subcone(nodes[i], nodes[i + 1], tol)
+            w = _common_subcone(nodes[i], nodes[i + 1])
             if w is None:
                 break
             witnesses.append(w)
         else:
             path = ConePath(tuple(nodes), tuple(witnesses))
-            _certify_path(path, tol)
+            _certify_path(path)
             return path
     raise ConstructionFailure(
         "no subdivision produced common subcones along the whole path")
@@ -431,9 +429,7 @@ def _azimuth(d: np.ndarray, pole: np.ndarray, e1: np.ndarray,
 
 
 def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
-                               cone_b: BallCone,
-                               tol: Tolerances = DEFAULT_TOLERANCES
-                               ) -> ConePath:
+                               cone_b: BallCone) -> ConePath:
     """Cone path from `cone_a` to `cone_b` all of whose nodes and witnesses
     stay disjoint from the forbidden cone.
 
@@ -442,7 +438,7 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
     must be disjoint from the forbidden cone.
     """
     for c, name in ((cone_a, "first"), (cone_b, "second")):
-        if not disjoint(forbidden, c, tol).disjoint:
+        if not disjoint(forbidden, c).disjoint:
             raise ValueError(f"{name} endpoint is not disjoint from the "
                              "forbidden cone")
     if _same_cone(cone_a, cone_b):
@@ -490,19 +486,19 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
         if any(t is None for t in thin):
             continue
         nodes = [cone_a, *thin, cone_b]
-        if not all(_is_disjoint(node, forbidden, tol) for node in thin):
+        if not all(_is_disjoint(node, forbidden) for node in thin):
             continue
         witnesses = []
         for i in range(len(nodes) - 1):
-            w = _common_subcone(nodes[i], nodes[i + 1], tol)
-            if w is None or not _is_disjoint(w, forbidden, tol):
+            w = _common_subcone(nodes[i], nodes[i + 1])
+            if w is None or not _is_disjoint(w, forbidden):
                 break
             witnesses.append(w)
         else:
             path = ConePath(tuple(nodes), tuple(witnesses))
-            _certify_path(path, tol)
+            _certify_path(path)
             for i, node in enumerate(path.nodes[1:-1], start=1):
-                _require(_is_disjoint(node, forbidden, tol),
+                _require(_is_disjoint(node, forbidden),
                          "path node meets the forbidden cone", i)
             return path
     raise ConstructionFailure(
@@ -513,8 +509,7 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
 # complement constructions
 
 
-def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone,
-                            tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     """Subcone of `cone_a` whose complement meshes with that of `cone_b`.
 
     When the caps are separated the result is additionally disjoint from
@@ -523,20 +518,20 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone,
     """
     gamma = angle_between(cone_a.base.axis.v, cone_b.base.axis.v)
     total = cone_a.base.half_angle + cone_b.base.half_angle
-    if abs(gamma - total) <= tol.degenerate_window:
+    if abs(gamma - total) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry("cap boundaries are tangent; perturb inputs")
     if gamma > total:
         target = _steer_target(cone_a, cone_b.base.axis.v)
-        for i, level in enumerate(_chord_levels(cone_a, target,
-                                                _SEARCH_ROUNDS, tol)):
-            if _is_disjoint(level, cone_b, tol):
-                _require(bool(cone_leq(level, cone_a, tol)),
+        levels = _chord_levels(cone_a, target, _SEARCH_ROUNDS)
+        for i, level in enumerate(levels):
+            if _is_disjoint(level, cone_b):
+                _require(bool(cone_leq(level, cone_a)),
                          "shrunken cone escaped its source", i)
                 return level
         raise ConstructionFailure(
             "apex march never separated the shrunken cone from the second "
             "cone")
-    sub = _common_subcone(cone_a, cone_b, tol)
+    sub = _common_subcone(cone_a, cone_b)
     _require(sub is not None,
              "cap overlap too thin to host a common subcone")
     return sub
@@ -564,8 +559,7 @@ def _clearest_direction(cap_a: Cap, cap_b: Cap) -> tuple[np.ndarray, float]:
     return rotate_toward(-a, -b, t), clear
 
 
-def common_complement_cone(cone_a: BallCone, cone_b: BallCone,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     """Cone disjoint from both inputs; the inputs must be disjoint.
 
     Aims a thin near-sphere cone at the direction with the largest angular
@@ -573,7 +567,7 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone,
     closed form (_clearest_direction), and deepens its apex until both
     disjointness certificates hold.
     """
-    if not disjoint(cone_a, cone_b, tol).disjoint:
+    if not disjoint(cone_a, cone_b).disjoint:
         raise ValueError("input cones must be disjoint")
     m, clear = _clearest_direction(cone_a.base, cone_b.base)
     _require(clear > 1e-6, "no direction clears both closed caps")
@@ -582,8 +576,7 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone,
         witness = _thin_cone(m, psi, 0.5 ** n_)
         if witness is None:
             break
-        if (_is_disjoint(witness, cone_a, tol)
-                and _is_disjoint(witness, cone_b, tol)):
+        if _is_disjoint(witness, cone_a) and _is_disjoint(witness, cone_b):
             return witness
     raise ConstructionFailure(
         "thin cone in the cleared direction never separated from both "
@@ -605,22 +598,21 @@ def _grow_pad(cone: BallCone) -> BallCone:
 
 
 def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
-                   tau: float, tol: Tolerances) -> bool:
+                   tau: float) -> bool:
     """Whether the metric ball of the given radius on shell `tau` about
     every point of `inner` lies inside `outer`: inner <= outer, and the
     exact clearance of inner from outer's boundary (_cone_clearance)
     exceeds the radius by more than the degenerate window. The clearance
     of inner's apex alone, a closed form, turns most ladder steps away
     first."""
-    window = tol.degenerate_window
-    return (bool(cone_leq(inner, outer, tol))
+    window = DEFAULT_TOLERANCES.degenerate_window
+    return (bool(cone_leq(inner, outer))
             and _min_boundary_distance(outer, inner.apex, tau) - radius
             > window
             and _cone_clearance(inner, outer, tau) - radius > window)
 
 
-def enclose_shadow(cone: BallCone, sigma: float, tau: float,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def enclose_shadow(cone: BallCone, sigma: float, tau: float) -> BallCone:
     """Cone on shell `tau` containing the causal shadow of a cone region
     living on shell `sigma`.
 
@@ -634,7 +626,7 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float,
     radius = shadow_radius(sigma, tau)
     if radius <= 1e-12 * tau:
         grown = _grow_pad(cone)
-        _require(bool(cone_leq(cone, grown, tol)),
+        _require(bool(cone_leq(cone, grown)),
                  "padded copy failed to contain the source cone")
         return grown
     axis = cone.base.axis.v
@@ -643,20 +635,17 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float,
                                       (0.0, 0.3, 0.6, 0.85, 0.97,
                                        0.995, 0.9995)):
         psi = cone.base.half_angle + pad
-        if psi >= math.pi - tol.cap_limit:
-            continue
-        if -rho >= math.cos(psi) - 10.0 * tol.pointedness:
+        if not _cap_fits(psi, -rho):
             continue
         region = BallCone(BallPoint(-rho * axis),
                           Cap(cone.base.axis, psi))
-        if _shadow_inside(cone, region, radius, tau, tol):
+        if _shadow_inside(cone, region, radius, tau):
             return region
     raise ConstructionFailure(
         "no padded cap enclosed the cross-shell shadow of the cone")
 
 
-def shrink_across_shells(cone: BallCone, sigma: float, tau: float,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
     """Cone on shell `tau` sitting so deep inside `cone` that even its
     cross-shell shadow stays inside `cone`.
 
@@ -669,15 +658,14 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float,
     if radius <= 1e-12 * tau:
         psi = max(cone.base.half_angle - 0.01, 0.5 * cone.base.half_angle)
         inner = BallCone(cone.apex, Cap(cone.base.axis, psi))
-        _require(bool(cone_leq(inner, cone, tol)),
+        _require(bool(cone_leq(inner, cone)),
                  "trimmed copy failed to stay inside the source cone")
         return inner
     axis = cone.base.axis.v
     psi0 = min(0.5 * cone.base.half_angle, 0.15)
     for j, n_ in itertools.product(range(4), range(1, 31)):
         witness = _thin_cone(axis, psi0 * (0.5 ** j), 0.5 ** n_)
-        if witness is not None and _shadow_inside(witness, cone, radius,
-                                                  tau, tol):
+        if witness is not None and _shadow_inside(witness, cone, radius, tau):
             return witness
     raise ConstructionFailure(
         "no thin axial cone kept its cross-shell shadow inside the source "
@@ -688,9 +676,7 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float,
 # boosts and robustness
 
 
-def contracting_boosts(cone: BallCone,
-                       tol: Tolerances = DEFAULT_TOLERANCES
-                       ) -> ContractingBoosts:
+def contracting_boosts(cone: BallCone) -> ContractingBoosts:
     """Open direction family and boost factory contracting a cone into
     itself.
 
@@ -719,33 +705,31 @@ def contracting_boosts(cone: BallCone,
     for d in directions[:3]:
         for chi in (0.5, 1.0, 2.0):
             mapped = map_cone(maker(d, chi), cone)
-            _require(bool(cone_leq(mapped, cone, tol)),
+            _require(bool(cone_leq(mapped, cone)),
                      "boosted cone escaped the source cone")
     return ContractingBoosts(directions, psi, maker)
 
 
 def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
-                nmax: int,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+                nmax: int) -> int:
     """Smallest boost count n <= nmax whose contraction of the cone clears
     the ball; the direction must be admissible for `contracting_boosts`.
     """
-    family = contracting_boosts(cone, tol)
+    family = contracting_boosts(cone)
     for n in range(nmax + 1):
         mapped = cone if n == 0 else map_cone(
             family.boost_maker(direction, float(n)), cone)
-        if n > 0 and not cone_leq(mapped, cone, tol):
+        if n > 0 and not cone_leq(mapped, cone):
             raise ConstructionFailure(
                 "boosted cone escaped the source cone", failing_index=n)
-        if _ball_clear(mapped, ball, tol):
+        if _ball_clear(mapped, ball):
             return n
     raise ConstructionFailure(
         f"boosts up to {nmax} never cleared the ball")
 
 
 def robust_enclosure_lorentz(cone: BallCone,
-                             generators: Sequence[LorentzTransform],
-                             tol: Tolerances = DEFAULT_TOLERANCES
+                             generators: Sequence[LorentzTransform]
                              ) -> BallCone:
     """Cone containing every image of `cone` under the generators, their
     inverses, and all products of two such factors.
@@ -761,7 +745,7 @@ def robust_enclosure_lorentz(cone: BallCone,
     words.extend(a @ b for a, b in itertools.product(ring, ring))
     images = [map_cone(w, cone) for w in words]
     caps = [img.base for img in images]
-    cover = _covering_cap(caps, 0.0, tol)
+    cover = _covering_cap(caps, 0.0)
     if cover is None:
         raise ConstructionFailure(
             "no covering cap enclosed the sampled Lorentz orbit of the cone")
@@ -778,12 +762,10 @@ def robust_enclosure_lorentz(cone: BallCone,
         apex_need = float(np.max(np.arccos(np.clip(exits @ axis, -1.0,
                                                    1.0))))
         psi = max(cap_need, apex_need) + pad
-        if psi >= math.pi - tol.cap_limit:
-            continue
-        if -rho >= math.cos(psi) - 10.0 * tol.pointedness:
+        if not _cap_fits(psi, -rho):
             continue
         region = BallCone(BallPoint(e), Cap(cover.axis, psi))
-        if all(cone_leq(img, region, tol) for img in images):
+        if all(cone_leq(img, region) for img in images):
             return region
     raise ConstructionFailure(
         "no covering cap enclosed the sampled Lorentz orbit of the cone")
@@ -823,8 +805,7 @@ def interval_expansion(u: float, u_prime: float, t: float,
 
 
 def translate_enclosure(cone: BallCone, tau: float,
-                        translations: Sequence[FourVector],
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> BallCone:
+                        translations: Sequence[FourVector]) -> BallCone:
     """Cone whose causal completion swallows the source completion shifted
     by every given future-directed translation.
 
@@ -850,8 +831,9 @@ def translate_enclosure(cone: BallCone, tau: float,
     trans = [t if isinstance(t, FourVector)
              else FourVector.from_array(np.asarray(t, dtype=float))
              for t in translations]
+    eps = DEFAULT_TOLERANCES.linear_identity
     for i, t in enumerate(trans):
-        if t.x0 < float(np.linalg.norm(t.xs)) - tol.linear_identity:
+        if t.x0 < float(np.linalg.norm(t.xs)) - eps:
             raise ValueError(
                 f"translation {i} is not future-directed (closure of the "
                 "forward cone)")
@@ -863,24 +845,22 @@ def translate_enclosure(cone: BallCone, tau: float,
                 default=0.0)
     if t_dom <= 1e-14 * tau:
         grown = _grow_pad(cone)
-        _require(bool(cone_leq(cone, grown, tol)),
+        _require(bool(cone_leq(cone, grown)),
                  "padded copy failed to contain the source cone")
         return grown
 
-    window = tol.degenerate_window
+    window = DEFAULT_TOLERANCES.degenerate_window
     axis_n = cap_n.axis.v
     for pad, rho in itertools.product(
             (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2),
             (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)):
         psi = cap_n.half_angle + pad
-        if psi >= math.pi - tol.cap_limit:
-            continue
-        if -rho >= math.cos(psi) - 10.0 * tol.pointedness:
+        if not _cap_fits(psi, -rho):
             continue
         region_n = BallCone(BallPoint(-rho * axis_n), Cap(cap_n.axis, psi))
         if (all(_plane_margin(cone_n, region_n, tau, t, floor=window)
                 > window for t in shifted)
-                and cone_leq(cone_n, region_n, tol)):
+                and cone_leq(cone_n, region_n)):
             return map_cone(frame.inverse(), region_n)
     raise ConstructionFailure(
         "no padded cap enclosed the translated completion's shadow")

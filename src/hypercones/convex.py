@@ -60,9 +60,13 @@ class ConeHullSupport:
         if par >= norm * self.cos_half:
             return wx / norm, wy / norm, wz / norm
         px, py, pz = wx - par * nx, wy - par * ny, wz - par * nz
+        # for w near -n that remainder is mostly rounding, with a part
+        # along n; projecting once more keeps the circle point on the sphere
+        back = px * nx + py * ny + pz * nz
+        px, py, pz = px - back * nx, py - back * ny, pz - back * nz
         pn = math.sqrt(px * px + py * py + pz * pz)
         c, s = self.cos_half, self.sin_half
-        if pn == 0.0:
+        if pn <= 1e-12 * norm:
             # w anti-parallel to axis: every circle point ties
             px, py, pz = any_perpendicular(np.array(self.axis)).tolist()
             pn = 1.0

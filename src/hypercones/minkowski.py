@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 
 __all__ = [
     "FourVector", "CausalClass", "LorentzTransform", "PoincareElement",
@@ -79,9 +79,6 @@ class FourVector:
         return isinstance(other, FourVector) and bool(
             np.array_equal(self._a, other._a))
 
-    def approx_eq(self, other: "FourVector", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self._a - other._a)) <= tol)
-
     def __repr__(self) -> str:
         return "FourVector({}, {}, {}, {})".format(*self._a)
 
@@ -100,10 +97,9 @@ class CausalClass(enum.Enum):
     ZERO = "zero"
 
 
-def causal_class(x: FourVector,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> CausalClass:
+def causal_class(x: FourVector) -> CausalClass:
     """Classify x by the signs of its Minkowski square and time component."""
-    eps = tol.linear_identity
+    eps = DEFAULT_TOLERANCES.linear_identity
     if np.max(np.abs(x.components)) <= eps:
         return CausalClass.ZERO
     q = x.square()
@@ -126,11 +122,10 @@ class LorentzTransform:
 
     __slots__ = ("_m",)
 
-    def __init__(self, matrix, *, tol: Tolerances = DEFAULT_TOLERANCES,
-                 _skip_check: bool = False):
+    def __init__(self, matrix, *, _skip_check: bool = False):
         m = np.array(matrix, dtype=float).reshape(4, 4)
         if not _skip_check:
-            _check_proper_orthochronous(m, tol)
+            _check_proper_orthochronous(m)
         m.flags.writeable = False
         self._m = m
 
@@ -174,9 +169,9 @@ class LorentzTransform:
         m[1:, 1:] = r
         return cls(m, _skip_check=True)
 
-    def verify(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    def verify(self) -> bool:
         try:
-            _check_proper_orthochronous(np.array(self._m), tol)
+            _check_proper_orthochronous(np.array(self._m))
         except ValueError:
             return False
         return True
@@ -195,13 +190,14 @@ class LorentzTransform:
         return f"LorentzTransform({self._m.tolist()})"
 
 
-def _check_proper_orthochronous(m: np.ndarray, tol: Tolerances) -> None:
+def _check_proper_orthochronous(m: np.ndarray) -> None:
+    eps = DEFAULT_TOLERANCES.matrix_identity
     gram = m.T @ ETA @ m
-    if np.max(np.abs(gram - ETA)) > tol.matrix_identity:
+    if np.max(np.abs(gram - ETA)) > eps:
         raise ValueError("matrix does not preserve the Minkowski form")
-    if m[0, 0] < 1.0 - tol.matrix_identity:
+    if m[0, 0] < 1.0 - eps:
         raise ValueError("matrix is not orthochronous")
-    if abs(np.linalg.det(m) - 1.0) > tol.matrix_identity:
+    if abs(np.linalg.det(m) - 1.0) > eps:
         raise ValueError("matrix is not proper (det != +1)")
 
 
@@ -221,14 +217,13 @@ class PoincareElement:
             self.lorentz @ other.lorentz)
 
 
-def in_semigroup(g: PoincareElement,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def in_semigroup(g: PoincareElement) -> bool:
     """Whether g translates into the closed forward cone with a valid
     proper orthochronous Lorentz part."""
     t = g.translation
-    eps = tol.linear_identity
+    eps = DEFAULT_TOLERANCES.linear_identity
     closed_future = t.x0 >= float(np.linalg.norm(t.xs)) - eps
-    return closed_future and g.lorentz.verify(tol)
+    return closed_future and g.lorentz.verify()
 
 
 def decompose_translation(z: FourVector) -> tuple[FourVector, FourVector]:
@@ -257,15 +252,14 @@ def kappa_split(x: FourVector) -> tuple[FourVector, float]:
     return FourVector.from_parts(r, x.xs), kappa
 
 
-def lightlike_boost(l: FourVector, beta: float,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> LorentzTransform:
+def lightlike_boost(l: FourVector, beta: float) -> LorentzTransform:
     """Boost scaling the lightlike ray l = (1, n) by 1/beta.
 
     The returned transform maps l to l/beta and the reflected ray
     l' = (1, -n) to beta*l'. Requires beta >= 1, so the named ray is
     contracted.
     """
-    eps = tol.linear_identity
+    eps = DEFAULT_TOLERANCES.linear_identity
     n = l.xs
     if abs(l.x0 - 1.0) > eps or abs(np.linalg.norm(n) - 1.0) > eps:
         raise ValueError("expected a normalized lightlike ray (1, n), |n| = 1")

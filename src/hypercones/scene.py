@@ -66,15 +66,6 @@ class Scene:
         }
 
 
-def _fail(message: str, *, doc: str | None = None,
-          pos: int | None = None) -> None:
-    if doc is not None and pos is not None:
-        line = doc.count("\n", 0, pos) + 1
-        col = pos - doc.rfind("\n", 0, pos)
-        raise SceneError(f"{message} (line {line}, column {col})")
-    raise SceneError(message)
-
-
 def _vector(value, length: int, what: str) -> np.ndarray:
     if (not isinstance(value, (list, tuple)) or len(value) != length
             or not all(isinstance(c, (int, float)) for c in value)):

@@ -2,8 +2,8 @@
 
 Each named property draws its own child generator from the master seed, so
 the whole run — including the report text — is a pure function of (seed,
-budget, tolerances).  The report deliberately contains no timing or
-environment data; two runs with the same arguments must be byte-identical.
+budget).  The report deliberately contains no timing or environment data;
+two runs with the same arguments must be byte-identical.
 """
 
 from __future__ import annotations
@@ -19,12 +19,15 @@ from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          homology_through_many, lift_from_ball,
                          lorentz_ball_action, shadow_radius)
 from .charges import ChargeGroup, StatisticsCharacter, verify_group_axioms
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .cones import BallCone, Hyperball, cone_leq, disjoint, map_cone
 from .constructions import (common_complement_cone, funnel_in,
                             interval_expansion, lightray_point, path_connect)
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform, minkowski_product
+
+# closed-membership slack for sampled points
+_SLACK = DEFAULT_TOLERANCES.containment_slack
 
 
 @dataclass
@@ -73,7 +76,7 @@ def _random_transform(rng: np.random.Generator,
     return r @ g
 
 
-def _check_metric_matches_lift(rng, n, tol) -> PropertyResult:
+def _check_metric_matches_lift(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         tau = rng.uniform(0.2, 5.0)
@@ -91,7 +94,7 @@ def _check_metric_matches_lift(rng, n, tol) -> PropertyResult:
     return PropertyResult("metric_matches_hyperboloid_lift", n, bad, worst)
 
 
-def _check_shadow_radius_euclid(rng, n, tol) -> PropertyResult:
+def _check_shadow_radius_euclid(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         sigma = rng.uniform(0.1, 10.0)
@@ -106,7 +109,7 @@ def _check_shadow_radius_euclid(rng, n, tol) -> PropertyResult:
     return PropertyResult("shadow_radius_matches_lightcone", n, bad, worst)
 
 
-def _check_boost_formula(rng, n, tol) -> PropertyResult:
+def _check_boost_formula(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         l = SphereDirection.normalized(_random_direction(rng))
@@ -122,7 +125,7 @@ def _check_boost_formula(rng, n, tol) -> PropertyResult:
     return PropertyResult("boost_closed_form_matches_matrix", n, bad, worst)
 
 
-def _check_homology_involution(rng, n, tol) -> PropertyResult:
+def _check_homology_involution(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         u0 = _random_point(rng, 0.85)
@@ -136,7 +139,7 @@ def _check_homology_involution(rng, n, tol) -> PropertyResult:
     return PropertyResult("interior_homology_is_involution", n, bad, worst)
 
 
-def _check_circle_preservation(rng, n, tol) -> PropertyResult:
+def _check_circle_preservation(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         cap = Cap(SphereDirection.normalized(_random_direction(rng)),
@@ -151,25 +154,25 @@ def _check_circle_preservation(rng, n, tol) -> PropertyResult:
         except Exception as err:  # fit failure is itself a violation
             bad.append(f"sample {k}: cap fit failed ({err})")
             continue
-        worst = min(worst, tol.circle_fit - residual)
-        if residual > tol.circle_fit:
+        worst = min(worst, DEFAULT_TOLERANCES.circle_fit - residual)
+        if residual > DEFAULT_TOLERANCES.circle_fit:
             bad.append(f"sample {k}: circle image residual {residual:.3e}")
     return PropertyResult("sphere_action_preserves_circles", n, bad, worst)
 
 
-def _check_lorentz_inverse(rng, n, tol) -> PropertyResult:
+def _check_lorentz_inverse(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     eye = np.eye(4)
     for k in range(n):
         g = _random_transform(rng, scale=2.0)
         err = float(np.max(np.abs(g.matrix @ g.inverse().matrix - eye)))
-        worst = min(worst, tol.matrix_identity - err)
-        if err > tol.matrix_identity:
+        worst = min(worst, DEFAULT_TOLERANCES.matrix_identity - err)
+        if err > DEFAULT_TOLERANCES.matrix_identity:
             bad.append(f"sample {k}: inverse defect {err:.3e}")
     return PropertyResult("lorentz_inverse_identity", n, bad, worst)
 
 
-def _check_transport_membership(rng, n, tol) -> PropertyResult:
+def _check_transport_membership(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         cone = _random_cone(rng)
@@ -185,8 +188,7 @@ def _check_transport_membership(rng, n, tol) -> PropertyResult:
             continue
         mapped = np.array([lorentz_ball_action(g, BallPoint(p)).v
                            for p in pts[keep]])
-        ok = image.contains_many(mapped, slack=tol.containment_slack,
-                                 closed=True)
+        ok = image.contains_many(mapped, slack=_SLACK, closed=True)
         worst = min(worst, float(np.min(image.interior_margins(mapped))))
         if not np.all(ok):
             bad.append(f"sample {k}: {int(np.sum(~ok))} mapped points "
@@ -194,12 +196,12 @@ def _check_transport_membership(rng, n, tol) -> PropertyResult:
     return PropertyResult("transport_preserves_membership", n, bad, worst)
 
 
-def _check_disjoint_certificates(rng, n, tol) -> PropertyResult:
+def _check_disjoint_certificates(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         a, b = _random_cone(rng), _random_cone(rng)
         try:
-            res = disjoint(a, b, tol)
+            res = disjoint(a, b)
         except DegenerateGeometry:
             continue
         if res.disjoint:
@@ -215,16 +217,14 @@ def _check_disjoint_certificates(rng, n, tol) -> PropertyResult:
                            f"{max(sa, sb):.3e}")
         else:
             p = res.common_point[None, :]
-            in_a = a.contains_many(p, slack=tol.containment_slack,
-                                   closed=True)[0]
-            in_b = b.contains_many(p, slack=tol.containment_slack,
-                                   closed=True)[0]
+            in_a = a.contains_many(p, slack=_SLACK, closed=True)[0]
+            in_b = b.contains_many(p, slack=_SLACK, closed=True)[0]
             if not (in_a and in_b):
                 bad.append(f"pair {k}: overlap witness not in both cones")
     return PropertyResult("disjoint_certificates_hold", n, bad, worst)
 
 
-def _check_enlargement_orders(rng, n, tol) -> PropertyResult:
+def _check_enlargement_orders(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         inner = _random_cone(rng, psi_max=0.7)
@@ -234,21 +234,20 @@ def _check_enlargement_orders(rng, n, tol) -> PropertyResult:
         outer = BallCone(BallPoint(apex_out),
                          Cap(inner.base.axis,
                              min(inner.base.half_angle + 0.1, 1.4)))
-        res = cone_leq(inner, outer, tol)
+        res = cone_leq(inner, outer)
         if not res.holds:
             bad.append(f"pair {k}: padded cone fails to dominate")
             continue
         pts = inner.sample_points(64, rng)
         margins = outer.interior_margins(pts)
         worst = min(worst, float(np.min(margins)))
-        ok = outer.contains_many(pts, slack=tol.containment_slack,
-                                 closed=True)
+        ok = outer.contains_many(pts, slack=_SLACK, closed=True)
         if not np.all(ok):
             bad.append(f"pair {k}: inner sample escapes the padded cone")
     return PropertyResult("cone_order_matches_membership", n, bad, worst)
 
 
-def _check_funnels(rng, n, tol) -> PropertyResult:
+def _check_funnels(rng, n) -> PropertyResult:
     bad, built = [], 0
     for k in range(n):
         cone = _random_cone(rng, psi_max=0.7)
@@ -257,36 +256,36 @@ def _check_funnels(rng, n, tol) -> PropertyResult:
             probe_center = cone.centroid().v
         probe = Hyperball(Hyperboloid(1.0), BallPoint(probe_center), 0.05)
         try:
-            funnel = funnel_in(cone, 3, probe, tol)
+            funnel = funnel_in(cone, 3, probe)
             built += 1
         except (ConstructionFailure, DegenerateGeometry) as err:
             bad.append(f"instance {k}: funnel failed ({err})")
             continue
         for i in range(len(funnel.cones) - 1):
-            if not cone_leq(funnel.cones[i + 1], funnel.cones[i], tol):
+            if not cone_leq(funnel.cones[i + 1], funnel.cones[i]):
                 bad.append(f"instance {k}: funnel not decreasing at {i}")
     return PropertyResult("funnels_decrease_and_clear_probe", n, bad,
                           float(built))
 
 
-def _check_paths(rng, n, tol) -> PropertyResult:
+def _check_paths(rng, n) -> PropertyResult:
     bad = []
     for k in range(n):
         a, b = _random_cone(rng, psi_max=0.7), _random_cone(rng, psi_max=0.7)
         try:
-            path = path_connect(a, b, tol)
+            path = path_connect(a, b)
         except ConstructionFailure as err:
             bad.append(f"pair {k}: path failed ({err})")
             continue
         for i, w in enumerate(path.witnesses):
-            if not (cone_leq(w, path.nodes[i], tol)
-                    and cone_leq(w, path.nodes[i + 1], tol)):
+            if not (cone_leq(w, path.nodes[i])
+                    and cone_leq(w, path.nodes[i + 1])):
                 bad.append(f"pair {k}: witness {i} escapes its nodes")
     return PropertyResult("paths_carry_adjacency_witnesses", n, bad,
                           float(n - len(bad)))
 
 
-def _check_common_complement(rng, n, tol) -> PropertyResult:
+def _check_common_complement(rng, n) -> PropertyResult:
     bad, built = [], 0
     for k in range(n):
         axis = _random_direction(rng)
@@ -299,24 +298,23 @@ def _check_common_complement(rng, n, tol) -> PropertyResult:
                      Cap(SphereDirection.normalized(-axis + 0.1 * tilt),
                          psi))
         try:
-            if not disjoint(a, b, tol).disjoint:
+            if not disjoint(a, b).disjoint:
                 continue
         except DegenerateGeometry:
             continue
         try:
-            w = common_complement_cone(a, b, tol)
+            w = common_complement_cone(a, b)
             built += 1
         except (ConstructionFailure, DegenerateGeometry) as err:
             bad.append(f"pair {k}: no common complement cone ({err})")
             continue
-        if not (disjoint(w, a, tol).disjoint
-                and disjoint(w, b, tol).disjoint):
+        if not (disjoint(w, a).disjoint and disjoint(w, b).disjoint):
             bad.append(f"pair {k}: complement witness touches an input")
     return PropertyResult("disjoint_pairs_admit_complement_cone", n, bad,
                           float(built))
 
 
-def _check_charge_axioms(rng, n, tol) -> PropertyResult:
+def _check_charge_axioms(rng, n) -> PropertyResult:
     bad = []
     seed = int(rng.integers(0, 2 ** 31))
     for group, signs in (
@@ -331,7 +329,7 @@ def _check_charge_axioms(rng, n, tol) -> PropertyResult:
                           float(3 * n - len(bad)))
 
 
-def _check_lightray_interval(rng, n, tol) -> PropertyResult:
+def _check_lightray_interval(rng, n) -> PropertyResult:
     worst, bad = math.inf, []
     for k in range(n):
         tau = rng.uniform(0.3, 3.0)
@@ -351,7 +349,7 @@ def _check_lightray_interval(rng, n, tol) -> PropertyResult:
                           worst)
 
 
-def _check_completion_equivariance(rng, n, tol) -> PropertyResult:
+def _check_completion_equivariance(rng, n) -> PropertyResult:
     from .cones import Hypercone, in_causal_completion
     bad, checked = [], 0
     for k in range(n):
@@ -363,7 +361,7 @@ def _check_completion_equivariance(rng, n, tol) -> PropertyResult:
         scale = sig / math.sqrt(1.0 - float(u @ u))
         x = FourVector.from_parts(scale, scale * u)
         try:
-            before = in_causal_completion(x, region, tol)
+            before = in_causal_completion(x, region)
         except ValueError:
             continue
         g = _random_transform(rng, scale=0.4)
@@ -373,7 +371,7 @@ def _check_completion_equivariance(rng, n, tol) -> PropertyResult:
             continue
         after = in_causal_completion(g.apply(x),
                                      Hypercone(Hyperboloid(tau),
-                                               mapped_cone), tol)
+                                               mapped_cone))
         checked += 1
         if before != after:
             bad.append(f"sample {k}: completion membership not "
@@ -401,8 +399,7 @@ _CHECKS: list[tuple[Callable, int]] = [
 ]
 
 
-def run_selftest(seed: int = 0, budget: float = 1.0,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[str, bool]:
+def run_selftest(seed: int = 0, budget: float = 1.0) -> tuple[str, bool]:
     """Run every registered property; returns (report text, all passed)."""
     master = np.random.SeedSequence(seed)
     children = master.spawn(len(_CHECKS))
@@ -413,7 +410,7 @@ def run_selftest(seed: int = 0, budget: float = 1.0,
     for (check, base_n), child in zip(_CHECKS, children):
         n = max(1, int(round(base_n * budget)))
         rng = np.random.default_rng(child)
-        result = check(rng, n, tol)
+        result = check(rng, n)
         results.append(result)
         all_ok = all_ok and result.passed
     for result in results:

@@ -288,21 +288,17 @@ class TestExitCodes:
         assert err.startswith("degenerate:")
 
 
-class TestToleranceOverrides:
-    def test_valid_override_accepted(self, capsys, tmp_path):
+class TestRejectedFlags:
+    def test_tolerances_flag_is_rejected(self, capsys, tmp_path):
+        # the thresholds are fixed; no file can override them
         tol = tmp_path / "tol.json"
         tol.write_text(json.dumps({"matrix_identity": 1e-8}),
                        encoding="utf-8")
-        code, out, _ = run(capsys, "check", DEMO, "disjoint A B",
-                           "--tolerances", str(tol))
-        assert code == 0 and out.startswith("true")
-
-    def test_unknown_field_rejected(self, capsys, tmp_path):
-        tol = tmp_path / "tol.json"
-        tol.write_text(json.dumps({"nonsense": 1e-8}), encoding="utf-8")
-        code, _, err = run(capsys, "check", DEMO, "disjoint A B",
-                           "--tolerances", str(tol))
-        assert code == 1 and "unknown tolerance fields" in err
+        with pytest.raises(SystemExit) as stop:
+            main(["check", DEMO, "disjoint A B", "--tolerances", str(tol)])
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--tolerances" in err
 
     def test_budget_is_rejected_outside_selftest(self, capsys):
         # only the self-test scales trial counts; no construction samples

@@ -148,6 +148,28 @@ class TestDisjointOnFlatSimplex:
         gjk = gjk_distance(_hull(a), _hull(b))
         assert gjk.distance == pytest.approx(0.22906, abs=1e-5)
 
+    def test_boosted_pair_has_no_false_contact(self):
+        # pair 3,489 of default_rng(0): random_cone(psi_min=0.02,
+        # psi_max=1.4, apex_r=0.95) twice, both moved by one
+        # random_transform(rng, 1.5). GJK met a cap support point off the
+        # sphere there and closed a simplex around the origin.
+        apex_a = [-0.2808587896194788, -0.2712680477516094,
+                  -0.42427008768224483]
+        axis_a = [0.0606511778430849, -0.670773697864602, 0.739177976457155]
+        psi_a = 0.03586511859009482
+        apex_b = [-0.6192505546278664, 0.1085854788733794,
+                  0.005033522834062567]
+        axis_b = [-0.7482755959239239, 0.09112467671983891,
+                  -0.6570996315912842]
+        psi_b = 0.9376622941961551
+        result = disjoint(_cone(apex_a, axis_a, psi_a),
+                          _cone(apex_b, axis_b, psi_b))
+        assert result.disjoint
+        assert result.margin == pytest.approx(1.11923, abs=1e-5)
+        gjk = gjk_distance(ConeHullSupport(apex_a, axis_a, psi_a),
+                           ConeHullSupport(apex_b, axis_b, psi_b))
+        assert gjk.distance > 0.0
+
 
 def _sphere(center, radius):
     return Ellipsoid(np.asarray(center, dtype=float),
@@ -217,4 +239,18 @@ class TestSupportWrappers:
         x, y, z = body.cap_support_xyz(0.0, 0.0, -1.0)
         assert z == pytest.approx(math.cos(0.5))
         assert math.hypot(x, y) == pytest.approx(math.sin(0.5))
+
+    def test_cap_support_near_antiparallel_stays_on_the_cap(self, rng):
+        # directions within rounding of -axis: the part of w off the axis
+        # is noise, and the support point must still be a circle point
+        for _ in range(2000):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            psi = rng.uniform(0.01, 1.5)
+            body = ConeHullSupport([0.0, 0.0, 0.0], n, psi)
+            w = -n + rng.normal(size=3) * 10.0 ** rng.uniform(-18.0, -12.0)
+            w *= 10.0 ** rng.uniform(-3.0, 3.0)
+            p = np.array(body.cap_support_xyz(*w))
+            assert abs(float(np.linalg.norm(p)) - 1.0) <= 1e-15
+            assert float(p @ np.array(body.axis)) >= math.cos(psi) - 1e-15
 
