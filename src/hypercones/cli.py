@@ -140,9 +140,10 @@ def _query_check(scene: scene_io.Scene, query: str) -> None:
             return
         if target in scene.events:
             ev = scene.events[target]
-            if ev.x0 <= 0.0:
-                raise SceneError(f"event {target!r} has no ball image")
-            margin = point_margin(cone, ev.xs / ev.x0)
+            if not float(np.linalg.norm(ev.xs)) < ev.x0:
+                raise SceneError(f"event {target!r} has no ball image: "
+                                 "it needs |x_s| < x0")
+            margin = scene.tau * point_margin(cone, ev.xs / ev.x0)
             print(f"{'true' if margin > 0 else 'false'}, "
                   f"margin={margin:.6g}")
             return

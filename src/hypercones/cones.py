@@ -13,7 +13,9 @@ the certificate a plane through its apex; on contact the same test on the
 cones shrunk to a cos-depth level, bisected on the level, gives a common
 point within a factor 2 of the deepest. Against a metric ball
 (`cone_hyperball_disjoint`) the margin is a shell distance and the
-certificate the plane bisecting the common perpendicular.
+certificate the plane bisecting the common perpendicular. A point's
+margin (`point_margin`) is likewise its shell distance to the lateral
+boundary, in closed form, signed by membership.
 
 Lorentz maps act on cones exactly: the apex by the ball action and the cap
 by its covector image (``cap_image``). Each cone caches its apex frame, the
@@ -248,56 +250,16 @@ def _circle_minimum(f, seeds: int, centres=(),
     return found
 
 
-def _lateral_distance(cone: BallCone, p: np.ndarray, seeds: int = 64) -> float:
-    """Euclidean distance from p to the ruled lateral surface: the nearest
-    of the segments from the apex to the base-circle points, over the circle
-    angle (_circle_minimum)."""
-    n, psi, a = cone.base.axis.v, cone.base.half_angle, cone.apex.v
-    e1, e2 = orthonormal_frame(n)
-    # apex to the base circle's centre, the circle's radius vectors, and
-    # apex to p
-    ux, uy, uz = (math.cos(psi) * n - a).tolist()
-    e1x, e1y, e1z = (math.sin(psi) * e1).tolist()
-    e2x, e2y, e2z = (math.sin(psi) * e2).tolist()
-    qx, qy, qz = (p - a).tolist()
-
-    def dist(theta: float) -> float:
-        # to the segment from the apex to the base-circle point at theta
-        c, s = math.cos(theta), math.sin(theta)
-        dx = ux + c * e1x + s * e2x
-        dy = uy + c * e1y + s * e2y
-        dz = uz + c * e1z + s * e2z
-        t = (qx * dx + qy * dy + qz * dz) / (dx * dx + dy * dy + dz * dz)
-        t = min(max(t, 0.0), 1.0)
-        rx, ry, rz = qx - t * dx, qy - t * dy, qz - t * dz
-        return math.sqrt(rx * rx + ry * ry + rz * rz)
-
-    return _circle_minimum(dist, seeds)
-
-
-def _cap_face_distance(cone: BallCone, p: np.ndarray) -> float:
-    n = cone.base.axis.v
-    norm = float(np.linalg.norm(p))
-    if norm > 0.0 and float(p @ n) / norm >= cone.base.cos_half:
-        return abs(1.0 - norm)
-    # otherwise the nearest cap-face point is on the base circle
-    c0 = cone.base.cos_half * n
-    v = p - c0
-    par = float(v @ n)
-    perp = v - par * n
-    return math.hypot(par, float(np.linalg.norm(perp))
-                      - math.sin(cone.base.half_angle))
-
-
 def point_margin(cone: BallCone, p: np.ndarray) -> float:
-    """Signed Euclidean distance from p to the cone boundary.
+    """Signed shell distance from the ball point p to the cone's lateral
+    boundary, in the metric of the unit shell (tau = 1).
 
-    Positive inside the open cone, negative outside the closed hull. The
-    boundary consists of the ruled lateral surface (apex to base circle)
-    and the spherical cap face.
+    Positive inside the open cone, negative outside it; read in closed
+    form in the cone's apex frame (_frame_clearance), so it is invariant
+    under Lorentz maps. The cap face sits at infinite distance.
     """
-    dist = min(_lateral_distance(cone, p), _cap_face_distance(cone, p))
-    return dist if cone.margin(p.tolist()) > 0.0 else -dist
+    dist, inside = _frame_clearance(cone, p.tolist(), 1.0)
+    return dist if inside else -dist
 
 
 @dataclass(frozen=True)
@@ -643,8 +605,10 @@ def _frame_clearance(cone: BallCone, c, tau: float) -> tuple[float, bool]:
     it; the right-angled triangle relation sinh a = sinh c sin A (Beardon,
     The Geometry of Discrete Groups, ch. 7) gives the distance, and from a
     right angle on the apex itself is the nearest boundary point. The point
-    is inside exactly when theta < psi'. Plain floats throughout: at one
-    point per call, array dispatch would cost more than the arithmetic.
+    is inside exactly when theta < psi'. A point whose image rounds to
+    |p'| >= 1 has no finite distance and raises DegenerateGeometry. Plain
+    floats throughout: at one point per call, array dispatch would cost
+    more than the arithmetic.
     """
     (m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23,
      m30, m31, m32, m33, nx, ny, nz, psi) = cone.apex_frame_scalars
@@ -656,6 +620,9 @@ def _frame_clearance(cone: BallCone, c, tau: float) -> tuple[float, bool]:
     norm = math.sqrt(px * px + py * py + pz * pz)
     if norm == 0.0:
         return 0.0, False
+    if norm >= 1.0:
+        raise DegenerateGeometry(
+            "point rounds onto the sphere in the cone's apex frame")
     px, py, pz = px / norm, py / norm, pz / norm
     sx, sy, sz = py * nz - pz * ny, pz * nx - px * nz, px * ny - py * nx
     theta = math.atan2(math.sqrt(sx * sx + sy * sy + sz * sz),
@@ -665,14 +632,6 @@ def _frame_clearance(cone: BallCone, c, tau: float) -> tuple[float, bool]:
     if gap >= 0.5 * math.pi:
         return tau * r, theta < psi
     return tau * math.asinh(math.sinh(r) * math.sin(gap)), theta < psi
-
-
-def _min_boundary_distance(cone: BallCone, center: BallPoint,
-                           tau: float) -> float:
-    """Minimum shell distance from a ball point to the cone's lateral
-    boundary (the cap face sits at infinite distance), in closed form in
-    the apex frame (see _frame_clearance)."""
-    return _frame_clearance(cone, center.v.tolist(), tau)[0]
 
 
 def _plane_margin(inner: BallCone, outer: BallCone, tau: float,

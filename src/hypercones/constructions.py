@@ -28,7 +28,7 @@ import numpy as np
 from .ball_model import (BallPoint, Cap, SphereDirection, ball_action_many,
                          cap_image, ray_exits, shadow_radius)
 from .cones import (BallCone, Hyperball, _cone_clearance, _plane_margin,
-                    _covering_cap, _min_boundary_distance, apex_boost,
+                    _covering_cap, _frame_clearance, apex_boost,
                     cone_hyperball_disjoint, cone_leq, disjoint,
                     hyperball_in_cone, map_cone, opposite)
 from .config import DEFAULT_TOLERANCES
@@ -607,7 +607,7 @@ def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
     first."""
     window = DEFAULT_TOLERANCES.degenerate_window
     return (bool(cone_leq(inner, outer))
-            and _min_boundary_distance(outer, inner.apex, tau) - radius
+            and _frame_clearance(outer, inner.apex.v.tolist(), tau)[0] - radius
             > window
             and _cone_clearance(inner, outer, tau) - radius > window)
 

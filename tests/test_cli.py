@@ -47,6 +47,21 @@ def tangent_scene(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def edge_scene(tmp_path_factory):
+    """Demo scene extended with two events that have no ball image, one
+    outside the light cone and one on it, and a ball whose centre is
+    1.1e-16 inside the sphere."""
+    doc = json.loads(open(DEMO, encoding="utf-8").read())
+    doc["events"] = dict(doc["events"], far=[1.0, 0.0, 0.0, 2.0],
+                         light=[1.0, 0.0, 0.0, 1.0])
+    doc["balls"] = dict(doc["balls"], edge2={
+        "center": [0.6, 0.0, 0.7999999999999999], "radius": 0.2})
+    path = tmp_path_factory.mktemp("scenes") / "edge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -87,6 +102,29 @@ class TestCheck:
         assert code == 0 and out.startswith("false")
         code, out, _ = run(capsys, "check", DEMO, "contains A y")
         assert code == 0 and out.startswith("true")
+
+    def test_contains_event_margin_is_shell_distance(self, capsys,
+                                                     tmp_path):
+        # the same cone and event on a shell of twice the radius: the
+        # shell distance, and with it the margin, doubles
+        doc = json.loads(open(DEMO, encoding="utf-8").read())
+        doc["tau"] = 2.0
+        doubled = tmp_path / "tau2.json"
+        doubled.write_text(json.dumps(doc), encoding="utf-8")
+        margins = []
+        for scene in (DEMO, str(doubled)):
+            code, out, _ = run(capsys, "check", scene, "contains A y")
+            assert code == 0 and out.startswith("true")
+            margins.append(float(out.split("margin=")[1]))
+        assert margins[1] == pytest.approx(2.0 * margins[0], rel=1e-5)
+
+    def test_contains_event_without_ball_image_is_refused(self, capsys,
+                                                          edge_scene):
+        for name in ("far", "light"):
+            code, out, err = run(capsys, "check", edge_scene,
+                                 f"contains A {name}")
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and repr(name) in err
 
     def test_in_causal_completion(self, capsys):
         code, out, _ = run(capsys, "check", DEMO,
@@ -285,6 +323,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "construct", tangent_scene, "A7",
                            "T1", "T2")
         assert code == 2
+        assert err.startswith("degenerate:")
+
+
+    def test_ball_at_the_sphere_exits_degenerate(self, capsys,
+                                                 edge_scene):
+        code, out, err = run(capsys, "check", edge_scene, "contains B edge2")
+        assert code == 2 and out == ""
         assert err.startswith("degenerate:")
 
 

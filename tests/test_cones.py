@@ -21,9 +21,8 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         opposite, point_margin, shadow_radius)
 from hypercones.ball_model import (ball_action_many, ball_distance_many,
                                    homology_through_many, ray_exits)
-from hypercones.cones import (_cap_face_distance, _cone_clearance,
-                              _frame_clearance, _lateral_distance,
-                              _min_boundary_distance, _plane_margin)
+from hypercones.cones import (_cone_clearance, _frame_clearance,
+                              _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.convex import ConeHullSupport, gjk_distance
 from hypercones.spherical import angle_between, orthonormal_frame, \
@@ -110,19 +109,36 @@ class TestMembership:
         edge = cone.lateral_points(8, np.array([0.5]))[0]
         assert abs(point_margin(cone, edge)) < 1e-6
 
-    def test_point_margin_matches_bounded_scalar_search(self):
+    def test_point_margin_matches_sampled_boundary_distance(self):
         rng = np.random.default_rng(43)
-        for _ in range(20):
+        for _ in range(12):
             cone = random_cone(rng)
             for pts in _inside_and_outside_points(rng, cone, 3):
                 for p in pts:
-                    want = _bounded_search_lateral_distance(cone, p)
-                    assert abs(_lateral_distance(cone, p) - want) <= 1e-12
-                    want = min(want, _cap_face_distance(cone, p))
                     got = point_margin(cone, p)
-                    assert abs(abs(got) - want) <= 1e-12
-                    assert (got > 0) == bool(cone.contains_many(
-                        p[None, :])[0])
+                    sampled = _sampled_boundary_distance(cone, p, 1.0)
+                    # the samples lie on the boundary: an upper bound on the
+                    # distance, and a tight one at this density
+                    assert abs(got) <= sampled + 1e-12
+                    assert sampled - abs(got) <= 1e-6 * (1.0 + abs(got))
+                    assert (got > 0) == (cone.margin(p.tolist()) > 0.0)
+
+    def test_point_margin_is_lorentz_invariant(self):
+        # points within |p| <= 0.9 and maps of rapidity <= 1; nearer the
+        # sphere the kernel's rounding error grows past 1e-12
+        rng = np.random.default_rng(44)
+        signs = set()
+        for _ in range(100):
+            cone = random_cone(rng)
+            g = random_transform(rng)
+            image = map_cone(g, cone)
+            for _ in range(10):
+                p = interior_point(rng, 0.9)
+                q = lorentz_ball_action(g, BallPoint(p)).v
+                before = point_margin(cone, p)
+                assert abs(point_margin(image, q) - before) <= 1e-12
+                signs.add(before > 0)
+        assert signs == {True, False}
 
     def test_sample_points_are_members(self):
         rng = np.random.default_rng(2)
@@ -599,8 +615,7 @@ class TestHyperballPredicates:
     def test_touching_ball_raises_degenerate(self, shell):
         cone = simple_cone(0.0, 0.7)
         center = cone.centroid()
-        from hypercones.cones import _min_boundary_distance
-        exact = _min_boundary_distance(cone, center, shell.tau)
+        exact = _frame_clearance(cone, center.v.tolist(), shell.tau)[0]
         with pytest.raises(DegenerateGeometry):
             hyperball_in_cone(Hyperball(shell, center, exact), cone)
 
@@ -718,29 +733,6 @@ def _inside_and_outside_points(rng, cone, n):
     return inside, np.array(outside)
 
 
-def _bounded_search_lateral_distance(cone, p, seeds=64):
-    """Reference Euclidean distance to the lateral surface: the nearest of
-    64 apex-to-rim segments, polished by scipy's bounded scalar search."""
-    optimize = pytest.importorskip("scipy.optimize")
-
-    def dists(thetas):
-        ring = np.array([cone.base.boundary_point(t) for t in thetas])
-        a = cone.apex.v
-        d = ring - a
-        t = np.clip(((p - a) @ d.T) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
-        return np.linalg.norm(a + t[:, None] * d - p, axis=1)
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, seeds, endpoint=False)
-    found = dists(thetas)
-    best = int(np.argmin(found))
-    width = 2.0 * math.pi / seeds
-    res = optimize.minimize_scalar(
-        lambda th: float(dists([th])[0]),
-        bounds=(thetas[best] - width, thetas[best] + width),
-        method="bounded", options={"xatol": 1e-12})
-    return min(float(found[best]), float(res.fun))
-
-
 def _searched_boundary_distance(cone, center, tau):
     """Reference value by direct search over the lateral surface: the
     closest point of a theta x s grid, polished by Nelder-Mead."""
@@ -823,7 +815,7 @@ class TestMinBoundaryDistance:
                 gap = abs(psi - theta)
                 want = tau * (math.asinh(math.sinh(r) * math.sin(gap))
                               if gap < 0.5 * math.pi else r)
-                got = _min_boundary_distance(cone, center, tau)
+                got = _frame_clearance(cone, center.v.tolist(), tau)[0]
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_never_exceeds_dense_lateral_sampling(self):
@@ -833,7 +825,7 @@ class TestMinBoundaryDistance:
             tau = rng.uniform(0.5, 2.0)
             for pts in _inside_and_outside_points(rng, cone, 5):
                 for p in pts:
-                    exact = _min_boundary_distance(cone, BallPoint(p), tau)
+                    exact = _frame_clearance(cone, p.tolist(), tau)[0]
                     sampled = _sampled_boundary_distance(cone, p, tau)
                     # samples lie on the boundary: an upper bound, and a
                     # tight one at this density
@@ -847,9 +839,39 @@ class TestMinBoundaryDistance:
             tau = rng.uniform(0.5, 2.0)
             for pts in _inside_and_outside_points(rng, cone, 1):
                 center = BallPoint(pts[0])
-                exact = _min_boundary_distance(cone, center, tau)
+                exact = _frame_clearance(cone, center.v.tolist(), tau)[0]
                 searched = _searched_boundary_distance(cone, center, tau)
                 assert abs(exact - searched) <= 1e-9
+
+    def test_point_rounding_onto_the_sphere_raises_degenerate(self):
+        # the demo scene's cone B and a ball point 1.1e-16 inside the sphere
+        # whose apex-frame image rounds to |p'| >= 1
+        cone = BallCone(BallPoint(np.array([0.0, 0.0, -0.15])),
+                        Cap(SphereDirection(-Z), math.radians(25.0)))
+        c = [0.6, 0.0, 0.7999999999999999]
+        assert math.sqrt(sum(a * a for a in c)) < 1.0
+        with pytest.raises(DegenerateGeometry):
+            _frame_clearance(cone, c, 1.0)
+        ball = Hyperball(Hyperboloid(1.0), BallPoint(np.array(c)), 0.2)
+        with pytest.raises(DegenerateGeometry):
+            hyperball_in_cone(ball, cone)
+
+    def test_points_at_the_sphere_return_or_raise_degenerate(self):
+        rng = np.random.default_rng(45)
+        raised = 0
+        for _ in range(200):
+            cone = random_cone(rng, psi_max=1.4, psi_min=0.02, apex_r=0.95)
+            for gap in (1e-15, 1e-16):
+                p = (1.0 - gap) * unit_vector(rng)
+                if not float(np.linalg.norm(p)) < 1.0:
+                    continue
+                try:
+                    dist, _ = _frame_clearance(cone, p.tolist(), 1.0)
+                except DegenerateGeometry:
+                    raised += 1
+                    continue
+                assert math.isfinite(dist) and dist >= 0.0
+        assert raised > 0
 
 
 def _signed_clearance(cone, p, tau):
@@ -1153,7 +1175,7 @@ class TestCompletionKernel:
         yield "apex", apex * math.exp(rng.uniform(0.1, 0.5))
         # the shadow radius equals the boundary distance
         center = cone.centroid()
-        d = _min_boundary_distance(cone, center, tau)
+        d = _frame_clearance(cone, center.v.tolist(), tau)[0]
         sigma = tau * math.exp(d / tau)
         scale = sigma / math.sqrt(1.0 - float(center.v @ center.v))
         yield "window", scale * np.array([1.0, *center.v])

@@ -21,7 +21,7 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         wrap_ball_in_complement)
 from hypercones import charges, constructions
 from hypercones.ball_model import ball_action_many
-from hypercones.cones import _min_boundary_distance, apex_boost
+from hypercones.cones import _frame_clearance, apex_boost
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
@@ -377,7 +377,7 @@ class TestShadowOperations:
         for p in pts:
             center = BallPoint(p)
             assert contains_point(grown, center)
-            assert _min_boundary_distance(grown, center, tau) > radius
+            assert _frame_clearance(grown, center.v.tolist(), tau)[0] > radius
 
     # (apex, axis, half-angle, sigma, tau) of five instances drawn like the
     # benchmark's A9 instances, on which an enclosure certified at sampled
@@ -414,7 +414,7 @@ class TestShadowOperations:
         for p in pts:
             center = BallPoint(p)
             assert contains_point(grown, center)
-            assert _min_boundary_distance(grown, center, tau) > radius
+            assert _frame_clearance(grown, center.v.tolist(), tau)[0] > radius
 
     def test_equal_shells_return_enlarged_copy(self):
         cone = axis_cone(0.4, 0.15)
