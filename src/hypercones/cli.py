@@ -71,6 +71,8 @@ def _parse_four_vector(text: str) -> FourVector:
         vals = [float(p) for p in parts]
     except ValueError:
         raise SceneError(f"bad four-vector {text!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise SceneError(f"four-vector {text!r} has a non-finite component")
     return FourVector.from_array(np.array(vals))
 
 
@@ -94,6 +96,8 @@ def _parse_generator(text: str) -> LorentzTransform:
         amount = float(amount_text)
     except ValueError:
         raise SceneError(f"bad generator amount {amount_text!r}") from None
+    if not (math.isfinite(amount) and np.all(np.isfinite(axis))):
+        raise SceneError(f"generator {text!r} has a non-finite number")
     if kind == "boost":
         return LorentzTransform.boost(axis, amount)
     if kind == "rot":

@@ -666,36 +666,54 @@ def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
     its angle to n. With p = A - reach the least value over s >= 0 is
     -inf if p < 0, A if reach <= 0, else sqrt(p (2A - p)); the test of
     p comes first, since with kappa subtracted a finite value for p < 0
-    would accept escaping events. The least value over phi runs on
-    _circle_minimum, which returns the least seed value unrefined when it
-    is at or below `floor`.
+    would accept escaping events.
+
+    At s = 0 the quantity is A - kappa and no branch exceeds it, so the
+    least s = 0 term over phi, -(N0 + kappa) at the first centre below,
+    bounds the least value from above; this apex bound is returned at
+    once when at or below `floor`. Otherwise _circle_minimum runs over
+    phi and returns its least seed value unrefined when at or below
+    `floor`. A return at or below `floor` is thus an upper bound only.
 
     That least value need not be unimodal in phi: it takes its smallest
     value at the shifted apex (s = 0, least at the azimuth below) or far
     out along a ray, where a cap nearly touching outer's cap gives a
     narrow dip at about the azimuth of inner's cap axis in outer's apex
     frame. The search therefore also refines around those two azimuths.
-    Plain floats throughout, as in _frame_clearance.
+    Plain floats throughout, as in _frame_clearance: both frames are read
+    from the cones' apex_frame_scalars.
     """
-    frame_k, cap_k = inner.apex_frame
-    frame_r, cap_r = outer.apex_frame
-    carry = (frame_k @ frame_r.inverse()).matrix[:, 1:]
-    e1, e2 = orthonormal_frame(cap_r.axis.v)
-    psi = cap_r.half_angle
+    *m_k, nx, ny, nz, psi_k = inner.apex_frame_scalars
+    *m_r, psi = outer.apex_frame_scalars
+    n_r, inv = m_r[16:], _inverse(m_r)
+    # columns 1-3 of m_k eta m_r^T eta, row by row
+    carry = [[m_k[i] * inv[j] + m_k[i + 1] * inv[j + 4]
+              + m_k[i + 2] * inv[j + 8] + m_k[i + 3] * inv[j + 12]
+              for j in (1, 2, 3)] for i in (0, 4, 8, 12)]
+    # orthonormal_frame(n_r): e1 is n_r across the axis of its least entry
+    j = min(range(3), key=lambda i: abs(n_r[i]))
+    e1 = unit(cross(n_r, [float(i == j) for i in range(3)]))
+    e2 = cross(n_r, e1)
     # M at azimuth phi is a + cos(phi) b + sin(phi) d
-    a = carry @ (math.sin(psi) * cap_r.axis.v)
-    b = carry @ (-math.cos(psi) * e1)
-    d = carry @ (-math.cos(psi) * e2)
-    t = frame_k.matrix @ np.asarray(shift, dtype=float)
+    a, b, d = ([r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in carry]
+               for v in ([math.sin(psi) * x for x in n_r],
+                         [-math.cos(psi) * x for x in e1],
+                         [-math.cos(psi) * x for x in e2]))
+    s0, s1, s2, s3 = (float(x) for x in shift)
+    t = [m_k[i] * s0 + m_k[i + 1] * s1 + m_k[i + 2] * s2 + m_k[i + 3] * s3
+         for i in (0, 4, 8, 12)]
     # <t, .> as a row: kappa at phi is ka + cos(phi) kb + sin(phi) kd
-    t_row = np.array([t[0], -t[1], -t[2], -t[3]]) / tau
-    ka = float(t_row @ a + t_row @ t / (2.0 * tau))
-    kb, kd = float(t_row @ b), float(t_row @ d)
-    a0, ax, ay, az = (a + t / tau).tolist()
-    b0, bx, by, bz = b.tolist()
-    d0, dx, dy, dz = d.tolist()
-    nx, ny, nz = cap_k.axis.v.tolist()
-    cos_k, sin_k = cap_k.cos_half, math.sin(cap_k.half_angle)
+    ka, kt, kb, kd = (t[0] / tau * v[0] - t[1] / tau * v[1]
+                      - t[2] / tau * v[2] - t[3] / tau * v[3]
+                      for v in (a, t, b, d))
+    ka += kt / (2.0 * tau)
+    a0, ax, ay, az = (x + y / tau for x, y in zip(a, t))
+    b0, bx, by, bz = b
+    d0, dx, dy, dz = d
+    apex = -(a0 + ka) - math.hypot(b0 + kb, d0 + kd)
+    if apex <= floor:
+        return apex
+    cos_k, sin_k = math.cos(psi_k), math.sin(psi_k)
 
     def least(phi: float) -> float:
         # least margin of the shifted shadows against the plane at phi
@@ -723,8 +741,9 @@ def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
     def centres():
         # drawn only when the seeds pass `floor`
         yield math.atan2(d0 + kd, b0 + kb)
-        axis = cap_image(frame_r, inner.base).axis.v  # in outer's frame
-        yield math.atan2(float(axis @ e2), float(axis @ e1))
+        axis = _cap_seen(m_r, inner.exit_scalars[4:7], inner.base.cos_half,
+                         math.sin(inner.base.half_angle))[0]
+        yield math.atan2(dot(axis, e2), dot(axis, e1))
 
     return _circle_minimum(least, seeds, centres(), floor)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,9 +109,10 @@ def _ball_clear(cone: BallCone, ball: Hyperball) -> bool:
 
 
 def _chord_levels(cone: BallCone, target: np.ndarray,
-                  count: int) -> list[BallCone]:
+                  count: int) -> Iterator[BallCone]:
     """Nested cones marching along the chord from the apex to a point of the
-    base circle, caps internally tangent at the target.
+    base circle, caps internally tangent at the target, yielded one at a
+    time, so a search builds only the levels it tests.
 
     Level n halves both the cap opening (floored) and the remaining chord;
     the sequence stops early when the apex would get too close to the cap
@@ -120,7 +121,6 @@ def _chord_levels(cone: BallCone, target: np.ndarray,
     apex0, axis0 = cone.apex.v, cone.base.axis.v
     psi0 = cone.base.half_angle
     chord = target - apex0
-    levels: list[BallCone] = []
     for n in range(1, count + 1):
         shrink = 0.5 ** n
         psi = max(psi0 * shrink, 1e-7)
@@ -128,10 +128,9 @@ def _chord_levels(cone: BallCone, target: np.ndarray,
         apex = target - shrink * chord
         validity = shrink * float(axis @ chord)
         if validity <= 10.0 * DEFAULT_TOLERANCES.pointedness:
-            break
-        levels.append(BallCone(BallPoint(apex),
-                               Cap(SphereDirection.normalized(axis), psi)))
-    return levels
+            return
+        yield BallCone(BallPoint(apex),
+                       Cap(SphereDirection.normalized(axis), psi))
 
 
 def _steer_target(cone: BallCone, away_from: np.ndarray) -> np.ndarray:
@@ -180,10 +179,15 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball) -> Funnel:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     target = _steer_target(cone, probe.center.v)
-    levels = _chord_levels(cone, target, max(depth, _SEARCH_ROUNDS))
+    # levels up to the first clear one, and at least `depth` of them
+    levels, cleared = [], None
+    for level in _chord_levels(cone, target, max(depth, _SEARCH_ROUNDS)):
+        if cleared is None and _ball_clear(level, probe):
+            cleared = len(levels)
+        levels.append(level)
+        if cleared is not None and len(levels) >= depth:
+            break
     _require(bool(levels), "no valid shrinking levels inside the cone")
-    cleared = next((i for i, lv in enumerate(levels)
-                    if _ball_clear(lv, probe)), None)
     _require(cleared is not None,
              "collapsing levels never separated from the probe ball")
     if cleared + 1 <= depth:
@@ -272,8 +276,7 @@ def avoid_ball_inside(ball: Hyperball, cone: BallCone) -> BallCone:
     from the ball, until the hulls separate.
     """
     target = _steer_target(cone, ball.center.v)
-    levels = _chord_levels(cone, target, _SEARCH_ROUNDS)
-    for i, level in enumerate(levels):
+    for i, level in enumerate(_chord_levels(cone, target, _SEARCH_ROUNDS)):
         if _ball_clear(level, ball):
             _require(bool(cone_leq(level, cone)),
                      "separated level escaped the source cone", i)
@@ -814,7 +817,8 @@ def translate_enclosure(cone: BallCone, tau: float,
     K <= R and, for every translation t, every shifted lift y + t of a
     point y of K has its causal shadow inside R by more than the window:
     the tangent-plane margin of cones._plane_margin, exact over the whole
-    cone. Seeds at or below the window reject a step at once.
+    cone. The apex bound, then the seeds, reject a step at once when they
+    fall at or below the window.
 
     Lifts suffice, given K <= R. Take X in K's completion. If X lies
     above the shell, every past causal curve from X + t is a curve from X
@@ -833,6 +837,9 @@ def translate_enclosure(cone: BallCone, tau: float,
              for t in translations]
     eps = DEFAULT_TOLERANCES.linear_identity
     for i, t in enumerate(trans):
+        if not np.all(np.isfinite(t.components)):
+            raise ValueError(f"translation {i} has a non-finite component: "
+                             f"{t.components.tolist()}")
         if t.x0 < float(np.linalg.norm(t.xs)) - eps:
             raise ValueError(
                 f"translation {i} is not future-directed (closure of the "

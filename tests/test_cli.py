@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -300,6 +301,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "construct", DEMO, "A12", "A",
                            "--generator", "warp:x:0.1")
         assert code == 1 and "boost or rot" in err
+
+    @pytest.mark.parametrize("argv, bad", [
+        (("A13", "A", "--t", "nan,0,0,0"), "nan"),
+        (("A13", "A", "--t", "inf,0,0,0"), "inf"),
+        (("A12", "A", "--generator", "boost:x:nan"), "nan"),
+    ], ids=["t-nan", "t-inf", "generator-nan"])
+    def test_non_finite_flags_are_refused(self, capsys, argv, bad):
+        # refused before any geometry runs: no numpy warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "construct", DEMO, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
+        assert bad in err
 
     @pytest.mark.parametrize("argv", [
         ("construct", DEMO, "A1", "A", "O", "--depth", "abc"),

@@ -21,8 +21,10 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         opposite, point_margin, shadow_radius)
 from hypercones.ball_model import (ball_action_many, ball_distance_many,
                                    homology_through_many, ray_exits)
-from hypercones.cones import (_cone_clearance, _frame_clearance,
-                              _plane_margin)
+from hypercones import cones as cone_module, constructions
+from hypercones.ball_model import cap_image
+from hypercones.cones import (_circle_minimum, _cone_clearance,
+                              _frame_clearance, _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.convex import ConeHullSupport, gjk_distance
 from hypercones.spherical import angle_between, orthonormal_frame, \
@@ -996,6 +998,139 @@ def _shifted_escapes(inner, region, tau, shift):
             except DegenerateGeometry:
                 escapes += 1
     return escapes
+
+
+def _numpy_plane_margin(inner, outer, tau, shift=(0.0, 0.0, 0.0, 0.0),
+                        seeds=16, floor=-math.inf):
+    """_plane_margin as it was set up before it ran on plain floats: the
+    apex frames as LorentzTransform objects, the carry product and the
+    kappa terms as numpy products, the second centre from cap_image, and
+    no apex bound."""
+    frame_k, cap_k = inner.apex_frame
+    frame_r, cap_r = outer.apex_frame
+    carry = (frame_k @ frame_r.inverse()).matrix[:, 1:]
+    e1, e2 = orthonormal_frame(cap_r.axis.v)
+    psi = cap_r.half_angle
+    a = carry @ (math.sin(psi) * cap_r.axis.v)
+    b = carry @ (-math.cos(psi) * e1)
+    d = carry @ (-math.cos(psi) * e2)
+    t = frame_k.matrix @ np.asarray(shift, dtype=float)
+    t_row = np.array([t[0], -t[1], -t[2], -t[3]]) / tau
+    ka = float(t_row @ a + t_row @ t / (2.0 * tau))
+    kb, kd = float(t_row @ b), float(t_row @ d)
+    a0, ax, ay, az = (a + t / tau).tolist()
+    b0, bx, by, bz = b.tolist()
+    d0, dx, dy, dz = d.tolist()
+    nx, ny, nz = cap_k.axis.v.tolist()
+    cos_k, sin_k = cap_k.cos_half, math.sin(cap_k.half_angle)
+
+    def least(phi):
+        c, s = math.cos(phi), math.sin(phi)
+        alpha = -(a0 + c * b0 + s * d0)
+        mx, my, mz = ax + c * bx + s * dx, ay + c * by + s * dy, \
+            az + c * bz + s * dz
+        size = math.sqrt(mx * mx + my * my + mz * mz)
+        toward = -(mx * nx + my * ny + mz * nz)
+        if toward >= size * cos_k:
+            reach = size
+        else:
+            sx, sy, sz = my * nz - mz * ny, mz * nx - mx * nz, \
+                mx * ny - my * nx
+            reach = (toward * cos_k
+                     + math.sqrt(sx * sx + sy * sy + sz * sz) * sin_k)
+        p = alpha - reach
+        if p < 0.0:
+            return -math.inf
+        kappa = ka + c * kb + s * kd
+        if reach <= 0.0:
+            return alpha - kappa
+        return math.sqrt(p * (2.0 * alpha - p)) - kappa
+
+    def centres():
+        yield math.atan2(d0 + kd, b0 + kb)
+        axis = cap_image(frame_r, inner.base).axis.v
+        yield math.atan2(float(axis @ e2), float(axis @ e1))
+
+    return _circle_minimum(least, seeds, centres(), floor)
+
+
+def _construction_rungs(monkeypatch):
+    """(label, inner, outer, tau, shift) of every _plane_margin call that
+    seeded A9, A10 and A13 instances make on their ladders."""
+    rungs, label = [], [None]
+    real = cone_module._plane_margin
+
+    def record(inner, outer, tau, shift=(0.0, 0.0, 0.0, 0.0), **kwargs):
+        rungs.append((label[0], inner, outer, tau,
+                      tuple(float(x) for x in shift)))
+        return real(inner, outer, tau, shift, **kwargs)
+
+    monkeypatch.setattr(cone_module, "_plane_margin", record)
+    monkeypatch.setattr(constructions, "_plane_margin", record)
+    rng = np.random.default_rng(71)
+    for _ in range(12):
+        label[0] = "A9"
+        sigma, tau = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 2))
+        constructions.enclose_shadow(random_cone(rng), sigma, tau)
+        label[0] = "A10"
+        tau = rng.uniform(0.8, 1.5)
+        constructions.shrink_across_shells(
+            random_cone(rng, psi_min=0.5, apex_r=0.3),
+            tau * rng.uniform(0.75, 1.35), tau)
+    for _ in range(30):
+        label[0] = "A13"
+        tau, t0 = rng.uniform(0.7, 1.5), rng.uniform(0.2, 1.0)
+        shift = FourVector.from_parts(
+            t0, rng.uniform(0.0, 0.5) * t0 * unit_vector(rng))
+        constructions.translate_enclosure(random_cone(rng), tau, [shift])
+    return rungs
+
+
+class TestPlaneMarginOnFloats:
+    """The plain-float set-up and the apex bound against the numpy set-up
+    they replace, on the rungs the constructions try."""
+
+    @pytest.fixture(scope="class")
+    def rungs(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return _construction_rungs(monkeypatch)
+
+    def test_enough_rungs_of_each_ladder(self, rungs):
+        labels = [r[0] for r in rungs]
+        assert len(rungs) >= 500
+        assert {"A9", "A10", "A13"} <= set(labels)
+
+    def test_full_search_matches_the_numpy_setup(self, rungs):
+        for _, inner, outer, tau, shift in rungs:
+            got = _plane_margin(inner, outer, tau, shift)
+            want = _numpy_plane_margin(inner, outer, tau, shift)
+            if want == -math.inf:
+                assert got == -math.inf
+            else:
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
+                    (got, want)
+
+    def test_window_decisions_match_the_numpy_setup(self, rungs):
+        decided = set()
+        for _, inner, outer, tau, shift in rungs:
+            got = _plane_margin(inner, outer, tau, shift, floor=WINDOW)
+            want = _numpy_plane_margin(inner, outer, tau, shift,
+                                       floor=WINDOW)
+            assert (got > WINDOW) == (want > WINDOW)
+            decided.add(got > WINDOW)
+        assert decided == {True, False}
+
+    def test_apex_bound_is_never_below_the_least_value(self, rungs):
+        # with an infinite floor every call returns the apex bound
+        cut = 0
+        for _, inner, outer, tau, shift in rungs:
+            bound = _plane_margin(inner, outer, tau, shift, floor=math.inf)
+            least = _numpy_plane_margin(inner, outer, tau, shift)
+            assert bound >= least - 1e-12 * max(1.0, abs(least)), \
+                (bound, least)
+            cut += bound <= WINDOW
+        # the bound alone turns a share of the rungs away
+        assert cut > 0
 
 
 class TestPlaneMargin:

@@ -22,6 +22,7 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
 from hypercones import charges, constructions
 from hypercones.ball_model import ball_action_many
 from hypercones.cones import _frame_clearance, apex_boost
+from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
@@ -91,6 +92,139 @@ class TestFunnelIn:
         probe = Hyperball(shell, BallPoint(np.zeros(3)), 0.3)
         with pytest.raises(ValueError):
             funnel_in(axis_cone(), 0, probe)
+
+
+def _list_chord_levels(cone, target, count):
+    """The chord levels as they were built before they became lazy: the
+    whole list at once, the reference of the generator."""
+    apex0, axis0 = cone.apex.v, cone.base.axis.v
+    psi0 = cone.base.half_angle
+    chord = target - apex0
+    levels = []
+    for n in range(1, count + 1):
+        shrink = 0.5 ** n
+        psi = max(psi0 * shrink, 1e-7)
+        axis = rotate_toward(axis0, target, psi0 - psi)
+        apex = target - shrink * chord
+        validity = shrink * float(axis @ chord)
+        if validity <= 10.0 * DEFAULT_TOLERANCES.pointedness:
+            break
+        levels.append(BallCone(BallPoint(apex),
+                               Cap(SphereDirection.normalized(axis), psi)))
+    return levels
+
+
+def same_cone(a, b):
+    return (np.array_equal(a.apex.v, b.apex.v)
+            and np.array_equal(a.base.axis.v, b.base.axis.v)
+            and a.base.half_angle == b.base.half_angle)
+
+
+def count_built_cones(monkeypatch):
+    """A list that grows by one for every cone the constructions module
+    builds from here on."""
+    built, real = [], constructions.BallCone
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "BallCone", counted)
+    return built
+
+
+def funnel_cases(shell):
+    """Seeded (cone, probe) pairs: probes anywhere, probes on the cone's
+    axis that only deep levels clear, and one cone whose apex sits 1e-8
+    from its base circle, where the validity check stops the march after
+    three levels."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(6):
+        cone = random_cone(rng, psi_max=0.8)
+        cases += [(cone, Hyperball(shell, BallPoint(
+            rng.uniform(0.0, 0.55) * unit_vector(rng)),
+            rng.uniform(0.15, 0.5))),
+            (cone, Hyperball(shell, BallPoint(
+                rng.uniform(0.6, 0.85) * cone.base.axis.v),
+                rng.uniform(1.0, 2.0)))]
+    rim = math.cos(0.5) * Z + math.sin(0.5) * np.array([1.0, 0.0, 0.0])
+    cases.append((BallCone(BallPoint((1.0 - 1e-8) * rim),
+                           Cap(SphereDirection(Z), 0.5)),
+                  Hyperball(shell, BallPoint(-0.5 * rim), 0.3)))
+    return cases
+
+
+class TestLazyChordLevels:
+    def test_levels_equal_the_list_reference(self, shell):
+        for cone, probe in funnel_cases(shell):
+            target = constructions._steer_target(cone, probe.center.v)
+            for count in (1, 5, 60):
+                lazy = list(constructions._chord_levels(cone, target, count))
+                ref = _list_chord_levels(cone, target, count)
+                assert len(lazy) == len(ref)
+                assert all(map(same_cone, lazy, ref))
+
+    def test_funnel_builds_only_the_levels_it_keeps(self, shell,
+                                                    monkeypatch):
+        padded = 0
+        for cone, probe in funnel_cases(shell):
+            target = constructions._steer_target(cone, probe.center.v)
+            ref = _list_chord_levels(cone, target, 60)
+            cleared = next(i for i, level in enumerate(ref)
+                           if constructions._ball_clear(level, probe))
+            for depth in range(1, 8):
+                # the funnel: the first `depth` levels, the last repeated
+                # when the march stopped short, or the `depth` levels
+                # ending at the first clear one
+                if cleared + 1 <= depth:
+                    want = (ref[:depth] + [ref[-1]] * depth)[:depth]
+                    padded += len(ref) < depth
+                else:
+                    want = ref[cleared - depth + 1: cleared + 1]
+                with monkeypatch.context() as m:
+                    built = count_built_cones(m)
+                    got = funnel_in(cone, depth, probe).cones
+                assert len(got) == depth
+                assert all(map(same_cone, got, want))
+                assert len(built) == min(len(ref), max(cleared + 1, depth))
+        assert padded > 0
+
+    def test_avoid_ball_builds_up_to_the_first_clear_level(self, shell,
+                                                          monkeypatch):
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            cone = random_cone(rng, psi_max=0.9)
+            ball = Hyperball(shell, BallPoint(0.45 * unit_vector(rng)), 0.35)
+            target = constructions._steer_target(cone, ball.center.v)
+            ref = _list_chord_levels(cone, target, 60)
+            first = next(i for i, level in enumerate(ref)
+                         if constructions._ball_clear(level, ball))
+            with monkeypatch.context() as m:
+                built = count_built_cones(m)
+                got = avoid_ball_inside(ball, cone)
+            assert same_cone(got, ref[first])
+            assert len(built) == first + 1
+
+    def test_shrink_builds_up_to_the_first_disjoint_level(self,
+                                                          monkeypatch):
+        rng = np.random.default_rng(21)
+        seen = 0
+        while seen < 10:
+            a, b = random_cone(rng), random_cone(rng)
+            gamma = angle_between(a.base.axis.v, b.base.axis.v)
+            if gamma <= a.base.half_angle + b.base.half_angle + 1e-3:
+                continue
+            seen += 1
+            target = constructions._steer_target(a, b.base.axis.v)
+            ref = _list_chord_levels(a, target, 60)
+            first = next(i for i, level in enumerate(ref)
+                         if constructions._is_disjoint(level, b))
+            with monkeypatch.context() as m:
+                built = count_built_cones(m)
+                got = shrink_for_connectivity(a, b)
+            assert same_cone(got, ref[first])
+            assert len(built) == first + 1
 
 
 class TestSteerTarget:
@@ -585,6 +719,16 @@ class TestTranslateEnclosure:
         with pytest.raises(ValueError):
             translate_enclosure(axis_cone(), 1.0, [
                 FourVector.from_parts(-1.0, (0.0, 0.0, 0.0))])
+
+    @pytest.mark.parametrize("t0, xs, bad", [
+        (math.nan, (0.0, 0.0, 0.0), "nan"),
+        (math.inf, (0.0, 0.0, 0.0), "inf"),
+        (1.0, (0.0, math.nan, 0.0), "nan"),
+    ])
+    def test_non_finite_translation_rejected(self, t0, xs, bad):
+        with pytest.raises(ValueError, match=f"non-finite.*{bad}"):
+            translate_enclosure(axis_cone(), 1.0, [
+                FourVector.from_parts(t0, xs)])
 
     def test_spacelike_translation_rejected(self):
         with pytest.raises(ValueError):
