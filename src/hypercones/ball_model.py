@@ -5,6 +5,10 @@ u = x_s / x0, which fills the open unit ball. Chords of the ball are the
 geodesics, the boundary sphere collects asymptotic lightlike directions, and
 the Lorentz group acts projectively. All distances on a shell carry the tau
 prefactor of that shell's induced metric.
+
+The Lorentz frame kernels (_act, _inverse, _cap_seen, apex_matrix) live
+here once, on plain floats with a 4x4 matrix as 16 floats row by row;
+lorentz_ball_action and cap_image adapt them to the model's objects.
 """
 from __future__ import annotations
 
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import ETA, FourVector, LorentzTransform
-from .spherical import orthonormal_frame as _orthonormal_frame
+from .minkowski import FourVector, LorentzTransform
+from .spherical import orthonormal_frame as _orthonormal_frame, unit
 
 __all__ = [
     "Hyperboloid", "BallPoint", "SphereDirection", "Cap",
@@ -22,6 +26,7 @@ __all__ = [
     "ball_distance", "shadow_radius", "euclidean_radius_of_centered_ball",
     "lorentz_ball_action", "boost_ball_action", "sphere_action",
     "ball_action_many", "homology_through", "ray_exits", "cap_image",
+    "apex_matrix",
 ]
 
 
@@ -32,8 +37,8 @@ class Hyperboloid:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("shell parameter tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("shell tau must be positive and finite")
 
 
 class BallPoint:
@@ -69,7 +74,7 @@ class SphereDirection:
     def __init__(self, v):
         v = np.array(v, dtype=float).reshape(3)
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:  # NaN fails it too
             raise ValueError("direction must be unit length")
         v = v / n
         v.flags.writeable = False
@@ -79,8 +84,8 @@ class SphereDirection:
     def normalized(cls, v) -> "SphereDirection":
         v = np.asarray(v, dtype=float).reshape(3)
         n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < n < math.inf:
+            raise ValueError("cannot normalize a zero or non-finite vector")
         return cls(v / n)
 
     @property
@@ -197,17 +202,17 @@ def ball_action_many(transform: LorentzTransform,
 
 
 def lorentz_ball_action(transform: LorentzTransform, u):
-    """Apply the projective ball action to a BallPoint or SphereDirection.
+    """Apply the projective ball action (_act) to a BallPoint or direction.
 
     The denominator is bounded below by sqrt(1 + s) - sqrt(s) > 0 with
     s = sum of the squared mixed components, so the action extends
     continuously to the boundary sphere.
     """
+    m = transform.matrix.ravel().tolist()
     if isinstance(u, BallPoint):
-        return BallPoint(ball_action_many(transform, u.v[None, :])[0])
+        return BallPoint(_act(m, u.v.tolist()))
     if isinstance(u, SphereDirection):
-        w = ball_action_many(transform, u.v[None, :])[0]
-        return SphereDirection.normalized(w)
+        return SphereDirection.normalized(_act(m, u.v.tolist()))
     raise TypeError("expected BallPoint or SphereDirection")
 
 
@@ -321,18 +326,51 @@ def fit_cap(points: np.ndarray,
 
 
 def cap_image(transform: LorentzTransform, cap: Cap) -> Cap:
-    """Image of a cap under the boundary action of a Lorentz transform.
+    """Image of a cap under a Lorentz transform's boundary action."""
+    n, c, s = _cap_seen(transform.matrix.ravel().tolist(),
+                        cap.axis.v.tolist(), cap.cos_half,
+                        math.sin(cap.half_angle))
+    return Cap(SphereDirection(n), math.atan2(s, c))
 
-    The cap {d : d.n > cos psi} is the set of null rays (1, d) on which the
-    spacelike covector k = (-cos psi, n) is positive. The transform M sends
-    each ray x to Mx and the covector to k' = eta M eta k, which pairs with
-    Mx as k pairs with x (Ratcliffe, Foundations of Hyperbolic Manifolds:
-    hyperplanes of the hyperboloid model). So the image cap has axis
-    n' = k'_s / |k'_s| and cos psi' = -k'_0 / |k'_s|; since M keeps
-    |k'_s|^2 - k'_0^2 = sin^2 psi, the angle is read off as
-    atan2(sin psi, -k'_0), accurate for thin and wide caps alike.
+
+def _act(m, p) -> tuple[float, float, float]:
+    """Ball action of the matrix m on the point p."""
+    x, y, z = p
+    den = m[0] + m[1] * x + m[2] * y + m[3] * z
+    return ((m[4] + m[5] * x + m[6] * y + m[7] * z) / den,
+            (m[8] + m[9] * x + m[10] * y + m[11] * z) / den,
+            (m[12] + m[13] * x + m[14] * y + m[15] * z) / den)
+
+
+def _inverse(m) -> tuple[float, ...]:
+    """Inverse of a Lorentz matrix, eta m^T eta."""
+    return (m[0], -m[4], -m[8], -m[12], -m[1], m[5], m[9], m[13],
+            -m[2], m[6], m[10], m[14], -m[3], m[7], m[11], m[15])
+
+
+def _cap_seen(m, n, c: float, s: float):
+    """Axis, cos and sin of the half-angle of the image under the matrix m
+    of the cap about n with cos c and sin s.
+
+    The cap {d : d.n > c} is the set of null rays (1, d) on which the
+    spacelike covector k = (-c, n) is positive. The map sends each ray x
+    to mx and the covector to k' = eta m eta k, which pairs with mx as k
+    pairs with x (Ratcliffe, Foundations of Hyperbolic Manifolds, section
+    3.2: hyperplanes of the hyperboloid model). So the image cap has axis
+    k'_s / |k'_s| and cos -k'_0 / |k'_s|; since m keeps |k'_s|^2 - k'_0^2
+    = s^2, its sin is s / |k'_s|, accurate for thin and wide caps alike.
     """
-    k = np.concatenate(([-cap.cos_half], cap.axis.v))
-    k = ETA @ transform.matrix @ ETA @ k
-    return Cap(SphereDirection.normalized(k[1:]),
-               math.atan2(math.sin(cap.half_angle), -float(k[0])))
+    k = [c * m[i] + n[0] * m[i + 1] + n[1] * m[i + 2] + n[2] * m[i + 3]
+         for i in (0, 4, 8, 12)]
+    size = math.sqrt(k[1] * k[1] + k[2] * k[2] + k[3] * k[3])
+    return unit(k[1:]), k[0] / size, s / size
+
+
+def apex_matrix(x: float, y: float, z: float) -> tuple[float, ...]:
+    """The boost along -p that moves the ball point p = (x, y, z) to the
+    origin, with Lorentz factor g = 1/sqrt(1 - |p|^2), as 16 floats."""
+    g = 1.0 / math.sqrt(1.0 - (x * x + y * y + z * z))
+    h = g * g / (g + 1.0)  # (g - 1) / |p|^2
+    return (g, -g * x, -g * y, -g * z, -g * x, 1.0 + h * x * x, h * x * y,
+            h * x * z, -g * y, h * y * x, 1.0 + h * y * y, h * y * z,
+            -g * z, h * z * x, h * z * y, 1.0 + h * z * z)

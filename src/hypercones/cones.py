@@ -17,11 +17,11 @@ certificate the plane bisecting the common perpendicular. A point's
 margin (`point_margin`) is likewise its shell distance to the lateral
 boundary, in closed form, signed by membership.
 
-Lorentz maps act on cones exactly: the apex by the ball action and the cap
-by its covector image (``cap_image``). Each cone caches its apex frame, the
-boost that moves its apex to the origin together with the image cap; the
-opposite cone, the shell-metric distances, the contact tests and the
-shared-apex tests all work in that frame.
+Lorentz maps act on cones exactly through ball_model's float frame
+kernels: the apex by the ball action, the cap by its covector image. Each
+cone caches its apex frame (apex_matrix) with the image cap; the opposite
+cone, the shell-metric distances, the contact tests and the shared-apex
+tests all work in that frame.
 """
 from __future__ import annotations
 
@@ -32,14 +32,14 @@ from functools import cached_property
 import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         cap_image, lorentz_ball_action, ray_exits,
-                         shadow_radius)
+                         _act, _cap_seen, _inverse, apex_matrix, cap_image,
+                         lorentz_ball_action, ray_exits, shadow_radius)
 from .config import DEFAULT_TOLERANCES
 from .convex import Ellipsoid, hyperball_ellipsoid
 from .errors import DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
-from .spherical import (angle, angle_between, any_perpendicular, cross, dot,
-                        orthonormal_frame, rotate_toward, unit)
+from .spherical import (angle, angle_between, cross, dot, orthonormal_frame,
+                        perpendicular, rotate_toward, turn, unit)
 
 __all__ = [
     "BallCone", "Hypercone", "Hyperball", "contains_point", "cone_leq",
@@ -47,14 +47,6 @@ __all__ = [
     "hyperball_in_cone", "InclusionResult", "in_causal_completion",
     "map_cone", "point_margin",
 ]
-
-
-def apex_boost(p: np.ndarray) -> LorentzTransform:
-    """Boost whose ball action moves the ball point p to the origin."""
-    a = float(np.linalg.norm(p))
-    if a < 1e-14:
-        return LorentzTransform.identity()
-    return LorentzTransform.boost(p / a, -math.atanh(a))
 
 
 @dataclass(frozen=True)
@@ -164,15 +156,9 @@ class BallCone:
     @cached_property
     def apex_frame_scalars(self) -> tuple[float, ...]:
         """The apex frame on plain floats for the one-point kernels: the 16
-        entries, row by row, of the boost that moves the apex p to the origin
-        (cosh g = 1/sqrt(1 - |p|^2), sinh -g|p|), then the image cap axis and
-        half-angle."""
-        x, y, z, room = self.exit_scalars[:4]
-        g = 1.0 / math.sqrt(room)
-        h = g * g / (g + 1.0)  # (g - 1) / |p|^2
-        m = (g, -g * x, -g * y, -g * z, -g * x, 1.0 + h * x * x, h * x * y,
-             h * x * z, -g * y, h * y * x, 1.0 + h * y * y, h * y * z,
-             -g * z, h * z * x, h * z * y, 1.0 + h * z * z)
+        entries, row by row, of the boost that moves the apex to the origin
+        (ball_model.apex_matrix), then the image cap axis and half-angle."""
+        m = apex_matrix(*self.exit_scalars[:3])
         n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
                             math.sin(self.base.half_angle))
         return (*m, *n, math.atan2(s, c))
@@ -195,8 +181,8 @@ class Hyperball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("hyperball radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("hyperball radius must be positive and finite")
 
     def ellipsoid(self) -> Ellipsoid:
         return hyperball_ellipsoid(self.center.v, self.radius, self.shell.tau)
@@ -305,32 +291,8 @@ class DisjointResult:
         return self.disjoint
 
 
-# The contact kernel runs on plain floats, as _frame_clearance does (the
-# vector helpers are spherical's); a 4x4 matrix is 16 floats, row by row.
-
-def _turn(a, b, by: float) -> tuple[float, float, float]:
-    """The unit a turned by the angle `by` on a great circle toward b."""
-    d = dot(a, b)
-    t = (b[0] - d * a[0], b[1] - d * a[1], b[2] - d * a[2])
-    t = unit(t) if dot(t, t) > 0.0 else any_perpendicular(np.array(a))
-    c, s = math.cos(by), math.sin(by)
-    return c * a[0] + s * t[0], c * a[1] + s * t[1], c * a[2] + s * t[2]
-
-
-def _act(m, p) -> tuple[float, float, float]:
-    """Ball action of the matrix m on the point p."""
-    x, y, z = p
-    den = m[0] + m[1] * x + m[2] * y + m[3] * z
-    return ((m[4] + m[5] * x + m[6] * y + m[7] * z) / den,
-            (m[8] + m[9] * x + m[10] * y + m[11] * z) / den,
-            (m[12] + m[13] * x + m[14] * y + m[15] * z) / den)
-
-
-def _inverse(m) -> tuple[float, ...]:
-    """Inverse of a Lorentz matrix, eta m^T eta."""
-    return (m[0], -m[4], -m[8], -m[12], -m[1], m[5], m[9], m[13],
-            -m[2], m[6], m[10], m[14], -m[3], m[7], m[11], m[15])
-
+# The contact kernel runs on plain floats, as _frame_clearance does: the
+# vector helpers are spherical's and the frame kernels ball_model's.
 
 def _plane(m, n) -> tuple[np.ndarray, float]:
     """The plane {Z : <Z, N> = 0} of the frame m carried back to the ball:
@@ -358,12 +320,12 @@ def _hull_gap(n1, psi1: float, q, n2, c2: float, s2: float):
     gap = angle(n1, n2) - psi2
     if gap <= 0.0:
         return -psi1, n1
-    x = _turn(n2, n1, psi2)
+    x = turn(n2, n1, psi2)
     if q is None:
         return gap - psi1, x
     # n1 in the frame of Q, u toward n2 and v toward n1's nearer edge
     big_q = unit(q)
-    u = _turn(big_q, n2, 0.5 * math.pi)
+    u = turn(big_q, n2, 0.5 * math.pi)
     sin_d, cos_d = dot(n2, u), dot(n2, big_q)
     if math.atan2(sin_d, cos_d) <= psi2:  # Q in the cap: S is the cap
         return gap - psi1, x
@@ -386,15 +348,6 @@ def _hull_gap(n1, psi1: float, q, n2, c2: float, s2: float):
         gap, x = edge, (big_q if foot < 0.0 else unit(
             [pq * a + pe * (cb * b + sb * c) for a, b, c in zip(big_q, u, v)]))
     return gap - psi1, x
-
-
-def _cap_seen(m, n, c: float, s: float):
-    """Axis, cos and sin of the half-angle of the cap about n with cos c and
-    sin s, seen in the frame m: the covector (-c, n) maps as in cap_image."""
-    k = [c * m[i] + n[0] * m[i + 1] + n[1] * m[i + 2] + n[2] * m[i + 3]
-         for i in (0, 4, 8, 12)]
-    size = math.sqrt(k[1] * k[1] + k[2] * k[2] + k[3] * k[3])
-    return unit(k[1:]), k[0] / size, s / size
 
 
 def _caps(k1: BallCone, k2: BallCone, t: float, m):
@@ -461,7 +414,7 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
         lo, hi, found = (lo, mid, found) if hit is None else (mid, hi, hit)
     if found is not None:
         (n1, psi1, n2, c2, s2), hit = found
-        d = n1 if hit is None else _turn(
+        d = n1 if hit is None else turn(
             hit[1], n2, min(-0.5 * hit[0], 0.5 * angle(hit[1], n2)))
         r = _chord_middle(d, q or (0.0, 0.0, 0.0), n2, c2)
         if r is not None:
@@ -501,14 +454,14 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
         if gap > window:
             # the great circle normal to the arc n1 x, midway between the
             # cap and x (or n1's equator) or at x, whichever clears more:
-            # the cap by the turn less psi1, S by its generators' least depth
+            # the cap by the arc less psi1, S by its generators' least depth
             gens = [(n2, math.atan2(s2, c2))] + (
                 [] if q is None else [(unit(q), 0.0)])
             best, side = -math.inf, None
-            for turn in (min(0.5 * gap + psi1, 0.5 * math.pi), gap + psi1):
-                w = (n1 if turn >= 0.5 * math.pi  # k1 lies on w.P > 0
-                     else _turn(n1, x, turn - 0.5 * math.pi))
-                clear = min(turn - psi1, *(
+            for arc in (min(0.5 * gap + psi1, 0.5 * math.pi), gap + psi1):
+                w = (n1 if arc >= 0.5 * math.pi  # k1 lies on w.P > 0
+                     else turn(n1, x, arc - 0.5 * math.pi))
+                clear = min(arc - psi1, *(
                     math.asin(max(-1.0, min(1.0, -dot(w, g)))) - r
                     for g, r in gens))
                 if clear > best:
@@ -529,9 +482,10 @@ def opposite(cone: BallCone) -> BallCone:
     negated; the inverse frame carries it back exactly. Applying the
     construction twice returns the input.
     """
-    frame, cap = cone.apex_frame
-    flipped = Cap(SphereDirection(-cap.axis.v), cap.half_angle)
-    return BallCone(cone.apex, cap_image(frame.inverse(), flipped))
+    *m, nx, ny, nz, psi = cone.apex_frame_scalars
+    n, c, s = _cap_seen(_inverse(m), (-nx, -ny, -nz), math.cos(psi),
+                        math.sin(psi))
+    return BallCone(cone.apex, Cap(SphereDirection(n), math.atan2(s, c)))
 
 
 def _covering_cap(caps: list[Cap], pad: float) -> Cap | None:
@@ -690,9 +644,7 @@ def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
     carry = [[m_k[i] * inv[j] + m_k[i + 1] * inv[j + 4]
               + m_k[i + 2] * inv[j + 8] + m_k[i + 3] * inv[j + 12]
               for j in (1, 2, 3)] for i in (0, 4, 8, 12)]
-    # orthonormal_frame(n_r): e1 is n_r across the axis of its least entry
-    j = min(range(3), key=lambda i: abs(n_r[i]))
-    e1 = unit(cross(n_r, [float(i == j) for i in range(3)]))
+    e1 = perpendicular(n_r)
     e2 = cross(n_r, e1)
     # M at azimuth phi is a + cos(phi) b + sin(phi) d
     a, b, d = ([r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in carry]
@@ -847,9 +799,9 @@ def cone_hyperball_disjoint(cone: BallCone,
     if not inside:
         start = (0.0, 0.0, 0.0)
         if angle(c, n) - psi < 0.5 * math.pi:
-            b = _turn(n, c, psi)
+            b = turn(n, c, psi)
             start = [dot(c, b) * a for a in b]
-            ahead = [-a for a in _turn(n, c, psi + 0.5 * math.pi)]
+            ahead = [-a for a in turn(n, c, psi + 0.5 * math.pi)]
     if margin > 0.0:
         # the unit tangent at C toward X: the lift's derivative along ahead
         room, za = 1.0 - dot(c, c), dot(c, ahead)

@@ -25,16 +25,17 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .ball_model import (BallPoint, Cap, SphereDirection, ball_action_many,
-                         cap_image, ray_exits, shadow_radius)
+from .ball_model import (BallPoint, Cap, SphereDirection, _act, _cap_seen,
+                         _inverse, apex_matrix, ray_exits, shadow_radius)
 from .cones import (BallCone, Hyperball, _cone_clearance, _plane_margin,
-                    _covering_cap, _frame_clearance, apex_boost,
+                    _covering_cap, _frame_clearance,
                     cone_hyperball_disjoint, cone_leq, disjoint,
                     hyperball_in_cone, map_cone, opposite)
 from .config import DEFAULT_TOLERANCES
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
-from .spherical import angle_between, orthonormal_frame, rotate_toward, slerp
+from .spherical import (angle_between, dot, orthonormal_frame, rotate_toward,
+                        slerp, unit)
 
 __all__ = [
     "Funnel", "ConePath", "ContractingBoosts",
@@ -291,13 +292,13 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
 
     Requires the ball's hull disjoint from the cone's hull.  The apex is
     placed on the separating plane delivered by that disjointness. In the
-    apex's own frame (cones.apex_boost) the ball is a metric ball of
+    apex's own frame (ball_model.apex_matrix) the ball is a metric ball of
     radius rho = radius/tau about c', at distance r = atanh|c'| from the
     origin, and the rays from the origin that meet it are exactly those
     within A = asin(sinh rho / sinh r) of c': the right-angled triangle
     relation sinh a = sinh c sin A (Beardon, The Geometry of Discrete
     Groups, ch. 7). The cap about c' of half-angle A plus a pad is carried
-    back by the inverse frame (cap_image).
+    back by the inverse frame (ball_model._cap_seen).
     """
     sep = cone_hyperball_disjoint(cone, ball)
     if not sep.disjoint:
@@ -307,29 +308,33 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
     proj = ell.center - (float(w @ ell.center) - c) * w
     candidates = [proj, 0.5 * (proj + c * w), c * w]
     rho = ball.radius / ball.shell.tau
-    for apex, pad in itertools.product(candidates, (0.02, 0.05, 0.12, 0.25)):
+    for apex in candidates:
         if np.linalg.norm(apex) >= 1.0 - 1e-9:
             continue
-        frame = apex_boost(apex)
-        seen = ball_action_many(frame, ball.center.v)[0]
-        r = math.atanh(float(np.linalg.norm(seen)))
+        m = apex_matrix(*apex.tolist())
+        seen = _act(m, ball.center.v.tolist())
+        r = math.atanh(math.sqrt(dot(seen, seen)))
         if r <= rho:
             continue
-        half = math.asin(math.sinh(rho) / math.sinh(r)) + pad
-        if half >= 0.5 * math.pi:
-            continue
-        cap = cap_image(frame.inverse(),
-                        Cap(SphereDirection.normalized(seen), half))
-        if not _cap_fits(cap.half_angle, float(cap.axis.v @ apex)):
-            continue
-        region = BallCone(BallPoint(apex), cap)
-        try:
-            inside = hyperball_in_cone(ball, region)
-            clear = disjoint(region, cone)
-        except DegenerateGeometry:
-            continue
-        if inside.holds and clear.disjoint:
-            return region
+        axis, back = unit(seen), _inverse(m)
+        reach = math.asin(math.sinh(rho) / math.sinh(r))
+        for pad in (0.02, 0.05, 0.12, 0.25):
+            half = reach + pad
+            if half >= 0.5 * math.pi:
+                continue
+            n, cos_a, sin_a = _cap_seen(back, axis, math.cos(half),
+                                        math.sin(half))
+            cap = Cap(SphereDirection(n), math.atan2(sin_a, cos_a))
+            if not _cap_fits(cap.half_angle, float(cap.axis.v @ apex)):
+                continue
+            region = BallCone(BallPoint(apex), cap)
+            try:
+                inside = hyperball_in_cone(ball, region)
+                clear = disjoint(region, cone)
+            except DegenerateGeometry:
+                continue
+            if inside.holds and clear.disjoint:
+                return region
     raise ConstructionFailure(
         "no cap-based cone over the ball stayed disjoint from the cone; "
         "the ball may be too eccentric from every admissible apex")
@@ -340,7 +345,8 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
 
 
 def _common_subcone(a: BallCone, b: BallCone) -> BallCone | None:
-    """Cone inside both inputs, or None when their caps barely overlap."""
+    """Cone inside both inputs, certified by cone_leq against each, or
+    None when their caps barely overlap."""
     gamma = angle_between(a.base.axis.v, b.base.axis.v)
     psi_a, psi_b = a.base.half_angle, b.base.half_angle
     if gamma < 1e-12:
@@ -386,14 +392,6 @@ def _same_cone(a: BallCone, b: BallCone) -> bool:
             and abs(a.base.half_angle - b.base.half_angle) <= 1e-14)
 
 
-def _certify_path(path: ConePath) -> None:
-    for i, w in enumerate(path.witnesses):
-        _require(bool(cone_leq(w, path.nodes[i])),
-                 "path witness escapes its left node", i)
-        _require(bool(cone_leq(w, path.nodes[i + 1])),
-                 "path witness escapes its right node", i)
-
-
 def path_connect(cone_a: BallCone, cone_b: BallCone) -> ConePath:
     """Cone sequence from `cone_a` to `cone_b` where every adjacent pair
     shares a certified common subcone.
@@ -416,9 +414,7 @@ def path_connect(cone_a: BallCone, cone_b: BallCone) -> ConePath:
                 break
             witnesses.append(w)
         else:
-            path = ConePath(tuple(nodes), tuple(witnesses))
-            _certify_path(path)
-            return path
+            return ConePath(tuple(nodes), tuple(witnesses))
     raise ConstructionFailure(
         "no subdivision produced common subcones along the whole path")
 
@@ -498,12 +494,7 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
                 break
             witnesses.append(w)
         else:
-            path = ConePath(tuple(nodes), tuple(witnesses))
-            _certify_path(path)
-            for i, node in enumerate(path.nodes[1:-1], start=1):
-                _require(_is_disjoint(node, forbidden),
-                         "path node meets the forbidden cone", i)
-            return path
+            return ConePath(tuple(nodes), tuple(witnesses))
     raise ConstructionFailure(
         "could not route a thin-cone path around the forbidden cone")
 

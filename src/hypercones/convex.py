@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spherical import any_perpendicular
+from .spherical import perpendicular
 
 __all__ = ["ConeHullSupport", "Ellipsoid", "hyperball_ellipsoid",
            "gjk_distance", "GJKResult"]
@@ -68,7 +68,7 @@ class ConeHullSupport:
         c, s = self.cos_half, self.sin_half
         if pn <= 1e-12 * norm:
             # w anti-parallel to axis: every circle point ties
-            px, py, pz = any_perpendicular(np.array(self.axis)).tolist()
+            px, py, pz = perpendicular(self.axis)
             pn = 1.0
         return (c * nx + s * (px / pn), c * ny + s * (py / pn),
                 c * nz + s * (pz / pn))

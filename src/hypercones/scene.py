@@ -68,15 +68,22 @@ class Scene:
 
 def _vector(value, length: int, what: str) -> np.ndarray:
     if (not isinstance(value, (list, tuple)) or len(value) != length
-            or not all(isinstance(c, (int, float)) for c in value)):
+            or not all(isinstance(c, (int, float))
+                       and not isinstance(c, bool) for c in value)):
         raise SceneError(f"{what} must be a list of {length} numbers")
-    return np.asarray(value, dtype=float)
+    return np.array([_number(c, what) for c in value])
 
 
 def _number(value, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SceneError(f"{what} must be a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise SceneError(f"{what} must be finite")
+    return x
 
 
 def _load_cone(name: str, entry: dict) -> BallCone:

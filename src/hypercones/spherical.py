@@ -1,8 +1,8 @@
 """Unit-sphere helpers shared by the cone modules.
 
-The kernels that run one query per call work on 3-sequences of plain
-floats (dot, cross, unit, angle): at that size, array dispatch would cost
-more than the arithmetic. The rest take and return numpy arrays.
+The kernels work on 3-sequences of plain floats: at one query per call,
+array dispatch would cost more than the arithmetic. The names exported
+take and return numpy arrays, and adapt them.
 """
 from __future__ import annotations
 
@@ -34,26 +34,36 @@ def angle(a, b) -> float:
     return math.atan2(math.sqrt(dot(c, c)), dot(a, b))
 
 
+def perpendicular(a) -> tuple[float, float, float]:
+    """A unit vector normal to a: a crossed with the basis vector of its
+    least entry."""
+    j = min(range(3), key=lambda i: abs(a[i]))
+    return unit(cross(a, [float(i == j) for i in range(3)]))
+
+
+def turn(a, b, by: float) -> tuple[float, float, float]:
+    """The unit a turned by the angle `by` on a great circle toward b; on
+    an arbitrary great circle when b is within 1e-14 of +-a."""
+    d = dot(a, b)
+    t = (b[0] - d * a[0], b[1] - d * a[1], b[2] - d * a[2])
+    t = unit(t) if dot(t, t) >= 1e-28 else perpendicular(a)
+    c, s = math.cos(by), math.sin(by)
+    return c * a[0] + s * t[0], c * a[1] + s * t[1], c * a[2] + s * t[2]
+
+
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     return angle(np.asarray(u, dtype=float).tolist(),
                  np.asarray(v, dtype=float).tolist())
 
 
 def any_perpendicular(u: np.ndarray) -> np.ndarray:
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(u)))] = 1.0
-    w = np.array(cross(u.tolist(), seed.tolist()))
-    return w / np.linalg.norm(w)
+    return np.array(perpendicular(u.tolist()))
 
 
 def rotate_toward(u: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
     """Rotate unit u by `angle` within the plane spanned by u and v,
-    heading toward v. Falls back to an arbitrary plane when u, v are
-    (anti)parallel."""
-    w = v - float(v @ u) * u
-    n = np.linalg.norm(w)
-    w = any_perpendicular(u) if n < 1e-14 else w / n
-    return math.cos(angle) * u + math.sin(angle) * w
+    heading toward v (turn)."""
+    return np.array(turn(u.tolist(), v.tolist(), angle))
 
 
 def slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -61,6 +71,6 @@ def slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 
 
 def orthonormal_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e1 = any_perpendicular(n)
-    e2 = np.array(cross(n.tolist(), e1.tolist()))
-    return e1, e2
+    n = n.tolist()
+    e1 = perpendicular(n)
+    return np.array(e1), np.array(cross(n, e1))

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercones import (BallPoint, Cap, FourVector, Hyperboloid,
-                        LorentzTransform, SphereDirection, ball_distance,
-                        boost_ball_action, cap_image,
+from hypercones import (BallCone, BallPoint, Cap, FourVector, Hyperball,
+                        Hyperboloid, LorentzTransform, SphereDirection,
+                        ball_distance, boost_ball_action, cap_image,
                         euclidean_radius_of_centered_ball, fit_cap,
                         homology_through, hyperboloid_distance,
-                        lift_from_ball, lorentz_ball_action, project_to_ball,
-                        shadow_radius, sphere_action)
+                        lift_from_ball, lorentz_ball_action, map_cone,
+                        opposite, project_to_ball, shadow_radius,
+                        sphere_action)
+from hypercones.ball_model import ball_action_many
+from hypercones.minkowski import ETA
 from hypercones.spherical import angle_between
 from tests.conftest import interior_point, random_transform, unit_vector
 
@@ -41,6 +44,25 @@ class TestModelValidation:
             Cap(axis, 0.0)
         with pytest.raises(ValueError):
             Cap(axis, math.pi)
+
+    def test_sphere_direction_refuses_nan(self):
+        with pytest.raises(ValueError, match="unit length"):
+            SphereDirection([math.nan, 0.0, 0.0])
+
+    @pytest.mark.parametrize("v", [[math.nan, 0.0, 0.0],
+                                   [math.inf, 0.0, 0.0]],
+                             ids=["nan", "inf"])
+    def test_normalized_refuses_non_finite(self, v):
+        with pytest.raises(ValueError, match="non-finite"):
+            SphereDirection.normalized(v)
+
+    def test_hyperball_refuses_infinite_radius(self, shell):
+        with pytest.raises(ValueError, match="finite"):
+            Hyperball(shell, BallPoint(np.zeros(3)), math.inf)
+
+    def test_shell_refuses_infinite_tau(self):
+        with pytest.raises(ValueError, match="finite"):
+            Hyperboloid(math.inf)
 
 
 class TestProjection:
@@ -309,3 +331,88 @@ class TestCapFitting:
         twice = cap_image(g, cap_image(h, cap))
         assert abs(once.half_angle - twice.half_angle) < 1e-8
         assert float(once.axis.v @ twice.axis.v) > 1.0 - 1e-8
+
+
+def _numpy_cap_image(transform, cap):
+    """The covector image k' = eta M eta k as a 4x4 matrix product: cap_image
+    as it was before it ran on the float kernel, kept as a reference."""
+    k = np.concatenate(([-cap.cos_half], cap.axis.v))
+    k = ETA @ transform.matrix @ ETA @ k
+    return Cap(SphereDirection.normalized(k[1:]),
+               math.atan2(math.sin(cap.half_angle), -float(k[0])))
+
+
+def _numpy_ball_action(transform, u):
+    """The ball action as a one-row ball_action_many: lorentz_ball_action
+    as it was before it ran on the float kernel, kept as a reference."""
+    w = ball_action_many(transform, u.v[None, :])[0]
+    if isinstance(u, BallPoint):
+        return BallPoint(w)
+    return SphereDirection.normalized(w)
+
+
+def kernel_pairs(n=2_000, seed=30):
+    """Seeded (cone, transform, rapidity) triples: apexes out to |p| =
+    0.95, half-angles 0.05 to 1.5, rapidities up to 3 after a rotation."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < n:
+        axis, psi = unit_vector(rng), rng.uniform(0.05, 1.5)
+        apex = rng.uniform(0.0, 0.95) * unit_vector(rng)
+        if float(axis @ apex) >= math.cos(psi) - 1e-6:
+            continue
+        chi = rng.uniform(-3.0, 3.0)
+        g = (LorentzTransform.rotation(unit_vector(rng),
+                                       rng.uniform(0.0, 2.0 * math.pi))
+             @ LorentzTransform.boost(unit_vector(rng), chi))
+        pairs.append((BallCone(BallPoint(apex),
+                               Cap(SphereDirection(axis), psi)), g, chi))
+    return pairs
+
+
+def cap_gap(a: Cap, b: Cap) -> float:
+    return max(float(np.max(np.abs(a.axis.v - b.axis.v))),
+               abs(a.half_angle - b.half_angle))
+
+
+class TestFloatKernels:
+    """The float frame kernels against the numpy products they replaced.
+
+    Both round differently, and a boost of rapidity chi has entries up to
+    cosh chi and divides by a denominator down to exp(-|chi|), so the two
+    may part by a few ulps times cosh^2 chi; an apex frame is a boost with
+    cosh^2 chi = 1 / (1 - |p|^2)."""
+
+    def test_maps_agree_with_the_numpy_products(self):
+        for cone, g, chi in kernel_pairs():
+            bound = 1e-15 * math.cosh(chi) ** 2
+            ref = _numpy_cap_image(g, cone.base)
+            assert cap_gap(cap_image(g, cone.base), ref) <= bound
+            for u in (cone.apex, cone.base.axis):
+                got = lorentz_ball_action(g, u)
+                assert type(got) is type(u)
+                assert np.max(np.abs(got.v - _numpy_ball_action(g, u).v)) \
+                    <= bound
+            mapped = map_cone(g, cone)
+            assert np.max(np.abs(mapped.apex.v - _numpy_ball_action(
+                g, cone.apex).v)) <= bound
+            assert cap_gap(mapped.base, ref) <= bound
+
+    def test_opposite_agrees_with_the_numpy_product(self):
+        for cone, _, _ in kernel_pairs():
+            bound = 1e-15 / (1.0 - float(cone.apex.v @ cone.apex.v))
+            frame, cap = cone.apex_frame
+            ref = _numpy_cap_image(frame.inverse(), Cap(
+                SphereDirection(-cap.axis.v), cap.half_angle))
+            got = opposite(cone)
+            assert got.apex is cone.apex
+            assert cap_gap(got.base, ref) <= bound
+
+    def test_opposite_is_an_involution(self):
+        # two maps through the apex frame and back, each within a few ulps
+        # times its cosh^2
+        for cone, _, _ in kernel_pairs():
+            back = opposite(opposite(cone))
+            assert back.apex is cone.apex
+            assert cap_gap(back.base, cone.base) <= 4e-15 / (
+                1.0 - float(cone.apex.v @ cone.apex.v))

@@ -348,6 +348,34 @@ class TestExitCodes:
         assert err.startswith("degenerate:")
 
 
+class TestNonFiniteScenes:
+    @pytest.mark.parametrize("section, name, field, value, query, message", [
+        ("cones", "A", "apex", [math.nan, 0.0, 0.15], "disjoint A B",
+         "cone 'A' apex must be finite"),
+        ("cones", "A", "half_angle_deg", math.inf, "leq A big",
+         "cone 'A' half angle must be finite"),
+        ("balls", "O", "radius", math.inf, "contains A O",
+         "ball 'O' radius must be finite"),
+        ("balls", "O", "center", [0.3, math.nan, 0.35], "contains big O",
+         "ball 'O' center must be finite"),
+        ("cones", "B", "axis", [False, 0.0, -1.0], "disjoint A B",
+         "cone 'B' axis must be a list of 3 numbers"),
+        (None, None, "tau", math.nan, "disjoint A B", "tau must be finite"),
+    ], ids=["apex-nan", "angle-inf", "radius-inf", "center-nan",
+            "axis-bool", "tau-nan"])
+    def test_scene_is_refused_with_exit_one(self, capsys, tmp_path, section,
+                                            name, field, value, query,
+                                            message):
+        doc = json.loads(open(DEMO, encoding="utf-8").read())
+        entry = doc if section is None else doc[section][name]
+        entry[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path), query)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestRejectedFlags:
     def test_tolerances_flag_is_rejected(self, capsys, tmp_path):
         # the thresholds are fixed; no file can override them

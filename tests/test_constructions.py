@@ -21,15 +21,61 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         wrap_ball_in_complement)
 from hypercones import charges, constructions
 from hypercones.ball_model import ball_action_many
-from hypercones.cones import _frame_clearance, apex_boost
+from hypercones.cones import _frame_clearance
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
                             exhaustion_family, random_cone, random_transform,
                             unit_vector)
+from tests.test_ball_model import _numpy_cap_image
 
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def apex_boost(p: np.ndarray) -> LorentzTransform:
+    """Boost whose ball action moves the ball point p to the origin, built
+    as a matrix boost: an independent check of ball_model.apex_matrix."""
+    a = float(np.linalg.norm(p))
+    if a < 1e-14:
+        return LorentzTransform.identity()
+    return LorentzTransform.boost(p / a, -math.atanh(a))
+
+
+def matrix_boost_wrap(ball, cone):
+    """Apex, pad and cap that wrap_ball_in_complement picked when it built
+    one matrix boost per (apex, pad) and mapped the cap by a 4x4 matrix
+    product: the same candidates, pads, order and checks."""
+    w, c = cone_hyperball_disjoint(cone, ball).plane
+    center = ball.ellipsoid().center
+    proj = center - (float(w @ center) - c) * w
+    rho = ball.radius / ball.shell.tau
+    for apex in (proj, 0.5 * (proj + c * w), c * w):
+        for pad in (0.02, 0.05, 0.12, 0.25):
+            if np.linalg.norm(apex) >= 1.0 - 1e-9:
+                continue
+            frame = apex_boost(apex)
+            seen = ball_action_many(frame, ball.center.v)[0]
+            r = math.atanh(float(np.linalg.norm(seen)))
+            if r <= rho:
+                continue
+            half = math.asin(math.sinh(rho) / math.sinh(r)) + pad
+            if half >= 0.5 * math.pi:
+                continue
+            cap = _numpy_cap_image(frame.inverse(), Cap(
+                SphereDirection.normalized(seen), half))
+            if not constructions._cap_fits(cap.half_angle,
+                                           float(cap.axis.v @ apex)):
+                continue
+            region = BallCone(BallPoint(apex), cap)
+            try:
+                inside = hyperball_in_cone(ball, region)
+                clear = disjoint(region, cone)
+            except DegenerateGeometry:
+                continue
+            if inside.holds and clear.disjoint:
+                return apex, pad, cap
+    raise AssertionError("the matrix boost path found no wrap")
 
 
 def axis_cone(psi=0.5, apex_z=0.0) -> BallCone:
@@ -325,6 +371,12 @@ class TestWrapBallInComplement:
             margin = hyperball_in_cone(ball, wrap).margin
             closed = shell.tau * math.asinh(math.sinh(r) * math.sin(half))
             assert abs(margin - (closed - ball.radius)) <= 1e-12
+            # the same apex and pad as the wrap on matrix boosts
+            apex, pad, cap = matrix_boost_wrap(ball, cone)
+            assert np.array_equal(wrap.apex.v, apex)
+            assert abs(half - reach - pad) <= 1e-12
+            assert np.max(np.abs(wrap.base.axis.v - cap.axis.v)) <= 1e-12
+            assert abs(wrap.base.half_angle - cap.half_angle) <= 1e-12
 
     def test_transported_witness_stays_valid(self, shell):
         rng = np.random.default_rng(4)
@@ -374,6 +426,39 @@ class TestPaths:
             assert_path_valid(path, a, b)
             for node in path.nodes:
                 assert disjoint(node, forbidden).disjoint
+
+    def test_each_certificate_is_decided_once(self, monkeypatch):
+        # A5 and A6 put no question to disjoint or cone_leq twice on the
+        # same two cone objects (a path may hold equal nodes: a corner of
+        # the A6 route repeats, and each copy is its own question)
+        asked = []
+
+        def counted(name, predicate):
+            def wrapper(a, b):
+                asked.append((name, a, b))
+                return predicate(a, b)
+            return wrapper
+
+        monkeypatch.setattr(constructions, "disjoint",
+                            counted("disjoint", disjoint))
+        monkeypatch.setattr(constructions, "cone_leq",
+                            counted("cone_leq", cone_leq))
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            a, b = random_cone(rng), random_cone(rng)
+            path_connect(a, b)
+        for _ in range(5):
+            forbidden = random_cone(rng, psi_max=0.5, apex_r=0.4)
+            ends = []
+            while len(ends) < 2:
+                c = random_cone(rng, psi_max=0.5)
+                if disjoint(forbidden, c).disjoint:
+                    ends.append(c)
+            path_connect_in_complement(forbidden, *ends)
+        # the list keeps every cone alive, so no id is reused
+        keys = [(name, id(a), id(b)) for name, a, b in asked]
+        assert len(keys) > 100
+        assert len(set(keys)) == len(keys)
 
     def test_endpoint_overlapping_forbidden_rejected(self):
         forbidden = axis_cone(0.6, -0.1)

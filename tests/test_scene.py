@@ -101,6 +101,35 @@ class TestValidation:
             scene_mod.loads(minimal_doc(balls={"O": {
                 "center": [0.0, 0.0, 0.0], "radius": -1.0}}))
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"tau": math.nan}, "tau"),
+        ({"tau": math.inf}, "tau"),
+        ({"cones": {"K": {"apex": [math.nan, 0, 0], "axis": [0, 0, 1],
+                          "half_angle_deg": 20.0}}}, "cone 'K' apex"),
+        ({"cones": {"K": {"apex": [0, 0, 0], "axis": [0, 0, math.inf],
+                          "half_angle_deg": 20.0}}}, "cone 'K' axis"),
+        ({"cones": {"K": {"apex": [0, 0, 0], "axis": [0, 0, 1],
+                          "half_angle_deg": math.nan}}},
+         "cone 'K' half angle"),
+        ({"balls": {"O": {"center": [0, -math.inf, 0], "radius": 0.2}}},
+         "ball 'O' center"),
+        ({"balls": {"O": {"center": [0, 0, 0], "radius": math.inf}}},
+         "ball 'O' radius"),
+        ({"balls": {"O": {"center": [0, 0, 0], "radius": 10 ** 400}}},
+         "ball 'O' radius"),
+        ({"events": {"x": [math.nan, 0, 0, 0]}}, "event 'x'"),
+    ], ids=["tau-nan", "tau-inf", "apex-nan", "axis-inf", "angle-nan",
+            "center-inf", "radius-inf", "radius-huge-int", "event-nan"])
+    def test_non_finite_numbers_are_refused(self, extra, field):
+        with pytest.raises(SceneError, match=f"^{field} must be finite$"):
+            scene_mod.loads(minimal_doc(**extra))
+
+    def test_vectors_refuse_bools(self):
+        with pytest.raises(SceneError, match="cone 'K' apex .*3 numbers"):
+            scene_mod.loads(minimal_doc(cones={"K": {
+                "apex": [True, 0, 0], "axis": [0, 0, 1],
+                "half_angle_deg": 20.0}}))
+
     def test_event_must_be_four_numbers(self):
         with pytest.raises(SceneError, match="4 numbers"):
             scene_mod.loads(minimal_doc(events={"x": [1.0, 0.0, 0.0]}))
