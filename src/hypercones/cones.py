@@ -26,8 +26,9 @@ tests all work in that frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -280,15 +281,21 @@ def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
 
 @dataclass(frozen=True)
 class DisjointResult:
-    """Outcome of a disjointness test, with its witness."""
+    """Outcome of a disjointness test, with its witness: a common point,
+    or a separating plane that `separation` builds when first read."""
 
     disjoint: bool
     margin: float
-    plane: tuple[np.ndarray, float] | None
-    common_point: np.ndarray | None
+    common_point: np.ndarray | None = None
+    separation: Callable[[], tuple] | None = field(default=None, repr=False)
 
     def __bool__(self) -> bool:
         return self.disjoint
+
+    @cached_property
+    def plane(self) -> tuple[np.ndarray, float] | None:
+        """Unit normal w and offset c of the separating plane, or None."""
+        return None if self.separation is None else self.separation()
 
 
 # The contact kernel runs on plain floats, as _frame_clearance does: the
@@ -359,10 +366,30 @@ def _caps(k1: BallCone, k2: BallCone, t: float, m):
         c = cone.base.cos_half + t
         if c >= 1.0:
             return None
-        s = (math.sin(cone.base.half_angle) if t == 0.0
-             else math.sqrt((1.0 - c) * (1.0 + c)))
-        caps.append(_cap_seen(m, cone.exit_scalars[4:7], c, s))
+        caps.append(_cap_seen(m, cone.exit_scalars[4:7], c,
+                              math.sqrt((1.0 - c) * (1.0 + c))))
     return caps[0][0], math.atan2(caps[0][2], caps[0][1]), *caps[1]
+
+
+def _line_entry(cone: BallCone, d) -> float:
+    """Least r > -1 with r d in the cone's closed hull, for a unit d inside
+    its open cap. With A, B, U and W of _chord_middle for the apex and cap,
+    g(r) = r A - B - |r U - W| >= 0 there; g is concave and g(1) > 0, so
+    the line meets the hull in [r0, 1) for r0 the root of g below 1: a root
+    of |r U - W|^2 - (r A - B)^2 = qa r^2 - 2 qb r + qc on its side r A >=
+    B, or -1 when g has none."""
+    ax, ay, az, _, nx, ny, nz, c = cone.exit_scalars
+    dx, dy, dz = d
+    a, b = dx * nx + dy * ny + dz * nz, ax * nx + ay * ny + az * nz
+    qd, qq, e = ax * dx + ay * dy + az * dz, ax * ax + ay * ay + az * az, c - b
+    qa = a * a * qq + 2.0 * a * e * qd + e * e - a * a
+    qb, qc = c * (a * qq + e * qd) - a * b, c * c * qq - b * b
+    # a line through the apex gives a double root, found to about the
+    # square root of the rounding: clamp the discriminant at 0
+    big = qb + math.copysign(math.sqrt(max(qb * qb - qa * qc, 0.0)), qb)
+    roots = [u / v for u, v in ((big, qa), (qc, big)) if v != 0.0]
+    return max([r for r in roots if r < 1.0 and r * a - b >= -1e-12]
+               + [-1.0])
 
 
 def _chord_middle(d, q, n, c: float) -> float | None:
@@ -424,7 +451,7 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
     if depth <= window:
         raise DegenerateGeometry(
             "cones meet only within the degenerate window; perturb inputs")
-    return DisjointResult(False, -depth, None, np.array(p))
+    return DisjointResult(False, -depth, np.array(p))
 
 
 def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
@@ -436,37 +463,43 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
     when k1's apex lies in k2, and otherwise exactly when dist(n1, S) <
     psi1. When apart, the margin is dist(n1, S) - psi1 in radians of k1's
     apex frame, which Lorentz maps keep, and the witness a plane (unit
-    normal w, offset c) through k1's apex with k1 on its w.x > c side.
-    When they meet, the witness is a common point within a factor 2 of the
-    deepest and the margin minus its cos-depth, its lesser cos-space margin
-    (_overlap). A margin inside the window raises DegenerateGeometry.
+    normal w, offset c) through k1's apex with k1 on its w.x > c side,
+    built when first read. When they meet, the witness is a common point
+    within a factor 2 of the deepest and the margin minus its cos-depth,
+    its lesser cos-space margin (_overlap). A margin inside the window
+    raises DegenerateGeometry.
     """
     window = DEFAULT_TOLERANCES.degenerate_window
     m = k1.apex_frame_scalars[:16]
-    a1 = k1.apex.v.tolist()
+    a1, a2 = k1.exit_scalars[:3], k2.exit_scalars[:3]
     q, inner = None, -math.inf
-    if math.dist(a1, k2.apex.v.tolist()) > 1e-12:
-        q, inner = _act(m, k2.apex.v.tolist()), k2.margin(a1)
+    if math.dist(a1, a2) > 1e-12:
+        q, inner = _act(m, a2), k2.margin(a1)
     if inner <= 0.0:
-        caps = _caps(k1, k2, 0.0, m)
-        n1, psi1, n2, c2, s2 = caps
+        # k1's own image cap is the tail of its cached frame
+        n1, psi1 = k1.apex_frame_scalars[16:19], k1.apex_frame_scalars[19]
+        n2, c2, s2 = _cap_seen(m, k2.exit_scalars[4:7], k2.base.cos_half,
+                               math.sin(k2.base.half_angle))
         gap, x = _hull_gap(n1, psi1, q, n2, c2, s2)
         if gap > window:
-            # the great circle normal to the arc n1 x, midway between the
-            # cap and x (or n1's equator) or at x, whichever clears more:
-            # the cap by the arc less psi1, S by its generators' least depth
-            gens = [(n2, math.atan2(s2, c2))] + (
-                [] if q is None else [(unit(q), 0.0)])
-            best, side = -math.inf, None
-            for arc in (min(0.5 * gap + psi1, 0.5 * math.pi), gap + psi1):
-                w = (n1 if arc >= 0.5 * math.pi  # k1 lies on w.P > 0
-                     else turn(n1, x, arc - 0.5 * math.pi))
-                clear = min(arc - psi1, *(
-                    math.asin(max(-1.0, min(1.0, -dot(w, g)))) - r
-                    for g, r in gens))
-                if clear > best:
-                    best, side = clear, w
-            return DisjointResult(True, gap, _plane(m, (0.0, *side)), None)
+            def separation():
+                # the great circle normal to the arc n1 x, midway between
+                # the cap and x (or n1's equator) or at x, whichever clears
+                # more: the cap by the arc less psi1, S by its generators'
+                # least depth
+                gens = [(n2, math.atan2(s2, c2))] + (
+                    [] if q is None else [(unit(q), 0.0)])
+                best, side = -math.inf, None
+                for arc in (min(0.5 * gap + psi1, 0.5 * math.pi), gap + psi1):
+                    w = (n1 if arc >= 0.5 * math.pi  # k1 lies on w.P > 0
+                         else turn(n1, x, arc - 0.5 * math.pi))
+                    clear = min(arc - psi1, *(
+                        math.asin(max(-1.0, min(1.0, -dot(w, g)))) - r
+                        for g, r in gens))
+                    if clear > best:
+                        best, side = clear, w
+                return _plane(m, (0.0, *side))
+            return DisjointResult(True, gap, separation=separation)
         if gap >= -window:
             raise DegenerateGeometry(
                 "cones touch within the degenerate window; perturb inputs")
@@ -782,9 +815,10 @@ def cone_hyperball_disjoint(cone: BallCone,
     In the apex frame the cone point X nearest C is the foot (C.b) b on the
     nearest boundary ray b, or the apex. The certificate is the plane
     {Z : <Z, X - Y> = 0} for the ball point Y nearest X, normal to the
-    geodesic CX at (D + R)/2, which each body clears by (D - R)/2. The
-    witness steps from X (C when inside) toward n'/2 by half the overlap,
-    bounded in the shell metric by 1/(1 - |z|^2) times the Euclidean step.
+    geodesic CX at (D + R)/2, which each body clears by (D - R)/2, built
+    when first read. The witness steps from X (C when inside) toward n'/2
+    by half the overlap, bounded in the shell metric by 1/(1 - |z|^2)
+    times the Euclidean step.
     """
     tau, radius = ball.shell.tau, ball.radius
     dist, inside = _frame_clearance(cone, ball.center.v.tolist(), tau)
@@ -803,17 +837,19 @@ def cone_hyperball_disjoint(cone: BallCone,
             start = [dot(c, b) * a for a in b]
             ahead = [-a for a in turn(n, c, psi + 0.5 * math.pi)]
     if margin > 0.0:
-        # the unit tangent at C toward X: the lift's derivative along ahead
-        room, za = 1.0 - dot(c, c), dot(c, ahead)
-        t = [za, *(room * a + za * b for a, b in zip(ahead, c))]
-        size = math.sqrt(t[1] ** 2 + t[2] ** 2 + t[3] ** 2 - t[0] ** 2)
-        s, g = 0.5 * (dist + radius) / tau, 1.0 / math.sqrt(room)
-        normal = [math.sinh(s) * g * a + math.cosh(s) * b / size
-                  for a, b in zip((1.0, *c), t)]
-        return DisjointResult(True, margin, _plane(m, normal), None)
+        def separation():
+            # the unit tangent at C toward X: the lift's derivative along
+            # ahead, carried (D + R)/2 along the geodesic from C
+            room, za = 1.0 - dot(c, c), dot(c, ahead)
+            t = [za, *(room * a + za * b for a, b in zip(ahead, c))]
+            size = math.sqrt(t[1] ** 2 + t[2] ** 2 + t[3] ** 2 - t[0] ** 2)
+            s, g = 0.5 * (dist + radius) / tau, 1.0 / math.sqrt(room)
+            return _plane(m, [math.sinh(s) * g * a + math.cosh(s) * b / size
+                              for a, b in zip((1.0, *c), t)])
+        return DisjointResult(True, margin, separation=separation)
     way = [0.5 * a - b for a, b in zip(n, start)]
     length = math.sqrt(dot(way, way)) or 1.0
     step = min((1.0 - max(dot(start, start), 0.25)) * 0.5 * (
         radius - (0.0 if inside else dist)) / tau, 0.5 * length) / length
     p = _act(_inverse(m), [a + step * b for a, b in zip(start, way)])
-    return DisjointResult(False, margin, None, np.array(p))
+    return DisjointResult(False, margin, np.array(p))

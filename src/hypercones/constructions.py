@@ -28,7 +28,7 @@ import numpy as np
 from .ball_model import (BallPoint, Cap, SphereDirection, _act, _cap_seen,
                          _inverse, apex_matrix, ray_exits, shadow_radius)
 from .cones import (BallCone, Hyperball, _cone_clearance, _plane_margin,
-                    _covering_cap, _frame_clearance,
+                    _covering_cap, _frame_clearance, _line_entry,
                     cone_hyperball_disjoint, cone_leq, disjoint,
                     hyperball_in_cone, map_cone, opposite)
 from .config import DEFAULT_TOLERANCES
@@ -346,44 +346,46 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
 
 def _common_subcone(a: BallCone, b: BallCone) -> BallCone | None:
     """Cone inside both inputs, certified by cone_leq against each, or
-    None when their caps barely overlap."""
-    gamma = angle_between(a.base.axis.v, b.base.axis.v)
-    psi_a, psi_b = a.base.half_angle, b.base.half_angle
-    if gamma < 1e-12:
-        m = a.base.axis.v
-        mu = min(psi_a, psi_b)
-    else:
-        t = float(np.clip((psi_a - psi_b + gamma) / (2.0 * gamma), 0.0, 1.0))
-        m = slerp(a.base.axis.v, b.base.axis.v, t)
-        mu = min(psi_a - angle_between(m, a.base.axis.v),
-                 psi_b - angle_between(m, b.base.axis.v))
-    if mu <= 1e-6:
+    None when their caps barely overlap.
+
+    The witness has the cap of half-angle psi_w = 0.6 mu about the axis m
+    of the largest cap in both caps (_lens_cap, of half-angle mu) and the
+    apex r m, with r midway between the later entry of the line along m
+    into the two closed hulls (_line_entry) and cos psi_w, below which the
+    cone is pointed. For caps narrower than a right angle the entries are
+    below cos psi_w: the line crosses each base disc at r = cos psi /
+    cos(psi - mu) or lower.
+    """
+    lens = _lens_cap(a.base, b.base)
+    if lens is None or lens.half_angle <= 1e-6:
         return None
-    psi_w = 0.6 * mu
-    for depth in (0.05, 0.02, 0.01, 0.005, 0.002,
-                  0.1, 0.2, 0.35, 0.5, 0.7):
-        witness = _thin_cone(m, psi_w, depth)
-        if witness is None:
-            continue
-        p = witness.apex.v.tolist()
-        if (a.margin(p) >= -DEFAULT_TOLERANCES.containment_slack
-                and b.margin(p) >= -DEFAULT_TOLERANCES.containment_slack):
-            if cone_leq(witness, a) and cone_leq(witness, b):
-                return witness
+    m, psi_w = lens.axis.v, 0.6 * lens.half_angle
+    d = m.tolist()
+    lo = max(_line_entry(a, d), _line_entry(b, d))
+    hi = math.cos(psi_w) - 1e-9
+    if lo >= hi:
+        return None
+    witness = BallCone(BallPoint(0.5 * (lo + hi) * m), Cap(lens.axis, psi_w))
+    if cone_leq(witness, a) and cone_leq(witness, b):
+        return witness
     return None
 
 
-def _blend_cone(a: BallCone, b: BallCone, t: float) -> BallCone | None:
+def _blend_cone(a: BallCone, b: BallCone, t: float) -> BallCone:
+    """Apex, axis and opening interpolated at t. A blended apex on or
+    above the blended base plane moves straight toward the axis point at
+    height h = (cos psi - 1)/2, which lies in the ball below the plane,
+    until its height is a fifth of the way from the plane down to h."""
     axis = slerp(a.base.axis.v, b.base.axis.v, t)
     psi = (1.0 - t) * a.base.half_angle + t * b.base.half_angle
     apex = (1.0 - t) * a.apex.v + t * b.apex.v
-    for _ in range(60):
-        if float(axis @ apex) < math.cos(psi) - 1e-9:
-            return BallCone(BallPoint(apex),
-                            Cap(SphereDirection.normalized(axis), psi))
-        apex = 0.8 * apex
-        psi = max(0.8 * psi, 1e-6)
-    return None
+    height, top = float(axis @ apex), math.cos(psi)
+    if height >= top - 1e-9:
+        h = 0.5 * (top - 1.0)
+        goal = top - 0.2 * (top - h)
+        apex = apex + (height - goal) / (height - h) * (h * axis - apex)
+    return BallCone(BallPoint(apex),
+                    Cap(SphereDirection.normalized(axis), psi))
 
 
 def _same_cone(a: BallCone, b: BallCone) -> bool:
@@ -396,35 +398,35 @@ def path_connect(cone_a: BallCone, cone_b: BallCone) -> ConePath:
     """Cone sequence from `cone_a` to `cone_b` where every adjacent pair
     shares a certified common subcone.
 
-    Interpolates apex, axis, and opening jointly; the subdivision is halved
-    until every adjacency admits a witness.
+    Interpolates apex, axis, and opening jointly in n equal steps. The
+    half-angles blend linearly, so the narrowest neighbours sum to 2 psi +
+    |psi_a - psi_b| / n for psi the narrower end's, and n is the fewest
+    steps that keep each step's turn gamma / n at least 0.1 psi below the
+    sum: neighbouring caps overlap.
     """
     if _same_cone(cone_a, cone_b):
         return ConePath((cone_a,), ())
-    for k in range(11):  # up to 2^10 segments
-        n = 2 ** k
-        inner = [_blend_cone(cone_a, cone_b, i / n) for i in range(1, n)]
-        if any(c is None for c in inner):
-            continue
-        nodes = [cone_a, *inner, cone_b]
-        witnesses = []
-        for i in range(len(nodes) - 1):
-            w = _common_subcone(nodes[i], nodes[i + 1])
-            if w is None:
-                break
-            witnesses.append(w)
-        else:
-            return ConePath(tuple(nodes), tuple(witnesses))
-    raise ConstructionFailure(
-        "no subdivision produced common subcones along the whole path")
+    gamma = angle_between(cone_a.base.axis.v, cone_b.base.axis.v)
+    psi_a, psi_b = cone_a.base.half_angle, cone_b.base.half_angle
+    n = max(1, math.ceil((gamma - abs(psi_a - psi_b))
+                         / (1.9 * min(psi_a, psi_b))))
+    nodes = [cone_a, *(_blend_cone(cone_a, cone_b, i / n)
+                       for i in range(1, n)), cone_b]
+    return _certified_path(nodes)
 
 
-def _azimuth(d: np.ndarray, pole: np.ndarray, e1: np.ndarray,
-             e2: np.ndarray, fallback: float) -> float:
-    x, y = float(d @ e1), float(d @ e2)
-    if x * x + y * y < 1e-20:
-        return fallback
-    return math.atan2(y, x)
+def _certified_path(nodes: list[BallCone],
+                    forbidden: BallCone | None = None) -> ConePath:
+    """The path through the nodes with a common subcone of each adjacent
+    pair, each certified clear of the forbidden cone when one is given."""
+    witnesses = []
+    for i in range(len(nodes) - 1):
+        w = _common_subcone(nodes[i], nodes[i + 1])
+        _require(w is not None and (forbidden is None
+                                    or _is_disjoint(forbidden, w)),
+                 "adjacent nodes share no certified common subcone", i)
+        witnesses.append(w)
+    return ConePath(tuple(nodes), tuple(witnesses))
 
 
 def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
@@ -432,9 +434,17 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
     """Cone path from `cone_a` to `cone_b` all of whose nodes and witnesses
     stay disjoint from the forbidden cone.
 
-    Routes thin near-sphere cones around the forbidden cap: out along the
-    meridian, across at a safe polar angle, and back down.  Both endpoints
-    must be disjoint from the forbidden cone.
+    Routes thin near-sphere cones around the forbidden cap in one pass:
+    out along the meridian, across at a safe polar angle, and back down.
+    A node at angle lat from the forbidden axis takes the half-angle w =
+    min(0.7 (lat - psi_f), ceiling), a share of its gap to the forbidden
+    cap, and its apex a pad below its base plane: for the forbidden apex
+    q, pad = min(0.03, (1 - |q|)/4) and ceiling = min(0.6, acos(|q| + 2
+    pad)), so that every node's apex lies farther out along its axis than
+    q. Each leg is cut into equal steps of at most 0.8 of the narrowest
+    width on it. Every node and witness is certified once, in the
+    forbidden cone's cached apex frame. Both endpoints must be disjoint
+    from the forbidden cone.
     """
     for c, name in ((cone_a, "first"), (cone_b, "second")):
         if not disjoint(forbidden, c).disjoint:
@@ -448,55 +458,42 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
     ax_a, ax_b = cone_a.base.axis.v, cone_b.base.axis.v
     phi_a, phi_b = angle_between(ax_a, pole), angle_between(ax_b, pole)
     theta = min(max(phi_a, phi_b), math.pi - 0.02)
-    az_b = _azimuth(ax_b, pole, e1, e2, 0.0)
-    az_a = _azimuth(ax_a, pole, e1, e2, az_b)
-    if abs(phi_b - math.pi) < 1e-9 and abs(phi_a - math.pi) >= 1e-9:
-        az_b = az_a
-    sweep = az_b - az_a
-    if sweep > math.pi:
-        sweep -= 2.0 * math.pi
-    if sweep < -math.pi:
-        sweep += 2.0 * math.pi
 
-    def axis_at(phi: float, az: float) -> np.ndarray:
-        return (math.cos(phi) * pole
-                + math.sin(phi) * (math.cos(az) * e1 + math.sin(az) * e2))
+    def azimuth(d: np.ndarray, fallback: float) -> float:
+        # an axis at a pole takes the fallback, the other endpoint's
+        x, y = float(d @ e1), float(d @ e2)
+        return math.atan2(y, x) if x * x + y * y >= 1e-20 else fallback
 
-    psi_t0 = min(cone_a.base.half_angle, cone_b.base.half_angle,
-                 0.5 * (min(phi_a, phi_b) - psi_f), 0.15)
-    depth0 = 0.05
-    for round_ in range(6):
-        psi_t = psi_t0 * (0.5 ** round_)
-        depth = depth0 * (0.5 ** round_)
-        if psi_t <= 1e-5:
-            break
-        step = 0.8 * psi_t
-        axes: list[np.ndarray] = []
-        n1 = max(1, int(math.ceil(abs(theta - phi_a) / step)))
-        for i in range(n1 + 1):
-            axes.append(axis_at(phi_a + (theta - phi_a) * i / n1, az_a))
-        n2 = max(1, int(math.ceil(abs(sweep) * math.sin(theta) / step)))
-        for i in range(1, n2 + 1):
-            axes.append(axis_at(theta, az_a + sweep * i / n2))
-        n3 = max(1, int(math.ceil(abs(theta - phi_b) / step)))
-        for i in range(1, n3 + 1):
-            axes.append(axis_at(theta + (phi_b - theta) * i / n3, az_b))
-        thin = [_thin_cone(ax, psi_t, depth) for ax in axes]
-        if any(t is None for t in thin):
-            continue
-        nodes = [cone_a, *thin, cone_b]
-        if not all(_is_disjoint(node, forbidden) for node in thin):
-            continue
-        witnesses = []
-        for i in range(len(nodes) - 1):
-            w = _common_subcone(nodes[i], nodes[i + 1])
-            if w is None or not _is_disjoint(w, forbidden):
-                break
-            witnesses.append(w)
-        else:
-            return ConePath(tuple(nodes), tuple(witnesses))
-    raise ConstructionFailure(
-        "could not route a thin-cone path around the forbidden cone")
+    az_a = azimuth(ax_a, azimuth(ax_b, 0.0))
+    az_b = azimuth(ax_b, az_a)
+    az_c = az_a + math.remainder(az_b - az_a, 2.0 * math.pi)
+
+    reach = float(np.linalg.norm(forbidden.apex.v))
+    pad = min(0.03, 0.25 * (1.0 - reach))
+    ceiling = min(0.6, math.acos(reach + 2.0 * pad))
+
+    def width(lat: float) -> float:
+        return min(0.7 * (lat - psi_f), ceiling)
+
+    def leg(lat0, lat1, az0, az1):
+        # the stops after (lat0, az0) up to (lat1, az1) along a meridian or
+        # a circle of latitude, none on a leg of zero length
+        n = math.ceil(math.hypot(lat1 - lat0, (az1 - az0) * math.sin(lat0))
+                      / (0.8 * width(min(lat0, lat1))))
+        return [(lat0 + (lat1 - lat0) * i / n, az0 + (az1 - az0) * i / n)
+                for i in range(1, n + 1)]
+
+    stops = [(phi_a, az_a), *leg(phi_a, theta, az_a, az_a),
+             *leg(theta, theta, az_a, az_c), *leg(theta, phi_b, az_b, az_b)]
+    thin = []
+    for lat, az in stops:
+        w = width(lat)
+        axis = math.cos(lat) * pole + math.sin(lat) * (math.cos(az) * e1
+                                                      + math.sin(az) * e2)
+        thin.append(_thin_cone(axis, w, 1.0 - math.cos(w) + pad))
+        _require(thin[-1] is not None and _is_disjoint(forbidden, thin[-1]),
+                 "route node meets the forbidden cone", len(thin))
+    return _certified_path([cone_a, *thin, cone_b], forbidden)
 
 
 # --------------------------------------------------------------------------

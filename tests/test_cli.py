@@ -10,26 +10,15 @@ from hypercones import scene as scene_mod
 from hypercones.cli import main
 
 DEMO = "examples_scenes/demo.json"
+OBSTACLE = "examples_scenes/obstacle.json"
 
 
 @pytest.fixture(scope="module")
-def exhaustion_scene(tmp_path_factory):
-    """Demo scene extended with a backward-marching cone family along +z
-    (their opposites shrink, as a funnel construction needs) plus a small
-    +x cone used as a forbidden obstacle."""
-    doc = json.loads(open(DEMO, encoding="utf-8").read())
-    doc["cones"] = dict(doc["cones"])
-    doc["cones"]["E0"] = {"apex": [0.0, 0.0, -0.2],
-                          "axis": [0.0, 0.0, 1.0], "half_angle_deg": 30.0}
-    doc["cones"]["E1"] = {"apex": [0.0, 0.0, -0.5],
-                          "axis": [0.0, 0.0, 1.0], "half_angle_deg": 50.0}
-    doc["cones"]["E2"] = {"apex": [0.0, 0.0, -0.8],
-                          "axis": [0.0, 0.0, 1.0], "half_angle_deg": 70.0}
-    doc["cones"]["X"] = {"apex": [-0.1, 0.0, 0.0],
-                         "axis": [1.0, 0.0, 0.0], "half_angle_deg": 25.0}
-    path = tmp_path_factory.mktemp("scenes") / "exhaustion.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path)
+def exhaustion_scene():
+    """The demo scene with a backward-marching cone family along +z (their
+    opposites shrink, as a funnel construction needs) plus a small +x cone
+    used as a forbidden obstacle: examples_scenes/obstacle.json."""
+    return OBSTACLE
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -23,12 +24,15 @@ from hypercones.ball_model import (ball_action_many, ball_distance_many,
                                    homology_through_many, ray_exits)
 from hypercones import cones as cone_module, constructions
 from hypercones.ball_model import cap_image
+from hypercones.ball_model import _act, _cap_seen
 from hypercones.cones import (_circle_minimum, _cone_clearance,
-                              _frame_clearance, _plane_margin)
+                              _frame_clearance, _hull_gap, _plane,
+                              _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.convex import ConeHullSupport, gjk_distance
-from hypercones.spherical import angle_between, orthonormal_frame, \
-    rotate_toward, slerp
+from hypercones.spherical import (angle, angle_between, dot,
+                                 orthonormal_frame, rotate_toward, slerp,
+                                 turn, unit)
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
                             interior_point, random_cone, random_transform,
                             unit_vector)
@@ -290,6 +294,131 @@ def _reference_overlap_candidates(k1, k2):
                   + ladder[:, None, None] * (dirs[None, :, :] - cone.apex.v))
         cands.append(chords.reshape(-1, 3))
     return np.vstack([np.atleast_2d(np.asarray(c)) for c in cands])
+
+
+def _eager_disjoint_plane(k1, k2):
+    """The separating plane of two separated cones as disjoint built it
+    before the plane was deferred to its first read: the reference."""
+    m = k1.apex_frame_scalars[:16]
+    q = None
+    if math.dist(k1.apex.v.tolist(), k2.apex.v.tolist()) > 1e-12:
+        q = _act(m, k2.apex.v.tolist())
+    (n1, c1, s1), (n2, c2, s2) = (
+        _cap_seen(m, k.base.axis.v.tolist(), k.base.cos_half,
+                  math.sin(k.base.half_angle)) for k in (k1, k2))
+    psi1 = math.atan2(s1, c1)
+    gap, x = _hull_gap(n1, psi1, q, n2, c2, s2)
+    gens = [(n2, math.atan2(s2, c2))] + ([] if q is None else [(unit(q), 0.0)])
+    best, side = -math.inf, None
+    for arc in (min(0.5 * gap + psi1, 0.5 * math.pi), gap + psi1):
+        w = (n1 if arc >= 0.5 * math.pi
+             else turn(n1, x, arc - 0.5 * math.pi))
+        clear = min(arc - psi1, *(
+            math.asin(max(-1.0, min(1.0, -dot(w, g)))) - r for g, r in gens))
+        if clear > best:
+            best, side = clear, w
+    return _plane(m, (0.0, *side))
+
+
+def _eager_ball_plane(cone, ball):
+    """The separating plane of a cone and a separated metric ball as
+    cone_hyperball_disjoint built it before the deferral: the reference."""
+    tau, radius = ball.shell.tau, ball.radius
+    dist, _ = _frame_clearance(cone, ball.center.v.tolist(), tau)
+    *m, nx, ny, nz, psi = cone.apex_frame_scalars
+    n = (nx, ny, nz)
+    c = _act(m, ball.center.v.tolist())
+    ahead = [-a for a in c]
+    if angle(c, n) - psi < 0.5 * math.pi:
+        ahead = [-a for a in turn(n, c, psi + 0.5 * math.pi)]
+    room, za = 1.0 - dot(c, c), dot(c, ahead)
+    t = [za, *(room * a + za * b for a, b in zip(ahead, c))]
+    size = math.sqrt(t[1] ** 2 + t[2] ** 2 + t[3] ** 2 - t[0] ** 2)
+    s, g = 0.5 * (dist + radius) / tau, 1.0 / math.sqrt(room)
+    normal = [math.sinh(s) * g * a + math.cosh(s) * b / size
+              for a, b in zip((1.0, *c), t)]
+    return _plane(m, normal)
+
+
+def _same_plane(lazy, eager) -> bool:
+    return (lazy[0].tobytes() == eager[0].tobytes()
+            and struct.pack("d", lazy[1]) == struct.pack("d", eager[1]))
+
+
+class TestDeferredPlane:
+    def test_cone_plane_is_the_eager_plane_to_the_bit(self):
+        rng = np.random.default_rng(311)
+        pairs = [disjoint_cone_pair(rng) for _ in range(300)]
+        shared = [(random_cone(rng, apex_r=0.0), random_cone(rng, apex_r=0.0))
+                  for _ in range(300)]
+        checked = 0
+        for a, b in pairs + shared:
+            try:
+                res = disjoint(a, b)
+            except DegenerateGeometry:
+                continue
+            if res.disjoint:
+                assert _same_plane(res.plane, _eager_disjoint_plane(a, b))
+                checked += 1
+        assert checked > 350
+
+    def test_ball_plane_is_the_eager_plane_to_the_bit(self, shell):
+        rng = np.random.default_rng(312)
+        checked = 0
+        for _ in range(300):
+            cone = random_cone(rng, psi_max=0.7)
+            ball = ball_disjoint_from_cone(rng, cone, shell)
+            res = cone_hyperball_disjoint(cone, ball)
+            assert _same_plane(res.plane, _eager_ball_plane(cone, ball))
+            checked += 1
+        assert checked == 300
+
+    def test_the_plane_is_built_once_and_only_when_read(self, monkeypatch):
+        built = []
+
+        def counted(m, n):
+            built.append(n)
+            return plane(m, n)
+
+        plane = cone_module._plane
+        monkeypatch.setattr(cone_module, "_plane", counted)
+        rng = np.random.default_rng(313)
+        pairs = [disjoint_cone_pair(rng) for _ in range(50)]
+        assert all(constructions._is_disjoint(a, b) for a, b in pairs)
+        assert all(disjoint(a, b).disjoint for a, b in pairs)
+        assert not built
+        res = disjoint(*pairs[0])
+        assert res.plane is res.plane and len(built) == 1
+
+
+class TestLineEntry:
+    def test_entry_bounds_the_closed_hull_on_the_line(self):
+        # r d lies in the closed cone exactly for r from the entry up to 1
+        rng = np.random.default_rng(314)
+        grid = np.linspace(-0.999, 0.999, 401)
+        for _ in range(300):
+            cone = random_cone(rng)
+            n, psi = cone.base.axis.v, cone.base.half_angle
+            d = rotate_toward(n, unit_vector(rng),
+                              rng.uniform(0.0, 0.95) * psi)
+            r0 = cone_module._line_entry(cone, d.tolist())
+            assert -1.0 <= r0 < 1.0
+            for r in grid:
+                if abs(r - r0) > 1e-6:
+                    inside = cone.margin((r * d).tolist()) >= -1e-12
+                    assert inside == (r > r0)
+
+    def test_line_through_the_apex_enters_at_the_apex(self):
+        # there the quadratic has a double root, found to about the square
+        # root of its rounding (worst 3.9e-7 on 3,000 such lines)
+        rng = np.random.default_rng(315)
+        for _ in range(300):
+            n = unit_vector(rng)
+            psi = rng.uniform(0.05, 1.4)
+            s = rng.uniform(-0.9, math.cos(psi) - 1e-3)
+            cone = BallCone(BallPoint(s * n), Cap(SphereDirection(n), psi))
+            assert cone_module._line_entry(cone, n.tolist()) == \
+                pytest.approx(s, abs=1e-6)
 
 
 class TestDisjointness:

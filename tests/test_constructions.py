@@ -1,6 +1,7 @@
 """Constructive witnesses for the cone-calculus existence facts."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hypercones.ball_model import ball_action_many
 from hypercones.cones import _frame_clearance
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
-    rotate_toward
+    rotate_toward, slerp
 from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
                             exhaustion_family, random_cone, random_transform,
                             unit_vector)
@@ -429,9 +430,8 @@ class TestPaths:
 
     def test_each_certificate_is_decided_once(self, monkeypatch):
         # A5 and A6 put no question to disjoint or cone_leq twice on the
-        # same two cone objects (a path may hold equal nodes: a corner of
-        # the A6 route repeats, and each copy is its own question)
-        asked = []
+        # same two cone objects, and no two adjacent nodes are equal
+        asked, paths = [], []
 
         def counted(name, predicate):
             def wrapper(a, b):
@@ -446,7 +446,7 @@ class TestPaths:
         rng = np.random.default_rng(7)
         for _ in range(10):
             a, b = random_cone(rng), random_cone(rng)
-            path_connect(a, b)
+            paths.append(path_connect(a, b))
         for _ in range(5):
             forbidden = random_cone(rng, psi_max=0.5, apex_r=0.4)
             ends = []
@@ -454,11 +454,75 @@ class TestPaths:
                 c = random_cone(rng, psi_max=0.5)
                 if disjoint(forbidden, c).disjoint:
                     ends.append(c)
-            path_connect_in_complement(forbidden, *ends)
+            paths.append(path_connect_in_complement(forbidden, *ends))
         # the list keeps every cone alive, so no id is reused
         keys = [(name, id(a), id(b)) for name, a, b in asked]
         assert len(keys) > 100
         assert len(set(keys)) == len(keys)
+
+        def value(cone):
+            return (cone.apex.v.tobytes(), cone.base.axis.v.tobytes(),
+                    struct.pack("d", cone.base.half_angle))
+
+        for path in paths:
+            for a, b in zip(path.nodes, path.nodes[1:]):
+                assert value(a) != value(b)
+
+    def test_route_is_one_pass_of_certified_thin_nodes(self, monkeypatch):
+        # every node and witness is asked once, forbidden cone first, and
+        # each node's width is its share of the gap to the forbidden cap
+        asked = []
+
+        def counted(a, b):
+            asked.append((a, b))
+            return disjoint(a, b)
+
+        monkeypatch.setattr(constructions, "disjoint", counted)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            forbidden = random_cone(rng, psi_max=0.5, apex_r=0.4)
+            ends = []
+            while len(ends) < 2:
+                c = random_cone(rng, psi_max=0.5)
+                if disjoint(forbidden, c).disjoint:
+                    ends.append(c)
+            asked.clear()
+            path = path_connect_in_complement(forbidden, *ends)
+            thin = path.nodes[1:-1]
+            assert len(asked) == 2 + len(thin) + len(path.witnesses)
+            assert all(a is forbidden for a, _ in asked)
+            pole, psi_f = forbidden.base.axis.v, forbidden.base.half_angle
+            assert np.linalg.norm(forbidden.apex.v) <= 0.4
+            for node in thin:
+                lat = angle_between(node.base.axis.v, pole)
+                w = node.base.half_angle
+                assert w == pytest.approx(min(0.7 * (lat - psi_f), 0.6),
+                                          abs=1e-9)
+                height = float(node.apex.v @ node.base.axis.v)
+                assert height == pytest.approx(math.cos(w) - 0.03, abs=1e-12)
+
+    def test_route_clears_a_forbidden_apex_near_the_sphere(self):
+        # a forbidden cone reaching across the ball, its apex 0.9 or 0.97
+        # out: nodes of the 0.6 ceiling would dip below its apex
+        rng = np.random.default_rng(77)
+        for reach in (0.9, 0.97):
+            made = 0
+            while made < 40:
+                n = unit_vector(rng)
+                forbidden = BallCone(
+                    BallPoint(-reach * n + 0.02 * unit_vector(rng)),
+                    Cap(SphereDirection(n), rng.uniform(0.2, 0.5)))
+                a = random_cone(rng, psi_max=0.5)
+                b = random_cone(rng, psi_max=0.5)
+                if not (disjoint(forbidden, a).disjoint
+                        and disjoint(forbidden, b).disjoint):
+                    continue
+                made += 1
+                path = path_connect_in_complement(forbidden, a, b)
+                assert_path_valid(path, a, b)
+                apex = float(np.linalg.norm(forbidden.apex.v))
+                for node in path.nodes[1:-1]:
+                    assert float(node.apex.v @ node.base.axis.v) > apex
 
     def test_endpoint_overlapping_forbidden_rejected(self):
         forbidden = axis_cone(0.6, -0.1)
@@ -467,6 +531,153 @@ class TestPaths:
                          Cap(SphereDirection(-Z), 0.4))
         with pytest.raises(ValueError):
             path_connect_in_complement(forbidden, inside, clear)
+
+
+def _ladder_subcone(a, b):
+    """The common subcone as found before the closed-form depth: the
+    direction m and clearance mu of _common_subcone, then ten fixed apex
+    depths. The reference; returns the witness (or None), m and mu."""
+    gamma = angle_between(a.base.axis.v, b.base.axis.v)
+    psi_a, psi_b = a.base.half_angle, b.base.half_angle
+    if gamma < 1e-12:
+        m, mu = a.base.axis.v, min(psi_a, psi_b)
+    else:
+        t = float(np.clip((psi_a - psi_b + gamma) / (2.0 * gamma), 0.0, 1.0))
+        m = slerp(a.base.axis.v, b.base.axis.v, t)
+        mu = min(psi_a - angle_between(m, a.base.axis.v),
+                 psi_b - angle_between(m, b.base.axis.v))
+    if mu <= 1e-6:
+        return None, m, mu
+    for depth in (0.05, 0.02, 0.01, 0.005, 0.002,
+                  0.1, 0.2, 0.35, 0.5, 0.7):
+        witness = constructions._thin_cone(m, 0.6 * mu, depth)
+        if witness is None:
+            continue
+        p = witness.apex.v.tolist()
+        if (a.margin(p) >= -DEFAULT_TOLERANCES.containment_slack
+                and b.margin(p) >= -DEFAULT_TOLERANCES.containment_slack
+                and cone_leq(witness, a) and cone_leq(witness, b)):
+            return witness, m, mu
+    return None, m, mu
+
+
+def _subcone_pairs(rng):
+    """Random pairs; neighbouring thin near-sphere cones as on an A6 route,
+    with apexes from 1e-4 to 0.05 below their base planes; flat cones with
+    apexes near their base planes, off the axis; and the adjacent nodes of
+    A5 paths."""
+    for _ in range(300):
+        yield random_cone(rng), random_cone(rng)
+    for _ in range(300):
+        ax = unit_vector(rng)
+        w = rng.uniform(0.02, 0.6, size=2)
+        bx = rotate_toward(ax, unit_vector(rng),
+                           rng.uniform(0.2, 1.3) * min(w))
+        below = np.exp(rng.uniform(math.log(1e-4), math.log(0.05), size=2))
+        yield tuple(BallCone(BallPoint((math.cos(wi) - d) * x),
+                             Cap(SphereDirection.normalized(x), wi))
+                    for x, wi, d in zip((ax, bx), w, below))
+    for _ in range(300):
+        cones = []
+        axis = unit_vector(rng)
+        for _ in range(2):
+            psi = rng.uniform(0.1, 1.2)
+            side = unit_vector(rng)
+            side -= float(side @ axis) * axis
+            side /= np.linalg.norm(side)
+            h = math.cos(psi) * rng.uniform(0.9, 0.99999)
+            off = rng.uniform(0.0, 0.5) * math.sqrt(1.0 - h * h)
+            cones.append(BallCone(BallPoint(h * axis + off * side),
+                                  Cap(SphereDirection(axis), psi)))
+            axis = SphereDirection.normalized(rotate_toward(
+                axis, unit_vector(rng), rng.uniform(0.0, 2.0 * psi))).v
+        yield tuple(cones)
+    for _ in range(20):
+        path = path_connect(random_cone(rng), random_cone(rng))
+        yield from zip(path.nodes, path.nodes[1:])
+
+
+class TestCommonSubcone:
+    def test_closed_form_depth_finds_every_ladder_witness(self):
+        rng = np.random.default_rng(23)
+        found = ladder_found = scanned = 0
+        for a, b in _subcone_pairs(rng):
+            witness = constructions._common_subcone(a, b)
+            reference, m, mu = _ladder_subcone(a, b)
+            if reference is not None:
+                ladder_found += 1
+                assert witness is not None
+            if witness is not None:
+                found += 1
+                assert cone_leq(witness, a).holds
+                assert cone_leq(witness, b).holds
+                continue
+            # a None is confirmed by a dense scan of apex depths about m
+            if scanned < 40:
+                scanned += 1
+                for psi in (1e-4, 1e-3, 1e-2, 0.6 * mu):
+                    if psi <= 0.0:
+                        continue
+                    for r in np.linspace(-0.999, 0.999, 801):
+                        if r >= math.cos(psi) - 1e-9:
+                            break
+                        probe = BallCone(BallPoint(r * m),
+                                         Cap(SphereDirection.normalized(m),
+                                             psi))
+                        assert not (cone_leq(probe, a) and cone_leq(probe, b))
+        assert ladder_found > 600 and found > ladder_found and scanned > 20
+
+    def test_none_only_where_the_caps_barely_overlap(self):
+        # the base disc at height cos psi lies in the closed hull, so the
+        # ray along m enters each cone by r = cos psi / cos(psi - mu), and
+        # that is below cos(0.6 mu): the depth interval is never empty
+        rng = np.random.default_rng(29)
+        for a, b in _subcone_pairs(rng):
+            _, _, mu = _ladder_subcone(a, b)
+            if mu > 1e-6:
+                assert constructions._common_subcone(a, b) is not None
+
+
+class TestBlendCone:
+    def test_blend_above_its_base_plane_moves_below_it(self):
+        # crosswise apexes: each cone's apex lies off its axis, near the
+        # other's axis, so the halfway blend sits above its base plane
+        rng = np.random.default_rng(31)
+        x = np.array([1.0, 0.0, 0.0])
+        moved = 0
+        for _ in range(100):
+            psi_a, psi_b = rng.uniform(1.0, 1.45), rng.uniform(0.1, 0.4)
+            a = BallCone(BallPoint(np.array(
+                [0.85, 0.0, math.cos(psi_a) - 0.02])), Cap(SphereDirection(Z),
+                                                          psi_a))
+            b = BallCone(BallPoint(np.array(
+                [0.1, rng.uniform(-0.1, 0.1), 0.85])), Cap(SphereDirection(x),
+                                                          psi_b))
+            axis = slerp(Z, x, 0.5)
+            blended = 0.5 * (a.apex.v + b.apex.v)
+            psi = 0.5 * (psi_a + psi_b)
+            mid = constructions._blend_cone(a, b, 0.5)
+            assert mid.base.half_angle == psi
+            assert np.array_equal(mid.base.axis.v,
+                                  SphereDirection.normalized(axis).v)
+            if float(axis @ blended) >= math.cos(psi) - 1e-9:
+                moved += 1
+                # on the segment toward the axis point (cos psi - 1)/2
+                h = 0.5 * (math.cos(psi) - 1.0)
+                step = h * axis - blended
+                lam = float((mid.apex.v - blended) @ step) / float(
+                    step @ step)
+                assert 0.0 < lam < 1.0
+                assert np.allclose(mid.apex.v, blended + lam * step,
+                                   atol=1e-14)
+                height = float(mid.apex.v @ axis)
+                top = math.cos(psi)
+                assert height == pytest.approx(top - 0.2 * (top - h),
+                                               abs=1e-12)
+            else:
+                assert np.array_equal(mid.apex.v, blended)
+            assert_path_valid(path_connect(a, b), a, b)
+        assert moved > 30
 
 
 class TestShrinkForConnectivity:
