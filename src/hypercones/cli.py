@@ -12,12 +12,13 @@ import argparse
 import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import scene as scene_io
 from .charges import ComposedUnlocalized, compose, exchange_statistics
-from .cones import (BallCone, Hyperball, Hypercone, cone_leq, disjoint,
+from .cones import (BallCone, Hypercone, cone_leq, disjoint,
                     hyperball_in_cone, in_causal_completion, point_margin)
 from .constructions import (avoid_ball_inside, common_complement_cone,
                             contracting_boosts, enclose_shadow, escape_ball,
@@ -36,31 +37,24 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_DEGENERATE = 2
 
-_AXIS_VECTORS = {"x": np.array([1.0, 0.0, 0.0]),
-                 "y": np.array([0.0, 1.0, 0.0]),
-                 "z": np.array([0.0, 0.0, 1.0])}
+_AXIS_VECTORS = dict(zip("xyz", np.eye(3)))
 
 
 def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{float(c) + 0.0:.6g}" for c in v) + ")"
 
 
-def _resolve_cone(scene: scene_io.Scene, name: str) -> BallCone:
-    if name not in scene.cones:
-        raise SceneError(f"unknown cone {name!r}")
-    return scene.cones[name]
+def _resolve(kind: str, scene: scene_io.Scene, name: str):
+    """The scene's cone, ball or morphism of that name."""
+    table = getattr(scene, kind + "s")
+    if name not in table:
+        raise SceneError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
-def _resolve_ball(scene: scene_io.Scene, name: str) -> Hyperball:
-    if name not in scene.balls:
-        raise SceneError(f"unknown ball {name!r}")
-    return scene.balls[name]
-
-
-def _resolve_morphism(scene: scene_io.Scene, name: str):
-    if name not in scene.morphisms:
-        raise SceneError(f"unknown morphism {name!r}")
-    return scene.morphisms[name]
+_resolve_cone = partial(_resolve, "cone")
+_resolve_ball = partial(_resolve, "ball")
+_resolve_morphism = partial(_resolve, "morphism")
 
 
 def _parse_four_vector(text: str) -> FourVector:

@@ -36,7 +36,6 @@ from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          _act, _cap_seen, _inverse, apex_matrix, cap_image,
                          lorentz_ball_action, ray_exits, shadow_radius)
 from .config import DEFAULT_TOLERANCES
-from .convex import Ellipsoid, hyperball_ellipsoid
 from .errors import DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
 from .spherical import (angle, angle_between, cross, dot, orthonormal_frame,
@@ -184,9 +183,6 @@ class Hyperball:
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:
             raise ValueError("hyperball radius must be positive and finite")
-
-    def ellipsoid(self) -> Ellipsoid:
-        return hyperball_ellipsoid(self.center.v, self.radius, self.shell.tau)
 
 
 def contains_point(cone: BallCone, u: BallPoint) -> bool:

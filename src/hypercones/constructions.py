@@ -304,10 +304,16 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
     if not sep.disjoint:
         raise ValueError("ball must be disjoint from the cone")
     w, c = sep.plane  # cone on the positive side
-    ell = ball.ellipsoid()
-    proj = ell.center - (float(w @ ell.center) - c) * w
-    candidates = [proj, 0.5 * (proj + c * w), c * w]
     rho = ball.radius / ball.shell.tau
+    # the ball's Euclidean centre u (1 - r0^2) / (1 - |u|^2 r0^2), r0 =
+    # tanh rho, in the operations of convex's spheroid: A4 keeps its bits
+    a, r0 = float(np.linalg.norm(ball.center.v)), math.tanh(rho)
+    ch = 1.0 / math.sqrt(1.0 - a * a)
+    sh = a * ch
+    mid = (sh * ch * (1.0 - r0 * r0) * (1.0 / (ch * ch - sh * sh * r0 * r0))
+           * (ball.center.v / a) if a > 0.0 else np.zeros(3))
+    proj = mid - (float(w @ mid) - c) * w
+    candidates = [proj, 0.5 * (proj + c * w), c * w]
     for apex in candidates:
         if np.linalg.norm(apex) >= 1.0 - 1e-9:
             continue

@@ -2,10 +2,10 @@
 
 Two body types: the closed hull of a cone (apex joined to a spherical cap
 region) and the ellipsoid realizing a metric ball of a shell in the
-projective model. The predicates of ``hypercones.cones`` decide contact by
-closed forms in a cone's apex frame and call none of this; GJK on the
-Euclidean hulls stays as an independent oracle for the tests, and
-``render`` draws the ellipsoid.
+projective model. No library function calls this module: the predicates of
+``hypercones.cones`` decide contact by closed forms in a cone's apex frame,
+and ``render`` cuts a metric ball's quadric. GJK on the Euclidean hulls and
+the ellipsoids stay as an independent oracle for the tests.
 
 GJK runs on plain float triples: each body has one support map on floats
 (``support_xyz``), and the simplex step is closed form: the closest point of

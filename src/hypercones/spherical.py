@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["angle_between", "rotate_toward", "slerp", "orthonormal_frame",
-           "any_perpendicular"]
+__all__ = ["angle_between", "rotate_toward", "slerp", "orthonormal_frame"]
 
 
 def dot(a, b) -> float:
@@ -54,10 +53,6 @@ def turn(a, b, by: float) -> tuple[float, float, float]:
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     return angle(np.asarray(u, dtype=float).tolist(),
                  np.asarray(v, dtype=float).tolist())
-
-
-def any_perpendicular(u: np.ndarray) -> np.ndarray:
-    return np.array(perpendicular(u.tolist()))
 
 
 def rotate_toward(u: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:

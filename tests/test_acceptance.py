@@ -33,6 +33,7 @@ from hypercones.constructions import (avoid_ball_inside, common_complement_cone,
                                       shrink_for_connectivity,
                                       translate_enclosure,
                                       wrap_ball_in_complement)
+from hypercones.convex import hyperball_ellipsoid
 from hypercones.errors import AdmissibilityError
 from hypercones.minkowski import (FourVector, LorentzTransform,
                                   decompose_translation, kappa_split,
@@ -95,7 +96,7 @@ def certify_disjoint(a: BallCone, b: BallCone, rng,
 
 
 def ellipsoid_samples(ball: Hyperball, rng, n: int) -> np.ndarray:
-    ell = ball.ellipsoid()
+    ell = hyperball_ellipsoid(ball.center.v, ball.radius, ball.shell.tau)
     dirs = rng.standard_normal((n, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     shrink = rng.random(n)[:, None]
@@ -119,7 +120,7 @@ def certify_ball_clear(cone: BallCone, ball: Hyperball, rng,
     ball_pts = ellipsoid_samples(ball, rng, n // 2)
     assert int(np.sum(cone.contains_many(ball_pts, slack=0.0))) == 0
     cone_pts = cone.sample_points(n // 2, rng)
-    ell = ball.ellipsoid()
+    ell = hyperball_ellipsoid(ball.center.v, ball.radius, ball.shell.tau)
     assert int(np.sum(ell.contains(cone_pts, -1e-12))) == 0
 
 

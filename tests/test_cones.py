@@ -29,7 +29,8 @@ from hypercones.cones import (_circle_minimum, _cone_clearance,
                               _frame_clearance, _hull_gap, _plane,
                               _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
-from hypercones.convex import ConeHullSupport, gjk_distance
+from hypercones.convex import (ConeHullSupport, gjk_distance,
+                              hyperball_ellipsoid)
 from hypercones.spherical import (angle, angle_between, dot,
                                  orthonormal_frame, rotate_toward, slerp,
                                  turn, unit)
@@ -789,7 +790,9 @@ class TestHyperballPredicates:
             assert not res.disjoint
             p = res.common_point
             assert float(cone.interior_margins(p[None, :])[0]) > WINDOW
-            assert bool(ball.ellipsoid().contains(p[None, :])[0])
+            ell = hyperball_ellipsoid(ball.center.v, ball.radius,
+                                      ball.shell.tau)
+            assert bool(ell.contains(p[None, :])[0])
 
 
     def test_separating_plane_clears_sampled_points_by_its_margin(
@@ -812,7 +815,8 @@ class TestHyperballPredicates:
             gap = -gap - 2.0 * ball.radius
             assert abs(res.margin - gap) <= 1e-12
             w, c = res.plane
-            ell = ball.ellipsoid()
+            ell = hyperball_ellipsoid(ball.center.v, ball.radius,
+                                      ball.shell.tau)
             cone_pts = np.vstack([cone.sample_points(400, rng),
                                   cone.lateral_points(32,
                                                       np.linspace(0, 1, 9))])

@@ -23,6 +23,7 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
 from hypercones import charges, constructions
 from hypercones.ball_model import ball_action_many
 from hypercones.cones import _frame_clearance
+from hypercones.convex import hyperball_ellipsoid
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward, slerp
@@ -48,7 +49,8 @@ def matrix_boost_wrap(ball, cone):
     one matrix boost per (apex, pad) and mapped the cap by a 4x4 matrix
     product: the same candidates, pads, order and checks."""
     w, c = cone_hyperball_disjoint(cone, ball).plane
-    center = ball.ellipsoid().center
+    center = hyperball_ellipsoid(ball.center.v, ball.radius,
+                                 ball.shell.tau).center
     proj = center - (float(w @ center) - c) * w
     rho = ball.radius / ball.shell.tau
     for apex in (proj, 0.5 * (proj + c * w), c * w):
