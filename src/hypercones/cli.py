@@ -38,6 +38,7 @@ _EXIT_ERROR = 1
 _EXIT_DEGENERATE = 2
 
 _AXIS_VECTORS = dict(zip("xyz", np.eye(3)))
+_MAX_RAPIDITY = math.acosh(sys.float_info.max)  # the last finite cosh
 
 
 def _fmt_vec(v) -> str:
@@ -93,6 +94,9 @@ def _parse_generator(text: str) -> LorentzTransform:
     if not (math.isfinite(amount) and np.all(np.isfinite(axis))):
         raise SceneError(f"generator {text!r} has a non-finite number")
     if kind == "boost":
+        if abs(amount) > _MAX_RAPIDITY:
+            raise SceneError(f"--generator {text!r}: boost rapidity "
+                             f"{amount:g} overflows cosh")
         return LorentzTransform.boost(axis, amount)
     if kind == "rot":
         return LorentzTransform.rotation(axis, amount)
@@ -389,6 +393,9 @@ def cmd_render(ns) -> int:
 
 
 def cmd_selftest(ns) -> int:
+    if not (math.isfinite(ns.budget) and ns.budget > 0.0):
+        raise SceneError(f"--budget must be finite and positive, "
+                         f"got {ns.budget:g}")
     started = time.monotonic()
     report, ok = run_selftest(seed=ns.seed, budget=ns.budget)
     sys.stdout.write(report)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -517,9 +517,9 @@ def opposite(cone: BallCone) -> BallCone:
     return BallCone(cone.apex, Cap(SphereDirection(n), math.atan2(s, c)))
 
 
-def _covering_cap(caps: list[Cap], pad: float) -> Cap | None:
-    """Smallest-ish cap containing the given caps, padded; None when the
-    required half-angle leaves the valid range."""
+def _covering_cap(caps: list[Cap]) -> Cap | None:
+    """Smallest-ish cap containing the given caps; None when the required
+    half-angle leaves the valid range."""
     axis = caps[0].axis.v
     half = caps[0].half_angle
     for cap in caps[1:]:
@@ -532,40 +532,69 @@ def _covering_cap(caps: list[Cap], pad: float) -> Cap | None:
         new_half = 0.5 * (gamma + half + cap.half_angle)
         axis = rotate_toward(axis, cap.axis.v, new_half - half)
         half = new_half
-    half += pad
     if half >= math.pi - DEFAULT_TOLERANCES.cap_limit:
         return None
     return Cap(SphereDirection.normalized(axis), half)
 
 
-_APEX_DEPTH_LADDER = (0.5, 0.75, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6,
-                      1.0 - 1e-8)
+# how far below its base-circle plane a built cone's apex must sit
+_CLEARANCE = 10.0 * DEFAULT_TOLERANCES.pointedness
+
+
+def _cap_fits(psi: float, height: float) -> bool:
+    """Whether a cap of half-angle psi stays clear of the covering limit
+    and an apex at `height` along its axis sits clearly below its
+    base-circle plane: the one pointedness rule of every built cone."""
+    return (psi < math.pi - DEFAULT_TOLERANCES.cap_limit
+            and height < math.cos(psi) - _CLEARANCE)
+
+
+# the enclosure ladder: pads widen the cap, depths rho pull the apex back
+# to -rho times the axis
+_ENCLOSURE_PADS = (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2)
+_ENCLOSURE_DEPTHS = (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)
+
+
+def _enclosures(caps: list[Cap], apexes=None,
+                axis: SphereDirection | None = None) -> Iterator[BallCone]:
+    """Cones holding the caps in their caps and the apex points in their
+    closed hulls, in the order to try them: pad by pad, then depth by
+    depth, the apex -rho n on the given axis n (one cap) or the covering
+    cap's, and the half-angle pad plus the larger need, the caps' widest
+    angle from n or the widest from n to where the rays from -rho n
+    through the apexes leave the sphere (ray_exits, once per depth).
+    Rungs failing _cap_fits are skipped."""
+    if axis is None:
+        cover = _covering_cap(caps)
+        if cover is None:
+            return
+        axis = cover.axis
+    n = axis.v
+    cap_need = max(angle_between(n, c.axis.v) + c.half_angle for c in caps)
+    need = {}
+    for pad in _ENCLOSURE_PADS:
+        for rho in _ENCLOSURE_DEPTHS:
+            if rho not in need and apexes is not None:
+                exits, _ = ray_exits(-rho * n, np.asarray(apexes))
+                need[rho] = max(cap_need, float(np.max(np.arccos(
+                    np.clip(exits @ n, -1.0, 1.0)))))
+            psi = need.get(rho, cap_need) + pad
+            if _cap_fits(psi, -rho):
+                yield BallCone(BallPoint(-rho * n), Cap(axis, psi))
 
 
 def enclosing_cone(k1: BallCone, k2: BallCone) -> BallCone | None:
-    """Smallest-effort common upper bound of two cones, or None.
-
-    Covers both caps by one padded cap and walks the apex down the ray
-    opposite the covering axis until both containments certify; gives up
-    (returns None) when the covering cap would exceed the valid range or no
-    ladder depth works.
-    """
+    """A common upper bound of two cones: one input when it contains the
+    other, else the first rung of the enclosure ladder over both caps and
+    apexes (_enclosures) that both are <= by cone_leq; None when no
+    covering cap fits or no rung certifies."""
     if cone_leq(k1, k2):
         return k2
     if cone_leq(k2, k1):
         return k1
-    for pad in (0.02, 0.1, 0.25):
-        cover = _covering_cap([k1.base, k2.base], pad)
-        if cover is None:
-            return None
-        for rho in _APEX_DEPTH_LADDER:
-            apex = BallPoint(-rho * cover.axis.v)
-            if float(cover.axis.v @ apex.v) >= cover.cos_half:
-                continue
-            candidate = BallCone(apex, cover)
-            if cone_leq(k1, candidate) and cone_leq(k2, candidate):
-                return candidate
-    return None
+    return next((region for region in _enclosures(
+        [k1.base, k2.base], [k1.apex.v, k2.apex.v])
+        if cone_leq(k1, region) and cone_leq(k2, region)), None)
 
 
 @dataclass(frozen=True)

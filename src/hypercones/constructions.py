@@ -26,11 +26,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .ball_model import (BallPoint, Cap, SphereDirection, _act, _cap_seen,
-                         _inverse, apex_matrix, ray_exits, shadow_radius)
-from .cones import (BallCone, Hyperball, _cone_clearance, _plane_margin,
-                    _covering_cap, _frame_clearance, _line_entry,
-                    cone_hyperball_disjoint, cone_leq, disjoint,
-                    hyperball_in_cone, map_cone, opposite)
+                         _inverse, apex_matrix, shadow_radius)
+from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits,
+                    _cone_clearance, _enclosures, _frame_clearance,
+                    _line_entry, _plane_margin, cone_hyperball_disjoint,
+                    cone_leq, disjoint, hyperball_in_cone, map_cone, opposite)
 from .config import DEFAULT_TOLERANCES
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
@@ -127,8 +127,7 @@ def _chord_levels(cone: BallCone, target: np.ndarray,
         psi = max(psi0 * shrink, 1e-7)
         axis = rotate_toward(axis0, target, psi0 - psi)
         apex = target - shrink * chord
-        validity = shrink * float(axis @ chord)
-        if validity <= 10.0 * DEFAULT_TOLERANCES.pointedness:
+        if not _cap_fits(psi, float(axis @ apex)):
             return
         yield BallCone(BallPoint(apex),
                        Cap(SphereDirection.normalized(axis), psi))
@@ -147,19 +146,11 @@ def _steer_target(cone: BallCone, away_from: np.ndarray) -> np.ndarray:
     return math.cos(psi) * n + math.sin(psi) * e
 
 
-def _cap_fits(psi: float, height: float) -> bool:
-    """Whether a cap of half-angle psi stays clear of the covering limit
-    and an apex at `height` along its axis sits clearly below its
-    base-circle plane."""
-    return (psi < math.pi - DEFAULT_TOLERANCES.cap_limit
-            and height < math.cos(psi) - 10.0 * DEFAULT_TOLERANCES.pointedness)
-
-
 def _thin_cone(direction: np.ndarray, half_angle: float,
                depth: float) -> BallCone | None:
     """Cone with near-sphere apex (1-depth)*direction and cap around the
     direction; None when the parameters cannot define a cone."""
-    if depth <= 1.0 - math.cos(half_angle) + 1e-9 or depth >= 1.0:
+    if depth >= 1.0 or not _cap_fits(half_angle, 1.0 - depth):
         return None
     return BallCone(BallPoint((1.0 - depth) * direction),
                     Cap(SphereDirection.normalized(direction), half_angle))
@@ -368,9 +359,9 @@ def _common_subcone(a: BallCone, b: BallCone) -> BallCone | None:
     m, psi_w = lens.axis.v, 0.6 * lens.half_angle
     d = m.tolist()
     lo = max(_line_entry(a, d), _line_entry(b, d))
-    hi = math.cos(psi_w) - 1e-9
-    if lo >= hi:
+    if not _cap_fits(psi_w, lo):
         return None
+    hi = math.cos(psi_w) - _CLEARANCE  # the highest apex _cap_fits admits
     witness = BallCone(BallPoint(0.5 * (lo + hi) * m), Cap(lens.axis, psi_w))
     if cone_leq(witness, a) and cone_leq(witness, b):
         return witness
@@ -385,8 +376,9 @@ def _blend_cone(a: BallCone, b: BallCone, t: float) -> BallCone:
     axis = slerp(a.base.axis.v, b.base.axis.v, t)
     psi = (1.0 - t) * a.base.half_angle + t * b.base.half_angle
     apex = (1.0 - t) * a.apex.v + t * b.apex.v
-    height, top = float(axis @ apex), math.cos(psi)
-    if height >= top - 1e-9:
+    height = float(axis @ apex)
+    if not _cap_fits(psi, height):
+        top = math.cos(psi)
         h = 0.5 * (top - 1.0)
         goal = top - 0.2 * (top - h)
         apex = apex + (height - goal) / (height - h) * (h * axis - apex)
@@ -615,10 +607,11 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float) -> BallCone:
 
     The shadow is the metric thickening of the region by the cross-shell
     shadow radius; near the sphere the thickening collapses, so a padded
-    cap with a pulled-back apex always suffices. The ladder of paddings
-    and apex depths stops at the first region whose exact clearance from
-    the source cone exceeds the radius (_shadow_inside), so the whole
-    shadow, not a sample of it, is certified inside.
+    cap with a pulled-back apex always suffices. The enclosure ladder
+    over the cone's cap, on its axis, and its apex (cones._enclosures)
+    stops at the first region whose exact clearance from the source cone
+    exceeds the radius (_shadow_inside), so the whole shadow, not a
+    sample of it, is certified inside.
     """
     radius = shadow_radius(sigma, tau)
     if radius <= 1e-12 * tau:
@@ -626,16 +619,7 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float) -> BallCone:
         _require(bool(cone_leq(cone, grown)),
                  "padded copy failed to contain the source cone")
         return grown
-    axis = cone.base.axis.v
-    for pad, rho in itertools.product((0.05, 0.12, 0.25, 0.45, 0.7,
-                                       1.0, 1.35, 1.8, 2.2),
-                                      (0.0, 0.3, 0.6, 0.85, 0.97,
-                                       0.995, 0.9995)):
-        psi = cone.base.half_angle + pad
-        if not _cap_fits(psi, -rho):
-            continue
-        region = BallCone(BallPoint(-rho * axis),
-                          Cap(cone.base.axis, psi))
+    for region in _enclosures([cone.base], [cone.apex.v], cone.base.axis):
         if _shadow_inside(cone, region, radius, tau):
             return region
     raise ConstructionFailure(
@@ -732,7 +716,9 @@ def robust_enclosure_lorentz(cone: BallCone,
     inverses, and all products of two such factors.
 
     A finite surrogate for robustness under a neighborhood of the identity:
-    the enclosure covers the sampled orbit with an explicit margin.
+    the enclosure covers the sampled orbit with an explicit margin. It is
+    the first rung of the enclosure ladder over the images' caps and
+    apexes (cones._enclosures) that holds every image by cone_leq.
     """
     gens = list(generators)
     ring: list[LorentzTransform] = [LorentzTransform.identity()]
@@ -741,27 +727,8 @@ def robust_enclosure_lorentz(cone: BallCone,
     words = list(ring)
     words.extend(a @ b for a, b in itertools.product(ring, ring))
     images = [map_cone(w, cone) for w in words]
-    caps = [img.base for img in images]
-    cover = _covering_cap(caps, 0.0)
-    if cover is None:
-        raise ConstructionFailure(
-            "no covering cap enclosed the sampled Lorentz orbit of the cone")
-    axis = cover.axis.v
-    cap_need = max(angle_between(axis, c.axis.v) + c.half_angle for c in caps)
-    apexes = np.array([img.apex.v for img in images])
-    for rho, pad in itertools.product(
-            (0.3, 0.6, 0.85, 0.97, 0.995, 1.0 - 1e-4),
-            (0.02, 0.05, 0.12, 0.25)):
-        # the cap must also cover where rays from the candidate apex
-        # through every image apex leave the sphere
-        e = -rho * axis
-        exits, _ = ray_exits(e, apexes)
-        apex_need = float(np.max(np.arccos(np.clip(exits @ axis, -1.0,
-                                                   1.0))))
-        psi = max(cap_need, apex_need) + pad
-        if not _cap_fits(psi, -rho):
-            continue
-        region = BallCone(BallPoint(e), Cap(cover.axis, psi))
+    for region in _enclosures([img.base for img in images],
+                              [img.apex.v for img in images]):
         if all(cone_leq(img, region) for img in images):
             return region
     raise ConstructionFailure(
@@ -806,8 +773,9 @@ def translate_enclosure(cone: BallCone, tau: float,
     """Cone whose causal completion swallows the source completion shifted
     by every given future-directed translation.
 
-    In the source cone K's apex frame, a ladder of padded caps with
-    pulled-back apexes is tried in order; a candidate R is accepted when
+    In the source cone K's apex frame, the enclosure ladder over K's cap
+    on its axis (cones._enclosures; K's apex, the frame origin, lies on
+    the axis) is tried in order; a candidate R is accepted when
     K <= R and, for every translation t, every shifted lift y + t of a
     point y of K has its causal shadow inside R by more than the window:
     the tangent-plane margin of cones._plane_margin, exact over the whole
@@ -851,14 +819,7 @@ def translate_enclosure(cone: BallCone, tau: float,
         return grown
 
     window = DEFAULT_TOLERANCES.degenerate_window
-    axis_n = cap_n.axis.v
-    for pad, rho in itertools.product(
-            (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2),
-            (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)):
-        psi = cap_n.half_angle + pad
-        if not _cap_fits(psi, -rho):
-            continue
-        region_n = BallCone(BallPoint(-rho * axis_n), Cap(cap_n.axis, psi))
+    for region_n in _enclosures([cap_n], axis=cap_n.axis):
         if (all(_plane_margin(cone_n, region_n, tau, t, floor=window)
                 > window for t in shifted)
                 and cone_leq(cone_n, region_n)):

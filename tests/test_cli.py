@@ -305,6 +305,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "non-finite" in err
         assert bad in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_budget_must_be_finite_and_positive(self, capsys, value):
+        code, out, err = run(capsys, "selftest", "--budget", value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --budget") and value in err
+
+    @pytest.mark.parametrize("amount", ["1e308", "-711"])
+    def test_boost_whose_cosh_overflows_is_refused(self, capsys, amount):
+        code, out, err = run(capsys, "construct", DEMO, "A12", "A",
+                             "--generator", f"boost:x:{amount}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --generator") and "cosh" in err
+
     @pytest.mark.parametrize("argv", [
         ("construct", DEMO, "A1", "A", "O", "--depth", "abc"),
         ("check", DEMO),

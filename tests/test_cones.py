@@ -25,7 +25,8 @@ from hypercones.ball_model import (ball_action_many, ball_distance_many,
 from hypercones import cones as cone_module, constructions
 from hypercones.ball_model import cap_image
 from hypercones.ball_model import _act, _cap_seen
-from hypercones.cones import (_circle_minimum, _cone_clearance,
+from hypercones.cones import (_ENCLOSURE_DEPTHS, _ENCLOSURE_PADS,
+                              _circle_minimum, _cone_clearance, _enclosures,
                               _frame_clearance, _hull_gap, _plane,
                               _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
@@ -732,6 +733,41 @@ class TestEnclosingCone:
         b = BallCone(BallPoint(0.3 * x), Cap(SphereDirection(-x), 1.75))
         assert enclosing_cone(a, b) is None
 
+    def test_cover_reaches_past_the_apexes(self):
+        # the 7th and 8th draws of seed 0: covers exist, yet a ladder
+        # blind to where the apexes sit found none
+        rng = np.random.default_rng(0)
+        a, b = [random_cone(rng, psi_max=0.9) for _ in range(8)][6:]
+        cover = enclosing_cone(a, b)
+        assert cover is not None
+        assert cone_leq(a, cover).holds and cone_leq(b, cover).holds
+
+    def test_every_seeded_pair_is_covered(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for i in range(100):
+                a, b = (random_cone(rng, psi_max=0.9) for _ in range(2))
+                cover = enclosing_cone(a, b)
+                assert cover is not None, (seed, i)
+                assert cone_leq(a, cover).holds, (seed, i)
+                assert cone_leq(b, cover).holds, (seed, i)
+
+    def test_every_candidate_meets_both_needs(self):
+        # each rung holds every cap in its cap and every apex in its
+        # closed hull, whichever the caller then accepts
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            cones = [random_cone(rng, psi_max=0.9)
+                     for _ in range(rng.integers(1, 4))]
+            rungs = list(_enclosures([k.base for k in cones],
+                                     [k.apex.v for k in cones]))
+            assert rungs
+            for region in rungs:
+                for k in cones:
+                    res = cone_leq(k, region)
+                    assert res.cap_margin >= -1e-9
+                    assert res.apex_margin >= -1e-9
+
 
 class TestHyperballPredicates:
     def test_ball_at_centroid_is_inside(self, shell):
@@ -1077,20 +1113,15 @@ class TestConeClearance:
             assert _cone_clearance(inner, outer, 1.0) <= 1e-12
 
 
-# the (pad, rho) ladder of translate_enclosure
-_LADDER_PADS = (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2)
-_LADDER_RHOS = (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)
-
-
 def _ladder_cases(rng, count):
     """(inner, region, tau, shift): a random cone moved to its apex frame,
-    a random step of the translate_enclosure ladder, and a random
+    a random (pad, depth) step of the enclosure ladder, and a random
     future-directed translation, all in that frame."""
     cases = []
     while len(cases) < count:
         frame, cap = random_cone(rng).apex_frame
-        pad = _LADDER_PADS[rng.integers(len(_LADDER_PADS))]
-        rho = _LADDER_RHOS[rng.integers(len(_LADDER_RHOS))]
+        pad = _ENCLOSURE_PADS[rng.integers(len(_ENCLOSURE_PADS))]
+        rho = _ENCLOSURE_DEPTHS[rng.integers(len(_ENCLOSURE_DEPTHS))]
         psi = cap.half_angle + pad
         if psi >= math.pi - 1e-3 or -rho >= math.cos(psi) - 1e-9:
             continue

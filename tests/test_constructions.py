@@ -1107,6 +1107,7 @@ class TestExactCertificates:
                         Cap(unit(0.2, 0.1, 0.97), 1.05))
         gens = [LorentzTransform.boost(unit(0.6, 0.3, -0.74).v, 0.12),
                 LorentzTransform.rotation(unit(0.2, 0.9, 0.4).v, 0.25)]
+        shift = FourVector.from_parts(0.7, (0.2, -0.1, 0.25))
         got = {
             "A1": funnel_in(k, 3, probe).cones[-1],
             "A3": avoid_ball_inside(probe, k),
@@ -1115,6 +1116,7 @@ class TestExactCertificates:
             "A9": enclose_shadow(k, 0.8, 1.3),
             "A10": shrink_across_shells(wide, 1.2, 0.9),
             "A12": robust_enclosure_lorentz(k, gens),
+            "A13": translate_enclosure(k, 1.2, [shift]),
         }
         want = {
             "A1": ([0.42201862109724, -0.59605246907087,
@@ -1141,10 +1143,14 @@ class TestExactCertificates:
                      0.48722192619878735],
                     [0.20091625822630407, 0.10045812911315204,
                      0.9744438523975747], 0.15),
-            "A12": ([-0.09094921496515675, 0.05475558787789942,
+            "A12": ([-0.09094921496515669, 0.05475558787789941,
                      -0.2805887843328157],
-                    [0.3031640498838558, -0.18251862625966475,
-                     0.9352959477760523], 1.1228691693599968),
+                    [0.30316404988385565, -0.1825186262596647,
+                     0.9352959477760524], 1.1528691693599968),
+            "A13": ([-0.016922838649327483, 0.011281892432884992,
+                     -0.5511361654132538],
+                    [0.2698881138270588, -0.17992540921803918,
+                     0.9459319495252255], 1.0458755879749069),
         }
         for label, cone in got.items():
             apex, axis, psi = want[label]
