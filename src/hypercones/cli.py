@@ -393,9 +393,10 @@ def cmd_render(ns) -> int:
 
 
 def cmd_selftest(ns) -> int:
-    if not (math.isfinite(ns.budget) and ns.budget > 0.0):
-        raise SceneError(f"--budget must be finite and positive, "
-                         f"got {ns.budget:g}")
+    if not ns.budget > 0.0:  # nan too
+        raise SceneError(f"--budget must be positive, got {ns.budget:g}")
+    if ns.budget > 1000.0:  # the trial counts scale by it, inf too
+        raise SceneError(f"--budget must be at most 1000, got {ns.budget:g}")
     started = time.monotonic()
     report, ok = run_selftest(seed=ns.seed, budget=ns.budget)
     sys.stdout.write(report)

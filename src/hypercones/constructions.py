@@ -1,27 +1,24 @@
 """Constructive geometry on cap-based cones.
 
-Builders for funnels (decreasing cone sequences), interpolation paths with
-common-subcone witnesses, complement cones, cross-shell enclosures,
-contracting boost families, and translation-robust enclosures.  Every
-builder certifies its output with the predicates from ``hypercones.cones``
-— a code path independent of the construction itself — and raises
-``ConstructionFailure`` instead of returning an unverified witness. The
-certificates are exact: cone order, disjointness, ball clearance and the
-closed-form clearance of one cone inside another (``_cone_clearance``) for
-the cross-shell shadows, and for the translated completion
-(``translate_enclosure``) the same tangent-plane closed form on shifted
-shadows (``_plane_margin``). No construction draws random points or
-scans a fixed direction sample: the base-circle point farthest from a
-ball (``_steer_target``), the cap of rays from an apex through a ball
-(``wrap_ball_in_complement``) and the direction clearest of two caps
-(``_clearest_direction``) are closed forms.
+Builders for funnels, interpolation paths with common-subcone witnesses,
+complement cones, cross-shell enclosures, contracting boosts and
+translation-robust enclosures. Every builder certifies its output with
+the exact predicates of ``hypercones.cones`` (cone order, disjointness,
+ball clearance, the clearance of one cone inside another) and raises
+``ConstructionFailure`` rather than return an unverified witness. None
+samples: the subcones and complements (A1, A3, A5-A8, A10) are axial
+cones (``_axial_cone``) over a floor read in closed form from what they
+must clear, aimed by closed forms (``_steer_target``, ``_lens_cap``,
+``_clearest_direction``); the ball wrap (A4) is the cap of rays through
+the ball seen from the apex; the enclosures (A9, A12, A13) walk one
+ladder (``cones._enclosures``).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,8 +31,8 @@ from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits,
 from .config import DEFAULT_TOLERANCES
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
-from .spherical import (angle_between, dot, orthonormal_frame, rotate_toward,
-                        slerp, unit)
+from .spherical import (angle, angle_between, dot, orthonormal_frame,
+                        rotate_toward, slerp, unit)
 
 __all__ = [
     "Funnel", "ConePath", "ContractingBoosts",
@@ -83,10 +80,6 @@ class ContractingBoosts:
 # shared helpers
 
 
-# chord levels or halvings a construction tries before it gives up
-_SEARCH_ROUNDS = 60
-
-
 def _require(condition: bool, message: str,
              failing_index: int | None = None) -> None:
     if not condition:
@@ -107,30 +100,6 @@ def _ball_clear(cone: BallCone, ball: Hyperball) -> bool:
         return bool(cone_hyperball_disjoint(cone, ball))
     except DegenerateGeometry:
         return False
-
-
-def _chord_levels(cone: BallCone, target: np.ndarray,
-                  count: int) -> Iterator[BallCone]:
-    """Nested cones marching along the chord from the apex to a point of the
-    base circle, caps internally tangent at the target, yielded one at a
-    time, so a search builds only the levels it tests.
-
-    Level n halves both the cap opening (floored) and the remaining chord;
-    the sequence stops early when the apex would get too close to the cap
-    plane to define a cone.
-    """
-    apex0, axis0 = cone.apex.v, cone.base.axis.v
-    psi0 = cone.base.half_angle
-    chord = target - apex0
-    for n in range(1, count + 1):
-        shrink = 0.5 ** n
-        psi = max(psi0 * shrink, 1e-7)
-        axis = rotate_toward(axis0, target, psi0 - psi)
-        apex = target - shrink * chord
-        if not _cap_fits(psi, float(axis @ apex)):
-            return
-        yield BallCone(BallPoint(apex),
-                       Cap(SphereDirection.normalized(axis), psi))
 
 
 def _steer_target(cone: BallCone, away_from: np.ndarray) -> np.ndarray:
@@ -156,6 +125,53 @@ def _thin_cone(direction: np.ndarray, half_angle: float,
                     Cap(SphereDirection.normalized(direction), half_angle))
 
 
+def _axial_cone(axis: SphereDirection, psi: float,
+                floor: float) -> BallCone | None:
+    """Cone over the cap (axis, psi) with its apex on the axis midway
+    between `floor` and the highest apex _cap_fits admits, or None. Its
+    hull lies where x.axis exceeds the floor: clear of all below it, and
+    inside any hull the axis line enters below it (cones._line_entry)."""
+    if not _cap_fits(psi, floor):
+        return None
+    hi = math.cos(psi) - _CLEARANCE
+    return BallCone(BallPoint(0.5 * (floor + hi) * axis.v), Cap(axis, psi))
+
+
+def _room(floor: float) -> float:
+    """0.9 of the half-angle whose base circle would sink to `floor`."""
+    return 0.9 * math.acos(min(floor, 1.0))
+
+
+def _hull_support(cone: BallCone, m) -> float:
+    """Largest x.m on the cone's closed hull: at its apex or its cap."""
+    gap = angle(m, cone.exit_scalars[4:7]) - cone.base.half_angle
+    return max(dot(cone.exit_scalars[:3], m), math.cos(max(0.0, gap)))
+
+
+def _spheroid(ball: Hyperball) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The ball's Euclidean image: centre, radial axis u, and semi-axes
+    along and across u. Boosted out to |c| = a = sh/ch, the centred ball
+    of radius r0 = tanh(radius/tau) has centre sh ch (1 - r0^2) d u and
+    semi-axes r0 d and r0 sqrt(d), for d = 1/(ch^2 - sh^2 r0^2)."""
+    r0 = math.tanh(ball.radius / ball.shell.tau)
+    a = float(np.linalg.norm(ball.center.v))
+    if a == 0.0:
+        return np.zeros(3), np.array([0.0, 0.0, 1.0]), r0, r0
+    ch = 1.0 / math.sqrt(1.0 - a * a)
+    sh, axis = a * ch, ball.center.v / a
+    d = 1.0 / (ch * ch - sh * sh * r0 * r0)
+    return (sh * ch * (1.0 - r0 * r0) * d * axis, axis, r0 * d,
+            r0 * math.sqrt(d))
+
+
+def _ball_support(ball: Hyperball, m: np.ndarray) -> float:
+    """Largest x.m on the ball's closed Euclidean image (_spheroid)."""
+    mid, axis, along, across = _spheroid(ball)
+    t = float(axis @ m)
+    return float(mid @ m) + math.hypot(
+        along * t, across * math.sqrt(max(0.0, 1.0 - t * t)))
+
+
 # --------------------------------------------------------------------------
 # funnels
 
@@ -164,39 +180,32 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball) -> Funnel:
     """Decreasing sequence of `depth` cones inside `cone` whose last member
     has a hull disjoint from the probe ball's hull.
 
-    The sequence collapses toward a base-circle point steered away from the
-    probe; since the probe is compactly inside the ball while the limit
-    point lies on the sphere, separation is always reached at finite depth.
+    Every member is an axial cone (_axial_cone) about m, halfway from the
+    source axis to the base circle's point farthest from the probe
+    (_steer_target). The last is floored at f, the larger of the line's
+    entry e into the source (_line_entry) and the probe's reach along m
+    (_ball_support), under min(0.3 psi, _room(f)); member i of n is i/n of
+    the way there from (e, psi/2), the widest cap about m in the source's,
+    so the caps narrow and the apexes rise strictly.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    target = _steer_target(cone, probe.center.v)
-    # levels up to the first clear one, and at least `depth` of them
-    levels, cleared = [], None
-    for level in _chord_levels(cone, target, max(depth, _SEARCH_ROUNDS)):
-        if cleared is None and _ball_clear(level, probe):
-            cleared = len(levels)
-        levels.append(level)
-        if cleared is not None and len(levels) >= depth:
-            break
-    _require(bool(levels), "no valid shrinking levels inside the cone")
-    _require(cleared is not None,
-             "collapsing levels never separated from the probe ball")
-    if cleared + 1 <= depth:
-        chosen = levels[:depth]
-        if len(chosen) < depth:  # validity stopped the march early
-            chosen = chosen + [chosen[-1]] * (depth - len(chosen))
-    else:
-        chosen = levels[cleared - depth + 1: cleared + 1]
-    _require(bool(cone_leq(chosen[0], cone)),
-             "first funnel member is not inside the source cone", 0)
-    for i in range(len(chosen) - 1):
-        _require(bool(cone_leq(chosen[i + 1], chosen[i])),
-                 "funnel members are not decreasing", i)
-    _require(_ball_clear(chosen[-1], probe),
-             "last funnel member still meets the probe ball",
-             len(chosen) - 1)
-    return Funnel(tuple(chosen), len(chosen), probe)
+    psi0 = cone.base.half_angle
+    axis = SphereDirection.normalized(rotate_toward(
+        cone.base.axis.v, _steer_target(cone, probe.center.v), 0.5 * psi0))
+    entry = _line_entry(cone, axis.v.tolist())
+    floor = max(entry, _ball_support(probe, axis.v))
+    wide, psi = 0.5 * psi0, min(0.3 * psi0, _room(floor))
+    chain = [cone]
+    for i in range(1, depth + 1):
+        t = i / depth
+        chain.append(_axial_cone(axis, (1.0 - t) * wide + t * psi,
+                                 (1.0 - t) * entry + t * floor))
+        ok = chain[i] is not None and cone_leq(chain[i], chain[i - 1])
+        _require(bool(ok), "funnel member escapes its predecessor", i - 1)
+    _require(_ball_clear(chain[-1], probe),
+             "last funnel member still meets the probe ball", depth - 1)
+    return Funnel(tuple(chain[1:]), depth, probe)
 
 
 def funnel_from_exhaustion(cones: Sequence[BallCone]) -> Funnel:
@@ -262,20 +271,10 @@ def _lens_cap(a: Cap, b: Cap) -> Cap | None:
 
 
 def avoid_ball_inside(ball: Hyperball, cone: BallCone) -> BallCone:
-    """Subcone of `cone` whose hull avoids the ball's hull.
-
-    Marches the apex along a chord toward the base circle, steered away
-    from the ball, until the hulls separate.
-    """
-    target = _steer_target(cone, ball.center.v)
-    for i, level in enumerate(_chord_levels(cone, target, _SEARCH_ROUNDS)):
-        if _ball_clear(level, ball):
-            _require(bool(cone_leq(level, cone)),
-                     "separated level escaped the source cone", i)
-            return level
-    raise ConstructionFailure(
-        "no chord level separated from the ball before the apex march "
-        "exhausted its validity range")
+    """Subcone of `cone` whose hull avoids the ball's hull: the one member
+    of the depth-1 funnel against the ball (funnel_in), an axial cone
+    whose apex sits above both the source's entry and the ball's image."""
+    return funnel_in(cone, 1, ball).cones[0]
 
 
 def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
@@ -296,16 +295,9 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
         raise ValueError("ball must be disjoint from the cone")
     w, c = sep.plane  # cone on the positive side
     rho = ball.radius / ball.shell.tau
-    # the ball's Euclidean centre u (1 - r0^2) / (1 - |u|^2 r0^2), r0 =
-    # tanh rho, in the operations of convex's spheroid: A4 keeps its bits
-    a, r0 = float(np.linalg.norm(ball.center.v)), math.tanh(rho)
-    ch = 1.0 / math.sqrt(1.0 - a * a)
-    sh = a * ch
-    mid = (sh * ch * (1.0 - r0 * r0) * (1.0 / (ch * ch - sh * sh * r0 * r0))
-           * (ball.center.v / a) if a > 0.0 else np.zeros(3))
+    mid = _spheroid(ball)[0]  # the ball's Euclidean centre
     proj = mid - (float(w @ mid) - c) * w
-    candidates = [proj, 0.5 * (proj + c * w), c * w]
-    for apex in candidates:
+    for apex in (proj, 0.5 * (proj + c * w), c * w):
         if np.linalg.norm(apex) >= 1.0 - 1e-9:
             continue
         m = apex_matrix(*apex.tolist())
@@ -345,25 +337,20 @@ def _common_subcone(a: BallCone, b: BallCone) -> BallCone | None:
     """Cone inside both inputs, certified by cone_leq against each, or
     None when their caps barely overlap.
 
-    The witness has the cap of half-angle psi_w = 0.6 mu about the axis m
-    of the largest cap in both caps (_lens_cap, of half-angle mu) and the
-    apex r m, with r midway between the later entry of the line along m
-    into the two closed hulls (_line_entry) and cos psi_w, below which the
-    cone is pointed. For caps narrower than a right angle the entries are
-    below cos psi_w: the line crosses each base disc at r = cos psi /
-    cos(psi - mu) or lower.
+    The witness is the axial cone (_axial_cone) over the cap of
+    half-angle 0.6 mu about the axis m of the largest cap in both caps
+    (_lens_cap, of half-angle mu), floored at the later entry of the line
+    along m into the two closed hulls (_line_entry). For caps narrower
+    than a right angle the entries are below cos(0.6 mu): the line crosses
+    each base disc at r = cos psi / cos(psi - mu) or lower.
     """
     lens = _lens_cap(a.base, b.base)
     if lens is None or lens.half_angle <= 1e-6:
         return None
-    m, psi_w = lens.axis.v, 0.6 * lens.half_angle
-    d = m.tolist()
-    lo = max(_line_entry(a, d), _line_entry(b, d))
-    if not _cap_fits(psi_w, lo):
-        return None
-    hi = math.cos(psi_w) - _CLEARANCE  # the highest apex _cap_fits admits
-    witness = BallCone(BallPoint(0.5 * (lo + hi) * m), Cap(lens.axis, psi_w))
-    if cone_leq(witness, a) and cone_leq(witness, b):
+    d = lens.axis.v.tolist()
+    witness = _axial_cone(lens.axis, 0.6 * lens.half_angle,
+                          max(_line_entry(a, d), _line_entry(b, d)))
+    if witness is not None and cone_leq(witness, a) and cone_leq(witness, b):
         return witness
     return None
 
@@ -501,25 +488,25 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
 def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     """Subcone of `cone_a` whose complement meshes with that of `cone_b`.
 
-    When the caps are separated the result is additionally disjoint from
-    `cone_b`; when they overlap the result sits inside both cones, so the
-    two complements share a common complement family.
+    When the caps are separated the result is also disjoint from `cone_b`:
+    the axial cone about a's axis n over the floor where the line along n
+    enters a (_line_entry) and b's hull ends (_hull_support), under
+    min(0.6 psi_a, _room(floor)). When they overlap the result sits inside
+    both cones (_common_subcone), so the complements share a family.
     """
     gamma = angle_between(cone_a.base.axis.v, cone_b.base.axis.v)
     total = cone_a.base.half_angle + cone_b.base.half_angle
     if abs(gamma - total) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry("cap boundaries are tangent; perturb inputs")
     if gamma > total:
-        target = _steer_target(cone_a, cone_b.base.axis.v)
-        levels = _chord_levels(cone_a, target, _SEARCH_ROUNDS)
-        for i, level in enumerate(levels):
-            if _is_disjoint(level, cone_b):
-                _require(bool(cone_leq(level, cone_a)),
-                         "shrunken cone escaped its source", i)
-                return level
-        raise ConstructionFailure(
-            "apex march never separated the shrunken cone from the second "
-            "cone")
+        axis, d = cone_a.base.axis, cone_a.exit_scalars[4:7]
+        floor = max(_line_entry(cone_a, d), _hull_support(cone_b, d))
+        sub = _axial_cone(axis, min(0.6 * cone_a.base.half_angle,
+                                    _room(floor)), floor)
+        _require(sub is not None and bool(cone_leq(sub, cone_a))
+                 and _is_disjoint(sub, cone_b),
+                 "no axial subcone cleared the second cone")
+        return sub
     sub = _common_subcone(cone_a, cone_b)
     _require(sub is not None,
              "cap overlap too thin to host a common subcone")
@@ -551,25 +538,22 @@ def _clearest_direction(cap_a: Cap, cap_b: Cap) -> tuple[np.ndarray, float]:
 def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     """Cone disjoint from both inputs; the inputs must be disjoint.
 
-    Aims a thin near-sphere cone at the direction with the largest angular
-    clearance from both closed caps, found by the two-cap intersection
-    closed form (_clearest_direction), and deepens its apex until both
-    disjointness certificates hold.
+    The axial cone (_axial_cone) about the direction m clearest of both
+    closed caps, by s (_clearest_direction), over the floor where their
+    hulls end along m (_hull_support), under min(0.45 s, 0.2, _room).
     """
     if not disjoint(cone_a, cone_b).disjoint:
         raise ValueError("input cones must be disjoint")
     m, clear = _clearest_direction(cone_a.base, cone_b.base)
     _require(clear > 1e-6, "no direction clears both closed caps")
-    psi = min(0.45 * clear, 0.2)
-    for n_ in range(1, _SEARCH_ROUNDS + 1):
-        witness = _thin_cone(m, psi, 0.5 ** n_)
-        if witness is None:
-            break
-        if _is_disjoint(witness, cone_a) and _is_disjoint(witness, cone_b):
-            return witness
-    raise ConstructionFailure(
-        "thin cone in the cleared direction never separated from both "
-        "inputs")
+    axis = SphereDirection.normalized(m)
+    d = axis.v.tolist()
+    floor = max(_hull_support(cone_a, d), _hull_support(cone_b, d))
+    witness = _axial_cone(axis, min(0.45 * clear, 0.2, _room(floor)), floor)
+    _require(witness is not None and _is_disjoint(witness, cone_a)
+             and _is_disjoint(witness, cone_b),
+             "axial cone in the cleared direction did not clear both inputs")
+    return witness
 
 
 # --------------------------------------------------------------------------
@@ -630,10 +614,13 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
     """Cone on shell `tau` sitting so deep inside `cone` that even its
     cross-shell shadow stays inside `cone`.
 
-    Realized by a thin cone along the source axis with a near-sphere apex;
-    points deep along the axis are metrically far from the source boundary.
-    The first thin cone whose exact clearance from the source's boundary
-    exceeds the shadow radius (_shadow_inside) is returned.
+    In the source's apex frame, with image cap (n', psi'), a point at
+    distance >= s from the apex within alpha of n' is tau asinh(sinh s
+    sin(min(psi' - alpha, pi/2))) or more from the boundary
+    (_frame_clearance). The core is the axial cone about n' over tanh s,
+    for sinh s = sinh(R/tau + 0.05) / sin(psi'/2) and alpha = min(psi'/2,
+    _room), so it clears the shadow radius R by tau/20; mapped back, the
+    exact clearance (_shadow_inside) certifies it.
     """
     radius = shadow_radius(sigma, tau)
     if radius <= 1e-12 * tau:
@@ -642,15 +629,16 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
         _require(bool(cone_leq(inner, cone)),
                  "trimmed copy failed to stay inside the source cone")
         return inner
-    axis = cone.base.axis.v
-    psi0 = min(0.5 * cone.base.half_angle, 0.15)
-    for j, n_ in itertools.product(range(4), range(1, 31)):
-        witness = _thin_cone(axis, psi0 * (0.5 ** j), 0.5 ** n_)
-        if witness is not None and _shadow_inside(witness, cone, radius, tau):
-            return witness
-    raise ConstructionFailure(
-        "no thin axial cone kept its cross-shell shadow inside the source "
-        "cone")
+    frame, cap_n = cone.apex_frame
+    psi = cap_n.half_angle
+    sinh_s = math.sinh(radius / tau + 0.05) / math.sin(0.5 * psi)
+    floor = sinh_s / math.sqrt(1.0 + sinh_s * sinh_s)  # tanh s
+    core = _axial_cone(cap_n.axis, min(0.5 * psi, _room(floor)), floor)
+    _require(core is not None, "no axial core fits in the apex frame")
+    core = map_cone(frame.inverse(), core)
+    _require(_shadow_inside(core, cone, radius, tau),
+             "the axial core's cross-shell shadow left the source cone")
+    return core
 
 
 # --------------------------------------------------------------------------
@@ -718,15 +706,25 @@ def robust_enclosure_lorentz(cone: BallCone,
     A finite surrogate for robustness under a neighborhood of the identity:
     the enclosure covers the sampled orbit with an explicit margin. It is
     the first rung of the enclosure ladder over the images' caps and
-    apexes (cones._enclosures) that holds every image by cone_leq.
+    apexes (cones._enclosures) that holds every image by cone_leq. A word
+    with no image cone in floats raises ConstructionFailure naming it.
     """
-    gens = list(generators)
-    ring: list[LorentzTransform] = [LorentzTransform.identity()]
-    for g in gens:
-        ring.extend([g, g.inverse()])
+    ring = [LorentzTransform.identity(),
+            *(h for g in generators for h in (g, g.inverse()))]
     words = list(ring)
-    words.extend(a @ b for a, b in itertools.product(ring, ring))
-    images = [map_cone(w, cone) for w in words]
+    with np.errstate(over="ignore", invalid="ignore"):
+        words.extend(a @ b for a, b in itertools.product(ring, ring))
+    finite = np.isfinite([w.matrix for w in words]).all(axis=(1, 2))
+    images = []
+    for i, w in enumerate(words):
+        try:
+            if not finite[i]:
+                raise ValueError("its matrix overflows")
+            images.append(map_cone(w, cone))
+        except ValueError as err:
+            raise ConstructionFailure(
+                f"orbit word {i} has no image cone in floats ({err}); the "
+                "generators are too large", failing_index=i) from None
     for region in _enclosures([img.base for img in images],
                               [img.apex.v for img in images]):
         if all(cone_leq(img, region) for img in images):

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from hypercones import cli
 from hypercones import scene as scene_mod
 from hypercones.cli import main
 
@@ -310,6 +311,33 @@ class TestExitCodes:
         code, out, err = run(capsys, "selftest", "--budget", value)
         assert code == 1 and out == ""
         assert err.startswith("error: --budget") and value in err
+
+    @pytest.mark.parametrize("value, shown", [("1e308", "1e+308"),
+                                              ("1001", "1001")])
+    def test_budget_above_a_thousand_is_refused(self, capsys, monkeypatch,
+                                                value, shown):
+        # refused before any trial runs: the trial counts scale by it
+        def refuse(**kwargs):
+            raise AssertionError("a self-test trial ran")
+
+        monkeypatch.setattr(cli, "run_selftest", refuse)
+        code, out, err = run(capsys, "selftest", "--budget", value)
+        assert code == 1 and out == ""
+        assert err == f"error: --budget must be at most 1000, got {shown}\n"
+
+    @pytest.mark.parametrize("rapidity", ["15", "40", "710"])
+    def test_orbit_beyond_floats_is_refused(self, capsys, rapidity):
+        # the images of the orbit words leave the ball in floats, and at
+        # 710 their products overflow: an error naming the generators,
+        # and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "construct", DEMO, "A12", "A",
+                                 "--generator", f"boost:x:{rapidity}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: orbit word")
+        assert "generators are too large" in err
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("amount", ["1e308", "-711"])
     def test_boost_whose_cosh_overflows_is_refused(self, capsys, amount):

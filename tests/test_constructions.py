@@ -21,7 +21,7 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         shrink_for_connectivity, translate_enclosure,
                         wrap_ball_in_complement)
 from hypercones import charges, constructions
-from hypercones.ball_model import ball_action_many
+from hypercones.ball_model import _act, ball_action_many
 from hypercones.cones import _frame_clearance
 from hypercones.convex import hyperball_ellipsoid
 from hypercones.config import DEFAULT_TOLERANCES
@@ -124,6 +124,12 @@ def assert_path_valid(path, start, goal):
         assert cone_leq(w, path.nodes[i + 1]).holds
 
 
+def same_cone(a, b):
+    return (np.array_equal(a.apex.v, b.apex.v)
+            and np.array_equal(a.base.axis.v, b.base.axis.v)
+            and a.base.half_angle == b.base.half_angle)
+
+
 class TestFunnelIn:
     def test_chain_decreases_and_clears_probe(self, shell):
         rng = np.random.default_rng(0)
@@ -141,139 +147,6 @@ class TestFunnelIn:
         probe = Hyperball(shell, BallPoint(np.zeros(3)), 0.3)
         with pytest.raises(ValueError):
             funnel_in(axis_cone(), 0, probe)
-
-
-def _list_chord_levels(cone, target, count):
-    """The chord levels as they were built before they became lazy: the
-    whole list at once, the reference of the generator."""
-    apex0, axis0 = cone.apex.v, cone.base.axis.v
-    psi0 = cone.base.half_angle
-    chord = target - apex0
-    levels = []
-    for n in range(1, count + 1):
-        shrink = 0.5 ** n
-        psi = max(psi0 * shrink, 1e-7)
-        axis = rotate_toward(axis0, target, psi0 - psi)
-        apex = target - shrink * chord
-        validity = shrink * float(axis @ chord)
-        if validity <= 10.0 * DEFAULT_TOLERANCES.pointedness:
-            break
-        levels.append(BallCone(BallPoint(apex),
-                               Cap(SphereDirection.normalized(axis), psi)))
-    return levels
-
-
-def same_cone(a, b):
-    return (np.array_equal(a.apex.v, b.apex.v)
-            and np.array_equal(a.base.axis.v, b.base.axis.v)
-            and a.base.half_angle == b.base.half_angle)
-
-
-def count_built_cones(monkeypatch):
-    """A list that grows by one for every cone the constructions module
-    builds from here on."""
-    built, real = [], constructions.BallCone
-
-    def counted(*args, **kwargs):
-        built.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(constructions, "BallCone", counted)
-    return built
-
-
-def funnel_cases(shell):
-    """Seeded (cone, probe) pairs: probes anywhere, probes on the cone's
-    axis that only deep levels clear, and one cone whose apex sits 1e-8
-    from its base circle, where the validity check stops the march after
-    three levels."""
-    rng = np.random.default_rng(19)
-    cases = []
-    for _ in range(6):
-        cone = random_cone(rng, psi_max=0.8)
-        cases += [(cone, Hyperball(shell, BallPoint(
-            rng.uniform(0.0, 0.55) * unit_vector(rng)),
-            rng.uniform(0.15, 0.5))),
-            (cone, Hyperball(shell, BallPoint(
-                rng.uniform(0.6, 0.85) * cone.base.axis.v),
-                rng.uniform(1.0, 2.0)))]
-    rim = math.cos(0.5) * Z + math.sin(0.5) * np.array([1.0, 0.0, 0.0])
-    cases.append((BallCone(BallPoint((1.0 - 1e-8) * rim),
-                           Cap(SphereDirection(Z), 0.5)),
-                  Hyperball(shell, BallPoint(-0.5 * rim), 0.3)))
-    return cases
-
-
-class TestLazyChordLevels:
-    def test_levels_equal_the_list_reference(self, shell):
-        for cone, probe in funnel_cases(shell):
-            target = constructions._steer_target(cone, probe.center.v)
-            for count in (1, 5, 60):
-                lazy = list(constructions._chord_levels(cone, target, count))
-                ref = _list_chord_levels(cone, target, count)
-                assert len(lazy) == len(ref)
-                assert all(map(same_cone, lazy, ref))
-
-    def test_funnel_builds_only_the_levels_it_keeps(self, shell,
-                                                    monkeypatch):
-        padded = 0
-        for cone, probe in funnel_cases(shell):
-            target = constructions._steer_target(cone, probe.center.v)
-            ref = _list_chord_levels(cone, target, 60)
-            cleared = next(i for i, level in enumerate(ref)
-                           if constructions._ball_clear(level, probe))
-            for depth in range(1, 8):
-                # the funnel: the first `depth` levels, the last repeated
-                # when the march stopped short, or the `depth` levels
-                # ending at the first clear one
-                if cleared + 1 <= depth:
-                    want = (ref[:depth] + [ref[-1]] * depth)[:depth]
-                    padded += len(ref) < depth
-                else:
-                    want = ref[cleared - depth + 1: cleared + 1]
-                with monkeypatch.context() as m:
-                    built = count_built_cones(m)
-                    got = funnel_in(cone, depth, probe).cones
-                assert len(got) == depth
-                assert all(map(same_cone, got, want))
-                assert len(built) == min(len(ref), max(cleared + 1, depth))
-        assert padded > 0
-
-    def test_avoid_ball_builds_up_to_the_first_clear_level(self, shell,
-                                                          monkeypatch):
-        rng = np.random.default_rng(20)
-        for _ in range(10):
-            cone = random_cone(rng, psi_max=0.9)
-            ball = Hyperball(shell, BallPoint(0.45 * unit_vector(rng)), 0.35)
-            target = constructions._steer_target(cone, ball.center.v)
-            ref = _list_chord_levels(cone, target, 60)
-            first = next(i for i, level in enumerate(ref)
-                         if constructions._ball_clear(level, ball))
-            with monkeypatch.context() as m:
-                built = count_built_cones(m)
-                got = avoid_ball_inside(ball, cone)
-            assert same_cone(got, ref[first])
-            assert len(built) == first + 1
-
-    def test_shrink_builds_up_to_the_first_disjoint_level(self,
-                                                          monkeypatch):
-        rng = np.random.default_rng(21)
-        seen = 0
-        while seen < 10:
-            a, b = random_cone(rng), random_cone(rng)
-            gamma = angle_between(a.base.axis.v, b.base.axis.v)
-            if gamma <= a.base.half_angle + b.base.half_angle + 1e-3:
-                continue
-            seen += 1
-            target = constructions._steer_target(a, b.base.axis.v)
-            ref = _list_chord_levels(a, target, 60)
-            first = next(i for i, level in enumerate(ref)
-                         if constructions._is_disjoint(level, b))
-            with monkeypatch.context() as m:
-                built = count_built_cones(m)
-                got = shrink_for_connectivity(a, b)
-            assert same_cone(got, ref[first])
-            assert len(built) == first + 1
 
 
 class TestSteerTarget:
@@ -296,6 +169,182 @@ class TestSteerTarget:
         e1, _ = orthonormal_frame(Z)
         np.testing.assert_allclose(p, math.cos(0.7) * Z + math.sin(0.7) * e1,
                                    rtol=0, atol=1e-15)
+
+
+def cap_scan(cone, rng, n=20_000):
+    """The apex, the base circle and n directions inside the cap: points
+    of the cone's closed hull that hold x.m near its largest value for
+    every unit m."""
+    n_axis, psi = cone.base.axis.v, cone.base.half_angle
+    e1, e2 = orthonormal_frame(n_axis)
+    z = rng.uniform(math.cos(psi), 1.0, n)[:, None]
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)[:, None]
+    inside = z * n_axis + np.sqrt(1.0 - z * z) * (np.cos(phi) * e1
+                                                  + np.sin(phi) * e2)
+    return np.vstack([cone.apex.v, cone.base.boundary_points(4096), inside])
+
+
+def assert_midway(cone, floor, atol=1e-15):
+    """The apex sits on the axis, midway between the floor and the highest
+    apex _cap_fits admits."""
+    n, psi = cone.base.axis.v, cone.base.half_angle
+    mid = 0.5 * (floor + math.cos(psi) - constructions._CLEARANCE)
+    np.testing.assert_allclose(cone.apex.v, mid * n, rtol=0, atol=atol)
+
+
+def separated_pairs(rng, count):
+    """Cone pairs whose caps lie more than 1e-4 apart."""
+    pairs = []
+    while len(pairs) < count:
+        a, b = random_cone(rng), random_cone(rng)
+        gap = (angle_between(a.base.axis.v, b.base.axis.v)
+               - a.base.half_angle - b.base.half_angle)
+        if gap > 1e-4:
+            pairs.append((a, b))
+    return pairs
+
+
+def wide_shell_cases(rng, count):
+    """Cones with caps up to 1.4 and apexes out to 0.9, on shells sigma and
+    tau with sigma/tau from 0.3 to 3."""
+    for _ in range(count):
+        tau = rng.uniform(0.5, 2.0)
+        sigma = tau * math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+        yield (random_cone(rng, psi_min=0.1, psi_max=1.4, apex_r=0.9),
+               sigma, tau)
+
+
+class TestAxialWitnesses:
+    def test_spheroid_is_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        dirs = rng.standard_normal((20_000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for i in range(300):
+            tau = rng.uniform(0.5, 2.0)
+            center = (0.0 if i == 0 else rng.uniform(0.0, 0.9)) * \
+                unit_vector(rng)
+            ball = Hyperball(Hyperboloid(tau), BallPoint(center),
+                             rng.uniform(0.05, 1.5) * tau)
+            mid, axis, along, across = constructions._spheroid(ball)
+            ell = hyperball_ellipsoid(ball.center.v, ball.radius, tau)
+            assert np.array_equal(mid, ell.center)
+            assert along == ell.a_par and across == ell.a_perp
+            np.testing.assert_allclose(axis, ell.axis, rtol=0, atol=1e-15)
+            m = unit_vector(rng)
+            scan = float(np.max(ell.boundary_points(dirs) @ m))
+            support = constructions._ball_support(ball, m)
+            assert scan <= support + 1e-15
+            assert support <= scan + 1e-3
+
+    def test_hull_support_bounds_a_dense_scan(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            cone = random_cone(rng, psi_min=0.05, psi_max=1.5, apex_r=0.9)
+            m = unit_vector(rng)
+            scan = float(np.max(cap_scan(cone, rng) @ m))
+            support = constructions._hull_support(cone, m)
+            assert scan <= support + 1e-15
+            assert support <= scan + 1e-3
+
+    def test_apex_is_midway_between_floor_and_ceiling(self, shell):
+        rng = np.random.default_rng(43)
+        c = constructions
+        for _ in range(40):
+            cone = random_cone(rng)
+            probe = Hyperball(shell, BallPoint(
+                rng.uniform(0.0, 0.55) * unit_vector(rng)),
+                rng.uniform(0.15, 0.5))
+            depth = int(rng.integers(1, 8))
+            members = funnel_in(cone, depth, probe).cones
+            m = members[0].base.axis.v
+            entry = c._line_entry(cone, m.tolist())
+            top = max(entry, c._ball_support(probe, m))
+            for i, member in enumerate(members, start=1):
+                t = i / depth
+                assert_midway(member, (1.0 - t) * entry + t * top)
+                assert np.array_equal(member.base.axis.v, m)
+            assert same_cone(avoid_ball_inside(probe, cone), members[-1])
+        for a, b in separated_pairs(rng, 40):
+            sub = shrink_for_connectivity(a, b)
+            n = a.base.axis.v
+            assert_midway(sub, max(c._line_entry(a, n.tolist()),
+                                   c._hull_support(b, n)))
+        for _ in range(40):
+            a, b = disjoint_cone_pair(rng)
+            w = common_complement_cone(a, b)
+            m = w.base.axis.v
+            assert_midway(w, max(c._hull_support(a, m),
+                                 c._hull_support(b, m)))
+        for cone, sigma, tau in wide_shell_cases(rng, 40):
+            core = shrink_across_shells(cone, sigma, tau)
+            *frame, nx, ny, nz, psi = cone.apex_frame_scalars
+            sinh_s = math.sinh(shadow_radius(sigma, tau) / tau + 0.05) \
+                / math.sin(0.5 * psi)
+            alpha = min(0.5 * psi, 0.9 * math.acos(math.tanh(
+                math.asinh(sinh_s))))
+            seen = np.array(_act(frame, core.apex.v.tolist()))
+            mid = 0.5 * (math.tanh(math.asinh(sinh_s)) + math.cos(alpha)
+                         - c._CLEARANCE)
+            np.testing.assert_allclose(seen, mid * np.array([nx, ny, nz]),
+                                       rtol=0, atol=1e-9)
+
+    def test_funnels_certify_at_depths_one_to_seven(self, shell):
+        rng = np.random.default_rng(44)
+        for _ in range(30):
+            cone = random_cone(rng)
+            probe = Hyperball(shell, BallPoint(
+                rng.uniform(0.0, 0.55) * unit_vector(rng)),
+                rng.uniform(0.15, 0.5))
+            ell = hyperball_ellipsoid(probe.center.v, probe.radius, 1.0)
+            for depth in range(1, 8):
+                chain = (cone,) + funnel_in(cone, depth, probe).cones
+                assert len(chain) == depth + 1
+                # no member repeats: caps narrow and apexes rise strictly
+                for a, b in zip(chain[1:], chain[2:]):
+                    assert b.base.half_angle < a.base.half_angle
+                    assert (float(b.apex.v @ b.base.axis.v)
+                            > float(a.apex.v @ a.base.axis.v))
+                for outer, inner in zip(chain, chain[1:]):
+                    assert cone_leq(inner, outer).holds
+                    pts = inner.sample_points(300, rng)
+                    assert np.all(outer.contains_many(pts, slack=1e-9,
+                                                      closed=True))
+                assert cone_hyperball_disjoint(chain[-1], probe).disjoint
+                pts = chain[-1].sample_points(300, rng)
+                assert not np.any(ell.contains(pts, -1e-12))
+
+    def test_avoiding_balls_inside_the_cone_certifies(self, shell):
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            cone = random_cone(rng)
+            ball = Hyperball(shell, BallPoint(cone.sample_points(1, rng)[0]),
+                             rng.uniform(0.1, 0.25))
+            sub = avoid_ball_inside(ball, cone)
+            assert cone_leq(sub, cone).holds
+            assert cone_hyperball_disjoint(sub, ball).disjoint
+            ell = hyperball_ellipsoid(ball.center.v, ball.radius, 1.0)
+            assert not np.any(ell.contains(sub.sample_points(300, rng),
+                                           -1e-12))
+
+    def test_separated_caps_certify(self):
+        rng = np.random.default_rng(46)
+        for a, b in separated_pairs(rng, 300):
+            sub = shrink_for_connectivity(a, b)
+            assert cone_leq(sub, a).holds
+            assert disjoint(sub, b).disjoint
+            assert_sampled_disjoint(sub, b, rng, n=300)
+
+    def test_wide_cores_clear_the_boundary_by_a_twentieth(self):
+        # every core point lies tau asinh(sinh s sin(psi'/2)) = R + tau/20
+        # or farther from the source boundary
+        rng = np.random.default_rng(47)
+        for cone, sigma, tau in wide_shell_cases(rng, 150):
+            core = shrink_across_shells(cone, sigma, tau)
+            assert cone_leq(core, cone).holds
+            radius = shadow_radius(sigma, tau)
+            for p in core.sample_points(60, rng):
+                gap, inside = _frame_clearance(cone, p.tolist(), tau)
+                assert inside and gap >= radius + 0.05 * tau - 1e-9
 
 
 class TestFunnelFromExhaustion:
@@ -1086,7 +1135,10 @@ class TestExactCertificates:
     by the acceptance suite's checkers when it was pinned. A1, A3, A4 and
     A8 pin the witnesses of the closed-form directions (the farthest
     base-circle point, the cap of rays through a ball seen from the apex,
-    the balanced arc point between two caps)."""
+    the balanced arc point between two caps); A1, A3, A8 and A10 those of
+    the closed-form floors of the axial cones. A3's witness is the one
+    member of A1's depth-1 funnel, and the last member of every funnel
+    against the same probe."""
 
     def test_constructions_draw_no_random_points(self, monkeypatch):
         def refuse(self, n, rng):
@@ -1119,30 +1171,30 @@ class TestExactCertificates:
             "A13": translate_enclosure(k, 1.2, [shift]),
         }
         want = {
-            "A1": ([0.42201862109724, -0.59605246907087,
-                    0.5127115933869417],
-                   [0.45339855797878525, -0.621845800287079,
-                    0.6385433018113027], 0.0775),
-            "A3": ([0.29258206919842283, -0.3748871251833542,
-                    0.3144066247925381],
+            "A1": ([0.2863009005534003, -0.32530786081537916,
+                    0.5648753666440721],
                    [0.40213434726738945, -0.45692299261749425,
-                    0.7934162498747451], 0.31),
+                    0.7934162498747451], 0.186),
+            "A3": ([0.2863009005534003, -0.32530786081537916,
+                    0.5648753666440721],
+                   [0.40213434726738945, -0.45692299261749425,
+                    0.7934162498747451], 0.186),
             "A4": ([-0.046661071696956075, 0.08775036782762083,
                     -0.1451187399395177],
                    [-0.48284422736420024, 0.5414279216048471,
                     -0.6882712094862927], 0.2890707285871486),
-            "A8": ([0.1235124018711696, -0.40468714692104907,
-                    -0.26640758191334557],
-                   [0.24702480374233923, -0.8093742938420982,
-                    -0.5328151638266913], 0.2),
+            "A8": ([0.1641870738536794, -0.5379573020405379,
+                    -0.35413999456030837],
+                   [0.2470248037423392, -0.8093742938420981,
+                    -0.5328151638266914], 0.2),
             "A9": ([-0.2917449004582795, 0.19449660030551966,
                     -0.9044091914206663],
                    [0.30076793861678297, -0.20051195907785532,
                     0.9323806097120272], 1.07),
-            "A10": ([0.10045812911315204, 0.05022906455657602,
-                     0.48722192619878735],
-                    [0.20091625822630407, 0.10045812911315204,
-                     0.9744438523975747], 0.15),
+            "A10": ([0.18097115169646424, 0.13772130247056188,
+                     0.6620002674858784],
+                    [0.2238313754073541, 0.13837420533231387,
+                     0.9647549402215585], 0.5287910411688717),
             "A12": ([-0.09094921496515669, 0.05475558787789941,
                      -0.2805887843328157],
                     [0.30316404988385565, -0.1825186262596647,
