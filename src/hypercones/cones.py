@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -518,8 +518,9 @@ def opposite(cone: BallCone) -> BallCone:
 
 
 def _covering_cap(caps: list[Cap]) -> Cap | None:
-    """Smallest-ish cap containing the given caps; None when the required
-    half-angle leaves the valid range."""
+    """Cap containing the given caps, folding each into the least cap
+    holding it and the cover so far: the least cover of two caps, not
+    always of more. None when the half-angle leaves the valid range."""
     axis = caps[0].axis.v
     half = caps[0].half_angle
     for cap in caps[1:]:
@@ -549,52 +550,46 @@ def _cap_fits(psi: float, height: float) -> bool:
             and height < math.cos(psi) - _CLEARANCE)
 
 
-# the enclosure ladder: pads widen the cap, depths rho pull the apex back
-# to -rho times the axis
-_ENCLOSURE_PADS = (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2)
-_ENCLOSURE_DEPTHS = (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)
-
-
-def _enclosures(caps: list[Cap], apexes=None,
-                axis: SphereDirection | None = None) -> Iterator[BallCone]:
-    """Cones holding the caps in their caps and the apex points in their
-    closed hulls, in the order to try them: pad by pad, then depth by
-    depth, the apex -rho n on the given axis n (one cap) or the covering
-    cap's, and the half-angle pad plus the larger need, the caps' widest
-    angle from n or the widest from n to where the rays from -rho n
-    through the apexes leave the sphere (ray_exits, once per depth).
-    Rungs failing _cap_fits are skipped."""
-    if axis is None:
-        cover = _covering_cap(caps)
-        if cover is None:
-            return
-        axis = cover.axis
-    n = axis.v
-    cap_need = max(angle_between(n, c.axis.v) + c.half_angle for c in caps)
-    need = {}
-    for pad in _ENCLOSURE_PADS:
-        for rho in _ENCLOSURE_DEPTHS:
-            if rho not in need and apexes is not None:
-                exits, _ = ray_exits(-rho * n, np.asarray(apexes))
-                need[rho] = max(cap_need, float(np.max(np.arccos(
-                    np.clip(exits @ n, -1.0, 1.0)))))
-            psi = need.get(rho, cap_need) + pad
-            if _cap_fits(psi, -rho):
-                yield BallCone(BallPoint(-rho * n), Cap(axis, psi))
+def _enclosure(caps: list[Cap], apexes) -> BallCone | None:
+    """Cone about the covering cap's axis n (_covering_cap) holding the
+    caps in its cap and the apexes in its closed hull, or None past the
+    covering limit. Its half-angle psi is 0.05 past the caps' widest angle
+    from n and the angles 2 atan2(|a_p|, 1 + a.n), a_p the part of an apex
+    a across n, at which rays from -n through the apexes leave the sphere.
+    Its apex -rho n holds one below the base plane once |a_p| (cos psi +
+    rho) <= sin psi (a.n + rho); rho is halfway to 1 from the largest such
+    depth and the pointedness floor _CLEARANCE - cos psi."""
+    cover = _covering_cap(caps)
+    if cover is None:
+        return None
+    n = cover.axis.v
+    a = np.asarray(apexes, dtype=float)
+    along = a @ n
+    across = np.linalg.norm(a - along[:, None] * n, axis=1)
+    psi = 0.05 + max(
+        max(angle_between(n, c.axis.v) + c.half_angle for c in caps),
+        float(np.max(2.0 * np.arctan2(across, 1.0 + along))))
+    if psi >= math.pi - DEFAULT_TOLERANCES.cap_limit:
+        return None
+    c, s = math.cos(psi), math.sin(psi)
+    below = along < c
+    depths = (c * across[below] - s * along[below]) / (s - across[below])
+    rho = 0.5 * (1.0 + float(np.max(depths, initial=_CLEARANCE - c)))
+    return BallCone(BallPoint(-rho * n), Cap(cover.axis, psi))
 
 
 def enclosing_cone(k1: BallCone, k2: BallCone) -> BallCone | None:
     """A common upper bound of two cones: one input when it contains the
-    other, else the first rung of the enclosure ladder over both caps and
-    apexes (_enclosures) that both are <= by cone_leq; None when no
-    covering cap fits or no rung certifies."""
+    other, else the hull enclosure of both caps and apexes (_enclosure)
+    when cone_leq certifies both inside it; None when no covering cap fits
+    or the certificate fails."""
     if cone_leq(k1, k2):
         return k2
     if cone_leq(k2, k1):
         return k1
-    return next((region for region in _enclosures(
-        [k1.base, k2.base], [k1.apex.v, k2.apex.v])
-        if cone_leq(k1, region) and cone_leq(k2, region)), None)
+    region = _enclosure([k1.base, k2.base], [k1.apex.v, k2.apex.v])
+    held = region is not None and cone_leq(k1, region) and cone_leq(k2, region)
+    return region if held else None
 
 
 @dataclass(frozen=True)

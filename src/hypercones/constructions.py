@@ -10,8 +10,9 @@ samples: the subcones and complements (A1, A3, A5-A8, A10) are axial
 cones (``_axial_cone``) over a floor read in closed form from what they
 must clear, aimed by closed forms (``_steer_target``, ``_lens_cap``,
 ``_clearest_direction``); the ball wrap (A4) is the cap of rays through
-the ball seen from the apex; the enclosures (A9, A12, A13) walk one
-ladder (``cones._enclosures``).
+the ball seen from the apex; the enclosures are one closed-form cone,
+in the apex frame for the shadows (A9, A13: ``_shadow_enclosure``) and
+about the covering axis for the orbit (A12: ``cones._enclosure``).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 from .ball_model import (BallPoint, Cap, SphereDirection, _act, _cap_seen,
                          _inverse, apex_matrix, shadow_radius)
 from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits,
-                    _cone_clearance, _enclosures, _frame_clearance,
+                    _cone_clearance, _enclosure, _frame_clearance,
                     _line_entry, _plane_margin, cone_hyperball_disjoint,
                     cone_leq, disjoint, hyperball_in_cone, map_cone, opposite)
 from .config import DEFAULT_TOLERANCES
@@ -560,14 +561,7 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
 # cross-shell enclosures
 
 
-def _grow_pad(cone: BallCone) -> BallCone:
-    """Slightly enlarged copy: wider cap, apex pulled back along the axis
-    so the source apex stays on the new cone's central ray."""
-    psi = min(cone.base.half_angle + 0.01, math.pi - 2e-3)
-    gap = 1.0 - 1e-6 - float(np.linalg.norm(cone.apex.v))
-    delta = min(0.02, 0.5 * gap)
-    apex = cone.apex.v - delta * cone.base.axis.v
-    return BallCone(BallPoint(apex), Cap(cone.base.axis, psi))
+_SHADOW_PAD = 0.05  # clearance past a shadow, over tau: A9, A10, A13
 
 
 def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
@@ -575,9 +569,8 @@ def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
     """Whether the metric ball of the given radius on shell `tau` about
     every point of `inner` lies inside `outer`: inner <= outer, and the
     exact clearance of inner from outer's boundary (_cone_clearance)
-    exceeds the radius by more than the degenerate window. The clearance
-    of inner's apex alone, a closed form, turns most ladder steps away
-    first."""
+    exceeds the radius by more than the degenerate window. That of inner's
+    apex, a closed form (_frame_clearance), is checked first."""
     window = DEFAULT_TOLERANCES.degenerate_window
     return (bool(cone_leq(inner, outer))
             and _frame_clearance(outer, inner.apex.v.tolist(), tau)[0] - radius
@@ -585,29 +578,56 @@ def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
             and _cone_clearance(inner, outer, tau) - radius > window)
 
 
+def _shadow_enclosure(cone: BallCone, radius: float, tau: float,
+                      shifts) -> BallCone:
+    """Cone in `cone`'s apex frame, where the source is the sector from
+    the origin over the cap (n', psi'), psi' < pi/2: the apex -T n' over
+    the cap (n', psi_o). For rho = radius/tau + _SHADOW_PAD and each
+    apex-frame shift, u = t0/tau and v = |ts|/tau, r is the largest of rho
+    and atanh(v/(1 + u)) + asinh((sinh rho + u + (u^2 - v^2)/2) /
+    sqrt((1 + u)^2 - v^2)), w the largest of 0 and v + max(0, u - sinh r),
+    and r rises to acosh(2w / cos psi') if larger. With g = min(tan(acos(w
+    / cosh r) - psi'), 1/sinh r)/2, T = tanh r sqrt(1 + g^2) < 1 and psi_o
+    = atan2(1, g) + asin(tanh r). Along a source ray each tangent plane's
+    _plane_margin is A cosh s + B sinh s - kappa, A = sinh r - u, B >= w -
+    v >= max(0, -A) and kappa <= -u sinh r + v cosh r + (u^2 - v^2)/2
+    (Ratcliffe, Foundations of Hyperbolic Manifolds, section 3.2): least at
+    the apex, s = 0, and at least sinh rho. Past r of about 8.0, psi_o
+    passes the covering limit and ConstructionFailure is raised."""
+    cap = cone.apex_frame[1]
+    rho = radius / tau + _SHADOW_PAD
+    parts = [(t[0] / tau, math.hypot(t[1], t[2], t[3]) / tau) for t in shifts]
+    r = max([rho, *(math.atanh(v / (1.0 + u)) + math.asinh(
+        (math.sinh(rho) + u + 0.5 * (u * u - v * v))
+        / math.sqrt((1.0 + u) ** 2 - v * v)) for u, v in parts)])
+    w = max([0.0, *(v + max(0.0, u - math.sinh(r)) for u, v in parts)])
+    r = max(r, math.acosh(max(1.0, 2.0 * w / cap.cos_half)))
+    g = 0.5 * min(math.tan(math.acos(w / math.cosh(r)) - cap.half_angle),
+                  1.0 / math.sinh(r))
+    half = math.atan2(1.0, g) + math.asin(math.tanh(r))
+    depth = math.tanh(r) * math.sqrt(1.0 + g * g)
+    _require(_cap_fits(half, -depth),
+             "the shadow enclosure's cap passes the covering limit")
+    return BallCone(BallPoint(-depth * cap.axis.v), Cap(cap.axis, half))
+
+
 def enclose_shadow(cone: BallCone, sigma: float, tau: float) -> BallCone:
     """Cone on shell `tau` containing the causal shadow of a cone region
     living on shell `sigma`.
 
     The shadow is the metric thickening of the region by the cross-shell
-    shadow radius; near the sphere the thickening collapses, so a padded
-    cap with a pulled-back apex always suffices. The enclosure ladder
-    over the cone's cap, on its axis, and its apex (cones._enclosures)
-    stops at the first region whose exact clearance from the source cone
-    exceeds the radius (_shadow_inside), so the whole shadow, not a
-    sample of it, is certified inside.
+    shadow radius R. The witness, the unshifted _shadow_enclosure mapped
+    back from the apex frame, lies R + _SHADOW_PAD tau or more from every
+    source point, and the exact clearance (_shadow_inside) certifies the
+    whole shadow inside. Past R/tau of about 7.95 its cap reaches the
+    covering limit, and ConstructionFailure is raised.
     """
     radius = shadow_radius(sigma, tau)
-    if radius <= 1e-12 * tau:
-        grown = _grow_pad(cone)
-        _require(bool(cone_leq(cone, grown)),
-                 "padded copy failed to contain the source cone")
-        return grown
-    for region in _enclosures([cone.base], [cone.apex.v], cone.base.axis):
-        if _shadow_inside(cone, region, radius, tau):
-            return region
-    raise ConstructionFailure(
-        "no padded cap enclosed the cross-shell shadow of the cone")
+    region = map_cone(cone.apex_frame[0].inverse(),
+                      _shadow_enclosure(cone, radius, tau, ()))
+    _require(_shadow_inside(cone, region, radius, tau),
+             "the shadow enclosure failed its clearance certificate")
+    return region
 
 
 def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
@@ -618,20 +638,14 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
     distance >= s from the apex within alpha of n' is tau asinh(sinh s
     sin(min(psi' - alpha, pi/2))) or more from the boundary
     (_frame_clearance). The core is the axial cone about n' over tanh s,
-    for sinh s = sinh(R/tau + 0.05) / sin(psi'/2) and alpha = min(psi'/2,
-    _room), so it clears the shadow radius R by tau/20; mapped back, the
-    exact clearance (_shadow_inside) certifies it.
+    for sinh s = sinh(R/tau + _SHADOW_PAD) / sin(psi'/2) and alpha =
+    min(psi'/2, _room), so it clears the shadow radius R by _SHADOW_PAD
+    tau; mapped back, the exact clearance (_shadow_inside) certifies it.
     """
     radius = shadow_radius(sigma, tau)
-    if radius <= 1e-12 * tau:
-        psi = max(cone.base.half_angle - 0.01, 0.5 * cone.base.half_angle)
-        inner = BallCone(cone.apex, Cap(cone.base.axis, psi))
-        _require(bool(cone_leq(inner, cone)),
-                 "trimmed copy failed to stay inside the source cone")
-        return inner
     frame, cap_n = cone.apex_frame
     psi = cap_n.half_angle
-    sinh_s = math.sinh(radius / tau + 0.05) / math.sin(0.5 * psi)
+    sinh_s = math.sinh(radius / tau + _SHADOW_PAD) / math.sin(0.5 * psi)
     floor = sinh_s / math.sqrt(1.0 + sinh_s * sinh_s)  # tanh s
     core = _axial_cone(cap_n.axis, min(0.5 * psi, _room(floor)), floor)
     _require(core is not None, "no axial core fits in the apex frame")
@@ -705,9 +719,9 @@ def robust_enclosure_lorentz(cone: BallCone,
 
     A finite surrogate for robustness under a neighborhood of the identity:
     the enclosure covers the sampled orbit with an explicit margin. It is
-    the first rung of the enclosure ladder over the images' caps and
-    apexes (cones._enclosures) that holds every image by cone_leq. A word
-    with no image cone in floats raises ConstructionFailure naming it.
+    the hull enclosure of the images' caps and apexes (cones._enclosure),
+    certified when cone_leq holds every image in it. A word with no image
+    cone in floats raises ConstructionFailure naming it.
     """
     ring = [LorentzTransform.identity(),
             *(h for g in generators for h in (g, g.inverse()))]
@@ -725,12 +739,12 @@ def robust_enclosure_lorentz(cone: BallCone,
             raise ConstructionFailure(
                 f"orbit word {i} has no image cone in floats ({err}); the "
                 "generators are too large", failing_index=i) from None
-    for region in _enclosures([img.base for img in images],
-                              [img.apex.v for img in images]):
-        if all(cone_leq(img, region) for img in images):
-            return region
-    raise ConstructionFailure(
-        "no covering cap enclosed the sampled Lorentz orbit of the cone")
+    region = _enclosure([img.base for img in images],
+                        [img.apex.v for img in images])
+    _require(region is not None
+             and all(cone_leq(img, region) for img in images),
+             "no covering cap enclosed the sampled Lorentz orbit of the cone")
+    return region
 
 
 # --------------------------------------------------------------------------
@@ -771,14 +785,13 @@ def translate_enclosure(cone: BallCone, tau: float,
     """Cone whose causal completion swallows the source completion shifted
     by every given future-directed translation.
 
-    In the source cone K's apex frame, the enclosure ladder over K's cap
-    on its axis (cones._enclosures; K's apex, the frame origin, lies on
-    the axis) is tried in order; a candidate R is accepted when
-    K <= R and, for every translation t, every shifted lift y + t of a
-    point y of K has its causal shadow inside R by more than the window:
-    the tangent-plane margin of cones._plane_margin, exact over the whole
-    cone. The apex bound, then the seeds, reject a step at once when they
-    fall at or below the window.
+    The witness R is the shadow enclosure (_shadow_enclosure) of the
+    source cone K for the translations seen in K's apex frame, certified
+    there: K <= R, and for every translation the tangent-plane margin of
+    cones._plane_margin, exact over the whole cone and at least sinh
+    _SHADOW_PAD by construction, exceeds the window. A translation so
+    long that R's cap passes the covering limit raises
+    ConstructionFailure.
 
     Lifts suffice, given K <= R. Take X in K's completion. If X lies
     above the shell, every past causal curve from X + t is a curve from X
@@ -808,19 +821,11 @@ def translate_enclosure(cone: BallCone, tau: float,
     frame, cap_n = cone.apex_frame
     cone_n = BallCone(BallPoint(np.zeros(3)), cap_n)
     shifted = [frame.apply(t).components for t in trans]
-    t_dom = max((s[0] + float(np.linalg.norm(s[1:])) for s in shifted),
-                default=0.0)
-    if t_dom <= 1e-14 * tau:
-        grown = _grow_pad(cone)
-        _require(bool(cone_leq(cone, grown)),
-                 "padded copy failed to contain the source cone")
-        return grown
-
+    region_n = _shadow_enclosure(cone, 0.0, tau, shifted)
     window = DEFAULT_TOLERANCES.degenerate_window
-    for region_n in _enclosures([cap_n], axis=cap_n.axis):
-        if (all(_plane_margin(cone_n, region_n, tau, t, floor=window)
-                > window for t in shifted)
-                and cone_leq(cone_n, region_n)):
-            return map_cone(frame.inverse(), region_n)
-    raise ConstructionFailure(
-        "no padded cap enclosed the translated completion's shadow")
+    _require(all(_plane_margin(cone_n, region_n, tau, t, floor=window)
+                 > window for t in shifted)
+             and bool(cone_leq(cone_n, region_n)),
+             "the shadow enclosure failed the translated completion's "
+             "certificate")
+    return map_cone(frame.inverse(), region_n)

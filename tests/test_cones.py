@@ -25,10 +25,9 @@ from hypercones.ball_model import (ball_action_many, ball_distance_many,
 from hypercones import cones as cone_module, constructions
 from hypercones.ball_model import cap_image
 from hypercones.ball_model import _act, _cap_seen
-from hypercones.cones import (_ENCLOSURE_DEPTHS, _ENCLOSURE_PADS,
-                              _circle_minimum, _cone_clearance, _enclosures,
-                              _frame_clearance, _hull_gap, _plane,
-                              _plane_margin)
+from hypercones.cones import (_cap_fits, _circle_minimum, _cone_clearance,
+                              _covering_cap, _enclosure, _frame_clearance,
+                              _hull_gap, _plane, _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.convex import (ConeHullSupport, gjk_distance,
                               hyperball_ellipsoid)
@@ -709,6 +708,66 @@ class TestOpposite:
         assert abs(opp.base.half_angle - 0.6) < 1e-9
 
 
+# the enclosure ladder that the closed forms replaced, kept as their
+# reference: pads widen the cap, depths rho pull the apex back to -rho
+# times the axis
+_ENCLOSURE_PADS = (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2)
+_ENCLOSURE_DEPTHS = (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)
+
+
+def _enclosures(caps, apexes=None, axis=None):
+    """Cones holding the caps in their caps and the apex points in their
+    closed hulls, in the order to try them: pad by pad, then depth by
+    depth, the apex -rho n on the given axis n (one cap) or the covering
+    cap's, and the half-angle pad plus the larger need, the caps' widest
+    angle from n or the widest from n to where the rays from -rho n
+    through the apexes leave the sphere (ray_exits, once per depth).
+    Rungs failing _cap_fits are skipped."""
+    if axis is None:
+        cover = _covering_cap(caps)
+        if cover is None:
+            return
+        axis = cover.axis
+    n = axis.v
+    cap_need = max(angle_between(n, c.axis.v) + c.half_angle for c in caps)
+    need = {}
+    for pad in _ENCLOSURE_PADS:
+        for rho in _ENCLOSURE_DEPTHS:
+            if rho not in need and apexes is not None:
+                exits, _ = ray_exits(-rho * n, np.asarray(apexes))
+                need[rho] = max(cap_need, float(np.max(np.arccos(
+                    np.clip(exits @ n, -1.0, 1.0)))))
+            psi = need.get(rho, cap_need) + pad
+            if _cap_fits(psi, -rho):
+                yield BallCone(BallPoint(-rho * n), Cap(axis, psi))
+
+
+def _covers_wherever_the_ladder_did(groups):
+    """How many groups of cones some rung of the reference ladder holds,
+    asserting that the hull enclosure (_enclosure) holds each of those by
+    cone_leq too."""
+    covered = 0
+    for i, cones in enumerate(groups):
+        caps, apexes = [k.base for k in cones], [k.apex.v for k in cones]
+        if not any(all(cone_leq(k, rung) for k in cones)
+                   for rung in _enclosures(caps, apexes)):
+            continue
+        covered += 1
+        region = _enclosure(caps, apexes)
+        assert region is not None, i
+        assert all(cone_leq(k, region) for k in cones), i
+    return covered
+
+
+def _orbit(cone, gens):
+    """Images of the cone under the words robust_enclosure_lorentz covers:
+    the identity, each generator and its inverse, and products of two."""
+    ring = [LorentzTransform.identity(),
+            *(h for g in gens for h in (g, g.inverse()))]
+    words = ring + [a @ b for a in ring for b in ring]
+    return [map_cone(w, cone) for w in words]
+
+
 class TestEnclosingCone:
     def test_covers_both_inputs(self):
         rng = np.random.default_rng(9)
@@ -753,20 +812,43 @@ class TestEnclosingCone:
                 assert cone_leq(b, cover).holds, (seed, i)
 
     def test_every_candidate_meets_both_needs(self):
-        # each rung holds every cap in its cap and every apex in its
-        # closed hull, whichever the caller then accepts
+        # the one candidate holds every cap in its cap and every apex in
+        # its closed hull, before the caller certifies it
         rng = np.random.default_rng(31)
         for _ in range(40):
             cones = [random_cone(rng, psi_max=0.9)
                      for _ in range(rng.integers(1, 4))]
-            rungs = list(_enclosures([k.base for k in cones],
-                                     [k.apex.v for k in cones]))
-            assert rungs
-            for region in rungs:
-                for k in cones:
-                    res = cone_leq(k, region)
-                    assert res.cap_margin >= -1e-9
-                    assert res.apex_margin >= -1e-9
+            region = _enclosure([k.base for k in cones],
+                                [k.apex.v for k in cones])
+            assert region is not None
+            for k in cones:
+                res = cone_leq(k, region)
+                assert res.cap_margin >= -1e-9
+                assert res.apex_margin >= -1e-9
+
+    def test_covers_every_seeded_pair_the_ladder_covers(self):
+        pairs = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            pairs += [[random_cone(rng, psi_max=0.9) for _ in range(2)]
+                      for _ in range(100)]
+        assert _covers_wherever_the_ladder_did(pairs) == 2000
+
+    def test_covers_every_wide_pair_the_ladder_covers(self):
+        rng = np.random.default_rng(32)
+        pairs = [[random_cone(rng, psi_max=1.45, apex_r=0.9)
+                  for _ in range(2)] for _ in range(2000)]
+        assert _covers_wherever_the_ladder_did(pairs) == 2000
+
+    def test_covers_every_orbit_the_ladder_covers(self):
+        rng = np.random.default_rng(33)
+        orbits = [_orbit(random_cone(rng),
+                         [LorentzTransform.boost(unit_vector(rng),
+                                                 rng.uniform(0.0, 0.8)),
+                          LorentzTransform.rotation(unit_vector(rng),
+                                                    rng.uniform(0.0, 1.0))])
+                  for _ in range(1200)]
+        assert _covers_wherever_the_ladder_did(orbits) == 1200
 
 
 class TestHyperballPredicates:
@@ -1113,25 +1195,23 @@ class TestConeClearance:
             assert _cone_clearance(inner, outer, 1.0) <= 1e-12
 
 
-def _ladder_cases(rng, count):
+def _enclosure_cases(rng, count):
     """(inner, region, tau, shift): a random cone moved to its apex frame,
-    a random (pad, depth) step of the enclosure ladder, and a random
-    future-directed translation, all in that frame."""
+    a random future-directed translation there, and the shadow enclosure
+    (_shadow_enclosure) built for a random multiple, 0 to 2, of it. The
+    region holds the shifted shadows for a multiple of 1 or more, and
+    may fail to below."""
     cases = []
-    while len(cases) < count:
-        frame, cap = random_cone(rng).apex_frame
-        pad = _ENCLOSURE_PADS[rng.integers(len(_ENCLOSURE_PADS))]
-        rho = _ENCLOSURE_DEPTHS[rng.integers(len(_ENCLOSURE_DEPTHS))]
-        psi = cap.half_angle + pad
-        if psi >= math.pi - 1e-3 or -rho >= math.cos(psi) - 1e-9:
-            continue
+    for _ in range(count):
+        inner = BallCone(BallPoint(np.zeros(3)),
+                         random_cone(rng).apex_frame[1])
+        tau = rng.uniform(0.5, 2.0)
         t0 = rng.uniform(0.05, 1.0)
         shift = np.concatenate(
             ([t0], rng.uniform(0.0, t0) * unit_vector(rng)))
-        cases.append((BallCone(BallPoint(np.zeros(3)), cap),
-                      BallCone(BallPoint(-rho * cap.axis.v),
-                               Cap(cap.axis, psi)),
-                      rng.uniform(0.5, 2.0), frame.matrix @ shift))
+        region = constructions._shadow_enclosure(
+            inner, 0.0, tau, [rng.uniform(0.0, 2.0) * shift])
+        cases.append((inner, region, tau, shift))
     return cases
 
 
@@ -1218,9 +1298,32 @@ def _numpy_plane_margin(inner, outer, tau, shift=(0.0, 0.0, 0.0, 0.0),
     return _circle_minimum(least, seeds, centres(), floor)
 
 
+def _shadow_ladder(cone, sigma, tau):
+    """A9 on the reference ladder: the first rung that holds the cone's
+    cross-shell shadow (constructions._shadow_inside), or None."""
+    radius = shadow_radius(sigma, tau)
+    return next((rung for rung in _enclosures(
+        [cone.base], [cone.apex.v], cone.base.axis)
+        if constructions._shadow_inside(cone, rung, radius, tau)), None)
+
+
+def _translation_ladder(cone, tau, shift):
+    """A13 on the reference ladder, in the cone's apex frame: the first
+    rung that holds the cone by cone_leq and whose tangent-plane margin
+    for the shift clears the window, or None."""
+    frame, cap = cone.apex_frame
+    inner = BallCone(BallPoint(np.zeros(3)), cap)
+    t = frame.apply(shift).components
+    return next((rung for rung in _enclosures([cap], axis=cap.axis)
+                 if cone_module._plane_margin(inner, rung, tau, t,
+                                              floor=WINDOW) > WINDOW
+                 and cone_leq(inner, rung)), None)
+
+
 def _construction_rungs(monkeypatch):
     """(label, inner, outer, tau, shift) of every _plane_margin call that
-    seeded A9, A10 and A13 instances make on their ladders."""
+    seeded A9, A10 and A13 instances make, and that the A9 and A13
+    instances make on the reference ladder."""
     rungs, label = [], [None]
     real = cone_module._plane_margin
 
@@ -1235,7 +1338,9 @@ def _construction_rungs(monkeypatch):
     for _ in range(12):
         label[0] = "A9"
         sigma, tau = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 2))
-        constructions.enclose_shadow(random_cone(rng), sigma, tau)
+        cone = random_cone(rng)
+        constructions.enclose_shadow(cone, sigma, tau)
+        _shadow_ladder(cone, sigma, tau)
         label[0] = "A10"
         tau = rng.uniform(0.8, 1.5)
         constructions.shrink_across_shells(
@@ -1246,13 +1351,16 @@ def _construction_rungs(monkeypatch):
         tau, t0 = rng.uniform(0.7, 1.5), rng.uniform(0.2, 1.0)
         shift = FourVector.from_parts(
             t0, rng.uniform(0.0, 0.5) * t0 * unit_vector(rng))
-        constructions.translate_enclosure(random_cone(rng), tau, [shift])
+        cone = random_cone(rng)
+        constructions.translate_enclosure(cone, tau, [shift])
+        _translation_ladder(cone, tau, shift)
     return rungs
 
 
 class TestPlaneMarginOnFloats:
     """The plain-float set-up and the apex bound against the numpy set-up
-    they replace, on the rungs the constructions try."""
+    they replace, on the rungs the constructions and the reference ladder
+    try."""
 
     @pytest.fixture(scope="class")
     def rungs(self):
@@ -1301,7 +1409,7 @@ class TestPlaneMargin:
     def test_sign_agrees_with_dense_shifted_lifts(self):
         rng = np.random.default_rng(47)
         kinds = set()
-        for inner, region, tau, shift in _ladder_cases(rng, 100):
+        for inner, region, tau, shift in _enclosure_cases(rng, 100):
             margin = _plane_margin(inner, region, tau, shift)
             escapes = _shifted_escapes(inner, region, tau, shift)
             assert (margin > 0.0) == (escapes == 0), (margin, escapes)
@@ -1311,7 +1419,7 @@ class TestPlaneMargin:
 
     def test_sixteen_seeds_never_above_4096(self):
         rng = np.random.default_rng(48)
-        for inner, region, tau, shift in _ladder_cases(rng, 100):
+        for inner, region, tau, shift in _enclosure_cases(rng, 100):
             got = _plane_margin(inner, region, tau, shift)
             dense = _plane_margin(inner, region, tau, shift, seeds=4096)
             assert got <= dense + 1e-12

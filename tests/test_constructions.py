@@ -22,7 +22,7 @@ from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
                         wrap_ball_in_complement)
 from hypercones import charges, constructions
 from hypercones.ball_model import _act, ball_action_many
-from hypercones.cones import _frame_clearance
+from hypercones.cones import _cone_clearance, _frame_clearance, _plane_margin
 from hypercones.convex import hyperball_ellipsoid
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
@@ -897,10 +897,32 @@ class TestShadowOperations:
             assert contains_point(grown, center)
             assert _frame_clearance(grown, center.v.tolist(), tau)[0] > radius
 
-    def test_equal_shells_return_enlarged_copy(self):
+    def test_equal_shells_enclosure_contains_the_cone(self):
         cone = axis_cone(0.4, 0.15)
         grown = enclose_shadow(cone, 1.0, 1.0)
         assert cone_leq(cone, grown).holds
+
+    def test_wide_family_clears_the_shadow_by_the_pad(self):
+        # sigma/tau out to 50 and back to 1/50 puts R/tau near 3.9, where
+        # a (pad, depth) ladder ran out of rungs on 29% of these draws
+        rng = np.random.default_rng(61)
+        for i in range(1000):
+            cone = random_cone(rng, psi_max=1.45, apex_r=0.9)
+            tau = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            sigma = tau * math.exp(rng.uniform(math.log(0.02),
+                                               math.log(50.0)))
+            grown = enclose_shadow(cone, sigma, tau)
+            want = shadow_radius(sigma, tau) + 0.05 * tau
+            assert _cone_clearance(cone, grown, tau) > want - 1e-10 * tau, i
+
+    def test_equal_shells_core_clears_the_pad(self):
+        # a zero shadow radius takes the same closed form as any other
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            cone = random_cone(rng, psi_min=0.05, psi_max=1.45, apex_r=0.9)
+            core = shrink_across_shells(cone, 1.1, 1.1)
+            assert cone_leq(core, cone).holds
+            assert _cone_clearance(core, cone, 1.1) > 0.05 * 1.1 - 1e-10
 
     def test_shrink_core_fits_back_through_shadow(self):
         sigma, tau = 1.3, 1.0
@@ -1062,6 +1084,44 @@ class TestTranslateEnclosure:
             FourVector.from_parts(0.0, (0.0, 0.0, 0.0))])
         assert cone_leq(cone, region).holds
 
+    def test_wide_family_clears_the_shifted_shadows_by_the_pad(self):
+        # t0/tau out to 20, where a (pad, depth) ladder ran out of rungs
+        # on 18% of these draws
+        rng = np.random.default_rng(62)
+        for i in range(600):
+            cone = random_cone(rng, psi_max=1.45, apex_r=0.9)
+            tau = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            t0 = tau * math.exp(rng.uniform(math.log(0.1), math.log(20.0)))
+            shift = FourVector.from_parts(
+                t0, rng.uniform(0.0, 0.9) * t0 * unit_vector(rng))
+            region = translate_enclosure(cone, tau, [shift])
+            assert _plane_margin(cone, region, tau, shift.components) \
+                >= math.sinh(0.05) - 1e-10, i
+
+    def test_several_translations_share_one_witness(self):
+        cone = BallCone(BallPoint(np.array([0.1, -0.2, 0.15])),
+                        Cap(SphereDirection.normalized([0.3, 0.2, 0.9]),
+                            0.7))
+        tau = 1.1
+        shell = Hyperboloid(tau)
+        shifts = [FourVector.from_parts(0.4, (0.0, 0.0, 0.0)),
+                  FourVector.from_parts(1.5, (0.9, -0.6, 0.3)),
+                  FourVector.from_parts(0.8, (0.0, 0.8, 0.0)),
+                  FourVector.from_parts(3.0, (-1.0, 0.5, -2.0))]
+        region = translate_enclosure(cone, tau, shifts)
+        assert cone_leq(cone, region).holds
+        target = Hypercone(shell, region)
+        rng = np.random.default_rng(63)
+        pts = np.vstack([cone.sample_points(100, rng),
+                         cone.lateral_points(24, 1.0 - np.geomspace(
+                             1e-6, 0.5, 8))])
+        for shift in shifts:
+            assert _plane_margin(cone, region, tau, shift.components) \
+                >= math.sinh(0.05) - 1e-10
+            for p in pts:
+                x = lift_from_ball(BallPoint(p), shell)
+                assert in_causal_completion(x + shift, target)
+
     def test_past_translation_rejected(self):
         with pytest.raises(ValueError):
             translate_enclosure(axis_cone(), 1.0, [
@@ -1136,9 +1196,10 @@ class TestExactCertificates:
     A8 pin the witnesses of the closed-form directions (the farthest
     base-circle point, the cap of rays through a ball seen from the apex,
     the balanced arc point between two caps); A1, A3, A8 and A10 those of
-    the closed-form floors of the axial cones. A3's witness is the one
-    member of A1's depth-1 funnel, and the last member of every funnel
-    against the same probe."""
+    the closed-form floors of the axial cones; A9 and A13 those of the
+    closed-form shadow enclosure, and A12 that of the hull enclosure.
+    A3's witness is the one member of A1's depth-1 funnel, and the last
+    member of every funnel against the same probe."""
 
     def test_constructions_draw_no_random_points(self, monkeypatch):
         def refuse(self, n, rng):
@@ -1187,22 +1248,22 @@ class TestExactCertificates:
                     -0.35413999456030837],
                    [0.2470248037423392, -0.8093742938420981,
                     -0.5328151638266914], 0.2),
-            "A9": ([-0.2917449004582795, 0.19449660030551966,
-                    -0.9044091914206663],
-                   [0.30076793861678297, -0.20051195907785532,
-                    0.9323806097120272], 1.07),
+            "A9": ([-0.01133360645984248, 0.007555737639894986,
+                    -0.5265976031168911],
+                   [0.23308053151380134, -0.15538702100920088,
+                    0.9599626761135718], 1.4375752869668237),
             "A10": ([0.18097115169646424, 0.13772130247056188,
                      0.6620002674858784],
                     [0.2238313754073541, 0.13837420533231387,
                      0.9647549402215585], 0.5287910411688717),
-            "A12": ([-0.09094921496515669, 0.05475558787789941,
-                     -0.2805887843328157],
+            "A12": ([-0.18776949918032598, 0.11304582801617793,
+                     -0.5792904922815848],
                     [0.30316404988385565, -0.1825186262596647,
                      0.9352959477760524], 1.1528691693599968),
-            "A13": ([-0.016922838649327483, 0.011281892432884992,
-                     -0.5511361654132538],
-                    [0.2698881138270588, -0.17992540921803918,
-                     0.9459319495252255], 1.0458755879749069),
+            "A13": ([-0.012667932359071259, 0.008445288239380818,
+                     -0.5324557314056878],
+                    [0.21305589946714631, -0.14203726631143085,
+                     0.9666605395282364], 1.6364321354423637),
         }
         for label, cone in got.items():
             apex, axis, psi = want[label]
