@@ -6,9 +6,11 @@ geodesics, the boundary sphere collects asymptotic lightlike directions, and
 the Lorentz group acts projectively. All distances on a shell carry the tau
 prefactor of that shell's induced metric.
 
-The Lorentz frame kernels (_act, _inverse, _cap_seen, apex_matrix) live
-here once, on plain floats with a 4x4 matrix as 16 floats row by row;
-lorentz_ball_action and cap_image adapt them to the model's objects.
+The Lorentz frame kernels (_act, _inverse, _compose, _boost, _cap_seen,
+apex_matrix) live here once, on plain floats with a 4x4 matrix as 16
+floats row by row; lorentz_ball_action and cap_image adapt them to the
+model's objects, and _trusted wraps floats a caller has already checked
+(cones._cone) in those objects without checking them again.
 """
 from __future__ import annotations
 
@@ -56,14 +58,16 @@ class BallPoint:
 
     @property
     def v(self) -> np.ndarray:
+        if self._v.__class__ is tuple:  # from _trusted: built on first read
+            self._v = _frozen(self._v)
         return self._v
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BallPoint) and bool(
-            np.array_equal(self._v, other._v))
+            np.array_equal(self.v, other.v))
 
     def __repr__(self) -> str:
-        return "BallPoint({}, {}, {})".format(*self._v)
+        return "BallPoint({}, {}, {})".format(*self.v)
 
 
 class SphereDirection:
@@ -90,14 +94,16 @@ class SphereDirection:
 
     @property
     def v(self) -> np.ndarray:
+        if self._v.__class__ is tuple:  # from _trusted: built on first read
+            self._v = _frozen(self._v)
         return self._v
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SphereDirection) and bool(
-            np.array_equal(self._v, other._v))
+            np.array_equal(self.v, other.v))
 
     def __repr__(self) -> str:
-        return "SphereDirection({}, {}, {})".format(*self._v)
+        return "SphereDirection({}, {}, {})".format(*self.v)
 
 
 @dataclass(frozen=True)
@@ -346,6 +352,43 @@ def _inverse(m) -> tuple[float, ...]:
     """Inverse of a Lorentz matrix, eta m^T eta."""
     return (m[0], -m[4], -m[8], -m[12], -m[1], m[5], m[9], m[13],
             -m[2], m[6], m[10], m[14], -m[3], m[7], m[11], m[15])
+
+
+def _compose(a, b) -> tuple[float, ...]:
+    """The matrix product a b."""
+    return tuple(a[i] * b[j] + a[i + 1] * b[j + 4] + a[i + 2] * b[j + 8]
+                 + a[i + 3] * b[j + 12] for i in (0, 4, 8, 12)
+                 for j in (0, 1, 2, 3))
+
+
+def _boost(n, chi: float) -> tuple[float, ...]:
+    """The boost along the unit n with rapidity chi: cosh chi and sinh chi
+    n in the time row and column, the identity plus (cosh chi - 1) n n^T
+    in space, as LorentzTransform.boost builds it."""
+    ch, sh = math.cosh(chi), math.sinh(chi)
+    x, y, z = n
+    h = ch - 1.0
+    return (ch, sh * x, sh * y, sh * z,
+            sh * x, 1.0 + h * (x * x), h * (x * y), h * (x * z),
+            sh * y, h * (y * x), 1.0 + h * (y * y), h * (y * z),
+            sh * z, h * (z * x), h * (z * y), 1.0 + h * (z * z))
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float array of the values."""
+    v = np.array(values, dtype=float)
+    v.flags.writeable = False
+    return v
+
+
+def _trusted(cls, values):
+    """A BallPoint or SphereDirection over three floats that the caller has
+    already checked. It holds the floats, and builds the read-only array
+    the public constructor would store when `v` is first read: most cones
+    the constructions build are read through their float caches only."""
+    obj = object.__new__(cls)
+    obj._v = tuple(values)
+    return obj
 
 
 def _cap_seen(m, n, c: float, s: float):

@@ -207,12 +207,21 @@ def _report(label: str, ok: bool, detail: str = "") -> None:
 
 def _append_cone(scene: scene_io.Scene, cone: BallCone,
                  prefix: str = "C") -> str:
-    name = scene.fresh_name(prefix)
-    scene.add_cone(name, cone)
-    return name
+    return _append_cones(scene, [cone], prefix)[0]
+
+
+def _append_cones(scene: scene_io.Scene, cones, prefix: str) -> list[str]:
+    """Add the cones under fresh names prefix0, prefix1, ..., named in one
+    pass over the scene's names."""
+    names = scene._fresh_names(prefix, len(cones))
+    for name, cone in zip(names, cones):
+        scene.add_cone(name, cone)
+    return names
 
 
 def cmd_construct(ns) -> int:
+    if ns.nmax < 0:
+        raise SceneError(f"--nmax must be at least 0, got {ns.nmax}")
     scene = scene_io.load(ns.scene)
     lemma = ns.lemma.upper()
     names = ns.names
@@ -227,7 +236,7 @@ def cmd_construct(ns) -> int:
         cone = _resolve_cone(scene, names[0])
         probe = _resolve_ball(scene, names[1])
         funnel = funnel_in(cone, ns.depth, probe)
-        added = [_append_cone(scene, c, "F") for c in funnel.cones]
+        added = _append_cones(scene, funnel.cones, "F")
         for i in range(len(added) - 1):
             _report(f"leq({added[i + 1]},{added[i]})", True)
         _report(f"disjoint({added[-1]},{names[1]})", True)
@@ -238,7 +247,7 @@ def cmd_construct(ns) -> int:
             raise SceneError("A2 needs at least two exhaustion cone names")
         cones = [_resolve_cone(scene, n) for n in names]
         funnel = funnel_from_exhaustion(cones)
-        added = [_append_cone(scene, c, "Op") for c in funnel.cones]
+        added = _append_cones(scene, funnel.cones, "Op")
         for i, nm in enumerate(added):
             _report(f"disjoint({nm},{names[i]})", True)
         print(f"opposite funnel: {', '.join(added)}")
@@ -274,7 +283,7 @@ def cmd_construct(ns) -> int:
                 _resolve_cone(scene, names[0]),
                 _resolve_cone(scene, names[1]),
                 _resolve_cone(scene, names[2]))
-        node_names = [_append_cone(scene, c, "P") for c in path.nodes]
+        node_names = _append_cones(scene, path.nodes, "P")
         _report("path adjacency witnesses "
                 f"({len(path.witnesses)})", True)
         print(f"path: {len(path.nodes)} nodes {', '.join(node_names)}")
@@ -370,7 +379,7 @@ def cmd_path(ns) -> int:
         path = path_connect_in_complement(forb, a, b)
     else:
         path = path_connect(a, b)
-    node_names = [_append_cone(scene, c, "P") for c in path.nodes]
+    node_names = _append_cones(scene, path.nodes, "P")
     print(f"path: {len(path.nodes)} nodes, {len(path.witnesses)} "
           f"witnesses: {', '.join(node_names)}")
     if ns.out:

@@ -18,10 +18,16 @@ margin (`point_margin`) is likewise its shell distance to the lateral
 boundary, in closed form, signed by membership.
 
 Lorentz maps act on cones exactly through ball_model's float frame
-kernels: the apex by the ball action, the cap by its covector image. Each
-cone caches its apex frame (apex_matrix) with the image cap; the opposite
-cone, the shell-metric distances, the contact tests and the shared-apex
-tests all work in that frame.
+kernels: the apex by the ball action, the cap by its covector image
+(`_map`, on a 16-float matrix; `map_cone` adapts it). Each cone caches
+its apex frame (apex_matrix) with the image cap; the opposite cone, the
+shell-metric distances, the contact tests and the shared-apex tests all
+work in that frame.
+
+Cones are built from plain floats: `_cone` runs the public constructors'
+checks on three-float apex and axis and the half-angle, with the same
+messages, and fills `exit_scalars` directly; the builders here and in
+`constructions` go through it, and `cone_leq` reads those floats.
 """
 from __future__ import annotations
 
@@ -33,13 +39,13 @@ from typing import Callable
 import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         _act, _cap_seen, _inverse, apex_matrix, cap_image,
-                         lorentz_ball_action, ray_exits, shadow_radius)
+                         _act, _cap_seen, _inverse, _trusted, apex_matrix,
+                         ray_exits, shadow_radius)
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
-from .spherical import (angle, angle_between, cross, dot, orthonormal_frame,
-                        perpendicular, rotate_toward, turn, unit)
+from .spherical import (angle, cross, dot, orthonormal_frame, perpendicular,
+                        turn, unit)
 
 __all__ = [
     "BallCone", "Hypercone", "Hyperball", "contains_point", "cone_leq",
@@ -63,10 +69,8 @@ class BallCone:
     base: Cap
 
     def __post_init__(self):
-        slack = DEFAULT_TOLERANCES.pointedness
-        if float(self.base.axis.v @ self.apex.v) >= self.base.cos_half - slack:
-            raise ValueError(
-                "apex must lie strictly below the base-circle plane")
+        s = self.exit_scalars
+        _pointed(s[:3], s[4:7], s[7])
 
     # -- raw geometry helpers ------------------------------------------
 
@@ -162,6 +166,49 @@ class BallCone:
         n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
                             math.sin(self.base.half_angle))
         return (*m, *n, math.atan2(s, c))
+
+
+def _pointed(apex, axis, cos_half: float) -> None:
+    """The pointedness rule of every cone: the apex strictly below the
+    base-circle plane, by the pointedness slack."""
+    if dot(axis, apex) >= cos_half - DEFAULT_TOLERANCES.pointedness:
+        raise ValueError("apex must lie strictly below the base-circle plane")
+
+
+def _cone(apex, axis, psi: float) -> BallCone:
+    """The cone over the cap (axis, psi) from the apex, all plain floats:
+    BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi)) with the
+    same checks in the same order and the same messages, except that the
+    axis, which must be unit to 1e-6, is kept as given rather than divided
+    by its numpy norm. exit_scalars is filled from the floats themselves."""
+    ax, ay, az = apex
+    nx, ny, nz = axis
+    room = 1.0 - (ax * ax + ay * ay + az * az)
+    if not room > 0.0:
+        raise ValueError("ball point must satisfy |u| < 1")
+    if not abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-6:
+        raise ValueError("direction must be unit length")
+    if not 0.0 < psi < math.pi:
+        raise ValueError("cap half-angle must lie in (0, pi)")
+    scalars = (ax, ay, az, room, nx, ny, nz, math.cos(psi))
+    _pointed(scalars[:3], scalars[4:7], scalars[7])
+    # the frozen dataclasses' fields, set without their validating
+    # constructors, which the checks above replace
+    cap = object.__new__(Cap)
+    vars(cap).update(axis=_trusted(SphereDirection, scalars[4:7]),
+                     half_angle=psi)
+    cone = object.__new__(BallCone)
+    vars(cone).update(apex=_trusted(BallPoint, scalars[:3]), base=cap,
+                      exit_scalars=scalars)
+    return cone
+
+
+def _map(m, cone: BallCone) -> BallCone:
+    """Image of a cone under the Lorentz matrix m (16 floats, row by row):
+    the apex by the ball action, the cap by its covector image."""
+    ax, ay, az, _, nx, ny, nz, c = cone.exit_scalars
+    n, c, s = _cap_seen(m, (nx, ny, nz), c, math.sin(cone.base.half_angle))
+    return _cone(_act(m, (ax, ay, az)), n, math.atan2(s, c))
 
 
 @dataclass(frozen=True)
@@ -263,12 +310,14 @@ def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
     The closed hull of a cone is generated by its apex and its cap region,
     and the sphere trace of the outer hull is exactly the outer cap, so the
     test is: inner cap included in outer cap, and inner apex in the outer
-    closed hull. Both parts are exact up to the fixed slacks.
+    closed hull. Both parts are exact up to the fixed slacks, and both read
+    the cones' exit_scalars.
     """
-    gamma = angle_between(inner.base.axis.v, outer.base.axis.v)
-    cap_margin = outer.base.half_angle - inner.base.half_angle - gamma
-    apex = inner.apex.v.tolist()
-    apex_margin = (0.0 if math.dist(apex, outer.apex.v.tolist()) < 1e-15
+    a, b = inner.exit_scalars, outer.exit_scalars
+    cap_margin = (outer.base.half_angle - inner.base.half_angle
+                  - angle(a[4:7], b[4:7]))
+    apex = a[:3]
+    apex_margin = (0.0 if math.dist(apex, b[:3]) < 1e-15
                    else outer.margin(apex))
     holds = (cap_margin >= -DEFAULT_TOLERANCES.cap_angle_slack
              and apex_margin >= -DEFAULT_TOLERANCES.containment_slack)
@@ -517,25 +566,25 @@ def opposite(cone: BallCone) -> BallCone:
     return BallCone(cone.apex, Cap(SphereDirection(n), math.atan2(s, c)))
 
 
-def _covering_cap(caps: list[Cap]) -> Cap | None:
-    """Cap containing the given caps, folding each into the least cap
-    holding it and the cover so far: the least cover of two caps, not
-    always of more. None when the half-angle leaves the valid range."""
-    axis = caps[0].axis.v
-    half = caps[0].half_angle
-    for cap in caps[1:]:
-        gamma = angle_between(axis, cap.axis.v)
-        if gamma + cap.half_angle <= half:
+def _covering_cap(caps) -> tuple | None:
+    """Cap (axis, half-angle) containing the given caps (axis, half-angle),
+    axes three unit floats, folding each into the least cap holding it and
+    the cover so far: the least cover of two caps, not always of more.
+    None when the half-angle leaves the valid range."""
+    axis, half = caps[0]
+    for n, psi in caps[1:]:
+        gamma = angle(axis, n)
+        if gamma + psi <= half:
             continue
-        if gamma + half <= cap.half_angle:
-            axis, half = cap.axis.v, cap.half_angle
+        if gamma + half <= psi:
+            axis, half = n, psi
             continue
-        new_half = 0.5 * (gamma + half + cap.half_angle)
-        axis = rotate_toward(axis, cap.axis.v, new_half - half)
+        new_half = 0.5 * (gamma + half + psi)
+        axis = turn(axis, n, new_half - half)
         half = new_half
     if half >= math.pi - DEFAULT_TOLERANCES.cap_limit:
         return None
-    return Cap(SphereDirection.normalized(axis), half)
+    return unit(axis), half
 
 
 # how far below its base-circle plane a built cone's apex must sit
@@ -550,32 +599,39 @@ def _cap_fits(psi: float, height: float) -> bool:
             and height < math.cos(psi) - _CLEARANCE)
 
 
-def _enclosure(caps: list[Cap], apexes) -> BallCone | None:
-    """Cone about the covering cap's axis n (_covering_cap) holding the
-    caps in its cap and the apexes in its closed hull, or None past the
-    covering limit. Its half-angle psi is 0.05 past the caps' widest angle
-    from n and the angles 2 atan2(|a_p|, 1 + a.n), a_p the part of an apex
-    a across n, at which rays from -n through the apexes leave the sphere.
-    Its apex -rho n holds one below the base plane once |a_p| (cos psi +
-    rho) <= sin psi (a.n + rho); rho is halfway to 1 from the largest such
-    depth and the pointedness floor _CLEARANCE - cos psi."""
-    cover = _covering_cap(caps)
+def _enclosure(cones) -> BallCone | None:
+    """Cone about the axis n of the cones' covering cap (_covering_cap)
+    holding their caps in its cap and their apexes in its closed hull, or
+    None past the covering limit. Its half-angle psi is 0.05 past the
+    caps' widest angle from n and the angles 2 atan2(|a_p|, 1 + a.n), a_p
+    the part of an apex a across n, at which rays from -n through the
+    apexes leave the sphere. Its apex -rho n holds one below the base
+    plane once |a_p| (cos psi + rho) <= sin psi (a.n + rho); rho is
+    halfway to 1 from the largest such depth and the pointedness floor
+    _CLEARANCE - cos psi. Plain floats throughout, read from the cones'
+    exit_scalars."""
+    cover = _covering_cap([(k.exit_scalars[4:7], k.base.half_angle)
+                           for k in cones])
     if cover is None:
         return None
-    n = cover.axis.v
-    a = np.asarray(apexes, dtype=float)
-    along = a @ n
-    across = np.linalg.norm(a - along[:, None] * n, axis=1)
-    psi = 0.05 + max(
-        max(angle_between(n, c.axis.v) + c.half_angle for c in caps),
-        float(np.max(2.0 * np.arctan2(across, 1.0 + along))))
+    n, need, apexes = cover[0], 0.0, []
+    for k in cones:
+        a = k.exit_scalars[:3]
+        along = dot(a, n)
+        off = [x - along * y for x, y in zip(a, n)]
+        across = math.sqrt(dot(off, off))
+        need = max(need, angle(n, k.exit_scalars[4:7]) + k.base.half_angle,
+                   2.0 * math.atan2(across, 1.0 + along))
+        apexes.append((along, across))
+    psi = 0.05 + need
     if psi >= math.pi - DEFAULT_TOLERANCES.cap_limit:
         return None
     c, s = math.cos(psi), math.sin(psi)
-    below = along < c
-    depths = (c * across[below] - s * along[below]) / (s - across[below])
-    rho = 0.5 * (1.0 + float(np.max(depths, initial=_CLEARANCE - c)))
-    return BallCone(BallPoint(-rho * n), Cap(cover.axis, psi))
+    depth = max([_CLEARANCE - c, *((c * across - s * along) / (s - across)
+                                   for along, across in apexes
+                                   if along < c)])
+    rho = 0.5 * (1.0 + depth)
+    return _cone([-rho * x for x in n], n, psi)
 
 
 def enclosing_cone(k1: BallCone, k2: BallCone) -> BallCone | None:
@@ -587,7 +643,7 @@ def enclosing_cone(k1: BallCone, k2: BallCone) -> BallCone | None:
         return k2
     if cone_leq(k2, k1):
         return k1
-    region = _enclosure([k1.base, k2.base], [k1.apex.v, k2.apex.v])
+    region = _enclosure([k1, k2])
     held = region is not None and cone_leq(k1, region) and cone_leq(k2, region)
     return region if held else None
 
@@ -819,9 +875,8 @@ def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
 
 
 def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
-    """Image of a cone under the ball action of a Lorentz transform."""
-    return BallCone(lorentz_ball_action(transform, cone.apex),
-                    cap_image(transform, cone.base))
+    """Image of a cone under the ball action of a Lorentz transform (_map)."""
+    return _map(transform.matrix.ravel().tolist(), cone)
 
 
 def cone_hyperball_disjoint(cone: BallCone,

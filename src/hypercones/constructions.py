@@ -13,27 +13,34 @@ must clear, aimed by closed forms (``_steer_target``, ``_lens_cap``,
 the ball seen from the apex; the enclosures are one closed-form cone,
 in the apex frame for the shadows (A9, A13: ``_shadow_enclosure``) and
 about the covering axis for the orbit (A12: ``cones._enclosure``).
+
+Witnesses are built from plain floats: every cone through
+``cones._cone`` and every Lorentz image through ``cones._map`` on a
+16-float matrix. The apex frame is read from ``apex_frame_scalars``; the
+contracting boosts (A11) are 16-float products (``_frame_boost``), and
+the orbit words (A12) one stacked numpy product (``_orbit_words``).
 """
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball_model import (BallPoint, Cap, SphereDirection, _act, _cap_seen,
-                         _inverse, apex_matrix, shadow_radius)
-from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits,
+from .ball_model import (Cap, SphereDirection, _act, _boost, _cap_seen,
+                         _compose, _inverse, _trusted, apex_matrix,
+                         shadow_radius)
+from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits, _cone,
                     _cone_clearance, _enclosure, _frame_clearance,
-                    _line_entry, _plane_margin, cone_hyperball_disjoint,
-                    cone_leq, disjoint, hyperball_in_cone, map_cone, opposite)
+                    _line_entry, _map, _plane_margin, cone_hyperball_disjoint,
+                    cone_leq, disjoint, hyperball_in_cone, opposite)
 from .config import DEFAULT_TOLERANCES
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
-from .spherical import (angle, angle_between, dot, orthonormal_frame,
-                        rotate_toward, slerp, unit)
+from .spherical import (angle, angle_between, cross, dot, orthonormal_frame,
+                        perpendicular, rotate_toward, turn, unit)
 
 __all__ = [
     "Funnel", "ConePath", "ContractingBoosts",
@@ -116,26 +123,27 @@ def _steer_target(cone: BallCone, away_from: np.ndarray) -> np.ndarray:
     return math.cos(psi) * n + math.sin(psi) * e
 
 
-def _thin_cone(direction: np.ndarray, half_angle: float,
+def _thin_cone(direction, half_angle: float,
                depth: float) -> BallCone | None:
     """Cone with near-sphere apex (1-depth)*direction and cap around the
-    direction; None when the parameters cannot define a cone."""
+    direction (three floats, unit up to rounding); None when the
+    parameters cannot define a cone."""
     if depth >= 1.0 or not _cap_fits(half_angle, 1.0 - depth):
         return None
-    return BallCone(BallPoint((1.0 - depth) * direction),
-                    Cap(SphereDirection.normalized(direction), half_angle))
+    d = [float(a) for a in direction]
+    return _cone([(1.0 - depth) * a for a in d], unit(d), half_angle)
 
 
-def _axial_cone(axis: SphereDirection, psi: float,
-                floor: float) -> BallCone | None:
-    """Cone over the cap (axis, psi) with its apex on the axis midway
-    between `floor` and the highest apex _cap_fits admits, or None. Its
-    hull lies where x.axis exceeds the floor: clear of all below it, and
-    inside any hull the axis line enters below it (cones._line_entry)."""
+def _axial_cone(axis, psi: float, floor: float) -> BallCone | None:
+    """Cone over the cap (axis, psi), axis three unit floats, with its apex
+    on the axis midway between `floor` and the highest apex _cap_fits
+    admits, or None. Its hull lies where x.axis exceeds the floor: clear
+    of all below it, and inside any hull the axis line enters below it
+    (cones._line_entry)."""
     if not _cap_fits(psi, floor):
         return None
-    hi = math.cos(psi) - _CLEARANCE
-    return BallCone(BallPoint(0.5 * (floor + hi) * axis.v), Cap(axis, psi))
+    h = 0.5 * (floor + (math.cos(psi) - _CLEARANCE))
+    return _cone([h * a for a in axis], axis, psi)
 
 
 def _room(floor: float) -> float:
@@ -194,13 +202,14 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball) -> Funnel:
     psi0 = cone.base.half_angle
     axis = SphereDirection.normalized(rotate_toward(
         cone.base.axis.v, _steer_target(cone, probe.center.v), 0.5 * psi0))
-    entry = _line_entry(cone, axis.v.tolist())
+    d = axis.v.tolist()
+    entry = _line_entry(cone, d)
     floor = max(entry, _ball_support(probe, axis.v))
     wide, psi = 0.5 * psi0, min(0.3 * psi0, _room(floor))
     chain = [cone]
     for i in range(1, depth + 1):
         t = i / depth
-        chain.append(_axial_cone(axis, (1.0 - t) * wide + t * psi,
+        chain.append(_axial_cone(d, (1.0 - t) * wide + t * psi,
                                  (1.0 - t) * entry + t * floor))
         ok = chain[i] is not None and cone_leq(chain[i], chain[i - 1])
         _require(bool(ok), "funnel member escapes its predecessor", i - 1)
@@ -237,10 +246,10 @@ def funnel_from_exhaustion(cones: Sequence[BallCone]) -> Funnel:
         prev = funnel[-1]
         opp = opposite(src)
         if not cone_leq(opp, prev):
-            lens = _lens_cap(opp.base, prev.base)
+            lens = _lens_cap(opp, prev)
             _require(lens is not None,
                      "opposite cap misses its predecessor's cap", i)
-            opp = BallCone(opp.apex, lens)
+            opp = _cone(opp.exit_scalars[:3], *lens)
             _require(bool(cone_leq(opp, prev)),
                      "clipped opposite cone is not inside its predecessor",
                      i)
@@ -251,20 +260,22 @@ def funnel_from_exhaustion(cones: Sequence[BallCone]) -> Funnel:
     return Funnel(tuple(funnel), len(funnel), None)
 
 
-def _lens_cap(a: Cap, b: Cap) -> Cap | None:
-    """Largest cap inside both caps, or None when they do not overlap.
+def _lens_cap(a: BallCone, b: BallCone) -> tuple | None:
+    """Largest cap inside both cones' caps, as its axis (three floats) and
+    half-angle, or None when they do not overlap.
 
     Along the great circle from a's axis toward b's, the lens spans the
     arc [max(-psi_a, gamma - psi_b), min(psi_a, gamma + psi_b)]; the cap
     on that arc as a diameter lies in both caps.
     """
-    gamma = angle_between(a.axis.v, b.axis.v)
-    lo = max(-a.half_angle, gamma - b.half_angle)
-    hi = min(a.half_angle, gamma + b.half_angle)
+    n_a, n_b = a.exit_scalars[4:7], b.exit_scalars[4:7]
+    psi_a, psi_b = a.base.half_angle, b.base.half_angle
+    gamma = angle(n_a, n_b)
+    lo = max(-psi_a, gamma - psi_b)
+    hi = min(psi_a, gamma + psi_b)
     if hi <= lo:
         return None
-    axis = rotate_toward(a.axis.v, b.axis.v, 0.5 * (lo + hi))
-    return Cap(SphereDirection.normalized(axis), 0.5 * (hi - lo))
+    return unit(turn(n_a, n_b, 0.5 * (lo + hi))), 0.5 * (hi - lo)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +312,8 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
     for apex in (proj, 0.5 * (proj + c * w), c * w):
         if np.linalg.norm(apex) >= 1.0 - 1e-9:
             continue
-        m = apex_matrix(*apex.tolist())
+        p = apex.tolist()
+        m = apex_matrix(*p)
         seen = _act(m, ball.center.v.tolist())
         r = math.atanh(math.sqrt(dot(seen, seen)))
         if r <= rho:
@@ -314,10 +326,10 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
                 continue
             n, cos_a, sin_a = _cap_seen(back, axis, math.cos(half),
                                         math.sin(half))
-            cap = Cap(SphereDirection(n), math.atan2(sin_a, cos_a))
-            if not _cap_fits(cap.half_angle, float(cap.axis.v @ apex)):
+            psi = math.atan2(sin_a, cos_a)
+            if not _cap_fits(psi, dot(n, p)):
                 continue
-            region = BallCone(BallPoint(apex), cap)
+            region = _cone(p, n, psi)
             try:
                 inside = hyperball_in_cone(ball, region)
                 clear = disjoint(region, cone)
@@ -345,11 +357,11 @@ def _common_subcone(a: BallCone, b: BallCone) -> BallCone | None:
     than a right angle the entries are below cos(0.6 mu): the line crosses
     each base disc at r = cos psi / cos(psi - mu) or lower.
     """
-    lens = _lens_cap(a.base, b.base)
-    if lens is None or lens.half_angle <= 1e-6:
+    lens = _lens_cap(a, b)
+    if lens is None or lens[1] <= 1e-6:
         return None
-    d = lens.axis.v.tolist()
-    witness = _axial_cone(lens.axis, 0.6 * lens.half_angle,
+    d, mu = lens
+    witness = _axial_cone(d, 0.6 * mu,
                           max(_line_entry(a, d), _line_entry(b, d)))
     if witness is not None and cone_leq(witness, a) and cone_leq(witness, b):
         return witness
@@ -361,17 +373,18 @@ def _blend_cone(a: BallCone, b: BallCone, t: float) -> BallCone:
     above the blended base plane moves straight toward the axis point at
     height h = (cos psi - 1)/2, which lies in the ball below the plane,
     until its height is a fifth of the way from the plane down to h."""
-    axis = slerp(a.base.axis.v, b.base.axis.v, t)
+    n_a, n_b = a.exit_scalars[4:7], b.exit_scalars[4:7]
+    axis = unit(turn(n_a, n_b, t * angle(n_a, n_b)))
     psi = (1.0 - t) * a.base.half_angle + t * b.base.half_angle
-    apex = (1.0 - t) * a.apex.v + t * b.apex.v
-    height = float(axis @ apex)
+    apex = [(1.0 - t) * p + t * q
+            for p, q in zip(a.exit_scalars[:3], b.exit_scalars[:3])]
+    height = dot(axis, apex)
     if not _cap_fits(psi, height):
         top = math.cos(psi)
         h = 0.5 * (top - 1.0)
-        goal = top - 0.2 * (top - h)
-        apex = apex + (height - goal) / (height - h) * (h * axis - apex)
-    return BallCone(BallPoint(apex),
-                    Cap(SphereDirection.normalized(axis), psi))
+        s = (height - (top - 0.2 * (top - h))) / (height - h)
+        apex = [p + s * (h * n - p) for p, n in zip(apex, axis)]
+    return _cone(apex, axis, psi)
 
 
 def _same_cone(a: BallCone, b: BallCone) -> bool:
@@ -469,13 +482,15 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
         return [(lat0 + (lat1 - lat0) * i / n, az0 + (az1 - az0) * i / n)
                 for i in range(1, n + 1)]
 
+    frame = list(zip(pole.tolist(), e1.tolist(), e2.tolist()))
     stops = [(phi_a, az_a), *leg(phi_a, theta, az_a, az_a),
              *leg(theta, theta, az_a, az_c), *leg(theta, phi_b, az_b, az_b)]
     thin = []
     for lat, az in stops:
         w = width(lat)
-        axis = math.cos(lat) * pole + math.sin(lat) * (math.cos(az) * e1
-                                                      + math.sin(az) * e2)
+        cl, sl, ca, sa = (math.cos(lat), math.sin(lat), math.cos(az),
+                          math.sin(az))
+        axis = [cl * p + sl * (ca * x + sa * y) for p, x, y in frame]
         thin.append(_thin_cone(axis, w, 1.0 - math.cos(w) + pad))
         _require(thin[-1] is not None and _is_disjoint(forbidden, thin[-1]),
                  "route node meets the forbidden cone", len(thin))
@@ -500,9 +515,9 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     if abs(gamma - total) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry("cap boundaries are tangent; perturb inputs")
     if gamma > total:
-        axis, d = cone_a.base.axis, cone_a.exit_scalars[4:7]
+        d = cone_a.exit_scalars[4:7]
         floor = max(_line_entry(cone_a, d), _hull_support(cone_b, d))
-        sub = _axial_cone(axis, min(0.6 * cone_a.base.half_angle,
+        sub = _axial_cone(d, min(0.6 * cone_a.base.half_angle,
                                     _room(floor)), floor)
         _require(sub is not None and bool(cone_leq(sub, cone_a))
                  and _is_disjoint(sub, cone_b),
@@ -547,10 +562,9 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
         raise ValueError("input cones must be disjoint")
     m, clear = _clearest_direction(cone_a.base, cone_b.base)
     _require(clear > 1e-6, "no direction clears both closed caps")
-    axis = SphereDirection.normalized(m)
-    d = axis.v.tolist()
+    d = SphereDirection.normalized(m).v.tolist()
     floor = max(_hull_support(cone_a, d), _hull_support(cone_b, d))
-    witness = _axial_cone(axis, min(0.45 * clear, 0.2, _room(floor)), floor)
+    witness = _axial_cone(d, min(0.45 * clear, 0.2, _room(floor)), floor)
     _require(witness is not None and _is_disjoint(witness, cone_a)
              and _is_disjoint(witness, cone_b),
              "axial cone in the cleared direction did not clear both inputs")
@@ -562,6 +576,7 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
 
 
 _SHADOW_PAD = 0.05  # clearance past a shadow, over tau: A9, A10, A13
+_LAST_COSH = math.log(sys.float_info.max)  # cosh and sinh finite below
 
 
 def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
@@ -572,9 +587,9 @@ def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
     exceeds the radius by more than the degenerate window. That of inner's
     apex, a closed form (_frame_clearance), is checked first."""
     window = DEFAULT_TOLERANCES.degenerate_window
+    apex = inner.exit_scalars[:3]
     return (bool(cone_leq(inner, outer))
-            and _frame_clearance(outer, inner.apex.v.tolist(), tau)[0] - radius
-            > window
+            and _frame_clearance(outer, apex, tau)[0] - radius > window
             and _cone_clearance(inner, outer, tau) - radius > window)
 
 
@@ -593,22 +608,32 @@ def _shadow_enclosure(cone: BallCone, radius: float, tau: float,
     v >= max(0, -A) and kappa <= -u sinh r + v cosh r + (u^2 - v^2)/2
     (Ratcliffe, Foundations of Hyperbolic Manifolds, section 3.2): least at
     the apex, s = 0, and at least sinh rho. Past r of about 8.0, psi_o
-    passes the covering limit and ConstructionFailure is raised."""
-    cap = cone.apex_frame[1]
+    passes the covering limit and ConstructionFailure is raised; so does a
+    shift whose r leaves the floats, naming its index."""
+    *_, nx, ny, nz, psi = cone.apex_frame_scalars
     rho = radius / tau + _SHADOW_PAD
-    parts = [(t[0] / tau, math.hypot(t[1], t[2], t[3]) / tau) for t in shifts]
-    r = max([rho, *(math.atanh(v / (1.0 + u)) + math.asinh(
-        (math.sinh(rho) + u + 0.5 * (u * u - v * v))
-        / math.sqrt((1.0 + u) ** 2 - v * v)) for u, v in parts)])
+    r, parts = rho, []
+    for i, t in enumerate(shifts):
+        try:
+            u, v = t[0] / tau, math.hypot(t[1], t[2], t[3]) / tau
+            reach = math.atanh(v / (1.0 + u)) + math.asinh(
+                (math.sinh(rho) + u + 0.5 * (u * u - v * v))
+                / math.sqrt((1.0 + u) ** 2 - v * v))
+        except (OverflowError, ValueError):
+            reach = math.nan
+        _require(reach <= _LAST_COSH, f"translation {i} takes the shadow "
+                 "enclosure's closed form out of the floats", i)
+        r = max(r, reach)
+        parts.append((u, v))
     w = max([0.0, *(v + max(0.0, u - math.sinh(r)) for u, v in parts)])
-    r = max(r, math.acosh(max(1.0, 2.0 * w / cap.cos_half)))
-    g = 0.5 * min(math.tan(math.acos(w / math.cosh(r)) - cap.half_angle),
+    r = max(r, math.acosh(max(1.0, 2.0 * w / math.cos(psi))))
+    g = 0.5 * min(math.tan(math.acos(w / math.cosh(r)) - psi),
                   1.0 / math.sinh(r))
     half = math.atan2(1.0, g) + math.asin(math.tanh(r))
     depth = math.tanh(r) * math.sqrt(1.0 + g * g)
     _require(_cap_fits(half, -depth),
              "the shadow enclosure's cap passes the covering limit")
-    return BallCone(BallPoint(-depth * cap.axis.v), Cap(cap.axis, half))
+    return _cone((-depth * nx, -depth * ny, -depth * nz), (nx, ny, nz), half)
 
 
 def enclose_shadow(cone: BallCone, sigma: float, tau: float) -> BallCone:
@@ -623,8 +648,8 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float) -> BallCone:
     covering limit, and ConstructionFailure is raised.
     """
     radius = shadow_radius(sigma, tau)
-    region = map_cone(cone.apex_frame[0].inverse(),
-                      _shadow_enclosure(cone, radius, tau, ()))
+    region = _map(_inverse(cone.apex_frame_scalars[:16]),
+                  _shadow_enclosure(cone, radius, tau, ()))
     _require(_shadow_inside(cone, region, radius, tau),
              "the shadow enclosure failed its clearance certificate")
     return region
@@ -643,13 +668,12 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
     tau; mapped back, the exact clearance (_shadow_inside) certifies it.
     """
     radius = shadow_radius(sigma, tau)
-    frame, cap_n = cone.apex_frame
-    psi = cap_n.half_angle
+    *frame, nx, ny, nz, psi = cone.apex_frame_scalars
     sinh_s = math.sinh(radius / tau + _SHADOW_PAD) / math.sin(0.5 * psi)
     floor = sinh_s / math.sqrt(1.0 + sinh_s * sinh_s)  # tanh s
-    core = _axial_cone(cap_n.axis, min(0.5 * psi, _room(floor)), floor)
+    core = _axial_cone((nx, ny, nz), min(0.5 * psi, _room(floor)), floor)
     _require(core is not None, "no axial core fits in the apex frame")
-    core = map_cone(frame.inverse(), core)
+    core = _map(_inverse(frame), core)
     _require(_shadow_inside(core, cone, radius, tau),
              "the axial core's cross-shell shadow left the source cone")
     return core
@@ -666,31 +690,49 @@ def contracting_boosts(cone: BallCone) -> ContractingBoosts:
     After normalizing the apex to the center, every direction interior to
     the normalized cap works: boosts move all cap directions along great
     circles toward the boost direction, and a cap of opening below a right
-    angle is geodesically convex.
+    angle is geodesically convex. The directions are the cap axis and 8
+    directions halfway from it to the cap's edge; the first three are
+    certified at chi = 0.5, 1 and 2 on the 16-float boosts (_frame_boost)
+    that boost_maker wraps in a LorentzTransform.
     """
-    frame, cap_n = cone.apex_frame
-    frame_inv = frame.inverse()
-    psi = cap_n.half_angle
+    boost = _frame_boost(cone)
+    *_, nx, ny, nz, psi = cone.apex_frame_scalars
+    n = (nx, ny, nz)
 
     def maker(l: SphereDirection, chi: float) -> LorentzTransform:
-        gap = angle_between(l.v, cap_n.axis.v)
-        if gap >= psi * (1.0 - 1e-9):
+        return LorentzTransform(np.reshape(boost(l.v.tolist(), chi), (4, 4)),
+                                _skip_check=True)
+
+    e1 = perpendicular(n)
+    e2 = cross(n, e1)
+    c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
+    ring = [unit([c * a + s * (math.cos(th) * b + math.sin(th) * d)
+                  for a, b, d in zip(n, e1, e2)])
+            for th in (0.25 * math.pi * k for k in range(8))]
+    directions = tuple(_trusted(SphereDirection, d) for d in (n, *ring))
+    for d in (n, *ring[:2]):
+        for chi in (0.5, 1.0, 2.0):
+            _require(bool(cone_leq(_map(boost(d, chi), cone), cone)),
+                     "boosted cone escaped the source cone")
+    return ContractingBoosts(directions, psi, maker)
+
+
+def _frame_boost(cone: BallCone):
+    """The boosts toward the directions l interior to the cone's apex-frame
+    cap, carried back from that frame: the function of l (three floats)
+    and the rapidity chi >= 0 that gives frame^-1 boost(l, chi) frame as
+    16 floats, raising ValueError for any other l or chi."""
+    *frame, nx, ny, nz, psi = cone.apex_frame_scalars
+    back, n = _inverse(frame), (nx, ny, nz)
+
+    def boost(l, chi: float):
+        if angle(l, n) >= psi * (1.0 - 1e-9):
             raise ValueError(
                 "direction is not interior to the normalized cap")
         if chi < 0.0:
             raise ValueError("rapidity must be non-negative")
-        return frame_inv @ LorentzTransform.boost(l.v, chi) @ frame
-
-    ring = [rotate_toward(cap_n.axis.v, cap_n.boundary_point(th), 0.5 * psi)
-            for th in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
-    directions = (SphereDirection(cap_n.axis.v),
-                  *(SphereDirection.normalized(r) for r in ring))
-    for d in directions[:3]:
-        for chi in (0.5, 1.0, 2.0):
-            mapped = map_cone(maker(d, chi), cone)
-            _require(bool(cone_leq(mapped, cone)),
-                     "boosted cone escaped the source cone")
-    return ContractingBoosts(directions, psi, maker)
+        return _compose(_compose(back, _boost(l, chi)), frame)
+    return boost
 
 
 def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
@@ -698,10 +740,10 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
     """Smallest boost count n <= nmax whose contraction of the cone clears
     the ball; the direction must be admissible for `contracting_boosts`.
     """
-    family = contracting_boosts(cone)
+    contracting_boosts(cone)  # the family's certificate, raising on failure
+    boost, l = _frame_boost(cone), direction.v.tolist()
     for n in range(nmax + 1):
-        mapped = cone if n == 0 else map_cone(
-            family.boost_maker(direction, float(n)), cone)
+        mapped = cone if n == 0 else _map(boost(l, float(n)), cone)
         if n > 0 and not cone_leq(mapped, cone):
             raise ConstructionFailure(
                 "boosted cone escaped the source cone", failing_index=n)
@@ -709,6 +751,18 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
             return n
     raise ConstructionFailure(
         f"boosts up to {nmax} never cleared the ball")
+
+
+def _orbit_words(generators: Sequence[LorentzTransform]) -> np.ndarray:
+    """The matrices of the orbit words as one (n, 4, 4) stack: the ring of
+    the identity and each generator followed by its inverse, then every
+    product a b of two ring members, a-major as itertools.product(ring,
+    ring) lists them. Products that overflow are left inf or nan."""
+    ring = np.stack([np.eye(4), *(h.matrix for g in generators
+                                  for h in (g, g.inverse()))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = np.matmul(ring[:, None], ring[None, :])
+    return np.concatenate([ring, pairs.reshape(-1, 4, 4)])
 
 
 def robust_enclosure_lorentz(cone: BallCone,
@@ -723,24 +777,19 @@ def robust_enclosure_lorentz(cone: BallCone,
     certified when cone_leq holds every image in it. A word with no image
     cone in floats raises ConstructionFailure naming it.
     """
-    ring = [LorentzTransform.identity(),
-            *(h for g in generators for h in (g, g.inverse()))]
-    words = list(ring)
-    with np.errstate(over="ignore", invalid="ignore"):
-        words.extend(a @ b for a, b in itertools.product(ring, ring))
-    finite = np.isfinite([w.matrix for w in words]).all(axis=(1, 2))
+    words = _orbit_words(generators)
+    finite = np.isfinite(words).all(axis=(1, 2)).tolist()
     images = []
-    for i, w in enumerate(words):
+    for i, w in enumerate(words.reshape(-1, 16).tolist()):
         try:
             if not finite[i]:
                 raise ValueError("its matrix overflows")
-            images.append(map_cone(w, cone))
+            images.append(_map(w, cone))
         except ValueError as err:
             raise ConstructionFailure(
                 f"orbit word {i} has no image cone in floats ({err}); the "
                 "generators are too large", failing_index=i) from None
-    region = _enclosure([img.base for img in images],
-                        [img.apex.v for img in images])
+    region = _enclosure(images)
     _require(region is not None
              and all(cone_leq(img, region) for img in images),
              "no covering cap enclosed the sampled Lorentz orbit of the cone")
@@ -791,7 +840,9 @@ def translate_enclosure(cone: BallCone, tau: float,
     cones._plane_margin, exact over the whole cone and at least sinh
     _SHADOW_PAD by construction, exceeds the window. A translation so
     long that R's cap passes the covering limit raises
-    ConstructionFailure.
+    ConstructionFailure, and so does one whose apex-frame closed form
+    leaves the floats, naming its index. Future direction is tested with
+    hypot, so a lightlike translation whose squares overflow still counts.
 
     Lifts suffice, given K <= R. Take X in K's completion. If X lies
     above the shell, every past causal curve from X + t is a curve from X
@@ -809,18 +860,22 @@ def translate_enclosure(cone: BallCone, tau: float,
              else FourVector.from_array(np.asarray(t, dtype=float))
              for t in translations]
     eps = DEFAULT_TOLERANCES.linear_identity
+    # the frame m sends the apex to the origin
+    *m, nx, ny, nz, psi = cone.apex_frame_scalars
+    shifted = []
     for i, t in enumerate(trans):
-        if not np.all(np.isfinite(t.components)):
+        x = t.components.tolist()
+        if not all(map(math.isfinite, x)):
             raise ValueError(f"translation {i} has a non-finite component: "
-                             f"{t.components.tolist()}")
-        if t.x0 < float(np.linalg.norm(t.xs)) - eps:
+                             f"{x}")
+        # hypot, unlike a sum of squares, is inf only when |x_s| is
+        if x[0] < math.hypot(*x[1:]) - eps:
             raise ValueError(
                 f"translation {i} is not future-directed (closure of the "
                 "forward cone)")
-    # the frame sends the apex to the origin
-    frame, cap_n = cone.apex_frame
-    cone_n = BallCone(BallPoint(np.zeros(3)), cap_n)
-    shifted = [frame.apply(t).components for t in trans]
+        shifted.append([m[k] * x[0] + m[k + 1] * x[1] + m[k + 2] * x[2]
+                        + m[k + 3] * x[3] for k in (0, 4, 8, 12)])
+    cone_n = _cone((0.0, 0.0, 0.0), (nx, ny, nz), psi)
     region_n = _shadow_enclosure(cone, 0.0, tau, shifted)
     window = DEFAULT_TOLERANCES.degenerate_window
     _require(all(_plane_margin(cone_n, region_n, tau, t, floor=window)
@@ -828,4 +883,4 @@ def translate_enclosure(cone: BallCone, tau: float,
              and bool(cone_leq(cone_n, region_n)),
              "the shadow enclosure failed the translated completion's "
              "certificate")
-    return map_cone(frame.inverse(), region_n)
+    return _map(_inverse(m), region_n)

@@ -43,12 +43,20 @@ class Scene:
         return Hyperboloid(self.tau)
 
     def fresh_name(self, prefix: str) -> str:
+        return self._fresh_names(prefix, 1)[0]
+
+    def _fresh_names(self, prefix: str, count: int) -> list[str]:
+        """The first `count` names prefix0, prefix1, ... that no object
+        holds: the names that many fresh_name calls would give, each name
+        being taken before the next call, found in one pass."""
         taken = (set(self.cones) | set(self.balls) | set(self.events)
                  | set(self.morphisms))
-        k = 0
-        while f"{prefix}{k}" in taken:
+        names, k = [], 0
+        while len(names) < count:
+            if f"{prefix}{k}" not in taken:
+                names.append(f"{prefix}{k}")
             k += 1
-        return f"{prefix}{k}"
+        return names
 
     def add_cone(self, name: str, cone: BallCone) -> None:
         self.cones[name] = cone

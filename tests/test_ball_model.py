@@ -16,6 +16,7 @@ from hypercones import (BallCone, BallPoint, Cap, FourVector, Hyperball,
                         opposite, project_to_ball, shadow_radius,
                         sphere_action)
 from hypercones.ball_model import ball_action_many
+from hypercones.cones import _map
 from hypercones.minkowski import ETA
 from hypercones.spherical import angle_between
 from tests.conftest import interior_point, random_transform, unit_vector
@@ -397,6 +398,16 @@ class TestFloatKernels:
             assert np.max(np.abs(mapped.apex.v - _numpy_ball_action(
                 g, cone.apex).v)) <= bound
             assert cap_gap(mapped.base, ref) <= bound
+
+    def test_float_map_agrees_with_the_numpy_products(self):
+        # _map, the kernel map_cone adapts, on the matrix's 16 floats
+        for cone, g, chi in kernel_pairs():
+            bound = 1e-15 * math.cosh(chi) ** 2
+            mapped = _map(g.matrix.ravel().tolist(), cone)
+            assert np.max(np.abs(mapped.apex.v - _numpy_ball_action(
+                g, cone.apex).v)) <= bound
+            assert cap_gap(mapped.base, _numpy_cap_image(g, cone.base)) \
+                <= bound
 
     def test_opposite_agrees_with_the_numpy_product(self):
         for cone, _, _ in kernel_pairs():

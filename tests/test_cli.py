@@ -208,6 +208,18 @@ class TestConstruct:
                                     "--t", "1,0,0,0")
         assert "contains-shifted-completion" in out
 
+    def test_deep_funnel_names_every_member(self, capsys, tmp_path):
+        # the members are named in one pass, not one scan of the scene
+        # per member
+        path = tmp_path / "deep.json"
+        code, out, err = run(capsys, "construct", DEMO, "A1", "big", "O",
+                             "--depth", "20000", "--out", str(path))
+        assert code == 0, err
+        assert "funnel: 20000 cones F0, F1," in out
+        cones = json.loads(path.read_text(encoding="utf-8"))["cones"]
+        assert all(f"F{i}" in cones for i in range(20_000))
+        assert "F20000" not in cones
+
     def test_out_writes_loadable_extended_scene(self, capsys, tmp_path):
         out_path = tmp_path / "extended.json"
         self.assert_certified(capsys, "construct", DEMO, "A8", "A", "B",
@@ -305,6 +317,35 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "non-finite" in err
         assert bad in err
+
+    @pytest.mark.parametrize("t, message", [
+        ("1e154,0,0,0", "covering limit"),
+        ("1e300,0,0,0", "translation 0"),
+        ("1e308,0,0,0", "translation 0"),
+        ("1e200,1e200,0,0", "translation 0"),
+    ])
+    def test_translation_beyond_floats_is_refused(self, capsys, t, message):
+        # the lightlike 1e200,1e200 is future-directed; each closed form
+        # leaves the covering limit or the floats: an error, with no numpy
+        # warning and no traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "construct", DEMO, "A13", "A",
+                                 "--t", t)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err and "future-directed" not in err
+
+    def test_negative_nmax_is_refused_before_any_work(self, capsys,
+                                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("escape_ball ran")
+
+        monkeypatch.setattr(cli, "escape_ball", refuse)
+        code, out, err = run(capsys, "construct", DEMO, "A11", "A",
+                             "--ball", "O", "--nmax", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --nmax must be at least 0, got -1\n"
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     def test_budget_must_be_finite_and_positive(self, capsys, value):

@@ -75,6 +75,57 @@ class TestConeValidity:
         BallCone(BallPoint(np.array([0.0, 0.0, -0.6])),
                  Cap(SphereDirection(Z), 2.0))
 
+    def test_float_constructor_rebuilds_public_cones_bit_for_bit(self):
+        # _cone over a public cone's floats is that cone: apex, axis,
+        # half-angle and both cached float tuples, to the bit
+        def bits(xs):
+            return struct.pack(f"{len(xs)}d", *xs)
+
+        rng = np.random.default_rng(40)
+        for _ in range(2_000):
+            cone = random_cone(rng, psi_max=1.5, apex_r=0.95)
+            built = cone_module._cone(cone.apex.v.tolist(),
+                                      cone.base.axis.v.tolist(),
+                                      cone.base.half_angle)
+            assert type(built) is BallCone
+            assert type(built.apex) is BallPoint
+            assert type(built.base.axis) is SphereDirection
+            assert built == cone
+            assert bits(built.apex.v) == bits(cone.apex.v)
+            assert bits(built.base.axis.v) == bits(cone.base.axis.v)
+            assert not built.apex.v.flags.writeable
+            assert not built.base.axis.v.flags.writeable
+            assert bits([built.base.half_angle]) == bits(
+                [cone.base.half_angle])
+            assert bits(built.exit_scalars) == bits(cone.exit_scalars)
+            assert bits(built.apex_frame_scalars) == bits(
+                cone.apex_frame_scalars)
+
+    @pytest.mark.parametrize("apex, axis, psi", [
+        ((0.6, 0.8, 0.0), (0.0, 0.0, 1.0), 0.5),
+        ((0.0, 0.0, 1.5), (0.0, 0.0, 1.0), 0.5),
+        ((math.nan, 0.0, 0.0), (0.0, 0.0, 1.0), 0.5),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 1.001), 0.5),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5),
+        ((0.0, 0.0, 0.0), (0.0, math.inf, 0.0), 0.5),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), math.pi),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), math.nan),
+        ((0.0, 0.0, 0.9), (0.0, 0.0, 1.0), 0.5),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0),
+        ((0.0, 0.0, 2.0), (1.0, 0.0, 0.0), 4.0),
+    ], ids=["apex-on-sphere", "apex-outside", "apex-nan", "axis-long",
+            "axis-zero", "axis-inf", "psi-zero", "psi-pi", "psi-nan",
+            "apex-above-plane", "wide-cap-centred", "first-check-wins"])
+    def test_float_constructor_refuses_as_the_public_ones(self, apex, axis,
+                                                          psi):
+        with pytest.raises(ValueError) as public:
+            BallCone(BallPoint(np.array(apex)),
+                     Cap(SphereDirection(np.array(axis)), psi))
+        with pytest.raises(ValueError) as floats:
+            cone_module._cone(apex, axis, psi)
+        assert str(floats.value) == str(public.value)
+
 
 class TestMembership:
     def test_axis_chord_is_inside(self):
@@ -724,10 +775,11 @@ def _enclosures(caps, apexes=None, axis=None):
     through the apexes leave the sphere (ray_exits, once per depth).
     Rungs failing _cap_fits are skipped."""
     if axis is None:
-        cover = _covering_cap(caps)
+        cover = _covering_cap([(c.axis.v.tolist(), c.half_angle)
+                               for c in caps])
         if cover is None:
             return
-        axis = cover.axis
+        axis = SphereDirection(np.array(cover[0]))
     n = axis.v
     cap_need = max(angle_between(n, c.axis.v) + c.half_angle for c in caps)
     need = {}
@@ -753,7 +805,7 @@ def _covers_wherever_the_ladder_did(groups):
                    for rung in _enclosures(caps, apexes)):
             continue
         covered += 1
-        region = _enclosure(caps, apexes)
+        region = _enclosure(cones)
         assert region is not None, i
         assert all(cone_leq(k, region) for k in cones), i
     return covered
@@ -818,8 +870,7 @@ class TestEnclosingCone:
         for _ in range(40):
             cones = [random_cone(rng, psi_max=0.9)
                      for _ in range(rng.integers(1, 4))]
-            region = _enclosure([k.base for k in cones],
-                                [k.apex.v for k in cones])
+            region = _enclosure(cones)
             assert region is not None
             for k in cones:
                 res = cone_leq(k, region)

@@ -1,12 +1,14 @@
 """Constructive witnesses for the cone-calculus existence facts."""
 
+import itertools
 import math
 import struct
 
 import numpy as np
 import pytest
 
-from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
+from hypercones import (BallCone, BallPoint, Cap, ConstructionFailure,
+                        DegenerateGeometry,
                         FourVector, Hyperball, Hyperboloid, Hypercone,
                         LorentzTransform, SphereDirection, avoid_ball_inside,
                         common_complement_cone, cone_hyperball_disjoint,
@@ -978,6 +980,35 @@ class TestContractingBoosts:
         g = fam.boost_maker(l, float(n))
         assert cone_hyperball_disjoint(map_cone(g, cone), ball).disjoint
 
+    def test_float_boosts_match_the_matrix_products(self):
+        # frame^-1 boost(l, chi) frame on 16 floats, against the
+        # LorentzTransform product it replaced; boost_maker wraps the same
+        # floats
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for _ in range(300):
+            cone = random_cone(rng, psi_max=1.4, apex_r=0.8)
+            frame, cap = cone.apex_frame
+            l = SphereDirection.normalized(rotate_toward(
+                cap.axis.v, unit_vector(rng),
+                rng.uniform(0.0, 0.9) * cap.half_angle))
+            chi = rng.uniform(0.0, 3.0)
+            got = constructions._frame_boost(cone)(l.v.tolist(), chi)
+            ref = (frame.inverse() @ LorentzTransform.boost(l.v, chi)
+                   @ frame).matrix
+            worst = max(worst, float(np.max(np.abs(
+                np.reshape(got, (4, 4)) - ref))))
+            made = contracting_boosts(cone).boost_maker(l, chi)
+            assert made.matrix.ravel().tolist() == list(got)
+        assert worst <= 1e-12
+
+    def test_maker_refuses_directions_outside_the_cap(self):
+        fam = contracting_boosts(axis_cone(0.5, 0.1))
+        with pytest.raises(ValueError, match="not interior"):
+            fam.boost_maker(SphereDirection(np.array([1.0, 0.0, 0.0])), 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            fam.boost_maker(fam.directions[0], -1.0)
+
 
 class TestRobustEnclosure:
     def test_generator_words_stay_inside(self):
@@ -991,6 +1022,25 @@ class TestRobustEnclosure:
             for g in gens:
                 for w in (g, g.inverse(), g @ g):
                     assert cone_leq(map_cone(w, cone), region).holds
+
+    def test_word_stack_is_the_product_list(self):
+        # one stacked product gives the words a @ b of
+        # itertools.product(ring, ring), in that order, to the bit
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            gens = [LorentzTransform.boost(unit_vector(rng),
+                                           rng.uniform(-2.0, 2.0))
+                    if rng.random() < 0.5 else
+                    LorentzTransform.rotation(unit_vector(rng),
+                                              rng.uniform(-3.0, 3.0))
+                    for _ in range(rng.integers(1, 4))]
+            ring = [LorentzTransform.identity(),
+                    *(h for g in gens for h in (g, g.inverse()))]
+            words = ring + [a @ b for a, b in itertools.product(ring, ring)]
+            stack = constructions._orbit_words(gens)
+            assert stack.shape == (len(words), 4, 4)
+            for w, m in zip(words, stack):
+                assert np.array_equal(w.matrix, m)
 
 
 class TestTranslateEnclosure:
@@ -1136,6 +1186,24 @@ class TestTranslateEnclosure:
         with pytest.raises(ValueError, match=f"non-finite.*{bad}"):
             translate_enclosure(axis_cone(), 1.0, [
                 FourVector.from_parts(t0, xs)])
+
+    def test_lightlike_translation_past_a_sum_of_squares(self):
+        # (1e200, 1e200, 0, 0) lies on the forward cone, although its
+        # squares overflow; its closed form then leaves the floats
+        with pytest.raises(ConstructionFailure, match="translation 0") as err:
+            translate_enclosure(axis_cone(), 1.0, [
+                FourVector(1e200, 1e200, 0.0, 0.0)])
+        assert err.value.failing_index == 0
+
+    @pytest.mark.parametrize("t0", [1e300, 1e308])
+    def test_translation_beyond_floats_is_named(self, t0):
+        with np.errstate(all="raise"):
+            with pytest.raises(ConstructionFailure,
+                               match="translation 1") as err:
+                translate_enclosure(axis_cone(), 1.0, [
+                    FourVector(1.0, 0.0, 0.0, 0.0),
+                    FourVector(t0, 0.0, 0.0, 0.0)])
+        assert err.value.failing_index == 1
 
     def test_spacelike_translation_rejected(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,17 @@ class TestMutation:
         sc.cones[name] = sc.cones["A"]
         assert sc.fresh_name("A") != name
 
+    def test_fresh_names_are_those_of_repeated_fresh_name(self):
+        sc = scene_mod.load(DEMO)
+        for name in ("F0", "F2", "F3", "F7"):
+            sc.cones[name] = sc.cones["A"]
+        batch = sc._fresh_names("F", 6)
+        one_by_one = []
+        for _ in range(6):
+            one_by_one.append(sc.fresh_name("F"))
+            sc.cones[one_by_one[-1]] = sc.cones["A"]
+        assert batch == one_by_one == ["F1", "F4", "F5", "F6", "F8", "F9"]
+
     def test_add_cone_updates_raw_document(self):
         sc = scene_mod.loads(minimal_doc())
         cone = BallCone(BallPoint(np.array([0.0, 0.0, 0.1])),
