@@ -31,6 +31,7 @@ messages, and fills `exit_scalars` directly; the builders here and in
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -243,43 +244,6 @@ def contains_point(cone: BallCone, u: BallPoint) -> bool:
     return cone.margin(u.v.tolist()) > 0.0
 
 
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
-def _circle_minimum(f, seeds: int, centres=(),
-                    floor: float = -math.inf) -> float:
-    """Least value of a function of an angle: `seeds` equally spaced
-    angles, then golden-section search, to 1e-12 rad, on the bracket of
-    neighbouring seeds around the best one, around every other strict
-    local minimum among them, and around each of the given centres. The
-    least seed value is returned unrefined when it is at or below
-    `floor`."""
-    width = 2.0 * math.pi / seeds
-    values = [f(i * width) for i in range(seeds)]
-    found = min(values)
-    if found <= floor:
-        return found
-    best = values.index(found)
-    brackets = [((i - 1) * width, (i + 1) * width)
-                for i, v in enumerate(values)
-                if i == best or values[i - 1] > v < values[(i + 1) % seeds]]
-    brackets += [(c - width, c + width) for c in centres]
-    for lo, hi in brackets:
-        x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-        f1, f2 = f(x1), f(x2)
-        while hi - lo > 1e-12:
-            if f1 < f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _GOLDEN * (hi - lo)
-                f1 = f(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _GOLDEN * (hi - lo)
-                f2 = f(x2)
-        found = min(found, f1, f2)
-    return found
-
-
 def point_margin(cone: BallCone, p: np.ndarray) -> float:
     """Signed shell distance from the ball point p to the cone's lateral
     boundary, in the metric of the unit shell (tau = 1).
@@ -418,23 +382,33 @@ def _caps(k1: BallCone, k2: BallCone, t: float, m):
 
 def _line_entry(cone: BallCone, d) -> float:
     """Least r > -1 with r d in the cone's closed hull, for a unit d inside
-    its open cap. With A, B, U and W of _chord_middle for the apex and cap,
-    g(r) = r A - B - |r U - W| >= 0 there; g is concave and g(1) > 0, so
-    the line meets the hull in [r0, 1) for r0 the root of g below 1: a root
-    of |r U - W|^2 - (r A - B)^2 = qa r^2 - 2 qb r + qc on its side r A >=
-    B, or -1 when g has none."""
+    its open cap. With A, B, U and W of _chord_middle for the apex q and
+    cap, g(r) = r A - B - |r U - W| >= 0 there; g is concave and g(1) > 0,
+    so the line meets the hull in [r0, 1) for r0 the root of g below 1: a
+    root of |r U - W|^2 - (r A - B)^2 on its side r A >= B, or -1 when g
+    has none. The quadratic is taken in t = r - q.d, about the point of
+    the line nearest the apex: with w = q - (q.d) d, the apex's offset
+    from the line, it is qa t^2 - 2 qb t + qc, and qb and qc vanish with
+    w. So a line through the apex enters at the apex, t = 0, exactly, and
+    a line near it at a root good to the rounding of w, not to the square
+    root of the rounding as the double root in r is."""
     ax, ay, az, _, nx, ny, nz, c = cone.exit_scalars
     dx, dy, dz = d
-    a, b = dx * nx + dy * ny + dz * nz, ax * nx + ay * ny + az * nz
-    qd, qq, e = ax * dx + ay * dy + az * dz, ax * ax + ay * ay + az * az, c - b
-    qa = a * a * qq + 2.0 * a * e * qd + e * e - a * a
-    qb, qc = c * (a * qq + e * qd) - a * b, c * c * qq - b * b
-    # a line through the apex gives a double root, found to about the
-    # square root of the rounding: clamp the discriminant at 0
+    a, along = dx * nx + dy * ny + dz * nz, ax * dx + ay * dy + az * dz
+    # once more, so that w keeps no rounding left along d, which qa =
+    # -sin^2 psi would divide for a line through the apex
+    along += ((ax - along * dx) * dx + (ay - along * dy) * dy
+              + (az - along * dz) * dz)
+    wx, wy, wz = ax - along * dx, ay - along * dy, az - along * dz
+    wn, ww = wx * nx + wy * ny + wz * nz, wx * wx + wy * wy + wz * wz
+    e, f = c - wn, along * a - c
+    qa = e * e + a * a * ww - a * a
+    qb = e * along * wn - a * f * ww - a * wn
+    qc = (along * along - 1.0) * wn * wn + f * f * ww
     big = qb + math.copysign(math.sqrt(max(qb * qb - qa * qc, 0.0)), qb)
     roots = [u / v for u, v in ((big, qa), (qc, big)) if v != 0.0]
-    return max([r for r in roots if r < 1.0 and r * a - b >= -1e-12]
-               + [-1.0])
+    return max([along + t for t in roots
+                if along + t < 1.0 and t * a - wn >= -1e-12] + [-1.0])
 
 
 def _chord_middle(d, q, n, c: float) -> float | None:
@@ -697,55 +671,101 @@ def _frame_clearance(cone: BallCone, c, tau: float) -> tuple[float, bool]:
     return tau * math.asinh(math.sinh(r) * math.sin(gap)), theta < psi
 
 
-def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
-                  shift=(0.0, 0.0, 0.0, 0.0), seeds: int = 16,
-                  floor: float = -math.inf) -> float:
-    """Least value, over the events X = tau y + t' with y a point of
-    `inner` on the shell and t' the translation `shift` seen in inner's
-    apex frame, and over the tangent planes of `outer`, of
+_SPLITS = 400  # arcs one _plane_margin call splits before it gives up
+_ROUNDING = 2.0 ** -47  # relative slack of _plane_margin's bounds
 
-        (-<X, M> - (<X, X> - tau^2) / (2 tau)) / tau,
 
-    which is positive exactly when the causal shadow of X lies on the
-    inner side of the plane; -inf when some event's shadow crosses it
-    without bound. With no shift this is the least sinh-distance from
-    inner to outer's boundary (_cone_clearance).
+def _azimuth_terms(terms, c: float, s: float) -> tuple:
+    """alpha, toward, perp and kappa of _plane_margin at the point (c, s)
+    of the plane of (cos phi, sin phi), from its coefficients `terms`:
+    alpha, kappa and the covector part m are affine in (c, s), and toward
+    = -m.n and perp = |m x n| are the parts of -m along inner's cap axis
+    n and across it."""
+    (a0, ax, ay, az, b0, bx, by, bz, d0, dx, dy, dz, ka, kb, kd,
+     nx, ny, nz) = terms
+    mx, my, mz = ax + c * bx + s * dx, ay + c * by + s * dy, \
+        az + c * bz + s * dz
+    sx, sy, sz = my * nz - mz * ny, mz * nx - mx * nz, mx * ny - my * nx
+    return (-(a0 + c * b0 + s * d0), -(mx * nx + my * ny + mz * nz),
+            math.sqrt(sx * sx + sy * sy + sz * sz), ka + c * kb + s * kd)
 
-    In inner's apex frame, inner is the union of the geodesic rays from
-    e0 = (1, 0, 0, 0) toward the ideal points c of its cap (n, psi). At
-    azimuth phi the unit spacelike covector M is outer's apex-frame
-    normal (0, sin psi' n' - cos psi' e_phi) carried into inner's frame,
-    and -<Y, M> is sinh of the signed distance of a shell point Y/tau to
-    that plane (Ratcliffe, Foundations of Hyperbolic Manifolds, section
-    3.2). X with sigma^2 = <X, X> >= tau^2 (every shifted shell point
-    qualifies) has a shadow ball of radius rho, cosh rho = (sigma^2 +
-    tau^2) / (2 sigma tau), so sigma sinh rho = (sigma^2 - tau^2) / (2 tau),
-    and the ball lies on the inner side exactly when -<X, M> exceeds that.
-    Along the ray y = (cosh s, sinh s c) the quantity is linear in y:
-    A cosh s + B(c) sinh s - kappa with N = M + t'/tau, A = -N0,
-    B(c) = c.Ns and kappa = (<t', M> + <t', t'> / (2 tau)) / tau. Over
-    the cap B is least at the cap point nearest -Ns, -reach with reach =
-    |Ns| when -Ns lies in the cap, else |Ns| cos(gamma - psi) with gamma
-    its angle to n. With p = A - reach the least value over s >= 0 is
-    -inf if p < 0, A if reach <= 0, else sqrt(p (2A - p)); the test of
-    p comes first, since with kappa subtracted a finite value for p < 0
-    would accept escaping events.
 
-    At s = 0 the quantity is A - kappa and no branch exceeds it, so the
-    least s = 0 term over phi, -(N0 + kappa) at the first centre below,
-    bounds the least value from above; this apex bound is returned at
-    once when at or below `floor`. Otherwise _circle_minimum runs over
-    phi and returns its least seed value unrefined when at or below
-    `floor`. A return at or below `floor` is thus an upper bound only.
+def _reach(toward: float, perp: float, cos_k: float, sin_k: float) -> float:
+    """Largest -m.c over the points c of the cap (n, psi_k), for -m with
+    the parts toward and perp along n and across it: |m| when -m lies in
+    the cap, else |m| cos(gamma - psi_k) with gamma its angle to n. It is
+    the largest of toward cos t + perp sin t over t in [0, psi_k], so it
+    rises with perp and is convex in toward."""
+    size = math.hypot(toward, perp)
+    if toward >= size * cos_k:
+        return size
+    return toward * cos_k + perp * sin_k
 
-    That least value need not be unimodal in phi: it takes its smallest
-    value at the shifted apex (s = 0, least at the azimuth below) or far
-    out along a ray, where a cap nearly touching outer's cap gives a
-    narrow dip at about the azimuth of inner's cap axis in outer's apex
-    frame. The search therefore also refines around those two azimuths.
-    Plain floats throughout, as in _frame_clearance: both frames are read
-    from the cones' apex_frame_scalars.
-    """
+
+def _arc_range(a: float, b: float, d: float, lo: float,
+               hi: float) -> tuple[float, float]:
+    """Least and largest of a + b cos x + d sin x over lo <= x <= hi, for
+    hi - lo < 2 pi: at an end, or a -+ hypot(b, d) where the arc holds
+    the angle of (-b, -d) or of (b, d)."""
+    ends = (a + b * math.cos(lo) + d * math.sin(lo),
+            a + b * math.cos(hi) + d * math.sin(hi))
+    h, top = 0.5 * (hi - lo), math.atan2(d, b) - 0.5 * (lo + hi)
+    size = math.hypot(b, d)
+    return (a - size if abs(math.remainder(top + math.pi, 2.0 * math.pi)) <= h
+            else min(ends),
+            a + size if abs(math.remainder(top, 2.0 * math.pi)) <= h
+            else max(ends))
+
+
+def _arc_terms(terms, cos_k: float, sin_k: float, lo: float,
+               hi: float) -> tuple[float, float, float]:
+    """The least alpha, largest reach and largest kappa of _plane_margin
+    over lo <= phi <= hi, from the ranges of its terms: alpha, kappa and
+    toward are a + b cos phi + d sin phi (_arc_range), perp^2 = |m x
+    n|^2 = w0 + w1 cos phi + w2 sin phi + w3 cos 2 phi + w4 sin 2 phi is
+    at most w0 plus the largest of each frequency, and reach is largest
+    at an end of toward's range, being convex in it, and at the largest
+    perp. w0 is raised by _ROUNDING times the squared size of m's
+    coefficients, which covers its rounding."""
+    (a0, ax, ay, az, b0, bx, by, bz, d0, dx, dy, dz, ka, kb, kd,
+     nx, ny, nz) = terms
+    n, rows = (nx, ny, nz), ((ax, ay, az), (bx, by, bz), (dx, dy, dz))
+    big_a, big_b, big_d = (cross(v, n) for v in rows)
+    bb, dd = dot(big_b, big_b), dot(big_d, big_d)
+    size = sum(abs(x) for v in rows for x in v)
+    w = (dot(big_a, big_a) + 0.5 * (bb + dd) + _ROUNDING * size * size
+         + _arc_range(0.0, 2.0 * dot(big_a, big_b), 2.0 * dot(big_a, big_d),
+                      lo, hi)[1]
+         + _arc_range(0.0, 0.5 * (bb - dd), dot(big_b, big_d), 2.0 * lo,
+                      2.0 * hi)[1])
+    perp = math.sqrt(max(0.0, w))
+    reach = max(_reach(t, perp, cos_k, sin_k) for t in _arc_range(
+        *(-dot(v, n) for v in rows), lo, hi))
+    return (_arc_range(-a0, -b0, -d0, lo, hi)[0], reach,
+            _arc_range(ka, kb, kd, lo, hi)[1])
+
+
+def _least(alpha: float, reach: float, kappa: float) -> float:
+    """Least margin of the shifted shadows along inner's rays against one
+    plane of _plane_margin, from that plane's terms: -inf when reach
+    exceeds alpha, else the least of alpha cosh s - reach sinh s over s
+    >= 0, less kappa. It rises with alpha and falls with reach."""
+    p = alpha - reach
+    if p < 0.0:
+        return -math.inf
+    if reach <= 0.0:
+        return alpha - kappa
+    return math.sqrt(p * (2.0 * alpha - p)) - kappa
+
+
+def _plane_terms(inner: BallCone, outer: BallCone, tau: float,
+                 shift) -> tuple[tuple, float]:
+    """The terms of _plane_margin over the azimuth phi, in inner's apex
+    frame, and inner's apex-frame half-angle psi_k: the 18 floats (a0,
+    ax, ay, az, b0, bx, by, bz, d0, dx, dy, dz, ka, kb, kd, nx, ny, nz)
+    with N = a + cos(phi) b + sin(phi) d, alpha = -N0, m = Ns and kappa =
+    ka + cos(phi) kb + sin(phi) kd, and (nx, ny, nz) inner's apex-frame
+    cap axis."""
     *m_k, nx, ny, nz, psi_k = inner.apex_frame_scalars
     *m_r, psi = outer.apex_frame_scalars
     n_r, inv = m_r[16:], _inverse(m_r)
@@ -769,53 +789,148 @@ def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
                       for v in (a, t, b, d))
     ka += kt / (2.0 * tau)
     a0, ax, ay, az = (x + y / tau for x, y in zip(a, t))
-    b0, bx, by, bz = b
-    d0, dx, dy, dz = d
+    return (a0, ax, ay, az, *b, *d, ka, kb, kd, nx, ny, nz), psi_k
+
+
+def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
+                  shift=(0.0, 0.0, 0.0, 0.0),
+                  floor: float = -math.inf) -> float:
+    """Least value, over the events X = tau y + t' with y a point of
+    `inner` on the shell and t' the translation `shift` seen in inner's
+    apex frame, and over the tangent planes of `outer`, of
+
+        (-<X, M> - (<X, X> - tau^2) / (2 tau)) / tau,
+
+    which is positive exactly when the causal shadow of X lies on the
+    inner side of the plane; -inf when some event's shadow crosses it
+    without bound. With no shift this is the least sinh-distance from
+    inner to outer's boundary (_cone_clearance). A return above `floor`
+    is a proved lower bound of the least value; a return at or below it
+    rejects.
+
+    In inner's apex frame, inner is the union of the geodesic rays from
+    e0 = (1, 0, 0, 0) toward the ideal points c of its cap (n, psi). At
+    azimuth phi the unit spacelike covector M is outer's apex-frame
+    normal (0, sin psi' n' - cos psi' e_phi) carried into inner's frame,
+    and -<Y, M> is sinh of the signed distance of a shell point Y/tau to
+    that plane (Ratcliffe, Foundations of Hyperbolic Manifolds, section
+    3.2). X with sigma^2 = <X, X> >= tau^2 (every shifted shell point
+    qualifies) has a shadow ball of radius rho, cosh rho = (sigma^2 +
+    tau^2) / (2 sigma tau), so sigma sinh rho = (sigma^2 - tau^2) / (2 tau),
+    and the ball lies on the inner side exactly when -<X, M> exceeds that.
+    Along the ray y = (cosh s, sinh s c) the quantity is linear in y:
+    A cosh s + B(c) sinh s - kappa with N = M + t'/tau, alpha = A = -N0,
+    B(c) = c.Ns and kappa = (<t', M> + <t', t'> / (2 tau)) / tau. Over
+    the cap B is least at the cap point nearest -Ns, -reach (_reach).
+    With p = A - reach the least value over s >= 0 is -inf if p < 0, A
+    if reach <= 0, else sqrt(p (2A - p)), less kappa (_least); the test
+    of p comes first, since with kappa subtracted a finite value for
+    p < 0 would accept escaping events.
+
+    At s = 0 the quantity is A - kappa and no branch exceeds it, so the
+    least s = 0 term over phi, -(N0 + kappa) at the azimuth of the
+    in-plane part of N + kappa, bounds the least value from above; this
+    apex bound is returned at once when at or below `floor`.
+
+    The least value over phi is then bounded below by branch and bound
+    over arcs of phi (Moore, Kearfott and Cloud, Introduction to Interval
+    Analysis, SIAM 2009), with two bounds per arc:
+    - Vertices. M, and with it alpha, kappa and Ns, is affine in (cos phi,
+      sin phi), and for each s >= 0 and cap point c the quantity above
+      is affine in them too. So the least value, extended to the plane of
+      (cos phi, sin phi) by the same formulas (_azimuth_terms), is
+      concave there. An arc of half-width h <= pi/4 lies in the triangle
+      of its two ends and the tangent point (cos mid, sin mid) / cos h,
+      and a concave function is least over a triangle at a vertex. This
+      bound closes as h^2 where the least value curves, and costs only
+      the tangent point, as arcs share their ends.
+    - Ranges. _least rises with alpha and falls with reach and kappa, so
+      it is bounded below by its value at the least alpha and the
+      largest reach and kappa over the arc (_arc_terms). This bound
+      closes at once where those terms hardly depend on phi, as for an
+      outer cone axial in inner's apex frame, where the vertex bound lags
+      by h^2 times the value's slope off the circle. It is taken only
+      where the vertex bound does not clear `floor`, and always with no
+      floor.
+    Each bound is taken with alpha lowered and reach and kappa raised by
+    _ROUNDING times the sizes of their coefficients, and lowered by
+    _ROUNDING times its size and kappa's. That covers the rounding of the
+    points and of the terms, a few units in the last place of those sizes
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+
+    The four quarter arcs start from (+-1, 0) and (0, +-1). The arc of
+    lowest bound is split at its midpoint, whose exact value is taken
+    first and returned when at or below `floor`, until every bound lies
+    above `floor`, and the lowest bound is returned. With no floor,
+    splitting goes on until the lowest bound is within 1e-13 max(1, |v|)
+    of the least exact value v. After _SPLITS splits the lowest bound is
+    returned as it stands: a lower bound still, and at or below a finite
+    `floor`, so a decision at the cap rejects. Plain floats throughout,
+    as in _frame_clearance: both frames are read from the cones'
+    apex_frame_scalars.
+    """
+    terms, psi_k = _plane_terms(inner, outer, tau, shift)
+    a0, ax, ay, az, b0, bx, by, bz, d0, dx, dy, dz, ka, kb, kd = terms[:15]
     apex = -(a0 + ka) - math.hypot(b0 + kb, d0 + kd)
     if apex <= floor:
         return apex
     cos_k, sin_k = math.cos(psi_k), math.sin(psi_k)
+    # the sizes of the coefficients of alpha, m and kappa
+    sa = abs(a0) + abs(b0) + abs(d0)
+    sm = sum(map(abs, (ax, ay, az, bx, by, bz, dx, dy, dz)))
+    sk = abs(ka) + abs(kb) + abs(kd)
 
-    def least(phi: float) -> float:
-        # least margin of the shifted shadows against the plane at phi
-        c, s = math.cos(phi), math.sin(phi)
-        alpha = -(a0 + c * b0 + s * d0)
-        mx, my, mz = ax + c * bx + s * dx, ay + c * by + s * dy, \
-            az + c * bz + s * dz
-        size = math.sqrt(mx * mx + my * my + mz * mz)
-        toward = -(mx * nx + my * ny + mz * nz)  # |Ns| cos gamma
-        if toward >= size * cos_k:
-            reach = size
-        else:
-            sx, sy, sz = my * nz - mz * ny, mz * nx - mx * nz, \
-                mx * ny - my * nx
-            reach = (toward * cos_k
-                     + math.sqrt(sx * sx + sy * sy + sz * sz) * sin_k)
-        p = alpha - reach
-        if p < 0.0:
-            return -math.inf
-        kappa = ka + c * kb + s * kd
-        if reach <= 0.0:
-            return alpha - kappa
-        return math.sqrt(p * (2.0 * alpha - p)) - kappa
+    def low(alpha: float, reach: float, kappa: float) -> float:
+        # below _least wherever the terms are no lower, higher and higher
+        v = _least(alpha - _ROUNDING * sa, reach + _ROUNDING * sm,
+                   kappa + _ROUNDING * sk)
+        return v - _ROUNDING * (abs(v) + 2.0 * abs(kappa) + sk)
 
-    def centres():
-        # drawn only when the seeds pass `floor`
-        yield math.atan2(d0 + kd, b0 + kb)
-        axis = _cap_seen(m_r, inner.exit_scalars[4:7], inner.base.cos_half,
-                         math.sin(inner.base.half_angle))[0]
-        yield math.atan2(dot(axis, e2), dot(axis, e1))
+    def vertex(c: float, s: float) -> tuple[float, float]:
+        # the value at (c, s) and a bound below it
+        alpha, toward, perp, kappa = _azimuth_terms(terms, c, s)
+        reach = _reach(toward, perp, cos_k, sin_k)
+        return _least(alpha, reach, kappa), low(alpha, reach, kappa)
 
-    return _circle_minimum(least, seeds, centres(), floor)
+    def arc(lo: float, hi: float, end_lo: tuple, end_hi: tuple) -> tuple:
+        # the arc's bound, the wider arc first among equal bounds, its ends
+        mid, grow = 0.5 * (lo + hi), 1.0 / math.cos(0.5 * (hi - lo))
+        bound = min(end_lo[1], end_hi[1],
+                    vertex(grow * math.cos(mid), grow * math.sin(mid))[1])
+        if bound <= floor or floor == -math.inf:
+            bound = max(bound, low(*_arc_terms(terms, cos_k, sin_k, lo, hi)))
+        return bound, lo - hi, lo, hi, end_lo, end_hi
+
+    ends = [vertex(c, s)
+            for c, s in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))]
+    best = min(apex, *(end[0] for end in ends))
+    if best <= floor:
+        return best
+    quarter = 0.5 * math.pi
+    arcs = [arc(k * quarter, (k + 1) * quarter, ends[k], ends[(k + 1) % 4])
+            for k in range(4)]
+    heapq.heapify(arcs)
+    for _ in range(_SPLITS):
+        bound, _, lo, hi, end_lo, end_hi = arcs[0]
+        if bound > floor and (floor > -math.inf or best - bound
+                              <= 1e-13 * max(1.0, abs(best))):
+            return bound
+        mid = 0.5 * (lo + hi)
+        end = vertex(math.cos(mid), math.sin(mid))
+        if end[0] <= floor:
+            return end[0]
+        best = min(best, end[0])
+        heapq.heapreplace(arcs, arc(lo, mid, end_lo, end))
+        heapq.heappush(arcs, arc(mid, hi, end, end_hi))
+    return arcs[0][0]
 
 
-def _cone_clearance(inner: BallCone, outer: BallCone, tau: float,
-                    seeds: int = 16) -> float:
+def _cone_clearance(inner: BallCone, outer: BallCone, tau: float) -> float:
     """Least shell distance from a point of `inner` to the lateral boundary
-    of `outer`: tau asinh of the unshifted _plane_margin. It is at most 0
-    when a point of `inner` lies outside `outer`, and -inf when a ray of
-    `inner` ends outside it."""
-    return tau * math.asinh(_plane_margin(inner, outer, tau, seeds=seeds))
+    of `outer`: tau asinh of the unshifted _plane_margin, a proved lower
+    bound. It is at most 0 when a point of `inner` lies outside `outer`,
+    and -inf when a ray of `inner` ends outside it."""
+    return tau * math.asinh(_plane_margin(inner, outer, tau))
 
 
 def hyperball_in_cone(ball: Hyperball, cone: BallCone) -> InclusionResult:

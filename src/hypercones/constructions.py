@@ -33,9 +33,9 @@ from .ball_model import (Cap, SphereDirection, _act, _boost, _cap_seen,
                          _compose, _inverse, _trusted, apex_matrix,
                          shadow_radius)
 from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits, _cone,
-                    _cone_clearance, _enclosure, _frame_clearance,
-                    _line_entry, _map, _plane_margin, cone_hyperball_disjoint,
-                    cone_leq, disjoint, hyperball_in_cone, opposite)
+                    _enclosure, _frame_clearance, _line_entry, _map,
+                    _plane_margin, cone_hyperball_disjoint, cone_leq,
+                    disjoint, hyperball_in_cone, opposite)
 from .config import DEFAULT_TOLERANCES
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
@@ -583,14 +583,17 @@ def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
                    tau: float) -> bool:
     """Whether the metric ball of the given radius on shell `tau` about
     every point of `inner` lies inside `outer`: inner <= outer, and the
-    exact clearance of inner from outer's boundary (_cone_clearance)
-    exceeds the radius by more than the degenerate window. That of inner's
-    apex, a closed form (_frame_clearance), is checked first."""
+    clearance of inner from outer's boundary exceeds the radius by more
+    than the degenerate window. That of inner's apex, a closed form
+    (_frame_clearance), is checked first; that of the whole cone is
+    proved by the unshifted _plane_margin, a sinh-distance, clearing the
+    floor sinh((radius + window) / tau)."""
     window = DEFAULT_TOLERANCES.degenerate_window
     apex = inner.exit_scalars[:3]
+    floor = math.sinh((radius + window) / tau)
     return (bool(cone_leq(inner, outer))
             and _frame_clearance(outer, apex, tau)[0] - radius > window
-            and _cone_clearance(inner, outer, tau) - radius > window)
+            and _plane_margin(inner, outer, tau, floor=floor) > floor)
 
 
 def _shadow_enclosure(cone: BallCone, radius: float, tau: float,
@@ -643,9 +646,10 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float) -> BallCone:
     The shadow is the metric thickening of the region by the cross-shell
     shadow radius R. The witness, the unshifted _shadow_enclosure mapped
     back from the apex frame, lies R + _SHADOW_PAD tau or more from every
-    source point, and the exact clearance (_shadow_inside) certifies the
-    whole shadow inside. Past R/tau of about 7.95 its cap reaches the
-    covering limit, and ConstructionFailure is raised.
+    source point, and its clearance, proved above R + window by the arc
+    bound of cones._plane_margin (_shadow_inside), certifies the whole
+    shadow inside. Past R/tau of about 7.95 its cap reaches the covering
+    limit, and ConstructionFailure is raised.
     """
     radius = shadow_radius(sigma, tau)
     region = _map(_inverse(cone.apex_frame_scalars[:16]),
@@ -665,7 +669,8 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
     (_frame_clearance). The core is the axial cone about n' over tanh s,
     for sinh s = sinh(R/tau + _SHADOW_PAD) / sin(psi'/2) and alpha =
     min(psi'/2, _room), so it clears the shadow radius R by _SHADOW_PAD
-    tau; mapped back, the exact clearance (_shadow_inside) certifies it.
+    tau; mapped back, its clearance, proved above R + window by the arc
+    bound of cones._plane_margin (_shadow_inside), certifies it.
     """
     radius = shadow_radius(sigma, tau)
     *frame, nx, ny, nz, psi = cone.apex_frame_scalars
@@ -837,9 +842,9 @@ def translate_enclosure(cone: BallCone, tau: float,
     The witness R is the shadow enclosure (_shadow_enclosure) of the
     source cone K for the translations seen in K's apex frame, certified
     there: K <= R, and for every translation the tangent-plane margin of
-    cones._plane_margin, exact over the whole cone and at least sinh
-    _SHADOW_PAD by construction, exceeds the window. A translation so
-    long that R's cap passes the covering limit raises
+    cones._plane_margin, at least sinh _SHADOW_PAD by construction, is
+    proved above the window by its arc bound over the whole cone. A
+    translation so long that R's cap passes the covering limit raises
     ConstructionFailure, and so does one whose apex-frame closed form
     leaves the floats, naming its index. Future direction is tested with
     hypot, so a lightlike translation whose squares overflow still counts.

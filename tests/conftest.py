@@ -1,6 +1,8 @@
 """Shared samplers and fixtures for the geometry test suite."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +74,22 @@ def exhaustion_family(rng: np.random.Generator) -> list[BallCone]:
         cones.append(BallCone(BallPoint(-depth * axis),
                               Cap(SphereDirection(axis), psi)))
     return cones
+
+
+def benchmark_instances(label: str, count: int, seed: int) -> list:
+    """`count` instances of one construction drawn by the benchmark's
+    sampler (perfbench/certify.py) from default_rng(seed), each a function
+    of no arguments that runs the construction."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import certify
+    import hypercones
+
+    rng = np.random.default_rng(seed)
+    return [certify.call(hypercones, label, certify.sample(rng, label))
+            for _ in range(count)]
 
 
 @pytest.fixture

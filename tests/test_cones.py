@@ -12,7 +12,8 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import hypercones
-from hypercones import (BallCone, BallPoint, Cap, DegenerateGeometry,
+from hypercones import (BallCone, BallPoint, Cap, ConstructionFailure,
+                        DegenerateGeometry,
                         FourVector, Hyperball, Hyperboloid, Hypercone,
                         LorentzTransform, SphereDirection, ball_distance,
                         cone_hyperball_disjoint,
@@ -24,17 +25,18 @@ from hypercones.ball_model import (ball_action_many, ball_distance_many,
                                    homology_through_many, ray_exits)
 from hypercones import cones as cone_module, constructions
 from hypercones.ball_model import cap_image
-from hypercones.ball_model import _act, _cap_seen
-from hypercones.cones import (_cap_fits, _circle_minimum, _cone_clearance,
-                              _covering_cap, _enclosure, _frame_clearance,
-                              _hull_gap, _plane, _plane_margin)
+from hypercones.ball_model import _act, _cap_seen, _inverse
+from hypercones.cones import (_cap_fits, _cone_clearance, _covering_cap,
+                              _enclosure, _frame_clearance, _hull_gap,
+                              _plane, _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.convex import (ConeHullSupport, gjk_distance,
                               hyperball_ellipsoid)
-from hypercones.spherical import (angle, angle_between, dot,
-                                 orthonormal_frame, rotate_toward, slerp,
-                                 turn, unit)
-from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
+from hypercones.spherical import (angle, angle_between, cross, dot,
+                                 orthonormal_frame, perpendicular,
+                                 rotate_toward, slerp, turn, unit)
+from tests.conftest import (ball_disjoint_from_cone, benchmark_instances,
+                            disjoint_cone_pair,
                             interior_point, random_cone, random_transform,
                             unit_vector)
 
@@ -461,8 +463,10 @@ class TestLineEntry:
                     assert inside == (r > r0)
 
     def test_line_through_the_apex_enters_at_the_apex(self):
-        # there the quadratic has a double root, found to about the square
-        # root of its rounding (worst 3.9e-7 on 3,000 such lines)
+        # the quadratic is taken about the line's point nearest the apex,
+        # where its double root is 0 (worst 1.4e-15 here); as a double
+        # root in r it was found to about the square root of its rounding
+        # (worst 3.9e-7 on 3,000 such lines)
         rng = np.random.default_rng(315)
         for _ in range(300):
             n = unit_vector(rng)
@@ -470,7 +474,7 @@ class TestLineEntry:
             s = rng.uniform(-0.9, math.cos(psi) - 1e-3)
             cone = BallCone(BallPoint(s * n), Cap(SphereDirection(n), psi))
             assert cone_module._line_entry(cone, n.tolist()) == \
-                pytest.approx(s, abs=1e-6)
+                pytest.approx(s, abs=1e-14)
 
 
 class TestDisjointness:
@@ -1205,16 +1209,20 @@ class TestConeClearance:
             # every sampled point is a point of inner: an upper bound
             assert _cone_clearance(inner, outer, tau) <= sampled + 1e-12
 
-    def test_sixteen_seeds_agree_with_2048(self):
+    def test_bound_agrees_with_2048_seeds(self):
+        # a proved lower bound: never above the 2,048-seed search, and
+        # within 1e-12 of it
         rng = np.random.default_rng(45)
         for inner, outer, tau in _nested_pairs(rng, 200):
-            assert _cone_clearance(inner, outer, tau) == pytest.approx(
-                _cone_clearance(inner, outer, tau, seeds=2048), abs=1e-12)
+            got = _cone_clearance(inner, outer, tau)
+            want = tau * math.asinh(
+                _numpy_plane_margin(inner, outer, tau, seeds=2048))
+            assert want - 1e-12 <= got <= want
 
     def test_finds_the_narrow_dip_of_a_nearly_tangent_cap(self):
         # the caps are 0.0015 rad apart: the least value over the azimuth
-        # has a narrow dip far out along a ray, between two seeds whose
-        # values lie above a second, wider minimum at the apex
+        # has a narrow dip far out along a ray, between two of 16 seeds
+        # whose values lie above a second, wider minimum at the apex
         inner = raw_cone([-0.06143032754263875, 0.054674336228019295,
                           0.037087510717826504],
                          [-0.08881577012772214, 0.012834670004347827,
@@ -1224,8 +1232,8 @@ class TestConeClearance:
                          [-0.957311658325234, -0.04259643285264576,
                           0.28590196351690295], 1.2161504959973923)
         got = _cone_clearance(inner, outer, 1.0)
-        assert got == pytest.approx(
-            _cone_clearance(inner, outer, 1.0, seeds=2048), abs=1e-12)
+        want = math.asinh(_numpy_plane_margin(inner, outer, 1.0, seeds=2048))
+        assert want - 1e-12 <= got <= want
         pts = inner.lateral_points(256, 1.0 - np.geomspace(1e-6, 1.0, 60))
         assert got <= min(_signed_clearance(outer, p, 1.0)
                           for p in pts) + 1e-12
@@ -1295,12 +1303,51 @@ def _shifted_escapes(inner, region, tau, shift):
     return escapes
 
 
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _circle_minimum(f, seeds: int, centres=(),
+                    floor: float = -math.inf) -> float:
+    """Least value of a function of an angle, searched for: `seeds`
+    equally spaced angles, then golden-section search, to 1e-12 rad, on
+    the bracket of neighbouring seeds around the best one, around every
+    other strict local minimum among them, and around each of the given
+    centres. The least seed value is returned unrefined when it is at or
+    below `floor`. The search _plane_margin ran before its arc bound: a
+    value it finds is an upper estimate of the least value, not a proof."""
+    width = 2.0 * math.pi / seeds
+    values = [f(i * width) for i in range(seeds)]
+    found = min(values)
+    if found <= floor:
+        return found
+    best = values.index(found)
+    brackets = [((i - 1) * width, (i + 1) * width)
+                for i, v in enumerate(values)
+                if i == best or values[i - 1] > v < values[(i + 1) % seeds]]
+    brackets += [(c - width, c + width) for c in centres]
+    for lo, hi in brackets:
+        x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        f1, f2 = f(x1), f(x2)
+        while hi - lo > 1e-12:
+            if f1 < f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = f(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = f(x2)
+        found = min(found, f1, f2)
+    return found
+
+
 def _numpy_plane_margin(inner, outer, tau, shift=(0.0, 0.0, 0.0, 0.0),
                         seeds=16, floor=-math.inf):
-    """_plane_margin as it was set up before it ran on plain floats: the
+    """_plane_margin as it was before its arc bound, the reference: the
     apex frames as LorentzTransform objects, the carry product and the
-    kappa terms as numpy products, the second centre from cap_image, and
-    no apex bound."""
+    kappa terms as numpy products, the second centre from cap_image, no
+    apex bound, and the golden-section search (_circle_minimum) over phi
+    from `seeds` seeds and two analytic centres."""
     frame_k, cap_k = inner.apex_frame
     frame_r, cap_r = outer.apex_frame
     carry = (frame_k @ frame_r.inverse()).matrix[:, 1:]
@@ -1347,6 +1394,37 @@ def _numpy_plane_margin(inner, outer, tau, shift=(0.0, 0.0, 0.0, 0.0),
         yield math.atan2(float(axis @ e2), float(axis @ e1))
 
     return _circle_minimum(least, seeds, centres(), floor)
+
+
+def _search_plane_margin(inner, outer, tau, shift=(0.0, 0.0, 0.0, 0.0),
+                         seeds=16, floor=-math.inf):
+    """_plane_margin as it was before its arc bound, on plain floats: the
+    apex bound, then the golden-section search (_circle_minimum) of the
+    least value over phi from `seeds` seeds and its two analytic centres,
+    on the terms that cones._plane_terms sets up. Unlike
+    _numpy_plane_margin it builds no LorentzTransform, whose checks
+    refuse some apex frames of apexes out to 0.9."""
+    terms, psi_k = cone_module._plane_terms(inner, outer, tau, shift)
+    cos_k, sin_k = math.cos(psi_k), math.sin(psi_k)
+    a0, b0, d0, ka, kb, kd = (terms[i] for i in (0, 4, 8, 12, 13, 14))
+    apex = -(a0 + ka) - math.hypot(b0 + kb, d0 + kd)
+    if apex <= floor:
+        return apex
+
+    def least(phi):
+        alpha, toward, perp, kappa = cone_module._azimuth_terms(
+            terms, math.cos(phi), math.sin(phi))
+        return cone_module._least(
+            alpha, cone_module._reach(toward, perp, cos_k, sin_k), kappa)
+
+    *m_r, psi = outer.apex_frame_scalars
+    e1 = perpendicular(m_r[16:])
+    e2 = cross(m_r[16:], e1)
+    axis = _cap_seen(m_r, inner.exit_scalars[4:7], inner.base.cos_half,
+                     math.sin(inner.base.half_angle))[0]
+    centres = (math.atan2(d0 + kd, b0 + kb),
+               math.atan2(dot(axis, e2), dot(axis, e1)))
+    return _circle_minimum(least, seeds, centres, floor)
 
 
 def _shadow_ladder(cone, sigma, tau):
@@ -1456,7 +1534,94 @@ class TestPlaneMarginOnFloats:
         assert cut > 0
 
 
+def _wide_decisions(rng, count):
+    """(inner, outer, tau, shift, floor) of _plane_margin decisions on the
+    wide families of tests/test_constructions.py: psi up to 1.45, apexes
+    out to 0.9, sigma/tau in [0.02, 50] and t0/tau in [0.1, 20]. The A9
+    enclosure and the A10 core are built for the shadow radius R and
+    tested against k R, and the A13 enclosure is built for the shift k t
+    in the source's apex frame and tested against t, k in [0, 2], so
+    that some decisions reject."""
+    cases = []
+    for _ in range(count):
+        cone = random_cone(rng, psi_max=1.45, apex_r=0.9)
+        tau = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        sigma = tau * math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
+        radius = shadow_radius(sigma, tau)
+        frame = cone.apex_frame_scalars[:16]
+        grown = cone_module._map(_inverse(frame),
+                                 constructions._shadow_enclosure(
+                                     cone, radius, tau, ()))
+        core = constructions.shrink_across_shells(cone, sigma, tau)
+        for inner, outer in ((cone, grown), (core, cone)):
+            floor = math.sinh((rng.uniform(0.0, 2.0) * radius + WINDOW)
+                              / tau)
+            cases.append((inner, outer, tau, (0.0, 0.0, 0.0, 0.0), floor))
+        t0 = tau * math.exp(rng.uniform(math.log(0.1), math.log(20.0)))
+        x = [t0, *(rng.uniform(0.0, 0.9) * t0 * unit_vector(rng))]
+        t = [sum(frame[4 * i + j] * x[j] for j in range(4)) for i in range(4)]
+        try:
+            region = constructions._shadow_enclosure(
+                cone, 0.0, tau, [[rng.uniform(0.0, 2.0) * v for v in t]])
+        except ConstructionFailure:
+            continue
+        inner = cone_module._cone((0.0, 0.0, 0.0),
+                                  cone.apex_frame_scalars[16:19],
+                                  cone.apex_frame_scalars[19])
+        cases.append((inner, region, tau, tuple(t), WINDOW))
+    return cases
+
+
 class TestPlaneMargin:
+    def test_wide_families_decide_as_the_search_and_within_the_cap(
+            self, monkeypatch):
+        # off the window every decision equals the 16-seed search's, the
+        # decisions of the parent code, and no call reaches _SPLITS
+        counts = []
+        real = cone_module._azimuth_terms
+
+        def counted(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        cases = _wide_decisions(np.random.default_rng(68), 150)
+        monkeypatch.setattr(cone_module, "_azimuth_terms", counted)
+        decided, cap = set(), 8 + 3 * cone_module._SPLITS
+        for inner, outer, tau, shift, floor in cases:
+            counts.append(0)
+            got = _plane_margin(inner, outer, tau, shift, floor=floor) > floor
+            assert counts[-1] < cap
+            want = _search_plane_margin(inner, outer, tau, shift,
+                                        floor=floor) > floor
+            value = _search_plane_margin(inner, outer, tau, shift)
+            if abs(value - floor) > WINDOW * max(1.0, floor):
+                assert got == want, (value, floor)
+            decided.add(got)
+        assert decided == {True, False}
+
+    def test_certificates_take_at_most_twelve_evaluations(
+            self, monkeypatch):
+        # the golden-section search evaluated the least value about 195
+        # times per call
+        counts = []
+        real = cone_module._azimuth_terms
+        plane_margin = constructions._plane_margin
+
+        def counted(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        def call(*args, **kwargs):
+            counts.append(0)
+            return plane_margin(*args, **kwargs)
+
+        monkeypatch.setattr(cone_module, "_azimuth_terms", counted)
+        monkeypatch.setattr(constructions, "_plane_margin", call)
+        for label in ("A10", "A13"):
+            for run in benchmark_instances(label, 100, 123):
+                run()
+        assert len(counts) == 200 and max(counts) <= 12
+
     def test_sign_agrees_with_dense_shifted_lifts(self):
         rng = np.random.default_rng(47)
         kinds = set()
@@ -1468,12 +1633,17 @@ class TestPlaneMargin:
                       if margin == -math.inf else "outside")
         assert kinds == {"inside", "outside", "unbounded"}
 
-    def test_sixteen_seeds_never_above_4096(self):
+    def test_bound_never_above_4096_seeds(self):
+        # shifted cases, some unbounded: the bound is never above the
+        # 4,096-seed search, and within 1e-12 of it
         rng = np.random.default_rng(48)
         for inner, region, tau, shift in _enclosure_cases(rng, 100):
             got = _plane_margin(inner, region, tau, shift)
-            dense = _plane_margin(inner, region, tau, shift, seeds=4096)
-            assert got <= dense + 1e-12
+            dense = _numpy_plane_margin(inner, region, tau, shift,
+                                        seeds=4096)
+            assert got <= dense
+            assert got >= dense - 1e-12 * max(1.0, abs(dense)) \
+                or got == dense == -math.inf
 
     def test_unshifted_margin_is_the_clearance(self):
         rng = np.random.default_rng(49)

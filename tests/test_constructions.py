@@ -29,10 +29,11 @@ from hypercones.convex import hyperball_ellipsoid
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward, slerp
-from tests.conftest import (ball_disjoint_from_cone, disjoint_cone_pair,
-                            exhaustion_family, random_cone, random_transform,
-                            unit_vector)
+from tests.conftest import (ball_disjoint_from_cone, benchmark_instances,
+                            disjoint_cone_pair, exhaustion_family,
+                            random_cone, random_transform, unit_vector)
 from tests.test_ball_model import _numpy_cap_image
+from tests.test_cones import _search_plane_margin
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -521,6 +522,32 @@ class TestPaths:
             for a, b in zip(path.nodes, path.nodes[1:]):
                 assert value(a) != value(b)
 
+    def test_witnesses_hold_still_when_the_lens_axis_moves_one_ulp(
+            self, monkeypatch):
+        # a common subcone is floored where the line along its lens axis
+        # enters each node (cones._line_entry). Route nodes have their
+        # apex on their axis, so the line often passes through an apex;
+        # there a double root found to the square root of the rounding
+        # moved these witnesses by up to 1.5e-8
+        runs = benchmark_instances("A6", 300, 123)
+        before = [[w.apex.v for w in run().witnesses] for run in runs]
+        lens = constructions._lens_cap
+
+        def nudged(a, b):
+            found = lens(a, b)
+            if found is None:
+                return None
+            (x, y, z), mu = found
+            return (math.nextafter(x, math.inf), y, z), mu
+
+        monkeypatch.setattr(constructions, "_lens_cap", nudged)
+        after = [[w.apex.v for w in run().witnesses] for run in runs]
+        assert sum(map(len, before)) > 1000
+        for old, new in zip(before, after):
+            assert len(old) == len(new)
+            for p, q in zip(old, new):
+                assert float(np.max(np.abs(p - q))) <= 1e-12
+
     def test_route_is_one_pass_of_certified_thin_nodes(self, monkeypatch):
         # every node and witness is asked once, forbidden cone first, and
         # each node's width is its share of the gap to the forbidden cap
@@ -917,6 +944,32 @@ class TestShadowOperations:
             want = shadow_radius(sigma, tau) + 0.05 * tau
             assert _cone_clearance(cone, grown, tau) > want - 1e-10 * tau, i
 
+    def test_domain_edge_certifies_or_names_the_covering_limit(self):
+        # R/tau in [7, 9] straddles the covering limit, near 7.95: below
+        # it the arc bound certifies every enclosure, which the 16-seed
+        # search confirms; above it the cap cannot fit
+        rng = np.random.default_rng(66)
+        outcomes = set()
+        for i in range(200):
+            cone = random_cone(rng, psi_max=1.45, apex_r=0.9)
+            tau = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            x = rng.uniform(7.0, 9.0)
+            sigma = tau * math.exp(x if rng.random() < 0.5 else -x)
+            try:
+                grown = enclose_shadow(cone, sigma, tau)
+            except ConstructionFailure as err:
+                assert str(err) == ("the shadow enclosure's cap passes the "
+                                    "covering limit"), i
+                outcomes.add("limit")
+                continue
+            radius = shadow_radius(sigma, tau)
+            assert cone_leq(cone, grown).holds, i
+            assert _cone_clearance(cone, grown, tau) > radius, i
+            assert tau * math.asinh(_search_plane_margin(cone, grown, tau)) \
+                > radius, i
+            outcomes.add("certified")
+        assert outcomes == {"certified", "limit"}
+
     def test_equal_shells_core_clears_the_pad(self):
         # a zero shadow radius takes the same closed form as any other
         rng = np.random.default_rng(64)
@@ -1147,6 +1200,32 @@ class TestTranslateEnclosure:
             region = translate_enclosure(cone, tau, [shift])
             assert _plane_margin(cone, region, tau, shift.components) \
                 >= math.sinh(0.05) - 1e-10, i
+
+    def test_long_shifts_certify_or_name_the_covering_limit(self):
+        # t0/tau from 20 to 1e5 takes the enclosure past the covering
+        # limit: below it the arc bound certifies every enclosure, which
+        # the 16-seed search confirms; above it the cap cannot fit
+        rng = np.random.default_rng(67)
+        outcomes = set()
+        for i in range(200):
+            cone = random_cone(rng, psi_max=1.45, apex_r=0.9)
+            tau = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            t0 = tau * math.exp(rng.uniform(math.log(20.0), math.log(1e5)))
+            shift = FourVector.from_parts(
+                t0, rng.uniform(0.0, 0.99) * t0 * unit_vector(rng))
+            try:
+                region = translate_enclosure(cone, tau, [shift])
+            except ConstructionFailure as err:
+                assert str(err) == ("the shadow enclosure's cap passes the "
+                                    "covering limit"), i
+                outcomes.add("limit")
+                continue
+            assert cone_leq(cone, region).holds, i
+            for margin in (_plane_margin, _search_plane_margin):
+                assert margin(cone, region, tau, shift.components) \
+                    >= math.sinh(0.05) - 1e-10, i
+            outcomes.add("certified")
+        assert outcomes == {"certified", "limit"}
 
     def test_several_translations_share_one_witness(self):
         cone = BallCone(BallPoint(np.array([0.1, -0.2, 0.15])),
