@@ -153,9 +153,14 @@ class BallCone:
     @cached_property
     def apex_frame(self) -> tuple[LorentzTransform, Cap]:
         """Boost whose ball action moves the apex to the origin, with the
-        image of the cap under it: apex_frame_scalars as objects."""
+        image of the cap under it: apex_frame_scalars as objects. The boost
+        is apex_matrix's closed form, so it skips the constructor's check
+        as LorentzTransform.boost does: that det check is absolute, and
+        rounding alone fails it on the large entries of an apex near the
+        sphere."""
         s = self.apex_frame_scalars
-        return (LorentzTransform(np.reshape(s[:16], (4, 4))),
+        return (LorentzTransform(np.reshape(s[:16], (4, 4)),
+                                 _skip_check=True),
                 Cap(SphereDirection(s[16:19]), s[19]))
 
     @cached_property
@@ -793,20 +798,18 @@ def _plane_terms(inner: BallCone, outer: BallCone, tau: float,
 
 
 def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
-                  shift=(0.0, 0.0, 0.0, 0.0),
-                  floor: float = -math.inf) -> float:
-    """Least value, over the events X = tau y + t' with y a point of
-    `inner` on the shell and t' the translation `shift` seen in inner's
-    apex frame, and over the tangent planes of `outer`, of
+                  shift=(0.0, 0.0, 0.0, 0.0), *, floor: float) -> bool:
+    """Whether the least value, over the events X = tau y + t' with y a
+    point of `inner` on the shell and t' the translation `shift` seen in
+    inner's apex frame, and over the tangent planes of `outer`, of
 
-        (-<X, M> - (<X, X> - tau^2) / (2 tau)) / tau,
+        (-<X, M> - (<X, X> - tau^2) / (2 tau)) / tau
 
-    which is positive exactly when the causal shadow of X lies on the
-    inner side of the plane; -inf when some event's shadow crosses it
-    without bound. With no shift this is the least sinh-distance from
-    inner to outer's boundary (_cone_clearance). A return above `floor`
-    is a proved lower bound of the least value; a return at or below it
-    rejects.
+    is proved to lie above `floor`. The value is positive exactly when the
+    causal shadow of X lies on the inner side of the plane, and -inf when
+    some event's shadow crosses it without bound; with no shift, tau
+    asinh of the least value is the least shell distance from inner to
+    outer's boundary.
 
     In inner's apex frame, inner is the union of the geodesic rays from
     e0 = (1, 0, 0, 0) toward the ideal points c of its cap (n, psi). At
@@ -830,7 +833,7 @@ def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
     At s = 0 the quantity is A - kappa and no branch exceeds it, so the
     least s = 0 term over phi, -(N0 + kappa) at the azimuth of the
     in-plane part of N + kappa, bounds the least value from above; this
-    apex bound is returned at once when at or below `floor`.
+    apex bound rejects at once when at or below `floor`.
 
     The least value over phi is then bounded below by branch and bound
     over arcs of phi (Moore, Kearfott and Cloud, Introduction to Interval
@@ -850,30 +853,25 @@ def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
       closes at once where those terms hardly depend on phi, as for an
       outer cone axial in inner's apex frame, where the vertex bound lags
       by h^2 times the value's slope off the circle. It is taken only
-      where the vertex bound does not clear `floor`, and always with no
-      floor.
+      where the vertex bound does not clear `floor`.
     Each bound is taken with alpha lowered and reach and kappa raised by
     _ROUNDING times the sizes of their coefficients, and lowered by
     _ROUNDING times its size and kappa's. That covers the rounding of the
     points and of the terms, a few units in the last place of those sizes
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
 
-    The four quarter arcs start from (+-1, 0) and (0, +-1). The arc of
-    lowest bound is split at its midpoint, whose exact value is taken
-    first and returned when at or below `floor`, until every bound lies
-    above `floor`, and the lowest bound is returned. With no floor,
-    splitting goes on until the lowest bound is within 1e-13 max(1, |v|)
-    of the least exact value v. After _SPLITS splits the lowest bound is
-    returned as it stands: a lower bound still, and at or below a finite
-    `floor`, so a decision at the cap rejects. Plain floats throughout,
-    as in _frame_clearance: both frames are read from the cones'
-    apex_frame_scalars.
+    The four quarter arcs start from (+-1, 0) and (0, +-1), whose exact
+    values are taken first. The arc of lowest bound is split at its
+    midpoint, whose exact value is taken first and rejects when at or
+    below `floor`, until every bound lies above `floor`, which accepts.
+    After _SPLITS splits the call rejects unless its last split cleared
+    `floor`. Plain floats throughout, as in _frame_clearance: both frames
+    are read from the cones' apex_frame_scalars.
     """
     terms, psi_k = _plane_terms(inner, outer, tau, shift)
     a0, ax, ay, az, b0, bx, by, bz, d0, dx, dy, dz, ka, kb, kd = terms[:15]
-    apex = -(a0 + ka) - math.hypot(b0 + kb, d0 + kd)
-    if apex <= floor:
-        return apex
+    if -(a0 + ka) - math.hypot(b0 + kb, d0 + kd) <= floor:
+        return False
     cos_k, sin_k = math.cos(psi_k), math.sin(psi_k)
     # the sizes of the coefficients of alpha, m and kappa
     sa = abs(a0) + abs(b0) + abs(d0)
@@ -897,40 +895,29 @@ def _plane_margin(inner: BallCone, outer: BallCone, tau: float,
         mid, grow = 0.5 * (lo + hi), 1.0 / math.cos(0.5 * (hi - lo))
         bound = min(end_lo[1], end_hi[1],
                     vertex(grow * math.cos(mid), grow * math.sin(mid))[1])
-        if bound <= floor or floor == -math.inf:
+        if bound <= floor:
             bound = max(bound, low(*_arc_terms(terms, cos_k, sin_k, lo, hi)))
         return bound, lo - hi, lo, hi, end_lo, end_hi
 
     ends = [vertex(c, s)
             for c, s in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))]
-    best = min(apex, *(end[0] for end in ends))
-    if best <= floor:
-        return best
+    if min(end[0] for end in ends) <= floor:
+        return False
     quarter = 0.5 * math.pi
     arcs = [arc(k * quarter, (k + 1) * quarter, ends[k], ends[(k + 1) % 4])
             for k in range(4)]
     heapq.heapify(arcs)
     for _ in range(_SPLITS):
         bound, _, lo, hi, end_lo, end_hi = arcs[0]
-        if bound > floor and (floor > -math.inf or best - bound
-                              <= 1e-13 * max(1.0, abs(best))):
-            return bound
+        if bound > floor:
+            return True
         mid = 0.5 * (lo + hi)
         end = vertex(math.cos(mid), math.sin(mid))
         if end[0] <= floor:
-            return end[0]
-        best = min(best, end[0])
+            return False
         heapq.heapreplace(arcs, arc(lo, mid, end_lo, end))
         heapq.heappush(arcs, arc(mid, hi, end, end_hi))
-    return arcs[0][0]
-
-
-def _cone_clearance(inner: BallCone, outer: BallCone, tau: float) -> float:
-    """Least shell distance from a point of `inner` to the lateral boundary
-    of `outer`: tau asinh of the unshifted _plane_margin, a proved lower
-    bound. It is at most 0 when a point of `inner` lies outside `outer`,
-    and -inf when a ray of `inner` ends outside it."""
-    return tau * math.asinh(_plane_margin(inner, outer, tau))
+    return arcs[0][0] > floor
 
 
 def hyperball_in_cone(ball: Hyperball, cone: BallCone) -> InclusionResult:

@@ -123,17 +123,6 @@ def _steer_target(cone: BallCone, away_from: np.ndarray) -> np.ndarray:
     return math.cos(psi) * n + math.sin(psi) * e
 
 
-def _thin_cone(direction, half_angle: float,
-               depth: float) -> BallCone | None:
-    """Cone with near-sphere apex (1-depth)*direction and cap around the
-    direction (three floats, unit up to rounding); None when the
-    parameters cannot define a cone."""
-    if depth >= 1.0 or not _cap_fits(half_angle, 1.0 - depth):
-        return None
-    d = [float(a) for a in direction]
-    return _cone([(1.0 - depth) * a for a in d], unit(d), half_angle)
-
-
 def _axial_cone(axis, psi: float, floor: float) -> BallCone | None:
     """Cone over the cap (axis, psi), axis three unit floats, with its apex
     on the axis midway between `floor` and the highest apex _cap_fits
@@ -437,10 +426,11 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
     out along the meridian, across at a safe polar angle, and back down.
     A node at angle lat from the forbidden axis takes the half-angle w =
     min(0.7 (lat - psi_f), ceiling), a share of its gap to the forbidden
-    cap, and its apex a pad below its base plane: for the forbidden apex
-    q, pad = min(0.03, (1 - |q|)/4) and ceiling = min(0.6, acos(|q| + 2
-    pad)), so that every node's apex lies farther out along its axis than
-    q. Each leg is cut into equal steps of at most 0.8 of the narrowest
+    cap, and is the axial cone (_axial_cone) over the floor cos w - 2 pad
+    + _CLEARANCE, its apex a pad below its base plane: for the forbidden
+    apex q, pad = min(0.03, (1 - |q|)/4) and ceiling = min(0.6, acos(|q|
+    + 2 pad)), so that every node's apex lies farther out along its axis
+    than q. Each leg is cut into equal steps of at most 0.8 of the narrowest
     width on it. Every node and witness is certified once, in the
     forbidden cone's cached apex frame. Both endpoints must be disjoint
     from the forbidden cone.
@@ -491,7 +481,8 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
         cl, sl, ca, sa = (math.cos(lat), math.sin(lat), math.cos(az),
                           math.sin(az))
         axis = [cl * p + sl * (ca * x + sa * y) for p, x, y in frame]
-        thin.append(_thin_cone(axis, w, 1.0 - math.cos(w) + pad))
+        thin.append(_axial_cone(axis, w, math.cos(w) - 2.0 * pad
+                                + _CLEARANCE))
         _require(thin[-1] is not None and _is_disjoint(forbidden, thin[-1]),
                  "route node meets the forbidden cone", len(thin))
     return _certified_path([cone_a, *thin, cone_b], forbidden)
@@ -586,14 +577,14 @@ def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
     clearance of inner from outer's boundary exceeds the radius by more
     than the degenerate window. That of inner's apex, a closed form
     (_frame_clearance), is checked first; that of the whole cone is
-    proved by the unshifted _plane_margin, a sinh-distance, clearing the
+    decided by the unshifted _plane_margin, a sinh-distance, against the
     floor sinh((radius + window) / tau)."""
     window = DEFAULT_TOLERANCES.degenerate_window
     apex = inner.exit_scalars[:3]
     floor = math.sinh((radius + window) / tau)
     return (bool(cone_leq(inner, outer))
             and _frame_clearance(outer, apex, tau)[0] - radius > window
-            and _plane_margin(inner, outer, tau, floor=floor) > floor)
+            and _plane_margin(inner, outer, tau, floor=floor))
 
 
 def _shadow_enclosure(cone: BallCone, radius: float, tau: float,
@@ -884,7 +875,7 @@ def translate_enclosure(cone: BallCone, tau: float,
     region_n = _shadow_enclosure(cone, 0.0, tau, shifted)
     window = DEFAULT_TOLERANCES.degenerate_window
     _require(all(_plane_margin(cone_n, region_n, tau, t, floor=window)
-                 > window for t in shifted)
+                 for t in shifted)
              and bool(cone_leq(cone_n, region_n)),
              "the shadow enclosure failed the translated completion's "
              "certificate")

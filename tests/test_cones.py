@@ -26,15 +26,15 @@ from hypercones.ball_model import (ball_action_many, ball_distance_many,
 from hypercones import cones as cone_module, constructions
 from hypercones.ball_model import cap_image
 from hypercones.ball_model import _act, _cap_seen, _inverse
-from hypercones.cones import (_cap_fits, _cone_clearance, _covering_cap,
-                              _enclosure, _frame_clearance, _hull_gap,
-                              _plane, _plane_margin)
+from hypercones.cones import (_cap_fits, _covering_cap, _enclosure,
+                              _frame_clearance, _hull_gap, _plane,
+                              _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.convex import (ConeHullSupport, gjk_distance,
                               hyperball_ellipsoid)
-from hypercones.spherical import (angle, angle_between, cross, dot,
-                                 orthonormal_frame, perpendicular,
-                                 rotate_toward, slerp, turn, unit)
+from hypercones.spherical import (angle, angle_between, dot,
+                                 orthonormal_frame, rotate_toward, slerp,
+                                 turn, unit)
 from tests.conftest import (ball_disjoint_from_cone, benchmark_instances,
                             disjoint_cone_pair,
                             interior_point, random_cone, random_transform,
@@ -1197,7 +1197,32 @@ def _nested_pairs(rng, count):
     return pairs
 
 
+def _settles(inner, outer, tau, shift, value):
+    """Whether _plane_margin rejects at `value`, a searched least value
+    and so an upper estimate of it, and accepts 1e-12 max(1, |value|)
+    below it; an unbounded value rejects at -inf."""
+    if value == -math.inf:
+        return not _plane_margin(inner, outer, tau, shift, floor=-math.inf)
+    below = value - 1e-12 * max(1.0, abs(value))
+    return (_plane_margin(inner, outer, tau, shift, floor=below)
+            and not _plane_margin(inner, outer, tau, shift, floor=value))
+
+
+def _settles_in_distance(inner, outer, tau, value):
+    """Whether the unshifted _plane_margin rejects at `value`, a searched
+    least value, and accepts where the clearance tau asinh of the value
+    is 1e-12 lower."""
+    clearance = tau * math.asinh(value)
+    return (_plane_margin(inner, outer, tau,
+                          floor=math.sinh((clearance - 1e-12) / tau))
+            and not _plane_margin(inner, outer, tau,
+                                  floor=math.sinh(clearance / tau)))
+
+
 class TestConeClearance:
+    """tau asinh of the unshifted _plane_margin is the least shell distance
+    from inner to outer's boundary: each test decides it at a floor."""
+
     def test_never_above_the_dense_minimum(self):
         rng = np.random.default_rng(44)
         for inner, outer, tau in _nested_pairs(rng, 200):
@@ -1207,17 +1232,16 @@ class TestConeClearance:
                                                                   12))])
             sampled = min(_signed_clearance(outer, p, tau) for p in pts)
             # every sampled point is a point of inner: an upper bound
-            assert _cone_clearance(inner, outer, tau) <= sampled + 1e-12
+            assert not _plane_margin(
+                inner, outer, tau, floor=math.sinh((sampled + 1e-12) / tau))
 
     def test_bound_agrees_with_2048_seeds(self):
         # a proved lower bound: never above the 2,048-seed search, and
         # within 1e-12 of it
         rng = np.random.default_rng(45)
         for inner, outer, tau in _nested_pairs(rng, 200):
-            got = _cone_clearance(inner, outer, tau)
-            want = tau * math.asinh(
-                _numpy_plane_margin(inner, outer, tau, seeds=2048))
-            assert want - 1e-12 <= got <= want
+            want = _numpy_plane_margin(inner, outer, tau, seeds=2048)
+            assert _settles_in_distance(inner, outer, tau, want)
 
     def test_finds_the_narrow_dip_of_a_nearly_tangent_cap(self):
         # the caps are 0.0015 rad apart: the least value over the azimuth
@@ -1231,18 +1255,20 @@ class TestConeClearance:
                           -0.20532750147172676],
                          [-0.957311658325234, -0.04259643285264576,
                           0.28590196351690295], 1.2161504959973923)
-        got = _cone_clearance(inner, outer, 1.0)
-        want = math.asinh(_numpy_plane_margin(inner, outer, 1.0, seeds=2048))
-        assert want - 1e-12 <= got <= want
+        want = _numpy_plane_margin(inner, outer, 1.0, seeds=2048)
+        assert _settles_in_distance(inner, outer, 1.0, want)
         pts = inner.lateral_points(256, 1.0 - np.geomspace(1e-6, 1.0, 60))
-        assert got <= min(_signed_clearance(outer, p, 1.0)
-                          for p in pts) + 1e-12
+        sampled = min(_signed_clearance(outer, p, 1.0) for p in pts)
+        assert not _plane_margin(inner, outer, 1.0,
+                                 floor=math.sinh(sampled + 1e-12))
 
     def test_shared_apex_has_zero_clearance(self):
         cone = BallCone(BallPoint(np.array([0.1, -0.2, 0.05])),
                         Cap(SphereDirection(Z), 1.2))
         thin = BallCone(cone.apex, Cap(SphereDirection(Z), 0.1))
-        assert abs(_cone_clearance(thin, cone, 1.3)) <= 1e-12
+        assert _plane_margin(thin, cone, 1.3, floor=math.sinh(-1e-12 / 1.3))
+        assert not _plane_margin(thin, cone, 1.3,
+                                 floor=math.sinh(1e-12 / 1.3))
 
     def test_not_positive_when_inner_leaves_outer(self):
         rng = np.random.default_rng(46)
@@ -1251,7 +1277,8 @@ class TestConeClearance:
             inner = random_cone(rng, psi_max=0.8)
             if cone_leq(inner, outer).holds:
                 continue
-            assert _cone_clearance(inner, outer, 1.0) <= 1e-12
+            assert not _plane_margin(inner, outer, 1.0,
+                                     floor=math.sinh(1e-12))
 
 
 def _enclosure_cases(rng, count):
@@ -1396,37 +1423,6 @@ def _numpy_plane_margin(inner, outer, tau, shift=(0.0, 0.0, 0.0, 0.0),
     return _circle_minimum(least, seeds, centres(), floor)
 
 
-def _search_plane_margin(inner, outer, tau, shift=(0.0, 0.0, 0.0, 0.0),
-                         seeds=16, floor=-math.inf):
-    """_plane_margin as it was before its arc bound, on plain floats: the
-    apex bound, then the golden-section search (_circle_minimum) of the
-    least value over phi from `seeds` seeds and its two analytic centres,
-    on the terms that cones._plane_terms sets up. Unlike
-    _numpy_plane_margin it builds no LorentzTransform, whose checks
-    refuse some apex frames of apexes out to 0.9."""
-    terms, psi_k = cone_module._plane_terms(inner, outer, tau, shift)
-    cos_k, sin_k = math.cos(psi_k), math.sin(psi_k)
-    a0, b0, d0, ka, kb, kd = (terms[i] for i in (0, 4, 8, 12, 13, 14))
-    apex = -(a0 + ka) - math.hypot(b0 + kb, d0 + kd)
-    if apex <= floor:
-        return apex
-
-    def least(phi):
-        alpha, toward, perp, kappa = cone_module._azimuth_terms(
-            terms, math.cos(phi), math.sin(phi))
-        return cone_module._least(
-            alpha, cone_module._reach(toward, perp, cos_k, sin_k), kappa)
-
-    *m_r, psi = outer.apex_frame_scalars
-    e1 = perpendicular(m_r[16:])
-    e2 = cross(m_r[16:], e1)
-    axis = _cap_seen(m_r, inner.exit_scalars[4:7], inner.base.cos_half,
-                     math.sin(inner.base.half_angle))[0]
-    centres = (math.atan2(d0 + kd, b0 + kb),
-               math.atan2(dot(axis, e2), dot(axis, e1)))
-    return _circle_minimum(least, seeds, centres, floor)
-
-
 def _shadow_ladder(cone, sigma, tau):
     """A9 on the reference ladder: the first rung that holds the cone's
     cross-shell shadow (constructions._shadow_inside), or None."""
@@ -1445,7 +1441,7 @@ def _translation_ladder(cone, tau, shift):
     t = frame.apply(shift).components
     return next((rung for rung in _enclosures([cap], axis=cap.axis)
                  if cone_module._plane_margin(inner, rung, tau, t,
-                                              floor=WINDOW) > WINDOW
+                                              floor=WINDOW)
                  and cone_leq(inner, rung)), None)
 
 
@@ -1502,14 +1498,11 @@ class TestPlaneMarginOnFloats:
         assert {"A9", "A10", "A13"} <= set(labels)
 
     def test_full_search_matches_the_numpy_setup(self, rungs):
+        # decisions on the plain-float terms settle within 1e-12 of the
+        # numpy set-up's searched least value, on every rung
         for _, inner, outer, tau, shift in rungs:
-            got = _plane_margin(inner, outer, tau, shift)
             want = _numpy_plane_margin(inner, outer, tau, shift)
-            if want == -math.inf:
-                assert got == -math.inf
-            else:
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
-                    (got, want)
+            assert _settles(inner, outer, tau, shift, want), want
 
     def test_window_decisions_match_the_numpy_setup(self, rungs):
         decided = set()
@@ -1517,20 +1510,32 @@ class TestPlaneMarginOnFloats:
             got = _plane_margin(inner, outer, tau, shift, floor=WINDOW)
             want = _numpy_plane_margin(inner, outer, tau, shift,
                                        floor=WINDOW)
-            assert (got > WINDOW) == (want > WINDOW)
-            decided.add(got > WINDOW)
+            assert got == (want > WINDOW)
+            decided.add(got)
         assert decided == {True, False}
 
-    def test_apex_bound_is_never_below_the_least_value(self, rungs):
-        # with an infinite floor every call returns the apex bound
+    def test_apex_bound_is_never_below_the_least_value(self, rungs,
+                                                       monkeypatch):
+        # the apex bound rejects before any evaluation of the value: never
+        # 1e-12 below the least value, and alone on a share of the rungs
+        count = [0]
+        real = cone_module._azimuth_terms
+
+        def counted(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cone_module, "_azimuth_terms", counted)
         cut = 0
         for _, inner, outer, tau, shift in rungs:
-            bound = _plane_margin(inner, outer, tau, shift, floor=math.inf)
             least = _numpy_plane_margin(inner, outer, tau, shift)
-            assert bound >= least - 1e-12 * max(1.0, abs(least)), \
-                (bound, least)
-            cut += bound <= WINDOW
-        # the bound alone turns a share of the rungs away
+            if least > -math.inf:
+                assert _plane_margin(
+                    inner, outer, tau, shift,
+                    floor=least - 1e-12 * max(1.0, abs(least))), least
+            count[0] = 0
+            cut += (not _plane_margin(inner, outer, tau, shift, floor=WINDOW)
+                    and count[0] == 0)
         assert cut > 0
 
 
@@ -1575,8 +1580,8 @@ def _wide_decisions(rng, count):
 class TestPlaneMargin:
     def test_wide_families_decide_as_the_search_and_within_the_cap(
             self, monkeypatch):
-        # off the window every decision equals the 16-seed search's, the
-        # decisions of the parent code, and no call reaches _SPLITS
+        # off the window every decision equals the 16-seed search's, and
+        # no call reaches _SPLITS
         counts = []
         real = cone_module._azimuth_terms
 
@@ -1584,20 +1589,32 @@ class TestPlaneMargin:
             counts[-1] += 1
             return real(*args)
 
-        cases = _wide_decisions(np.random.default_rng(68), 150)
+        cases = (_wide_decisions(np.random.default_rng(68), 150)
+                 + _wide_decisions(np.random.default_rng(5), 300))
         monkeypatch.setattr(cone_module, "_azimuth_terms", counted)
         decided, cap = set(), 8 + 3 * cone_module._SPLITS
         for inner, outer, tau, shift, floor in cases:
             counts.append(0)
-            got = _plane_margin(inner, outer, tau, shift, floor=floor) > floor
+            got = _plane_margin(inner, outer, tau, shift, floor=floor)
             assert counts[-1] < cap
-            want = _search_plane_margin(inner, outer, tau, shift,
-                                        floor=floor) > floor
-            value = _search_plane_margin(inner, outer, tau, shift)
+            want = _numpy_plane_margin(inner, outer, tau, shift,
+                                       floor=floor) > floor
+            value = _numpy_plane_margin(inner, outer, tau, shift)
             if abs(value - floor) > WINDOW * max(1.0, floor):
                 assert got == want, (value, floor)
             decided.add(got)
         assert decided == {True, False}
+
+    def test_apex_frame_takes_every_cone_of_the_wide_families(self):
+        # an A13 enclosure among them has its apex 1.2e-6 from the sphere,
+        # where the boost's entries reach about 640
+        for inner, outer, *_ in _wide_decisions(np.random.default_rng(68),
+                                                150):
+            for cone in (inner, outer):
+                frame, cap = cone.apex_frame
+                assert frame.matrix.ravel().tolist() == list(
+                    cone.apex_frame_scalars[:16])
+                assert cap.half_angle == cone.apex_frame_scalars[19]
 
     def test_certificates_take_at_most_twelve_evaluations(
             self, monkeypatch):
@@ -1626,11 +1643,13 @@ class TestPlaneMargin:
         rng = np.random.default_rng(47)
         kinds = set()
         for inner, region, tau, shift in _enclosure_cases(rng, 100):
-            margin = _plane_margin(inner, region, tau, shift)
+            inside = _plane_margin(inner, region, tau, shift, floor=0.0)
             escapes = _shifted_escapes(inner, region, tau, shift)
-            assert (margin > 0.0) == (escapes == 0), (margin, escapes)
-            kinds.add("inside" if margin > 0.0 else "unbounded"
-                      if margin == -math.inf else "outside")
+            assert inside == (escapes == 0), escapes
+            kinds.add("inside" if inside else "outside"
+                      if _plane_margin(inner, region, tau, shift,
+                                       floor=-math.inf)
+                      else "unbounded")
         assert kinds == {"inside", "outside", "unbounded"}
 
     def test_bound_never_above_4096_seeds(self):
@@ -1638,18 +1657,26 @@ class TestPlaneMargin:
         # 4,096-seed search, and within 1e-12 of it
         rng = np.random.default_rng(48)
         for inner, region, tau, shift in _enclosure_cases(rng, 100):
-            got = _plane_margin(inner, region, tau, shift)
             dense = _numpy_plane_margin(inner, region, tau, shift,
                                         seeds=4096)
-            assert got <= dense
-            assert got >= dense - 1e-12 * max(1.0, abs(dense)) \
-                or got == dense == -math.inf
+            assert _settles(inner, region, tau, shift, dense), dense
 
     def test_unshifted_margin_is_the_clearance(self):
+        # constructions._shadow_inside reads tau asinh of the unshifted
+        # margin as the clearance of inner from outer's boundary: off the
+        # window its answer is that of the searched clearance
         rng = np.random.default_rng(49)
+        decided = set()
         for inner, outer, tau in _nested_pairs(rng, 50):
-            assert tau * math.asinh(_plane_margin(inner, outer, tau)) \
-                == _cone_clearance(inner, outer, tau)
+            clearance = tau * math.asinh(
+                _numpy_plane_margin(inner, outer, tau, seeds=2048))
+            radius = rng.uniform(0.0, 2.0) * clearance
+            gap = clearance - radius - WINDOW
+            if abs(gap) > WINDOW:
+                got = constructions._shadow_inside(inner, outer, radius, tau)
+                assert got == (gap > 0.0), gap
+                decided.add(got)
+        assert decided == {True, False}
 
     def test_escaping_ideal_points_give_minus_infinity(self):
         # inner's apex is outer's: A = -t0/tau < 0 at every plane, B_min
@@ -1658,14 +1685,15 @@ class TestPlaneMargin:
         inner = simple_cone(0.0, 0.1)
         outer = simple_cone(0.0, 0.5)
         shift = np.array([1.0, 0.0, 0.0, 0.0])
-        assert _plane_margin(inner, outer, 1.0, shift) == -math.inf
+        assert not _plane_margin(inner, outer, 1.0, shift, floor=-math.inf)
         shell = Hyperboloid(1.0)
         far = lift_from_ball(BallPoint(np.array([0.0, 0.0, 1.0 - 1e-6])),
                              shell)
         assert not in_causal_completion(far + FourVector.from_array(shift),
                                         Hypercone(shell, outer))
         # a small enough shift keeps the ideal points inside: p > 0
-        assert _plane_margin(inner, outer, 1.0, 0.1 * shift) > -math.inf
+        assert _plane_margin(inner, outer, 1.0, 0.1 * shift,
+                             floor=-math.inf)
 
 
 class TestCausalCompletion:

@@ -24,16 +24,17 @@ from hypercones import (BallCone, BallPoint, Cap, ConstructionFailure,
                         wrap_ball_in_complement)
 from hypercones import charges, constructions
 from hypercones.ball_model import _act, ball_action_many
-from hypercones.cones import _cone_clearance, _frame_clearance, _plane_margin
+from hypercones.cones import _cap_fits, _cone, _frame_clearance, \
+    _plane_margin
 from hypercones.convex import hyperball_ellipsoid
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
-    rotate_toward, slerp
+    rotate_toward, slerp, unit
 from tests.conftest import (ball_disjoint_from_cone, benchmark_instances,
                             disjoint_cone_pair, exhaustion_family,
                             random_cone, random_transform, unit_vector)
 from tests.test_ball_model import _numpy_cap_image
-from tests.test_cones import _search_plane_margin
+from tests.test_cones import _numpy_plane_margin
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -613,6 +614,16 @@ class TestPaths:
             path_connect_in_complement(forbidden, inside, clear)
 
 
+def _thin_cone(direction, half_angle: float, depth: float):
+    """Cone with near-sphere apex (1-depth)*direction and cap around the
+    direction; None when the parameters cannot define a cone. The A6
+    route node before it became an axial cone."""
+    if depth >= 1.0 or not _cap_fits(half_angle, 1.0 - depth):
+        return None
+    d = [float(a) for a in direction]
+    return _cone([(1.0 - depth) * a for a in d], unit(d), half_angle)
+
+
 def _ladder_subcone(a, b):
     """The common subcone as found before the closed-form depth: the
     direction m and clearance mu of _common_subcone, then ten fixed apex
@@ -630,7 +641,7 @@ def _ladder_subcone(a, b):
         return None, m, mu
     for depth in (0.05, 0.02, 0.01, 0.005, 0.002,
                   0.1, 0.2, 0.35, 0.5, 0.7):
-        witness = constructions._thin_cone(m, 0.6 * mu, depth)
+        witness = _thin_cone(m, 0.6 * mu, depth)
         if witness is None:
             continue
         p = witness.apex.v.tolist()
@@ -942,7 +953,8 @@ class TestShadowOperations:
                                                math.log(50.0)))
             grown = enclose_shadow(cone, sigma, tau)
             want = shadow_radius(sigma, tau) + 0.05 * tau
-            assert _cone_clearance(cone, grown, tau) > want - 1e-10 * tau, i
+            assert _plane_margin(cone, grown, tau,
+                                 floor=math.sinh(want / tau - 1e-10)), i
 
     def test_domain_edge_certifies_or_names_the_covering_limit(self):
         # R/tau in [7, 9] straddles the covering limit, near 7.95: below
@@ -964,8 +976,9 @@ class TestShadowOperations:
                 continue
             radius = shadow_radius(sigma, tau)
             assert cone_leq(cone, grown).holds, i
-            assert _cone_clearance(cone, grown, tau) > radius, i
-            assert tau * math.asinh(_search_plane_margin(cone, grown, tau)) \
+            assert _plane_margin(cone, grown, tau,
+                                 floor=math.sinh(radius / tau)), i
+            assert tau * math.asinh(_numpy_plane_margin(cone, grown, tau)) \
                 > radius, i
             outcomes.add("certified")
         assert outcomes == {"certified", "limit"}
@@ -977,7 +990,8 @@ class TestShadowOperations:
             cone = random_cone(rng, psi_min=0.05, psi_max=1.45, apex_r=0.9)
             core = shrink_across_shells(cone, 1.1, 1.1)
             assert cone_leq(core, cone).holds
-            assert _cone_clearance(core, cone, 1.1) > 0.05 * 1.1 - 1e-10
+            assert _plane_margin(
+                core, cone, 1.1, floor=math.sinh((0.05 * 1.1 - 1e-10) / 1.1))
 
     def test_shrink_core_fits_back_through_shadow(self):
         sigma, tau = 1.3, 1.0
@@ -1198,8 +1212,8 @@ class TestTranslateEnclosure:
             shift = FourVector.from_parts(
                 t0, rng.uniform(0.0, 0.9) * t0 * unit_vector(rng))
             region = translate_enclosure(cone, tau, [shift])
-            assert _plane_margin(cone, region, tau, shift.components) \
-                >= math.sinh(0.05) - 1e-10, i
+            assert _plane_margin(cone, region, tau, shift.components,
+                                 floor=math.sinh(0.05) - 1e-10), i
 
     def test_long_shifts_certify_or_name_the_covering_limit(self):
         # t0/tau from 20 to 1e5 takes the enclosure past the covering
@@ -1221,9 +1235,11 @@ class TestTranslateEnclosure:
                 outcomes.add("limit")
                 continue
             assert cone_leq(cone, region).holds, i
-            for margin in (_plane_margin, _search_plane_margin):
-                assert margin(cone, region, tau, shift.components) \
-                    >= math.sinh(0.05) - 1e-10, i
+            floor = math.sinh(0.05) - 1e-10
+            assert _plane_margin(cone, region, tau, shift.components,
+                                 floor=floor), i
+            assert _numpy_plane_margin(cone, region, tau,
+                                       shift.components) >= floor, i
             outcomes.add("certified")
         assert outcomes == {"certified", "limit"}
 
@@ -1245,8 +1261,8 @@ class TestTranslateEnclosure:
                          cone.lateral_points(24, 1.0 - np.geomspace(
                              1e-6, 0.5, 8))])
         for shift in shifts:
-            assert _plane_margin(cone, region, tau, shift.components) \
-                >= math.sinh(0.05) - 1e-10
+            assert _plane_margin(cone, region, tau, shift.components,
+                                 floor=math.sinh(0.05) - 1e-10)
             for p in pts:
                 x = lift_from_ball(BallPoint(p), shell)
                 assert in_causal_completion(x + shift, target)
