@@ -9,10 +9,11 @@ ball clearance, the clearance of one cone inside another) and raises
 samples: the subcones and complements (A1, A3, A5-A8, A10) are axial
 cones (``_axial_cone``) over a floor read in closed form from what they
 must clear, aimed by closed forms (``_steer_target``, ``_lens_cap``,
-``_clearest_direction``); the ball wrap (A4) is the cap of rays through
-the ball seen from the apex; the enclosures are one closed-form cone,
-in the apex frame for the shadows (A9, A13: ``_shadow_enclosure``) and
-about the covering axis for the orbit (A12: ``cones._enclosure``).
+``_clearest_direction``); the ball wrap (A4) is one cone from the foot
+on the separating plane, its cap halfway in angle from the ball's rim to
+that plane; the enclosures are one closed-form cone, in the apex frame
+for the shadows (A9, A13: ``_shadow_enclosure``) and about the covering
+axis for the orbit (A12: ``cones._enclosure``).
 
 Witnesses are built from plain floats: every cone through
 ``cones._cone`` and every Lorentz image through ``cones._map`` on a
@@ -279,56 +280,50 @@ def avoid_ball_inside(ball: Hyperball, cone: BallCone) -> BallCone:
 
 
 def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
-    """Cone containing the ball while staying disjoint from `cone`.
+    """Cone containing the ball while staying disjoint from `cone`, built
+    once in closed form from the foot F on the separating plane.
 
-    Requires the ball's hull disjoint from the cone's hull.  The apex is
-    placed on the separating plane delivered by that disjointness. In the
-    apex's own frame (ball_model.apex_matrix) the ball is a metric ball of
-    radius rho = radius/tau about c', at distance r = atanh|c'| from the
-    origin, and the rays from the origin that meet it are exactly those
-    within A = asin(sinh rho / sinh r) of c': the right-angled triangle
-    relation sinh a = sinh c sin A (Beardon, The Geometry of Discrete
-    Groups, ch. 7). The cap about c' of half-angle A plus a pad is carried
-    back by the inverse frame (ball_model._cap_seen).
+    Requires the ball (centre C, radius R) clear of the cone by D - R > 0,
+    D the shell distance from C to the cone. That disjointness delivers a
+    plane normal to the geodesic from C to the cone at (D + R)/2, the cone
+    strictly beyond it. Seen from C (ball_model.apex_matrix) the plane is
+    n.x = c' with c' > 0, with foot F = c' n; in F's frame it passes
+    through the origin normal to C, at r = (D + R)/(2 tau). Rays from F
+    meet the ball exactly within A = asin(sinh rho / sinh r) of C, rho =
+    R/tau (sinh a = sinh c sin A in a right-angled triangle: Beardon, The
+    Geometry of Discrete Groups, ch. 7). The wrap is the cap about C of
+    half-angle h = (A + pi/2)/2, carried back by the inverse frame. It
+    holds the ball by tau asinh(sinh r sin h) - R, near 3(D - R)/8 at
+    contact, and lies on C's side of the plane, clear of the cone by at
+    least pi/2 - h radians, near sqrt((D - R) coth(r) / tau)/2.
     """
     sep = cone_hyperball_disjoint(cone, ball)
     if not sep.disjoint:
         raise ValueError("ball must be disjoint from the cone")
     w, c = sep.plane  # cone on the positive side
-    rho = ball.radius / ball.shell.tau
-    mid = _spheroid(ball)[0]  # the ball's Euclidean centre
-    proj = mid - (float(w @ mid) - c) * w
-    for apex in (proj, 0.5 * (proj + c * w), c * w):
-        if np.linalg.norm(apex) >= 1.0 - 1e-9:
-            continue
-        p = apex.tolist()
-        m = apex_matrix(*p)
-        seen = _act(m, ball.center.v.tolist())
-        r = math.atanh(math.sqrt(dot(seen, seen)))
-        if r <= rho:
-            continue
-        axis, back = unit(seen), _inverse(m)
-        reach = math.asin(math.sinh(rho) / math.sinh(r))
-        for pad in (0.02, 0.05, 0.12, 0.25):
-            half = reach + pad
-            if half >= 0.5 * math.pi:
-                continue
-            n, cos_a, sin_a = _cap_seen(back, axis, math.cos(half),
-                                        math.sin(half))
-            psi = math.atan2(sin_a, cos_a)
-            if not _cap_fits(psi, dot(n, p)):
-                continue
-            region = _cone(p, n, psi)
-            try:
-                inside = hyperball_in_cone(ball, region)
-                clear = disjoint(region, cone)
-            except DegenerateGeometry:
-                continue
-            if inside.holds and clear.disjoint:
-                return region
-    raise ConstructionFailure(
-        "no cap-based cone over the ball stayed disjoint from the cone; "
-        "the ball may be too eccentric from every admissible apex")
+    center = ball.center.v.tolist()
+    m = apex_matrix(*center)
+    n, height, _ = _cap_seen(m, w.tolist(), c, math.sqrt(1.0 - c * c))
+    foot = _act(_inverse(m), [height * a for a in n])
+    frame = apex_matrix(*foot)
+    seen = _act(frame, center)
+    size = math.sqrt(dot(seen, seen))
+    reach = math.asin(math.sinh(ball.radius / ball.shell.tau)
+                      / math.sinh(math.atanh(size)))
+    half = 0.5 * (reach + 0.5 * math.pi)
+    axis, cos_a, sin_a = _cap_seen(_inverse(frame), [a / size for a in seen],
+                                   math.cos(half), math.sin(half))
+    psi = math.atan2(sin_a, cos_a)
+    region = (_cone(foot, axis, psi) if _cap_fits(psi, dot(axis, foot))
+              else None)
+    try:
+        ok = (region is not None and hyperball_in_cone(ball, region).holds
+              and disjoint(region, cone).disjoint)
+    except DegenerateGeometry:
+        ok = False
+    _require(ok, f"the ball clears the cone by only {sep.margin:.3g}; the "
+                 "wrap's margins fall inside the window")
+    return region
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from hypercones import (BallCone, BallPoint, Cap, ConstructionFailure,
                         shrink_for_connectivity, translate_enclosure,
                         wrap_ball_in_complement)
 from hypercones import charges, constructions
-from hypercones.ball_model import _act, ball_action_many
+from hypercones.ball_model import _act, ball_action_many, ball_distance
 from hypercones.cones import _cap_fits, _cone, _frame_clearance, \
     _plane_margin
 from hypercones.convex import hyperball_ellipsoid
@@ -33,6 +33,7 @@ from hypercones.spherical import angle_between, orthonormal_frame, \
 from tests.conftest import (ball_disjoint_from_cone, benchmark_instances,
                             disjoint_cone_pair, exhaustion_family,
                             random_cone, random_transform, unit_vector)
+from tests.test_acceptance import certify_ball_inside, certify_disjoint
 from tests.test_ball_model import _numpy_cap_image
 from tests.test_cones import _numpy_plane_margin
 
@@ -49,40 +50,24 @@ def apex_boost(p: np.ndarray) -> LorentzTransform:
 
 
 def matrix_boost_wrap(ball, cone):
-    """Apex, pad and cap that wrap_ball_in_complement picked when it built
-    one matrix boost per (apex, pad) and mapped the cap by a 4x4 matrix
-    product: the same candidates, pads, order and checks."""
+    """Apex, cap, r and A of the foot-and-halfway wrap on matrix boosts
+    and 4x4 cap images: the separating plane seen from the ball's centre
+    C, its foot carried back, and the cap about C seen from the foot
+    halfway from the ball's reach A to a right angle."""
     w, c = cone_hyperball_disjoint(cone, ball).plane
-    center = hyperball_ellipsoid(ball.center.v, ball.radius,
-                                 ball.shell.tau).center
-    proj = center - (float(w @ center) - c) * w
-    rho = ball.radius / ball.shell.tau
-    for apex in (proj, 0.5 * (proj + c * w), c * w):
-        for pad in (0.02, 0.05, 0.12, 0.25):
-            if np.linalg.norm(apex) >= 1.0 - 1e-9:
-                continue
-            frame = apex_boost(apex)
-            seen = ball_action_many(frame, ball.center.v)[0]
-            r = math.atanh(float(np.linalg.norm(seen)))
-            if r <= rho:
-                continue
-            half = math.asin(math.sinh(rho) / math.sinh(r)) + pad
-            if half >= 0.5 * math.pi:
-                continue
-            cap = _numpy_cap_image(frame.inverse(), Cap(
-                SphereDirection.normalized(seen), half))
-            if not constructions._cap_fits(cap.half_angle,
-                                           float(cap.axis.v @ apex)):
-                continue
-            region = BallCone(BallPoint(apex), cap)
-            try:
-                inside = hyperball_in_cone(ball, region)
-                clear = disjoint(region, cone)
-            except DegenerateGeometry:
-                continue
-            if inside.holds and clear.disjoint:
-                return apex, pad, cap
-    raise AssertionError("the matrix boost path found no wrap")
+    to_center = apex_boost(ball.center.v)
+    plane = _numpy_cap_image(to_center, Cap(SphereDirection.normalized(w),
+                                            math.acos(c)))
+    foot = ball_action_many(to_center.inverse(),
+                            plane.cos_half * plane.axis.v)[0]
+    frame = apex_boost(foot)
+    seen = ball_action_many(frame, ball.center.v)[0]
+    r = math.atanh(float(np.linalg.norm(seen)))
+    reach = math.asin(math.sinh(ball.radius / ball.shell.tau)
+                      / math.sinh(r))
+    cap = _numpy_cap_image(frame.inverse(), Cap(
+        SphereDirection.normalized(seen), 0.5 * (reach + 0.5 * math.pi)))
+    return foot, cap, r, reach
 
 
 def axis_cone(psi=0.5, apex_z=0.0) -> BallCone:
@@ -417,22 +402,62 @@ class TestWrapBallInComplement:
             ball = ball_disjoint_from_cone(rng, cone, shell,
                                            radius=rng.uniform(0.05, 0.3))
             wrap = wrap_ball_in_complement(ball, cone)
-            seen = ball_action_many(apex_boost(wrap.apex.v), ball.center.v)[0]
-            r = math.atanh(float(np.linalg.norm(seen)))
+            sep = cone_hyperball_disjoint(cone, ball)
+            apex, cap, r, reach = matrix_boost_wrap(ball, cone)
+            assert np.max(np.abs(wrap.apex.v - apex)) <= 1e-12
+            assert np.max(np.abs(wrap.base.axis.v - cap.axis.v)) <= 1e-12
+            assert abs(wrap.base.half_angle - cap.half_angle) <= 1e-12
+            # the apex is the foot on the plane, (D + R)/2 from the centre
+            w, c = sep.plane
+            assert abs(float(w @ wrap.apex.v) - c) <= 1e-12
+            to_cone = sep.margin + 2.0 * ball.radius
+            assert abs(ball_distance(wrap.apex, ball.center, shell)
+                       - 0.5 * to_cone) <= 1e-12
             half = wrap.apex_frame[1].half_angle
-            rho = ball.radius / shell.tau
-            reach = math.asin(math.sinh(rho) / math.sinh(r))
-            assert min(abs(half - reach - pad)
-                       for pad in (0.02, 0.05, 0.12, 0.25)) <= 1e-12
+            assert abs(half - 0.5 * (reach + 0.5 * math.pi)) <= 1e-12
             margin = hyperball_in_cone(ball, wrap).margin
             closed = shell.tau * math.asinh(math.sinh(r) * math.sin(half))
             assert abs(margin - (closed - ball.radius)) <= 1e-12
-            # the same apex and pad as the wrap on matrix boosts
-            apex, pad, cap = matrix_boost_wrap(ball, cone)
-            assert np.array_equal(wrap.apex.v, apex)
-            assert abs(half - reach - pad) <= 1e-12
-            assert np.max(np.abs(wrap.base.axis.v - cap.axis.v)) <= 1e-12
-            assert abs(wrap.base.half_angle - cap.half_angle) <= 1e-12
+            # the wrap stays in the open hemisphere on the ball's side
+            assert (disjoint(wrap, cone).margin
+                    >= 0.5 * (0.5 * math.pi - reach) - 1e-12)
+
+    def test_near_contact_balls_are_wrapped(self, shell):
+        """Ball centres outside wide, deep cones at clearance D, radius
+        R = D - g for g log-uniform in [1e-8, D/2]: every input that
+        cone_hyperball_disjoint certifies is wrapped, and the wrap passes
+        the acceptance checkers."""
+        rng = np.random.default_rng(11)
+        made = 0
+        while made < 300:
+            cone = random_cone(rng, psi_max=1.4, apex_r=0.95)
+            center = rng.uniform(0.0, 0.95) * unit_vector(rng)
+            dist, inside = _frame_clearance(cone, center.tolist(), shell.tau)
+            if inside or dist <= 2e-8:
+                continue
+            gap = math.exp(rng.uniform(math.log(1e-8), math.log(0.5 * dist)))
+            ball = Hyperball(shell, BallPoint(center), dist - gap)
+            try:
+                if not cone_hyperball_disjoint(cone, ball).disjoint:
+                    continue
+            except DegenerateGeometry:
+                continue
+            made += 1
+            wrap = wrap_ball_in_complement(ball, cone)
+            certify_ball_inside(ball, wrap, rng, n=1_000)
+            certify_disjoint(wrap, cone, rng, n=1_000)
+
+    def test_failure_names_the_clearance_it_was_given(self, shell):
+        cone = axis_cone(psi=0.5)
+        center = np.array([0.3, 0.0, -0.4])
+        dist, inside = _frame_clearance(cone, center.tolist(), shell.tau)
+        assert not inside
+        ball = Hyperball(shell, BallPoint(center), dist - 2e-9)
+        assert cone_hyperball_disjoint(cone, ball).disjoint
+        with pytest.raises(ConstructionFailure,
+                           match=r"clears the cone by only 2e-09; the "
+                                 r"wrap's margins fall inside the window"):
+            wrap_ball_in_complement(ball, cone)
 
     def test_transported_witness_stays_valid(self, shell):
         rng = np.random.default_rng(4)
@@ -1357,10 +1382,11 @@ class TestExactCertificates:
     and return pinned witnesses, each re-checked on 10^4 sampled points
     by the acceptance suite's checkers when it was pinned. A1, A3, A4 and
     A8 pin the witnesses of the closed-form directions (the farthest
-    base-circle point, the cap of rays through a ball seen from the apex,
-    the balanced arc point between two caps); A1, A3, A8 and A10 those of
-    the closed-form floors of the axial cones; A9 and A13 those of the
-    closed-form shadow enclosure, and A12 that of the hull enclosure.
+    base-circle point, the cap halfway from a ball's reach to a right
+    angle seen from the foot on the separating plane, the balanced arc
+    point between two caps); A1, A3, A8 and A10 those of the closed-form
+    floors of the axial cones; A9 and A13 those of the closed-form shadow
+    enclosure, and A12 that of the hull enclosure.
     A3's witness is the one member of A1's depth-1 funnel, and the last
     member of every funnel against the same probe."""
 
@@ -1403,10 +1429,10 @@ class TestExactCertificates:
                     0.5648753666440721],
                    [0.40213434726738945, -0.45692299261749425,
                     0.7934162498747451], 0.186),
-            "A4": ([-0.046661071696956075, 0.08775036782762083,
-                    -0.1451187399395177],
-                   [-0.48284422736420024, 0.5414279216048471,
-                    -0.6882712094862927], 0.2890707285871486),
+            "A4": ([-0.043034706146832025, 0.08744104955620609,
+                    -0.1482854534218228],
+                   [-0.5002347749434118, 0.5433944494533018,
+                    -0.6741569863471395], 0.8156149640648823),
             "A8": ([0.1641870738536794, -0.5379573020405379,
                     -0.35413999456030837],
                    [0.2470248037423392, -0.8093742938420981,
