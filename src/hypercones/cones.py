@@ -41,7 +41,7 @@ import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          _act, _cap_seen, _inverse, _trusted, apex_matrix,
-                         ray_exits, shadow_radius)
+                         ball_distance, ray_exits)
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
@@ -172,6 +172,16 @@ class BallCone:
         n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
                             math.sin(self.base.half_angle))
         return (*m, *n, math.atan2(s, c))
+
+    @cached_property
+    def completion_scalars(self) -> tuple[float, ...]:
+        """The floats of in_causal_completion: the 12 entries of the apex
+        frame's spatial rows, then the image cap axis and the cos and sin
+        of its half-angle, as _cap_seen returns them."""
+        m = self.apex_frame_scalars[:16]
+        n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
+                            math.sin(self.base.half_angle))
+        return (*m[4:], *n, c, s)
 
 
 def _pointed(apex, axis, cos_half: float) -> None:
@@ -492,12 +502,23 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
     within a factor 2 of the deepest and the margin minus its cos-depth,
     its lesser cos-space margin (_overlap). A margin inside the window
     raises DegenerateGeometry.
+
+    The apexes are shared only when their floats are equal. Distinct
+    apexes within the window of each other in the shell metric, which
+    Lorentz maps keep, raise DegenerateGeometry; the shell distance is
+    formed only when their Euclidean distance, its lower bound, is within
+    the window too.
     """
     window = DEFAULT_TOLERANCES.degenerate_window
     m = k1.apex_frame_scalars[:16]
     a1, a2 = k1.exit_scalars[:3], k2.exit_scalars[:3]
     q, inner = None, -math.inf
-    if math.dist(a1, a2) > 1e-12:
+    if a1 != a2:
+        if (math.dist(a1, a2) <= window and ball_distance(
+                k1.apex, k2.apex, Hyperboloid(1.0)) <= window):
+            raise DegenerateGeometry(
+                "apexes coincide within the degenerate window; perturb "
+                "inputs")
         q, inner = _act(m, a2), k2.margin(a1)
     if inner <= 0.0:
         # k1's own image cap is the tail of its cached frame
@@ -677,7 +698,9 @@ def _frame_clearance(cone: BallCone, c, tau: float) -> tuple[float, bool]:
 
 
 _SPLITS = 400  # arcs one _plane_margin call splits before it gives up
-_ROUNDING = 2.0 ** -47  # relative slack of _plane_margin's bounds
+# relative rounding slack of _plane_margin's bounds and of
+# in_causal_completion's window prefilter
+_ROUNDING = 2.0 ** -47
 
 
 def _azimuth_terms(terms, c: float, s: float) -> tuple:
@@ -941,16 +964,49 @@ def hyperball_in_cone(ball: Hyperball, cone: BallCone) -> InclusionResult:
 
 def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
     """Whether a forward-cone event belongs to the causal completion of the
-    region a cone spans on the shell.
+    region a cone spans on the shell: one polynomial sign on the event.
 
-    The event's causal shadow on the shell is the metric ball about
-    u = x_s / x0 whose radius is the shadow radius of sqrt(x.x) on tau; the
-    event is in the completion exactly when that ball fits inside the cone,
-    which the apex-frame closed form (_frame_clearance) decides on plain
-    floats. Events on the light cone boundary (zero Minkowski square) are
-    never inside. An event that is not a finite point of the closed forward
-    cone raises ValueError; a shadow radius within the degenerate window of
-    the boundary distance raises DegenerateGeometry.
+    The event's causal shadow on the shell tau is the metric ball about the
+    shell point on its ray, of radius rho = tau |ln(s / tau)| for s =
+    sqrt(x.x). The event is in the completion exactly when that ball lies
+    in the cone: when its centre is inside and the centre's distance tau d
+    to the lateral boundary exceeds rho. In the cone's apex frame M, which
+    sends the apex to the origin and the cap to (n', psi'), both read off
+    y, the spatial part of Mx (completion_scalars):
+
+    - M keeps x.x, so Mx = (z0, y) with z0^2 - |y|^2 = s^2. The centre's
+      image is the ball point y / z0 = tanh(r) y / |y|, at distance r from
+      the apex in the unit shell, so sinh r = |y| / s.
+    - Let theta be the angle from n' to y. The centre is inside exactly
+      when theta < psi'. Its nearest boundary point lies on the boundary
+      ray in its own plane through n', at angle |theta - psi'|, and the
+      right-angled triangle relation sinh a = sinh c sin A (Beardon, The
+      Geometry of Discrete Groups, ch. 7) gives sinh d = sinh r sin|theta
+      - psi'|; from a right angle on the apex is nearest and d = r. So
+
+          L = sin psi' (y.n') - cos psi' |y x n'| = |y| sin(psi' - theta),
+
+      taken as |y| with that sign once |theta - psi'| >= pi/2 (once cos
+      psi' (y.n') + sin psi' |y x n'| <= 0), is s sinh d signed by
+      membership.
+    - cosh(rho / tau) = (s / tau + tau / s) / 2, so sinh(rho / tau) =
+      |s^2 - tau^2| / (2 s tau) = R / s with R = |x.x - tau^2| / (2 tau).
+
+    sinh is increasing and R >= 0, so the event is a member exactly when L
+    > R: that puts the centre inside (L > 0) and gives s sinh d > s
+    sinh(rho / tau). Where R / s <= 1e-15 (s = tau to rounding) the
+    shadow vanishes and the answer is the sign of L, with no window.
+    Otherwise a margin tau |asinh(|L| / s) - asinh(R / s)| within the
+    degenerate window raises DegenerateGeometry. asinh'(t) = 1 / sqrt(1 +
+    t^2) falls with t, so that margin is at least tau ||L| - R| / sqrt(s^2
+    + max(|L|, R)^2): the asinh pair is evaluated only where this bound,
+    compared squared and widened by _ROUNDING for its own rounding, does
+    not clear the window, and a generic event costs square roots alone.
+
+    Events on the light cone boundary (zero Minkowski square) are never
+    inside. An event that is not a finite point of the closed forward
+    cone, or whose ball point x_s / x0 rounds onto the sphere, raises
+    ValueError.
     """
     a = (x.components if isinstance(x, FourVector)
          else np.asarray(x, dtype=float).reshape(4))
@@ -965,15 +1021,33 @@ def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
     u = (x1 / x0, x2 / x0, x3 / x0)
     if not math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) < 1.0:
         raise ValueError("ball point must satisfy |u| < 1")
+    (m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
+     nx, ny, nz, cos_psi, sin_psi) = region.cone.completion_scalars
+    yx = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3
+    yy = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3
+    yz = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3
+    along = yx * nx + yy * ny + yz * nz
+    wx, wy, wz = yy * nz - yz * ny, yz * nx - yx * nz, yx * ny - yy * nx
+    across = math.sqrt(wx * wx + wy * wy + wz * wz)
+    lead = sin_psi * along - cos_psi * across
+    if cos_psi * along + sin_psi * across <= 0.0:  # the apex is nearest
+        size = math.sqrt(yx * yx + yy * yy + yz * yz)
+        lead = size if lead > 0.0 else -size
     tau = region.shell.tau
-    radius = shadow_radius(math.sqrt(square), tau)
-    if radius <= 1e-15 * tau:
-        return contains_point(region.cone, BallPoint(u))
-    boundary, inside = _frame_clearance(region.cone, u, tau)
-    if abs(boundary - radius) <= DEFAULT_TOLERANCES.degenerate_window:
-        raise DegenerateGeometry(
-            "ball touches the cone boundary within the window")
-    return inside and boundary > radius
+    reach = abs(square - tau * tau) / (2.0 * tau)
+    if reach * reach <= 1e-30 * square:
+        return lead > 0.0
+    window = DEFAULT_TOLERANCES.degenerate_window
+    size = abs(lead)
+    gap = tau * (size - reach)
+    top = size if size > reach else reach
+    if gap * gap <= window * window * (1.0 + _ROUNDING) * (square + top * top):
+        sigma = math.sqrt(square)
+        if (tau * abs(math.asinh(size / sigma) - math.asinh(reach / sigma))
+                <= window):
+            raise DegenerateGeometry(
+                "ball touches the cone boundary within the window")
+    return lead > reach
 
 
 def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import hypercones
@@ -1865,6 +1865,58 @@ class TestCompletionKernel:
         with pytest.raises(ValueError):
             in_causal_completion(x, region)
 
+    @staticmethod
+    def _wide_region(rng):
+        cone = random_cone(rng, psi_max=1.45, apex_r=0.9)
+        return Hypercone(Hyperboloid(math.exp(rng.uniform(-1.0, 1.0))), cone)
+
+    @staticmethod
+    def _wide_events(rng, region, n):
+        """Lifts of points of the cone and of the ball, to shells with
+        sigma / tau in [0.02, 50]."""
+        pts = np.vstack([region.cone.sample_points(n, rng),
+                         [interior_point(rng, 0.99) for _ in range(n)]])
+        for p in pts:
+            sigma = region.shell.tau * math.exp(
+                rng.uniform(math.log(0.02), math.log(50.0)))
+            yield (sigma / math.sqrt(1.0 - float(p @ p))
+                   * np.array([1.0, *p]))
+
+    def test_wide_family_matches_reference_off_the_window(self):
+        rng = np.random.default_rng(45)
+        seen = []
+        for _ in range(150):
+            region = self._wide_region(rng)
+            for x in self._wide_events(rng, region, 10):
+                want = _outcome(_reference_completion, x, region)
+                if want is DegenerateGeometry:
+                    continue
+                for event in (x, FourVector.from_array(x)):
+                    assert _outcome(in_causal_completion, event,
+                                    region) == want, x
+                seen.append(want)
+        assert len(seen) > 2900 and 100 < sum(seen) < len(seen) - 100
+
+    def test_lorentz_images_agree_off_the_window(self):
+        rng = np.random.default_rng(46)
+        seen = []
+        for _ in range(150):
+            region = self._wide_region(rng)
+            g = random_transform(rng, max_rapidity=3.0)
+            try:
+                image = Hypercone(region.shell, map_cone(g, region.cone))
+            except ValueError:  # the image cone rounds out of the ball
+                continue
+            for x in self._wide_events(rng, region, 5):
+                before = _outcome(in_causal_completion, x, region)
+                after = _outcome(in_causal_completion,
+                                 g.apply(FourVector.from_array(x)), image)
+                if DegenerateGeometry in (before, after):
+                    continue
+                assert before == after, x
+                seen.append(before)
+        assert len(seen) > 600 and 30 < sum(seen) < len(seen) - 30
+
     def test_ball_inclusion_matches_exit_ray_decision(self):
         rng = np.random.default_rng(44)
         holds = []
@@ -1883,6 +1935,80 @@ class TestCompletionKernel:
                                                    abs=1e-12)
                 holds.append(want)
         assert 0 < sum(holds) < len(holds)
+
+
+def _completion_terms(x, cone, tau, lib=math):
+    """The boundary distance tau asinh(|L| / s), the shadow radius tau
+    asinh(R / s) and the sign of L, by in_causal_completion's arithmetic
+    on the floats of x and of cone.completion_scalars: rounded with
+    lib=math, or exact to mpmath's precision with lib=mpmath.mp, which
+    takes those floats as exact."""
+    num = float if lib is math else lib.mpf
+    x0, x1, x2, x3 = map(num, x)
+    (m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
+     nx, ny, nz, cos_psi, sin_psi) = map(num, cone.completion_scalars)
+    tau = num(tau)
+    yx = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3
+    yy = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3
+    yz = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3
+    along = yx * nx + yy * ny + yz * nz
+    wx, wy, wz = yy * nz - yz * ny, yz * nx - yx * nz, yx * ny - yy * nx
+    across = lib.sqrt(wx * wx + wy * wy + wz * wz)
+    lead = sin_psi * along - cos_psi * across
+    if cos_psi * along + sin_psi * across <= 0:
+        size = lib.sqrt(yx * yx + yy * yy + yz * yz)
+        lead = size if lead > 0 else -size
+    square = x0 * x0 - (x1 * x1 + x2 * x2 + x3 * x3)
+    sigma = lib.sqrt(square)
+    reach = abs(square - tau * tau) / (2 * tau)
+    return (tau * lib.asinh(abs(lead) / sigma),
+            tau * lib.asinh(reach / sigma), lead > 0)
+
+
+def _u_path_gap(x, cone, tau):
+    """Boundary distance less shadow radius through the ball point u =
+    x_s / x0, as the completion test read them before the one-sign form,
+    or inf where that path raises."""
+    x0, x1, x2, x3 = x
+    square = x0 * x0 - (x1 * x1 + x2 * x2 + x3 * x3)
+    try:
+        boundary = _frame_clearance(cone, (x1 / x0, x2 / x0, x3 / x0),
+                                    tau)[0]
+    except (ValueError, DegenerateGeometry):
+        return math.inf
+    return boundary - shadow_radius(math.sqrt(square), tau)
+
+
+def test_completion_gap_accuracy_near_the_light_cone():
+    """Error of the margin (boundary distance less shadow radius) against
+    a 50-digit reference on the same floats, for events with 1 - |u| in
+    decade bands from 1e-3 to 1e-12: within the window down to 1e-6, and
+    below it no worse in any band than the u path's worst on the same
+    events."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(47)
+    with mpmath.workdps(50):
+        for k in range(3, 12):
+            worst = worst_u = 0.0
+            for _ in range(300):
+                region = TestCompletionKernel._wide_region(rng)
+                cone, tau = region.cone, region.shell.tau
+                u = (1.0 - 10.0 ** -rng.uniform(k, k + 1)) * unit_vector(rng)
+                sigma = tau * math.exp(rng.uniform(-3.0, 3.0))
+                x = (sigma / math.sqrt(1.0 - float(u @ u))
+                     * np.array([1.0, *u])).tolist()
+                boundary, radius, inside = _completion_terms(x, cone, tau)
+                ref = _completion_terms(x, cone, tau, mpmath.mp)
+                exact = float(ref[0] - ref[1])
+                worst = max(worst, abs(boundary - radius - exact))
+                worst_u = max(worst_u, abs(_u_path_gap(x, cone, tau) - exact))
+                got = _outcome(in_causal_completion, x, region)
+                if got is not DegenerateGeometry:
+                    assert got == (inside and boundary > radius)
+            if k < 6:
+                assert worst <= WINDOW, (k, worst)
+            else:
+                assert worst <= worst_u, (k, worst, worst_u)
 
 
 class TestMapCone:
@@ -1942,12 +2068,20 @@ def cone_pairs(draw):
     return inner, outer
 
 
+# k2's apex lies on k1's axis, inside the open k1, so the cones meet for
+# every e > 0; at e = 6.03e-13 a Euclidean coincidence threshold of 1e-12
+# said they meet, and disjoint after a rapidity-1 boost along z
+_NEAR_APEXES = (raw_cone([6.03e-13, 0.0, 0.0], [-1.0, 0.0, 0.0], 1.0),
+                raw_cone([-6.03e-13, 0.0, 0.0], [0.0, 0.0, 1.0], 0.5))
+
+
 class TestLorentzInvariance:
     """Outside the degenerate window the predicates answer the same for
     a pair of cones and for its image under a Lorentz map."""
 
     @settings(max_examples=200, deadline=None)
     @given(cone_pairs(), transforms)
+    @example(_NEAR_APEXES, LorentzTransform.boost(Z, 1.0))
     def test_disjoint(self, pair, g):
         a, b = pair
         try:
@@ -1956,6 +2090,30 @@ class TestLorentzInvariance:
         except DegenerateGeometry:
             reject()
         assert before == after
+
+    def test_disjoint_near_apexes_agree_or_raise_in_every_frame(self):
+        """Apexes 1e-14 to 1e-8 apart in the ball, seen in five frames
+        boosted up to rapidity 3: every frame gives one answer, or every
+        frame raises DegenerateGeometry."""
+        rng = np.random.default_rng(48)
+        seen = set()
+        for _ in range(300):
+            k1 = random_cone(rng)
+            apex = k1.apex.v + 10.0 ** rng.uniform(-14.0, -8.0) * \
+                unit_vector(rng)
+            while True:
+                axis, psi = unit_vector(rng), rng.uniform(0.12, 1.0)
+                if float(axis @ apex) < math.cos(psi) - 1e-6:
+                    break
+            k2 = BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi))
+            outcomes = {_outcome(lambda a, b: disjoint(a, b).disjoint,
+                                 map_cone(g, k1), map_cone(g, k2))
+                        for g in [LorentzTransform.identity()] + [
+                            random_transform(rng, max_rapidity=3.0)
+                            for _ in range(4)]}
+            assert len(outcomes) == 1, outcomes
+            seen |= outcomes
+        assert seen == {True, False, DegenerateGeometry}
 
     @settings(max_examples=200, deadline=None)
     @given(cone_pairs(), transforms)
