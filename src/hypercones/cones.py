@@ -10,8 +10,11 @@ inclusion plus apex membership.
 Disjointness is decided in closed form in an apex frame. Against a cone
 (`disjoint`) the margin is an angle in the first cone's apex frame and
 the certificate a plane through its apex; on contact the same test on the
-cones shrunk to a cos-depth level, bisected on the level, gives a common
-point within a factor 2 of the deepest. Against a metric ball
+cones shrunk to a cos-depth level gives a common point within a factor 2
+of the deepest. The level search starts from the lens depth of the two
+caps, a closed-form lower bound on the deepest common depth, since points
+near the sphere in both caps lie in both cones at their caps' depths, and
+settles in two tests when that bound is tight. Against a metric ball
 (`cone_hyperball_disjoint`) the margin is a shell distance and the
 certificate the plane bisecting the common perpendicular. A point's
 margin (`point_margin`) is likewise its shell distance to the lateral
@@ -452,14 +455,36 @@ def _chord_middle(d, q, n, c: float) -> float | None:
     return middle
 
 
+def _lens_depth(k1: BallCone, k2: BallCone) -> float:
+    """Deepest level at which the two ball-frame caps, shrunk to cos psi +
+    t, still overlap: the largest over unit d of min(d.n1 - cos psi1,
+    d.n2 - cos psi2), negative when the caps are apart. The two terms fall
+    and rise along the arc from n1 to n2, where the maximum lies, so it is
+    at their crossing, theta from n1 with sin(theta - gamma/2) =
+    (cos psi2 - cos psi1) / (2 sin(gamma/2)), clamped to the arc."""
+    n1, n2 = k1.exit_scalars[4:7], k2.exit_scalars[4:7]
+    c1, c2 = k1.base.cos_half, k2.base.cos_half
+    gamma = angle(n1, n2)
+    chord, rise = 2.0 * math.sin(0.5 * gamma), c2 - c1
+    theta = (gamma if rise >= chord else 0.0 if rise <= -chord
+             else min(max(0.5 * gamma + math.asin(rise / chord), 0.0), gamma))
+    return min(math.cos(theta) - c1, math.cos(gamma - theta) - c2)
+
+
 def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
              window: float) -> DisjointResult:
     """Common point of two meeting cones within a factor 2 of the deepest:
     the cones shrunk to cos-depth t (_caps) meet, when k1's apex lies
     deeper than t in k2 (`inner`) or their gap is negative, for t below
-    the deepest common depth, which bisecting log t between the window and
-    1 - cos psi brackets within a factor 1.5. The witness is the middle of
-    the chord through k2 of the ray along n1 or x turned into S."""
+    the deepest common depth D, which a search on log t brackets within a
+    factor 1.5. The lens depth of the ball-frame caps (_lens_depth)
+    bounds D below, since points r d with r -> 1 lie in both cones at
+    cos-depths tending to d.n - cos psi of each cap (and equals D for a
+    shared apex). So the search tests the level of that bound divided by
+    1.2, then 1.5 times that level, then bisects up to 1 - cos psi;
+    without the bound beyond the window, or should rounding deny it, it
+    bisects from the window. The witness is the middle of the chord
+    through k2 of the ray along n1 or x turned into S."""
     def meets(t):  # the caps at level t and, unless inner > t, the gap
         caps = _caps(k1, k2, t, m)
         if caps is None or inner > t:
@@ -468,11 +493,17 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
         return (caps, hit) if hit[0] < 0.0 else None
 
     lo, hi = window, min(1.0 - k1.base.cos_half, 1.0 - k2.base.cos_half)
-    found, depth = meets(lo) if lo < hi else None, -math.inf
+    seed = _lens_depth(k1, k2) / 1.2
+    found = meets(seed) if lo < seed < hi else None
+    if found is None:
+        found, mid = meets(lo) if lo < hi else None, math.sqrt(lo * hi)
+    else:
+        lo, mid = seed, 1.5 * seed
+    depth = -math.inf
     while found is not None and hi > 1.5 * lo:
-        mid = math.sqrt(lo * hi)
         hit = meets(mid)
         lo, hi, found = (lo, mid, found) if hit is None else (mid, hi, hit)
+        mid = math.sqrt(lo * hi)
     if found is not None:
         (n1, psi1, n2, c2, s2), hit = found
         d = n1 if hit is None else turn(
@@ -500,7 +531,10 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
     normal w, offset c) through k1's apex with k1 on its w.x > c side,
     built when first read. When they meet, the witness is a common point
     within a factor 2 of the deepest and the margin minus its cos-depth,
-    its lesser cos-space margin (_overlap). A margin inside the window
+    its lesser cos-space margin (_overlap): a search on the level of the
+    shrunk cones, started from the caps' lens depth, a lower bound on the
+    deepest common depth because points near the sphere in both caps lie
+    in both cones at their caps' depths. A margin inside the window
     raises DegenerateGeometry.
 
     The apexes are shared only when their floats are equal. Distinct

@@ -372,8 +372,12 @@ def _blend_cone(a: BallCone, b: BallCone, t: float) -> BallCone:
 
 
 def _same_cone(a: BallCone, b: BallCone) -> bool:
-    return (np.allclose(a.apex.v, b.apex.v, atol=1e-14)
-            and np.allclose(a.base.axis.v, b.base.axis.v, atol=1e-14)
+    """Apexes, axes and half-angles equal to 1e-14, absolutely: a relative
+    tolerance would merge cones whose apexes differ by 1e-5 of their
+    size."""
+    sa, sb = a.exit_scalars, b.exit_scalars
+    return (all(abs(x - y) <= 1e-14
+                for x, y in zip(sa[:3] + sa[4:7], sb[:3] + sb[4:7]))
             and abs(a.base.half_angle - b.base.half_angle) <= 1e-14)
 
 

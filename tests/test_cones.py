@@ -717,6 +717,189 @@ class TestContactAngles:
         assert separated == 401
 
 
+def _reference_overlap(k1, k2, m, q, inner, window):
+    """The overlap search before the lens-depth seed: the shrunk-cone test
+    bisected on log t from the window to 1 - cos psi, then the same
+    chord-middle witness. The reference for the seeded search."""
+    def meets(t):
+        caps = cone_module._caps(k1, k2, t, m)
+        if caps is None or inner > t:
+            return None if caps is None else (caps, None)
+        hit = _hull_gap(caps[0], caps[1], q, *caps[2:])
+        return (caps, hit) if hit[0] < 0.0 else None
+
+    lo, hi = window, min(1.0 - k1.base.cos_half, 1.0 - k2.base.cos_half)
+    found, depth = meets(lo) if lo < hi else None, -math.inf
+    while found is not None and hi > 1.5 * lo:
+        mid = math.sqrt(lo * hi)
+        hit = meets(mid)
+        lo, hi, found = (lo, mid, found) if hit is None else (mid, hi, hit)
+    if found is not None:
+        (n1, psi1, n2, c2, s2), hit = found
+        d = n1 if hit is None else turn(
+            hit[1], n2, min(-0.5 * hit[0], 0.5 * angle(hit[1], n2)))
+        r = cone_module._chord_middle(d, q or (0.0, 0.0, 0.0), n2, c2)
+        if r is not None:
+            p = _act(_inverse(m), [r * a for a in d])
+            if dot(p, p) < 1.0:
+                depth = min(k1.margin(p), k2.margin(p))
+    if depth <= window:
+        raise DegenerateGeometry("cones meet only within the window")
+    return cone_module.DisjointResult(False, -depth, np.array(p))
+
+
+def _log_margin(rng):
+    return math.exp(rng.uniform(math.log(1e-8), math.log(1e-2)))
+
+
+def _shared_apex_overlap(rng):
+    """Two cones with one apex whose caps overlap by an angle log-uniform
+    in [1e-8, 1e-2] in the apex frame, moved by a seeded Lorentz map: the
+    apex floats are equal, as both are the image of the origin."""
+    psi1, psi2 = rng.uniform(0.15, 0.9, size=2)
+    n1 = unit_vector(rng)
+    gamma = psi1 + psi2 - _log_margin(rng)
+    n2 = rotate_toward(n1, unit_vector(rng), gamma)
+    g = random_transform(rng)
+    return (map_cone(g, raw_cone(np.zeros(3), n1, psi1)),
+            map_cone(g, raw_cone(np.zeros(3), n2, psi2)))
+
+
+def _nested_pair(rng):
+    """An outer cone and an inner one whose apex is an interior point of
+    the outer cone's, with a cap near the outer axis."""
+    while True:
+        outer = random_cone(rng, psi_max=1.2)
+        apex = outer.sample_points(1, rng)[0]
+        axis = rotate_toward(outer.base.axis.v, unit_vector(rng),
+                             rng.uniform(0.0, 0.5 * outer.base.half_angle))
+        try:
+            inner = raw_cone(apex, axis, rng.uniform(0.05, 0.8))
+        except ValueError:
+            continue
+        return inner, outer
+
+
+def _overlap_families(rng, count):
+    """Seeded pairs of each family the overlap search meets: shared-apex,
+    rotated and boosted mirror, nested (both orders) and random overlaps
+    of wide cones."""
+    for _ in range(count):
+        yield _shared_apex_overlap(rng)
+        yield _mirror_pair(rng, _log_margin(rng), rng.uniform(0.0, 0.5))
+        inner, outer = _nested_pair(rng)
+        yield inner, outer
+        yield outer, inner
+        yield random_cone(rng, psi_max=1.4), random_cone(rng, psi_max=1.4)
+
+
+def _arc_lens_depth(k1, k2):
+    """Ternary search of min(d.n1 - cos psi1, d.n2 - cos psi2) over the
+    arc from n1 to n2 of the ball-frame caps."""
+    n1, n2 = k1.base.axis.v, k2.base.axis.v
+    gamma = angle_between(n1, n2)
+    w = n2 - float(n2 @ n1) * n1
+    w = (w / np.linalg.norm(w) if float(w @ w) > 0.0
+         else orthonormal_frame(n1)[0])
+
+    def depth(t):
+        d = math.cos(t) * n1 + math.sin(t) * w
+        return min(float(d @ n1) - k1.base.cos_half,
+                   float(d @ n2) - k2.base.cos_half)
+    lo, hi = 0.0, gamma
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if depth(m1) < depth(m2):
+            lo = m1
+        else:
+            hi = m2
+    return depth(0.5 * (lo + hi))
+
+
+class TestOverlapSearch:
+    """The overlap search seeded by the closed-form lens depth against the
+    window-to-hi bisection it replaced."""
+
+    def test_answers_and_witnesses_match_the_window_bisection(
+            self, monkeypatch):
+        rng = np.random.default_rng(3201)
+        overlaps = 0
+        for a, b in _overlap_families(rng, 200):
+            with monkeypatch.context() as patch:
+                patch.setattr(cone_module, "_overlap", _reference_overlap)
+                ref = _outcome(disjoint, a, b)
+            res = _outcome(disjoint, a, b)
+            if isinstance(ref, type):
+                assert res is ref
+                continue
+            assert isinstance(res, cone_module.DisjointResult)
+            assert res.disjoint == ref.disjoint
+            if res.disjoint:
+                continue
+            p = res.common_point.tolist()
+            depth = min(a.margin(p), b.margin(p))
+            assert a.margin(p) > WINDOW and b.margin(p) > WINDOW
+            assert res.margin == -depth
+            assert 1.0 / 1.5 <= res.margin / ref.margin <= 1.5
+            overlaps += 1
+        assert overlaps > 700
+
+    def test_lens_depth_matches_a_ternary_search_on_the_arc(self):
+        rng = np.random.default_rng(3202)
+        origin = np.zeros(3)
+        pairs = []
+        for _ in range(300):
+            pairs.append((raw_cone(origin, unit_vector(rng),
+                                   rng.uniform(0.05, 1.5)),
+                          raw_cone(origin, unit_vector(rng),
+                                   rng.uniform(0.05, 1.5))))
+            # one cap inside the other: the crossing clamps to an end
+            n = unit_vector(rng)
+            psi = rng.uniform(0.3, 1.5)
+            small = rng.uniform(0.01, 0.2)
+            inside = rotate_toward(n, unit_vector(rng),
+                                   rng.uniform(0.0, psi - small))
+            pairs.append((raw_cone(origin, n, psi),
+                          raw_cone(origin, inside, small)))
+            pairs.append((raw_cone(origin, inside, small),
+                          raw_cone(origin, n, psi)))
+            # axes within gamma -> 0, and equal
+            near = rotate_toward(n, unit_vector(rng),
+                                 10.0 ** rng.uniform(-12.0, -6.0))
+            for axis in (near, n):
+                pairs.append((raw_cone(origin, n, psi),
+                              raw_cone(origin, axis, small)))
+                pairs.append((raw_cone(origin, n, psi),
+                              raw_cone(origin, axis, psi)))
+        for a, b in pairs:
+            assert abs(cone_module._lens_depth(a, b)
+                       - _arc_lens_depth(a, b)) <= 1e-12
+
+    def test_overlaps_take_at_most_two_level_tests(self, monkeypatch):
+        # a silent return to the bisection from the window costs 7
+        levels = []
+
+        def counted(*args):
+            levels.append(args[2])
+            return caps(*args)
+
+        caps = cone_module._caps
+        monkeypatch.setattr(cone_module, "_caps", counted)
+        rng = np.random.default_rng(3203)
+        overlaps = 0
+        for _ in range(300):
+            for a, b in (_shared_apex_overlap(rng),
+                         _mirror_pair(rng, _log_margin(rng),
+                                      rng.uniform(0.0, 0.5))):
+                levels.clear()
+                res = _outcome(disjoint, a, b)
+                if isinstance(res, type) or res.disjoint:
+                    continue
+                assert len(levels) <= 2, levels
+                overlaps += 1
+        assert overlaps > 500
+
+
 class TestOpposite:
     def test_involution(self):
         rng = np.random.default_rng(7)

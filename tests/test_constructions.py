@@ -486,6 +486,17 @@ class TestPaths:
         path = path_connect(a, a)
         assert len(path.nodes) == 1 and not path.witnesses
 
+    def test_cones_apart_by_a_relative_1e_5_are_not_the_same(self):
+        # apexes 4e-6 apart, within numpy's default rtol of 1e-5: the path
+        # must still end at b, not stop at a one-node path
+        a = BallCone(BallPoint(np.array([0.5, 0.0, 0.0])),
+                     Cap(SphereDirection(Z), 0.5))
+        b = BallCone(BallPoint(np.array([0.500004, 0.0, 0.0])),
+                     Cap(SphereDirection(Z), 0.5))
+        path = path_connect(a, b)
+        assert_path_valid(path, a, b)
+        assert path.nodes[-1] is b or cone_leq(b, path.nodes[-1]).holds
+
     def test_antipodal_cones_are_connected(self):
         a = axis_cone(0.5, 0.1)
         b = BallCone(BallPoint(np.array([0.0, 0.0, -0.1])),
