@@ -16,16 +16,21 @@ caps, a closed-form lower bound on the deepest common depth, since points
 near the sphere in both caps lie in both cones at their caps' depths, and
 settles in two tests when that bound is tight. Against a metric ball
 (`cone_hyperball_disjoint`) the margin is a shell distance and the
-certificate the plane bisecting the common perpendicular. A point's
-margin (`point_margin`) is likewise its shell distance to the lateral
-boundary, in closed form, signed by membership.
+certificate the plane bisecting the common perpendicular.
+
+Point margins (`point_margin`), ball inclusion (`hyperball_in_cone`,
+`cone_hyperball_disjoint`) and completion membership
+(`in_causal_completion`) share one lateral-distance kernel, `_lead`: for
+a point lifted to an event x of Minkowski square s^2, L = s sinh d, with
+d the shell distance to the lateral boundary and L > 0 inside, read in
+the cone's apex frame with no divide and no angle.
 
 Lorentz maps act on cones exactly through ball_model's float frame
 kernels: the apex by the ball action, the cap by its covector image
 (`_map`, on a 16-float matrix; `map_cone` adapts it). Each cone caches
-its apex frame (apex_matrix) with the image cap; the opposite cone, the
-shell-metric distances, the contact tests and the shared-apex tests all
-work in that frame.
+its apex frame (apex_matrix) with the image cap in one float cache
+(`apex_frame_scalars`); the opposite cone, the shell-metric distances,
+the contact tests and the shared-apex tests all work in that frame.
 
 Cones are built from plain floats: `_cone` runs the public constructors'
 checks on three-float apex and axis and the half-angle, with the same
@@ -170,21 +175,13 @@ class BallCone:
     def apex_frame_scalars(self) -> tuple[float, ...]:
         """The apex frame on plain floats for the one-point kernels: the 16
         entries, row by row, of the boost that moves the apex to the origin
-        (ball_model.apex_matrix), then the image cap axis and half-angle."""
+        (ball_model.apex_matrix), then the image cap axis and half-angle,
+        then the cos and sin of that half-angle as _cap_seen returns them
+        (22 floats)."""
         m = apex_matrix(*self.exit_scalars[:3])
         n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
                             math.sin(self.base.half_angle))
-        return (*m, *n, math.atan2(s, c))
-
-    @cached_property
-    def completion_scalars(self) -> tuple[float, ...]:
-        """The floats of in_causal_completion: the 12 entries of the apex
-        frame's spatial rows, then the image cap axis and the cos and sin
-        of its half-angle, as _cap_seen returns them."""
-        m = self.apex_frame_scalars[:16]
-        n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
-                            math.sin(self.base.half_angle))
-        return (*m[4:], *n, c, s)
+        return (*m, *n, math.atan2(s, c), c, s)
 
 
 def _pointed(apex, axis, cos_half: float) -> None:
@@ -298,9 +295,7 @@ def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
     a, b = inner.exit_scalars, outer.exit_scalars
     cap_margin = (outer.base.half_angle - inner.base.half_angle
                   - angle(a[4:7], b[4:7]))
-    apex = a[:3]
-    apex_margin = (0.0 if math.dist(apex, b[:3]) < 1e-15
-                   else outer.margin(apex))
+    apex_margin = outer.margin(a[:3])
     holds = (cap_margin >= -DEFAULT_TOLERANCES.cap_angle_slack
              and apex_margin >= -DEFAULT_TOLERANCES.containment_slack)
     return LeqResult(holds, cap_margin, apex_margin)
@@ -594,7 +589,7 @@ def opposite(cone: BallCone) -> BallCone:
     negated; the inverse frame carries it back exactly. Applying the
     construction twice returns the input.
     """
-    *m, nx, ny, nz, psi = cone.apex_frame_scalars
+    *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     n, c, s = _cap_seen(_inverse(m), (-nx, -ny, -nz), math.cos(psi),
                         math.sin(psi))
     return BallCone(cone.apex, Cap(SphereDirection(n), math.atan2(s, c)))
@@ -691,50 +686,73 @@ class InclusionResult:
         return self.holds
 
 
+# relative rounding slack of _plane_margin's bounds and of
+# in_causal_completion's window prefilter, and the floor that 1 - |c|^2
+# must pass for _frame_clearance
+_ROUNDING = 2.0 ** -47
+
+
+def _lead(cone: BallCone, x0: float, x1: float, x2: float,
+          x3: float) -> float:
+    """L = s sinh d for the event x = (x0, x1, x2, x3) of Minkowski square
+    s^2 > 0, signed by membership: d is the distance, in the unit shell,
+    from the shell point on x's ray to the cone's lateral boundary, and L >
+    0 exactly when that point lies in the open cone.
+
+    In the cone's apex frame M (apex_frame_scalars), which sends the apex
+    to the origin and the cap to (n', psi'), let y be the spatial part of
+    Mx. M keeps x.x, so the shell point's image is the ball point y / z0 =
+    tanh(r) y / |y|, at distance r from the apex with sinh r = |y| / s.
+    Let theta be the angle from n' to y: the point is inside exactly when
+    theta < psi'. Its nearest boundary point lies on the boundary ray in
+    its own plane through n', at angle |theta - psi'|, and the
+    right-angled triangle relation sinh a = sinh c sin A (Beardon, The
+    Geometry of Discrete Groups, ch. 7) gives sinh d = sinh r sin|theta -
+    psi'|; from a right angle on the apex is nearest and d = r. So
+
+        L = sin psi' (y.n') - cos psi' |y x n'| = |y| sin(psi' - theta),
+
+    taken as |y| with that sign once |theta - psi'| >= pi/2 (once cos
+    psi' (y.n') + sin psi' |y x n'| <= 0): products and two square roots
+    on the floats of x, with no divide and no angle. The apex itself, y =
+    0, gives -0.0: outside, at distance 0.
+    """
+    (_, _, _, _, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
+     nx, ny, nz, _, cos_psi, sin_psi) = cone.apex_frame_scalars
+    yx = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3
+    yy = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3
+    yz = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3
+    along = yx * nx + yy * ny + yz * nz
+    wx, wy, wz = yy * nz - yz * ny, yz * nx - yx * nz, yx * ny - yy * nx
+    across = math.sqrt(wx * wx + wy * wy + wz * wz)
+    lead = sin_psi * along - cos_psi * across
+    if cos_psi * along + sin_psi * across <= 0.0:  # the apex is nearest
+        size = math.sqrt(yx * yx + yy * yy + yz * yz)
+        lead = size if lead > 0.0 else -size
+    return lead
+
+
 def _frame_clearance(cone: BallCone, c, tau: float) -> tuple[float, bool]:
     """Shell distance from the ball point c (three floats) to the cone's
     lateral boundary, and whether c lies in the open cone.
 
-    The cone's apex frame sends the apex to the origin and the cone to
-    every point whose direction lies within psi' of the image cap axis n'.
-    A point at distance r and angle theta from n' is nearest to the
-    boundary ray in its own plane through n', at angle |theta - psi'| from
-    it; the right-angled triangle relation sinh a = sinh c sin A (Beardon,
-    The Geometry of Discrete Groups, ch. 7) gives the distance, and from a
-    right angle on the apex itself is the nearest boundary point. The point
-    is inside exactly when theta < psi'. A point whose image rounds to
-    |p'| >= 1 has no finite distance and raises DegenerateGeometry. Plain
-    floats throughout: at one point per call, array dispatch would cost
-    more than the arithmetic.
+    The lift (1, c) has Minkowski square s^2 = 1 - |c|^2, so the distance
+    is tau asinh(|L| / s) and c is inside exactly when L > 0 (_lead). A
+    point with s^2 <= _ROUNDING lies within rounding of the sphere, where
+    the distance has no accurate value, and raises DegenerateGeometry.
+    Plain floats throughout: at one point per call, array dispatch would
+    cost more than the arithmetic.
     """
-    (m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23,
-     m30, m31, m32, m33, nx, ny, nz, psi) = cone.apex_frame_scalars
     x, y, z = c
-    den = m00 + m01 * x + m02 * y + m03 * z
-    px = (m10 + m11 * x + m12 * y + m13 * z) / den
-    py = (m20 + m21 * x + m22 * y + m23 * z) / den
-    pz = (m30 + m31 * x + m32 * y + m33 * z) / den
-    norm = math.sqrt(px * px + py * py + pz * pz)
-    if norm == 0.0:
-        return 0.0, False
-    if norm >= 1.0:
+    square = 1.0 - (x * x + y * y + z * z)
+    if not square > _ROUNDING:
         raise DegenerateGeometry(
             "point rounds onto the sphere in the cone's apex frame")
-    px, py, pz = px / norm, py / norm, pz / norm
-    sx, sy, sz = py * nz - pz * ny, pz * nx - px * nz, px * ny - py * nx
-    theta = math.atan2(math.sqrt(sx * sx + sy * sy + sz * sz),
-                       px * nx + py * ny + pz * nz)
-    r = math.atanh(norm)
-    gap = abs(theta - psi)
-    if gap >= 0.5 * math.pi:
-        return tau * r, theta < psi
-    return tau * math.asinh(math.sinh(r) * math.sin(gap)), theta < psi
+    lead = _lead(cone, 1.0, x, y, z)
+    return tau * math.asinh(abs(lead) / math.sqrt(square)), lead > 0.0
 
 
 _SPLITS = 400  # arcs one _plane_margin call splits before it gives up
-# relative rounding slack of _plane_margin's bounds and of
-# in_causal_completion's window prefilter
-_ROUNDING = 2.0 ** -47
 
 
 def _azimuth_terms(terms, c: float, s: float) -> tuple:
@@ -828,8 +846,8 @@ def _plane_terms(inner: BallCone, outer: BallCone, tau: float,
     with N = a + cos(phi) b + sin(phi) d, alpha = -N0, m = Ns and kappa =
     ka + cos(phi) kb + sin(phi) kd, and (nx, ny, nz) inner's apex-frame
     cap axis."""
-    *m_k, nx, ny, nz, psi_k = inner.apex_frame_scalars
-    *m_r, psi = outer.apex_frame_scalars
+    *m_k, nx, ny, nz, psi_k, _, _ = inner.apex_frame_scalars
+    *m_r, psi, _, _ = outer.apex_frame_scalars
     n_r, inv = m_r[16:], _inverse(m_r)
     # columns 1-3 of m_k eta m_r^T eta, row by row
     carry = [[m_k[i] * inv[j] + m_k[i + 1] * inv[j + 4]
@@ -1004,25 +1022,10 @@ def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
     shell point on its ray, of radius rho = tau |ln(s / tau)| for s =
     sqrt(x.x). The event is in the completion exactly when that ball lies
     in the cone: when its centre is inside and the centre's distance tau d
-    to the lateral boundary exceeds rho. In the cone's apex frame M, which
-    sends the apex to the origin and the cap to (n', psi'), both read off
-    y, the spatial part of Mx (completion_scalars):
+    to the lateral boundary exceeds rho. Both are read off the event:
 
-    - M keeps x.x, so Mx = (z0, y) with z0^2 - |y|^2 = s^2. The centre's
-      image is the ball point y / z0 = tanh(r) y / |y|, at distance r from
-      the apex in the unit shell, so sinh r = |y| / s.
-    - Let theta be the angle from n' to y. The centre is inside exactly
-      when theta < psi'. Its nearest boundary point lies on the boundary
-      ray in its own plane through n', at angle |theta - psi'|, and the
-      right-angled triangle relation sinh a = sinh c sin A (Beardon, The
-      Geometry of Discrete Groups, ch. 7) gives sinh d = sinh r sin|theta
-      - psi'|; from a right angle on the apex is nearest and d = r. So
-
-          L = sin psi' (y.n') - cos psi' |y x n'| = |y| sin(psi' - theta),
-
-      taken as |y| with that sign once |theta - psi'| >= pi/2 (once cos
-      psi' (y.n') + sin psi' |y x n'| <= 0), is s sinh d signed by
-      membership.
+    - L = s sinh d, signed by membership of the centre (_lead, in the
+      cone's apex frame).
     - cosh(rho / tau) = (s / tau + tau / s) / 2, so sinh(rho / tau) =
       |s^2 - tau^2| / (2 s tau) = R / s with R = |x.x - tau^2| / (2 tau).
 
@@ -1055,18 +1058,7 @@ def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
     u = (x1 / x0, x2 / x0, x3 / x0)
     if not math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) < 1.0:
         raise ValueError("ball point must satisfy |u| < 1")
-    (m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
-     nx, ny, nz, cos_psi, sin_psi) = region.cone.completion_scalars
-    yx = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3
-    yy = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3
-    yz = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3
-    along = yx * nx + yy * ny + yz * nz
-    wx, wy, wz = yy * nz - yz * ny, yz * nx - yx * nz, yx * ny - yy * nx
-    across = math.sqrt(wx * wx + wy * wy + wz * wz)
-    lead = sin_psi * along - cos_psi * across
-    if cos_psi * along + sin_psi * across <= 0.0:  # the apex is nearest
-        size = math.sqrt(yx * yx + yy * yy + yz * yz)
-        lead = size if lead > 0.0 else -size
+    lead = _lead(region.cone, x0, x1, x2, x3)
     tau = region.shell.tau
     reach = abs(square - tau * tau) / (2.0 * tau)
     if reach * reach <= 1e-30 * square:
@@ -1111,7 +1103,7 @@ def cone_hyperball_disjoint(cone: BallCone,
     if abs(margin) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry(
             "ball touches the cone boundary within the window")
-    *m, nx, ny, nz, psi = cone.apex_frame_scalars
+    *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     n = (nx, ny, nz)
     c = _act(m, ball.center.v.tolist())
     start, ahead = c, [-a for a in c]

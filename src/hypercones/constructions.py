@@ -34,9 +34,9 @@ from .ball_model import (Cap, SphereDirection, _act, _boost, _cap_seen,
                          _compose, _inverse, _trusted, apex_matrix,
                          shadow_radius)
 from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits, _cone,
-                    _enclosure, _frame_clearance, _line_entry, _map,
-                    _plane_margin, cone_hyperball_disjoint, cone_leq,
-                    disjoint, hyperball_in_cone, opposite)
+                    _enclosure, _line_entry, _map, _plane_margin,
+                    cone_hyperball_disjoint, cone_leq, disjoint,
+                    hyperball_in_cone, opposite)
 from .config import DEFAULT_TOLERANCES
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform
@@ -574,15 +574,12 @@ def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
     """Whether the metric ball of the given radius on shell `tau` about
     every point of `inner` lies inside `outer`: inner <= outer, and the
     clearance of inner from outer's boundary exceeds the radius by more
-    than the degenerate window. That of inner's apex, a closed form
-    (_frame_clearance), is checked first; that of the whole cone is
-    decided by the unshifted _plane_margin, a sinh-distance, against the
-    floor sinh((radius + window) / tau)."""
-    window = DEFAULT_TOLERANCES.degenerate_window
-    apex = inner.exit_scalars[:3]
-    floor = math.sinh((radius + window) / tau)
+    than the degenerate window. That clearance is decided by the unshifted
+    _plane_margin, a sinh-distance, against the floor sinh((radius +
+    window) / tau); its bound at the apex, s = 0, holds inner's apex to
+    the same floor."""
+    floor = math.sinh((radius + DEFAULT_TOLERANCES.degenerate_window) / tau)
     return (bool(cone_leq(inner, outer))
-            and _frame_clearance(outer, apex, tau)[0] - radius > window
             and _plane_margin(inner, outer, tau, floor=floor))
 
 
@@ -603,7 +600,7 @@ def _shadow_enclosure(cone: BallCone, radius: float, tau: float,
     the apex, s = 0, and at least sinh rho. Past r of about 8.0, psi_o
     passes the covering limit and ConstructionFailure is raised; so does a
     shift whose r leaves the floats, naming its index."""
-    *_, nx, ny, nz, psi = cone.apex_frame_scalars
+    *_, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     rho = radius / tau + _SHADOW_PAD
     r, parts = rho, []
     for i, t in enumerate(shifts):
@@ -663,7 +660,7 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
     bound of cones._plane_margin (_shadow_inside), certifies it.
     """
     radius = shadow_radius(sigma, tau)
-    *frame, nx, ny, nz, psi = cone.apex_frame_scalars
+    *frame, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     sinh_s = math.sinh(radius / tau + _SHADOW_PAD) / math.sin(0.5 * psi)
     floor = sinh_s / math.sqrt(1.0 + sinh_s * sinh_s)  # tanh s
     core = _axial_cone((nx, ny, nz), min(0.5 * psi, _room(floor)), floor)
@@ -691,7 +688,7 @@ def contracting_boosts(cone: BallCone) -> ContractingBoosts:
     that boost_maker wraps in a LorentzTransform.
     """
     boost = _frame_boost(cone)
-    *_, nx, ny, nz, psi = cone.apex_frame_scalars
+    *_, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     n = (nx, ny, nz)
 
     def maker(l: SphereDirection, chi: float) -> LorentzTransform:
@@ -717,7 +714,7 @@ def _frame_boost(cone: BallCone):
     cap, carried back from that frame: the function of l (three floats)
     and the rapidity chi >= 0 that gives frame^-1 boost(l, chi) frame as
     16 floats, raising ValueError for any other l or chi."""
-    *frame, nx, ny, nz, psi = cone.apex_frame_scalars
+    *frame, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     back, n = _inverse(frame), (nx, ny, nz)
 
     def boost(l, chi: float):
@@ -856,7 +853,7 @@ def translate_enclosure(cone: BallCone, tau: float,
              for t in translations]
     eps = DEFAULT_TOLERANCES.linear_identity
     # the frame m sends the apex to the origin
-    *m, nx, ny, nz, psi = cone.apex_frame_scalars
+    *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     shifted = []
     for i, t in enumerate(trans):
         x = t.components.tolist()

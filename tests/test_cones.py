@@ -279,6 +279,17 @@ class TestConeOrder:
         assert not res.holds
         assert res.apex_margin < 0
 
+    def test_apexes_within_rounding_share_a_zero_apex_margin(self):
+        # no shared-apex rule in cone_leq: BallCone.margin reads 0.0 for
+        # a point within 1e-14 of the apex
+        outer = raw_cone([0.1, -0.2, 0.05], [0.0, 0.6, 0.8], 0.9)
+        for gap in (0.0, 1e-16, 5e-15):
+            apex = outer.apex.v + np.array([gap, 0.0, 0.0])
+            assert math.dist(apex, outer.apex.v) == pytest.approx(
+                gap, rel=0.2)
+            res = cone_leq(raw_cone(apex, [0.0, 0.6, 0.8], 0.4), outer)
+            assert res.apex_margin == 0.0 and res.holds
+
     def test_order_implies_membership(self):
         rng = np.random.default_rng(3)
         checked = 0
@@ -379,7 +390,7 @@ def _eager_ball_plane(cone, ball):
     cone_hyperball_disjoint built it before the deferral: the reference."""
     tau, radius = ball.shell.tau, ball.radius
     dist, _ = _frame_clearance(cone, ball.center.v.tolist(), tau)
-    *m, nx, ny, nz, psi = cone.apex_frame_scalars
+    *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     n = (nx, ny, nz)
     c = _act(m, ball.center.v.tolist())
     ahead = [-a for a in c]
@@ -1348,11 +1359,13 @@ class TestMinBoundaryDistance:
             hyperball_in_cone(ball, cone)
 
     def test_points_at_the_sphere_return_or_raise_degenerate(self):
+        # 1 - |p|^2 <= _ROUNDING (about 7.1e-15) raises; at 1e-14 from the
+        # sphere the distance is finite
         rng = np.random.default_rng(45)
-        raised = 0
+        raised = returned = 0
         for _ in range(200):
             cone = random_cone(rng, psi_max=1.4, psi_min=0.02, apex_r=0.95)
-            for gap in (1e-15, 1e-16):
+            for gap in (1e-14, 1e-15, 1e-16):
                 p = (1.0 - gap) * unit_vector(rng)
                 if not float(np.linalg.norm(p)) < 1.0:
                     continue
@@ -1362,7 +1375,8 @@ class TestMinBoundaryDistance:
                     raised += 1
                     continue
                 assert math.isfinite(dist) and dist >= 0.0
-        assert raised > 0
+                returned += 1
+        assert raised > 0 and returned > 0
 
 
 def _signed_clearance(cone, p, tau):
@@ -1628,7 +1642,7 @@ def _translation_ladder(cone, tau, shift):
                  and cone_leq(inner, rung)), None)
 
 
-def _construction_rungs(monkeypatch):
+def _construction_rungs(monkeypatch, seed=71):
     """(label, inner, outer, tau, shift) of every _plane_margin call that
     seeded A9, A10 and A13 instances make, and that the A9 and A13
     instances make on the reference ladder."""
@@ -1642,7 +1656,7 @@ def _construction_rungs(monkeypatch):
 
     monkeypatch.setattr(cone_module, "_plane_margin", record)
     monkeypatch.setattr(constructions, "_plane_margin", record)
-    rng = np.random.default_rng(71)
+    rng = np.random.default_rng(seed)
     for _ in range(12):
         label[0] = "A9"
         sigma, tau = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 2))
@@ -1663,6 +1677,44 @@ def _construction_rungs(monkeypatch):
         constructions.translate_enclosure(cone, tau, [shift])
         _translation_ladder(cone, tau, shift)
     return rungs
+
+
+def _reference_shadow_inside(inner, outer, radius, tau):
+    """constructions._shadow_inside as it read with its apex pre-check:
+    the clearance of inner's apex from outer's boundary, by the projective
+    path (_projective_clearance), held above the radius by the window
+    before the unshifted _plane_margin decides the whole cone."""
+    apex = inner.exit_scalars[:3]
+    floor = math.sinh((radius + WINDOW) / tau)
+    return (bool(cone_leq(inner, outer))
+            and _projective_clearance(outer, apex, tau) - radius > WINDOW
+            and _plane_margin(inner, outer, tau, floor=floor))
+
+
+def test_shadow_inside_decides_as_with_its_apex_pre_check():
+    # _plane_margin's apex bound, its s = 0 term, decides the inequality
+    # the pre-check decided: every A9 and A10 call of _construction_rungs
+    # (rng 71-73) and _shadow_ladder gets the reference's answer, and on
+    # some of them the pre-check alone rejected
+    calls, real = [], constructions._shadow_inside
+
+    def record(inner, outer, radius, tau):
+        calls.append((inner, outer, radius, tau))
+        return real(inner, outer, radius, tau)
+
+    for seed in (71, 72, 73):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(constructions, "_shadow_inside", record)
+            _construction_rungs(monkeypatch, seed)
+    decided, pre_checked = set(), 0
+    for inner, outer, radius, tau in calls:
+        got = constructions._shadow_inside(inner, outer, radius, tau)
+        assert got == _reference_shadow_inside(inner, outer, radius, tau)
+        decided.add(got)
+        pre_checked += (bool(cone_leq(inner, outer)) and _projective_clearance(
+            outer, inner.exit_scalars[:3], tau) - radius <= WINDOW)
+    assert decided == {True, False} and pre_checked > 0
+    assert len(calls) >= 700
 
 
 class TestPlaneMarginOnFloats:
@@ -2123,13 +2175,13 @@ class TestCompletionKernel:
 def _completion_terms(x, cone, tau, lib=math):
     """The boundary distance tau asinh(|L| / s), the shadow radius tau
     asinh(R / s) and the sign of L, by in_causal_completion's arithmetic
-    on the floats of x and of cone.completion_scalars: rounded with
+    on the floats of x and of cone.apex_frame_scalars: rounded with
     lib=math, or exact to mpmath's precision with lib=mpmath.mp, which
     takes those floats as exact."""
     num = float if lib is math else lib.mpf
     x0, x1, x2, x3 = map(num, x)
     (m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
-     nx, ny, nz, cos_psi, sin_psi) = map(num, cone.completion_scalars)
+     nx, ny, nz, _, cos_psi, sin_psi) = map(num, cone.apex_frame_scalars[4:])
     tau = num(tau)
     yx = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3
     yy = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3
@@ -2148,15 +2200,45 @@ def _completion_terms(x, cone, tau, lib=math):
             tau * lib.asinh(reach / sigma), lead > 0)
 
 
+def _projective_clearance(cone, c, tau):
+    """The shell distance from the ball point c to the cone's lateral
+    boundary as _frame_clearance read it before the shared L kernel: the
+    apex-frame image p' by a projective divide, r = atanh|p'|, the angle
+    theta from n' by atan2, and tau asinh(sinh r sin|theta - psi'|), or
+    tau r past a right angle. Raises DegenerateGeometry where |p'| rounds
+    to 1 or more."""
+    (m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23,
+     m30, m31, m32, m33, nx, ny, nz, psi, _, _) = cone.apex_frame_scalars
+    x, y, z = c
+    den = m00 + m01 * x + m02 * y + m03 * z
+    px = (m10 + m11 * x + m12 * y + m13 * z) / den
+    py = (m20 + m21 * x + m22 * y + m23 * z) / den
+    pz = (m30 + m31 * x + m32 * y + m33 * z) / den
+    norm = math.sqrt(px * px + py * py + pz * pz)
+    if norm == 0.0:
+        return 0.0
+    if norm >= 1.0:
+        raise DegenerateGeometry("point rounds onto the sphere")
+    px, py, pz = px / norm, py / norm, pz / norm
+    sx, sy, sz = py * nz - pz * ny, pz * nx - px * nz, px * ny - py * nx
+    theta = math.atan2(math.sqrt(sx * sx + sy * sy + sz * sz),
+                       px * nx + py * ny + pz * nz)
+    r = math.atanh(norm)
+    gap = abs(theta - psi)
+    if gap >= 0.5 * math.pi:
+        return tau * r
+    return tau * math.asinh(math.sinh(r) * math.sin(gap))
+
+
 def _u_path_gap(x, cone, tau):
     """Boundary distance less shadow radius through the ball point u =
-    x_s / x0, as the completion test read them before the one-sign form,
-    or inf where that path raises."""
+    x_s / x0, as the completion test read them before the one-sign form
+    (_projective_clearance), or inf where that path raises."""
     x0, x1, x2, x3 = x
     square = x0 * x0 - (x1 * x1 + x2 * x2 + x3 * x3)
     try:
-        boundary = _frame_clearance(cone, (x1 / x0, x2 / x0, x3 / x0),
-                                    tau)[0]
+        boundary = _projective_clearance(
+            cone, (x1 / x0, x2 / x0, x3 / x0), tau)
     except (ValueError, DegenerateGeometry):
         return math.inf
     return boundary - shadow_radius(math.sqrt(square), tau)
@@ -2192,6 +2274,67 @@ def test_completion_gap_accuracy_near_the_light_cone():
                 assert worst <= WINDOW, (k, worst)
             else:
                 assert worst <= worst_u, (k, worst, worst_u)
+
+
+def _exact_clearance(mp, cone, c, tau):
+    """The shell distance from the ball point c to the cone's lateral
+    boundary at mpmath's precision, taking the floats of c, of the apex,
+    of the cap axis and of the half-angle as exact. The apex frame
+    (apex_matrix's closed form), the image cap (_cap_seen's covector) and
+    L (_lead) are formed again from them, so the rounding of
+    apex_frame_scalars counts as error."""
+    ax, ay, az = map(mp.mpf, cone.exit_scalars[:3])
+    n = [mp.mpf(v) for v in cone.exit_scalars[4:7]]
+    size = mp.sqrt(sum(v * v for v in n))
+    n = [v / size for v in n]
+    psi = mp.mpf(cone.base.half_angle)
+    g = 1 / mp.sqrt(1 - (ax * ax + ay * ay + az * az))
+    h = g * g / (g + 1)
+    rows = [(g, -g * ax, -g * ay, -g * az)] + [
+        (-g * p, *(h * p * q + (i == j) for j, q in enumerate((ax, ay, az))))
+        for i, p in enumerate((ax, ay, az))]
+    k = [r[0] * mp.cos(psi) + sum(a * b for a, b in zip(r[1:], n))
+         for r in rows]
+    size = mp.sqrt(k[1] ** 2 + k[2] ** 2 + k[3] ** 2)
+    axis = [v / size for v in k[1:]]
+    cos_k, sin_k = k[0] / size, mp.sin(psi) / size
+    x = [mp.mpf(1), *map(mp.mpf, c)]
+    y = [sum(a * b for a, b in zip(r, x)) for r in rows[1:]]
+    along = sum(a * b for a, b in zip(y, axis))
+    across = mp.sqrt(sum(a * a for a in y) - along * along)
+    lead = sin_k * along - cos_k * across
+    if cos_k * along + sin_k * across <= 0:
+        lead = mp.sqrt(sum(a * a for a in y))
+    square = 1 - sum(a * a for a in x[1:])
+    return mp.mpf(tau) * mp.asinh(abs(lead) / mp.sqrt(square))
+
+
+def test_frame_clearance_accuracy_near_the_sphere():
+    """Error of _frame_clearance against a 50-digit reference, for points
+    with 1 - |c| in decade bands from 1e-3 to 1e-12 and cones with apexes
+    out to 0.9: within the window down to the band [1e-7, 1e-6], and in
+    every band no worse than the worst of the projective path it replaced
+    (a raise counts as an infinite error)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(50)
+    with mpmath.workdps(50):
+        for k in range(3, 12):
+            worst = worst_projective = 0.0
+            for _ in range(300):
+                cone = random_cone(rng, psi_min=0.02, psi_max=1.4,
+                                   apex_r=0.9)
+                c = ((1.0 - 10.0 ** -rng.uniform(k, k + 1))
+                     * unit_vector(rng)).tolist()
+                exact = _exact_clearance(mpmath.mp, cone, c, 1.0)
+                worst = max(worst, abs(_frame_clearance(cone, c, 1.0)[0]
+                                       - exact))
+                projective = _outcome(_projective_clearance, cone, c, 1.0)
+                worst_projective = max(
+                    worst_projective, math.inf if projective is
+                    DegenerateGeometry else abs(projective - exact))
+            if k <= 6:
+                assert worst <= WINDOW, (k, worst)
+            assert worst <= worst_projective, (k, worst, worst_projective)
 
 
 class TestMapCone:

@@ -266,7 +266,7 @@ class TestAxialWitnesses:
                                  c._hull_support(b, m)))
         for cone, sigma, tau in wide_shell_cases(rng, 40):
             core = shrink_across_shells(cone, sigma, tau)
-            *frame, nx, ny, nz, psi = cone.apex_frame_scalars
+            *frame, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
             sinh_s = math.sinh(shadow_radius(sigma, tau) / tau + 0.05) \
                 / math.sin(0.5 * psi)
             alpha = min(0.5 * psi, 0.9 * math.acos(math.tanh(
