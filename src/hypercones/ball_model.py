@@ -9,8 +9,8 @@ prefactor of that shell's induced metric.
 The Lorentz frame kernels (_act, _inverse, _compose, _boost, _cap_seen,
 apex_matrix) live here once, on plain floats with a 4x4 matrix as 16
 floats row by row; lorentz_ball_action and cap_image adapt them to the
-model's objects, and _trusted wraps floats a caller has already checked
-(cones._cone) in those objects without checking them again.
+model's objects, and _trusted wraps floats a caller has already checked in
+those objects without checking them again (cones._cone inlines it).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import FourVector, LorentzTransform
-from .spherical import orthonormal_frame as _orthonormal_frame, unit
+from .spherical import orthonormal_frame as _orthonormal_frame
 
 __all__ = [
     "Hyperboloid", "BallPoint", "SphereDirection", "Cap",
@@ -356,9 +356,24 @@ def _inverse(m) -> tuple[float, ...]:
 
 def _compose(a, b) -> tuple[float, ...]:
     """The matrix product a b."""
-    return tuple(a[i] * b[j] + a[i + 1] * b[j + 4] + a[i + 2] * b[j + 8]
-                 + a[i + 3] * b[j + 12] for i in (0, 4, 8, 12)
-                 for j in (0, 1, 2, 3))
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
+    return (a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
+            a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
+            a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
+            a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
+            a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
+            a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
+            a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
+            a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
+            a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
+            a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
+            a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
+            a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
+            a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
+            a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
+            a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
+            a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15)
 
 
 def _boost(n, chi: float) -> tuple[float, ...]:
@@ -403,10 +418,13 @@ def _cap_seen(m, n, c: float, s: float):
     k'_s / |k'_s| and cos -k'_0 / |k'_s|; since m keeps |k'_s|^2 - k'_0^2
     = s^2, its sin is s / |k'_s|, accurate for thin and wide caps alike.
     """
-    k = [c * m[i] + n[0] * m[i + 1] + n[1] * m[i + 2] + n[2] * m[i + 3]
-         for i in (0, 4, 8, 12)]
-    size = math.sqrt(k[1] * k[1] + k[2] * k[2] + k[3] * k[3])
-    return unit(k[1:]), k[0] / size, s / size
+    x, y, z = n
+    k0 = c * m[0] + x * m[1] + y * m[2] + z * m[3]
+    k1 = c * m[4] + x * m[5] + y * m[6] + z * m[7]
+    k2 = c * m[8] + x * m[9] + y * m[10] + z * m[11]
+    k3 = c * m[12] + x * m[13] + y * m[14] + z * m[15]
+    size = math.sqrt(k1 * k1 + k2 * k2 + k3 * k3)
+    return (k1 / size, k2 / size, k3 / size), k0 / size, s / size
 
 
 def apex_matrix(x: float, y: float, z: float) -> tuple[float, ...]:

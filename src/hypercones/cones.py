@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         _act, _cap_seen, _inverse, _trusted, apex_matrix,
+                         _act, _cap_seen, _inverse, apex_matrix,
                          ball_distance, ray_exits)
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateGeometry
@@ -78,8 +78,8 @@ class BallCone:
     base: Cap
 
     def __post_init__(self):
-        s = self.exit_scalars
-        _pointed(s[:3], s[4:7], s[7])
+        ax, ay, az, _, nx, ny, nz, cos_half = self.exit_scalars
+        _pointed(ax, ay, az, nx, ny, nz, cos_half)
 
     # -- raw geometry helpers ------------------------------------------
 
@@ -184,10 +184,10 @@ class BallCone:
         return (*m, *n, math.atan2(s, c), c, s)
 
 
-def _pointed(apex, axis, cos_half: float) -> None:
-    """The pointedness rule of every cone: the apex strictly below the
-    base-circle plane, by the pointedness slack."""
-    if dot(axis, apex) >= cos_half - DEFAULT_TOLERANCES.pointedness:
+def _pointed(ax, ay, az, nx, ny, nz, cos_half: float) -> None:
+    """The pointedness rule of every cone: the apex a strictly below the
+    base-circle plane of the cap about n, by the pointedness slack."""
+    if nx * ax + ny * ay + nz * az >= cos_half - _POINTEDNESS:
         raise ValueError("apex must lie strictly below the base-circle plane")
 
 
@@ -206,16 +206,16 @@ def _cone(apex, axis, psi: float) -> BallCone:
         raise ValueError("direction must be unit length")
     if not 0.0 < psi < math.pi:
         raise ValueError("cap half-angle must lie in (0, pi)")
-    scalars = (ax, ay, az, room, nx, ny, nz, math.cos(psi))
-    _pointed(scalars[:3], scalars[4:7], scalars[7])
-    # the frozen dataclasses' fields, set without their validating
-    # constructors, which the checks above replace
-    cap = object.__new__(Cap)
-    vars(cap).update(axis=_trusted(SphereDirection, scalars[4:7]),
-                     half_angle=psi)
-    cone = object.__new__(BallCone)
-    vars(cone).update(apex=_trusted(BallPoint, scalars[:3]), base=cap,
-                      exit_scalars=scalars)
+    c = math.cos(psi)
+    _pointed(ax, ay, az, nx, ny, nz, c)
+    # the fields and floats (as ball_model._trusted holds them), set
+    # without the validating constructors the checks above replace
+    apex, axis = object.__new__(BallPoint), object.__new__(SphereDirection)
+    apex._v, axis._v = (ax, ay, az), (nx, ny, nz)
+    cap, cone = object.__new__(Cap), object.__new__(BallCone)
+    cap.__dict__.update(axis=axis, half_angle=psi)
+    cone.__dict__.update(apex=apex, base=cap,
+                         exit_scalars=(ax, ay, az, room, nx, ny, nz, c))
     return cone
 
 
@@ -616,8 +616,9 @@ def _covering_cap(caps) -> tuple | None:
     return unit(axis), half
 
 
+_POINTEDNESS = DEFAULT_TOLERANCES.pointedness  # the slack of _pointed
 # how far below its base-circle plane a built cone's apex must sit
-_CLEARANCE = 10.0 * DEFAULT_TOLERANCES.pointedness
+_CLEARANCE = 10.0 * _POINTEDNESS
 
 
 def _cap_fits(psi: float, height: float) -> bool:

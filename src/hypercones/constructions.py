@@ -19,7 +19,8 @@ Witnesses are built from plain floats: every cone through
 ``cones._cone`` and every Lorentz image through ``cones._map`` on a
 16-float matrix. The apex frame is read from ``apex_frame_scalars``; the
 contracting boosts (A11) are 16-float products (``_frame_boost``), and
-the orbit words (A12) one stacked numpy product (``_orbit_words``).
+the orbit words (A12) one stacked numpy product (``_orbit_words``), whose
+products with the identity reuse their ring member's image.
 """
 from __future__ import annotations
 
@@ -734,11 +735,18 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
     """
     contracting_boosts(cone)  # the family's certificate, raising on failure
     boost, l = _frame_boost(cone), direction.v.tolist()
-    for n in range(nmax + 1):
-        mapped = cone if n == 0 else _map(boost(l, float(n)), cone)
-        if n > 0 and not cone_leq(mapped, cone):
+    if nmax >= 0 and _ball_clear(cone, ball):
+        return 0
+    for n in range(1, nmax + 1):
+        m = boost(l, float(n))
+        try:
+            mapped = _map(m, cone)
+        except ValueError as err:
             raise ConstructionFailure(
-                "boosted cone escaped the source cone", failing_index=n)
+                f"boost {n} has no image cone in floats ({err})",
+                failing_index=n) from None
+        _require(bool(cone_leq(mapped, cone)),
+                 "boosted cone escaped the source cone", n)
         if _ball_clear(mapped, ball):
             return n
     raise ConstructionFailure(
@@ -766,24 +774,31 @@ def robust_enclosure_lorentz(cone: BallCone,
     A finite surrogate for robustness under a neighborhood of the identity:
     the enclosure covers the sampled orbit with an explicit margin. It is
     the hull enclosure of the images' caps and apexes (cones._enclosure),
-    certified when cone_leq holds every image in it. A word with no image
-    cone in floats raises ConstructionFailure naming it.
+    certified when cone_leq holds every image in it. Each distinct word is
+    mapped and checked once: I r and r I reuse the ring member r's image. A
+    word with no image cone in floats raises ConstructionFailure naming it.
     """
     words = _orbit_words(generators)
     finite = np.isfinite(words).all(axis=(1, 2)).tolist()
-    images = []
+    ring, images, distinct = 1 + 2 * len(generators), [], []
     for i, w in enumerate(words.reshape(-1, 16).tolist()):
+        a, b = divmod(i - ring, ring)  # past the ring, word i is a b
+        if a >= 0 and 0 in (a, b):  # I r or r I: the image of r
+            images.append(images[a or b])
+            continue
         try:
             if not finite[i]:
                 raise ValueError("its matrix overflows")
-            images.append(_map(w, cone))
+            image = _map(w, cone)
         except ValueError as err:
             raise ConstructionFailure(
                 f"orbit word {i} has no image cone in floats ({err}); the "
                 "generators are too large", failing_index=i) from None
+        images.append(image)
+        distinct.append(image)
     region = _enclosure(images)
     _require(region is not None
-             and all(cone_leq(img, region) for img in images),
+             and all(cone_leq(img, region) for img in distinct),
              "no covering cap enclosed the sampled Lorentz orbit of the cone")
     return region
 

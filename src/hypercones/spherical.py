@@ -23,14 +23,17 @@ def cross(a, b) -> tuple[float, float, float]:
 
 
 def unit(a) -> tuple[float, float, float]:
-    n = math.sqrt(dot(a, a))
-    return a[0] / n, a[1] / n, a[2] / n
+    x, y, z = a
+    n = math.sqrt(x * x + y * y + z * z)
+    return x / n, y / n, z / n
 
 
 def angle(a, b) -> float:
     """Angle between unit vectors, stable near 0 and pi."""
-    c = cross(a, b)
-    return math.atan2(math.sqrt(dot(c, c)), dot(a, b))
+    (ax, ay, az), (bx, by, bz) = a, b
+    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz),
+                      ax * bx + ay * by + az * bz)
 
 
 def perpendicular(a) -> tuple[float, float, float]:
@@ -43,11 +46,14 @@ def perpendicular(a) -> tuple[float, float, float]:
 def turn(a, b, by: float) -> tuple[float, float, float]:
     """The unit a turned by the angle `by` on a great circle toward b; on
     an arbitrary great circle when b is within 1e-14 of +-a."""
-    d = dot(a, b)
-    t = (b[0] - d * a[0], b[1] - d * a[1], b[2] - d * a[2])
-    t = unit(t) if dot(t, t) >= 1e-28 else perpendicular(a)
+    (x, y, z), (u, v, w) = a, b
+    d = x * u + y * v + z * w
+    tx, ty, tz = u - d * x, v - d * y, w - d * z
+    tt = tx * tx + ty * ty + tz * tz
+    n = math.sqrt(tt) if tt >= 1e-28 else 0.0
+    tx, ty, tz = (tx / n, ty / n, tz / n) if n else perpendicular(a)
     c, s = math.cos(by), math.sin(by)
-    return c * a[0] + s * t[0], c * a[1] + s * t[1], c * a[2] + s * t[2]
+    return c * x + s * tx, c * y + s * ty, c * z + s * tz
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:

@@ -347,6 +347,20 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: --nmax must be at least 0, got -1\n"
 
+    def test_escape_past_the_floats_names_the_boost(self, capsys, tmp_path):
+        # a ball of radius 20 about the origin: the 12th boost of cone A
+        # has no image cone in floats before any image clears it
+        with open(DEMO, encoding="utf-8") as f:
+            doc = json.load(f)
+        doc["balls"]["R"] = {"center": [0.0, 0.0, 0.0], "radius": 20.0}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "construct", str(path), "A11", "A",
+                             "--ball", "R")
+        assert code == 1 and "escape count" not in out
+        assert err == ("error: boost 12 has no image cone in floats (apex "
+                       "must lie strictly below the base-circle plane)\n")
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     def test_budget_must_be_finite_and_positive(self, capsys, value):
         code, out, err = run(capsys, "selftest", "--budget", value)

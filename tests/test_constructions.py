@@ -22,10 +22,10 @@ from hypercones import (BallCone, BallPoint, Cap, ConstructionFailure,
                         shadow_radius, shift_light_cone, shrink_across_shells,
                         shrink_for_connectivity, translate_enclosure,
                         wrap_ball_in_complement)
-from hypercones import charges, constructions
+from hypercones import charges, constructions, scene
 from hypercones.ball_model import _act, ball_action_many, ball_distance
-from hypercones.cones import _cap_fits, _cone, _frame_clearance, \
-    _plane_margin
+from hypercones.cones import _cap_fits, _cone, _enclosure, \
+    _frame_clearance, _map, _plane_margin
 from hypercones.convex import hyperball_ellipsoid
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
@@ -1083,6 +1083,28 @@ class TestContractingBoosts:
         g = fam.boost_maker(l, float(n))
         assert cone_hyperball_disjoint(map_cone(g, cone), ball).disjoint
 
+    def test_escape_names_a_boost_with_no_image_cone(self):
+        # the demo scene's cone A against a ball of radius 20 about the
+        # origin: the 12th boost's image rounds past its base-circle plane
+        # before any image clears the ball
+        cone = scene.load("examples_scenes/demo.json").cones["A"]
+        ball = Hyperball(Hyperboloid(1.0), BallPoint([0.0, 0.0, 0.0]), 20.0)
+        l = contracting_boosts(cone).directions[0]
+        with pytest.raises(ConstructionFailure) as err:
+            escape_ball(cone, ball, l, 64)
+        assert str(err.value) == (
+            "boost 12 has no image cone in floats (apex must lie strictly "
+            "below the base-circle plane)")
+        assert err.value.failing_index == 12
+
+    def test_escape_with_a_negative_budget_clears_nothing(self, shell):
+        cone = axis_cone(0.4, 0.1)
+        ball = Hyperball(shell, BallPoint(np.array([0.0, 0.0, -0.5])), 0.2)
+        l = contracting_boosts(cone).directions[0]
+        assert escape_ball(cone, ball, l, 0) == 0
+        with pytest.raises(ConstructionFailure, match="boosts up to -1"):
+            escape_ball(cone, ball, l, -1)
+
     def test_float_boosts_match_the_matrix_products(self):
         # frame^-1 boost(l, chi) frame on 16 floats, against the
         # LorentzTransform product it replaced; boost_maker wraps the same
@@ -1113,7 +1135,102 @@ class TestContractingBoosts:
             fam.boost_maker(fam.directions[0], -1.0)
 
 
+def _reference_robust_enclosure(cone, generators):
+    """robust_enclosure_lorentz as it was before the products with the
+    identity reused their ring member's image: every word of the stack
+    mapped, and every image checked."""
+    words = constructions._orbit_words(generators)
+    finite = np.isfinite(words).all(axis=(1, 2)).tolist()
+    images = []
+    for i, w in enumerate(words.reshape(-1, 16).tolist()):
+        try:
+            if not finite[i]:
+                raise ValueError("its matrix overflows")
+            images.append(_map(w, cone))
+        except ValueError as err:
+            raise ConstructionFailure(
+                f"orbit word {i} has no image cone in floats ({err}); the "
+                "generators are too large", failing_index=i) from None
+    region = _enclosure(images)
+    if not (region is not None
+            and all(cone_leq(img, region) for img in images)):
+        raise ConstructionFailure(
+            "no covering cap enclosed the sampled Lorentz orbit of the cone")
+    return region
+
+
+def _orbit_instances(count, seed):
+    """Seeded cones with 1-3 generators: boosts to rapidity 2 and rotations
+    to 3 rad. A fifth have their cone, and a fifth their generators, on
+    coordinate axes, whose exact zeros the products and inverses carry
+    with either sign."""
+    rng = np.random.default_rng(seed)
+
+    def direction(on_axis):
+        if not on_axis:
+            return unit_vector(rng)
+        v = np.zeros(3)
+        v[rng.integers(3)] = rng.choice([-1.0, 1.0])
+        return v
+
+    for _ in range(count):
+        if rng.random() < 0.2:
+            n = direction(True)
+            cone = _cone((rng.uniform(-0.5, 0.5) * n).tolist(), n.tolist(),
+                         rng.uniform(0.1, 0.8))
+        else:
+            cone = random_cone(rng, psi_max=0.8)
+        on_axis = rng.random() < 0.2
+        gens = [LorentzTransform.boost(direction(on_axis),
+                                       rng.uniform(-2.0, 2.0))
+                if rng.random() < 0.5 else
+                LorentzTransform.rotation(direction(on_axis),
+                                          rng.uniform(-3.0, 3.0))
+                for _ in range(rng.integers(1, 4))]
+        yield cone, gens
+
+
+def _enclosure_outcome(build, cone, gens):
+    """The region's floats as bytes, or the failure's message and index."""
+    try:
+        k = build(cone, gens)
+    except ConstructionFailure as err:
+        return str(err), err.failing_index
+    return struct.pack("9d", *k.exit_scalars, k.base.half_angle)
+
+
 class TestRobustEnclosure:
+    def test_region_is_the_thirty_image_reference_to_the_bit(
+            self, monkeypatch):
+        # each distinct word is mapped once, 1 + 2g + (2g)^2 of the
+        # (1 + 2g)(2 + 2g) words, and the region is unchanged
+        calls = []
+        counted = constructions._map
+        monkeypatch.setattr(constructions, "_map",
+                            lambda m, k: calls.append(1) or counted(m, k))
+        built = 0
+        for cone, gens in _orbit_instances(2_000, seed=3400):
+            calls.clear()
+            got = _enclosure_outcome(robust_enclosure_lorentz, cone, gens)
+            maps = len(calls)
+            assert got == _enclosure_outcome(_reference_robust_enclosure,
+                                             cone, gens)
+            if isinstance(got, bytes):
+                built += 1
+                g = len(gens)
+                assert maps == 1 + 2 * g + (2 * g) ** 2
+        assert built >= 1_500
+
+    @pytest.mark.parametrize("rapidity", [15.0, 40.0, 710.0])
+    def test_words_beyond_floats_keep_their_index_and_message(self,
+                                                              rapidity):
+        cone = scene.load("examples_scenes/demo.json").cones["A"]
+        gens = [LorentzTransform.boost([1.0, 0.0, 0.0], rapidity)]
+        with np.errstate(all="raise"):
+            got = _enclosure_outcome(robust_enclosure_lorentz, cone, gens)
+            ref = _enclosure_outcome(_reference_robust_enclosure, cone, gens)
+        assert got == ref and got[0].startswith(f"orbit word {got[1]} ")
+
     def test_generator_words_stay_inside(self):
         rng = np.random.default_rng(12)
         for _ in range(10):

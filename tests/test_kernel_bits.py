@@ -1,0 +1,267 @@
+"""The plain-float kernels against the forms they were unrolled from.
+
+Each kernel below does the same float operations in the same order as its
+reference, so every result must match to the bit. Floats are compared as
+their packed bytes, so a -0.0 where the reference gives 0.0 fails.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from hypercones.ball_model import (BallPoint, Cap, SphereDirection,
+                                   _cap_seen, _compose, _inverse, _trusted,
+                                   apex_matrix)
+from hypercones.cones import BallCone, _cone
+from hypercones.config import DEFAULT_TOLERANCES
+from hypercones.minkowski import LorentzTransform
+from hypercones.spherical import angle, cross, dot, turn, unit
+
+N = 10_000
+
+
+def bits(values) -> bytes:
+    values = list(values)
+    return struct.pack(f"{len(values)}d", *values)
+
+
+# -- the references: the kernels as they were before they were unrolled
+
+
+def _reference_unit(a):
+    n = math.sqrt(dot(a, a))
+    return a[0] / n, a[1] / n, a[2] / n
+
+
+def _reference_angle(a, b):
+    c = cross(a, b)
+    return math.atan2(math.sqrt(dot(c, c)), dot(a, b))
+
+
+def _reference_perpendicular(a):
+    j = min(range(3), key=lambda i: abs(a[i]))
+    return _reference_unit(cross(a, [float(i == j) for i in range(3)]))
+
+
+def _reference_turn(a, b, by):
+    d = dot(a, b)
+    t = (b[0] - d * a[0], b[1] - d * a[1], b[2] - d * a[2])
+    t = _reference_unit(t) if dot(t, t) >= 1e-28 else \
+        _reference_perpendicular(a)
+    c, s = math.cos(by), math.sin(by)
+    return c * a[0] + s * t[0], c * a[1] + s * t[1], c * a[2] + s * t[2]
+
+
+def _reference_compose(a, b):
+    return tuple(a[i] * b[j] + a[i + 1] * b[j + 4] + a[i + 2] * b[j + 8]
+                 + a[i + 3] * b[j + 12] for i in (0, 4, 8, 12)
+                 for j in (0, 1, 2, 3))
+
+
+def _reference_cap_seen(m, n, c, s):
+    k = [c * m[i] + n[0] * m[i + 1] + n[1] * m[i + 2] + n[2] * m[i + 3]
+         for i in (0, 4, 8, 12)]
+    size = math.sqrt(k[1] * k[1] + k[2] * k[2] + k[3] * k[3])
+    return _reference_unit(k[1:]), k[0] / size, s / size
+
+
+def _reference_cone(apex, axis, psi):
+    ax, ay, az = apex
+    nx, ny, nz = axis
+    room = 1.0 - (ax * ax + ay * ay + az * az)
+    if not room > 0.0:
+        raise ValueError("ball point must satisfy |u| < 1")
+    if not abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-6:
+        raise ValueError("direction must be unit length")
+    if not 0.0 < psi < math.pi:
+        raise ValueError("cap half-angle must lie in (0, pi)")
+    scalars = (ax, ay, az, room, nx, ny, nz, math.cos(psi))
+    if dot(scalars[4:7], scalars[:3]) >= (
+            scalars[7] - DEFAULT_TOLERANCES.pointedness):
+        raise ValueError("apex must lie strictly below the base-circle plane")
+    cap = object.__new__(Cap)
+    vars(cap).update(axis=_trusted(SphereDirection, scalars[4:7]),
+                     half_angle=psi)
+    cone = object.__new__(BallCone)
+    vars(cone).update(apex=_trusted(BallPoint, scalars[:3]), base=cap,
+                      exit_scalars=scalars)
+    return cone
+
+
+# -- seeded inputs, with exact and signed zeros and the edge cases
+
+
+def _direction(rng):
+    """A unit vector: mostly generic, sometimes a signed basis vector or
+    one with a zero entry, so that products of zeros carry their sign."""
+    r = rng.random()
+    if r < 0.1:
+        v = [0.0, 0.0, 0.0]
+        v[rng.integers(3)] = float(rng.choice([-1.0, 1.0]))
+        return [x if rng.random() < 0.5 else -x for x in v]
+    v = rng.normal(size=3)
+    if r < 0.2:
+        v[rng.integers(3)] = float(rng.choice([0.0, -0.0]))
+    return (v / np.linalg.norm(v)).tolist()
+
+
+def _vector(rng):
+    """A nonzero 3-vector over magnitudes 1e-150 to 1e150."""
+    v = np.array(_direction(rng)) * 10.0 ** rng.uniform(-150.0, 150.0)
+    return v.tolist() if np.any(v) else [1.0, 0.0, -0.0]
+
+
+def _near_sphere(rng):
+    """A ball point with 1 - |p| log-uniform in [1e-12, 1e-2], or the
+    origin and points on a coordinate axis."""
+    if rng.random() < 0.05:
+        return [0.0, -0.0, 0.0]
+    r = 1.0 - 10.0 ** rng.uniform(-12.0, -2.0)
+    return [r * x for x in _direction(rng)]
+
+
+def _matrix(rng):
+    """16 floats of a Lorentz matrix: a rotation after a boost (rapidity
+    up to 3, axes sometimes on a basis vector), its inverse, or an apex
+    frame near the sphere."""
+    r = rng.random()
+    if r < 0.2:
+        return list(apex_matrix(*_near_sphere(rng)))
+    m = (LorentzTransform.rotation(_direction(rng), rng.uniform(-3.0, 3.0))
+         @ LorentzTransform.boost(_direction(rng), rng.uniform(-3.0, 3.0)))
+    m = m.matrix.ravel().tolist()
+    return list(_inverse(m)) if r < 0.6 else m
+
+
+def test_unit_keeps_the_bits():
+    rng = np.random.default_rng(340)
+    for _ in range(N):
+        a = _vector(rng)
+        assert bits(unit(a)) == bits(_reference_unit(a))
+
+
+def test_angle_keeps_the_bits():
+    rng = np.random.default_rng(341)
+    for k in range(N):
+        a = _direction(rng)
+        if k % 4 == 0:  # near a and near -a, and a itself
+            b = [x + 10.0 ** rng.uniform(-17.0, -8.0) * rng.normal()
+                 for x in a]
+            b = [float(rng.choice([-1.0, 1.0])) * x for x in b]
+        elif k % 4 == 1:
+            b = list(a)
+        else:
+            b = _direction(rng)
+        assert bits([angle(a, b)]) == bits([_reference_angle(a, b)])
+
+
+def test_turn_keeps_the_bits_and_its_fallback():
+    rng = np.random.default_rng(342)
+    fallbacks = 0
+    for k in range(N):
+        a = _direction(rng)
+        if k % 3 == 0:
+            # b within 1e-14 of +-a: turned on an arbitrary great circle
+            sign = float(rng.choice([-1.0, 1.0]))
+            b = [sign * x + 10.0 ** rng.uniform(-18.0, -14.0) * rng.normal()
+                 for x in a]
+        else:
+            b = _direction(rng)
+        by = rng.uniform(-4.0, 4.0)
+        d = dot(a, b)
+        t = [y - d * x for x, y in zip(a, b)]
+        fallbacks += dot(t, t) < 1e-28
+        assert bits(turn(a, b, by)) == bits(_reference_turn(a, b, by))
+    assert fallbacks >= N // 10
+
+
+def test_compose_keeps_the_bits():
+    rng = np.random.default_rng(343)
+    for k in range(N):
+        if k % 5 == 0:  # arbitrary floats, zeros of both signs among them
+            a, b = (np.where(rng.random(16) < 0.2, rng.choice([0.0, -0.0]),
+                             rng.normal(size=16)).tolist() for _ in range(2))
+        else:
+            a, b = _matrix(rng), _matrix(rng)
+        assert bits(_compose(a, b)) == bits(_reference_compose(a, b))
+
+
+def test_cap_seen_keeps_the_bits():
+    rng = np.random.default_rng(344)
+    for _ in range(N):
+        m, n = _matrix(rng), _direction(rng)
+        psi = rng.uniform(1e-6, math.pi - 1e-6)
+        c, s = math.cos(psi), math.sin(psi)
+        got_n, got_c, got_s = _cap_seen(m, n, c, s)
+        ref_n, ref_c, ref_s = _reference_cap_seen(m, n, c, s)
+        assert bits([*got_n, got_c, got_s]) == bits([*ref_n, ref_c, ref_s])
+
+
+def _cone_input(rng, k):
+    """Apex, axis and half-angle: valid cones (apexes out to 1e-12 from
+    the sphere), and every kind that _cone refuses."""
+    axis, psi = _direction(rng), rng.uniform(0.01, 3.1)
+    apex = _near_sphere(rng) if k % 3 == 0 else (
+        rng.uniform(0.0, 0.9) * np.array(_direction(rng))).tolist()
+    kind = k % 10
+    if kind == 4:  # outside the ball, or not a number
+        apex = [float(rng.choice([1.0, 2.0, math.nan])), 0.0, 0.0]
+    elif kind == 5:  # off unit length by more or less than 1e-6
+        axis = [x * (1.0 + float(rng.choice([-1.0, 1.0]))
+                     * 10.0 ** rng.uniform(-7.0, -5.0)) for x in axis]
+    elif kind == 6:
+        psi = float(rng.choice([0.0, -0.5, math.pi, 4.0, math.nan]))
+    elif kind == 7:  # the apex about the base-circle plane, by 1e-9
+        h = math.cos(psi) + rng.uniform(-1e-9, 1e-9)
+        apex = [h * x for x in axis] if abs(h) < 1.0 else apex
+    return apex, axis, psi
+
+
+def _outcome(build, apex, axis, psi):
+    try:
+        cone = build(apex, axis, psi)
+    except ValueError as err:
+        return None, str(err)
+    assert type(cone.apex._v) is tuple and type(cone.base.axis._v) is tuple
+    return cone, None
+
+
+def test_cone_keeps_the_bits_checks_and_messages():
+    rng = np.random.default_rng(345)
+    messages = set()
+    for k in range(N):
+        apex, axis, psi = _cone_input(rng, k)
+        got, err = _outcome(_cone, apex, axis, psi)
+        ref, ref_err = _outcome(_reference_cone, apex, axis, psi)
+        assert err == ref_err
+        if err is not None:
+            messages.add(err)
+            continue
+        assert list(vars(got)) == list(vars(ref))
+        assert list(vars(got.base)) == list(vars(ref.base))
+        assert bits(got.exit_scalars) == bits(ref.exit_scalars)
+        assert bits([*got.apex._v, *got.base.axis._v, got.base.half_angle]) \
+            == bits([*ref.apex._v, *ref.base.axis._v, ref.base.half_angle])
+        if k % 100 == 0:  # the arrays are still built on first read
+            assert np.array_equal(got.apex.v, ref.apex.v)
+            assert not got.base.axis.v.flags.writeable
+    assert messages == {
+        "ball point must satisfy |u| < 1", "direction must be unit length",
+        "cap half-angle must lie in (0, pi)",
+        "apex must lie strictly below the base-circle plane"}
+
+
+@pytest.mark.parametrize("height, raises", [
+    (math.cos(0.4) - 2e-10, False), (math.cos(0.4) - 1e-10, True),
+    (math.cos(0.4), True)])
+def test_public_and_float_cones_share_the_pointedness_rule(height, raises):
+    args = ((0.0, 0.0, height), (0.0, 0.0, 1.0), 0.4)
+    for build in (_cone, lambda a, n, psi: BallCone(
+            BallPoint(a), Cap(SphereDirection(n), psi))):
+        if raises:
+            with pytest.raises(ValueError, match="strictly below"):
+                build(*args)
+        else:
+            build(*args)
