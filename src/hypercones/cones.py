@@ -10,13 +10,14 @@ inclusion plus apex membership.
 Disjointness is decided in closed form in an apex frame. Against a cone
 (`disjoint`) the margin is an angle in the first cone's apex frame and
 the certificate a plane through its apex; on contact the same test on the
-cones shrunk to a cos-depth level gives a common point within a factor 2
-of the deepest. The level search starts from the lens depth of the two
-caps, a closed-form lower bound on the deepest common depth, since points
-near the sphere in both caps lie in both cones at their caps' depths, and
-settles in two tests when that bound is tight. Against a metric ball
-(`cone_hyperball_disjoint`) the margin is a shell distance and the
-certificate the plane bisecting the common perpendicular.
+cones shrunk to a cos-depth level gives a ray whose stretch in the second
+hull (`_chord`, the one line-in-hull solver) holds a common point within a
+factor 2 of the deepest. The level search starts from the lens depth of
+the two caps, a closed-form lower bound on the deepest common depth, since
+points near the sphere in both caps lie in both cones at their caps'
+depths, and settles in two tests when that bound is tight. Against a
+metric ball (`cone_hyperball_disjoint`) the margin is a shell distance and
+the certificate the plane bisecting the common perpendicular.
 
 Point margins (`point_margin`), ball inclusion (`hyperball_in_cone`,
 `cone_hyperball_disjoint`) and completion membership
@@ -393,61 +394,58 @@ def _caps(k1: BallCone, k2: BallCone, t: float, m):
     return caps[0][0], math.atan2(caps[0][2], caps[0][1]), *caps[1]
 
 
-def _line_entry(cone: BallCone, d) -> float:
-    """Least r > -1 with r d in the cone's closed hull, for a unit d inside
-    its open cap. With A, B, U and W of _chord_middle for the apex q and
-    cap, g(r) = r A - B - |r U - W| >= 0 there; g is concave and g(1) > 0,
-    so the line meets the hull in [r0, 1) for r0 the root of g below 1: a
-    root of |r U - W|^2 - (r A - B)^2 on its side r A >= B, or -1 when g
-    has none. The quadratic is taken in t = r - q.d, about the point of
-    the line nearest the apex: with w = q - (q.d) d, the apex's offset
-    from the line, it is qa t^2 - 2 qb t + qc, and qb and qc vanish with
-    w. So a line through the apex enters at the apex, t = 0, exactly, and
-    a line near it at a root good to the rounding of w, not to the square
-    root of the rounding as the double root in r is."""
-    ax, ay, az, _, nx, ny, nz, c = cone.exit_scalars
-    dx, dy, dz = d
-    a, along = dx * nx + dy * ny + dz * nz, ax * dx + ay * dy + az * dz
+def _chord(q, n, c: float, d) -> tuple[float, float]:
+    """Ends lo, hi of the stretch of the line {r d : -1 < r < 1}, d unit,
+    in the closed hull of the point q and the cap (n, c = cos psi); lo > hi
+    when it misses. r d is inside when its ray from q meets the plane
+    x.n = c in the ball, g(r) = r A - B - |r U - W| >= 0 for A = d.n,
+    B = q.n, U = A q + (c - B) d and W = c q. g is concave, and the ends in
+    the ball are roots of |r U - W|^2 - (r A - B)^2 on its side r A >= B,
+    taken in t = r - q.d: with w = q - (q.d) d, the apex's offset from the
+    line, it is qa t^2 - 2 qb t + qc, and qb and qc vanish with w, so a
+    line through or near the apex meets the hull there to the rounding of
+    w, not to its square root as the double root in r. For d in the open
+    cap the stretch runs to 1 from the largest root below 1, or -1, and
+    the side admits the rounding of the apex's double root, as a root on
+    the far nappe lies lower; for -d alone, it is the mirror image; else it
+    lies between the roots on the exact side, clipped to the ball, and is
+    empty for a negative discriminant."""
+    (qx, qy, qz), (nx, ny, nz), (dx, dy, dz) = q, n, d
+    a, along = dx * nx + dy * ny + dz * nz, qx * dx + qy * dy + qz * dz
+    if a <= c < -a:  # -d alone in the open cap: the line along -d, exactly
+        return -1.0, -_chord(q, n, c, (-dx, -dy, -dz))[0]
     # once more, so that w keeps no rounding left along d, which qa =
     # -sin^2 psi would divide for a line through the apex
-    along += ((ax - along * dx) * dx + (ay - along * dy) * dy
-              + (az - along * dz) * dz)
-    wx, wy, wz = ax - along * dx, ay - along * dy, az - along * dz
+    along += ((qx - along * dx) * dx + (qy - along * dy) * dy
+              + (qz - along * dz) * dz)
+    wx, wy, wz = qx - along * dx, qy - along * dy, qz - along * dz
     wn, ww = wx * nx + wy * ny + wz * nz, wx * wx + wy * wy + wz * wz
     e, f = c - wn, along * a - c
     qa = e * e + a * a * ww - a * a
     qb = e * along * wn - a * f * ww - a * wn
     qc = (along * along - 1.0) * wn * wn + f * f * ww
-    big = qb + math.copysign(math.sqrt(max(qb * qb - qa * qc, 0.0)), qb)
-    roots = [u / v for u, v in ((big, qa), (qc, big)) if v != 0.0]
-    return max([along + t for t in roots
-                if along + t < 1.0 and t * a - wn >= -1e-12] + [-1.0])
-
-
-def _chord_middle(d, q, n, c: float) -> float | None:
-    """Middle r of the longest stretch of the ray {r d : 0 < r < 1} in the
-    open hull of the point q and the cap (n, c = cos psi), or None: r d is
-    inside when its ray from q crosses the plane x.n = c inside the ball,
-    |r U - W| < r A - B with A = d.n, B = q.n, U = A q + (c - B) d and
-    W = c q; stretches end at 0, 1, B/A and where the sides are equal."""
-    dn, qn = dot(d, n), dot(q, n)
-    u = [dn * a + (c - qn) * b for a, b in zip(q, d)]
-    w = [c * a for a in q]
-    qa, qb = dot(u, u) - dn * dn, dot(u, w) - dn * qn
-    qc = dot(w, w) - qn * qn
-    cuts = [0.0, 1.0] + ([qn / dn] if dn != 0.0 else [])
     disc = qb * qb - qa * qc
-    if disc >= 0.0:
-        big = qb + math.copysign(math.sqrt(disc), qb)
-        cuts += [a / b for a, b in ((big, qa), (qc, big)) if b != 0.0]
-    cuts = sorted(r for r in cuts if 0.0 <= r <= 1.0)
-    best, middle = 0.0, None
-    for lo, hi in zip(cuts, cuts[1:]):
-        r = 0.5 * (lo + hi)
-        y = [r * a - b for a, b in zip(u, w)]
-        if hi - lo > best and math.sqrt(dot(y, y)) < r * dn - qn:
-            best, middle = hi - lo, r
-    return middle
+    big = qb + math.copysign(math.sqrt(max(disc, 0.0)), qb)
+    # a loop: two comprehensions cost more than the arithmetic
+    inside, ends = a > c, []
+    side, top = (-1e-12, 1.0) if inside else (0.0, math.inf)
+    for u, v in ((big, qa), (qc, big)):
+        if v != 0.0:
+            t = u / v
+            if t * a - wn >= side and along + t < top:
+                ends.append(along + t)
+    if inside:
+        return max(ends + [-1.0]), 1.0
+    if disc < 0.0 or not ends:
+        return 1.0, -1.0
+    return max(min(ends), -1.0), min(max(ends), 1.0)
+
+
+def _line_entry(cone: BallCone, d) -> float:
+    """Least r > -1 with r d in the cone's closed hull, for a unit d inside
+    its open cap: the lower end of its chord (_chord)."""
+    s = cone.exit_scalars
+    return _chord(s[:3], s[4:7], s[7], d)[0]
 
 
 def _lens_depth(k1: BallCone, k2: BallCone) -> float:
@@ -478,8 +476,8 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
     shared apex). So the search tests the level of that bound divided by
     1.2, then 1.5 times that level, then bisects up to 1 - cos psi;
     without the bound beyond the window, or should rounding deny it, it
-    bisects from the window. The witness is the middle of the chord
-    through k2 of the ray along n1 or x turned into S."""
+    bisects from the window. The witness is the middle of the stretch of
+    the ray along n1, or x turned into S, in k2's hull (_chord)."""
     def meets(t):  # the caps at level t and, unless inner > t, the gap
         caps = _caps(k1, k2, t, m)
         if caps is None or inner > t:
@@ -503,11 +501,11 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
         (n1, psi1, n2, c2, s2), hit = found
         d = n1 if hit is None else turn(
             hit[1], n2, min(-0.5 * hit[0], 0.5 * angle(hit[1], n2)))
-        r = _chord_middle(d, q or (0.0, 0.0, 0.0), n2, c2)
-        if r is not None:
-            p = _act(_inverse(m), [r * a for a in d])
-            if dot(p, p) < 1.0:
-                depth = min(k1.margin(p), k2.margin(p))
+        lo, hi = _chord(q or (0.0, 0.0, 0.0), n2, c2, d)
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+        p = _act(_inverse(m), [0.5 * (lo + hi) * a for a in d])
+        if lo < hi and dot(p, p) < 1.0:
+            depth = min(k1.margin(p), k2.margin(p))
     if depth <= window:
         raise DegenerateGeometry(
             "cones meet only within the degenerate window; perturb inputs")

@@ -488,6 +488,161 @@ class TestLineEntry:
                 pytest.approx(s, abs=1e-14)
 
 
+def _exact_chord(mp, q, n, c, d):
+    """Ends of the stretch of {r d : -1 < r < 1} in the closed hull of the
+    point q and the cap (n, c = cos psi) at mpmath's precision, the floats
+    taken as exact, or None when the line misses it. The roots in r of
+    |r U - W|^2 = (r A - B)^2 (cones._chord's A, B, U and W) cut the line
+    with -1 and 1; the stretch joins the pieces whose middle lies in the
+    hull, or is the one root where the hull only touches the line."""
+    q, n, d = ([mp.mpf(v) for v in x] for x in (q, n, d))
+    c = mp.mpf(c)
+
+    def dot_(x, y):
+        return sum(s * t for s, t in zip(x, y))
+    a, b = dot_(d, n), dot_(q, n)
+    u = [a * x + (c - b) * y for x, y in zip(q, d)]
+    w = [c * x for x in q]
+    qa, qb, qc = dot_(u, u) - a * a, dot_(u, w) - a * b, dot_(w, w) - b * b
+
+    def g(r):
+        y = [r * x - z for x, z in zip(u, w)]
+        return r * a - b - mp.sqrt(dot_(y, y))
+    disc = qb * qb - qa * qc
+    roots = ([(qb + s * mp.sqrt(disc)) / qa for s in (-1, 1)]
+             if qa != 0 and disc >= 0 else
+             [qc / (2 * qb)] if qa == 0 and qb != 0 else [])
+    roots = [r for r in roots if -1 < r < 1]
+    cuts = sorted({mp.mpf(-1), mp.mpf(1), *roots})
+    pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:])
+              if g((lo + hi) / 2) >= 0]
+    if pieces:
+        return pieces[0][0], pieces[-1][1]
+    touch = [r for r in roots if g(r) >= -mp.mpf(10) ** -40]
+    return (touch[0], touch[0]) if touch else None
+
+
+def _chord_lines(rng, count):
+    """Cones with half-angles 0.02 to 2.4 (wider than a hemisphere, as
+    image caps in an apex frame can be) and apexes out to 0.9, and lines
+    through the origin, in turn: through the apex, 1e-12 to 1e-4 off it,
+    through the open cap, through its antipode, and in any direction."""
+    for k in range(count):
+        cone = random_cone(rng, psi_min=0.02, psi_max=2.4, apex_r=0.9)
+        q, n, c = (cone.exit_scalars[:3], cone.exit_scalars[4:7],
+                   cone.exit_scalars[7])
+        sign = -1.0 if k % 5 == 3 or rng.random() < 0.5 else 1.0
+        if k % 5 == 0:
+            d = unit(q)
+        elif k % 5 == 1:
+            off = 10.0 ** rng.uniform(-12.0, -4.0) / math.sqrt(dot(q, q))
+            d = turn(unit(q), unit_vector(rng).tolist(),
+                     math.asin(min(1.0, off)))
+        elif k % 5 == 4:
+            d = unit_vector(rng).tolist()
+        else:
+            d = turn(n, unit_vector(rng).tolist(),
+                     rng.uniform(0.0, 0.999) * cone.base.half_angle)
+            sign = 1.0 if k % 5 == 2 else -1.0
+        yield q, n, c, [sign * x for x in d]
+
+
+class TestChord:
+    """cones._chord, the one solver for a line through a cone's hull, and
+    the overlap witnesses it gives disjoint where the line grazes an
+    apex."""
+
+    def test_chord_matches_a_60_digit_reference(self):
+        # a line the reference misses gets no stretch; one it meets only
+        # within the rounding (under 1e-16 long here) may get none
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(60)
+        kinds = {"stretch": 0, "miss": 0}
+        with mpmath.workdps(60):
+            for q, n, c, d in _chord_lines(rng, 1000):
+                lo, hi = cone_module._chord(q, n, c, d)
+                exact = _exact_chord(mpmath.mp, q, n, c, d)
+                if exact is None:
+                    kinds["miss"] += 1
+                    assert hi - lo <= 1e-12
+                elif lo > hi:
+                    assert exact[1] - exact[0] <= 1e-13
+                else:
+                    kinds["stretch"] += 1
+                    assert abs(lo - exact[0]) <= 1e-13
+                    assert abs(hi - exact[1]) <= 1e-13
+        assert kinds["stretch"] >= 400 and kinds["miss"] >= 150, kinds
+
+    def test_a_line_near_the_apex_gets_no_stretch_from_the_far_nappe(self):
+        # the line passes 2.4e-12 from the apex, with neither end in the
+        # cap, and misses the hull (a 60-digit reference agrees); both
+        # roots lie on the far nappe, with r A - B at -6.6e-13 and
+        # -9.6e-13, so the entry's -1e-12 side slack took them for a
+        # stretch 4.4e-12 long
+        q = (0.311284045152838, -0.4753141516405091, -0.6573663876515834)
+        n = (-0.9557558784958349, -0.1916258021327155, -0.22318210653555628)
+        d = (-0.3582590993298835, 0.5470425565247912, 0.756567815267185)
+        lo, hi = cone_module._chord(q, n, 0.20474850962729238, d)
+        assert hi - lo <= 0.0
+
+    @pytest.mark.parametrize("rapidity", [None, 0.3, 0.7])
+    def test_an_overlap_grazing_an_apex_has_a_witness(self, rapidity):
+        # the witness ray grazes k2's apex, where the raw quadratic in r
+        # lost its chord, and disjoint raised although the cones meet
+        # 1.09e-7 deep
+        k1 = BallCone(BallPoint([0.0, 0.0, 0.0]), Cap(
+            SphereDirection([0.0, 0.0, 1.0]), 0.7900418615817949))
+        k2 = BallCone(BallPoint([0.2131743794308754, -0.02568780297720696,
+                                 0.21273162186626288]), Cap(SphereDirection(
+            [0.9808011446742012, -0.11818787338081418,
+             -0.15511525131816406]), 0.29344987876935513))
+        if rapidity is not None:
+            g = LorentzTransform.boost([0.3, -0.5, 0.8], rapidity)
+            k1, k2 = map_cone(g, k1), map_cone(g, k2)
+        res = disjoint(k1, k2)
+        p = res.common_point.tolist()
+        assert not res.disjoint and res.margin < -10.0 * WINDOW
+        assert k1.margin(p) > WINDOW and k2.margin(p) > WINDOW
+        assert res.margin == -min(k1.margin(p), k2.margin(p))
+
+    def test_apex_grazing_family_meets_beyond_the_window_or_raises(self):
+        # k2's apex lies 1e-9 to 1e-5 rad inside k1's boundary; its
+        # points at log-uniform fractions of the way from the apex give a
+        # sampled depth of the overlap, which lies near that apex
+        rng = np.random.default_rng(11)
+        points = np.random.default_rng(12)
+        raised = 0
+        for _ in range(1000):
+            psi1, rho = rng.uniform(0.3, 0.9), rng.uniform(0.2, 0.7)
+            theta = psi1 - 10.0 ** rng.uniform(-9.0, -5.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            tilt = rng.uniform(-0.6, 0.2)
+            k1 = BallCone(BallPoint(np.zeros(3)),
+                          Cap(SphereDirection(Z), psi1))
+            k2 = BallCone(BallPoint(rho * np.array(
+                [math.sin(theta) * math.cos(phi),
+                 math.sin(theta) * math.sin(phi), math.cos(theta)])),
+                Cap(SphereDirection.normalized(
+                    np.array([math.cos(phi), math.sin(phi), tilt])),
+                    rng.uniform(0.1, 0.5)))
+            base = k2.sample_points(2000, points)
+            s = 10.0 ** points.uniform(-9.0, 0.0, size=2000)
+            pts = k2.apex.v + s[:, None] * (base - k2.apex.v)
+            sampled = float(np.max(np.minimum(k1.interior_margins(pts),
+                                              k2.interior_margins(pts))))
+            try:
+                res = disjoint(k1, k2)
+            except DegenerateGeometry:
+                raised += 1
+                assert sampled <= 2.0 * WINDOW
+                continue
+            p = res.common_point.tolist()
+            assert not res.disjoint
+            assert k1.margin(p) > WINDOW and k2.margin(p) > WINDOW
+            assert -res.margin >= 0.5 * sampled
+        assert raised <= 100, raised
+
+
 class TestDisjointness:
     def test_mirror_cones_are_disjoint_with_plane(self):
         a = simple_cone(0.15, 0.45)
@@ -731,7 +886,8 @@ class TestContactAngles:
 def _reference_overlap(k1, k2, m, q, inner, window):
     """The overlap search before the lens-depth seed: the shrunk-cone test
     bisected on log t from the window to 1 - cos psi, then the same
-    chord-middle witness. The reference for the seeded search."""
+    witness at the middle of the chord (cones._chord). The reference for
+    the seeded search, not for the chord."""
     def meets(t):
         caps = cone_module._caps(k1, k2, t, m)
         if caps is None or inner > t:
@@ -749,8 +905,10 @@ def _reference_overlap(k1, k2, m, q, inner, window):
         (n1, psi1, n2, c2, s2), hit = found
         d = n1 if hit is None else turn(
             hit[1], n2, min(-0.5 * hit[0], 0.5 * angle(hit[1], n2)))
-        r = cone_module._chord_middle(d, q or (0.0, 0.0, 0.0), n2, c2)
-        if r is not None:
+        lo, hi = cone_module._chord(q or (0.0, 0.0, 0.0), n2, c2, d)
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+        if lo < hi:
+            r = 0.5 * (lo + hi)
             p = _act(_inverse(m), [r * a for a in d])
             if dot(p, p) < 1.0:
                 depth = min(k1.margin(p), k2.margin(p))

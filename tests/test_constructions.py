@@ -1589,3 +1589,66 @@ class TestExactCertificates:
             np.testing.assert_allclose(cone.base.axis.v, axis, rtol=0,
                                        atol=1e-12, err_msg=label)
             assert abs(cone.base.half_angle - psi) <= 1e-12, label
+
+
+class TestGuardBranches:
+    """The refusals and early answers of the constructions that the
+    seeded families never reach. Window pairs share an apex (the origin,
+    where the apex frame is the ball's) with caps that touch within
+    1e-10, inside the degenerate window."""
+
+    @pytest.mark.parametrize("touch", [-1e-10, 1e-10])
+    def test_contact_inside_the_window_is_not_yet_disjoint(self, touch):
+        a = _cone((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.5)
+        gamma = 0.5 + 0.7 + touch
+        b = _cone((0.0, 0.0, 0.0), (math.sin(gamma), 0.0, math.cos(gamma)),
+                  0.7)
+        with pytest.raises(DegenerateGeometry, match="touch"):
+            disjoint(a, b)
+        assert constructions._is_disjoint(a, b) is False
+
+    def test_ball_touching_inside_the_window_is_not_yet_clear(self):
+        cone = _cone((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.5)
+        shell = Hyperboloid(1.0)
+        center = (0.4, 0.0, 0.1)
+        dist, inside = _frame_clearance(cone, center, shell.tau)
+        assert not inside
+        ball = Hyperball(shell, BallPoint(np.array(center)), dist - 1e-10)
+        with pytest.raises(DegenerateGeometry, match="within the window"):
+            cone_hyperball_disjoint(cone, ball)
+        assert constructions._ball_clear(cone, ball) is False
+
+    @pytest.mark.parametrize("psi, floor", [
+        (0.5, math.cos(0.5)), (0.5, 0.99), (math.pi - 1e-3, -0.9)])
+    def test_axial_cone_refuses_a_floor_or_cap_past_the_limit(self, psi,
+                                                              floor):
+        assert not _cap_fits(psi, floor)
+        assert constructions._axial_cone((0.0, 0.0, 1.0), psi, floor) \
+            is None
+
+    def test_wrap_refuses_a_ball_that_meets_the_cone(self):
+        cone = _cone((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.5)
+        ball = Hyperball(Hyperboloid(1.0), BallPoint(np.array([0.0, 0.0,
+                                                               0.5])), 0.1)
+        with pytest.raises(ValueError, match="ball must be disjoint"):
+            wrap_ball_in_complement(ball, cone)
+
+    def test_equal_endpoints_make_a_one_node_path(self):
+        forbidden = _cone((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.5)
+        a = _cone((0.0, 0.0, -0.1), (0.0, 0.0, -1.0), 0.4)
+        path = path_connect_in_complement(forbidden, a, a)
+        assert path.nodes == (a,) and path.witnesses == ()
+
+    def test_common_complement_refuses_cones_that_meet(self):
+        a = _cone((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.5)
+        b = _cone((0.0, 0.0, 0.1), (0.0, math.sin(0.4), math.cos(0.4)),
+                  0.5)
+        assert not disjoint(a, b).disjoint
+        with pytest.raises(ValueError, match="input cones must be disjoint"):
+            common_complement_cone(a, b)
+
+    @pytest.mark.parametrize("u", [0.0, -0.5])
+    def test_lightray_offset_refuses_a_parameter_not_positive(self, u):
+        with pytest.raises(ValueError, match="ray parameter must be "
+                                             "positive"):
+            lightray_offset(u, 1.0)

@@ -14,7 +14,7 @@ import pytest
 from hypercones.ball_model import (BallPoint, Cap, SphereDirection,
                                    _cap_seen, _compose, _inverse, _trusted,
                                    apex_matrix)
-from hypercones.cones import BallCone, _cone
+from hypercones.cones import BallCone, _cone, _line_entry
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.minkowski import LorentzTransform
 from hypercones.spherical import angle, cross, dot, turn, unit
@@ -88,6 +88,24 @@ def _reference_cone(apex, axis, psi):
     vars(cone).update(apex=_trusted(BallPoint, scalars[:3]), base=cap,
                       exit_scalars=scalars)
     return cone
+
+
+def _reference_line_entry(cone, d):
+    ax, ay, az, _, nx, ny, nz, c = cone.exit_scalars
+    dx, dy, dz = d
+    a, along = dx * nx + dy * ny + dz * nz, ax * dx + ay * dy + az * dz
+    along += ((ax - along * dx) * dx + (ay - along * dy) * dy
+              + (az - along * dz) * dz)
+    wx, wy, wz = ax - along * dx, ay - along * dy, az - along * dz
+    wn, ww = wx * nx + wy * ny + wz * nz, wx * wx + wy * wy + wz * wz
+    e, f = c - wn, along * a - c
+    qa = e * e + a * a * ww - a * a
+    qb = e * along * wn - a * f * ww - a * wn
+    qc = (along * along - 1.0) * wn * wn + f * f * ww
+    big = qb + math.copysign(math.sqrt(max(qb * qb - qa * qc, 0.0)), qb)
+    roots = [u / v for u, v in ((big, qa), (qc, big)) if v != 0.0]
+    return max([along + t for t in roots
+                if along + t < 1.0 and t * a - wn >= -1e-12] + [-1.0])
 
 
 # -- seeded inputs, with exact and signed zeros and the edge cases
@@ -265,3 +283,34 @@ def test_public_and_float_cones_share_the_pointedness_rule(height, raises):
                 build(*args)
         else:
             build(*args)
+
+
+def _line_entry_input(rng, k):
+    """A cone (half-angle 0.02 to 1.4, apex out to 0.9) and a unit d in its
+    open cap: every fifth along the apex's direction or against it,
+    through the apex, and the rest drawn across the cap."""
+    while True:
+        axis, psi = _direction(rng), rng.uniform(0.02, 1.4)
+        apex = (rng.uniform(0.0, 0.9) * np.array(_direction(rng))).tolist()
+        if dot(axis, apex) >= math.cos(psi) - 1e-6:
+            continue
+        cone = _cone(apex, axis, psi)
+        if k % 5 == 0:
+            if not any(apex):
+                continue
+            d = unit(apex)
+            d = d if dot(d, axis) > cone.base.cos_half else [-x for x in d]
+        else:
+            d = turn(axis, _direction(rng), rng.uniform(0.0, 0.999) * psi)
+        if dot(d, axis) > cone.base.cos_half:
+            return cone, list(d)
+
+
+def test_line_entry_keeps_the_bits():
+    # the lower end of cones._chord for d in the open cap is the entry
+    # as it was computed before the chord kernel took it over
+    rng = np.random.default_rng(350)
+    for k in range(N):
+        cone, d = _line_entry_input(rng, k)
+        assert bits([_line_entry(cone, d)]) == \
+            bits([_reference_line_entry(cone, d)])
