@@ -6,11 +6,12 @@ geodesics, the boundary sphere collects asymptotic lightlike directions, and
 the Lorentz group acts projectively. All distances on a shell carry the tau
 prefactor of that shell's induced metric.
 
-The Lorentz frame kernels (_act, _inverse, _compose, _boost, _cap_seen,
-apex_matrix) live here once, on plain floats with a 4x4 matrix as 16
-floats row by row; lorentz_ball_action and cap_image adapt them to the
-model's objects, and _trusted wraps floats a caller has already checked in
-those objects without checking them again (cones._cone inlines it).
+The Lorentz frame kernels (_act, _cap_seen, apex_matrix) live here once,
+on plain floats with a 4x4 matrix as 16 floats row by row, and import the
+group kernels of minkowski back; lorentz_ball_action and cap_image adapt
+them to the model's objects, and _trusted wraps floats a caller has
+already checked in those objects without checking them again
+(cones._cone inlines it).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import FourVector, LorentzTransform
+from .minkowski import _boost, _compose, _inverse  # noqa: F401
 from .spherical import orthonormal_frame as _orthonormal_frame
 
 __all__ = [
@@ -346,47 +348,6 @@ def _act(m, p) -> tuple[float, float, float]:
     return ((m[4] + m[5] * x + m[6] * y + m[7] * z) / den,
             (m[8] + m[9] * x + m[10] * y + m[11] * z) / den,
             (m[12] + m[13] * x + m[14] * y + m[15] * z) / den)
-
-
-def _inverse(m) -> tuple[float, ...]:
-    """Inverse of a Lorentz matrix, eta m^T eta."""
-    return (m[0], -m[4], -m[8], -m[12], -m[1], m[5], m[9], m[13],
-            -m[2], m[6], m[10], m[14], -m[3], m[7], m[11], m[15])
-
-
-def _compose(a, b) -> tuple[float, ...]:
-    """The matrix product a b."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
-    return (a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
-            a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
-            a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
-            a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
-            a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
-            a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
-            a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
-            a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
-            a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
-            a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
-            a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
-            a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
-            a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
-            a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
-            a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
-            a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15)
-
-
-def _boost(n, chi: float) -> tuple[float, ...]:
-    """The boost along the unit n with rapidity chi: cosh chi and sinh chi
-    n in the time row and column, the identity plus (cosh chi - 1) n n^T
-    in space, as LorentzTransform.boost builds it."""
-    ch, sh = math.cosh(chi), math.sinh(chi)
-    x, y, z = n
-    h = ch - 1.0
-    return (ch, sh * x, sh * y, sh * z,
-            sh * x, 1.0 + h * (x * x), h * (x * y), h * (x * z),
-            sh * y, h * (y * x), 1.0 + h * (y * y), h * (y * z),
-            sh * z, h * (z * x), h * (z * y), 1.0 + h * (z * z))
 
 
 def _frozen(values) -> np.ndarray:

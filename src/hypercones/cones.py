@@ -49,11 +49,11 @@ from typing import Callable
 import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         _act, _cap_seen, _inverse, apex_matrix,
-                         ball_distance, ray_exits)
+                         _act, _cap_seen, apex_matrix, ball_distance,
+                         ray_exits)
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateGeometry
-from .minkowski import FourVector, LorentzTransform
+from .minkowski import FourVector, LorentzTransform, _inverse
 from .spherical import (angle, cross, dot, orthonormal_frame, perpendicular,
                         turn, unit)
 
@@ -290,15 +290,15 @@ def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
     The closed hull of a cone is generated by its apex and its cap region,
     and the sphere trace of the outer hull is exactly the outer cap, so the
     test is: inner cap included in outer cap, and inner apex in the outer
-    closed hull. Both parts are exact up to the fixed slacks, and both read
-    the cones' exit_scalars.
+    closed hull. Both parts are exact up to the degenerate window, and both
+    read the cones' exit_scalars.
     """
     a, b = inner.exit_scalars, outer.exit_scalars
     cap_margin = (outer.base.half_angle - inner.base.half_angle
                   - angle(a[4:7], b[4:7]))
     apex_margin = outer.margin(a[:3])
-    holds = (cap_margin >= -DEFAULT_TOLERANCES.cap_angle_slack
-             and apex_margin >= -DEFAULT_TOLERANCES.containment_slack)
+    window = DEFAULT_TOLERANCES.degenerate_window
+    holds = cap_margin >= -window and apex_margin >= -window
     return LeqResult(holds, cap_margin, apex_margin)
 
 
@@ -405,11 +405,13 @@ def _chord(q, n, c: float, d) -> tuple[float, float]:
     line, it is qa t^2 - 2 qb t + qc, and qb and qc vanish with w, so a
     line through or near the apex meets the hull there to the rounding of
     w, not to its square root as the double root in r. For d in the open
-    cap the stretch runs to 1 from the largest root below 1, or -1, and
-    the side admits the rounding of the apex's double root, as a root on
-    the far nappe lies lower; for -d alone, it is the mirror image; else it
-    lies between the roots on the exact side, clipped to the ball, and is
-    empty for a negative discriminant."""
+    cap the stretch runs to 1 from the largest root below 1, or -1, with
+    no side test, which rounding fails at a flat cone's near-double root:
+    r A - B = (x - q).n >= 0 on the closed hull, x = r d, so a root with
+    r A < B is on the far nappe, off the hull, below the entry. For -d
+    alone, it is the mirror image; else it lies between the roots on the
+    exact side, clipped to the ball, and is empty for a negative
+    discriminant."""
     (qx, qy, qz), (nx, ny, nz), (dx, dy, dz) = q, n, d
     a, along = dx * nx + dy * ny + dz * nz, qx * dx + qy * dy + qz * dz
     if a <= c < -a:  # -d alone in the open cap: the line along -d, exactly
@@ -428,11 +430,11 @@ def _chord(q, n, c: float, d) -> tuple[float, float]:
     big = qb + math.copysign(math.sqrt(max(disc, 0.0)), qb)
     # a loop: two comprehensions cost more than the arithmetic
     inside, ends = a > c, []
-    side, top = (-1e-12, 1.0) if inside else (0.0, math.inf)
+    top = 1.0 if inside else math.inf
     for u, v in ((big, qa), (qc, big)):
         if v != 0.0:
             t = u / v
-            if t * a - wn >= side and along + t < top:
+            if (inside or t * a - wn >= 0.0) and along + t < top:
                 ends.append(along + t)
     if inside:
         return max(ends + [-1.0]), 1.0
@@ -1096,15 +1098,15 @@ def cone_hyperball_disjoint(cone: BallCone,
     by half the overlap, bounded in the shell metric by 1/(1 - |z|^2)
     times the Euclidean step.
     """
-    tau, radius = ball.shell.tau, ball.radius
-    dist, inside = _frame_clearance(cone, ball.center.v.tolist(), tau)
+    tau, radius, center = ball.shell.tau, ball.radius, ball.center.v.tolist()
+    dist, inside = _frame_clearance(cone, center, tau)
     margin = -(dist + radius) if inside else dist - radius
     if abs(margin) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry(
             "ball touches the cone boundary within the window")
     *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     n = (nx, ny, nz)
-    c = _act(m, ball.center.v.tolist())
+    c = _act(m, center)
     start, ahead = c, [-a for a in c]
     if not inside:
         start = (0.0, 0.0, 0.0)

@@ -22,14 +22,11 @@ class Tolerances:
     # max residual of a circle fitted to a mapped circle in the selftest's
     # circle-preservation check
     circle_fit: float = 1e-7
-    # separation/penetration below this is reported as degenerate
+    # separation/penetration below this is reported as degenerate; also the
+    # slack of closed containment (cone_leq, the self-test's point checks)
     degenerate_window: float = 1e-9
     # apex must sit at least this far off the base-circle plane
     pointedness: float = 1e-10
-    # slack used when testing closed containment of sampled points
-    containment_slack: float = 1e-9
-    # angular slack (radians) for cap-inclusion tests
-    cap_angle_slack: float = 1e-9
     # near-degenerate cap covering limit: no cap wider than pi - this
     cap_limit: float = 1e-3
 

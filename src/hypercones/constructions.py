@@ -17,10 +17,13 @@ axis for the orbit (A12: ``cones._enclosure``).
 
 Witnesses are built from plain floats: every cone through
 ``cones._cone`` and every Lorentz image through ``cones._map`` on a
-16-float matrix. The apex frame is read from ``apex_frame_scalars``; the
-contracting boosts (A11) are 16-float products (``_frame_boost``), and
-the orbit words (A12) one stacked numpy product (``_orbit_words``), whose
-products with the identity reuse their ring member's image.
+16-float matrix. Apexes and axes are read from ``exit_scalars`` and
+turned by spherical's float kernels, the apex frame is read from
+``apex_frame_scalars``, and numpy stays with callers' balls and
+directions. The contracting boosts (A11) are 16-float products
+(``_frame_boost``), and the orbit words (A12) one stacked numpy product
+(``_orbit_words``), whose products with the identity reuse their ring
+member's image.
 """
 from __future__ import annotations
 
@@ -31,18 +34,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball_model import (Cap, SphereDirection, _act, _boost, _cap_seen,
-                         _compose, _inverse, _trusted, apex_matrix,
-                         shadow_radius)
+from .ball_model import (SphereDirection, _act, _cap_seen, _trusted,
+                         apex_matrix, shadow_radius)
 from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits, _cone,
                     _enclosure, _line_entry, _map, _plane_margin,
                     cone_hyperball_disjoint, cone_leq, disjoint,
                     hyperball_in_cone, opposite)
 from .config import DEFAULT_TOLERANCES
 from .errors import ConstructionFailure, DegenerateGeometry
-from .minkowski import FourVector, LorentzTransform
-from .spherical import (angle, angle_between, cross, dot, orthonormal_frame,
-                        perpendicular, rotate_toward, turn, unit)
+from .minkowski import (FourVector, LorentzTransform, _boost, _compose,
+                        _inverse)
+from .spherical import angle, cross, dot, perpendicular, turn, unit
 
 __all__ = [
     "Funnel", "ConePath", "ContractingBoosts",
@@ -112,17 +114,17 @@ def _ball_clear(cone: BallCone, ball: Hyperball) -> bool:
         return False
 
 
-def _steer_target(cone: BallCone, away_from: np.ndarray) -> np.ndarray:
+def _steer_target(cone: BallCone, away_from) -> list[float]:
     """Base-circle point farthest from a point q to be avoided, in closed
     form: a circle point p = cos psi n + sin psi e has |p - q|^2 =
     1 + |q|^2 - 2 p.q, largest when e points against q's offset from the
     axis n. An on-axis q is equally far from every circle point."""
-    n = cone.base.axis.v
-    psi = cone.base.half_angle
-    offset = away_from - float(away_from @ n) * n
-    size = float(np.linalg.norm(offset))
-    e = -offset / size if size >= 1e-12 else orthonormal_frame(n)[0]
-    return math.cos(psi) * n + math.sin(psi) * e
+    n, psi = cone.exit_scalars[4:7], cone.base.half_angle
+    along = dot(away_from, n)
+    offset = [q - along * a for q, a in zip(away_from, n)]
+    size = math.sqrt(dot(offset, offset))
+    e = [-a / size for a in offset] if size >= 1e-12 else perpendicular(n)
+    return [math.cos(psi) * a + math.sin(psi) * b for a, b in zip(n, e)]
 
 
 def _axial_cone(axis, psi: float, floor: float) -> BallCone | None:
@@ -164,11 +166,11 @@ def _spheroid(ball: Hyperball) -> tuple[np.ndarray, np.ndarray, float, float]:
             r0 * math.sqrt(d))
 
 
-def _ball_support(ball: Hyperball, m: np.ndarray) -> float:
+def _ball_support(ball: Hyperball, m) -> float:
     """Largest x.m on the ball's closed Euclidean image (_spheroid)."""
     mid, axis, along, across = _spheroid(ball)
-    t = float(axis @ m)
-    return float(mid @ m) + math.hypot(
+    t = dot(axis.tolist(), m)
+    return dot(mid.tolist(), m) + math.hypot(
         along * t, across * math.sqrt(max(0.0, 1.0 - t * t)))
 
 
@@ -191,11 +193,10 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball) -> Funnel:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     psi0 = cone.base.half_angle
-    axis = SphereDirection.normalized(rotate_toward(
-        cone.base.axis.v, _steer_target(cone, probe.center.v), 0.5 * psi0))
-    d = axis.v.tolist()
+    d = unit(turn(cone.exit_scalars[4:7],
+                  _steer_target(cone, probe.center.v.tolist()), 0.5 * psi0))
     entry = _line_entry(cone, d)
-    floor = max(entry, _ball_support(probe, axis.v))
+    floor = max(entry, _ball_support(probe, d))
     wide, psi = 0.5 * psi0, min(0.3 * psi0, _room(floor))
     chain = [cone]
     for i in range(1, depth + 1):
@@ -394,7 +395,7 @@ def path_connect(cone_a: BallCone, cone_b: BallCone) -> ConePath:
     """
     if _same_cone(cone_a, cone_b):
         return ConePath((cone_a,), ())
-    gamma = angle_between(cone_a.base.axis.v, cone_b.base.axis.v)
+    gamma = angle(cone_a.exit_scalars[4:7], cone_b.exit_scalars[4:7])
     psi_a, psi_b = cone_a.base.half_angle, cone_b.base.half_angle
     n = max(1, math.ceil((gamma - abs(psi_a - psi_b))
                          / (1.9 * min(psi_a, psi_b))))
@@ -441,23 +442,23 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
                              "forbidden cone")
     if _same_cone(cone_a, cone_b):
         return ConePath((cone_a,), ())
-    pole = forbidden.base.axis.v
-    psi_f = forbidden.base.half_angle
-    e1, e2 = orthonormal_frame(pole)
-    ax_a, ax_b = cone_a.base.axis.v, cone_b.base.axis.v
-    phi_a, phi_b = angle_between(ax_a, pole), angle_between(ax_b, pole)
+    pole, psi_f = forbidden.exit_scalars[4:7], forbidden.base.half_angle
+    e1 = perpendicular(pole)
+    e2 = cross(pole, e1)
+    ax_a, ax_b = cone_a.exit_scalars[4:7], cone_b.exit_scalars[4:7]
+    phi_a, phi_b = angle(ax_a, pole), angle(ax_b, pole)
     theta = min(max(phi_a, phi_b), math.pi - 0.02)
 
-    def azimuth(d: np.ndarray, fallback: float) -> float:
+    def azimuth(d, fallback: float) -> float:
         # an axis at a pole takes the fallback, the other endpoint's
-        x, y = float(d @ e1), float(d @ e2)
+        x, y = dot(d, e1), dot(d, e2)
         return math.atan2(y, x) if x * x + y * y >= 1e-20 else fallback
 
     az_a = azimuth(ax_a, azimuth(ax_b, 0.0))
     az_b = azimuth(ax_b, az_a)
     az_c = az_a + math.remainder(az_b - az_a, 2.0 * math.pi)
 
-    reach = float(np.linalg.norm(forbidden.apex.v))
+    reach = math.hypot(*forbidden.exit_scalars[:3])
     pad = min(0.03, 0.25 * (1.0 - reach))
     ceiling = min(0.6, math.acos(reach + 2.0 * pad))
 
@@ -472,7 +473,7 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
         return [(lat0 + (lat1 - lat0) * i / n, az0 + (az1 - az0) * i / n)
                 for i in range(1, n + 1)]
 
-    frame = list(zip(pole.tolist(), e1.tolist(), e2.tolist()))
+    frame = list(zip(pole, e1, e2))
     stops = [(phi_a, az_a), *leg(phi_a, theta, az_a, az_a),
              *leg(theta, theta, az_a, az_c), *leg(theta, phi_b, az_b, az_b)]
     thin = []
@@ -501,7 +502,7 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     min(0.6 psi_a, _room(floor)). When they overlap the result sits inside
     both cones (_common_subcone), so the complements share a family.
     """
-    gamma = angle_between(cone_a.base.axis.v, cone_b.base.axis.v)
+    gamma = angle(cone_a.exit_scalars[4:7], cone_b.exit_scalars[4:7])
     total = cone_a.base.half_angle + cone_b.base.half_angle
     if abs(gamma - total) <= DEFAULT_TOLERANCES.degenerate_window:
         raise DegenerateGeometry("cap boundaries are tangent; perturb inputs")
@@ -520,9 +521,9 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     return sub
 
 
-def _clearest_direction(cap_a: Cap, cap_b: Cap) -> tuple[np.ndarray, float]:
-    """Direction m with the largest angular clearance s from both closed
-    caps, and s, in closed form.
+def _clearest_direction(cap_a, cap_b) -> tuple:
+    """Direction m (three unit floats) with the largest angular clearance
+    s from both closed caps (axis, half-angle), and s, in closed form.
 
     The directions at least s from the caps of half-angles psi_a, psi_b
     about a and b are the caps of radii pi - psi_a - s and pi - psi_b - s
@@ -533,13 +534,12 @@ def _clearest_direction(cap_a: Cap, cap_b: Cap) -> tuple[np.ndarray, float]:
     pi - (psi_a + psi_b + gamma)/2), reached on the arc from -a toward -b
     where the two clearances balance, clipped to the arc.
     """
-    a, b = cap_a.axis.v, cap_b.axis.v
-    psi_a, psi_b = cap_a.half_angle, cap_b.half_angle
-    gamma = angle_between(a, b)
+    (a, psi_a), (b, psi_b) = cap_a, cap_b
+    gamma = angle(a, b)
     clear = min(math.pi - psi_a, math.pi - psi_b,
                 math.pi - 0.5 * (psi_a + psi_b + gamma))
     t = min(max(0.5 * (gamma + psi_b - psi_a), 0.0), gamma)
-    return rotate_toward(-a, -b, t), clear
+    return unit(turn([-x for x in a], [-x for x in b], t)), clear
 
 
 def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
@@ -551,9 +551,9 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     """
     if not disjoint(cone_a, cone_b).disjoint:
         raise ValueError("input cones must be disjoint")
-    m, clear = _clearest_direction(cone_a.base, cone_b.base)
+    d, clear = _clearest_direction(
+        *((k.exit_scalars[4:7], k.base.half_angle) for k in (cone_a, cone_b)))
     _require(clear > 1e-6, "no direction clears both closed caps")
-    d = SphereDirection.normalized(m).v.tolist()
     floor = max(_hull_support(cone_a, d), _hull_support(cone_b, d))
     witness = _axial_cone(d, min(0.45 * clear, 0.2, _room(floor)), floor)
     _require(witness is not None and _is_disjoint(witness, cone_a)

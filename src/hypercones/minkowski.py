@@ -4,6 +4,10 @@ Signature convention is (+, -, -, -): the pairing of a = (a0, a_s) and
 b = (b0, b_s) is a0*b0 - a_s.b_s. The open forward cone V consists of the
 x with x0 > |x_s|; the causal semigroup pairs translations from the closure
 of V with proper orthochronous Lorentz matrices.
+
+The group kernels (_inverse, _compose, _boost) live here once, on a 4x4
+matrix as 16 floats row by row; LorentzTransform.boost and .inverse wrap
+their floats.
 """
 from __future__ import annotations
 
@@ -144,14 +148,7 @@ class LorentzTransform:
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise ValueError("boost direction must be nonzero")
-        n = n / norm
-        ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-        m = np.eye(4)
-        m[0, 0] = ch
-        m[0, 1:] = sh * n
-        m[1:, 0] = sh * n
-        m[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
-        return cls(m, _skip_check=True)
+        return cls(_boost((n / norm).tolist(), rapidity), _skip_check=True)
 
     @classmethod
     def rotation(cls, axis, angle: float) -> "LorentzTransform":
@@ -177,8 +174,8 @@ class LorentzTransform:
         return True
 
     def inverse(self) -> "LorentzTransform":
-        # eta m^T eta inverts any eta-orthogonal matrix without solving
-        return LorentzTransform(ETA @ self._m.T @ ETA, _skip_check=True)
+        return LorentzTransform(_inverse(self._m.ravel().tolist()),
+                                _skip_check=True)
 
     def __matmul__(self, other: "LorentzTransform") -> "LorentzTransform":
         return LorentzTransform(self._m @ other._m, _skip_check=True)
@@ -188,6 +185,47 @@ class LorentzTransform:
 
     def __repr__(self) -> str:
         return f"LorentzTransform({self._m.tolist()})"
+
+
+def _inverse(m) -> tuple[float, ...]:
+    """Inverse of a Lorentz matrix, eta m^T eta."""
+    return (m[0], -m[4], -m[8], -m[12], -m[1], m[5], m[9], m[13],
+            -m[2], m[6], m[10], m[14], -m[3], m[7], m[11], m[15])
+
+
+def _compose(a, b) -> tuple[float, ...]:
+    """The matrix product a b."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
+    return (a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
+            a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
+            a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
+            a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
+            a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
+            a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
+            a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
+            a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
+            a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
+            a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
+            a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
+            a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
+            a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
+            a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
+            a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
+            a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15)
+
+
+def _boost(n, chi: float) -> tuple[float, ...]:
+    """The boost along the unit n with rapidity chi: cosh chi and sinh chi
+    n in the time row and column, the identity plus (cosh chi - 1) n n^T
+    in space."""
+    ch, sh = math.cosh(chi), math.sinh(chi)
+    x, y, z = n
+    h = ch - 1.0
+    return (ch, sh * x, sh * y, sh * z,
+            sh * x, 1.0 + h * (x * x), h * (x * y), h * (x * z),
+            sh * y, h * (y * x), 1.0 + h * (y * y), h * (y * z),
+            sh * z, h * (z * x), h * (z * y), 1.0 + h * (z * z))
 
 
 def _check_proper_orthochronous(m: np.ndarray) -> None:

@@ -27,7 +27,7 @@ from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform, minkowski_product
 
 # closed-membership slack for sampled points
-_SLACK = DEFAULT_TOLERANCES.containment_slack
+_SLACK = DEFAULT_TOLERANCES.degenerate_window
 
 
 @dataclass

@@ -76,17 +76,23 @@ def exhaustion_family(rng: np.random.Generator) -> list[BallCone]:
     return cones
 
 
-def benchmark_instances(label: str, count: int, seed: int) -> list:
-    """`count` instances of one construction drawn by the benchmark's
-    sampler (perfbench/certify.py) from default_rng(seed), each a function
-    of no arguments that runs the construction."""
+def certify_module():
+    """The benchmark's instance sampler, perfbench/certify.py."""
     bench = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
     import certify
+    return certify
+
+
+def benchmark_instances(label: str, count: int, seed: int) -> list:
+    """`count` instances of one construction drawn by the benchmark's
+    sampler (perfbench/certify.py) from default_rng(seed), each a function
+    of no arguments that runs the construction."""
     import hypercones
 
+    certify = certify_module()
     rng = np.random.default_rng(seed)
     return [certify.call(hypercones, label, certify.sample(rng, label))
             for _ in range(count)]

@@ -585,6 +585,40 @@ class TestChord:
         lo, hi = cone_module._chord(q, n, 0.20474850962729238, d)
         assert hi - lo <= 0.0
 
+    def test_a_flat_cone_keeps_the_entry_of_a_line_in_its_cap(self):
+        # the apex sits 1.2e-10 below the base plane; the entry and the
+        # far-nappe root nearly coincide, and the computed entry has r A - B
+        # at -6.6e-12, so a side test on it, exact or with a -1e-12 slack,
+        # dropped it and gave the whole line from -1 (60 digits: 0.6954...)
+        q = (0.3233311282676674, -0.5478510097830179, 0.05650096447149528)
+        n = (0.25941656159937504, -0.9651269163046504, -0.03511528146311517)
+        d = (0.05491751582753332, -0.9099848371977989, 0.4109886403848993)
+        lo, hi = cone_module._chord(q, n, 0.6106391580688106, d)
+        assert abs(lo - 0.6954369960999072) <= 1e-9 and hi == 1.0
+
+    def test_flat_cones_keep_the_entry_of_lines_in_their_caps(self):
+        # apexes 1e-10 to 1e-8 below the base plane, as the pointedness
+        # rule admits, and lines through the open cap: the entry is
+        # conditioned like the near-double root it is, to about 5e-8
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(61)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(300):
+                psi = rng.uniform(0.02, 2.4)
+                n, c = unit_vector(rng).tolist(), math.cos(psi)
+                h = c - 10.0 ** rng.uniform(-10.0, -8.0)
+                across = turn(n, unit_vector(rng).tolist(), 0.5 * math.pi)
+                r = math.sqrt(1.0 - h * h) * rng.uniform(0.0, 0.999)
+                q = [h * a + r * b for a, b in zip(n, across)]
+                d = turn(n, unit_vector(rng).tolist(),
+                         rng.uniform(0.0, 0.999) * psi)
+                lo, hi = cone_module._chord(q, n, c, d)
+                exact = _exact_chord(mpmath.mp, q, n, c, d)
+                assert hi == 1.0 and exact[1] == 1
+                worst = max(worst, abs(lo - float(exact[0])))
+        assert worst <= 2e-7, worst
+
     @pytest.mark.parametrize("rapidity", [None, 0.3, 0.7])
     def test_an_overlap_grazing_an_apex_has_a_witness(self, rapidity):
         # the witness ray grazes k2's apex, where the raw quadratic in r

@@ -3,6 +3,8 @@
 import itertools
 import math
 import struct
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypercones import (BallCone, BallPoint, Cap, ConstructionFailure,
                         shadow_radius, shift_light_cone, shrink_across_shells,
                         shrink_for_connectivity, translate_enclosure,
                         wrap_ball_in_complement)
+import hypercones
 from hypercones import charges, constructions, scene
 from hypercones.ball_model import _act, ball_action_many, ball_distance
 from hypercones.cones import _cap_fits, _cone, _enclosure, \
@@ -31,8 +34,9 @@ from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
     rotate_toward, slerp, unit
 from tests.conftest import (ball_disjoint_from_cone, benchmark_instances,
-                            disjoint_cone_pair, exhaustion_family,
-                            random_cone, random_transform, unit_vector)
+                            certify_module, disjoint_cone_pair,
+                            exhaustion_family, random_cone, random_transform,
+                            unit_vector)
 from tests.test_acceptance import certify_ball_inside, certify_disjoint
 from tests.test_ball_model import _numpy_cap_image
 from tests.test_cones import _numpy_plane_margin
@@ -681,8 +685,8 @@ def _ladder_subcone(a, b):
         if witness is None:
             continue
         p = witness.apex.v.tolist()
-        if (a.margin(p) >= -DEFAULT_TOLERANCES.containment_slack
-                and b.margin(p) >= -DEFAULT_TOLERANCES.containment_slack
+        if (a.margin(p) >= -DEFAULT_TOLERANCES.degenerate_window
+                and b.margin(p) >= -DEFAULT_TOLERANCES.degenerate_window
                 and cone_leq(witness, a) and cone_leq(witness, b)):
             return witness, m, mu
     return None, m, mu
@@ -876,16 +880,15 @@ class TestCommonComplement:
         grid = rng.standard_normal((4096, 3))
         grid /= np.linalg.norm(grid, axis=1)[:, None]
         for _ in range(10_000):
-            caps = [Cap(SphereDirection(unit_vector(rng)),
-                        rng.uniform(0.01, math.pi - 0.01)) for _ in range(2)]
+            caps = [(unit_vector(rng).tolist(),
+                     rng.uniform(0.01, math.pi - 0.01)) for _ in range(2)]
             m, clear = constructions._clearest_direction(*caps)
-            at_m = min(angle_between(m, c.axis.v) - c.half_angle
-                       for c in caps)
+            at_m = min(angle_between(m, n) - psi for n, psi in caps)
             assert abs(at_m - clear) <= 1e-12
-            ang = np.arccos(np.clip(grid @ np.array([c.axis.v for c in caps]).T,
+            ang = np.arccos(np.clip(grid @ np.array([n for n, _ in caps]).T,
                                     -1.0, 1.0))
             brute = float(np.max(np.min(
-                ang - np.array([c.half_angle for c in caps]), axis=1)))
+                ang - np.array([psi for _, psi in caps]), axis=1)))
             assert brute <= clear + 1e-12
 
     def test_transported_witness_stays_valid(self):
@@ -1652,3 +1655,38 @@ class TestGuardBranches:
         with pytest.raises(ValueError, match="ray parameter must be "
                                              "positive"):
             lightray_offset(u, 1.0)
+
+
+class TestFloatRepresentation:
+    def test_constructions_read_no_cone_array(self, monkeypatch):
+        """On the benchmark's seeded instances, with every cone built by
+        cones._cone and every ball public, constructions.py reads `.v` of
+        no BallPoint or SphereDirection but the balls' centres: a cone's
+        apex and axis are read as floats from exit_scalars."""
+        certify = certify_module()
+        here, centres, reads = constructions.__file__, {}, []  # id: ball
+        for cls in (BallPoint, SphereDirection):
+            def counted(obj, get=cls.v.fget):
+                if (sys._getframe(1).f_code.co_filename == here
+                        and id(obj) not in centres):
+                    reads.append(obj)
+                return get(obj)
+            monkeypatch.setattr(cls, "v", property(counted))
+
+        def ball(shell, center, radius):
+            centres[id(center)] = center  # alive, so its id stays its own
+            return Hyperball(shell, center, radius)
+
+        floats = types.SimpleNamespace(**vars(hypercones))
+        floats.BallCone = lambda apex, cap: _cone(
+            apex.v.tolist(), cap.axis.v.tolist(), cap.half_angle)
+        floats.Hyperball = ball
+        rng = np.random.default_rng(2036)
+        counts = {}
+        for label in (*(f"A{i}" for i in range(1, 9)), "A10", "A11", "A12",
+                      "A13"):
+            del reads[:]
+            for _ in range(20):
+                certify.call(floats, label, certify.sample(rng, label))()
+            counts[label] = len(reads)
+        assert set(counts.values()) == {0}, counts

@@ -314,3 +314,41 @@ def test_line_entry_keeps_the_bits():
         cone, d = _line_entry_input(rng, k)
         assert bits([_line_entry(cone, d)]) == \
             bits([_reference_line_entry(cone, d)])
+
+
+# -- LorentzTransform.boost and .inverse against their numpy bodies
+
+
+def _reference_boost(direction, rapidity):
+    n = np.asarray(direction, dtype=float).reshape(3)
+    n = n / np.linalg.norm(n)
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    m = np.eye(4)
+    m[0, 0] = ch
+    m[0, 1:] = sh * n
+    m[1:, 0] = sh * n
+    m[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
+    return m
+
+
+def _reference_inverse(m):
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    return eta @ m.T @ eta
+
+
+def test_boost_and_inverse_match_their_numpy_forms():
+    # equal as numbers (np.array_equal), so up to the sign of zero: the
+    # numpy forms add 0.0 to off-diagonal products that may be -0.0
+    rng = np.random.default_rng(351)
+    for k in range(N):
+        n = (np.array(_direction(rng))
+             * 10.0 ** rng.uniform(-100.0, 100.0)).tolist()
+        chi = rng.uniform(-700.0, 700.0) if k % 3 == 0 else \
+            rng.uniform(-3.0, 3.0)
+        boost = LorentzTransform.boost(n, chi)
+        assert np.array_equal(boost.matrix, _reference_boost(n, chi))
+        for m in (boost.matrix, np.reshape(_matrix(rng), (4, 4)),
+                  (LorentzTransform.rotation(_direction(rng), chi)
+                   @ boost).matrix):
+            got = LorentzTransform(m, _skip_check=True).inverse().matrix
+            assert np.array_equal(got, _reference_inverse(m))
