@@ -64,6 +64,12 @@ __all__ = [
     "map_cone", "point_margin",
 ]
 
+# the thresholds of config, read once
+_WINDOW = DEFAULT_TOLERANCES.degenerate_window
+_LINEAR = DEFAULT_TOLERANCES.linear_identity
+_CAP_LIMIT = DEFAULT_TOLERANCES.cap_limit
+_POINTEDNESS = DEFAULT_TOLERANCES.pointedness  # the slack of _pointed
+
 
 @dataclass(frozen=True)
 class BallCone:
@@ -297,8 +303,7 @@ def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
     cap_margin = (outer.base.half_angle - inner.base.half_angle
                   - angle(a[4:7], b[4:7]))
     apex_margin = outer.margin(a[:3])
-    window = DEFAULT_TOLERANCES.degenerate_window
-    holds = cap_margin >= -window and apex_margin >= -window
+    holds = cap_margin >= -_WINDOW and apex_margin >= -_WINDOW
     return LeqResult(holds, cap_margin, apex_margin)
 
 
@@ -538,13 +543,12 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
     formed only when their Euclidean distance, its lower bound, is within
     the window too.
     """
-    window = DEFAULT_TOLERANCES.degenerate_window
     m = k1.apex_frame_scalars[:16]
     a1, a2 = k1.exit_scalars[:3], k2.exit_scalars[:3]
     q, inner = None, -math.inf
     if a1 != a2:
-        if (math.dist(a1, a2) <= window and ball_distance(
-                k1.apex, k2.apex, Hyperboloid(1.0)) <= window):
+        if (math.dist(a1, a2) <= _WINDOW and ball_distance(
+                k1.apex, k2.apex, Hyperboloid(1.0)) <= _WINDOW):
             raise DegenerateGeometry(
                 "apexes coincide within the degenerate window; perturb "
                 "inputs")
@@ -555,7 +559,7 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
         n2, c2, s2 = _cap_seen(m, k2.exit_scalars[4:7], k2.base.cos_half,
                                math.sin(k2.base.half_angle))
         gap, x = _hull_gap(n1, psi1, q, n2, c2, s2)
-        if gap > window:
+        if gap > _WINDOW:
             def separation():
                 # the great circle normal to the arc n1 x, midway between
                 # the cap and x (or n1's equator) or at x, whichever clears
@@ -574,10 +578,10 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
                         best, side = clear, w
                 return _plane(m, (0.0, *side))
             return DisjointResult(True, gap, separation=separation)
-        if gap >= -window:
+        if gap >= -_WINDOW:
             raise DegenerateGeometry(
                 "cones touch within the degenerate window; perturb inputs")
-    return _overlap(k1, k2, m, q, inner, window)
+    return _overlap(k1, k2, m, q, inner, _WINDOW)
 
 
 def opposite(cone: BallCone) -> BallCone:
@@ -611,12 +615,11 @@ def _covering_cap(caps) -> tuple | None:
         new_half = 0.5 * (gamma + half + psi)
         axis = turn(axis, n, new_half - half)
         half = new_half
-    if half >= math.pi - DEFAULT_TOLERANCES.cap_limit:
+    if half >= math.pi - _CAP_LIMIT:
         return None
     return unit(axis), half
 
 
-_POINTEDNESS = DEFAULT_TOLERANCES.pointedness  # the slack of _pointed
 # how far below its base-circle plane a built cone's apex must sit
 _CLEARANCE = 10.0 * _POINTEDNESS
 
@@ -625,7 +628,7 @@ def _cap_fits(psi: float, height: float) -> bool:
     """Whether a cap of half-angle psi stays clear of the covering limit
     and an apex at `height` along its axis sits clearly below its
     base-circle plane: the one pointedness rule of every built cone."""
-    return (psi < math.pi - DEFAULT_TOLERANCES.cap_limit
+    return (psi < math.pi - _CAP_LIMIT
             and height < math.cos(psi) - _CLEARANCE)
 
 
@@ -654,7 +657,7 @@ def _enclosure(cones) -> BallCone | None:
                    2.0 * math.atan2(across, 1.0 + along))
         apexes.append((along, across))
     psi = 0.05 + need
-    if psi >= math.pi - DEFAULT_TOLERANCES.cap_limit:
+    if psi >= math.pi - _CAP_LIMIT:
         return None
     c, s = math.cos(psi), math.sin(psi)
     depth = max([_CLEARANCE - c, *((c * across - s * along) / (s - across)
@@ -691,6 +694,10 @@ class InclusionResult:
 # in_causal_completion's window prefilter, and the floor that 1 - |c|^2
 # must pass for _frame_clearance
 _ROUNDING = 2.0 ** -47
+_WINDOW_FILTER = _WINDOW * _WINDOW * (1.0 + _ROUNDING)  # its squared window
+# in_causal_completion tests the ball point only where |x_s|^2 passes this
+# share of x0^2
+_LIGHT_BAND = 1.0 - 1e-6
 
 
 def _lead(cone: BallCone, x0: float, x1: float, x2: float,
@@ -1009,7 +1016,7 @@ def hyperball_in_cone(ball: Hyperball, cone: BallCone) -> InclusionResult:
     boundary, inside = _frame_clearance(cone, ball.center.v.tolist(),
                                         ball.shell.tau)
     margin = boundary - ball.radius if inside else -(boundary + ball.radius)
-    if abs(boundary - ball.radius) <= DEFAULT_TOLERANCES.degenerate_window:
+    if abs(boundary - ball.radius) <= _WINDOW:
         raise DegenerateGeometry(
             "ball touches the cone boundary within the window")
     return InclusionResult(inside and boundary > ball.radius, float(margin))
@@ -1043,35 +1050,38 @@ def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
 
     Events on the light cone boundary (zero Minkowski square) are never
     inside. An event that is not a finite point of the closed forward
-    cone, or whose ball point x_s / x0 rounds onto the sphere, raises
-    ValueError.
+    cone, or whose ball point u = x_s / x0 rounds onto the sphere, raises
+    ValueError. That test runs only where |x_s|^2 > (1 - 1e-6) x0^2 as
+    computed (_LIGHT_BAND). Below the band, with x0^2 > 1e-12 so that no
+    underflow matters, three roundings of |x_s|^2, two of the bound and
+    five of |u|^2, each by at most 2^-53, leave the computed |u|^2 under
+    (1 - 1e-6)(1 + 2^-49) < 1 - 9e-7, and its root below 1.
     """
-    a = (x.components if isinstance(x, FourVector)
-         else np.asarray(x, dtype=float).reshape(4))
-    x0, x1, x2, x3 = a.tolist()
+    x0, x1, x2, x3 = (x.components if isinstance(x, FourVector)
+                      else np.asarray(x, dtype=float).reshape(4)).tolist()
     rr = x1 * x1 + x2 * x2 + x3 * x3
-    square = x0 * x0 - rr
-    eps = DEFAULT_TOLERANCES.linear_identity
-    if x0 < math.sqrt(rr) - eps or x0 <= 0.0 or not math.isfinite(square):
+    tt = x0 * x0
+    square = tt - rr
+    if x0 < math.sqrt(rr) - _LINEAR or x0 <= 0.0 or not math.isfinite(square):
         raise ValueError("event must lie in the closed forward cone")
-    if square <= eps:
+    if square <= _LINEAR:
         return False
-    u = (x1 / x0, x2 / x0, x3 / x0)
-    if not math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) < 1.0:
-        raise ValueError("ball point must satisfy |u| < 1")
+    if rr > _LIGHT_BAND * tt:
+        u1, u2, u3 = x1 / x0, x2 / x0, x3 / x0
+        if not math.sqrt(u1 * u1 + u2 * u2 + u3 * u3) < 1.0:
+            raise ValueError("ball point must satisfy |u| < 1")
     lead = _lead(region.cone, x0, x1, x2, x3)
     tau = region.shell.tau
     reach = abs(square - tau * tau) / (2.0 * tau)
     if reach * reach <= 1e-30 * square:
         return lead > 0.0
-    window = DEFAULT_TOLERANCES.degenerate_window
     size = abs(lead)
     gap = tau * (size - reach)
     top = size if size > reach else reach
-    if gap * gap <= window * window * (1.0 + _ROUNDING) * (square + top * top):
+    if gap * gap <= _WINDOW_FILTER * (square + top * top):
         sigma = math.sqrt(square)
         if (tau * abs(math.asinh(size / sigma) - math.asinh(reach / sigma))
-                <= window):
+                <= _WINDOW):
             raise DegenerateGeometry(
                 "ball touches the cone boundary within the window")
     return lead > reach
@@ -1101,7 +1111,7 @@ def cone_hyperball_disjoint(cone: BallCone,
     tau, radius, center = ball.shell.tau, ball.radius, ball.center.v.tolist()
     dist, inside = _frame_clearance(cone, center, tau)
     margin = -(dist + radius) if inside else dist - radius
-    if abs(margin) <= DEFAULT_TOLERANCES.degenerate_window:
+    if abs(margin) <= _WINDOW:
         raise DegenerateGeometry(
             "ball touches the cone boundary within the window")
     *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars

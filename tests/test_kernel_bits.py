@@ -11,12 +11,15 @@ import struct
 import numpy as np
 import pytest
 
-from hypercones.ball_model import (BallPoint, Cap, SphereDirection,
-                                   _cap_seen, _compose, _inverse, _trusted,
-                                   apex_matrix)
-from hypercones.cones import BallCone, _cone, _line_entry
+from hypercones.ball_model import (BallPoint, Cap, Hyperboloid,
+                                   SphereDirection, _cap_seen, _compose,
+                                   _inverse, _trusted, apex_matrix)
+from hypercones.cones import (_LIGHT_BAND, BallCone, Hypercone, _cone,
+                              _frame_clearance, _lead, _line_entry,
+                              in_causal_completion)
 from hypercones.config import DEFAULT_TOLERANCES
-from hypercones.minkowski import LorentzTransform
+from hypercones.errors import DegenerateGeometry
+from hypercones.minkowski import FourVector, LorentzTransform
 from hypercones.spherical import angle, cross, dot, turn, unit
 
 N = 10_000
@@ -352,3 +355,148 @@ def test_boost_and_inverse_match_their_numpy_forms():
                    @ boost).matrix):
             got = LorentzTransform(m, _skip_check=True).inverse().matrix
             assert np.array_equal(got, _reference_inverse(m))
+
+
+# -- in_causal_completion against its body from before the ball-point test
+# was kept to the band next to the light cone
+
+
+def _reference_completion(x, region):
+    a = (x.components if isinstance(x, FourVector)
+         else np.asarray(x, dtype=float).reshape(4))
+    x0, x1, x2, x3 = a.tolist()
+    rr = x1 * x1 + x2 * x2 + x3 * x3
+    square = x0 * x0 - rr
+    eps = DEFAULT_TOLERANCES.linear_identity
+    if x0 < math.sqrt(rr) - eps or x0 <= 0.0 or not math.isfinite(square):
+        raise ValueError("event must lie in the closed forward cone")
+    if square <= eps:
+        return False
+    u = (x1 / x0, x2 / x0, x3 / x0)
+    if not math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) < 1.0:
+        raise ValueError("ball point must satisfy |u| < 1")
+    lead = _lead(region.cone, x0, x1, x2, x3)
+    tau = region.shell.tau
+    reach = abs(square - tau * tau) / (2.0 * tau)
+    if reach * reach <= 1e-30 * square:
+        return lead > 0.0
+    window = DEFAULT_TOLERANCES.degenerate_window
+    size = abs(lead)
+    gap = tau * (size - reach)
+    top = size if size > reach else reach
+    if gap * gap <= window * window * (1.0 + 2.0 ** -47) * (
+            square + top * top):
+        sigma = math.sqrt(square)
+        if (tau * abs(math.asinh(size / sigma) - math.asinh(reach / sigma))
+                <= window):
+            raise DegenerateGeometry(
+                "ball touches the cone boundary within the window")
+    return lead > reach
+
+
+def _completion_region(rng, k):
+    """A seeded cone on a seeded shell; every fifth apex at the origin."""
+    while True:
+        apex = [0.0, 0.0, 0.0] if k % 5 == 0 else \
+            [rng.uniform(0.0, 0.6) * x for x in _direction(rng)]
+        axis, psi = _direction(rng), rng.uniform(0.12, 1.2)
+        if dot(axis, apex) < math.cos(psi) - 1e-6:
+            tau = math.exp(rng.uniform(-1.0, 1.0))
+            return Hypercone(Hyperboloid(tau), _cone(apex, axis, psi))
+
+
+def _directions(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _completion_events(rng, region):
+    """(tag, event) pairs, 5,411 per region, from every branch."""
+    cone, tau = region.cone, region.shell.tau
+
+    def spread(x0, r, n):
+        return np.column_stack([x0, r[:, None] * _directions(rng, n)])
+
+    # x0 over 1e-3 to 1e12 and 1 - |u|^2 over 1e-18 to 1
+    n = 2_500
+    x0 = 10.0 ** rng.uniform(-3.0, 12.0, n)
+    w = 10.0 ** rng.uniform(-18.0, 0.0, n)
+    yield from (("edge", x) for x in spread(x0, x0 * np.sqrt(1.0 - w), n))
+    # |x_s|^2 a few ulps either side of _LIGHT_BAND x0^2
+    n = 1_000
+    x0 = 10.0 ** rng.uniform(-3.0, 12.0, n)
+    r = x0 * math.sqrt(_LIGHT_BAND) * (
+        1.0 + rng.integers(-6, 7, n) * 2.0 ** -52)
+    yield from (("band", x) for x in spread(x0, r, n))
+    # lifts of ball points scaled about the shell: members and others
+    n = 1_200
+    p = rng.uniform(0.0, 0.95, n)[:, None] * _directions(rng, n)
+    s = tau * np.exp(rng.uniform(-0.5, 0.5, n))
+    x0 = s / np.sqrt(1.0 - np.einsum("ij,ij->i", p, p))
+    yield from (("lift", x) for x in np.column_stack([x0, x0[:, None] * p]))
+    # shadows whose radius is the centre's distance to the boundary, give
+    # or take a few windows: on either side of the shell
+    apex, axis = cone.exit_scalars[:3], cone.exit_scalars[4:7]
+    for t in rng.uniform(0.05, 0.95, 40):
+        c = [a + t * (b - a) for a, b in zip(apex, axis)]
+        d = _frame_clearance(cone, c, tau)[0]
+        lift = np.array([1.0, *c]) / math.sqrt(1.0 - dot(c, c))
+        for side in (1.0, -1.0):
+            for off in (-3e-9, -5e-10, 0.0, 5e-10, 3e-9):
+                sigma = tau * math.exp(side * (d + off) / tau)
+                yield "window", sigma * lift
+    # the light cone, its floats and their neighbours
+    for _ in range(60):
+        x0 = 10.0 ** rng.uniform(-3.0, 12.0)
+        xs = x0 * np.array(_direction(rng))
+        yield "light", np.array([x0, *xs])
+        yield "light", np.array([np.nextafter(x0, np.inf), *xs])
+        yield "light", np.array([np.nextafter(x0, 0.0), *xs])
+    for _ in range(50):
+        x0 = -(10.0 ** rng.uniform(-3.0, 3.0))
+        yield "past", np.array([x0, *(0.5 * x0 * np.array(_direction(rng)))])
+        yield "past", np.array([0.0, *(1e-3 * np.array(_direction(rng)))])
+    for _ in range(30):
+        x = np.array([1.0, *(0.3 * np.array(_direction(rng)))])
+        x[rng.integers(4)] = rng.choice([math.inf, -math.inf, math.nan])
+        yield "non-finite", x
+    yield "sigma=tau", np.array([tau, 0.0, 0.0, 0.0])
+
+
+def _completion_outcome(fn, x, region):
+    try:
+        value = fn(x, region)
+        return type(value), value
+    except (ValueError, DegenerateGeometry) as exc:
+        return type(exc), str(exc)
+
+
+def test_completion_keeps_every_answer_and_exception():
+    # 40 regions of 5,411 events, each passed as a FourVector, an array
+    # or a list in turn
+    rng = np.random.default_rng(360)
+    seen, band, count = {}, set(), 0
+    for k in range(40):
+        region = _completion_region(rng, k)
+        for i, (tag, x) in enumerate(_completion_events(rng, region)):
+            count += 1
+            event = (FourVector.from_array(x), x, x.tolist())[i % 3]
+            got = _completion_outcome(in_causal_completion, event, region)
+            assert got == _completion_outcome(_reference_completion, event,
+                                              region), (tag, x.tolist())
+            seen.setdefault(tag, set()).add(got[1])
+            if tag == "band":
+                x0, x1, x2, x3 = x.tolist()
+                rr, tt = x1 * x1 + x2 * x2 + x3 * x3, x0 * x0
+                band.add(rr > _LIGHT_BAND * tt)
+    assert count >= 200_000
+    assert band == {True, False}
+    assert {True, False, "ball point must satisfy |u| < 1",
+            "event must lie in the closed forward cone"} <= seen["edge"]
+    assert seen["band"] == {True, False}
+    assert seen["lift"] == {True, False}
+    assert ("ball touches the cone boundary within the window"
+            in seen["window"] and {True, False} & seen["window"])
+    assert seen["past"] == seen["non-finite"] == {
+        "event must lie in the closed forward cone"}
+    assert False in seen["light"]
