@@ -7,11 +7,11 @@ the Lorentz group acts projectively. All distances on a shell carry the tau
 prefactor of that shell's induced metric.
 
 The Lorentz frame kernels (_act, _cap_seen, apex_matrix) live here once,
-on plain floats with a 4x4 matrix as 16 floats row by row, and import the
-group kernels of minkowski back; lorentz_ball_action and cap_image adapt
-them to the model's objects, and _trusted wraps floats a caller has
-already checked in those objects without checking them again
-(cones._cone inlines it).
+on plain floats with a 4x4 matrix as 16 floats row by row (the group
+kernels _inverse, _compose and _boost live in minkowski);
+lorentz_ball_action and cap_image adapt them to the model's objects, and
+_trusted wraps floats a caller has already checked in those objects
+without checking them again (cones._cone inlines it).
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import FourVector, LorentzTransform
-from .minkowski import _boost, _compose, _inverse  # noqa: F401
 from .spherical import orthonormal_frame as _orthonormal_frame
 
 __all__ = [

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import scene as scene_io
 from .charges import ComposedUnlocalized, compose, exchange_statistics
-from .cones import (BallCone, Hypercone, cone_leq, disjoint,
-                    hyperball_in_cone, in_causal_completion, point_margin)
+from .cones import (Hypercone, cone_leq, disjoint, hyperball_in_cone,
+                    in_causal_completion, point_margin)
 from .constructions import (avoid_ball_inside, common_complement_cone,
                             contracting_boosts, enclose_shadow, escape_ball,
                             funnel_from_exhaustion, funnel_in, path_connect,
@@ -27,8 +27,7 @@ from .constructions import (avoid_ball_inside, common_complement_cone,
                             robust_enclosure_lorentz, shrink_across_shells,
                             shrink_for_connectivity, translate_enclosure,
                             wrap_ball_in_complement)
-from .errors import (ConstructionFailure, DegenerateGeometry,
-                     HyperconesError, SceneError)
+from .errors import DegenerateGeometry, HyperconesError, SceneError
 from .minkowski import FourVector, LorentzTransform
 from .render import render_to_file
 from .selftest import run_selftest
@@ -202,11 +201,6 @@ def _report(label: str, detail: str = "") -> None:
     print(f"certificate: {label} pass{suffix}")
 
 
-def _append_cone(scene: scene_io.Scene, cone: BallCone,
-                 prefix: str = "C") -> str:
-    return _append_cones(scene, [cone], prefix)[0]
-
-
 def _append_cones(scene: scene_io.Scene, cones, prefix: str) -> list[str]:
     """Add the cones under fresh names prefix0, prefix1, ..., named in one
     pass over the scene's names."""
@@ -216,148 +210,107 @@ def _append_cones(scene: scene_io.Scene, cones, prefix: str) -> list[str]:
     return names
 
 
+def _write_out(scene: scene_io.Scene, ns) -> int:
+    if ns.out:
+        scene_io.save(scene, ns.out)
+        print(f"scene written: {ns.out}")
+    return _EXIT_OK
+
+
+# Each lemma's names, as its arity error lists them: the last word of an
+# item is the kind (cone or ball) of object that name resolves to, and A2
+# takes two or more cones.  Then the relations its one-cone witness C<k>
+# is certified in, each to the lemma's name at that index.
+_LEMMAS = {
+    "A1": ("cone, probe ball", ()),
+    "A2": (None, ()),
+    "A3": ("ball, cone", (("leq", 1), ("clear", 0))),
+    "A4": ("ball, cone", (("contains", 0), ("disjoint", 1))),
+    "A5": ("cone, cone", ()),
+    "A6": ("forbidden cone, cone, cone", ()),
+    "A7": ("cone, cone", (("leq", 0),)),
+    "A8": ("cone, cone", (("disjoint", 0), ("disjoint", 1))),
+    "A9": ("cone", (("contains-shadow", 0),)),
+    "A10": ("cone", (("shadow-inside", 0),)),
+    "A11": ("cone", ()),
+    "A12": ("cone", (("contains-orbit", 0),)),
+    "A13": ("cone", (("contains-shifted-completion", 0),)),
+}
+
+
 def cmd_construct(ns) -> int:
     if ns.nmax < 0:
         raise SceneError(f"--nmax must be at least 0, got {ns.nmax}")
     scene = scene_io.load(ns.scene)
-    lemma = ns.lemma.upper()
-    names = ns.names
-    shell = scene.shell
-
-    def need(count: int, what: str):
-        if len(names) != count:
-            raise SceneError(f"{lemma} needs {count} name(s): {what}")
+    lemma, names = ns.lemma.upper(), ns.names
+    if lemma not in _LEMMAS:
+        raise SceneError(f"unknown lemma id {ns.lemma!r}; expected A1..A13")
+    what, relations = _LEMMAS[lemma]
+    kinds = ([item.split()[-1] for item in what.split(", ")] if what
+             else ["cone"] * len(names))
+    if not what and len(names) < 2:
+        raise SceneError("A2 needs at least two exhaustion cone names")
+    if len(names) != len(kinds):
+        raise SceneError(f"{lemma} needs {len(kinds)} name(s): {what}")
+    objs = [_resolve(kind, scene, n) for kind, n in zip(kinds, names)]
+    detail = ""
 
     if lemma == "A1":
-        need(2, "cone, probe ball")
-        cone = _resolve_cone(scene, names[0])
-        probe = _resolve_ball(scene, names[1])
-        funnel = funnel_in(cone, ns.depth, probe)
+        funnel = funnel_in(objs[0], ns.depth, objs[1])
         added = _append_cones(scene, funnel.cones, "F")
         for i in range(len(added) - 1):
             _report(f"leq({added[i + 1]},{added[i]})")
         _report(f"disjoint({added[-1]},{names[1]})")
         print(f"funnel: {len(added)} cones {', '.join(added)}")
-
     elif lemma == "A2":
-        if len(names) < 2:
-            raise SceneError("A2 needs at least two exhaustion cone names")
-        cones = [_resolve_cone(scene, n) for n in names]
-        funnel = funnel_from_exhaustion(cones)
-        added = _append_cones(scene, funnel.cones, "Op")
+        added = _append_cones(scene, funnel_from_exhaustion(objs).cones, "Op")
         for i, nm in enumerate(added):
             _report(f"disjoint({nm},{names[i]})")
         print(f"opposite funnel: {', '.join(added)}")
-
-    elif lemma == "A3":
-        need(2, "ball, cone")
-        ball = _resolve_ball(scene, names[0])
-        cone = _resolve_cone(scene, names[1])
-        result = avoid_ball_inside(ball, cone)
-        name = _append_cone(scene, result)
-        _report(f"leq({name},{names[1]})")
-        _report(f"clear({name},{names[0]})")
-        print(f"witness cone: {name}")
-
-    elif lemma == "A4":
-        need(2, "ball, cone")
-        ball = _resolve_ball(scene, names[0])
-        cone = _resolve_cone(scene, names[1])
-        result = wrap_ball_in_complement(ball, cone)
-        name = _append_cone(scene, result)
-        _report(f"contains({name},{names[0]})")
-        _report(f"disjoint({name},{names[1]})")
-        print(f"witness cone: {name}")
-
     elif lemma in ("A5", "A6"):
-        if lemma == "A5":
-            need(2, "cone, cone")
-            path = path_connect(_resolve_cone(scene, names[0]),
-                                _resolve_cone(scene, names[1]))
-        else:
-            need(3, "forbidden cone, cone, cone")
-            path = path_connect_in_complement(
-                _resolve_cone(scene, names[0]),
-                _resolve_cone(scene, names[1]),
-                _resolve_cone(scene, names[2]))
+        connect = path_connect if lemma == "A5" else path_connect_in_complement
+        path = connect(*objs)
         node_names = _append_cones(scene, path.nodes, "P")
         _report(f"path adjacency witnesses ({len(path.witnesses)})")
         print(f"path: {len(path.nodes)} nodes {', '.join(node_names)}")
-
-    elif lemma == "A7":
-        need(2, "cone, cone")
-        result = shrink_for_connectivity(_resolve_cone(scene, names[0]),
-                                         _resolve_cone(scene, names[1]))
-        name = _append_cone(scene, result)
-        _report(f"leq({name},{names[0]})")
-        print(f"witness cone: {name}")
-
-    elif lemma == "A8":
-        need(2, "cone, cone")
-        a = _resolve_cone(scene, names[0])
-        b = _resolve_cone(scene, names[1])
-        result = common_complement_cone(a, b)
-        name = _append_cone(scene, result)
-        _report(f"disjoint({name},{names[0]})")
-        _report(f"disjoint({name},{names[1]})")
-        print(f"witness cone: {name}")
-
-    elif lemma in ("A9", "A10"):
-        need(1, "cone")
-        cone = _resolve_cone(scene, names[0])
-        op = enclose_shadow if lemma == "A9" else shrink_across_shells
-        result = op(cone, ns.sigma, ns.tau)
-        name = _append_cone(scene, result)
-        label = "contains-shadow" if lemma == "A9" else "shadow-inside"
-        _report(f"{label}({name},{names[0]})",
-                f"sigma={ns.sigma:g} tau={ns.tau:g}")
-        print(f"witness cone: {name}")
-
     elif lemma == "A11":
-        need(1, "cone")
-        cone = _resolve_cone(scene, names[0])
-        family = contracting_boosts(cone)
+        family = contracting_boosts(objs[0])
         print(f"contracting directions: {len(family.directions)}, "
               f"cap half-angle {math.degrees(family.half_angle):.4g} deg")
         for chi in (0.5, 1.0, 2.0):  # contracting_boosts certified these
             _report(f"leq(boosted(chi={chi:g}),{names[0]})")
         if ns.ball:
             ball = _resolve_ball(scene, ns.ball)
-            n = escape_ball(cone, ball, family.directions[0], ns.nmax)
+            n = escape_ball(objs[0], ball, family.directions[0], ns.nmax)
             _report(f"escape({names[0]},{ns.ball})", f"n={n}")
             print(f"escape count: {n}")
-
+    elif lemma in ("A9", "A10"):
+        op = enclose_shadow if lemma == "A9" else shrink_across_shells
+        witness = op(objs[0], ns.sigma, ns.tau)
+        detail = f"sigma={ns.sigma:g} tau={ns.tau:g}"
     elif lemma == "A12":
-        need(1, "cone")
-        cone = _resolve_cone(scene, names[0])
         if not ns.generator:
             raise SceneError("A12 needs at least one --generator")
         gens = [_parse_generator(g) for g in ns.generator]
-        result = robust_enclosure_lorentz(cone, gens)
-        name = _append_cone(scene, result)
-        _report(f"contains-orbit({name},{names[0]})",
-                f"generators={len(gens)}")
-        print(f"witness cone: {name}")
-
+        witness = robust_enclosure_lorentz(objs[0], gens)
+        detail = f"generators={len(gens)}"
     elif lemma == "A13":
-        need(1, "cone")
-        cone = _resolve_cone(scene, names[0])
         if not ns.t:
             raise SceneError("A13 needs at least one --t translation")
         translations = [_parse_four_vector(t) for t in ns.t]
-        result = translate_enclosure(cone, scene.tau, translations)
-        name = _append_cone(scene, result)
-        _report(f"contains-shifted-completion({name},{names[0]})",
-                f"translations={len(translations)}")
-        print(f"witness cone: {name}")
-
+        witness = translate_enclosure(objs[0], scene.tau, translations)
+        detail = f"translations={len(translations)}"
     else:
-        raise SceneError(f"unknown lemma id {ns.lemma!r}; expected A1..A13")
+        witness = {"A3": avoid_ball_inside, "A4": wrap_ball_in_complement,
+                   "A7": shrink_for_connectivity,
+                   "A8": common_complement_cone}[lemma](*objs)
 
-    if ns.out:
-        scene_io.save(scene, ns.out)
-        print(f"scene written: {ns.out}")
-    return _EXIT_OK
+    if relations:
+        name = _append_cones(scene, [witness], "C")[0]
+        for relation, i in relations:
+            _report(f"{relation}({name},{names[i]})", detail)
+        print(f"witness cone: {name}")
+    return _write_out(scene, ns)
 
 
 # ------------------------------------------------------------------- path
@@ -375,10 +328,7 @@ def cmd_path(ns) -> int:
     node_names = _append_cones(scene, path.nodes, "P")
     print(f"path: {len(path.nodes)} nodes, {len(path.witnesses)} "
           f"witnesses: {', '.join(node_names)}")
-    if ns.out:
-        scene_io.save(scene, ns.out)
-        print(f"scene written: {ns.out}")
-    return _EXIT_OK
+    return _write_out(scene, ns)
 
 
 # ----------------------------------------------------------------- render
@@ -482,8 +432,7 @@ def main(argv=None) -> int:
     except DegenerateGeometry as err:
         print(f"degenerate: {err}", file=sys.stderr)
         return _EXIT_DEGENERATE
-    except (SceneError, ConstructionFailure,
-            HyperconesError, ValueError, OSError) as err:
+    except (HyperconesError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_ERROR
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import warnings
 
 import pytest
@@ -480,3 +482,125 @@ class TestRejectedFlags:
         assert stop.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--budget" in err
+
+
+def _certified(*lines):
+    return "".join(f"certificate: {line} pass\n" for line in lines)
+
+
+_A11_FAMILY = ("contracting directions: 9, cap half-angle 28.92 deg\n"
+               + _certified("leq(boosted(chi=0.5),A)", "leq(boosted(chi=1),A)",
+                            "leq(boosted(chi=2),A)"))
+_WRITTEN = "scene written: out.json\n"
+
+# (scene, arguments, exit code, stdout, stderr): every construct case the
+# CI runs on the demo scene, the obstacle scene's A2, A6 and paths, and
+# each refusal. The only number the library computes here is A11's cap
+# half-angle, so the text is the same on every platform.
+_PINNED = [
+    (DEMO, "construct A1 big O --depth 3", 0,
+     _certified("leq(F1,F0)", "leq(F2,F1)", "disjoint(F2,O)")
+     + "funnel: 3 cones F0, F1, F2\n", ""),
+    (DEMO, "construct A3 O big", 0,
+     _certified("leq(C0,big)", "clear(C0,O)") + "witness cone: C0\n", ""),
+    (DEMO, "construct A4 O B", 0,
+     _certified("contains(C0,O)", "disjoint(C0,B)") + "witness cone: C0\n",
+     ""),
+    (DEMO, "construct A5 A B", 0,
+     _certified("path adjacency witnesses (4)")
+     + "path: 5 nodes P0, P1, P2, P3, P4\n", ""),
+    (DEMO, "construct A7 A big", 0,
+     _certified("leq(C0,A)") + "witness cone: C0\n", ""),
+    (DEMO, "construct A8 A B", 0,
+     _certified("disjoint(C0,A)", "disjoint(C0,B)") + "witness cone: C0\n",
+     ""),
+    (DEMO, "construct A9 big", 0,
+     "certificate: contains-shadow(C0,big) pass sigma=1 tau=2\n"
+     "witness cone: C0\n", ""),
+    (DEMO, "construct A10 big", 0,
+     "certificate: shadow-inside(C0,big) pass sigma=1 tau=2\n"
+     "witness cone: C0\n", ""),
+    (DEMO, "construct A11 A", 0, _A11_FAMILY, ""),
+    (DEMO, "construct A11 A --ball O", 0,
+     _A11_FAMILY + "certificate: escape(A,O) pass n=1\nescape count: 1\n",
+     ""),
+    (DEMO, "construct A12 A --generator boost:x:0.15 --generator rot:z:0.2",
+     0, "certificate: contains-orbit(C0,A) pass generators=2\n"
+     "witness cone: C0\n", ""),
+    (DEMO, "construct A13 A --t 1,0,0,0", 0,
+     "certificate: contains-shifted-completion(C0,A) pass translations=1\n"
+     "witness cone: C0\n", ""),
+    (DEMO, "construct A1 big O --depth 7", 0,
+     _certified(*(f"leq(F{i + 1},F{i})" for i in range(6)), "disjoint(F6,O)")
+     + "funnel: 7 cones F0, F1, F2, F3, F4, F5, F6\n", ""),
+    (DEMO, "construct A13 big --t 0.5,0.2,0.1,0", 0,
+     "certificate: contains-shifted-completion(C0,big) pass translations=1\n"
+     "witness cone: C0\n", ""),
+    (DEMO, "construct A2 A big", 0,
+     _certified("disjoint(Op0,A)", "disjoint(Op1,big)")
+     + "opposite funnel: Op0, Op1\n", ""),
+    (OBSTACLE, "construct A2 E0 E1 E2", 0,
+     _certified("disjoint(Op0,E0)", "disjoint(Op1,E1)", "disjoint(Op2,E2)")
+     + "opposite funnel: Op0, Op1, Op2\n", ""),
+    (OBSTACLE, "construct A6 X A B", 0,
+     _certified("path adjacency witnesses (9)")
+     + "path: 10 nodes P0, P1, P2, P3, P4, P5, P6, P7, P8, P9\n", ""),
+    (OBSTACLE, "path A B", 0,
+     "path: 5 nodes, 4 witnesses: P0, P1, P2, P3, P4\n", ""),
+    (OBSTACLE, "path A B --forbidden X", 0,
+     "path: 10 nodes, 9 witnesses: P0, P1, P2, P3, P4, P5, P6, P7, P8, "
+     "P9\n", ""),
+    (DEMO, "construct A1 big", 1, "",
+     "error: A1 needs 2 name(s): cone, probe ball\n"),
+    (DEMO, "construct A2 A", 1, "",
+     "error: A2 needs at least two exhaustion cone names\n"),
+    (DEMO, "construct A3 O", 1, "", "error: A3 needs 2 name(s): ball, cone\n"),
+    (DEMO, "construct A4 O B big", 1, "",
+     "error: A4 needs 2 name(s): ball, cone\n"),
+    (DEMO, "construct A5 A", 1, "", "error: A5 needs 2 name(s): cone, cone\n"),
+    (DEMO, "construct A6 A B", 1, "",
+     "error: A6 needs 3 name(s): forbidden cone, cone, cone\n"),
+    (DEMO, "construct A7 A", 1, "", "error: A7 needs 2 name(s): cone, cone\n"),
+    (DEMO, "construct A8 A B big", 1, "",
+     "error: A8 needs 2 name(s): cone, cone\n"),
+    (DEMO, "construct A9", 1, "", "error: A9 needs 1 name(s): cone\n"),
+    (DEMO, "construct A10 A B", 1, "", "error: A10 needs 1 name(s): cone\n"),
+    (DEMO, "construct A11", 1, "", "error: A11 needs 1 name(s): cone\n"),
+    (DEMO, "construct A12 A B --generator boost:x:0.1", 1, "",
+     "error: A12 needs 1 name(s): cone\n"),
+    (DEMO, "construct A13 A B", 1, "", "error: A13 needs 1 name(s): cone\n"),
+    (DEMO, "construct A99 A", 1, "",
+     "error: unknown lemma id 'A99'; expected A1..A13\n"),
+    (DEMO, "construct A12 A", 1, "",
+     "error: A12 needs at least one --generator\n"),
+    (DEMO, "construct A13 A", 1, "",
+     "error: A13 needs at least one --t translation\n"),
+    (DEMO, "construct A12 nosuch", 1, "", "error: unknown cone 'nosuch'\n"),
+    (DEMO, "construct A3 big O", 1, "", "error: unknown ball 'big'\n"),
+    (DEMO, "construct A11 A --ball nosuch", 1, _A11_FAMILY,
+     "error: unknown ball 'nosuch'\n"),
+    (DEMO, "construct A11 A --ball O --nmax -1", 1, "",
+     "error: --nmax must be at least 0, got -1\n"),
+    (DEMO, "construct A99 A --nmax -1", 1, "",
+     "error: --nmax must be at least 0, got -1\n"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("scene, args, code, out, err", _PINNED,
+                             ids=[case[1] for case in _PINNED])
+    def test_output_exit_code_and_written_scene(self, capsys, monkeypatch,
+                                                tmp_path, scene, args, code,
+                                                out, err):
+        scene = os.path.abspath(scene)
+        monkeypatch.chdir(tmp_path)
+        command, *rest = args.split()
+        got = run(capsys, command, scene, *rest, "--out", "out.json")
+        assert got == (code, out + (_WRITTEN if code == 0 else ""), err)
+        # the written scene holds the input's cones and the ones named
+        if code == 0:
+            added = set(re.findall(r"\b(?:C|F|Op|P)\d+\b", out))
+            written = scene_mod.load("out.json").cones
+            assert set(written) == set(scene_mod.load(scene).cones) | added
+        else:
+            assert not os.path.exists("out.json")

@@ -25,11 +25,12 @@ from hypercones.ball_model import (ball_action_many, ball_distance_many,
                                    homology_through_many, ray_exits)
 from hypercones import cones as cone_module, constructions
 from hypercones.ball_model import cap_image
-from hypercones.ball_model import _act, _cap_seen, _inverse
+from hypercones.ball_model import _act, _cap_seen
 from hypercones.cones import (_cap_fits, _covering_cap, _enclosure,
                               _frame_clearance, _hull_gap, _plane,
                               _plane_margin)
 from hypercones.config import DEFAULT_TOLERANCES
+from hypercones.minkowski import _inverse
 from hypercones.convex import (ConeHullSupport, gjk_distance,
                               hyperball_ellipsoid)
 from hypercones.spherical import (angle, angle_between, dot,

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from hypercones.ball_model import (BallPoint, Cap, Hyperboloid,
-                                   SphereDirection, _cap_seen, _compose,
-                                   _inverse, _trusted, apex_matrix)
+                                   SphereDirection, _cap_seen, _trusted,
+                                   apex_matrix)
 from hypercones.cones import (_LIGHT_BAND, BallCone, Hypercone, _cone,
                               _frame_clearance, _lead, _line_entry,
                               in_causal_completion)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.errors import DegenerateGeometry
-from hypercones.minkowski import FourVector, LorentzTransform
+from hypercones.minkowski import (FourVector, LorentzTransform, _compose,
+                                  _inverse)
 from hypercones.spherical import angle, cross, dot, turn, unit
 
 N = 10_000

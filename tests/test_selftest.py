@@ -4,6 +4,9 @@ import time
 
 import pytest
 
+from hypercones import selftest
+from hypercones.ball_model import ball_distance
+from hypercones.cli import main
 from hypercones.selftest import run_selftest
 
 
@@ -59,3 +62,23 @@ class TestSelftest:
                        for line in report.splitlines() if "trials=" in line)
 
         assert trials(big) > trials(small)
+
+
+class TestFailureReport:
+    def test_failing_property_is_reported_and_exits_one(self, capsys,
+                                                        monkeypatch):
+        # a metric off by 1e-6 against the lift: all 20 trials of the
+        # metric property fail, and the report shows the first ten
+        monkeypatch.setattr(
+            selftest, "ball_distance",
+            lambda u, w, shell: ball_distance(u, w, shell) + 1e-6)
+        code = main(["selftest", "--seed", "3", "--budget", "0.1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[1].startswith("FAIL metric_matches_hyperboloid_lift ")
+        assert "trials=    20 worst_margin=-9.990e-07" in lines[1]
+        assert lines[2:12] == [f"     pair {k}: metric mismatch 1.000e-06 "
+                               "(seed=3)" for k in range(10)]
+        assert all(line.startswith("PASS ") for line in lines[12:-1])
+        assert len(lines) == 12 + 14 + 1
+        assert lines[-1] == "result: PROPERTY VIOLATIONS FOUND"
