@@ -8,7 +8,7 @@ prefactor of that shell's induced metric.
 
 The Lorentz frame kernels (_act, _cap_seen, apex_matrix) live here once,
 on plain floats with a 4x4 matrix as 16 floats row by row (the group
-kernels _inverse, _compose and _boost live in minkowski);
+kernels _apply, _inverse, _compose and _boost live in minkowski);
 lorentz_ball_action and cap_image adapt them to the model's objects, and
 _trusted wraps floats a caller has already checked in those objects
 without checking them again (cones._cone inlines it).
@@ -44,10 +44,31 @@ class Hyperboloid:
             raise ValueError("shell tau must be positive and finite")
 
 
-class BallPoint:
-    """Point of the open unit ball."""
+class _Triple:
+    """Three read-only floats, as an array `v` built from a _trusted tuple
+    when first read; equal to a triple of its own class with the same
+    values."""
 
     __slots__ = ("_v",)
+
+    @property
+    def v(self) -> np.ndarray:
+        if self._v.__class__ is tuple:  # from _trusted: built on first read
+            self._v = _frozen(self._v)
+        return self._v
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and bool(
+            np.array_equal(self.v, other.v))
+
+    def __repr__(self) -> str:
+        return "{}({}, {}, {})".format(type(self).__name__, *self.v)
+
+
+class BallPoint(_Triple):
+    """Point of the open unit ball."""
+
+    __slots__ = ()
 
     def __init__(self, v):
         v = np.array(v, dtype=float).reshape(3)
@@ -57,24 +78,11 @@ class BallPoint:
         v.flags.writeable = False
         self._v = v
 
-    @property
-    def v(self) -> np.ndarray:
-        if self._v.__class__ is tuple:  # from _trusted: built on first read
-            self._v = _frozen(self._v)
-        return self._v
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BallPoint) and bool(
-            np.array_equal(self.v, other.v))
-
-    def __repr__(self) -> str:
-        return "BallPoint({}, {}, {})".format(*self.v)
-
-
-class SphereDirection:
+class SphereDirection(_Triple):
     """Unit vector marking an asymptotic lightlike direction."""
 
-    __slots__ = ("_v",)
+    __slots__ = ()
 
     def __init__(self, v):
         v = np.array(v, dtype=float).reshape(3)
@@ -92,19 +100,6 @@ class SphereDirection:
         if not 0.0 < n < math.inf:
             raise ValueError("cannot normalize a zero or non-finite vector")
         return cls(v / n)
-
-    @property
-    def v(self) -> np.ndarray:
-        if self._v.__class__ is tuple:  # from _trusted: built on first read
-            self._v = _frozen(self._v)
-        return self._v
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SphereDirection) and bool(
-            np.array_equal(self.v, other.v))
-
-    def __repr__(self) -> str:
-        return "SphereDirection({}, {}, {})".format(*self.v)
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,8 @@ _LEMMAS = {
 def cmd_construct(ns) -> int:
     if ns.nmax < 0:
         raise SceneError(f"--nmax must be at least 0, got {ns.nmax}")
+    if ns.depth < 1:
+        raise SceneError(f"--depth must be at least 1, got {ns.depth}")
     scene = scene_io.load(ns.scene)
     lemma, names = ns.lemma.upper(), ns.names
     if lemma not in _LEMMAS:

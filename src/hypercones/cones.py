@@ -31,7 +31,9 @@ kernels: the apex by the ball action, the cap by its covector image
 (`_map`, on a 16-float matrix; `map_cone` adapts it). Each cone caches
 its apex frame (apex_matrix) with the image cap in one float cache
 (`apex_frame_scalars`); the opposite cone, the shell-metric distances,
-the contact tests and the shared-apex tests all work in that frame.
+the contact tests and the shared-apex tests all work in that frame. Frame
+products go through minkowski's `_apply` and `_compose` and ball_model's
+`_cap_seen`; only `_lead` keeps its rows fused.
 
 Cones are built from plain floats: `_cone` runs the public constructors'
 checks on three-float apex and axis and the half-angle, with the same
@@ -53,7 +55,8 @@ from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
                          ray_exits)
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateGeometry
-from .minkowski import FourVector, LorentzTransform, _inverse
+from .minkowski import (FourVector, LorentzTransform, _apply, _compose,
+                        _inverse)
 from .spherical import (angle, cross, dot, orthonormal_frame, perpendicular,
                         turn, unit)
 
@@ -331,12 +334,10 @@ class DisjointResult:
 
 def _plane(m, n) -> tuple[np.ndarray, float]:
     """The plane {Z : <Z, N> = 0} of the frame m carried back to the ball:
-    unit normal w and offset c, with <Z, N> < 0 on the side w.x > c."""
-    i = _inverse(m)
-    n0, nx, ny, nz = (i[k] * n[0] + i[k + 1] * n[1] + i[k + 2] * n[2]
-                      + i[k + 3] * n[3] for k in (0, 4, 8, 12))
-    size = math.sqrt(nx * nx + ny * ny + nz * nz)
-    return np.array([nx, ny, nz]) / size, n0 / size
+    unit normal w and offset c, with <Z, N> < 0 on the side w.x > c. The
+    inverse frame carries the covector N as _cap_seen carries a cap's."""
+    w, c, _ = _cap_seen(_inverse(m), n[1:], n[0], 0.0)
+    return np.array(w), c
 
 
 def _hull_gap(n1, psi1: float, q, n2, c2: float, s2: float):
@@ -856,21 +857,16 @@ def _plane_terms(inner: BallCone, outer: BallCone, tau: float,
     cap axis."""
     *m_k, nx, ny, nz, psi_k, _, _ = inner.apex_frame_scalars
     *m_r, psi, _, _ = outer.apex_frame_scalars
-    n_r, inv = m_r[16:], _inverse(m_r)
-    # columns 1-3 of m_k eta m_r^T eta, row by row
-    carry = [[m_k[i] * inv[j] + m_k[i + 1] * inv[j + 4]
-              + m_k[i + 2] * inv[j + 8] + m_k[i + 3] * inv[j + 12]
-              for j in (1, 2, 3)] for i in (0, 4, 8, 12)]
+    n_r = m_r[16:]
+    carry = _compose(m_k, _inverse(m_r))  # m_k eta m_r^T eta
     e1 = perpendicular(n_r)
     e2 = cross(n_r, e1)
     # M at azimuth phi is a + cos(phi) b + sin(phi) d
-    a, b, d = ([r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in carry]
+    a, b, d = (_apply(carry, (0.0, *v))
                for v in ([math.sin(psi) * x for x in n_r],
                          [-math.cos(psi) * x for x in e1],
                          [-math.cos(psi) * x for x in e2]))
-    s0, s1, s2, s3 = (float(x) for x in shift)
-    t = [m_k[i] * s0 + m_k[i + 1] * s1 + m_k[i + 2] * s2 + m_k[i + 3] * s3
-         for i in (0, 4, 8, 12)]
+    t = _apply(m_k, [float(x) for x in shift])
     # <t, .> as a row: kappa at phi is ka + cos(phi) kb + sin(phi) kd
     ka, kt, kb, kd = (t[0] / tau * v[0] - t[1] / tau * v[1]
                       - t[2] / tau * v[2] - t[3] / tau * v[3]

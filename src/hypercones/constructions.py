@@ -36,14 +36,13 @@ import numpy as np
 
 from .ball_model import (SphereDirection, _act, _cap_seen, _trusted,
                          apex_matrix, shadow_radius)
-from .cones import (_CLEARANCE, BallCone, Hyperball, _cap_fits, _cone,
-                    _enclosure, _line_entry, _map, _plane_margin,
-                    cone_hyperball_disjoint, cone_leq, disjoint,
-                    hyperball_in_cone, opposite)
-from .config import DEFAULT_TOLERANCES
+from .cones import (_CLEARANCE, _LINEAR, _WINDOW, BallCone, Hyperball,
+                    _cap_fits, _cone, _enclosure, _line_entry, _map,
+                    _plane_margin, cone_hyperball_disjoint, cone_leq,
+                    disjoint, hyperball_in_cone, opposite)
 from .errors import ConstructionFailure, DegenerateGeometry
-from .minkowski import (FourVector, LorentzTransform, _boost, _compose,
-                        _inverse)
+from .minkowski import (FourVector, LorentzTransform, _apply, _boost,
+                        _compose, _inverse)
 from .spherical import angle, cross, dot, perpendicular, turn, unit
 
 __all__ = [
@@ -504,7 +503,7 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     """
     gamma = angle(cone_a.exit_scalars[4:7], cone_b.exit_scalars[4:7])
     total = cone_a.base.half_angle + cone_b.base.half_angle
-    if abs(gamma - total) <= DEFAULT_TOLERANCES.degenerate_window:
+    if abs(gamma - total) <= _WINDOW:
         raise DegenerateGeometry("cap boundaries are tangent; perturb inputs")
     if gamma > total:
         d = cone_a.exit_scalars[4:7]
@@ -579,7 +578,7 @@ def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
     _plane_margin, a sinh-distance, against the floor sinh((radius +
     window) / tau); its bound at the apex, s = 0, holds inner's apex to
     the same floor."""
-    floor = math.sinh((radius + DEFAULT_TOLERANCES.degenerate_window) / tau)
+    floor = math.sinh((radius + _WINDOW) / tau)
     return (bool(cone_leq(inner, outer))
             and _plane_margin(inner, outer, tau, floor=floor))
 
@@ -866,7 +865,6 @@ def translate_enclosure(cone: BallCone, tau: float,
     trans = [t if isinstance(t, FourVector)
              else FourVector.from_array(np.asarray(t, dtype=float))
              for t in translations]
-    eps = DEFAULT_TOLERANCES.linear_identity
     # the frame m sends the apex to the origin
     *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     shifted = []
@@ -876,16 +874,14 @@ def translate_enclosure(cone: BallCone, tau: float,
             raise ValueError(f"translation {i} has a non-finite component: "
                              f"{x}")
         # hypot, unlike a sum of squares, is inf only when |x_s| is
-        if x[0] < math.hypot(*x[1:]) - eps:
+        if x[0] < math.hypot(*x[1:]) - _LINEAR:
             raise ValueError(
                 f"translation {i} is not future-directed (closure of the "
                 "forward cone)")
-        shifted.append([m[k] * x[0] + m[k + 1] * x[1] + m[k + 2] * x[2]
-                        + m[k + 3] * x[3] for k in (0, 4, 8, 12)])
+        shifted.append(_apply(m, x))
     cone_n = _cone((0.0, 0.0, 0.0), (nx, ny, nz), psi)
     region_n = _shadow_enclosure(cone, 0.0, tau, shifted)
-    window = DEFAULT_TOLERANCES.degenerate_window
-    _require(all(_plane_margin(cone_n, region_n, tau, t, floor=window)
+    _require(all(_plane_margin(cone_n, region_n, tau, t, floor=_WINDOW)
                  for t in shifted)
              and bool(cone_leq(cone_n, region_n)),
              "the shadow enclosure failed the translated completion's "

@@ -5,9 +5,9 @@ b = (b0, b_s) is a0*b0 - a_s.b_s. The open forward cone V consists of the
 x with x0 > |x_s|; the causal semigroup pairs translations from the closure
 of V with proper orthochronous Lorentz matrices.
 
-The group kernels (_inverse, _compose, _boost) live here once, on a 4x4
-matrix as 16 floats row by row; LorentzTransform.boost and .inverse wrap
-their floats.
+The group kernels (_apply, _inverse, _compose, _boost) live here once, on
+a 4x4 matrix as 16 floats row by row; LorentzTransform.apply, .boost and
+.inverse wrap their floats.
 """
 from __future__ import annotations
 
@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+
+_LINEAR = DEFAULT_TOLERANCES.linear_identity
+_MATRIX = DEFAULT_TOLERANCES.matrix_identity
 
 
 class FourVector:
@@ -103,11 +106,10 @@ class CausalClass(enum.Enum):
 
 def causal_class(x: FourVector) -> CausalClass:
     """Classify x by the signs of its Minkowski square and time component."""
-    eps = DEFAULT_TOLERANCES.linear_identity
-    if np.max(np.abs(x.components)) <= eps:
+    if np.max(np.abs(x.components)) <= _LINEAR:
         return CausalClass.ZERO
     q = x.square()
-    if abs(q) <= eps:
+    if abs(q) <= _LINEAR:
         return (CausalClass.LIGHTLIKE_FUTURE if x.x0 > 0
                 else CausalClass.LIGHTLIKE_PAST)
     if q > 0:
@@ -181,10 +183,21 @@ class LorentzTransform:
         return LorentzTransform(self._m @ other._m, _skip_check=True)
 
     def apply(self, x: FourVector) -> FourVector:
-        return FourVector.from_array(self._m @ x.components)
+        return FourVector(*_apply(self._m.ravel().tolist(),
+                                  x.components.tolist()))
 
     def __repr__(self) -> str:
         return f"LorentzTransform({self._m.tolist()})"
+
+
+def _apply(m, x) -> tuple[float, float, float, float]:
+    """The matrix m applied to the four-vector x, each row summed in
+    order."""
+    x0, x1, x2, x3 = x
+    return (m[0] * x0 + m[1] * x1 + m[2] * x2 + m[3] * x3,
+            m[4] * x0 + m[5] * x1 + m[6] * x2 + m[7] * x3,
+            m[8] * x0 + m[9] * x1 + m[10] * x2 + m[11] * x3,
+            m[12] * x0 + m[13] * x1 + m[14] * x2 + m[15] * x3)
 
 
 def _inverse(m) -> tuple[float, ...]:
@@ -229,13 +242,12 @@ def _boost(n, chi: float) -> tuple[float, ...]:
 
 
 def _check_proper_orthochronous(m: np.ndarray) -> None:
-    eps = DEFAULT_TOLERANCES.matrix_identity
     gram = m.T @ ETA @ m
-    if np.max(np.abs(gram - ETA)) > eps:
+    if np.max(np.abs(gram - ETA)) > _MATRIX:
         raise ValueError("matrix does not preserve the Minkowski form")
-    if m[0, 0] < 1.0 - eps:
+    if m[0, 0] < 1.0 - _MATRIX:
         raise ValueError("matrix is not orthochronous")
-    if abs(np.linalg.det(m) - 1.0) > eps:
+    if abs(np.linalg.det(m) - 1.0) > _MATRIX:
         raise ValueError("matrix is not proper (det != +1)")
 
 
@@ -259,8 +271,7 @@ def in_semigroup(g: PoincareElement) -> bool:
     """Whether g translates into the closed forward cone with a valid
     proper orthochronous Lorentz part."""
     t = g.translation
-    eps = DEFAULT_TOLERANCES.linear_identity
-    closed_future = t.x0 >= float(np.linalg.norm(t.xs)) - eps
+    closed_future = t.x0 >= float(np.linalg.norm(t.xs)) - _LINEAR
     return closed_future and g.lorentz.verify()
 
 
@@ -297,9 +308,8 @@ def lightlike_boost(l: FourVector, beta: float) -> LorentzTransform:
     l' = (1, -n) to beta*l'. Requires beta >= 1, so the named ray is
     contracted.
     """
-    eps = DEFAULT_TOLERANCES.linear_identity
     n = l.xs
-    if abs(l.x0 - 1.0) > eps or abs(np.linalg.norm(n) - 1.0) > eps:
+    if abs(l.x0 - 1.0) > _LINEAR or abs(np.linalg.norm(n) - 1.0) > _LINEAR:
         raise ValueError("expected a normalized lightlike ray (1, n), |n| = 1")
     if beta < 1.0:
         raise ValueError("scaling factor must be >= 1")

@@ -142,6 +142,9 @@ def loads(text: str) -> Scene:
     tau = _number(doc["tau"], "tau")
     if tau <= 0.0:
         raise SceneError("tau must be positive")
+    for key in ("cones", "balls", "events", "morphisms"):
+        if not isinstance(doc.get(key) or {}, dict):
+            raise SceneError(f"{key} must be an object")
     scene = Scene(tau=tau, raw=doc)
     shell = scene.shell
 
@@ -174,8 +177,10 @@ def loads(text: str) -> Scene:
     if signs is not None:
         if scene.group is None:
             raise SceneError("statistics_signs require a charge_group")
-        if not isinstance(signs, list):
-            raise SceneError("statistics_signs must be a list")
+        if (not isinstance(signs, list)
+                or not all(isinstance(s, int) and not isinstance(s, bool)
+                           for s in signs)):
+            raise SceneError("statistics_signs must be a list of integers")
         try:
             scene.statistics = StatisticsCharacter(scene.group, tuple(signs))
         except ValueError as bad:
@@ -193,7 +198,7 @@ def loads(text: str) -> Scene:
                            for c in coords)):
             raise SceneError(f"morphism {name!r} charge must be a list "
                              "of integers")
-        if cone_name not in scene.cones:
+        if not isinstance(cone_name, str) or cone_name not in scene.cones:
             raise SceneError(f"morphism {name!r} references unknown cone "
                              f"{cone_name!r}")
         try:

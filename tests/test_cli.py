@@ -230,11 +230,6 @@ class TestConstruct:
         assert set(extended.cones) > {"A", "B", "big"}
         assert "C0" in extended.cones
 
-    def test_wrong_arity_is_an_error(self, capsys):
-        code, _, err = run(capsys, "construct", DEMO, "A1", "big")
-        assert code == 1
-        assert "needs" in err
-
 
 class TestPathCommand:
     def test_direct_path(self, capsys):
@@ -448,8 +443,19 @@ class TestNonFiniteScenes:
         ("cones", "B", "axis", [False, 0.0, -1.0], "disjoint A B",
          "cone 'B' axis must be a list of 3 numbers"),
         (None, None, "tau", math.nan, "disjoint A B", "tau must be finite"),
+        (None, None, "cones", ["A"], "disjoint A B",
+         "cones must be an object"),
+        (None, None, "balls", "O", "contains big O",
+         "balls must be an object"),
+        ("morphisms", "s", "cone", ["A"], "compose s t",
+         "morphism 's' references unknown cone ['A']"),
+        (None, None, "statistics_signs", [math.inf, 1], "statistics s t",
+         "statistics_signs must be a list of integers"),
+        (None, None, "statistics_signs", [-1.9, 1], "statistics s t",
+         "statistics_signs must be a list of integers"),
     ], ids=["apex-nan", "angle-inf", "radius-inf", "center-nan",
-            "axis-bool", "tau-nan"])
+            "axis-bool", "tau-nan", "cones-list", "balls-string",
+            "morphism-cone-list", "sign-overflow", "sign-fraction"])
     def test_scene_is_refused_with_exit_one(self, capsys, tmp_path, section,
                                             name, field, value, query,
                                             message):
@@ -583,6 +589,8 @@ _PINNED = [
      "error: --nmax must be at least 0, got -1\n"),
     (DEMO, "construct A99 A --nmax -1", 1, "",
      "error: --nmax must be at least 0, got -1\n"),
+    (DEMO, "construct A1 big O --depth 0", 1, "",
+     "error: --depth must be at least 1, got 0\n"),
 ]
 
 

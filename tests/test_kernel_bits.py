@@ -15,13 +15,14 @@ from hypercones.ball_model import (BallPoint, Cap, Hyperboloid,
                                    SphereDirection, _cap_seen, _trusted,
                                    apex_matrix)
 from hypercones.cones import (_LIGHT_BAND, BallCone, Hypercone, _cone,
-                              _frame_clearance, _lead, _line_entry,
-                              in_causal_completion)
+                              _frame_clearance, _lead, _line_entry, _plane,
+                              _plane_terms, in_causal_completion)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.errors import DegenerateGeometry
-from hypercones.minkowski import (FourVector, LorentzTransform, _compose,
-                                  _inverse)
-from hypercones.spherical import angle, cross, dot, turn, unit
+from hypercones.minkowski import (FourVector, LorentzTransform, _apply,
+                                  _compose, _inverse)
+from hypercones.spherical import angle, cross, dot, perpendicular, turn, unit
+from tests.conftest import random_cone
 
 N = 10_000
 
@@ -356,6 +357,92 @@ def test_boost_and_inverse_match_their_numpy_forms():
                    @ boost).matrix):
             got = LorentzTransform(m, _skip_check=True).inverse().matrix
             assert np.array_equal(got, _reference_inverse(m))
+
+
+# -- cones._plane, cones._plane_terms and LorentzTransform.apply against
+# their bodies from before they went through _apply, _compose and _cap_seen
+
+
+def _reference_plane(m, n):
+    i = _inverse(m)
+    n0, nx, ny, nz = (i[k] * n[0] + i[k + 1] * n[1] + i[k + 2] * n[2]
+                      + i[k + 3] * n[3] for k in (0, 4, 8, 12))
+    size = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return np.array([nx, ny, nz]) / size, n0 / size
+
+
+def _reference_plane_terms(inner, outer, tau, shift):
+    *m_k, nx, ny, nz, psi_k, _, _ = inner.apex_frame_scalars
+    *m_r, psi, _, _ = outer.apex_frame_scalars
+    n_r, inv = m_r[16:], _inverse(m_r)
+    carry = [[m_k[i] * inv[j] + m_k[i + 1] * inv[j + 4]
+              + m_k[i + 2] * inv[j + 8] + m_k[i + 3] * inv[j + 12]
+              for j in (1, 2, 3)] for i in (0, 4, 8, 12)]
+    e1 = perpendicular(n_r)
+    e2 = cross(n_r, e1)
+    a, b, d = ([r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in carry]
+               for v in ([math.sin(psi) * x for x in n_r],
+                         [-math.cos(psi) * x for x in e1],
+                         [-math.cos(psi) * x for x in e2]))
+    s0, s1, s2, s3 = (float(x) for x in shift)
+    t = [m_k[i] * s0 + m_k[i + 1] * s1 + m_k[i + 2] * s2 + m_k[i + 3] * s3
+         for i in (0, 4, 8, 12)]
+    ka, kt, kb, kd = (t[0] / tau * v[0] - t[1] / tau * v[1]
+                      - t[2] / tau * v[2] - t[3] / tau * v[3]
+                      for v in (a, t, b, d))
+    ka += kt / (2.0 * tau)
+    a0, ax, ay, az = (x + y / tau for x, y in zip(a, t))
+    return (a0, ax, ay, az, *b, *d, ka, kb, kd, nx, ny, nz), psi_k
+
+
+def test_plane_keeps_the_bits():
+    # 2,000 frames, 50 covectors N = (n0, n) each: n a direction or a
+    # vector over 1e-150 to 1e150, n0 within |n| of zero or a signed zero
+    rng = np.random.default_rng(370)
+    count = 0
+    for _ in range(2_000):
+        m = _matrix(rng)
+        for _ in range(50):
+            n = _vector(rng) if rng.random() < 0.5 else _direction(rng)
+            n0 = (float(rng.choice([0.0, -0.0])) if rng.random() < 0.2
+                  else rng.uniform(-1.0, 1.0) * math.sqrt(dot(n, n)))
+            got_w, got_c = _plane(m, (n0, *n))
+            ref_w, ref_c = _reference_plane(m, (n0, *n))
+            assert bits([*got_w, got_c]) == bits([*ref_w, ref_c])
+            count += 1
+    assert count == 100_000
+
+
+def test_plane_terms_keep_the_bits():
+    # 20,000 random cone pairs; every other one with a future-directed
+    # shift, given as a list or an array, whose spatial part may vanish
+    rng = np.random.default_rng(371)
+    shifts = 0
+    for k in range(20_000):
+        inner, outer = random_cone(rng), random_cone(rng)
+        tau = rng.uniform(0.2, 5.0)
+        shift = (0.0, 0.0, 0.0, 0.0)
+        if k % 2:
+            xs = rng.normal(size=3) * (k % 10 != 1)
+            shift = [float(np.linalg.norm(xs) + rng.exponential()),
+                     *xs.tolist()]
+            shift = np.array(shift) if k % 4 == 1 else shift
+            shifts += 1
+        got, got_psi = _plane_terms(inner, outer, tau, shift)
+        ref, ref_psi = _reference_plane_terms(inner, outer, tau, shift)
+        assert len(got) == 18
+        assert bits([*got, got_psi]) == bits([*ref, ref_psi])
+    assert shifts == 10_000
+
+
+def test_lorentz_apply_is_the_apply_kernel():
+    rng = np.random.default_rng(372)
+    for _ in range(N):
+        m = _matrix(rng)
+        x = [*_vector(rng), float(rng.choice([0.0, -0.0, rng.normal()]))]
+        got = LorentzTransform(np.reshape(m, (4, 4)),
+                               _skip_check=True).apply(FourVector(*x))
+        assert bits(got.components) == bits(_apply(m, x))
 
 
 # -- in_causal_completion against its body from before the ball-point test

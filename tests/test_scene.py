@@ -164,6 +164,11 @@ class TestValidation:
                 charge_group={"free_rank": 1, "torsion_orders": []},
                 cones={"K": cone},
                 morphisms={"m": {"charge": [1], "cone": "missing"}}))
+        with pytest.raises(SceneError, match="unknown cone \\['K'\\]"):
+            scene_mod.loads(minimal_doc(
+                charge_group={"free_rank": 1, "torsion_orders": []},
+                cones={"K": cone},
+                morphisms={"m": {"charge": [1], "cone": ["K"]}}))
         with pytest.raises(SceneError, match="list"):
             scene_mod.loads(minimal_doc(
                 charge_group={"free_rank": 1, "torsion_orders": []},
@@ -174,6 +179,30 @@ class TestValidation:
                 charge_group={"free_rank": 1, "torsion_orders": []},
                 cones={"K": cone},
                 morphisms={"m": {"charge": [1, 2], "cone": "K"}}))
+
+    @pytest.mark.parametrize("section", ["cones", "balls", "events",
+                                         "morphisms"])
+    @pytest.mark.parametrize("value", [["A"], "A", 1, True])
+    def test_sections_must_be_objects(self, section, value):
+        with pytest.raises(SceneError, match=f"^{section} must be an object"):
+            scene_mod.loads(minimal_doc(**{section: value}))
+
+    @pytest.mark.parametrize("value", [None, [], "", {}])
+    def test_null_or_empty_sections_stay_accepted(self, value):
+        sc = scene_mod.loads(minimal_doc(cones=value, balls=value,
+                                         events=value, morphisms=value))
+        assert sc.cones == sc.balls == sc.events == sc.morphisms == {}
+
+    @pytest.mark.parametrize("signs", ["[1e400]", "[1.5]", "[true]",
+                                       "[-1.9]", "[-1.0]", '["1"]'])
+    def test_statistics_signs_are_read_as_integers(self, signs):
+        text = minimal_doc(charge_group={"free_rank": 1})[:-1] + (
+            f', "statistics_signs": {signs}}}')
+        with pytest.raises(SceneError, match="^statistics_signs must be a "
+                                             "list of integers$"):
+            scene_mod.loads(text)
+        good = scene_mod.loads(text.replace(signs, "[-1]"))
+        assert good.statistics.signs == (-1,)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SceneError, match="cannot read"):
