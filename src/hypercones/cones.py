@@ -24,7 +24,9 @@ Point margins (`point_margin`), ball inclusion (`hyperball_in_cone`,
 (`in_causal_completion`) share one lateral-distance kernel, `_lead`: for
 a point lifted to an event x of Minkowski square s^2, L = s sinh d, with
 d the shell distance to the lateral boundary and L > 0 inside, read in
-the cone's apex frame with no divide and no angle.
+the cone's apex frame with no divide and no angle. Each cone caches the
+covector triple `_lead` reads (`lead_rows`): three rows of its apex
+frame, along the image cap axis and two unit vectors across it.
 
 Lorentz maps act on cones exactly through ball_model's float frame
 kernels: the apex by the ball action, the cap by its covector image
@@ -33,7 +35,8 @@ its apex frame (apex_matrix) with the image cap in one float cache
 (`apex_frame_scalars`); the opposite cone, the shell-metric distances,
 the contact tests and the shared-apex tests all work in that frame. Frame
 products go through minkowski's `_apply` and `_compose` and ball_model's
-`_cap_seen`; only `_lead` keeps its rows fused.
+`_cap_seen`; only `_lead` keeps its own products, three four-term dot
+products with `lead_rows`.
 
 Cones are built from plain floats: `_cone` runs the public constructors'
 checks on three-float apex and axis and the half-angle, with the same
@@ -45,7 +48,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -74,6 +76,26 @@ _CAP_LIMIT = DEFAULT_TOLERANCES.cap_limit
 _POINTEDNESS = DEFAULT_TOLERANCES.pointedness  # the slack of _pointed
 
 
+class _cached:
+    """A value computed on its first read and kept in the instance's
+    __dict__, as functools.cached_property keeps it, with no lock: a
+    non-data descriptor, so every later read finds the stored value
+    first. (On Python 3.11 cached_property takes a class-wide lock on each
+    first read.)"""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class BallCone:
     """Open cone spanned from an apex over a spherical cap region.
@@ -93,7 +115,7 @@ class BallCone:
 
     # -- raw geometry helpers ------------------------------------------
 
-    @cached_property
+    @_cached
     def exit_scalars(self) -> tuple[float, ...]:
         """The apex, 1 - |apex|^2, the cap axis and cos psi as plain floats
         for the one-point exit kernel (margin)."""
@@ -168,7 +190,7 @@ class BallCone:
         s = rng.random(n) ** 0.5
         return self.apex.v + s[:, None] * (dirs - self.apex.v)
 
-    @cached_property
+    @_cached
     def apex_frame(self) -> tuple[LorentzTransform, Cap]:
         """Boost whose ball action moves the apex to the origin, with the
         image of the cap under it: apex_frame_scalars as objects. The boost
@@ -181,7 +203,7 @@ class BallCone:
                                  _skip_check=True),
                 Cap(SphereDirection(s[16:19]), s[19]))
 
-    @cached_property
+    @_cached
     def apex_frame_scalars(self) -> tuple[float, ...]:
         """The apex frame on plain floats for the one-point kernels: the 16
         entries, row by row, of the boost that moves the apex to the origin
@@ -192,6 +214,28 @@ class BallCone:
         n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
                             math.sin(self.base.half_angle))
         return (*m, *n, math.atan2(s, c), c, s)
+
+    @_cached
+    def lead_rows(self) -> tuple[float, ...]:
+        """_lead's covector triple on plain floats: the rows v^T M of the
+        spatial part M of the apex frame for v = n', e1 and e2, with n' the
+        image cap axis, e1 = perpendicular(n') and e2 = n' x e1, then cos
+        psi' and sin psi' (14 floats). M's rows are apex_matrix's closed
+        form, so v^T M = (-g v.a, v + h (v.a) a) for the apex a, with g
+        the frame's time entry and h = g^2 / (g + 1)."""
+        ax, ay, az = self.exit_scalars[:3]
+        f = self.apex_frame_scalars
+        g, n = f[0], f[16:19]
+        h = g * g / (g + 1.0)
+        e1 = perpendicular(n)
+        (nx, ny, nz), (px, py, pz), (qx, qy, qz) = n, e1, cross(n, e1)
+        dn, dp, dq = (nx * ax + ny * ay + nz * az, px * ax + py * ay + pz * az,
+                      qx * ax + qy * ay + qz * az)
+        kn, kp, kq = h * dn, h * dp, h * dq
+        return (-g * dn, nx + kn * ax, ny + kn * ay, nz + kn * az,
+                -g * dp, px + kp * ax, py + kp * ay, pz + kp * az,
+                -g * dq, qx + kq * ax, qy + kq * ay, qz + kq * az,
+                f[20], f[21])
 
 
 def _pointed(ax, ay, az, nx, ny, nz, cos_half: float) -> None:
@@ -323,7 +367,7 @@ class DisjointResult:
     def __bool__(self) -> bool:
         return self.disjoint
 
-    @cached_property
+    @_cached
     def plane(self) -> tuple[np.ndarray, float] | None:
         """Unit normal w and offset c of the separating plane, or None."""
         return None if self.separation is None else self.separation()
@@ -708,7 +752,7 @@ def _lead(cone: BallCone, x0: float, x1: float, x2: float,
     from the shell point on x's ray to the cone's lateral boundary, and L >
     0 exactly when that point lies in the open cone.
 
-    In the cone's apex frame M (apex_frame_scalars), which sends the apex
+    In the cone's apex frame M, which sends the apex
     to the origin and the cap to (n', psi'), let y be the spatial part of
     Mx. M keeps x.x, so the shell point's image is the ball point y / z0 =
     tanh(r) y / |y|, at distance r from the apex with sinh r = |y| / s.
@@ -722,21 +766,21 @@ def _lead(cone: BallCone, x0: float, x1: float, x2: float,
         L = sin psi' (y.n') - cos psi' |y x n'| = |y| sin(psi' - theta),
 
     taken as |y| with that sign once |theta - psi'| >= pi/2 (once cos
-    psi' (y.n') + sin psi' |y x n'| <= 0): products and two square roots
-    on the floats of x, with no divide and no angle. The apex itself, y =
-    0, gives -0.0: outside, at distance 0.
+    psi' (y.n') + sin psi' |y x n'| <= 0). With (n', e1, e2) orthonormal,
+    y.n' = (n'^T M) x and |y x n'| = sqrt(p^2 + q^2) for p = (e1^T M) x
+    and q = (e2^T M) x: three four-term dot products with the cone's
+    covector triple (lead_rows) and one 2-D norm, with no divide and no
+    angle. The apex itself, y = 0, gives -0.0: outside, at distance 0.
     """
-    (_, _, _, _, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
-     nx, ny, nz, _, cos_psi, sin_psi) = cone.apex_frame_scalars
-    yx = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3
-    yy = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3
-    yz = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3
-    along = yx * nx + yy * ny + yz * nz
-    wx, wy, wz = yy * nz - yz * ny, yz * nx - yx * nz, yx * ny - yy * nx
-    across = math.sqrt(wx * wx + wy * wy + wz * wz)
+    (n0, n1, n2, n3, p0, p1, p2, p3, q0, q1, q2, q3,
+     cos_psi, sin_psi) = cone.lead_rows
+    along = n0 * x0 + n1 * x1 + n2 * x2 + n3 * x3
+    p = p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3
+    q = q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3
+    across = math.sqrt(p * p + q * q)
     lead = sin_psi * along - cos_psi * across
     if cos_psi * along + sin_psi * across <= 0.0:  # the apex is nearest
-        size = math.sqrt(yx * yx + yy * yy + yz * yz)
+        size = math.sqrt(along * along + p * p + q * q)
         lead = size if lead > 0.0 else -size
     return lead
 
@@ -1047,21 +1091,32 @@ def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
     Events on the light cone boundary (zero Minkowski square) are never
     inside. An event that is not a finite point of the closed forward
     cone, or whose ball point u = x_s / x0 rounds onto the sphere, raises
-    ValueError. That test runs only where |x_s|^2 > (1 - 1e-6) x0^2 as
-    computed (_LIGHT_BAND). Below the band, with x0^2 > 1e-12 so that no
-    underflow matters, three roundings of |x_s|^2, two of the bound and
-    five of |u|^2, each by at most 2^-53, leave the computed |u|^2 under
-    (1 - 1e-6)(1 + 2^-49) < 1 - 9e-7, and its root below 1.
+    ValueError. The forward-cone test runs only off the fast path 1e-12 <
+    x.x < inf and x0 > 0, where it cannot fire: there fl(x0^2) > |x_s|^2
+    as computed, x0^2 neither overflows nor underflows, and sqrt(fl(x0^2))
+    = x0 in binary round-to-nearest (S. Boldo, Taking the square root of
+    the square of a floating-point number, 2015), so sqrt(|x_s|^2) -
+    1e-12 rounds to at most x0. A NaN anywhere fails the fast path and
+    takes the full test. The ball point test runs only where |x_s|^2 > (1
+    - 1e-6) x0^2 as computed (_LIGHT_BAND). Below the band, with x0^2 >
+    1e-12 so that no underflow matters, three roundings of |x_s|^2, two
+    of the bound and five of |u|^2, each by at most 2^-53, leave the
+    computed |u|^2 under (1 - 1e-6)(1 + 2^-49) < 1 - 9e-7, and its root
+    below 1.
     """
-    x0, x1, x2, x3 = (x.components if isinstance(x, FourVector)
-                      else np.asarray(x, dtype=float).reshape(4)).tolist()
+    if isinstance(x, FourVector):
+        x0, x1, x2, x3 = x._x0, x._x1, x._x2, x._x3
+    else:
+        x0, x1, x2, x3 = np.asarray(x, dtype=float).reshape(4).tolist()
     rr = x1 * x1 + x2 * x2 + x3 * x3
     tt = x0 * x0
     square = tt - rr
-    if x0 < math.sqrt(rr) - _LINEAR or x0 <= 0.0 or not math.isfinite(square):
-        raise ValueError("event must lie in the closed forward cone")
-    if square <= _LINEAR:
-        return False
+    if not (_LINEAR < square < math.inf and x0 > 0.0):
+        if (x0 < math.sqrt(rr) - _LINEAR or x0 <= 0.0
+                or not math.isfinite(square)):
+            raise ValueError("event must lie in the closed forward cone")
+        if square <= _LINEAR:
+            return False
     if rr > _LIGHT_BAND * tt:
         u1, u2, u3 = x1 / x0, x2 / x0, x3 / x0
         if not math.sqrt(u1 * u1 + u2 * u2 + u3 * u3) < 1.0:

@@ -33,61 +33,78 @@ _MATRIX = DEFAULT_TOLERANCES.matrix_identity
 
 
 class FourVector:
-    """Immutable spacetime vector (x0, x1, x2, x3)."""
+    """Immutable spacetime vector (x0, x1, x2, x3).
 
-    __slots__ = ("_a",)
+    The four components are kept as plain floats, and the read-only array
+    `components` is built when first read: the one-event kernels read the
+    floats with no array dispatch. Arithmetic is done on the floats, with
+    the bits of numpy's elementwise operations.
+    """
+
+    __slots__ = ("_x0", "_x1", "_x2", "_x3", "_a")
 
     def __init__(self, x0, x1=0.0, x2=0.0, x3=0.0):
-        a = np.array([x0, x1, x2, x3], dtype=float)
-        a.flags.writeable = False
-        self._a = a
+        self._x0, self._x1, self._x2, self._x3 = (
+            float(x0), float(x1), float(x2), float(x3))
+        self._a = None
 
     @classmethod
     def from_array(cls, arr) -> "FourVector":
-        arr = np.asarray(arr, dtype=float).reshape(4)
-        return cls(arr[0], arr[1], arr[2], arr[3])
+        return cls(*np.asarray(arr, dtype=float).reshape(4).tolist())
 
     @classmethod
     def from_parts(cls, x0: float, xs) -> "FourVector":
-        xs = np.asarray(xs, dtype=float).reshape(3)
-        return cls(x0, xs[0], xs[1], xs[2])
+        return cls(x0, *np.asarray(xs, dtype=float).reshape(3).tolist())
 
     @property
     def x0(self) -> float:
-        return float(self._a[0])
+        return self._x0
 
     @property
     def xs(self) -> np.ndarray:
-        return self._a[1:]
+        return self.components[1:]
 
     @property
     def components(self) -> np.ndarray:
-        return self._a
+        a = self._a
+        if a is None:
+            a = np.array([self._x0, self._x1, self._x2, self._x3])
+            a.flags.writeable = False
+            self._a = a
+        return a
 
     def square(self) -> float:
         """Minkowski square x.x (positive for timelike x)."""
         return minkowski_product(self, self)
 
     def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector.from_array(self._a + other._a)
+        return FourVector(self._x0 + other._x0, self._x1 + other._x1,
+                          self._x2 + other._x2, self._x3 + other._x3)
 
     def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector.from_array(self._a - other._a)
+        return FourVector(self._x0 - other._x0, self._x1 - other._x1,
+                          self._x2 - other._x2, self._x3 - other._x3)
 
     def __neg__(self) -> "FourVector":
-        return FourVector.from_array(-self._a)
+        return FourVector(-self._x0, -self._x1, -self._x2, -self._x3)
 
     def __mul__(self, c: float) -> "FourVector":
-        return FourVector.from_array(self._a * float(c))
+        c = float(c)
+        return FourVector(self._x0 * c, self._x1 * c, self._x2 * c,
+                          self._x3 * c)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FourVector) and bool(
-            np.array_equal(self._a, other._a))
+        # elementwise ==, as np.array_equal: a tuple comparison would take
+        # a NaN as equal to itself
+        return isinstance(other, FourVector) and (
+            self._x0 == other._x0 and self._x1 == other._x1
+            and self._x2 == other._x2 and self._x3 == other._x3)
 
     def __repr__(self) -> str:
-        return "FourVector({}, {}, {}, {})".format(*self._a)
+        return "FourVector({}, {}, {}, {})".format(
+            self._x0, self._x1, self._x2, self._x3)
 
 
 def minkowski_product(a: FourVector, b: FourVector) -> float:
@@ -184,7 +201,7 @@ class LorentzTransform:
 
     def apply(self, x: FourVector) -> FourVector:
         return FourVector(*_apply(self._m.ravel().tolist(),
-                                  x.components.tolist()))
+                                  (x._x0, x._x1, x._x2, x._x3)))
 
     def __repr__(self) -> str:
         return f"LorentzTransform({self._m.tolist()})"

@@ -58,9 +58,16 @@ class Scene:
             k += 1
         return names
 
+    def _section(self, key: str) -> dict:
+        """The raw section `key`, replaced by an object when it is missing
+        or is one of the empty values loads accepts (null, [], "" or {})."""
+        if not self.raw.get(key):
+            self.raw[key] = {}
+        return self.raw[key]
+
     def add_cone(self, name: str, cone: BallCone) -> None:
         self.cones[name] = cone
-        self.raw.setdefault("cones", {})[name] = {
+        self._section("cones")[name] = {
             "apex": [float(c) for c in cone.apex.v],
             "axis": [float(c) for c in cone.base.axis.v],
             "half_angle_deg": math.degrees(cone.base.half_angle),
@@ -68,7 +75,7 @@ class Scene:
 
     def add_ball(self, name: str, ball: Hyperball) -> None:
         self.balls[name] = ball
-        self.raw.setdefault("balls", {})[name] = {
+        self._section("balls")[name] = {
             "center": [float(c) for c in ball.center.v],
             "radius": float(ball.radius),
         }

@@ -36,11 +36,18 @@ def angle(a, b) -> float:
                       ax * bx + ay * by + az * bz)
 
 
+_BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 def perpendicular(a) -> tuple[float, float, float]:
     """A unit vector normal to a: a crossed with the basis vector of its
-    least entry."""
-    j = min(range(3), key=lambda i: abs(a[i]))
-    return unit(cross(a, [float(i == j) for i in range(3)]))
+    least entry in size, the first of equal ones."""
+    x, y, z = abs(a[0]), abs(a[1]), abs(a[2])
+    if y < x:
+        j = 2 if z < y else 1
+    else:
+        j = 2 if z < x else 0
+    return unit(cross(a, _BASIS[j]))
 
 
 def turn(a, b, by: float) -> tuple[float, float, float]:

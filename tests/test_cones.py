@@ -2368,23 +2368,21 @@ class TestCompletionKernel:
 def _completion_terms(x, cone, tau, lib=math):
     """The boundary distance tau asinh(|L| / s), the shadow radius tau
     asinh(R / s) and the sign of L, by in_causal_completion's arithmetic
-    on the floats of x and of cone.apex_frame_scalars: rounded with
-    lib=math, or exact to mpmath's precision with lib=mpmath.mp, which
-    takes those floats as exact."""
+    on the floats of x and of cone.lead_rows: rounded with lib=math, or
+    exact to mpmath's precision with lib=mpmath.mp, which takes those
+    floats as exact."""
     num = float if lib is math else lib.mpf
     x0, x1, x2, x3 = map(num, x)
-    (m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
-     nx, ny, nz, _, cos_psi, sin_psi) = map(num, cone.apex_frame_scalars[4:])
+    (n0, n1, n2, n3, p0, p1, p2, p3, q0, q1, q2, q3,
+     cos_psi, sin_psi) = map(num, cone.lead_rows)
     tau = num(tau)
-    yx = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3
-    yy = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3
-    yz = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3
-    along = yx * nx + yy * ny + yz * nz
-    wx, wy, wz = yy * nz - yz * ny, yz * nx - yx * nz, yx * ny - yy * nx
-    across = lib.sqrt(wx * wx + wy * wy + wz * wz)
+    along = n0 * x0 + n1 * x1 + n2 * x2 + n3 * x3
+    p = p0 * x0 + p1 * x1 + p2 * x2 + p3 * x3
+    q = q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3
+    across = lib.sqrt(p * p + q * q)
     lead = sin_psi * along - cos_psi * across
     if cos_psi * along + sin_psi * across <= 0:
-        size = lib.sqrt(yx * yx + yy * yy + yz * yz)
+        size = lib.sqrt(along * along + p * p + q * q)
         lead = size if lead > 0 else -size
     square = x0 * x0 - (x1 * x1 + x2 * x2 + x3 * x3)
     sigma = lib.sqrt(square)

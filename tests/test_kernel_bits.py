@@ -180,6 +180,25 @@ def test_angle_keeps_the_bits():
         assert bits([angle(a, b)]) == bits([_reference_angle(a, b)])
 
 
+def _tied_vector(rng):
+    """A 3-vector with two or three entries equal in size, some of them
+    signed zeros or +-1, in a random order."""
+    a = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)]))
+    b = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)]))
+    v = [a, a, b] if rng.random() < 0.8 else [a, a, a]
+    v = [x if rng.random() < 0.5 else -x for x in v]
+    return [v[i] for i in rng.permutation(3)]
+
+
+def test_perpendicular_keeps_the_bits():
+    rng = np.random.default_rng(343)
+    for k in range(N):
+        a = _tied_vector(rng) if k % 2 else _direction(rng)
+        if not any(a):
+            continue
+        assert bits(perpendicular(a)) == bits(_reference_perpendicular(a))
+
+
 def test_turn_keeps_the_bits_and_its_fallback():
     rng = np.random.default_rng(342)
     fallbacks = 0
@@ -446,7 +465,26 @@ def test_lorentz_apply_is_the_apply_kernel():
 
 
 # -- in_causal_completion against its body from before the ball-point test
-# was kept to the band next to the light cone
+# was kept to the band next to the light cone, with L formed as before the
+# covector triple
+
+
+def _reference_lead(cone, x0, x1, x2, x3):
+    """_lead from the 3 x 4 rows of the apex frame, the image cap axis
+    and a cross product."""
+    (_, _, _, _, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33,
+     nx, ny, nz, _, cos_psi, sin_psi) = cone.apex_frame_scalars
+    yx = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3
+    yy = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3
+    yz = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3
+    along = yx * nx + yy * ny + yz * nz
+    wx, wy, wz = yy * nz - yz * ny, yz * nx - yx * nz, yx * ny - yy * nx
+    across = math.sqrt(wx * wx + wy * wy + wz * wz)
+    lead = sin_psi * along - cos_psi * across
+    if cos_psi * along + sin_psi * across <= 0.0:
+        size = math.sqrt(yx * yx + yy * yy + yz * yz)
+        lead = size if lead > 0.0 else -size
+    return lead
 
 
 def _reference_completion(x, region):
@@ -463,7 +501,7 @@ def _reference_completion(x, region):
     u = (x1 / x0, x2 / x0, x3 / x0)
     if not math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) < 1.0:
         raise ValueError("ball point must satisfy |u| < 1")
-    lead = _lead(region.cone, x0, x1, x2, x3)
+    lead = _reference_lead(region.cone, x0, x1, x2, x3)
     tau = region.shell.tau
     reach = abs(square - tau * tau) / (2.0 * tau)
     if reach * reach <= 1e-30 * square:
@@ -588,3 +626,43 @@ def test_completion_keeps_every_answer_and_exception():
     assert seen["past"] == seen["non-finite"] == {
         "event must lie in the closed forward cone"}
     assert False in seen["light"]
+
+
+def _exact_lead(mp, cone, x):
+    """L and s = sqrt(x.x) for the event x at mpmath's precision, taking
+    its floats and those of cone.apex_frame_scalars as exact: the
+    reference's arithmetic with no rounding."""
+    f = [mp.mpf(v) for v in cone.apex_frame_scalars]
+    x = [mp.mpf(v) for v in x]
+    y = [sum(f[4 * i + j] * x[j] for j in range(4)) for i in (1, 2, 3)]
+    n, cos_psi, sin_psi = f[16:19], f[20], f[21]
+    along = sum(a * b for a, b in zip(y, n))
+    across = mp.sqrt(sum(a * a for a in cross(y, n)))
+    lead = sin_psi * along - cos_psi * across
+    if cos_psi * along + sin_psi * across <= 0:
+        size = mp.sqrt(sum(a * a for a in y))
+        lead = size if lead > 0 else -size
+    return lead, mp.sqrt(x[0] ** 2 - x[1] ** 2 - x[2] ** 2 - x[3] ** 2)
+
+
+def test_lead_rounds_within_four_times_the_reference():
+    """The worst |L - L_exact| / s over 300 events per band of 1 - |u|^2,
+    for u = x_s / x0, from 1e-1 to 1e-10: _lead from the covector triple
+    within 4 times _reference_lead's."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    with mpmath.workdps(50):
+        for w in (1e-1, 1e-4, 1e-7, 1e-10):
+            worst = worst_reference = 0.0
+            for k in range(300):
+                region = _completion_region(rng, k)
+                cone, tau = region.cone, region.shell.tau
+                u = [math.sqrt(1.0 - w) * a for a in _direction(rng)]
+                sigma = tau * math.exp(rng.uniform(-1.0, 1.0))
+                x = [sigma / math.sqrt(w) * a for a in (1.0, *u)]
+                lead, s = _exact_lead(mpmath.mp, cone, x)
+                worst = max(worst, float(abs(_lead(cone, *x) - lead) / s))
+                worst_reference = max(worst_reference, float(
+                    abs(_reference_lead(cone, *x) - lead) / s))
+            assert 0.0 < worst <= 4.0 * worst_reference, (w, worst,
+                                                          worst_reference)

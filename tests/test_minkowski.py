@@ -32,6 +32,65 @@ class TestFourVector:
         assert x.x0 == 1.5
         assert np.array_equal(x.xs, [-0.5, 2.0, 0.25])
 
+    def test_equality_is_elementwise(self):
+        assert FourVector(1.0, 2.0, 3.0, 4.0) == FourVector(1, 2, 3, 4)
+        assert FourVector(0.0, -0.0, 0.0, 1.0) == FourVector(-0.0, 0.0,
+                                                             -0.0, 1.0)
+        assert FourVector(1.0) != FourVector(1.0, 5e-324)
+        assert FourVector(1.0) != (1.0, 0.0, 0.0, 0.0)
+        nan = FourVector(1.0, math.nan)
+        assert nan != nan and not nan == nan
+        assert nan != FourVector(1.0, math.nan)
+        with pytest.raises(TypeError):
+            hash(FourVector(1.0))
+
+    def test_repr_text(self):
+        assert repr(FourVector(1, -0.0, 1e-5, 1e16)) == (
+            "FourVector(1.0, -0.0, 1e-05, 1e+16)")
+        assert repr(FourVector(math.nan, math.inf, -math.inf, 0.1)) == (
+            "FourVector(nan, inf, -inf, 0.1)")
+        assert repr(FourVector.from_array(np.float32([0.1, 0, 0, 0]))) == (
+            f"FourVector({float(np.float32(0.1))}, 0.0, 0.0, 0.0)")
+
+    def test_components_are_a_read_only_float_array(self):
+        rng = np.random.default_rng(8)
+        for parts in ([1, 2, 3, 4], [0.5, np.float32(0.1), -0.0, 2 ** 60 + 1],
+                      rng.normal(size=4).tolist(), [True, 0, 0, 0]):
+            x = FourVector(*parts)
+            a = x.components
+            assert a.dtype == np.float64 and a.shape == (4,)
+            assert a.tobytes() == np.array(parts, dtype=float).tobytes()
+            assert x.x0 == a[0] and x.xs.tobytes() == a[1:].tobytes()
+            assert x.components is a
+            for view in (a, x.xs):
+                with pytest.raises(ValueError):
+                    view[0] = 7.0
+        with pytest.raises(ValueError):
+            FourVector.from_array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            FourVector("one")
+
+    def test_arithmetic_keeps_numpy_elementwise_bits(self):
+        rng = np.random.default_rng(9)
+        special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, math.inf,
+                   -math.inf, math.nan]
+
+        def draw():
+            v = rng.normal(size=4) * 10.0 ** rng.uniform(-300.0, 300.0, 4)
+            mask = rng.random(4) < 0.3
+            v[mask] = rng.choice(special, int(mask.sum()))
+            return v
+
+        with np.errstate(all="ignore"):
+            for _ in range(2_000):
+                a, b, c = draw(), draw(), float(draw()[0])
+                x, y = FourVector.from_array(a), FourVector.from_array(b)
+                assert (x + y).components.tobytes() == (a + b).tobytes()
+                assert (x - y).components.tobytes() == (a - b).tobytes()
+                assert (-x).components.tobytes() == (-a).tobytes()
+                assert (x * c).components.tobytes() == (a * c).tobytes()
+                assert (c * x).components.tobytes() == (a * c).tobytes()
+
     @given(four, four)
     @settings(max_examples=100, deadline=None)
     def test_product_symmetric(self, a, b):

@@ -269,3 +269,30 @@ class TestMutation:
         reloaded = scene_mod.loads(scene_mod.dumps(sc))
         assert np.allclose(reloaded.balls["O"].center.v, ball.center.v)
         assert reloaded.balls["O"].radius == ball.radius
+
+    @pytest.mark.parametrize("value", [None, [], "", {}])
+    def test_adding_to_a_null_or_empty_section(self, value):
+        # the section loads accepted is replaced by an object holding the
+        # new entry, and the written document is the canonical one of a
+        # scene that had the entry from the start
+        sc = scene_mod.loads(minimal_doc(cones=value, balls=value))
+        cone = BallCone(BallPoint(np.array([0.0, 0.0, 0.1])),
+                        Cap(SphereDirection.normalized(
+                            np.array([0.0, 0.0, 1.0])),
+                            math.radians(20.0)))
+        ball = Hyperball(sc.shell, BallPoint(np.array([0.1, 0.0, 0.0])),
+                         0.3)
+        sc.add_cone("K", cone)
+        sc.add_ball("O", ball)
+        text = scene_mod.dumps(sc)
+        doc = json.loads(text)
+        assert set(doc["cones"]) == {"K"} and set(doc["balls"]) == {"O"}
+        fresh = scene_mod.loads(minimal_doc())
+        fresh.add_cone("K", cone)
+        fresh.add_ball("O", ball)
+        assert text == scene_mod.dumps(fresh)
+        reloaded = scene_mod.loads(text)
+        assert scene_mod.dumps(reloaded) == text
+        assert reloaded.cones["K"].base.half_angle == pytest.approx(
+            cone.base.half_angle, abs=1e-12)
+        assert reloaded.balls["O"].radius == ball.radius
