@@ -9,9 +9,9 @@ prefactor of that shell's induced metric.
 The Lorentz frame kernels (_act, _cap_seen, apex_matrix) live here once,
 on plain floats with a 4x4 matrix as 16 floats row by row (the group
 kernels _apply, _inverse, _compose and _boost live in minkowski);
-lorentz_ball_action and cap_image adapt them to the model's objects, and
-_trusted wraps floats a caller has already checked in those objects
-without checking them again (cones._cone inlines it).
+lorentz_ball_action and cap_image adapt them to the model's objects,
+which keep their floats as LorentzTransform does: `_of` wraps three floats
+already checked or built in closed form, without checking them again.
 """
 from __future__ import annotations
 
@@ -45,24 +45,36 @@ class Hyperboloid:
 
 
 class _Triple:
-    """Three read-only floats, as an array `v` built from a _trusted tuple
-    when first read; equal to a triple of its own class with the same
+    """Three floats, kept as the tuple `_t`, with the read-only array `v`
+    built when first read; equal to a triple of its own class with the same
     values."""
 
-    __slots__ = ("_v",)
+    __slots__ = ("_t", "_a")
+
+    @classmethod
+    def _of(cls, floats):
+        """A triple over three floats that the caller has already checked or
+        built in closed form."""
+        obj = object.__new__(cls)
+        obj._t, obj._a = tuple(floats), None
+        return obj
 
     @property
     def v(self) -> np.ndarray:
-        if self._v.__class__ is tuple:  # from _trusted: built on first read
-            self._v = _frozen(self._v)
-        return self._v
+        a = self._a
+        if a is None:
+            a = np.array(self._t)
+            a.flags.writeable = False
+            self._a = a
+        return a
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and bool(
-            np.array_equal(self.v, other.v))
+        # elementwise ==, as np.array_equal: a NaN is not equal to itself
+        return isinstance(other, type(self)) and all(
+            a == b for a, b in zip(self._t, other._t))
 
     def __repr__(self) -> str:
-        return "{}({}, {}, {})".format(type(self).__name__, *self.v)
+        return "{}({}, {}, {})".format(type(self).__name__, *self._t)
 
 
 class BallPoint(_Triple):
@@ -71,12 +83,10 @@ class BallPoint(_Triple):
     __slots__ = ()
 
     def __init__(self, v):
-        v = np.array(v, dtype=float).reshape(3)
-        x, y, z = v.tolist()
+        x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
         if not x * x + y * y + z * z < 1.0:
             raise ValueError("ball point must satisfy |u| < 1")
-        v.flags.writeable = False
-        self._v = v
+        self._t, self._a = (x, y, z), None
 
 
 class SphereDirection(_Triple):
@@ -85,13 +95,12 @@ class SphereDirection(_Triple):
     __slots__ = ()
 
     def __init__(self, v):
-        v = np.array(v, dtype=float).reshape(3)
-        n = np.linalg.norm(v)
+        v = np.asarray(v, dtype=float).reshape(3)
+        n = float(np.linalg.norm(v))
         if not abs(n - 1.0) <= 1e-6:  # NaN fails it too
             raise ValueError("direction must be unit length")
-        v = v / n
-        v.flags.writeable = False
-        self._v = v
+        x, y, z = v.tolist()
+        self._t, self._a = (x / n, y / n, z / n), None
 
     @classmethod
     def normalized(cls, v) -> "SphereDirection":
@@ -210,11 +219,11 @@ def lorentz_ball_action(transform: LorentzTransform, u):
     s = sum of the squared mixed components, so the action extends
     continuously to the boundary sphere.
     """
-    m = transform.matrix.ravel().tolist()
+    m = transform._f
     if isinstance(u, BallPoint):
-        return BallPoint(_act(m, u.v.tolist()))
+        return BallPoint(_act(m, u._t))
     if isinstance(u, SphereDirection):
-        return SphereDirection.normalized(_act(m, u.v.tolist()))
+        return SphereDirection.normalized(_act(m, u._t))
     raise TypeError("expected BallPoint or SphereDirection")
 
 
@@ -329,8 +338,7 @@ def fit_cap(points: np.ndarray,
 
 def cap_image(transform: LorentzTransform, cap: Cap) -> Cap:
     """Image of a cap under a Lorentz transform's boundary action."""
-    n, c, s = _cap_seen(transform.matrix.ravel().tolist(),
-                        cap.axis.v.tolist(), cap.cos_half,
+    n, c, s = _cap_seen(transform._f, cap.axis._t, cap.cos_half,
                         math.sin(cap.half_angle))
     return Cap(SphereDirection(n), math.atan2(s, c))
 
@@ -342,23 +350,6 @@ def _act(m, p) -> tuple[float, float, float]:
     return ((m[4] + m[5] * x + m[6] * y + m[7] * z) / den,
             (m[8] + m[9] * x + m[10] * y + m[11] * z) / den,
             (m[12] + m[13] * x + m[14] * y + m[15] * z) / den)
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float array of the values."""
-    v = np.array(values, dtype=float)
-    v.flags.writeable = False
-    return v
-
-
-def _trusted(cls, values):
-    """A BallPoint or SphereDirection over three floats that the caller has
-    already checked. It holds the floats, and builds the read-only array
-    the public constructor would store when `v` is first read: most cones
-    the constructions build are read through their float caches only."""
-    obj = object.__new__(cls)
-    obj._v = tuple(values)
-    return obj
 
 
 def _cap_seen(m, n, c: float, s: float):

@@ -119,9 +119,9 @@ class BallCone:
     def exit_scalars(self) -> tuple[float, ...]:
         """The apex, 1 - |apex|^2, the cap axis and cos psi as plain floats
         for the one-point exit kernel (margin)."""
-        ax, ay, az = self.apex.v.tolist()
+        ax, ay, az = self.apex._t
         return (ax, ay, az, 1.0 - (ax * ax + ay * ay + az * az),
-                *self.base.axis.v.tolist(), self.base.cos_half)
+                *self.base.axis._t, self.base.cos_half)
 
     def margin(self, p) -> float:
         """Cos-space margin of one point p (three floats): the cosine of the
@@ -199,8 +199,7 @@ class BallCone:
         rounding alone fails it on the large entries of an apex near the
         sphere."""
         s = self.apex_frame_scalars
-        return (LorentzTransform(np.reshape(s[:16], (4, 4)),
-                                 _skip_check=True),
+        return (LorentzTransform._of(s[:16]),
                 Cap(SphereDirection(s[16:19]), s[19]))
 
     @_cached
@@ -262,13 +261,11 @@ def _cone(apex, axis, psi: float) -> BallCone:
         raise ValueError("cap half-angle must lie in (0, pi)")
     c = math.cos(psi)
     _pointed(ax, ay, az, nx, ny, nz, c)
-    # the fields and floats (as ball_model._trusted holds them), set
-    # without the validating constructors the checks above replace
-    apex, axis = object.__new__(BallPoint), object.__new__(SphereDirection)
-    apex._v, axis._v = (ax, ay, az), (nx, ny, nz)
+    # the fields, without the constructors whose checks stand above
     cap, cone = object.__new__(Cap), object.__new__(BallCone)
-    cap.__dict__.update(axis=axis, half_angle=psi)
-    cone.__dict__.update(apex=apex, base=cap,
+    cap.__dict__.update(axis=SphereDirection._of((nx, ny, nz)),
+                        half_angle=psi)
+    cone.__dict__.update(apex=BallPoint._of((ax, ay, az)), base=cap,
                          exit_scalars=(ax, ay, az, room, nx, ny, nz, c))
     return cone
 
@@ -310,7 +307,7 @@ def contains_point(cone: BallCone, u: BallPoint) -> bool:
     margin (BallCone.margin, on plain floats) is positive. Boundary points
     (including the apex itself) return False.
     """
-    return cone.margin(u.v.tolist()) > 0.0
+    return cone.margin(u._t) > 0.0
 
 
 def point_margin(cone: BallCone, p: np.ndarray) -> float:
@@ -1053,8 +1050,7 @@ def hyperball_in_cone(ball: Hyperball, cone: BallCone) -> InclusionResult:
     radius) for an outside center. A distance within the degenerate window
     of the radius raises DegenerateGeometry.
     """
-    boundary, inside = _frame_clearance(cone, ball.center.v.tolist(),
-                                        ball.shell.tau)
+    boundary, inside = _frame_clearance(cone, ball.center._t, ball.shell.tau)
     margin = boundary - ball.radius if inside else -(boundary + ball.radius)
     if abs(boundary - ball.radius) <= _WINDOW:
         raise DegenerateGeometry(
@@ -1140,7 +1136,7 @@ def in_causal_completion(x: FourVector, region: Hypercone) -> bool:
 
 def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
     """Image of a cone under the ball action of a Lorentz transform (_map)."""
-    return _map(transform.matrix.ravel().tolist(), cone)
+    return _map(transform._f, cone)
 
 
 def cone_hyperball_disjoint(cone: BallCone,
@@ -1159,7 +1155,7 @@ def cone_hyperball_disjoint(cone: BallCone,
     by half the overlap, bounded in the shell metric by 1/(1 - |z|^2)
     times the Euclidean step.
     """
-    tau, radius, center = ball.shell.tau, ball.radius, ball.center.v.tolist()
+    tau, radius, center = ball.shell.tau, ball.radius, ball.center._t
     dist, inside = _frame_clearance(cone, center, tau)
     margin = -(dist + radius) if inside else dist - radius
     if abs(margin) <= _WINDOW:

@@ -34,8 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball_model import (SphereDirection, _act, _cap_seen, _trusted,
-                         apex_matrix, shadow_radius)
+from .ball_model import (SphereDirection, _act, _cap_seen, apex_matrix,
+                         shadow_radius)
 from .cones import (_CLEARANCE, _LINEAR, _WINDOW, BallCone, Hyperball,
                     _cap_fits, _cone, _enclosure, _line_entry, _map,
                     _plane_margin, cone_hyperball_disjoint, cone_leq,
@@ -193,7 +193,7 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball) -> Funnel:
         raise ValueError("depth must be at least 1")
     psi0 = cone.base.half_angle
     d = unit(turn(cone.exit_scalars[4:7],
-                  _steer_target(cone, probe.center.v.tolist()), 0.5 * psi0))
+                  _steer_target(cone, probe.center._t), 0.5 * psi0))
     entry = _line_entry(cone, d)
     floor = max(entry, _ball_support(probe, d))
     wide, psi = 0.5 * psi0, min(0.3 * psi0, _room(floor))
@@ -302,7 +302,7 @@ def wrap_ball_in_complement(ball: Hyperball, cone: BallCone) -> BallCone:
     if not sep.disjoint:
         raise ValueError("ball must be disjoint from the cone")
     w, c = sep.plane  # cone on the positive side
-    center = ball.center.v.tolist()
+    center = ball.center._t
     m = apex_matrix(*center)
     n, height, _ = _cap_seen(m, w.tolist(), c, math.sqrt(1.0 - c * c))
     foot = _act(_inverse(m), [height * a for a in n])
@@ -692,8 +692,7 @@ def contracting_boosts(cone: BallCone) -> ContractingBoosts:
     n = (nx, ny, nz)
 
     def maker(l: SphereDirection, chi: float) -> LorentzTransform:
-        return LorentzTransform(np.reshape(boost(l.v.tolist(), chi), (4, 4)),
-                                _skip_check=True)
+        return LorentzTransform._of(boost(l._t, chi))
 
     e1 = perpendicular(n)
     e2 = cross(n, e1)
@@ -701,7 +700,7 @@ def contracting_boosts(cone: BallCone) -> ContractingBoosts:
     ring = [unit([c * a + s * (math.cos(th) * b + math.sin(th) * d)
                   for a, b, d in zip(n, e1, e2)])
             for th in (0.25 * math.pi * k for k in range(8))]
-    directions = tuple(_trusted(SphereDirection, d) for d in (n, *ring))
+    directions = tuple(SphereDirection._of(d) for d in (n, *ring))
     for d in (n, *ring[:2]):
         for chi in (0.5, 1.0, 2.0):
             _require(bool(cone_leq(_map(boost(d, chi), cone), cone)),
@@ -733,7 +732,7 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
     the ball; the direction must be admissible for `contracting_boosts`.
     """
     contracting_boosts(cone)  # the family's certificate, raising on failure
-    boost, l = _frame_boost(cone), direction.v.tolist()
+    boost, l = _frame_boost(cone), direction._t
     if nmax >= 0 and _ball_clear(cone, ball):
         return 0
     for n in range(1, nmax + 1):

@@ -6,8 +6,9 @@ x with x0 > |x_s|; the causal semigroup pairs translations from the closure
 of V with proper orthochronous Lorentz matrices.
 
 The group kernels (_apply, _inverse, _compose, _boost) live here once, on
-a 4x4 matrix as 16 floats row by row; LorentzTransform.apply, .boost and
-.inverse wrap their floats.
+a 4x4 matrix as 16 floats row by row, which LorentzTransform keeps (`_f`)
+as FourVector keeps its four; `_of` wraps 16 floats a caller has already
+checked or built in closed form.
 """
 from __future__ import annotations
 
@@ -141,24 +142,36 @@ def in_light_cone(x: FourVector) -> bool:
 
 
 class LorentzTransform:
-    """Proper orthochronous Lorentz matrix, validated at construction."""
+    """Proper orthochronous Lorentz matrix, validated at construction, kept
+    as 16 floats row by row (`_f`) with its read-only array `matrix` built
+    when first read."""
 
-    __slots__ = ("_m",)
+    __slots__ = ("_f", "_a")
 
-    def __init__(self, matrix, *, _skip_check: bool = False):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=float).reshape(4, 4)
-        if not _skip_check:
-            _check_proper_orthochronous(m)
+        _check_proper_orthochronous(m)
         m.flags.writeable = False
-        self._m = m
+        self._f, self._a = tuple(m.ravel().tolist()), m
+
+    @classmethod
+    def _of(cls, floats) -> "LorentzTransform":
+        t = object.__new__(cls)
+        t._f, t._a = tuple(floats), None
+        return t
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._m
+        a = self._a
+        if a is None:
+            a = np.array(self._f).reshape(4, 4)
+            a.flags.writeable = False
+            self._a = a
+        return a
 
     @classmethod
     def identity(cls) -> "LorentzTransform":
-        return cls(np.eye(4), _skip_check=True)
+        return cls._of(float(i % 5 == 0) for i in range(16))
 
     @classmethod
     def boost(cls, direction, rapidity: float) -> "LorentzTransform":
@@ -167,7 +180,7 @@ class LorentzTransform:
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise ValueError("boost direction must be nonzero")
-        return cls(_boost((n / norm).tolist(), rapidity), _skip_check=True)
+        return cls._of(_boost((n / norm).tolist(), rapidity))
 
     @classmethod
     def rotation(cls, axis, angle: float) -> "LorentzTransform":
@@ -183,28 +196,27 @@ class LorentzTransform:
         r = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
         m = np.eye(4)
         m[1:, 1:] = r
-        return cls(m, _skip_check=True)
+        return cls._of(m.ravel().tolist())
 
     def verify(self) -> bool:
         try:
-            _check_proper_orthochronous(np.array(self._m))
+            _check_proper_orthochronous(self.matrix)
         except ValueError:
             return False
         return True
 
     def inverse(self) -> "LorentzTransform":
-        return LorentzTransform(_inverse(self._m.ravel().tolist()),
-                                _skip_check=True)
+        return LorentzTransform._of(_inverse(self._f))
 
     def __matmul__(self, other: "LorentzTransform") -> "LorentzTransform":
-        return LorentzTransform(self._m @ other._m, _skip_check=True)
+        m = self.matrix @ other.matrix
+        return LorentzTransform._of(m.ravel().tolist())
 
     def apply(self, x: FourVector) -> FourVector:
-        return FourVector(*_apply(self._m.ravel().tolist(),
-                                  (x._x0, x._x1, x._x2, x._x3)))
+        return FourVector(*_apply(self._f, (x._x0, x._x1, x._x2, x._x3)))
 
     def __repr__(self) -> str:
-        return f"LorentzTransform({self._m.tolist()})"
+        return f"LorentzTransform({self.matrix.tolist()})"
 
 
 def _apply(m, x) -> tuple[float, float, float, float]:
@@ -259,12 +271,13 @@ def _boost(n, chi: float) -> tuple[float, ...]:
 
 
 def _check_proper_orthochronous(m: np.ndarray) -> None:
+    # each test written to fail on NaN, which compares false
     gram = m.T @ ETA @ m
-    if np.max(np.abs(gram - ETA)) > _MATRIX:
+    if not np.max(np.abs(gram - ETA)) <= _MATRIX:
         raise ValueError("matrix does not preserve the Minkowski form")
-    if m[0, 0] < 1.0 - _MATRIX:
+    if not m[0, 0] >= 1.0 - _MATRIX:
         raise ValueError("matrix is not orthochronous")
-    if abs(np.linalg.det(m) - 1.0) > _MATRIX:
+    if not abs(np.linalg.det(m) - 1.0) <= _MATRIX:
         raise ValueError("matrix is not proper (det != +1)")
 
 

@@ -66,6 +66,86 @@ class TestModelValidation:
             Hyperboloid(math.inf)
 
 
+
+class TestTripleValues:
+    """BallPoint and SphereDirection as values: equality, repr, the
+    read-only array v and the constructors' messages."""
+
+    def test_equality_is_elementwise(self):
+        assert BallPoint([0.0, 0.1, 0.2]) == BallPoint([-0.0, 0.1, 0.2])
+        assert BallPoint([0, 0, 0]) == BallPoint(np.zeros((1, 3)))
+        assert BallPoint([0.0, 0.0, 0.0]) != BallPoint([0.0, 0.0, 5e-324])
+        assert SphereDirection([0.0, -0.0, 1.0]) == SphereDirection(
+            [-0.0, 0.0, 1.0])
+        axis = SphereDirection([0.0, 0.0, 1.0])
+        near = BallPoint([0.0, 0.0, 0.5])
+        assert axis != near and not axis == near and near != axis
+        assert near != (0.0, 0.0, 0.5) and near != [0.0, 0.0, 0.5]
+        for value in (near, axis):
+            with pytest.raises(TypeError):
+                hash(value)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 1e-20, 1e-5,
+                                   0.1, -1 / 3, 0.5, 0.999999])
+    def test_repr_text(self, x):
+        assert repr(BallPoint([x, -0.0, 0.0])) == (
+            "BallPoint({}, -0.0, 0.0)".format(x))
+        assert repr(BallPoint(np.float32([x, 0, 0]))) == (
+            "BallPoint({}, 0.0, 0.0)".format(float(np.float32(x))))
+        v = np.array([x, math.sqrt(1.0 - x * x), -0.0])
+        assert repr(SphereDirection(v)) == (
+            "SphereDirection({}, {}, {})".format(
+                *(v / np.linalg.norm(v)).tolist()))
+
+    def test_pinned_repr(self):
+        assert repr(BallPoint([1e-20, 5e-324, -0.25])) == (
+            "BallPoint(1e-20, 5e-324, -0.25)")
+        assert repr(SphereDirection([0, 0, 1])) == (
+            "SphereDirection(0.0, 0.0, 1.0)")
+
+    def test_v_is_a_read_only_cached_array(self):
+        # near-unit directions and ball points, given as arrays, lists,
+        # (1, 3) arrays and float32
+        rng = np.random.default_rng(21)
+        forms = [np.asarray, list, lambda a: a.reshape(1, 3), np.float32]
+        for k in range(2_000):
+            d = rng.normal(size=3)
+            d = d / np.linalg.norm(d) * (1.0 + rng.uniform(-9e-7, 9e-7))
+            u = 0.9 * rng.uniform(-1.0, 1.0, 3) / math.sqrt(3.0)
+            form = forms[k % 4]
+            d, u = (np.asarray(form(d), dtype=float).reshape(3),
+                    np.asarray(form(u), dtype=float).reshape(3))
+            for value, want in ((SphereDirection(form(d)),
+                                 d / np.linalg.norm(d)),
+                                (BallPoint(form(u)), u)):
+                a = value.v
+                assert a.dtype == np.float64 and a.shape == (3,)
+                assert a.tobytes() == want.tobytes()
+                assert value.v is a and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.5
+
+    def test_messages(self):
+        for v in ([1.0, 0.0, 0.0], [0.6, 0.6, 0.6], [math.nan, 0.0, 0.0],
+                  [math.inf, 0.0, 0.0]):
+            with pytest.raises(ValueError,
+                               match=r"^ball point must satisfy \|u\| < 1$"):
+                BallPoint(v)
+        for v in ([0.5, 0.0, 0.0], [1.0, 1e-2, 0.0], [math.nan, 0.0, 1.0],
+                  [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError,
+                               match="^direction must be unit length$"):
+                SphereDirection(v)
+        for v in ([0.0, 0.0, 0.0], [math.inf, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="^cannot normalize a zero "
+                               "or non-finite vector$"):
+                SphereDirection.normalized(v)
+        for cls in (BallPoint, SphereDirection):
+            for v in ([0.1, 0.2], [0.0, 0.0, 0.0, 1.0], "abc"):
+                with pytest.raises(ValueError):
+                    cls(v)
+
+
 class TestProjection:
     def test_round_trip(self, shell):
         rng = np.random.default_rng(0)

@@ -169,6 +169,76 @@ class TestLorentzTransform:
         with pytest.raises(ValueError):
             LorentzTransform(-np.eye(4))
 
+    @pytest.mark.parametrize("m, message", [
+        (np.diag([1.0, 1.0, 1.0, 2.0]),
+         "does not preserve the Minkowski form"),
+        (-np.eye(4), "is not orthochronous"),
+        (np.diag([1.0, 1.0, 1.0, -1.0]), r"is not proper \(det != \+1\)")])
+    def test_messages(self, m, message):
+        with pytest.raises(ValueError, match=f"^matrix {message}$"):
+            LorentzTransform(m)
+
+    def test_shape_and_zero_axis_messages(self):
+        with pytest.raises(ValueError):
+            LorentzTransform(np.eye(3))
+        with pytest.raises(ValueError, match="^boost direction must be"):
+            LorentzTransform.boost([0.0, 0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="^rotation axis must be"):
+            LorentzTransform.rotation([0.0, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 0), math.nan), ((0, 1), math.inf), ((0, 1), -math.inf),
+        ((1, 2), math.nan), ((2, 3), math.inf), ((3, 3), math.nan)])
+    def test_non_finite_entry_is_refused(self, entry, value):
+        m = np.eye(4)
+        m[entry] = value
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            LorentzTransform(m)
+
+    def test_nan_matrix_is_refused_and_fails_verify(self):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="Minkowski form"):
+                LorentzTransform(np.full((4, 4), math.nan))
+            for t in (LorentzTransform.boost([1.0, 0.0, 0.0], math.nan),
+                      LorentzTransform.rotation([0.0, 0.0, 1.0], math.nan)):
+                assert not t.verify()
+                assert not in_semigroup(PoincareElement(FourVector(1.0), t))
+
+    def test_pinned_repr(self):
+        assert repr(LorentzTransform.identity()) == (
+            "LorentzTransform([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], "
+            "[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])")
+        for sh in (1e-20, 5e-324):
+            assert repr(LorentzTransform.boost([1.0, 0.0, 0.0], sh)) == (
+                f"LorentzTransform([[1.0, {sh}, 0.0, 0.0], [{sh}, 1.0, 0.0, "
+                "0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])")
+        ch, sh = math.cosh(38.0), math.sinh(38.0)  # above 1e16
+        assert repr(LorentzTransform.boost([-1.0, 0.0, 0.0], 38.0)) == (
+            f"LorentzTransform([[{ch}, {-sh}, 0.0, 0.0], "
+            f"[{-sh}, {1.0 + (ch - 1.0)}, -0.0, -0.0], "
+            "[0.0, -0.0, 1.0, 0.0], [0.0, -0.0, 0.0, 1.0]])")
+
+    def test_matrix_is_a_read_only_cached_array(self):
+        rng = np.random.default_rng(22)
+        for _ in range(500):
+            g = random_transform(rng, max_rapidity=3.0)
+            h = random_transform(rng, max_rapidity=3.0)
+            parts = g.matrix.tolist()
+            for t, want in ((LorentzTransform(parts), np.array(parts)),
+                            (LorentzTransform(np.ravel(parts)),
+                             np.array(parts)),
+                            (g @ h, g.matrix @ h.matrix),
+                            (LorentzTransform.identity(), np.eye(4))):
+                m = t.matrix
+                assert m.dtype == np.float64 and m.shape == (4, 4)
+                assert t.matrix is m and not m.flags.writeable
+                assert m.tobytes() == want.tobytes()
+                with pytest.raises(ValueError):
+                    m[0, 0] = 2.0
+            # equal as numbers: eta m^T eta adds 0.0 to products of -0.0
+            assert np.array_equal(g.inverse().matrix, ETA @ g.matrix.T @ ETA)
+            assert g.verify() and (g @ h).verify() and g.inverse().verify()
+
 
 class TestDecomposeTranslation:
     def test_past_time_vector(self):
