@@ -347,6 +347,8 @@ def cmd_render(ns) -> int:
 
 
 def cmd_selftest(ns) -> int:
+    if ns.seed < 0:  # numpy's seed error does not name the flag
+        raise SceneError(f"--seed must be at least 0, got {ns.seed}")
     if not ns.budget > 0.0:  # nan too
         raise SceneError(f"--budget must be positive, got {ns.budget:g}")
     if ns.budget > 1000.0:  # the trial counts scale by it, inf too

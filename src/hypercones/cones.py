@@ -38,10 +38,11 @@ products go through minkowski's `_apply` and `_compose` and ball_model's
 `_cap_seen`; only `_lead` keeps its own products, three four-term dot
 products with `lead_rows`.
 
-Cones are built from plain floats: `_cone` runs the public constructors'
-checks on three-float apex and axis and the half-angle, with the same
-messages, and fills `exit_scalars` directly; the builders here and in
-`constructions` go through it, and `cone_leq` reads those floats.
+Every cone is built through BallCone and Cap and fills its float record
+`exit_scalars` once, at construction; the kernels read apex, axis and cos
+psi there. `_cone` adapts plain floats to that path, running only the two
+checks that the types' `_of` skips; the builders here and in
+`constructions` go through it.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ __all__ = [
 _WINDOW = DEFAULT_TOLERANCES.degenerate_window
 _LINEAR = DEFAULT_TOLERANCES.linear_identity
 _CAP_LIMIT = DEFAULT_TOLERANCES.cap_limit
-_POINTEDNESS = DEFAULT_TOLERANCES.pointedness  # the slack of _pointed
+_POINTEDNESS = DEFAULT_TOLERANCES.pointedness  # a cone's apex slack
 
 
 class _cached:
@@ -110,18 +111,17 @@ class BallCone:
     base: Cap
 
     def __post_init__(self):
-        ax, ay, az, _, nx, ny, nz, cos_half = self.exit_scalars
-        _pointed(ax, ay, az, nx, ny, nz, cos_half)
+        ax, ay, az = self.apex._t
+        nx, ny, nz = self.base.axis._t
+        c = self.base.cos_half
+        if nx * ax + ny * ay + nz * az >= c - _POINTEDNESS:
+            raise ValueError(
+                "apex must lie strictly below the base-circle plane")
+        # the apex, 1 - |apex|^2, the cap axis and cos psi as plain floats
+        object.__setattr__(self, "exit_scalars", (
+            ax, ay, az, 1.0 - (ax * ax + ay * ay + az * az), nx, ny, nz, c))
 
     # -- raw geometry helpers ------------------------------------------
-
-    @_cached
-    def exit_scalars(self) -> tuple[float, ...]:
-        """The apex, 1 - |apex|^2, the cap axis and cos psi as plain floats
-        for the one-point exit kernel (margin)."""
-        ax, ay, az = self.apex._t
-        return (ax, ay, az, 1.0 - (ax * ax + ay * ay + az * az),
-                *self.base.axis._t, self.base.cos_half)
 
     def margin(self, p) -> float:
         """Cos-space margin of one point p (three floats): the cosine of the
@@ -180,7 +180,8 @@ class BallCone:
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random interior points (not uniform, but covering the cone)."""
-        z = self.base.cos_half + (1.0 - self.base.cos_half) * rng.random(n)
+        c = self.exit_scalars[7]
+        z = c + (1.0 - c) * rng.random(n)
         phi = 2.0 * math.pi * rng.random(n)
         e1, e2 = orthonormal_frame(self.base.axis.v)
         rad = np.sqrt(1.0 - z * z)
@@ -194,10 +195,8 @@ class BallCone:
     def apex_frame(self) -> tuple[LorentzTransform, Cap]:
         """Boost whose ball action moves the apex to the origin, with the
         image of the cap under it: apex_frame_scalars as objects. The boost
-        is apex_matrix's closed form, so it skips the constructor's check
-        as LorentzTransform.boost does: that det check is absolute, and
-        rounding alone fails it on the large entries of an apex near the
-        sphere."""
+        is apex_matrix's closed form, wrapped by LorentzTransform._of as
+        LorentzTransform.boost wraps its own, with no check to repeat."""
         s = self.apex_frame_scalars
         return (LorentzTransform._of(s[:16]),
                 Cap(SphereDirection(s[16:19]), s[19]))
@@ -210,7 +209,7 @@ class BallCone:
         then the cos and sin of that half-angle as _cap_seen returns them
         (22 floats)."""
         m = apex_matrix(*self.exit_scalars[:3])
-        n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.base.cos_half,
+        n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.exit_scalars[7],
                             math.sin(self.base.half_angle))
         return (*m, *n, math.atan2(s, c), c, s)
 
@@ -237,37 +236,21 @@ class BallCone:
                 f[20], f[21])
 
 
-def _pointed(ax, ay, az, nx, ny, nz, cos_half: float) -> None:
-    """The pointedness rule of every cone: the apex a strictly below the
-    base-circle plane of the cap about n, by the pointedness slack."""
-    if nx * ax + ny * ay + nz * az >= cos_half - _POINTEDNESS:
-        raise ValueError("apex must lie strictly below the base-circle plane")
-
-
 def _cone(apex, axis, psi: float) -> BallCone:
     """The cone over the cap (axis, psi) from the apex, all plain floats:
     BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi)) with the
     same checks in the same order and the same messages, except that the
     axis, which must be unit to 1e-6, is kept as given rather than divided
-    by its numpy norm. exit_scalars is filled from the floats themselves."""
+    by its numpy norm. Only the two checks that the types' _of skips run
+    here; Cap and BallCone run their own."""
     ax, ay, az = apex
     nx, ny, nz = axis
-    room = 1.0 - (ax * ax + ay * ay + az * az)
-    if not room > 0.0:
+    if not ax * ax + ay * ay + az * az < 1.0:
         raise ValueError("ball point must satisfy |u| < 1")
     if not abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-6:
         raise ValueError("direction must be unit length")
-    if not 0.0 < psi < math.pi:
-        raise ValueError("cap half-angle must lie in (0, pi)")
-    c = math.cos(psi)
-    _pointed(ax, ay, az, nx, ny, nz, c)
-    # the fields, without the constructors whose checks stand above
-    cap, cone = object.__new__(Cap), object.__new__(BallCone)
-    cap.__dict__.update(axis=SphereDirection._of((nx, ny, nz)),
-                        half_angle=psi)
-    cone.__dict__.update(apex=BallPoint._of((ax, ay, az)), base=cap,
-                         exit_scalars=(ax, ay, az, room, nx, ny, nz, c))
-    return cone
+    return BallCone(BallPoint._of((ax, ay, az)),
+                    Cap(SphereDirection._of((nx, ny, nz)), psi))
 
 
 def _map(m, cone: BallCone) -> BallCone:
@@ -433,7 +416,7 @@ def _caps(k1: BallCone, k2: BallCone, t: float, m):
     m; None when one is empty."""
     caps = []
     for cone in (k1, k2):
-        c = cone.base.cos_half + t
+        c = cone.exit_scalars[7] + t
         if c >= 1.0:
             return None
         caps.append(_cap_seen(m, cone.exit_scalars[4:7], c,
@@ -504,8 +487,8 @@ def _lens_depth(k1: BallCone, k2: BallCone) -> float:
     and rise along the arc from n1 to n2, where the maximum lies, so it is
     at their crossing, theta from n1 with sin(theta - gamma/2) =
     (cos psi2 - cos psi1) / (2 sin(gamma/2)), clamped to the arc."""
-    n1, n2 = k1.exit_scalars[4:7], k2.exit_scalars[4:7]
-    c1, c2 = k1.base.cos_half, k2.base.cos_half
+    n1, c1 = k1.exit_scalars[4:7], k1.exit_scalars[7]
+    n2, c2 = k2.exit_scalars[4:7], k2.exit_scalars[7]
     gamma = angle(n1, n2)
     chord, rise = 2.0 * math.sin(0.5 * gamma), c2 - c1
     theta = (gamma if rise >= chord else 0.0 if rise <= -chord
@@ -534,7 +517,7 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
         hit = _hull_gap(caps[0], caps[1], q, *caps[2:])
         return (caps, hit) if hit[0] < 0.0 else None
 
-    lo, hi = window, min(1.0 - k1.base.cos_half, 1.0 - k2.base.cos_half)
+    lo, hi = window, min(1.0 - k1.exit_scalars[7], 1.0 - k2.exit_scalars[7])
     seed = _lens_depth(k1, k2) / 1.2
     found = meets(seed) if lo < seed < hi else None
     if found is None:
@@ -598,7 +581,7 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
     if inner <= 0.0:
         # k1's own image cap is the tail of its cached frame
         n1, psi1 = k1.apex_frame_scalars[16:19], k1.apex_frame_scalars[19]
-        n2, c2, s2 = _cap_seen(m, k2.exit_scalars[4:7], k2.base.cos_half,
+        n2, c2, s2 = _cap_seen(m, k2.exit_scalars[4:7], k2.exit_scalars[7],
                                math.sin(k2.base.half_angle))
         gap, x = _hull_gap(n1, psi1, q, n2, c2, s2)
         if gap > _WINDOW:

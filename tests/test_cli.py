@@ -377,6 +377,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: --budget must be at most 1000, got {shown}\n"
 
+    def test_negative_seed_is_refused_by_name(self, capsys, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("a self-test trial ran")
+
+        monkeypatch.setattr(cli, "run_selftest", refuse)
+        assert run(capsys, "selftest", "--seed", "-1") == (
+            1, "", "error: --seed must be at least 0, got -1\n")
+
     @pytest.mark.parametrize("rapidity", ["15", "40", "710"])
     def test_orbit_beyond_floats_is_refused(self, capsys, rapidity):
         # the images of the orbit words leave the ball in floats, and at

@@ -80,7 +80,8 @@ class TestConeValidity:
 
     def test_float_constructor_rebuilds_public_cones_bit_for_bit(self):
         # _cone over a public cone's floats is that cone: apex, axis,
-        # half-angle and both cached float tuples, to the bit
+        # half-angle and its three float tuples to the bit, and the same
+        # attributes in the same order
         def bits(xs):
             return struct.pack(f"{len(xs)}d", *xs)
 
@@ -103,6 +104,9 @@ class TestConeValidity:
             assert bits(built.exit_scalars) == bits(cone.exit_scalars)
             assert bits(built.apex_frame_scalars) == bits(
                 cone.apex_frame_scalars)
+            assert bits(built.lead_rows) == bits(cone.lead_rows)
+            assert list(vars(built)) == list(vars(cone))
+            assert list(vars(built.base)) == list(vars(cone.base))
 
     @pytest.mark.parametrize("apex, axis, psi", [
         ((0.6, 0.8, 0.0), (0.0, 0.0, 1.0), 0.5),

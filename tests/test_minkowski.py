@@ -204,6 +204,29 @@ class TestLorentzTransform:
                 assert not t.verify()
                 assert not in_semigroup(PoincareElement(FourVector(1.0), t))
 
+    @pytest.mark.parametrize("rapidity", [8.0, 12.0])
+    @pytest.mark.parametrize("turned", [False, True],
+                             ids=["boost", "rotation-boost"])
+    def test_exact_maps_of_large_rapidity_are_accepted(self, rapidity,
+                                                       turned):
+        # entries near cosh(12) = 8e4 carry rounding far above an absolute
+        # 1e-10 in the Gram matrix
+        g = LorentzTransform.boost([0.6, 0.0, 0.8], rapidity)
+        if turned:
+            g = LorentzTransform.rotation([0.0, 0.0, 1.0], 0.3) @ g
+        again = LorentzTransform(g.matrix)
+        assert again.matrix.tobytes() == g.matrix.tobytes()
+        assert g.verify() and again.verify()
+        assert in_semigroup(PoincareElement(FourVector(1.0), g))
+
+    def test_large_boost_moved_off_the_group_is_refused(self):
+        m = np.array(LorentzTransform.boost([0.6, 0.0, 0.8], 8.0).matrix)
+        m[1, 2] += 1e-6 * np.max(np.abs(m))
+        with pytest.raises(ValueError,
+                           match="^matrix does not preserve the Minkowski "
+                                 "form$"):
+            LorentzTransform(m)
+
     def test_pinned_repr(self):
         assert repr(LorentzTransform.identity()) == (
             "LorentzTransform([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], "
