@@ -275,13 +275,15 @@ def _boost(n, chi: float) -> tuple[float, ...]:
 
 def _check_proper_orthochronous(m: np.ndarray) -> None:
     # the Gram test allows the rounding of products of entries of size s,
-    # so the group's own maps pass at large rapidity, and fails when that
-    # slack is infinite; det is then +-1 to rounding, and its sign decides.
+    # so the group's own maps pass at large rapidity; it fails once that
+    # slack reaches 1 (s near 1.7e7, rapidity about 17.3), where det's
+    # rounding, which also grows as eps s^2, could flip its sign. Below
+    # that det is +-1 to rounding, and its sign decides.
     # Each test is written to fail on NaN, which compares false.
     size = float(np.max(np.abs(m)))
     slack = _MATRIX + _GRAM_ROUNDING * size * size
     gram = m.T @ ETA @ m
-    if not np.max(np.abs(gram - ETA)) <= slack < math.inf:
+    if not np.max(np.abs(gram - ETA)) <= slack < 1.0:
         raise ValueError("matrix does not preserve the Minkowski form")
     if not m[0, 0] >= 1.0 - _MATRIX:
         raise ValueError("matrix is not orthochronous")

@@ -227,6 +227,22 @@ class TestLorentzTransform:
                                  "form$"):
             LorentzTransform(m)
 
+    @pytest.mark.parametrize("rapidity, message", [
+        (8.0, "^matrix is not proper"), (12.0, "^matrix is not proper"),
+        (16.0, "^matrix is not proper"),
+        (19.0, "^matrix does not preserve the Minkowski form$")])
+    def test_improper_map_of_large_rapidity_is_refused(self, rapidity,
+                                                       message):
+        # past rapidity about 17.3 det's rounding could flip its sign, so
+        # the Gram test refuses such matrices before det is read
+        b = LorentzTransform.boost([0.6, 0.0, 0.8], rapidity)
+        m = np.diag([1.0, 1.0, 1.0, -1.0]) @ b.matrix
+        with pytest.raises(ValueError, match=message):
+            LorentzTransform(m)
+        unchecked = LorentzTransform._of(m.ravel().tolist())
+        assert not unchecked.verify()
+        assert not in_semigroup(PoincareElement(FourVector(1.0), unchecked))
+
     def test_pinned_repr(self):
         assert repr(LorentzTransform.identity()) == (
             "LorentzTransform([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], "
