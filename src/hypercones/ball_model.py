@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import FourVector, LorentzTransform
-from .spherical import orthonormal_frame as _orthonormal_frame
+from .spherical import dot, orthonormal_frame as _orthonormal_frame, unit
 
 __all__ = [
     "Hyperboloid", "BallPoint", "SphereDirection", "Cap",
@@ -113,12 +113,16 @@ class SphereDirection(_Triple):
 
 @dataclass(frozen=True)
 class Cap:
-    """Spherical cap: directions within half_angle of the axis."""
+    """Spherical cap: directions within half_angle of the axis. It checks
+    that the axis is unit to 1e-6, which SphereDirection._of does not."""
 
     axis: SphereDirection
     half_angle: float
 
     def __post_init__(self):
+        x, y, z = self.axis._t
+        if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-6:
+            raise ValueError("direction must be unit length")  # NaN too
         if not 0.0 < self.half_angle < math.pi:
             raise ValueError("cap half-angle must lie in (0, pi)")
 
@@ -262,12 +266,12 @@ def homology_through(u0: BallPoint, l: SphereDirection) -> SphereDirection:
     """Second sphere intersection of the line through u0 and l.
 
     This is the involution that sends the endpoint of a chord through u0 to
-    the opposite endpoint; applying it twice returns l.
+    the opposite endpoint; applying it twice returns l. On plain floats.
     """
-    d = l.v - u0.v
+    d = [b - a for a, b in zip(u0._t, l._t)]
     # the known root s = 1 factors out: the other root is c/a in s
-    s2 = (float(u0.v @ u0.v) - 1.0) / float(d @ d)
-    return SphereDirection.normalized(u0.v + s2 * d)
+    s2 = (dot(u0._t, u0._t) - 1.0) / dot(d, d)
+    return SphereDirection._of(unit([a + s2 * b for a, b in zip(u0._t, d)]))
 
 
 def homology_through_many(u0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -337,10 +341,10 @@ def fit_cap(points: np.ndarray,
 
 
 def cap_image(transform: LorentzTransform, cap: Cap) -> Cap:
-    """Image of a cap under a Lorentz transform's boundary action."""
+    """Image of a cap under a Lorentz map's boundary action, as _map's."""
     n, c, s = _cap_seen(transform._f, cap.axis._t, cap.cos_half,
                         math.sin(cap.half_angle))
-    return Cap(SphereDirection(n), math.atan2(s, c))
+    return Cap(SphereDirection._of(n), math.atan2(s, c))
 
 
 def _act(m, p) -> tuple[float, float, float]:

@@ -40,9 +40,9 @@ products with `lead_rows`.
 
 Every cone is built through BallCone and Cap and fills its float record
 `exit_scalars` once, at construction; the kernels read apex, axis and cos
-psi there. `_cone` adapts plain floats to that path, running only the two
-checks that the types' `_of` skips; the builders here and in
-`constructions` go through it.
+psi there. Cap checks its axis, so `_cone`, which the builders here and
+in `constructions` go through, checks only the apex; it and every image
+cap wrap plain floats with the types' `_of`, with no numpy renormalizing.
 """
 from __future__ import annotations
 
@@ -194,12 +194,12 @@ class BallCone:
     @_cached
     def apex_frame(self) -> tuple[LorentzTransform, Cap]:
         """Boost whose ball action moves the apex to the origin, with the
-        image of the cap under it: apex_frame_scalars as objects. The boost
-        is apex_matrix's closed form, wrapped by LorentzTransform._of as
-        LorentzTransform.boost wraps its own, with no check to repeat."""
+        image of the cap under it: apex_frame_scalars as objects, bit for
+        bit, each wrapped by its type's _of. The boost is a closed form
+        with no check to repeat; Cap checks the axis."""
         s = self.apex_frame_scalars
         return (LorentzTransform._of(s[:16]),
-                Cap(SphereDirection(s[16:19]), s[19]))
+                Cap(SphereDirection._of(s[16:19]), s[19]))
 
     @_cached
     def apex_frame_scalars(self) -> tuple[float, ...]:
@@ -238,19 +238,14 @@ class BallCone:
 
 def _cone(apex, axis, psi: float) -> BallCone:
     """The cone over the cap (axis, psi) from the apex, all plain floats:
-    BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi)) with the
-    same checks in the same order and the same messages, except that the
-    axis, which must be unit to 1e-6, is kept as given rather than divided
-    by its numpy norm. Only the two checks that the types' _of skips run
-    here; Cap and BallCone run their own."""
+    BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi)), checks and
+    messages alike, but with the axis as given, not divided by its numpy
+    norm; only the apex check, which BallPoint._of skips, runs here."""
     ax, ay, az = apex
-    nx, ny, nz = axis
     if not ax * ax + ay * ay + az * az < 1.0:
         raise ValueError("ball point must satisfy |u| < 1")
-    if not abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-6:
-        raise ValueError("direction must be unit length")
     return BallCone(BallPoint._of((ax, ay, az)),
-                    Cap(SphereDirection._of((nx, ny, nz)), psi))
+                    Cap(SphereDirection._of(axis), psi))
 
 
 def _map(m, cone: BallCone) -> BallCone:
@@ -496,8 +491,8 @@ def _lens_depth(k1: BallCone, k2: BallCone) -> float:
     return min(math.cos(theta) - c1, math.cos(gamma - theta) - c2)
 
 
-def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
-             window: float) -> DisjointResult:
+def _overlap(k1: BallCone, k2: BallCone, m, q,
+             inner: float) -> DisjointResult:
     """Common point of two meeting cones within a factor 2 of the deepest:
     the cones shrunk to cos-depth t (_caps) meet, when k1's apex lies
     deeper than t in k2 (`inner`) or their gap is negative, for t below
@@ -517,7 +512,7 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
         hit = _hull_gap(caps[0], caps[1], q, *caps[2:])
         return (caps, hit) if hit[0] < 0.0 else None
 
-    lo, hi = window, min(1.0 - k1.exit_scalars[7], 1.0 - k2.exit_scalars[7])
+    lo, hi = _WINDOW, min(1.0 - k1.exit_scalars[7], 1.0 - k2.exit_scalars[7])
     seed = _lens_depth(k1, k2) / 1.2
     found = meets(seed) if lo < seed < hi else None
     if found is None:
@@ -538,7 +533,7 @@ def _overlap(k1: BallCone, k2: BallCone, m, q, inner: float,
         p = _act(_inverse(m), [0.5 * (lo + hi) * a for a in d])
         if lo < hi and dot(p, p) < 1.0:
             depth = min(k1.margin(p), k2.margin(p))
-    if depth <= window:
+    if depth <= _WINDOW:
         raise DegenerateGeometry(
             "cones meet only within the degenerate window; perturb inputs")
     return DisjointResult(False, -depth, np.array(p))
@@ -606,7 +601,7 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
         if gap >= -_WINDOW:
             raise DegenerateGeometry(
                 "cones touch within the degenerate window; perturb inputs")
-    return _overlap(k1, k2, m, q, inner, _WINDOW)
+    return _overlap(k1, k2, m, q, inner)
 
 
 def opposite(cone: BallCone) -> BallCone:
@@ -615,13 +610,14 @@ def opposite(cone: BallCone) -> BallCone:
     It is the image of the cone under the point reflection at the apex. In
     the apex frame the apex is the origin and that reflection is the
     antipodal map, so the opposite cap there is the frame cap with its axis
-    negated; the inverse frame carries it back exactly. Applying the
-    construction twice returns the input.
+    negated; the inverse frame carries it back exactly, wrapped as _map
+    wraps its floats, on the input's apex. Twice it returns the input.
     """
     *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     n, c, s = _cap_seen(_inverse(m), (-nx, -ny, -nz), math.cos(psi),
                         math.sin(psi))
-    return BallCone(cone.apex, Cap(SphereDirection(n), math.atan2(s, c)))
+    return BallCone(cone.apex,
+                    Cap(SphereDirection._of(n), math.atan2(s, c)))
 
 
 def _covering_cap(caps) -> tuple | None:

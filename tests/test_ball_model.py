@@ -15,6 +15,7 @@ from hypercones import (BallCone, BallPoint, Cap, FourVector, Hyperball,
                         lift_from_ball, lorentz_ball_action, map_cone,
                         opposite, project_to_ball, shadow_radius,
                         sphere_action)
+from hypercones import ball_model, cones, minkowski
 from hypercones.ball_model import ball_action_many
 from hypercones.cones import _map
 from hypercones.minkowski import ETA
@@ -309,6 +310,25 @@ class TestBallAction:
                                     BallPoint(np.zeros(3)))
             assert np.max(np.abs(img.v - math.tanh(chi) * n)) <= 1e-12
 
+    def test_boost_closed_form_moves_directions(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n, chi = unit_vector(rng), float(rng.uniform(-3.0, 3.0))
+            d = SphereDirection(unit_vector(rng))
+            direct = boost_ball_action(SphereDirection(n), chi, d)
+            assert type(direct) is SphereDirection
+            via_matrix = lorentz_ball_action(LorentzTransform.boost(n, chi),
+                                             d)
+            assert np.max(np.abs(via_matrix.v - direct.v)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), (0.0, 0.0, 0.5), None])
+    def test_actions_refuse_other_input(self, bad):
+        axis = SphereDirection([0.0, 0.0, 1.0])
+        with pytest.raises(TypeError, match="BallPoint or SphereDirection"):
+            boost_ball_action(axis, 0.5, bad)
+        with pytest.raises(TypeError, match="BallPoint or SphereDirection"):
+            lorentz_ball_action(LorentzTransform.boost(axis.v, 0.5), bad)
+
     def test_action_commutes_with_lift(self, shell):
         rng = np.random.default_rng(9)
         for _ in range(100):
@@ -507,3 +527,44 @@ class TestFloatKernels:
             assert back.apex is cone.apex
             assert cap_gap(back.base, cone.base) <= 4e-15 / (
                 1.0 - float(cone.apex.v @ cone.apex.v))
+
+    def test_image_caps_are_built_one_way(self):
+        # cap_image and apex_frame wrap _cap_seen's floats as _map does, so
+        # each equals its float counterpart to the bit
+        def bits(cap):
+            return [x.hex() for x in (*cap.axis._t, cap.half_angle)]
+
+        for cone, g, _ in kernel_pairs():
+            assert bits(cap_image(g, cone.base)) == bits(
+                map_cone(g, cone).base)
+            s = cone.apex_frame_scalars
+            assert bits(cone.apex_frame[1]) == bits(
+                Cap(SphereDirection._of(s[16:19]), s[19]))
+
+    def test_one_object_paths_take_no_numpy(self, monkeypatch):
+        cone, g, _ = kernel_pairs(n=1)[0]
+        for module in (ball_model, cones, minkowski):
+            monkeypatch.setattr(module, "np", None)
+        assert cap_image(g, cone.base) == map_cone(g, cone).base
+        assert opposite(cone).apex is cone.apex
+        frame = cone.apex_frame[0]  # a fresh cone: its first read
+        assert frame._f == cone.apex_frame_scalars[:16]
+        back = homology_through(cone.apex, cone.base.axis)
+        assert type(back) is SphereDirection
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.1), (math.nan, 0.0, 1.0)],
+                             ids=["long", "nan"])
+    def test_cap_checks_an_axis_wrapped_from_floats(self, axis):
+        # ahead of the half-angle check, with SphereDirection's message
+        for psi in (0.5, 0.0):
+            with pytest.raises(ValueError, match="^direction must be unit "
+                                                 "length$"):
+                Cap(SphereDirection._of(axis), psi)
+
+    def test_non_finite_image_cap_is_refused_by_cap(self):
+        x = np.array([1.0, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = LorentzTransform.boost(x, 400) @ LorentzTransform.boost(x, 400)
+        cap = Cap(SphereDirection([0.0, 0.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="direction must be unit length"):
+            cap_image(g, cap)

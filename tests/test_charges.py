@@ -77,6 +77,10 @@ class TestStatisticsCharacter:
             g = group.random_element(rng)
             assert eps.evaluate(-g) == eps.evaluate(g)
 
+    def test_element_of_another_group_rejected(self, eps):
+        with pytest.raises(ChargeMismatchError, match="different group"):
+            eps.evaluate(ChargeGroup(free_rank=2).element((1, 0)))
+
     def test_odd_torsion_minus_one_rejected(self):
         g3 = ChargeGroup(free_rank=0, torsion_orders=(3,))
         with pytest.raises(ValueError):
@@ -136,6 +140,13 @@ class TestComposition:
         s = Morphism(group.zero(), cone_at(Z), Hyperboloid(1.0))
         t = Morphism(group.zero(), cone_at(X), Hyperboloid(2.0))
         with pytest.raises(ChargeMismatchError):
+            compose(s, t)
+
+    def test_charges_of_two_groups_rejected(self, group, shell):
+        s = Morphism(group.element((1, 0)), cone_at(Z), shell)
+        t = Morphism(ChargeGroup(free_rank=2).element((1, 0)), cone_at(-Z),
+                     shell)
+        with pytest.raises(ChargeMismatchError, match="different groups"):
             compose(s, t)
 
     def test_conjugate_negates_charge_in_place(self, group, shell):

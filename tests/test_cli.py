@@ -599,6 +599,51 @@ _PINNED = [
      "error: --nmax must be at least 0, got -1\n"),
     (DEMO, "construct A1 big O --depth 0", 1, "",
      "error: --depth must be at least 1, got 0\n"),
+    (DEMO, "construct A13 A --t 1,0,0", 1, "",
+     "error: four-vector flag needs 4 comma-separated numbers\n"),
+    (DEMO, "construct A13 A --t 1,a,0,0", 1, "",
+     "error: bad four-vector '1,a,0,0'\n"),
+    (DEMO, "construct A12 A --generator boost:x", 1, "",
+     "error: bad generator 'boost:x'; use kind:axis:amount\n"),
+    (DEMO, "construct A12 A --generator boost:1,a,0:0.1", 1, "",
+     "error: bad generator axis '1,a,0'\n"),
+    (DEMO, "construct A12 A --generator boost:1,0:0.1", 1, "",
+     "error: generator axis needs three components\n"),
+    (DEMO, "construct A12 A --generator boost:x:abc", 1, "",
+     "error: bad generator amount 'abc'\n"),
+    (DEMO, "render --plane z=1.2.3", 1, "",
+     "error: bad plane offset in 'z=1.2.3'\n"),
+]
+
+
+def _without_statistics(doc):
+    del doc["statistics_signs"]
+
+
+def _covering_carriers(doc):
+    # two charge (1, 0) carriers on cones about +z and -z whose 100 degree
+    # caps cover the sphere, so no cone encloses both
+    doc["cones"].update(
+        Up={"apex": [0.0, 0.0, -0.5], "axis": [0.0, 0.0, 1.0],
+            "half_angle_deg": 100.0},
+        Down={"apex": [0.0, 0.0, 0.5], "axis": [0.0, 0.0, -1.0],
+              "half_angle_deg": 100.0})
+    doc["morphisms"].update(p={"charge": [1, 0], "cone": "Up"},
+                            q={"charge": [1, 0], "cone": "Down"})
+
+
+# (edit of the demo scene or None, query, exit code, stdout, stderr): the
+# check refusals and the unlocalized composition.
+_PINNED_CHECKS = [
+    (None, "", 1, "", "error: empty query\n"),
+    (None, "contains A nosuch", 1, "",
+     "error: unknown ball or event 'nosuch'\n"),
+    (None, "in-causal-completion nosuch A", 1, "",
+     "error: unknown event 'nosuch'\n"),
+    (_without_statistics, "statistics s t", 1, "",
+     "error: scene has no statistics_signs\n"),
+    (_covering_carriers, "compose p q", 0, "charge=(2, 0), unlocalized\n",
+     ""),
 ]
 
 
@@ -620,3 +665,16 @@ class TestPinnedOutput:
             assert set(written) == set(scene_mod.load(scene).cones) | added
         else:
             assert not os.path.exists("out.json")
+
+    @pytest.mark.parametrize("edit, query, code, out, err", _PINNED_CHECKS,
+                             ids=["empty", "unknown-target", "unknown-event",
+                                  "no-statistics", "unlocalized"])
+    def test_check_output_and_exit_code(self, capsys, tmp_path, edit, query,
+                                        code, out, err):
+        scene = DEMO
+        if edit is not None:
+            doc = json.loads(open(DEMO, encoding="utf-8").read())
+            edit(doc)
+            scene = tmp_path / "edited.json"
+            scene.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "check", str(scene), query) == (code, out, err)

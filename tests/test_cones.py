@@ -922,7 +922,7 @@ class TestContactAngles:
         assert separated == 401
 
 
-def _reference_overlap(k1, k2, m, q, inner, window):
+def _reference_overlap(k1, k2, m, q, inner):
     """The overlap search before the lens-depth seed: the shrunk-cone test
     bisected on log t from the window to 1 - cos psi, then the same
     witness at the middle of the chord (cones._chord). The reference for
@@ -934,7 +934,7 @@ def _reference_overlap(k1, k2, m, q, inner, window):
         hit = _hull_gap(caps[0], caps[1], q, *caps[2:])
         return (caps, hit) if hit[0] < 0.0 else None
 
-    lo, hi = window, min(1.0 - k1.base.cos_half, 1.0 - k2.base.cos_half)
+    lo, hi = WINDOW, min(1.0 - k1.base.cos_half, 1.0 - k2.base.cos_half)
     found, depth = meets(lo) if lo < hi else None, -math.inf
     while found is not None and hi > 1.5 * lo:
         mid = math.sqrt(lo * hi)
@@ -951,7 +951,7 @@ def _reference_overlap(k1, k2, m, q, inner, window):
             p = _act(_inverse(m), [r * a for a in d])
             if dot(p, p) < 1.0:
                 depth = min(k1.margin(p), k2.margin(p))
-    if depth <= window:
+    if depth <= WINDOW:
         raise DegenerateGeometry("cones meet only within the window")
     return cone_module.DisjointResult(False, -depth, np.array(p))
 

@@ -180,6 +180,16 @@ class TestValidation:
                 cones={"K": cone},
                 morphisms={"m": {"charge": [1, 2], "cone": "K"}}))
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"balls": {"O": [0.0, 0.0, 0.0]}}, "ball 'O' must be an object"),
+        ({"charge_group": [1, 2]}, "charge_group must be an object"),
+        ({"charge_group": {"free_rank": 1}, "morphisms": {"m": ["K"]}},
+         "morphism 'm' must be an object"),
+    ], ids=["ball", "charge-group", "morphism"])
+    def test_entries_must_be_objects(self, extra, message):
+        with pytest.raises(SceneError, match=f"^{message}$"):
+            scene_mod.loads(minimal_doc(**extra))
+
     @pytest.mark.parametrize("section", ["cones", "balls", "events",
                                          "morphisms"])
     @pytest.mark.parametrize("value", [["A"], "A", 1, True])
