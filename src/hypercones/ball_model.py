@@ -83,10 +83,16 @@ class BallPoint(_Triple):
     __slots__ = ()
 
     def __init__(self, v):
-        x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
-        if not x * x + y * y + z * z < 1.0:
-            raise ValueError("ball point must satisfy |u| < 1")
-        self._t, self._a = (x, y, z), None
+        self._t = _in_ball(np.asarray(v, dtype=float).reshape(3).tolist())
+        self._a = None
+
+
+def _in_ball(p) -> tuple[float, float, float]:
+    """p's floats, checked to lie in the open ball (BallPoint, cone apexes)."""
+    x, y, z = p
+    if not x * x + y * y + z * z < 1.0:
+        raise ValueError("ball point must satisfy |u| < 1")
+    return x, y, z
 
 
 class SphereDirection(_Triple):
@@ -120,11 +126,7 @@ class Cap:
     half_angle: float
 
     def __post_init__(self):
-        x, y, z = self.axis._t
-        if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-6:
-            raise ValueError("direction must be unit length")  # NaN too
-        if not 0.0 < self.half_angle < math.pi:
-            raise ValueError("cap half-angle must lie in (0, pi)")
+        _cap_check(self.axis._t, self.half_angle)
 
     @property
     def cos_half(self) -> float:
@@ -143,6 +145,15 @@ class Cap:
         return (math.cos(self.half_angle) * self.axis.v
                 + math.sin(self.half_angle)
                 * (math.cos(theta) * e1 + math.sin(theta) * e2))
+
+
+def _cap_check(axis, psi: float) -> None:
+    """Cap's checks on plain floats: a unit axis and psi in (0, pi)."""
+    x, y, z = axis
+    if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-6:
+        raise ValueError("direction must be unit length")  # NaN too
+    if not 0.0 < psi < math.pi:
+        raise ValueError("cap half-angle must lie in (0, pi)")
 
 
 def project_to_ball(a: FourVector, shell: Hyperboloid) -> BallPoint:

@@ -30,19 +30,19 @@ frame, along the image cap axis and two unit vectors across it.
 
 Lorentz maps act on cones exactly through ball_model's float frame
 kernels: the apex by the ball action, the cap by its covector image
-(`_map`, on a 16-float matrix; `map_cone` adapts it). Each cone caches
-its apex frame (apex_matrix) with the image cap in one float cache
-(`apex_frame_scalars`); the opposite cone, the shell-metric distances,
-the contact tests and the shared-apex tests all work in that frame. Frame
-products go through minkowski's `_apply` and `_compose` and ball_model's
-`_cap_seen`; only `_lead` keeps its own products, three four-term dot
-products with `lead_rows`.
+(`_seen`, on a 16-float matrix, which `_map`, `map_cone` and `_image`
+wrap). Each cone caches its apex frame (apex_matrix) with the image cap
+in one float cache (`apex_frame_scalars`); the opposite cone, the
+shell-metric distances, the contact tests and the shared-apex tests all
+work in that frame. Frame products go through minkowski's `_apply` and
+`_compose` and ball_model's `_cap_seen`; only `_lead` keeps its own
+products, three four-term dot products with `lead_rows`.
 
 Every cone is built through BallCone and Cap and fills its float record
 `exit_scalars` once, at construction; the kernels read apex, axis and cos
-psi there. Cap checks its axis, so `_cone`, which the builders here and
-in `constructions` go through, checks only the apex; it and every image
-cap wrap plain floats with the types' `_of`, with no numpy renormalizing.
+psi there. `_cone` checks the apex and wraps plain floats with the types'
+`_of`, Cap checks the axis. The records (exit_scalars, psi) are mapped,
+enclosed and ordered as cones are (`_image`, `_enclosing`, `_leq`).
 """
 from __future__ import annotations
 
@@ -54,8 +54,8 @@ from typing import Callable
 import numpy as np
 
 from .ball_model import (BallPoint, Cap, Hyperboloid, SphereDirection,
-                         _act, _cap_seen, apex_matrix, ball_distance,
-                         ray_exits)
+                         _act, _cap_check, _cap_seen, _in_ball, apex_matrix,
+                         ball_distance, ray_exits)
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateGeometry
 from .minkowski import (FourVector, LorentzTransform, _apply, _compose,
@@ -111,15 +111,8 @@ class BallCone:
     base: Cap
 
     def __post_init__(self):
-        ax, ay, az = self.apex._t
-        nx, ny, nz = self.base.axis._t
-        c = self.base.cos_half
-        if nx * ax + ny * ay + nz * az >= c - _POINTEDNESS:
-            raise ValueError(
-                "apex must lie strictly below the base-circle plane")
-        # the apex, 1 - |apex|^2, the cap axis and cos psi as plain floats
-        object.__setattr__(self, "exit_scalars", (
-            ax, ay, az, 1.0 - (ax * ax + ay * ay + az * az), nx, ny, nz, c))
+        object.__setattr__(self, "exit_scalars", _pointed(
+            self.apex._t, self.base.axis._t, math.cos(self.base.half_angle)))
 
     # -- raw geometry helpers ------------------------------------------
 
@@ -236,24 +229,40 @@ class BallCone:
                 f[20], f[21])
 
 
+def _pointed(apex, axis, c: float) -> tuple[float, ...]:
+    """BallCone's pointedness check, then its exit_scalars, on floats."""
+    (ax, ay, az), (nx, ny, nz) = apex, axis
+    if nx * ax + ny * ay + nz * az >= c - _POINTEDNESS:
+        raise ValueError("apex must lie strictly below the base-circle plane")
+    return ax, ay, az, 1.0 - (ax * ax + ay * ay + az * az), nx, ny, nz, c
+
+
 def _cone(apex, axis, psi: float) -> BallCone:
     """The cone over the cap (axis, psi) from the apex, all plain floats:
     BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi)), checks and
     messages alike, but with the axis as given, not divided by its numpy
     norm; only the apex check, which BallPoint._of skips, runs here."""
-    ax, ay, az = apex
-    if not ax * ax + ay * ay + az * az < 1.0:
-        raise ValueError("ball point must satisfy |u| < 1")
-    return BallCone(BallPoint._of((ax, ay, az)),
+    return BallCone(BallPoint._of(_in_ball(apex)),
                     Cap(SphereDirection._of(axis), psi))
 
 
+def _seen(m, a, psi: float) -> tuple:
+    """Unchecked apex, axis and half-angle of the cone (a, psi) moved by m."""
+    n, c, s = _cap_seen(m, a[4:7], a[7], math.sin(psi))
+    return _act(m, a[:3]), n, math.atan2(s, c)
+
+
+def _image(m, a, psi: float) -> tuple[tuple[float, ...], float]:
+    """_map's image as a float record (exit_scalars, psi); _cone's checks."""
+    apex, n, psi = _seen(m, a, psi)
+    _in_ball(apex)
+    _cap_check(n, psi)
+    return _pointed(apex, n, math.cos(psi)), psi
+
+
 def _map(m, cone: BallCone) -> BallCone:
-    """Image of a cone under the Lorentz matrix m (16 floats, row by row):
-    the apex by the ball action, the cap by its covector image."""
-    ax, ay, az, _, nx, ny, nz, c = cone.exit_scalars
-    n, c, s = _cap_seen(m, (nx, ny, nz), c, math.sin(cone.base.half_angle))
-    return _cone(_act(m, (ax, ay, az)), n, math.atan2(s, c))
+    """Image of a cone under the Lorentz matrix m: _seen through _cone."""
+    return _cone(*_seen(m, cone.exit_scalars, cone.base.half_angle))
 
 
 @dataclass(frozen=True)
@@ -319,14 +328,16 @@ def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
     and the sphere trace of the outer hull is exactly the outer cap, so the
     test is: inner cap included in outer cap, and inner apex in the outer
     closed hull. Both parts are exact up to the degenerate window, and both
-    read the cones' exit_scalars.
+    read the cones' exit_scalars, the inner's as a float record (_leq).
     """
-    a, b = inner.exit_scalars, outer.exit_scalars
-    cap_margin = (outer.base.half_angle - inner.base.half_angle
-                  - angle(a[4:7], b[4:7]))
-    apex_margin = outer.margin(a[:3])
-    holds = cap_margin >= -_WINDOW and apex_margin >= -_WINDOW
-    return LeqResult(holds, cap_margin, apex_margin)
+    return LeqResult(*_leq(inner.exit_scalars, inner.base.half_angle, outer))
+
+
+def _leq(a, psi: float, outer: BallCone) -> tuple[bool, float, float]:
+    """cone_leq's holds and margins for the inner float record (a, psi)."""
+    cap = outer.base.half_angle - psi - angle(a[4:7], outer.exit_scalars[4:7])
+    apex = outer.margin(a[:3])
+    return cap >= -_WINDOW and apex >= -_WINDOW, cap, apex
 
 
 @dataclass(frozen=True)
@@ -654,27 +665,29 @@ def _cap_fits(psi: float, height: float) -> bool:
 
 
 def _enclosure(cones) -> BallCone | None:
-    """Cone about the axis n of the cones' covering cap (_covering_cap)
-    holding their caps in its cap and their apexes in its closed hull, or
-    None past the covering limit. Its half-angle psi is 0.05 past the
-    caps' widest angle from n and the angles 2 atan2(|a_p|, 1 + a.n), a_p
-    the part of an apex a across n, at which rays from -n through the
-    apexes leave the sphere. Its apex -rho n holds one below the base
-    plane once |a_p| (cos psi + rho) <= sin psi (a.n + rho); rho is
-    halfway to 1 from the largest such depth and the pointedness floor
-    _CLEARANCE - cos psi. Plain floats throughout, read from the cones'
-    exit_scalars."""
-    cover = _covering_cap([(k.exit_scalars[4:7], k.base.half_angle)
-                           for k in cones])
+    return _enclosing([(k.exit_scalars, k.base.half_angle) for k in cones])
+
+
+def _enclosing(images, distinct=None) -> BallCone | None:
+    """Cone about the axis n of the covering cap (_covering_cap) of the
+    float records (exit_scalars, psi) `images`, folded in order, holding
+    their caps in its cap and their apexes in its closed hull, or None past
+    the covering limit; the maxima run over `distinct` (default: images).
+    Its half-angle psi is 0.05 past the caps' widest angle from n and the
+    angles 2 atan2(|a_p|, 1 + a.n), a_p the part of an apex a across n, at
+    which rays from -n through the apexes leave the sphere. Its apex -rho n
+    holds one below the base plane once |a_p| (cos psi + rho) <= sin psi
+    (a.n + rho); rho is halfway to 1 from the largest such depth and the
+    pointedness floor _CLEARANCE - cos psi."""
+    cover = _covering_cap([(a[4:7], psi) for a, psi in images])
     if cover is None:
         return None
     n, need, apexes = cover[0], 0.0, []
-    for k in cones:
-        a = k.exit_scalars[:3]
+    for a, half in distinct or images:
         along = dot(a, n)
-        off = [x - along * y for x, y in zip(a, n)]
+        off = [x - along * y for x, y in zip(a, n)]  # zip reads a's apex only
         across = math.sqrt(dot(off, off))
-        need = max(need, angle(n, k.exit_scalars[4:7]) + k.base.half_angle,
+        need = max(need, angle(n, a[4:7]) + half,
                    2.0 * math.atan2(across, 1.0 + along))
         apexes.append((along, across))
     psi = 0.05 + need

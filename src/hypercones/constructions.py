@@ -13,17 +13,17 @@ must clear, aimed by closed forms (``_steer_target``, ``_lens_cap``,
 on the separating plane, its cap halfway in angle from the ball's rim to
 that plane; the enclosures are one closed-form cone, in the apex frame
 for the shadows (A9, A13: ``_shadow_enclosure``) and about the covering
-axis for the orbit (A12: ``cones._enclosure``).
+axis for the orbit (A12: ``cones._enclosing``).
 
 Witnesses are built from plain floats: every cone through
 ``cones._cone`` and every Lorentz image through ``cones._map`` on a
-16-float matrix. Apexes and axes are read from ``exit_scalars`` and
-turned by spherical's float kernels, the apex frame is read from
-``apex_frame_scalars``, and numpy stays with callers' balls and
-directions. The contracting boosts (A11) are 16-float products
-(``_frame_boost``), and the orbit words (A12) one stacked numpy product
-(``_orbit_words``), whose products with the identity reuse their ring
-member's image.
+16-float matrix, A12's as float records (``cones._image``). Apexes and
+axes are read from ``exit_scalars`` and turned by spherical's float
+kernels, the apex frame is read from ``apex_frame_scalars``, and numpy
+stays with callers' balls and directions. The contracting boosts (A11)
+are 16-float products (``_frame_boost``), and the orbit words (A12) one
+stacked numpy product (``_orbit_words``), whose products with the
+identity reuse their ring member's image.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ import numpy as np
 from .ball_model import (SphereDirection, _act, _cap_seen, apex_matrix,
                          shadow_radius)
 from .cones import (_CLEARANCE, _LINEAR, _WINDOW, BallCone, Hyperball,
-                    _cap_fits, _cone, _enclosure, _line_entry, _map,
-                    _plane_margin, cone_hyperball_disjoint, cone_leq,
+                    _cap_fits, _cone, _enclosing, _image, _leq, _line_entry,
+                    _map, _plane_margin, cone_hyperball_disjoint, cone_leq,
                     disjoint, hyperball_in_cone, opposite)
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import (FourVector, LorentzTransform, _apply, _boost,
@@ -771,10 +771,10 @@ def robust_enclosure_lorentz(cone: BallCone,
 
     A finite surrogate for robustness under a neighborhood of the identity:
     the enclosure covers the sampled orbit with an explicit margin. It is
-    the hull enclosure of the images' caps and apexes (cones._enclosure),
-    certified when cone_leq holds every image in it. Each distinct word is
-    mapped and checked once: I r and r I reuse the ring member r's image. A
-    word with no image cone in floats raises ConstructionFailure naming it.
+    the hull enclosure (cones._enclosing) of the images' float records
+    (cones._image), certified when cone_leq's kernel _leq holds each. Each
+    distinct word is mapped and checked once: I r and r I reuse r's image.
+    A word with no image cone in floats raises ConstructionFailure naming it.
     """
     words = _orbit_words(generators)
     finite = np.isfinite(words).all(axis=(1, 2)).tolist()
@@ -787,16 +787,16 @@ def robust_enclosure_lorentz(cone: BallCone,
         try:
             if not finite[i]:
                 raise ValueError("its matrix overflows")
-            image = _map(w, cone)
+            image = _image(w, cone.exit_scalars, cone.base.half_angle)
         except ValueError as err:
             raise ConstructionFailure(
                 f"orbit word {i} has no image cone in floats ({err}); the "
                 "generators are too large", failing_index=i) from None
         images.append(image)
         distinct.append(image)
-    region = _enclosure(images)
+    region = _enclosing(images, distinct)
     _require(region is not None
-             and all(cone_leq(img, region) for img in distinct),
+             and all(_leq(*image, region)[0] for image in distinct),
              "no covering cap enclosed the sampled Lorentz orbit of the cone")
     return region
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from hypercones.ball_model import (BallPoint, Cap, Hyperboloid,
-                                   SphereDirection, _cap_seen, apex_matrix)
+                                   SphereDirection, _act, _cap_seen,
+                                   apex_matrix)
 from hypercones.cones import (_LIGHT_BAND, BallCone, Hypercone, _cone,
-                              _frame_clearance, _lead, _line_entry, _plane,
-                              _plane_terms, in_causal_completion)
+                              _frame_clearance, _image, _lead, _leq,
+                              _line_entry, _map, _plane, _plane_terms,
+                              cone_leq, in_causal_completion)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.errors import DegenerateGeometry
 from hypercones.minkowski import (FourVector, LorentzTransform, _apply,
@@ -664,3 +666,131 @@ def test_lead_rounds_within_four_times_the_reference():
                     abs(_reference_lead(cone, *x) - lead) / s))
             assert 0.0 < worst <= 4.0 * worst_reference, (w, worst,
                                                           worst_reference)
+
+
+# -- the float records of the orbit (A12): image and order kernels
+
+
+def _reference_map(m, cone):
+    """_map as it was before its image was a float record: the mapped
+    apex and cap through _reference_cone."""
+    ax, ay, az, _, nx, ny, nz, c = cone.exit_scalars
+    n, c, s = _cap_seen(m, (nx, ny, nz), c, math.sin(cone.base.half_angle))
+    return _reference_cone(_act(m, (ax, ay, az)), n, math.atan2(s, c))
+
+
+def _reference_leq(inner, outer):
+    """cone_leq's margins as it read them before its float kernel."""
+    a, b = inner.exit_scalars, outer.exit_scalars
+    cap_margin = (outer.base.half_angle - inner.base.half_angle
+                  - angle(a[4:7], b[4:7]))
+    return cap_margin, outer.margin(a[:3])
+
+
+def _failure(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as err:
+        return None, str(err)
+
+
+def test_image_is_the_record_of_the_mapped_cone():
+    """_image's (exit_scalars, psi) is _map's cone's, and _map's the cone
+    the unrolled reference builds, to the bit, on 20,000 (cone, matrix)
+    pairs; where the image is no cone all three raise the same error."""
+    rng = np.random.default_rng(346)
+    built, messages = 0, set()
+    for k in range(2 * N):
+        try:
+            cone = _cone(*_cone_input(rng, k))
+        except ValueError:
+            cone = random_cone(rng, psi_max=1.4)
+        m = _matrix(rng)
+        got, err = _failure(_image, m, cone.exit_scalars,
+                            cone.base.half_angle)
+        mapped, map_err = _failure(_map, m, cone)
+        ref, ref_err = _failure(_reference_map, m, cone)
+        assert err == map_err == ref_err
+        if err is not None:
+            messages.add(err)
+            continue
+        built += 1
+        assert bits([*got[0], got[1]]) == bits(
+            [*mapped.exit_scalars, mapped.base.half_angle]) == bits(
+            [*ref.exit_scalars, ref.base.half_angle])
+    assert built >= N and messages
+
+
+def _with(entries):
+    m = np.eye(4).ravel().tolist()
+    for i, x in entries.items():
+        m[i] = x
+    return m
+
+
+# hand-built matrices, one per refusal, each reached past the checks
+# before it: (matrix, cone's apex, axis and half-angle, message)
+REFUSALS = [
+    (_with({5: 10.0, 10: 10.0, 15: 10.0}), (0.0, 0.3, 0.0),
+     (0.0, 0.0, 1.0), 0.4, "ball point must satisfy |u| < 1"),
+    (_with({5: 1e300}), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.4,
+     "direction must be unit length"),
+    (_with({0: 1e308}), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1e-20,
+     "cap half-angle must lie in (0, pi)"),
+    (_with({12: 0.95}), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.4,
+     "apex must lie strictly below the base-circle plane"),
+]
+
+
+@pytest.mark.parametrize("m, apex, axis, psi, message", REFUSALS)
+def test_image_refuses_as_map_does(m, apex, axis, psi, message):
+    cone = _cone(apex, axis, psi)
+    for refused in (lambda: _map(m, cone), lambda: _reference_map(m, cone),
+                    lambda: _image(m, cone.exit_scalars, psi)):
+        with pytest.raises(ValueError) as err:
+            refused()
+        assert str(err.value) == message
+
+
+def _leq_pairs(rng):
+    """Seeded cone pairs: independent cones, nested and near-nested ones,
+    each cone against itself, and against itself with its apex moved
+    1e-16 and 5e-15 along a random direction."""
+    for k in range(N):
+        a = random_cone(rng, psi_max=1.2)
+        if k % 4 == 0:
+            yield a, a
+        elif k % 4 == 1:
+            shift = (1e-16, 5e-15)[k % 8 // 4]
+            apex = [x + shift * d for x, d in
+                    zip(a.exit_scalars[:3], _direction(rng))]
+            b = _cone(apex, a.exit_scalars[4:7], a.base.half_angle)
+            yield (a, b) if rng.random() < 0.5 else (b, a)
+        elif k % 4 == 2:  # the same cap about a deeper apex, either way
+            depth = rng.uniform(0.0, 0.3)
+            apex = [x - depth * n for x, n in
+                    zip(a.exit_scalars[:3], a.exit_scalars[4:7])]
+            try:
+                b = _cone(apex, a.exit_scalars[4:7], a.base.half_angle)
+            except ValueError:
+                continue
+            yield (a, b) if rng.random() < 0.5 else (b, a)
+        else:
+            yield a, random_cone(rng, psi_max=1.2)
+
+
+def test_leq_kernel_keeps_cone_leqs_margins():
+    rng = np.random.default_rng(347)
+    answers = set()
+    for inner, outer in _leq_pairs(rng):
+        holds, cap_margin, apex_margin = _leq(
+            inner.exit_scalars, inner.base.half_angle, outer)
+        ref = _reference_leq(inner, outer)
+        result = cone_leq(inner, outer)
+        assert bits([cap_margin, apex_margin]) == bits(ref) == bits(
+            [result.cap_margin, result.apex_margin])
+        window = DEFAULT_TOLERANCES.degenerate_window
+        assert holds is result.holds is (ref[0] >= -window
+                                         and ref[1] >= -window)
+        answers.add(holds)
+    assert answers == {True, False}
