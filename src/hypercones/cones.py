@@ -28,21 +28,17 @@ the cone's apex frame with no divide and no angle. Each cone caches the
 covector triple `_lead` reads (`lead_rows`): three rows of its apex
 frame, along the image cap axis and two unit vectors across it.
 
-Lorentz maps act on cones exactly through ball_model's float frame
-kernels: the apex by the ball action, the cap by its covector image
-(`_seen`, on a 16-float matrix, which `_map`, `map_cone` and `_image`
-wrap). Each cone caches its apex frame (apex_matrix) with the image cap
-in one float cache (`apex_frame_scalars`); the opposite cone, the
-shell-metric distances, the contact tests and the shared-apex tests all
-work in that frame. Frame products go through minkowski's `_apply` and
-`_compose` and ball_model's `_cap_seen`; only `_lead` keeps its own
-products, three four-term dot products with `lead_rows`.
-
-Every cone is built through BallCone and Cap and fills its float record
-`exit_scalars` once, at construction; the kernels read apex, axis and cos
-psi there. `_cone` checks the apex and wraps plain floats with the types'
-`_of`, Cap checks the axis. The records (exit_scalars, psi) are mapped,
-enclosed and ordered as cones are (`_image`, `_enclosing`, `_leq`).
+A cone is its float record: `exit_scalars` (apex, 1 - |apex|^2, cap
+axis, cos psi) and the half-angle `psi`, where every kernel reads it; its
+BallPoint apex and Cap base are built on first read. `_cone` checks plain
+floats and wraps them (`BallCone._of`), and Lorentz maps act through it
+exactly (`_map`, on a 16-float matrix, which `map_cone` wraps): the apex
+by the ball action, the cap by its covector image. Each cone caches its
+apex frame (apex_matrix) with the image cap (`apex_frame_scalars`),
+where the opposite cone, the shell-metric distances and the contact tests
+work. Frame products go through minkowski's `_apply` and `_compose` and
+ball_model's `_cap_seen`; only `_lead` keeps its own, three four-term dot
+products with `lead_rows`.
 """
 from __future__ import annotations
 
@@ -97,22 +93,43 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BallCone:
     """Open cone spanned from an apex over a spherical cap region.
 
     Validity requires the apex to sit strictly on the cap-free side of the
     base-circle plane; that single inequality is equivalent to the cone
     being convex and pointed (after moving the apex to the ball center the
-    cap subtends less than a right angle).
+    cap subtends less than a right angle). It is its record (exit_scalars,
+    psi); BallCone(apex, base) keeps the objects it is given.
     """
 
-    apex: BallPoint
-    base: Cap
+    exit_scalars: tuple[float, ...]
+    psi: float
+    __hash__ = None  # unhashable, as its apex and base are
 
-    def __post_init__(self):
+    def __init__(self, apex: BallPoint, base: Cap):
         object.__setattr__(self, "exit_scalars", _pointed(
-            self.apex._t, self.base.axis._t, math.cos(self.base.half_angle)))
+            apex._t, base.axis._t, math.cos(base.half_angle)))
+        object.__setattr__(self, "psi", base.half_angle)
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "base", base)
+
+    @classmethod
+    def _of(cls, record: tuple[float, ...], psi: float) -> "BallCone":
+        """The cone of a record that _pointed has checked."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "exit_scalars", record)
+        object.__setattr__(cone, "psi", psi)
+        return cone
+
+    @_cached
+    def apex(self) -> BallPoint:
+        return BallPoint._of(self.exit_scalars[:3])
+
+    @_cached
+    def base(self) -> Cap:
+        return Cap(SphereDirection._of(self.exit_scalars[4:7]), self.psi)
 
     # -- raw geometry helpers ------------------------------------------
 
@@ -203,7 +220,7 @@ class BallCone:
         (22 floats)."""
         m = apex_matrix(*self.exit_scalars[:3])
         n, c, s = _cap_seen(m, self.exit_scalars[4:7], self.exit_scalars[7],
-                            math.sin(self.base.half_angle))
+                            math.sin(self.psi))
         return (*m, *n, math.atan2(s, c), c, s)
 
     @_cached
@@ -238,31 +255,19 @@ def _pointed(apex, axis, c: float) -> tuple[float, ...]:
 
 
 def _cone(apex, axis, psi: float) -> BallCone:
-    """The cone over the cap (axis, psi) from the apex, all plain floats:
-    BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi)), checks and
-    messages alike, but with the axis as given, not divided by its numpy
-    norm; only the apex check, which BallPoint._of skips, runs here."""
-    return BallCone(BallPoint._of(_in_ball(apex)),
-                    Cap(SphereDirection._of(axis), psi))
-
-
-def _seen(m, a, psi: float) -> tuple:
-    """Unchecked apex, axis and half-angle of the cone (a, psi) moved by m."""
-    n, c, s = _cap_seen(m, a[4:7], a[7], math.sin(psi))
-    return _act(m, a[:3]), n, math.atan2(s, c)
-
-
-def _image(m, a, psi: float) -> tuple[tuple[float, ...], float]:
-    """_map's image as a float record (exit_scalars, psi); _cone's checks."""
-    apex, n, psi = _seen(m, a, psi)
-    _in_ball(apex)
-    _cap_check(n, psi)
-    return _pointed(apex, n, math.cos(psi)), psi
+    """BallCone(BallPoint(apex), Cap(SphereDirection(axis), psi)) on plain
+    floats, checks, order and messages alike, with the axis as given, not
+    divided by its numpy norm, and no BallPoint, SphereDirection or Cap."""
+    apex = _in_ball(apex)
+    _cap_check(axis, psi)
+    return BallCone._of(_pointed(apex, axis, math.cos(psi)), psi)
 
 
 def _map(m, cone: BallCone) -> BallCone:
-    """Image of a cone under the Lorentz matrix m: _seen through _cone."""
-    return _cone(*_seen(m, cone.exit_scalars, cone.base.half_angle))
+    """Image of a cone under the Lorentz matrix m: _act and _cap_seen."""
+    a = cone.exit_scalars
+    n, c, s = _cap_seen(m, a[4:7], a[7], math.sin(cone.psi))
+    return _cone(_act(m, a[:3]), n, math.atan2(s, c))
 
 
 @dataclass(frozen=True)
@@ -327,15 +332,15 @@ def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
     The closed hull of a cone is generated by its apex and its cap region,
     and the sphere trace of the outer hull is exactly the outer cap, so the
     test is: inner cap included in outer cap, and inner apex in the outer
-    closed hull. Both parts are exact up to the degenerate window, and both
-    read the cones' exit_scalars, the inner's as a float record (_leq).
+    closed hull, both exact up to the degenerate window (_leq).
     """
-    return LeqResult(*_leq(inner.exit_scalars, inner.base.half_angle, outer))
+    return LeqResult(*_leq(inner, outer))
 
 
-def _leq(a, psi: float, outer: BallCone) -> tuple[bool, float, float]:
-    """cone_leq's holds and margins for the inner float record (a, psi)."""
-    cap = outer.base.half_angle - psi - angle(a[4:7], outer.exit_scalars[4:7])
+def _leq(inner: BallCone, outer: BallCone) -> tuple[bool, float, float]:
+    """cone_leq's holds and margins, on the cones' records."""
+    a = inner.exit_scalars
+    cap = outer.psi - inner.psi - angle(a[4:7], outer.exit_scalars[4:7])
     apex = outer.margin(a[:3])
     return cap >= -_WINDOW and apex >= -_WINDOW, cap, apex
 
@@ -588,7 +593,7 @@ def disjoint(k1: BallCone, k2: BallCone) -> DisjointResult:
         # k1's own image cap is the tail of its cached frame
         n1, psi1 = k1.apex_frame_scalars[16:19], k1.apex_frame_scalars[19]
         n2, c2, s2 = _cap_seen(m, k2.exit_scalars[4:7], k2.exit_scalars[7],
-                               math.sin(k2.base.half_angle))
+                               math.sin(k2.psi))
         gap, x = _hull_gap(n1, psi1, q, n2, c2, s2)
         if gap > _WINDOW:
             def separation():
@@ -621,14 +626,13 @@ def opposite(cone: BallCone) -> BallCone:
     It is the image of the cone under the point reflection at the apex. In
     the apex frame the apex is the origin and that reflection is the
     antipodal map, so the opposite cap there is the frame cap with its axis
-    negated; the inverse frame carries it back exactly, wrapped as _map
-    wraps its floats, on the input's apex. Twice it returns the input.
+    negated, which the inverse frame carries back exactly onto the input's
+    apex object. Twice it returns the input.
     """
     *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     n, c, s = _cap_seen(_inverse(m), (-nx, -ny, -nz), math.cos(psi),
                         math.sin(psi))
-    return BallCone(cone.apex,
-                    Cap(SphereDirection._of(n), math.atan2(s, c)))
+    return BallCone(cone.apex, Cap(SphereDirection._of(n), math.atan2(s, c)))
 
 
 def _covering_cap(caps) -> tuple | None:
@@ -664,26 +668,23 @@ def _cap_fits(psi: float, height: float) -> bool:
             and height < math.cos(psi) - _CLEARANCE)
 
 
-def _enclosure(cones) -> BallCone | None:
-    return _enclosing([(k.exit_scalars, k.base.half_angle) for k in cones])
-
-
-def _enclosing(images, distinct=None) -> BallCone | None:
+def _enclosure(cones, distinct=None) -> BallCone | None:
     """Cone about the axis n of the covering cap (_covering_cap) of the
-    float records (exit_scalars, psi) `images`, folded in order, holding
-    their caps in its cap and their apexes in its closed hull, or None past
-    the covering limit; the maxima run over `distinct` (default: images).
-    Its half-angle psi is 0.05 past the caps' widest angle from n and the
-    angles 2 atan2(|a_p|, 1 + a.n), a_p the part of an apex a across n, at
-    which rays from -n through the apexes leave the sphere. Its apex -rho n
-    holds one below the base plane once |a_p| (cos psi + rho) <= sin psi
-    (a.n + rho); rho is halfway to 1 from the largest such depth and the
-    pointedness floor _CLEARANCE - cos psi."""
-    cover = _covering_cap([(a[4:7], psi) for a, psi in images])
+    cones' caps, folded in order, holding their caps in its cap and their
+    apexes in its closed hull, or None past the covering limit; the maxima
+    run over `distinct` (default: cones). Its half-angle psi is 0.05 past
+    the caps' widest angle from n and the angles 2 atan2(|a_p|, 1 + a.n),
+    a_p the part of an apex a across n, at which rays from -n through the
+    apexes leave the sphere. Its apex -rho n holds one below the base
+    plane once |a_p| (cos psi + rho) <= sin psi (a.n + rho); rho is
+    halfway to 1 from the largest such depth and the pointedness floor
+    _CLEARANCE - cos psi."""
+    cover = _covering_cap([(k.exit_scalars[4:7], k.psi) for k in cones])
     if cover is None:
         return None
     n, need, apexes = cover[0], 0.0, []
-    for a, half in distinct or images:
+    for k in distinct or cones:
+        a, half = k.exit_scalars, k.psi
         along = dot(a, n)
         off = [x - along * y for x, y in zip(a, n)]  # zip reads a's apex only
         across = math.sqrt(dot(off, off))

@@ -13,17 +13,16 @@ must clear, aimed by closed forms (``_steer_target``, ``_lens_cap``,
 on the separating plane, its cap halfway in angle from the ball's rim to
 that plane; the enclosures are one closed-form cone, in the apex frame
 for the shadows (A9, A13: ``_shadow_enclosure``) and about the covering
-axis for the orbit (A12: ``cones._enclosing``).
+axis for the orbit (A12: ``cones._enclosure``).
 
-Witnesses are built from plain floats: every cone through
-``cones._cone`` and every Lorentz image through ``cones._map`` on a
-16-float matrix, A12's as float records (``cones._image``). Apexes and
-axes are read from ``exit_scalars`` and turned by spherical's float
-kernels, the apex frame is read from ``apex_frame_scalars``, and numpy
-stays with callers' balls and directions. The contracting boosts (A11)
-are 16-float products (``_frame_boost``), and the orbit words (A12) one
-stacked numpy product (``_orbit_words``), whose products with the
-identity reuse their ring member's image.
+Witnesses are cones built from plain floats through ``cones._cone`` and
+mapped through ``cones._map`` on 16-float matrices. They read apexes,
+axes and half-angles from each cone's record (``exit_scalars``, ``psi``)
+and the apex frame from ``apex_frame_scalars``, and numpy stays with
+callers' balls and directions. The contracting boosts (A11) are 16-float
+products (``_frame_boost``), and the orbit words (A12) one stacked numpy
+product (``_orbit_words``), whose products with the identity reuse their
+ring member's image.
 """
 from __future__ import annotations
 
@@ -37,8 +36,8 @@ import numpy as np
 from .ball_model import (SphereDirection, _act, _cap_seen, apex_matrix,
                          shadow_radius)
 from .cones import (_CLEARANCE, _LINEAR, _WINDOW, BallCone, Hyperball,
-                    _cap_fits, _cone, _enclosing, _image, _leq, _line_entry,
-                    _map, _plane_margin, cone_hyperball_disjoint, cone_leq,
+                    _cap_fits, _cone, _enclosure, _leq, _line_entry, _map,
+                    _plane_margin, cone_hyperball_disjoint, cone_leq,
                     disjoint, hyperball_in_cone, opposite)
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import (FourVector, LorentzTransform, _apply, _boost,
@@ -118,7 +117,7 @@ def _steer_target(cone: BallCone, away_from) -> list[float]:
     form: a circle point p = cos psi n + sin psi e has |p - q|^2 =
     1 + |q|^2 - 2 p.q, largest when e points against q's offset from the
     axis n. An on-axis q is equally far from every circle point."""
-    n, psi = cone.exit_scalars[4:7], cone.base.half_angle
+    n, psi = cone.exit_scalars[4:7], cone.psi
     along = dot(away_from, n)
     offset = [q - along * a for q, a in zip(away_from, n)]
     size = math.sqrt(dot(offset, offset))
@@ -145,7 +144,7 @@ def _room(floor: float) -> float:
 
 def _hull_support(cone: BallCone, m) -> float:
     """Largest x.m on the cone's closed hull: at its apex or its cap."""
-    gap = angle(m, cone.exit_scalars[4:7]) - cone.base.half_angle
+    gap = angle(m, cone.exit_scalars[4:7]) - cone.psi
     return max(dot(cone.exit_scalars[:3], m), math.cos(max(0.0, gap)))
 
 
@@ -191,7 +190,7 @@ def funnel_in(cone: BallCone, depth: int, probe: Hyperball) -> Funnel:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    psi0 = cone.base.half_angle
+    psi0 = cone.psi
     d = unit(turn(cone.exit_scalars[4:7],
                   _steer_target(cone, probe.center._t), 0.5 * psi0))
     entry = _line_entry(cone, d)
@@ -260,7 +259,7 @@ def _lens_cap(a: BallCone, b: BallCone) -> tuple | None:
     on that arc as a diameter lies in both caps.
     """
     n_a, n_b = a.exit_scalars[4:7], b.exit_scalars[4:7]
-    psi_a, psi_b = a.base.half_angle, b.base.half_angle
+    psi_a, psi_b = a.psi, b.psi
     gamma = angle(n_a, n_b)
     lo = max(-psi_a, gamma - psi_b)
     hi = min(psi_a, gamma + psi_b)
@@ -360,7 +359,7 @@ def _blend_cone(a: BallCone, b: BallCone, t: float) -> BallCone:
     until its height is a fifth of the way from the plane down to h."""
     n_a, n_b = a.exit_scalars[4:7], b.exit_scalars[4:7]
     axis = unit(turn(n_a, n_b, t * angle(n_a, n_b)))
-    psi = (1.0 - t) * a.base.half_angle + t * b.base.half_angle
+    psi = (1.0 - t) * a.psi + t * b.psi
     apex = [(1.0 - t) * p + t * q
             for p, q in zip(a.exit_scalars[:3], b.exit_scalars[:3])]
     height = dot(axis, apex)
@@ -379,7 +378,7 @@ def _same_cone(a: BallCone, b: BallCone) -> bool:
     sa, sb = a.exit_scalars, b.exit_scalars
     return (all(abs(x - y) <= 1e-14
                 for x, y in zip(sa[:3] + sa[4:7], sb[:3] + sb[4:7]))
-            and abs(a.base.half_angle - b.base.half_angle) <= 1e-14)
+            and abs(a.psi - b.psi) <= 1e-14)
 
 
 def path_connect(cone_a: BallCone, cone_b: BallCone) -> ConePath:
@@ -395,7 +394,7 @@ def path_connect(cone_a: BallCone, cone_b: BallCone) -> ConePath:
     if _same_cone(cone_a, cone_b):
         return ConePath((cone_a,), ())
     gamma = angle(cone_a.exit_scalars[4:7], cone_b.exit_scalars[4:7])
-    psi_a, psi_b = cone_a.base.half_angle, cone_b.base.half_angle
+    psi_a, psi_b = cone_a.psi, cone_b.psi
     n = max(1, math.ceil((gamma - abs(psi_a - psi_b))
                          / (1.9 * min(psi_a, psi_b))))
     nodes = [cone_a, *(_blend_cone(cone_a, cone_b, i / n)
@@ -441,7 +440,7 @@ def path_connect_in_complement(forbidden: BallCone, cone_a: BallCone,
                              "forbidden cone")
     if _same_cone(cone_a, cone_b):
         return ConePath((cone_a,), ())
-    pole, psi_f = forbidden.exit_scalars[4:7], forbidden.base.half_angle
+    pole, psi_f = forbidden.exit_scalars[4:7], forbidden.psi
     e1 = perpendicular(pole)
     e2 = cross(pole, e1)
     ax_a, ax_b = cone_a.exit_scalars[4:7], cone_b.exit_scalars[4:7]
@@ -502,13 +501,13 @@ def shrink_for_connectivity(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     both cones (_common_subcone), so the complements share a family.
     """
     gamma = angle(cone_a.exit_scalars[4:7], cone_b.exit_scalars[4:7])
-    total = cone_a.base.half_angle + cone_b.base.half_angle
+    total = cone_a.psi + cone_b.psi
     if abs(gamma - total) <= _WINDOW:
         raise DegenerateGeometry("cap boundaries are tangent; perturb inputs")
     if gamma > total:
         d = cone_a.exit_scalars[4:7]
         floor = max(_line_entry(cone_a, d), _hull_support(cone_b, d))
-        sub = _axial_cone(d, min(0.6 * cone_a.base.half_angle,
+        sub = _axial_cone(d, min(0.6 * cone_a.psi,
                                     _room(floor)), floor)
         _require(sub is not None and bool(cone_leq(sub, cone_a))
                  and _is_disjoint(sub, cone_b),
@@ -551,7 +550,7 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
     if not disjoint(cone_a, cone_b).disjoint:
         raise ValueError("input cones must be disjoint")
     d, clear = _clearest_direction(
-        *((k.exit_scalars[4:7], k.base.half_angle) for k in (cone_a, cone_b)))
+        *((k.exit_scalars[4:7], k.psi) for k in (cone_a, cone_b)))
     _require(clear > 1e-6, "no direction clears both closed caps")
     floor = max(_hull_support(cone_a, d), _hull_support(cone_b, d))
     witness = _axial_cone(d, min(0.45 * clear, 0.2, _room(floor)), floor)
@@ -567,6 +566,16 @@ def common_complement_cone(cone_a: BallCone, cone_b: BallCone) -> BallCone:
 
 _SHADOW_PAD = 0.05  # clearance past a shadow, over tau: A9, A10, A13
 _LAST_COSH = math.log(sys.float_info.max)  # cosh and sinh finite below
+
+
+def _shadow_radius(sigma: float, tau: float) -> float:
+    """The shadow radius R, refused where the shell ratio R/tau plus the
+    pad or window passes _LAST_COSH and cosh and sinh leave the floats."""
+    radius = shadow_radius(sigma, tau)
+    ratio = radius / tau + max(_SHADOW_PAD, _WINDOW / tau)
+    _require(ratio <= _LAST_COSH, f"the shadow's shell ratio {ratio:.3g} "
+             "takes cosh out of the floats")
+    return radius
 
 
 def _shadow_inside(inner: BallCone, outer: BallCone, radius: float,
@@ -638,7 +647,7 @@ def enclose_shadow(cone: BallCone, sigma: float, tau: float) -> BallCone:
     shadow inside. Past R/tau of about 7.95 its cap reaches the covering
     limit, and ConstructionFailure is raised.
     """
-    radius = shadow_radius(sigma, tau)
+    radius = _shadow_radius(sigma, tau)
     region = _map(_inverse(cone.apex_frame_scalars[:16]),
                   _shadow_enclosure(cone, radius, tau, ()))
     _require(_shadow_inside(cone, region, radius, tau),
@@ -659,7 +668,7 @@ def shrink_across_shells(cone: BallCone, sigma: float, tau: float) -> BallCone:
     tau; mapped back, its clearance, proved above R + window by the arc
     bound of cones._plane_margin (_shadow_inside), certifies it.
     """
-    radius = shadow_radius(sigma, tau)
+    radius = _shadow_radius(sigma, tau)
     *frame, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     sinh_s = math.sinh(radius / tau + _SHADOW_PAD) / math.sin(0.5 * psi)
     floor = sinh_s / math.sqrt(1.0 + sinh_s * sinh_s)  # tanh s
@@ -771,10 +780,10 @@ def robust_enclosure_lorentz(cone: BallCone,
 
     A finite surrogate for robustness under a neighborhood of the identity:
     the enclosure covers the sampled orbit with an explicit margin. It is
-    the hull enclosure (cones._enclosing) of the images' float records
-    (cones._image), certified when cone_leq's kernel _leq holds each. Each
-    distinct word is mapped and checked once: I r and r I reuse r's image.
-    A word with no image cone in floats raises ConstructionFailure naming it.
+    the hull enclosure (cones._enclosure) of the images (cones._map),
+    certified when cone_leq's kernel _leq holds each. Each distinct word is
+    mapped and checked once: I r and r I reuse r's image. A word with no
+    image cone in floats raises ConstructionFailure naming it.
     """
     words = _orbit_words(generators)
     finite = np.isfinite(words).all(axis=(1, 2)).tolist()
@@ -787,16 +796,16 @@ def robust_enclosure_lorentz(cone: BallCone,
         try:
             if not finite[i]:
                 raise ValueError("its matrix overflows")
-            image = _image(w, cone.exit_scalars, cone.base.half_angle)
+            image = _map(w, cone)
         except ValueError as err:
             raise ConstructionFailure(
                 f"orbit word {i} has no image cone in floats ({err}); the "
                 "generators are too large", failing_index=i) from None
         images.append(image)
         distinct.append(image)
-    region = _enclosing(images, distinct)
+    region = _enclosure(images, distinct)
     _require(region is not None
-             and all(_leq(*image, region)[0] for image in distinct),
+             and all(_leq(image, region)[0] for image in distinct),
              "no covering cap enclosed the sampled Lorentz orbit of the cone")
     return region
 

@@ -111,7 +111,7 @@ def _cone_section(cone: BallCone, origin: np.ndarray, e1: np.ndarray,
     offset = float(normal @ origin)
     apex, n = cone.apex.v, cone.base.axis.v
     f1, f2 = orthonormal_frame(n)
-    cos_half, sin_half = cone.base.cos_half, math.sin(cone.base.half_angle)
+    cos_half, sin_half = cone.exit_scalars[7], math.sin(cone.psi)
     radius = math.sqrt(1.0 - offset * offset)
     height = float(normal @ apex) - offset
     # the rim's height above the plane, times the apex's, is at most 0
@@ -156,7 +156,11 @@ def _ball_section(ball: Hyperball, origin: np.ndarray, e1: np.ndarray,
     c = ball.center.v
     normal = np.cross(e1, e2)
     offset = float(normal @ origin)
-    k = math.cosh(ball.radius / ball.shell.tau) ** 2 * (1.0 - float(c @ c))
+    try:
+        k = math.cosh(ball.radius / ball.shell.tau) ** 2 * (1.0 - float(c @ c))
+    except OverflowError:  # the ball fills the sphere to the floats
+        return _spread(lambda t: math.sqrt(1.0 - offset * offset)
+                       * _circle(t), (0.0, 2.0 * math.pi), _ARC_POINTS)
     m = 1.0 - offset * float(normal @ c)
     d = np.array([float(e1 @ c), float(e2 @ c)])
     dd = float(d @ d)

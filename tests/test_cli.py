@@ -261,6 +261,20 @@ class TestRenderCommand:
         assert code == 1 and "plane spec" in err
 
 
+    def test_a_ball_past_the_range_of_cosh_is_drawn(self, capsys, tmp_path):
+        # tau 1e-9 puts ball O at 2e8 shell units, where cosh^2 of its
+        # radius passes the floats: it fills the ball to their resolution,
+        # and its section is the plane's circle
+        doc = json.loads(open(DEMO, encoding="utf-8").read())
+        doc["tau"] = 1e-9
+        scene, out = tmp_path / "thin.json", tmp_path / "thin.svg"
+        scene.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "render", str(scene), "--out", str(out)) == (
+            0, f"drawing written: {out}\n", "")
+        svg = out.read_text(encoding="utf-8")
+        assert ">O</text>" in svg and "nan" not in svg
+
+
 class TestSelftestCommand:
     def test_selftest_passes_quickly(self, capsys):
         code, out, _ = run(capsys, "selftest", "--seed", "0",
@@ -613,6 +627,10 @@ _PINNED = [
      "error: bad generator amount 'abc'\n"),
     (DEMO, "render --plane z=1.2.3", 1, "",
      "error: bad plane offset in 'z=1.2.3'\n"),
+    (DEMO, "construct A10 A --sigma 1e192 --tau 1e-43", 1, "",
+     "error: the shadow's shell ratio 1e+34 takes cosh out of the floats\n"),
+    (DEMO, "construct A9 A --sigma 1e-300 --tau 1e10", 1, "",
+     "error: the shadow's shell ratio 714 takes cosh out of the floats\n"),
 ]
 
 

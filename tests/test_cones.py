@@ -1,5 +1,6 @@
 """Cap cones on the ball: membership, inclusion, disjointness, completion."""
 
+import dataclasses
 import math
 import os
 import struct
@@ -107,6 +108,31 @@ class TestConeValidity:
             assert bits(built.lead_rows) == bits(cone.lead_rows)
             assert list(vars(built)) == list(vars(cone))
             assert list(vars(built.base)) == list(vars(cone.base))
+
+    def test_cones_compare_by_their_floats_and_stay_frozen(self):
+        # whichever constructor built them, cones are equal exactly when
+        # apex, axis and half-angle are equal elementwise; no attribute is
+        # set or deleted after construction, a cone is unhashable as its
+        # apex is, and its opposite keeps its apex object
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            cone = random_cone(rng, psi_max=1.5, apex_r=0.95)
+            a, psi = cone.exit_scalars, cone.base.half_angle
+            built = cone_module._cone(a[:3], a[4:7], psi)
+            assert built == cone and not built != cone
+            assert built != cone_module._cone(a[:3], a[4:7],
+                                              math.nextafter(psi, 0.0))
+            for k in (cone, built):
+                assert opposite(k).apex is k.apex
+                for name in ("exit_scalars", "apex", "base", "lead_rows"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(k, name, None)
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        delattr(k, name)
+                with pytest.raises(TypeError):
+                    hash(k)
+        assert cone_module._cone((0.0, -0.0, 0.1), Z.tolist(), 0.5) == \
+            simple_cone()
 
     @pytest.mark.parametrize("apex, axis, psi", [
         ((0.6, 0.8, 0.0), (0.0, 0.0, 1.0), 0.5),

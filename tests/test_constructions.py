@@ -1205,11 +1205,11 @@ def _enclosure_outcome(build, cone, gens):
 class TestRobustEnclosure:
     def test_region_is_the_thirty_image_reference_to_the_bit(
             self, monkeypatch):
-        # each distinct word is mapped once by the image kernel, 1 + 2g +
-        # (2g)^2 of the (1 + 2g)(2 + 2g) words, and the region is unchanged
+        # each distinct word is mapped once by cones._map, 1 + 2g + (2g)^2
+        # of the (1 + 2g)(2 + 2g) words, and the region is unchanged
         calls = []
-        counted = constructions._image
-        monkeypatch.setattr(constructions, "_image",
+        counted = constructions._map
+        monkeypatch.setattr(constructions, "_map",
                             lambda *a: calls.append(1) or counted(*a))
         built = 0
         for cone, gens in _orbit_instances(2_000, seed=3400):

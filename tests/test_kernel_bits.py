@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from hypercones.ball_model import (BallPoint, Cap, Hyperboloid,
-                                   SphereDirection, _act, _cap_seen,
+                                   SphereDirection, _act, _cap_seen, _Triple,
                                    apex_matrix)
 from hypercones.cones import (_LIGHT_BAND, BallCone, Hypercone, _cone,
-                              _frame_clearance, _image, _lead, _leq,
-                              _line_entry, _map, _plane, _plane_terms,
-                              cone_leq, in_causal_completion)
+                              _frame_clearance, _lead, _leq, _line_entry,
+                              _map, _plane, _plane_terms, cone_leq,
+                              in_causal_completion, map_cone, opposite)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.errors import DegenerateGeometry
 from hypercones.minkowski import (FourVector, LorentzTransform, _apply,
@@ -74,6 +74,8 @@ def _reference_cap_seen(m, n, c, s):
 
 
 def _reference_cone(apex, axis, psi):
+    """The checks of a cone, in order, then its record (exit_scalars,
+    psi)."""
     ax, ay, az = apex
     nx, ny, nz = axis
     room = 1.0 - (ax * ax + ay * ay + az * az)
@@ -87,13 +89,7 @@ def _reference_cone(apex, axis, psi):
     if dot(scalars[4:7], scalars[:3]) >= (
             scalars[7] - DEFAULT_TOLERANCES.pointedness):
         raise ValueError("apex must lie strictly below the base-circle plane")
-    cap = object.__new__(Cap)
-    vars(cap).update(axis=SphereDirection._of(scalars[4:7]),
-                     half_angle=psi)
-    cone = object.__new__(BallCone)
-    vars(cone).update(apex=BallPoint._of(scalars[:3]), base=cap,
-                      exit_scalars=scalars)
-    return cone
+    return scalars, psi
 
 
 def _reference_line_entry(cone, d):
@@ -262,34 +258,49 @@ def _cone_input(rng, k):
     return apex, axis, psi
 
 
-def _outcome(build, apex, axis, psi):
+def _failure(fn, *args):
     try:
-        cone = build(apex, axis, psi)
+        return fn(*args), None
     except ValueError as err:
         return None, str(err)
-    assert cone.apex._a is None and cone.base.axis._a is None  # no arrays
-    return cone, None
+
+
+def _same_record(cone, ref) -> None:
+    """The cone's record is the reference record (exit_scalars, psi) to the
+    bit, and so are the apex, axis and half-angle it builds on first
+    read, whose arrays are read-only."""
+    scalars, psi = ref
+    assert bits([*cone.exit_scalars, cone.psi]) == bits([*scalars, psi])
+    apex, axis = cone.apex.v, cone.base.axis.v
+    assert bits([*apex, *axis, cone.base.half_angle]) == bits(
+        [*scalars[:3], *scalars[4:7], psi])
+    assert not (apex.flags.writeable or axis.flags.writeable)
+
+
+def _public_cone(apex, axis, psi):
+    """The public constructor over the floats as given: BallPoint checks
+    the apex, and Cap the unnormalized axis and psi."""
+    return BallCone(BallPoint(apex), Cap(SphereDirection._of(axis), psi))
 
 
 def test_cone_keeps_the_bits_checks_and_messages():
+    """_cone and the public constructor give the reference record, or its
+    refusal, on 10,000 seeded inputs; _cone builds no object until its
+    apex or base is read."""
     rng = np.random.default_rng(345)
     messages = set()
     for k in range(N):
         apex, axis, psi = _cone_input(rng, k)
-        got, err = _outcome(_cone, apex, axis, psi)
-        ref, ref_err = _outcome(_reference_cone, apex, axis, psi)
-        assert err == ref_err
+        ref, ref_err = _failure(_reference_cone, apex, axis, psi)
+        got, err = _failure(_cone, apex, axis, psi)
+        public, public_err = _failure(_public_cone, apex, axis, psi)
+        assert err == public_err == ref_err
         if err is not None:
             messages.add(err)
             continue
-        assert list(vars(got)) == list(vars(ref))
-        assert list(vars(got.base)) == list(vars(ref.base))
-        assert bits(got.exit_scalars) == bits(ref.exit_scalars)
-        assert bits([*got.apex._t, *got.base.axis._t, got.base.half_angle]) \
-            == bits([*ref.apex._t, *ref.base.axis._t, ref.base.half_angle])
-        if k % 100 == 0:  # the arrays are still built on first read
-            assert np.array_equal(got.apex.v, ref.apex.v)
-            assert not got.base.axis.v.flags.writeable
+        assert list(vars(got)) == ["exit_scalars", "psi"]
+        for cone in (got, public):
+            _same_record(cone, ref)
     assert messages == {
         "ball point must satisfy |u| < 1", "direction must be unit length",
         "cap half-angle must lie in (0, pi)",
@@ -668,7 +679,7 @@ def test_lead_rounds_within_four_times_the_reference():
                                                           worst_reference)
 
 
-# -- the float records of the orbit (A12): image and order kernels
+# -- one image path: every image is a cone's record
 
 
 def _reference_map(m, cone):
@@ -679,6 +690,15 @@ def _reference_map(m, cone):
     return _reference_cone(_act(m, (ax, ay, az)), n, math.atan2(s, c))
 
 
+def _reference_opposite(cone):
+    """The apex frame's cap with its axis negated, carried back by the
+    inverse frame, on the cone's apex, through _reference_cone."""
+    *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
+    n, c, s = _cap_seen(_inverse(m), (-nx, -ny, -nz), math.cos(psi),
+                        math.sin(psi))
+    return _reference_cone(cone.exit_scalars[:3], n, math.atan2(s, c))
+
+
 def _reference_leq(inner, outer):
     """cone_leq's margins as it read them before its float kernel."""
     a, b = inner.exit_scalars, outer.exit_scalars
@@ -687,17 +707,11 @@ def _reference_leq(inner, outer):
     return cap_margin, outer.margin(a[:3])
 
 
-def _failure(fn, *args):
-    try:
-        return fn(*args), None
-    except ValueError as err:
-        return None, str(err)
-
-
-def test_image_is_the_record_of_the_mapped_cone():
-    """_image's (exit_scalars, psi) is _map's cone's, and _map's the cone
-    the unrolled reference builds, to the bit, on 20,000 (cone, matrix)
-    pairs; where the image is no cone all three raise the same error."""
+def test_images_are_the_reference_records():
+    """_map and map_cone give the record _reference_map builds, and
+    opposite the one _reference_opposite builds on the same apex object,
+    to the bit, on 20,000 (cone, matrix) pairs; where the image is no
+    cone they raise the reference's error."""
     rng = np.random.default_rng(346)
     built, messages = 0, set()
     for k in range(2 * N):
@@ -706,19 +720,48 @@ def test_image_is_the_record_of_the_mapped_cone():
         except ValueError:
             cone = random_cone(rng, psi_max=1.4)
         m = _matrix(rng)
-        got, err = _failure(_image, m, cone.exit_scalars,
-                            cone.base.half_angle)
-        mapped, map_err = _failure(_map, m, cone)
         ref, ref_err = _failure(_reference_map, m, cone)
-        assert err == map_err == ref_err
+        got, err = _failure(_map, m, cone)
+        public, public_err = _failure(map_cone, LorentzTransform._of(m), cone)
+        assert err == public_err == ref_err
+        opp, opp_err = _failure(opposite, cone)
+        assert opp_err == _failure(_reference_opposite, cone)[1]
+        if opp is not None:
+            _same_record(opp, _reference_opposite(cone))
+            assert opp.apex is cone.apex
         if err is not None:
             messages.add(err)
             continue
         built += 1
-        assert bits([*got[0], got[1]]) == bits(
-            [*mapped.exit_scalars, mapped.base.half_angle]) == bits(
-            [*ref.exit_scalars, ref.base.half_angle])
+        assert list(vars(got)) == ["exit_scalars", "psi"]
+        _same_record(got, ref)
+        _same_record(public, ref)
     assert built >= N and messages
+
+
+def test_cone_and_map_build_no_objects(monkeypatch):
+    """_cone and _map wrap the record alone: no BallPoint, SphereDirection
+    or Cap is constructed, by its constructor or its _of, until the
+    cone's apex or base is first read."""
+    made = []
+    of = _Triple.__dict__["_of"].__func__
+    monkeypatch.setattr(_Triple, "_of", classmethod(
+        lambda cls, floats: made.append(cls) or of(cls, floats)))
+    for cls in (BallPoint, SphereDirection):
+        monkeypatch.setattr(cls, "__init__", lambda self, v, init=cls.__init__:
+                            made.append(type(self)) or init(self, v))
+    post = Cap.__post_init__
+    monkeypatch.setattr(Cap, "__post_init__",
+                        lambda self: made.append(Cap) or post(self))
+    rng = np.random.default_rng(348)
+    images = []
+    for k in range(1_000):
+        cone = _failure(_cone, *_cone_input(rng, k))[0]
+        image = cone and _failure(_map, _matrix(rng), cone)[0]
+        images += [] if image is None else [image]
+    assert len(images) > 300 and made == []
+    images[-1].apex, images[-1].base
+    assert made == [BallPoint, SphereDirection, Cap]
 
 
 def _with(entries):
@@ -743,10 +786,10 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("m, apex, axis, psi, message", REFUSALS)
-def test_image_refuses_as_map_does(m, apex, axis, psi, message):
+def test_images_refuse_as_the_reference_does(m, apex, axis, psi, message):
     cone = _cone(apex, axis, psi)
     for refused in (lambda: _map(m, cone), lambda: _reference_map(m, cone),
-                    lambda: _image(m, cone.exit_scalars, psi)):
+                    lambda: map_cone(LorentzTransform._of(m), cone)):
         with pytest.raises(ValueError) as err:
             refused()
         assert str(err.value) == message
@@ -783,8 +826,7 @@ def test_leq_kernel_keeps_cone_leqs_margins():
     rng = np.random.default_rng(347)
     answers = set()
     for inner, outer in _leq_pairs(rng):
-        holds, cap_margin, apex_margin = _leq(
-            inner.exit_scalars, inner.base.half_angle, outer)
+        holds, cap_margin, apex_margin = _leq(inner, outer)
         ref = _reference_leq(inner, outer)
         result = cone_leq(inner, outer)
         assert bits([cap_margin, apex_margin]) == bits(ref) == bits(

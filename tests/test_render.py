@@ -342,3 +342,15 @@ class TestBallSection:
                     (1.0 - u @ u) * (1.0 - center @ center))
                 assert abs(cosh_d / cosh_rho - 1.0) <= 1e-12
         assert drawn >= 100
+
+    def test_a_ball_past_the_range_of_cosh_fills_the_plane_circle(self):
+        # cosh^2 of 400 passes the floats; the section is the plane circle
+        ball = Hyperball(Hyperboloid(1e-3), BallPoint([0.3, 0.0, 0.35]), 0.4)
+        origin, e1, e2 = render_mod._plane_frame(2, 0.3)
+        pts = render_mod._ball_section(ball, origin, e1, e2)
+        assert len(pts) == render_mod._ARC_POINTS
+        for uv in pts:
+            u = _frame_point(origin, e1, e2, uv)
+            assert abs(u @ u - 1.0) <= 1e-12
+        assert render_mod._ball_section(
+            ball, *render_mod._plane_frame(0, 0.0)) is not None
