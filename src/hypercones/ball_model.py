@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import FourVector, LorentzTransform
-from .spherical import dot, orthonormal_frame as _orthonormal_frame, unit
+from .minkowski import FourVector, LorentzTransform, _direction
+from .spherical import (cross, dot, orthonormal_frame as _orthonormal_frame,
+                        unit)
 
 __all__ = [
     "Hyperboloid", "BallPoint", "SphereDirection", "Cap",
@@ -101,20 +102,16 @@ class SphereDirection(_Triple):
     __slots__ = ()
 
     def __init__(self, v):
-        v = np.asarray(v, dtype=float).reshape(3)
-        n = float(np.linalg.norm(v))
+        x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+        n = math.hypot(x, y, z)
         if not abs(n - 1.0) <= 1e-6:  # NaN fails it too
             raise ValueError("direction must be unit length")
-        x, y, z = v.tolist()
         self._t, self._a = (x / n, y / n, z / n), None
 
     @classmethod
     def normalized(cls, v) -> "SphereDirection":
-        v = np.asarray(v, dtype=float).reshape(3)
-        n = np.linalg.norm(v)
-        if not 0.0 < n < math.inf:
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(v / n)
+        return cls._of(_direction(
+            v, "cannot normalize a zero or non-finite vector"))
 
 
 @dataclass(frozen=True)
@@ -158,16 +155,18 @@ def _cap_check(axis, psi: float) -> None:
 
 def project_to_ball(a: FourVector, shell: Hyperboloid) -> BallPoint:
     """Map a point of the shell to u = a_s / a0."""
-    expected = math.sqrt(float(a.xs @ a.xs) + shell.tau ** 2)
-    if abs(a.x0 - expected) > 1e-9 * max(1.0, abs(a.x0)):
+    x0, xs = a._x0, (a._x1, a._x2, a._x3)
+    expected = math.sqrt(dot(xs, xs) + shell.tau ** 2)
+    if abs(x0 - expected) > 1e-9 * max(1.0, abs(x0)):
         raise ValueError("point does not lie on the requested shell")
-    return BallPoint(a.xs / a.x0)
+    return BallPoint([c / x0 for c in xs])
 
 
 def lift_from_ball(u: BallPoint, shell: Hyperboloid) -> FourVector:
     """Inverse of project_to_ball: lift u to the shell."""
-    a0 = shell.tau / math.sqrt(1.0 - float(u.v @ u.v))
-    return FourVector.from_parts(a0, a0 * u.v)
+    x, y, z = u._t
+    a0 = shell.tau / math.sqrt(1.0 - dot(u._t, u._t))
+    return FourVector(a0, a0 * x, a0 * y, a0 * z)
 
 
 def hyperboloid_distance(a: FourVector, b: FourVector,
@@ -185,7 +184,11 @@ def ball_distance(u: BallPoint, w: BallPoint, shell: Hyperboloid) -> float:
     """Geodesic distance between ball points in the shell metric, from
     sinh d = sqrt(|u - w|^2 - |u x (u - w)|^2) / sqrt((1 - |u|^2)(1 - |w|^2)),
     which has no acosh to cancel for close points."""
-    return float(ball_distance_many(u.v, w.v, shell.tau)[0])
+    d = [a - b for a, b in zip(u._t, w._t)]
+    c = cross(u._t, d)
+    num = max(dot(d, d) - dot(c, c), 0.0)
+    den = math.sqrt((1.0 - dot(u._t, u._t)) * (1.0 - dot(w._t, w._t)))
+    return shell.tau * math.asinh(math.sqrt(num) / den)
 
 
 def ball_distance_many(center: np.ndarray, pts: np.ndarray,
@@ -251,17 +254,17 @@ def boost_ball_action(l: SphereDirection, chi: float, u):
     boundary points +-l.
     """
     ch, sh = math.cosh(chi), math.sinh(chi)
-    n = l.v
+    n = l._t
 
-    def act(v: np.ndarray) -> np.ndarray:
-        par = float(v @ n)
-        perp = v - par * n
-        return ((sh + ch * par) * n + perp) / (ch + sh * par)
+    def act(v) -> tuple[float, float, float]:
+        par = dot(v, n)
+        along, den = sh + ch * par, ch + sh * par
+        return tuple((along * b + (a - par * b)) / den for a, b in zip(v, n))
 
     if isinstance(u, BallPoint):
-        return BallPoint(act(u.v))
+        return BallPoint(act(u._t))
     if isinstance(u, SphereDirection):
-        return SphereDirection.normalized(act(u.v))
+        return SphereDirection.normalized(act(u._t))
     raise TypeError("expected BallPoint or SphereDirection")
 
 

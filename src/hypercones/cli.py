@@ -28,7 +28,7 @@ from .constructions import (avoid_ball_inside, common_complement_cone,
                             shrink_for_connectivity, translate_enclosure,
                             wrap_ball_in_complement)
 from .errors import DegenerateGeometry, HyperconesError, SceneError
-from .minkowski import FourVector, LorentzTransform
+from .minkowski import FourVector, LorentzTransform, in_light_cone
 from .render import render_to_file
 from .selftest import run_selftest
 
@@ -141,7 +141,7 @@ def _query_check(scene: scene_io.Scene, query: str) -> None:
             return
         if target in scene.events:
             ev = scene.events[target]
-            if not float(np.linalg.norm(ev.xs)) < ev.x0:
+            if not in_light_cone(ev):
                 raise SceneError(f"event {target!r} has no ball image: "
                                  "it needs |x_s| < x0")
             margin = scene.tau * point_margin(cone, ev.xs / ev.x0)

@@ -18,11 +18,11 @@ axis for the orbit (A12: ``cones._enclosure``).
 Witnesses are cones built from plain floats through ``cones._cone`` and
 mapped through ``cones._map`` on 16-float matrices. They read apexes,
 axes and half-angles from each cone's record (``exit_scalars``, ``psi``)
-and the apex frame from ``apex_frame_scalars``, and numpy stays with
-callers' balls and directions. The contracting boosts (A11) are 16-float
-products (``_frame_boost``), and the orbit words (A12) one stacked numpy
-product (``_orbit_words``), whose products with the identity reuse their
-ring member's image.
+and the apex frame from ``apex_frame_scalars``, and take callers'
+vectors through ``FourVector``, with no numpy. The contracting boosts
+(A11, ``_frame_boost``) and the orbit words (A12, ``_orbit_words``) are
+16-float products (``_compose``); the orbit's products with the identity
+reuse their ring member's image.
 """
 from __future__ import annotations
 
@@ -30,8 +30,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .ball_model import (SphereDirection, _act, _cap_seen, apex_matrix,
                          shadow_radius)
@@ -148,27 +146,28 @@ def _hull_support(cone: BallCone, m) -> float:
     return max(dot(cone.exit_scalars[:3], m), math.cos(max(0.0, gap)))
 
 
-def _spheroid(ball: Hyperball) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _spheroid(ball: Hyperball) -> tuple[tuple, tuple, float, float]:
     """The ball's Euclidean image: centre, radial axis u, and semi-axes
     along and across u. Boosted out to |c| = a = sh/ch, the centred ball
     of radius r0 = tanh(radius/tau) has centre sh ch (1 - r0^2) d u and
     semi-axes r0 d and r0 sqrt(d), for d = 1/(ch^2 - sh^2 r0^2)."""
     r0 = math.tanh(ball.radius / ball.shell.tau)
-    a = float(np.linalg.norm(ball.center.v))
+    x, y, z = ball.center._t
+    a = math.hypot(x, y, z)
     if a == 0.0:
-        return np.zeros(3), np.array([0.0, 0.0, 1.0]), r0, r0
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), r0, r0
     ch = 1.0 / math.sqrt(1.0 - a * a)
-    sh, axis = a * ch, ball.center.v / a
+    sh, axis = a * ch, (x / a, y / a, z / a)
     d = 1.0 / (ch * ch - sh * sh * r0 * r0)
-    return (sh * ch * (1.0 - r0 * r0) * d * axis, axis, r0 * d,
-            r0 * math.sqrt(d))
+    k = sh * ch * (1.0 - r0 * r0) * d
+    return tuple(k * c for c in axis), axis, r0 * d, r0 * math.sqrt(d)
 
 
 def _ball_support(ball: Hyperball, m) -> float:
     """Largest x.m on the ball's closed Euclidean image (_spheroid)."""
     mid, axis, along, across = _spheroid(ball)
-    t = dot(axis.tolist(), m)
-    return dot(mid.tolist(), m) + math.hypot(
+    t = dot(axis, m)
+    return dot(mid, m) + math.hypot(
         along * t, across * math.sqrt(max(0.0, 1.0 - t * t)))
 
 
@@ -760,16 +759,17 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
         f"boosts up to {nmax} never cleared the ball")
 
 
-def _orbit_words(generators: Sequence[LorentzTransform]) -> np.ndarray:
-    """The matrices of the orbit words as one (n, 4, 4) stack: the ring of
-    the identity and each generator followed by its inverse, then every
-    product a b of two ring members, a-major as itertools.product(ring,
-    ring) lists them. Products that overflow are left inf or nan."""
-    ring = np.stack([np.eye(4), *(h.matrix for g in generators
-                                  for h in (g, g.inverse()))])
-    with np.errstate(over="ignore", invalid="ignore"):
-        pairs = np.matmul(ring[:, None], ring[None, :])
-    return np.concatenate([ring, pairs.reshape(-1, 4, 4)])
+def _orbit_words(generators: Sequence[LorentzTransform]
+                 ) -> list[tuple[float, ...] | None]:
+    """The orbit words as 16 floats each: the ring of the identity and each
+    generator followed by its inverse, then every product a b of two ring
+    members (_compose), a-major as itertools.product(ring, ring) lists
+    them. A product with the identity is None, since it is its other
+    factor; products that overflow are left inf or nan."""
+    ring = [LorentzTransform.identity()._f,
+            *(f for g in generators for f in (g._f, _inverse(g._f)))]
+    return ring + [None if 0 in (i, j) else _compose(a, b)
+                   for i, a in enumerate(ring) for j, b in enumerate(ring)]
 
 
 def robust_enclosure_lorentz(cone: BallCone,
@@ -785,16 +785,14 @@ def robust_enclosure_lorentz(cone: BallCone,
     mapped and checked once: I r and r I reuse r's image. A word with no
     image cone in floats raises ConstructionFailure naming it.
     """
-    words = _orbit_words(generators)
-    finite = np.isfinite(words).all(axis=(1, 2)).tolist()
     ring, images, distinct = 1 + 2 * len(generators), [], []
-    for i, w in enumerate(words.reshape(-1, 16).tolist()):
-        a, b = divmod(i - ring, ring)  # past the ring, word i is a b
-        if a >= 0 and 0 in (a, b):  # I r or r I: the image of r
+    for i, w in enumerate(_orbit_words(generators)):
+        if w is None:  # I r or r I, past the ring: the image of r
+            a, b = divmod(i - ring, ring)
             images.append(images[a or b])
             continue
         try:
-            if not finite[i]:
+            if not all(map(math.isfinite, w)):
                 raise ValueError("its matrix overflows")
             image = _map(w, cone)
         except ValueError as err:
@@ -824,12 +822,12 @@ def lightray_offset(u: float, tau: float) -> float:
 
 
 def lightray_point(u: float, tau: float,
-                   direction: np.ndarray) -> FourVector:
+                   direction: Sequence[float]) -> FourVector:
     """Point at parameter u on the shell's asymptotic light ray toward a
     unit direction: time u*tau + v(u), position v(u)*direction."""
     v = lightray_offset(u, tau)
-    d = np.asarray(direction, dtype=float).reshape(3)
-    return FourVector.from_parts(u * tau + v, v * d)
+    d = FourVector.from_parts(0.0, direction)
+    return FourVector(u * tau + v, v * d._x1, v * d._x2, v * d._x3)
 
 
 def interval_expansion(u: float, u_prime: float, t: float,
@@ -870,14 +868,13 @@ def translate_enclosure(cone: BallCone, tau: float,
     too (the domain-of-dependence argument; Hawking and Ellis, The Large
     Scale Structure of Space-Time, section 6.5).
     """
-    trans = [t if isinstance(t, FourVector)
-             else FourVector.from_array(np.asarray(t, dtype=float))
+    trans = [t if isinstance(t, FourVector) else FourVector.from_array(t)
              for t in translations]
     # the frame m sends the apex to the origin
     *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
     shifted = []
     for i, t in enumerate(trans):
-        x = t.components.tolist()
+        x = [t._x0, t._x1, t._x2, t._x3]
         if not all(map(math.isfinite, x)):
             raise ValueError(f"translation {i} has a non-finite component: "
                              f"{x}")

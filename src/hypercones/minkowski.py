@@ -5,10 +5,11 @@ b = (b0, b_s) is a0*b0 - a_s.b_s. The open forward cone V consists of the
 x with x0 > |x_s|; the causal semigroup pairs translations from the closure
 of V with proper orthochronous Lorentz matrices.
 
-The group kernels (_apply, _inverse, _compose, _boost) live here once, on
-a 4x4 matrix as 16 floats row by row, which LorentzTransform keeps (`_f`)
-as FourVector keeps its four; `_of` wraps 16 floats a caller has already
-checked or built in closed form.
+The group kernels (_apply, _inverse, _compose, _boost, _rotation) live
+here once, on a 4x4 matrix as 16 floats row by row, which LorentzTransform
+keeps (`_f`) as FourVector keeps its four; `_of` wraps 16 floats a caller
+has already checked or built in closed form. Every one-vector operation
+runs on the floats, |x_s| by hypot, so no result depends on numpy's BLAS.
 """
 from __future__ import annotations
 
@@ -113,7 +114,7 @@ class FourVector:
 
 def minkowski_product(a: FourVector, b: FourVector) -> float:
     """Lorentz pairing a0*b0 - a_s.b_s."""
-    return float(a.x0 * b.x0 - a.xs @ b.xs)
+    return a._x0 * b._x0 - (a._x1 * b._x1 + a._x2 * b._x2 + a._x3 * b._x3)
 
 
 class CausalClass(enum.Enum):
@@ -127,7 +128,8 @@ class CausalClass(enum.Enum):
 
 def causal_class(x: FourVector) -> CausalClass:
     """Classify x by the signs of its Minkowski square and time component."""
-    if np.max(np.abs(x.components)) <= _LINEAR:
+    if (abs(x._x0) <= _LINEAR and abs(x._x1) <= _LINEAR
+            and abs(x._x2) <= _LINEAR and abs(x._x3) <= _LINEAR):
         return CausalClass.ZERO
     q = x.square()
     if abs(q) <= _LINEAR:
@@ -141,7 +143,7 @@ def causal_class(x: FourVector) -> CausalClass:
 
 def in_light_cone(x: FourVector) -> bool:
     """Strict membership in the open forward cone: x0 > |x_s|."""
-    return x.x0 > float(np.linalg.norm(x.xs))
+    return x._x0 > math.hypot(x._x1, x._x2, x._x3)
 
 
 class LorentzTransform:
@@ -178,28 +180,15 @@ class LorentzTransform:
 
     @classmethod
     def boost(cls, direction, rapidity: float) -> "LorentzTransform":
-        """Pure boost along a spatial unit vector with the given rapidity."""
-        n = np.asarray(direction, dtype=float).reshape(3)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise ValueError("boost direction must be nonzero")
-        return cls._of(_boost((n / norm).tolist(), rapidity))
+        """Pure boost along a spatial direction with the given rapidity."""
+        n = _direction(direction, "boost direction must be nonzero and finite")
+        return cls._of(_boost(n, rapidity))
 
     @classmethod
     def rotation(cls, axis, angle: float) -> "LorentzTransform":
         """Spatial rotation about an axis (Rodrigues form)."""
-        n = np.asarray(axis, dtype=float).reshape(3)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise ValueError("rotation axis must be nonzero")
-        n = n / norm
-        k = np.array([[0.0, -n[2], n[1]],
-                      [n[2], 0.0, -n[0]],
-                      [-n[1], n[0], 0.0]])
-        r = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-        m = np.eye(4)
-        m[1:, 1:] = r
-        return cls._of(m.ravel().tolist())
+        n = _direction(axis, "rotation axis must be nonzero and finite")
+        return cls._of(_rotation(n, angle))
 
     def verify(self) -> bool:
         try:
@@ -212,8 +201,7 @@ class LorentzTransform:
         return LorentzTransform._of(_inverse(self._f))
 
     def __matmul__(self, other: "LorentzTransform") -> "LorentzTransform":
-        m = self.matrix @ other.matrix
-        return LorentzTransform._of(m.ravel().tolist())
+        return LorentzTransform._of(_compose(self._f, other._f))
 
     def apply(self, x: FourVector) -> FourVector:
         return FourVector(*_apply(self._f, (x._x0, x._x1, x._x2, x._x3)))
@@ -273,6 +261,28 @@ def _boost(n, chi: float) -> tuple[float, ...]:
             sh * z, h * (z * x), h * (z * y), 1.0 + h * (z * z))
 
 
+def _rotation(n, angle: float) -> tuple[float, ...]:
+    """The rotation by `angle` about the unit n: I + sin K + (1 - cos) K^2
+    in space, for the cross-product matrix K of n (Rodrigues)."""
+    s, h = math.sin(angle), 1.0 - math.cos(angle)
+    x, y, z = n
+    xy, xz, yz = h * (x * y), h * (x * z), h * (y * z)
+    return (1.0, 0.0, 0.0, 0.0,
+            0.0, 1.0 - h * (y * y + z * z), xy - s * z, xz + s * y,
+            0.0, xy + s * z, 1.0 - h * (x * x + z * z), yz - s * x,
+            0.0, xz - s * y, yz + s * x, 1.0 - h * (x * x + y * y))
+
+
+def _direction(v, message: str) -> tuple[float, float, float]:
+    """The 3-vector v over its norm by hypot, finite where the squares
+    overflow or underflow; ValueError(message) unless 0 < norm < inf."""
+    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    norm = math.hypot(x, y, z)
+    if not 0.0 < norm < math.inf:  # NaN fails it too
+        raise ValueError(message)
+    return x / norm, y / norm, z / norm
+
+
 def _check_proper_orthochronous(m: np.ndarray) -> None:
     # the Gram test allows the rounding of products of entries of size s,
     # so the group's own maps pass at large rapidity; it fails once that
@@ -311,7 +321,7 @@ def in_semigroup(g: PoincareElement) -> bool:
     """Whether g translates into the closed forward cone with a valid
     proper orthochronous Lorentz part."""
     t = g.translation
-    closed_future = t.x0 >= float(np.linalg.norm(t.xs)) - _LINEAR
+    closed_future = t._x0 >= math.hypot(t._x1, t._x2, t._x3) - _LINEAR
     return closed_future and g.lorentz.verify()
 
 
@@ -322,9 +332,8 @@ def decompose_translation(z: FourVector) -> tuple[FourVector, FourVector]:
     The canonical choice takes x = (|z_s| + max(z0, 0), z_s); the remainder
     y = x - z is then a pure non-negative time translation.
     """
-    zs = z.xs
-    x0 = float(np.linalg.norm(zs)) + max(z.x0, 0.0)
-    x = FourVector.from_parts(x0, zs)
+    x0 = math.hypot(z._x1, z._x2, z._x3) + max(z._x0, 0.0)
+    x = FourVector(x0, z._x1, z._x2, z._x3)
     y = x - z
     return x, y
 
@@ -336,9 +345,8 @@ def kappa_split(x: FourVector) -> tuple[FourVector, float]:
     light cone boundary; the remainder (|x_s|, x_s) is lightlike and future
     pointing (or zero).
     """
-    r = float(np.linalg.norm(x.xs))
-    kappa = x.x0 - r
-    return FourVector.from_parts(r, x.xs), kappa
+    r = math.hypot(x._x1, x._x2, x._x3)
+    return FourVector(r, x._x1, x._x2, x._x3), x._x0 - r
 
 
 def lightlike_boost(l: FourVector, beta: float) -> LorentzTransform:
@@ -348,10 +356,10 @@ def lightlike_boost(l: FourVector, beta: float) -> LorentzTransform:
     l' = (1, -n) to beta*l'. Requires beta >= 1, so the named ray is
     contracted.
     """
-    n = l.xs
-    if abs(l.x0 - 1.0) > _LINEAR or abs(np.linalg.norm(n) - 1.0) > _LINEAR:
+    size = math.hypot(l._x1, l._x2, l._x3)
+    if abs(l._x0 - 1.0) > _LINEAR or abs(size - 1.0) > _LINEAR:
         raise ValueError("expected a normalized lightlike ray (1, n), |n| = 1")
     if beta < 1.0:
         raise ValueError("scaling factor must be >= 1")
     # rapidity -log(beta) along n sends e^chi -> 1/beta on the (1, n) ray
-    return LorentzTransform.boost(n, -math.log(beta))
+    return LorentzTransform.boost((l._x1, l._x2, l._x3), -math.log(beta))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cones import BallCone, Hyperball
 from .errors import SceneError
+from .minkowski import in_light_cone
 from .scene import Scene
 from .spherical import orthonormal_frame
 
@@ -206,7 +207,7 @@ def render(scene: Scene, plane_spec: str) -> str:
 
     for name in sorted(scene.events):
         ev = scene.events[name]
-        if not float(np.linalg.norm(ev.xs)) < ev.x0:
+        if not in_light_cone(ev):
             continue  # no ball image
         u = ev.xs / ev.x0
         if abs(float(u[axis]) - offset) > 0.05:

@@ -25,6 +25,7 @@ from .constructions import (common_complement_cone, funnel_in,
                             interval_expansion, lightray_point, path_connect)
 from .errors import ConstructionFailure, DegenerateGeometry
 from .minkowski import FourVector, LorentzTransform, minkowski_product
+from .spherical import dot
 
 # closed-membership slack for sampled points
 _SLACK = DEFAULT_TOLERANCES.degenerate_window
@@ -44,13 +45,13 @@ class PropertyResult:
 
 def _random_point(rng: np.random.Generator, rmax: float = 0.9) -> np.ndarray:
     v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
+    v /= math.hypot(*v.tolist())
     return v * rmax * rng.random() ** (1 / 3)
 
 
 def _random_direction(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return v / math.hypot(*v.tolist())
 
 
 def _random_cone(rng: np.random.Generator, *, psi_max: float = 0.9
@@ -59,7 +60,7 @@ def _random_cone(rng: np.random.Generator, *, psi_max: float = 0.9
         axis = _random_direction(rng)
         psi = rng.uniform(0.08, psi_max)
         apex = _random_point(rng, 0.7)
-        if float(axis @ apex) < math.cos(psi) - 1e-6:
+        if dot(axis, apex) < math.cos(psi) - 1e-6:
             return BallCone(BallPoint(apex),
                             Cap(SphereDirection.normalized(axis), psi))
     return BallCone(BallPoint(np.zeros(3)),
@@ -127,7 +128,7 @@ def _check_boost_formula(rng, n) -> PropertyResult:
         via_matrix = lorentz_ball_action(
             LorentzTransform.boost(l.v, chi), u)
         direct = boost_ball_action(l, chi, u)
-        errors.append(float(np.linalg.norm(via_matrix.v - direct.v)))
+        errors.append(math.dist(via_matrix._t, direct._t))
     return _score("boost_closed_form_matches_matrix", errors, 1e-10,
                   "sample {k}: boost closed form off by {err:.3e}")
 
@@ -169,7 +170,7 @@ def _check_lorentz_inverse(rng, n) -> PropertyResult:
     errors, eye = [], np.eye(4)
     for _ in range(n):
         g = _random_transform(rng, scale=2.0)
-        defect = np.abs(g.matrix @ g.inverse().matrix - eye)
+        defect = np.abs((g @ g.inverse()).matrix - eye)
         errors.append(float(np.max(defect)))
     return _score("lorentz_inverse_identity", errors,
                   DEFAULT_TOLERANCES.matrix_identity,
@@ -230,7 +231,7 @@ def _check_enlargement_orders(rng, n) -> PropertyResult:
     for k in range(n):
         inner = _random_cone(rng, psi_max=0.7)
         apex_in = inner.apex.v
-        beta = 0.05 * (1.0 - float(np.linalg.norm(apex_in)))
+        beta = 0.05 * (1.0 - math.hypot(*apex_in.tolist()))
         apex_out = apex_in - beta * (inner.base.axis.v - apex_in)
         outer = BallCone(BallPoint(apex_out),
                          Cap(inner.base.axis,
@@ -253,7 +254,7 @@ def _check_funnels(rng, n) -> PropertyResult:
     for k in range(n):
         cone = _random_cone(rng, psi_max=0.7)
         probe_center = cone.centroid().v + 0.05 * _random_direction(rng)
-        if float(probe_center @ probe_center) >= 0.8:
+        if dot(probe_center, probe_center) >= 0.8:
             probe_center = cone.centroid().v
         probe = Hyperball(Hyperboloid(1.0), BallPoint(probe_center), 0.05)
         try:
@@ -341,7 +342,7 @@ def _check_lightray_interval(rng, n) -> PropertyResult:
         ap = lightray_point(up, tau, lp)
         diff = FourVector.from_parts(a.x0 + t - ap.x0, a.xs - ap.xs)
         direct = diff.square()
-        expanded = interval_expansion(u, up, t, float(l @ lp), tau)
+        expanded = interval_expansion(u, up, t, dot(l, lp), tau)
         errors.append(abs(direct - expanded))
     return _score("lightray_interval_expansion_identity", errors, 1e-10,
                   "sample {k}: interval expansion off by {err:.3e}")
@@ -356,7 +357,7 @@ def _check_completion_equivariance(rng, n) -> PropertyResult:
         region = Hypercone(Hyperboloid(tau), cone)
         u = cone.centroid().v
         sig = rng.uniform(0.5, 2.0)
-        scale = sig / math.sqrt(1.0 - float(u @ u))
+        scale = sig / math.sqrt(1.0 - dot(u, u))
         x = FourVector.from_parts(scale, scale * u)
         try:
             before = in_causal_completion(x, region)

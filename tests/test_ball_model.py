@@ -23,6 +23,13 @@ from hypercones.spherical import angle_between
 from tests.conftest import interior_point, random_transform, unit_vector
 
 
+def _unit_floats(v):
+    """v over its norm by hypot, divided once, in plain floats."""
+    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    n = math.hypot(x, y, z)
+    return x / n, y / n, z / n
+
+
 class TestModelValidation:
     def test_shell_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -57,6 +64,23 @@ class TestModelValidation:
     def test_normalized_refuses_non_finite(self, v):
         with pytest.raises(ValueError, match="non-finite"):
             SphereDirection.normalized(v)
+
+    @pytest.mark.parametrize("v, want", [
+        ([1e170, 1e170, 0.0], (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+        ([0.0, -1e-170, 0.0], (0.0, -1.0, 0.0)),
+        ([3e-320, 0.0, 4e-320], (0.6, 0.0, 0.8))],
+        ids=["squares-overflow", "squares-underflow", "subnormal"])
+    def test_normalized_takes_the_norm_by_hypot(self, v, want):
+        # a sum of squares is inf or 0 here, which refused the first two
+        got = SphereDirection.normalized(v).v
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-16)
+
+    def test_normalized_divides_once(self):
+        rng = np.random.default_rng(2024)
+        for k in range(20_000):
+            v = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
+            got = SphereDirection.normalized(v)
+            assert got.v.tobytes() == np.array(_unit_floats(v)).tobytes()
 
     def test_hyperball_refuses_infinite_radius(self, shell):
         with pytest.raises(ValueError, match="finite"):
@@ -95,8 +119,7 @@ class TestTripleValues:
             "BallPoint({}, 0.0, 0.0)".format(float(np.float32(x))))
         v = np.array([x, math.sqrt(1.0 - x * x), -0.0])
         assert repr(SphereDirection(v)) == (
-            "SphereDirection({}, {}, {})".format(
-                *(v / np.linalg.norm(v)).tolist()))
+            "SphereDirection({}, {}, {})".format(*_unit_floats(v)))
 
     def test_pinned_repr(self):
         assert repr(BallPoint([1e-20, 5e-324, -0.25])) == (
@@ -117,7 +140,7 @@ class TestTripleValues:
             d, u = (np.asarray(form(d), dtype=float).reshape(3),
                     np.asarray(form(u), dtype=float).reshape(3))
             for value, want in ((SphereDirection(form(d)),
-                                 d / np.linalg.norm(d)),
+                                 np.array(_unit_floats(d))),
                                 (BallPoint(form(u)), u)):
                 a = value.v
                 assert a.dtype == np.float64 and a.shape == (3,)

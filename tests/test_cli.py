@@ -413,6 +413,29 @@ class TestExitCodes:
         assert "generators are too large" in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("axis, unit", [("1e170,1e170,0", "1,1,0"),
+                                            ("1e-170,0,0", "x"),
+                                            ("0,-1e-170,0", "0,-1,0")])
+    @pytest.mark.parametrize("kind", ["boost", "rot"])
+    def test_generator_axes_whose_squares_leave_the_floats(
+            self, capsys, tmp_path, kind, axis, unit):
+        # hypot normalizes these axes, whose squares overflow or underflow:
+        # the orbit is the one of the unit axis, with no numpy warning
+        regions = []
+        for spec in (axis, unit):
+            out = str(tmp_path / "out.json")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run(capsys, "construct", DEMO, "A12", "A",
+                                   "--generator", f"{kind}:{spec}:0.5",
+                                   "--out", out)
+            assert (code, err) == (0, "")
+            regions.append(scene_mod.load(out).cones["C0"])
+        a, b = regions
+        assert max(abs(p - q) for p, q in zip(a.exit_scalars,
+                                              b.exit_scalars)) <= 1e-12
+        assert abs(a.psi - b.psi) <= 1e-12
+
     @pytest.mark.parametrize("amount", ["1e308", "-711"])
     def test_boost_whose_cosh_overflows_is_refused(self, capsys, amount):
         code, out, err = run(capsys, "construct", DEMO, "A12", "A",
@@ -554,6 +577,12 @@ _PINNED = [
      ""),
     (DEMO, "construct A12 A --generator boost:x:0.15 --generator rot:z:0.2",
      0, "certificate: contains-orbit(C0,A) pass generators=2\n"
+     "witness cone: C0\n", ""),
+    (DEMO, "construct A12 A --generator boost:1e170,1e170,0:0.5", 0,
+     "certificate: contains-orbit(C0,A) pass generators=1\n"
+     "witness cone: C0\n", ""),
+    (DEMO, "construct A12 A --generator boost:1e-170,0,0:0.5", 0,
+     "certificate: contains-orbit(C0,A) pass generators=1\n"
      "witness cone: C0\n", ""),
     (DEMO, "construct A13 A --t 1,0,0,0", 0,
      "certificate: contains-shifted-completion(C0,A) pass translations=1\n"

@@ -40,6 +40,7 @@ from tests.conftest import (ball_disjoint_from_cone, benchmark_instances,
 from tests.test_acceptance import certify_ball_inside, certify_disjoint
 from tests.test_ball_model import _numpy_cap_image
 from tests.test_cones import _numpy_plane_margin
+from tests.test_minkowski import _reference_product
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -207,8 +208,25 @@ def wide_shell_cases(rng, count):
                sigma, tau)
 
 
+def _reference_spheroid(center, radius, tau):
+    """convex.hyperball_ellipsoid's closed form in plain floats, with |c|
+    by hypot."""
+    r0 = math.tanh(radius / tau)
+    a = math.hypot(*center)
+    if a == 0.0:
+        return [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], r0, r0
+    ch = 1.0 / math.sqrt(1.0 - a * a)
+    sh = a * ch
+    d = 1.0 / (ch * ch - sh * sh * r0 * r0)
+    axis = [c / a for c in center]
+    e_center = sh * ch * (1.0 - r0 * r0) * d
+    return [e_center * c for c in axis], axis, r0 * d, r0 * math.sqrt(d)
+
+
 class TestAxialWitnesses:
     def test_spheroid_is_the_oracle_bit_for_bit(self):
+        # bit for bit with the float closed form; within 8 ulps of the
+        # numpy oracle, whose |c| is numpy's norm (6 ulps seen here)
         rng = np.random.default_rng(41)
         dirs = rng.standard_normal((20_000, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -218,11 +236,16 @@ class TestAxialWitnesses:
                 unit_vector(rng)
             ball = Hyperball(Hyperboloid(tau), BallPoint(center),
                              rng.uniform(0.05, 1.5) * tau)
-            mid, axis, along, across = constructions._spheroid(ball)
+            got = constructions._spheroid(ball)
+            want = _reference_spheroid(ball.center.v.tolist(), ball.radius,
+                                       tau)
+            assert struct.pack("8d", *got[0], *got[1], *got[2:]) == \
+                struct.pack("8d", *want[0], *want[1], *want[2:])
+            mid, axis, along, across = got
             ell = hyperball_ellipsoid(ball.center.v, ball.radius, tau)
-            assert np.array_equal(mid, ell.center)
-            assert along == ell.a_par and across == ell.a_perp
-            np.testing.assert_allclose(axis, ell.axis, rtol=0, atol=1e-15)
+            for g, w in ((mid, ell.center), (axis, ell.axis),
+                         (along, ell.a_par), (across, ell.a_perp)):
+                np.testing.assert_array_max_ulp(np.array(g), w, maxulp=8)
             m = unit_vector(rng)
             scan = float(np.max(ell.boundary_points(dirs) @ m))
             support = constructions._ball_support(ball, m)
@@ -1140,14 +1163,17 @@ class TestContractingBoosts:
 
 def _reference_robust_enclosure(cone, generators):
     """robust_enclosure_lorentz as it was before the products with the
-    identity reused their ring member's image: every word of the stack
-    mapped, and every image checked."""
-    words = constructions._orbit_words(generators)
-    finite = np.isfinite(words).all(axis=(1, 2)).tolist()
+    identity reused their ring member's image: the ring, then every
+    product a @ b of itertools.product(ring, ring), each word mapped, and
+    every image checked."""
+    ring = [LorentzTransform.identity(),
+            *(h for g in generators for h in (g, g.inverse()))]
+    words = ring + [a @ b for a, b in itertools.product(ring, ring)]
     images = []
-    for i, w in enumerate(words.reshape(-1, 16).tolist()):
+    for i, word in enumerate(words):
+        w = word.matrix.ravel().tolist()
         try:
-            if not finite[i]:
+            if not all(map(math.isfinite, w)):
                 raise ValueError("its matrix overflows")
             images.append(_map(w, cone))
         except ValueError as err:
@@ -1247,8 +1273,9 @@ class TestRobustEnclosure:
                     assert cone_leq(map_cone(w, cone), region).holds
 
     def test_word_stack_is_the_product_list(self):
-        # one stacked product gives the words a @ b of
-        # itertools.product(ring, ring), in that order, to the bit
+        # the words are the ring, then the products a b of
+        # itertools.product(ring, ring) in that order, each to the bit of
+        # the float product; a product with the identity is None
         rng = np.random.default_rng(42)
         for _ in range(200):
             gens = [LorentzTransform.boost(unit_vector(rng),
@@ -1259,11 +1286,18 @@ class TestRobustEnclosure:
                     for _ in range(rng.integers(1, 4))]
             ring = [LorentzTransform.identity(),
                     *(h for g in gens for h in (g, g.inverse()))]
-            words = ring + [a @ b for a, b in itertools.product(ring, ring)]
-            stack = constructions._orbit_words(gens)
-            assert stack.shape == (len(words), 4, 4)
-            for w, m in zip(words, stack):
-                assert np.array_equal(w.matrix, m)
+            want = [w.matrix for w in ring] + [
+                None if 0 in (i, j) else _reference_product(a.matrix,
+                                                            b.matrix)
+                for (i, a), (j, b) in itertools.product(enumerate(ring),
+                                                        repeat=2)]
+            words = constructions._orbit_words(gens)
+            assert len(words) == len(want)
+            for w, m in zip(words, want):
+                if m is None:
+                    assert w is None
+                else:
+                    assert struct.pack("16d", *w) == m.tobytes()
 
 
 class TestTranslateEnclosure:
@@ -1341,7 +1375,7 @@ class TestTranslateEnclosure:
             raise AssertionError("A13 drew random points")
 
         monkeypatch.setattr(BallCone, "sample_points", refuse)
-        monkeypatch.setattr(constructions.np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         cone = axis_cone(0.5, 0.1)
         shift = FourVector.from_parts(0.4, (0.1, 0.0, 0.05))
         region = translate_enclosure(cone, 1.0, [shift])

@@ -352,12 +352,13 @@ def test_line_entry_keeps_the_bits():
             bits([_reference_line_entry(cone, d)])
 
 
-# -- LorentzTransform.boost and .inverse against their numpy bodies
+# -- LorentzTransform.boost and .inverse against their numpy bodies, the
+# boost's direction normalized by hypot, as LorentzTransform.boost does
 
 
 def _reference_boost(direction, rapidity):
     n = np.asarray(direction, dtype=float).reshape(3)
-    n = n / np.linalg.norm(n)
+    n = n / math.hypot(*n.tolist())
     ch, sh = math.cosh(rapidity), math.sinh(rapidity)
     m = np.eye(4)
     m[0, 0] = ch

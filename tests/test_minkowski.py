@@ -15,6 +15,20 @@ from tests.conftest import random_transform, unit_vector
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
+
+def _reference_product(a, b):
+    """The matrix product a b, each entry summed left to right in plain
+    floats."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    out = []
+    for row in a:
+        for j in range(4):
+            p = row[0] * b[0][j]
+            for k in range(1, 4):
+                p += row[k] * b[k][j]
+            out.append(p)
+    return np.reshape(out, (4, 4))
+
 coord = st.floats(min_value=-10.0, max_value=10.0,
                   allow_nan=False, allow_infinity=False)
 four = st.builds(lambda a, b, c, d: FourVector.from_parts(a, (b, c, d)),
@@ -91,6 +105,15 @@ class TestFourVector:
                 assert (x * c).components.tobytes() == (a * c).tobytes()
                 assert (c * x).components.tobytes() == (a * c).tobytes()
 
+    def test_product_is_the_float_sum(self):
+        # x0 y0 - ((x1 y1 + x2 y2) + x3 y3), to the bit
+        rng = np.random.default_rng(2024)
+        for _ in range(2_000):
+            x, y = rng.normal(size=4).tolist(), rng.normal(size=4).tolist()
+            want = x[0] * y[0] - (x[1] * y[1] + x[2] * y[2] + x[3] * y[3])
+            got = minkowski_product(FourVector(*x), FourVector(*y))
+            assert type(got) is float and got.hex() == want.hex()
+
     @given(four, four)
     @settings(max_examples=100, deadline=None)
     def test_product_symmetric(self, a, b):
@@ -127,6 +150,17 @@ class TestCausalPredicates:
     ])
     def test_classification_table(self, parts, expected):
         assert causal_class(FourVector.from_parts(*parts)) is expected
+
+    def test_spatial_norm_is_taken_by_hypot(self):
+        # |x_s|^2 overflows here; hypot does not
+        x = FourVector(2e200, 1e200, 1e200, 0.0)
+        assert in_light_cone(x)
+        assert in_semigroup(PoincareElement(x, LorentzTransform.identity()))
+        light, kappa = kappa_split(x)
+        assert kappa == 2e200 - math.hypot(1e200, 1e200) > 0.0
+        assert light == FourVector(math.hypot(1e200, 1e200), 1e200, 1e200)
+        up, down = decompose_translation(FourVector(0.0, 1e200, 1e200, 0.0))
+        assert up == light and down == FourVector(up.x0)
 
     def test_classification_is_lorentz_invariant(self):
         rng = np.random.default_rng(5)
@@ -185,6 +219,50 @@ class TestLorentzTransform:
             LorentzTransform.boost([0.0, 0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="^rotation axis must be"):
             LorentzTransform.rotation([0.0, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("make", [LorentzTransform.boost,
+                                      LorentzTransform.rotation],
+                             ids=["boost", "rotation"])
+    @pytest.mark.parametrize("v", [[math.nan, 0.0, 0.0], [0.0, math.inf, 1.0],
+                                   [-math.inf, math.nan, 0.0]],
+                             ids=["nan", "inf", "inf-nan"])
+    def test_non_finite_direction_is_refused(self, make, v):
+        with pytest.raises(ValueError, match="must be nonzero and finite$"):
+            make(v, 0.5)
+
+    @pytest.mark.parametrize("make", [LorentzTransform.boost,
+                                      LorentzTransform.rotation],
+                             ids=["boost", "rotation"])
+    @pytest.mark.parametrize("v, unit", [
+        ([1e170, 1e170, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+        ([1e-170, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, 3e-320, -4e-320], [0.0, 0.6, -0.8])],
+        ids=["squares-overflow", "squares-underflow", "subnormal"])
+    def test_direction_norm_is_taken_by_hypot(self, make, v, unit):
+        # a sum of squares is inf or 0 on these, which would give a matrix
+        # off the group for the first and refuse the others as zero
+        got = make(v, 0.5)
+        assert got.verify()
+        np.testing.assert_allclose(got.matrix, make(unit, 0.5).matrix,
+                                   rtol=0, atol=4e-16)
+
+    def test_rotation_is_the_rodrigues_form(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2_000):
+            n = unit_vector(rng)
+            angle = rng.uniform(-4.0, 4.0)
+            k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]],
+                          [-n[1], n[0], 0.0]])
+            r = (np.eye(3) + math.sin(angle) * k
+                 + (1.0 - math.cos(angle)) * (k @ k))
+            got = LorentzTransform.rotation(n, angle).matrix
+            assert got[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+            assert got[1:, 0].tolist() == [0.0, 0.0, 0.0]
+            # (1 - cos) K^2 reaches 2 in size, and the float and numpy
+            # forms round it apart by up to 6 eps on these draws
+            np.testing.assert_allclose(got[1:, 1:], r, rtol=0, atol=3e-15)
+            np.testing.assert_allclose(got[1:, 1:] @ got[1:, 1:].T,
+                                       np.eye(3), rtol=0, atol=3e-15)
 
     @pytest.mark.parametrize("entry, value", [
         ((0, 0), math.nan), ((0, 1), math.inf), ((0, 1), -math.inf),
@@ -266,7 +344,7 @@ class TestLorentzTransform:
             for t, want in ((LorentzTransform(parts), np.array(parts)),
                             (LorentzTransform(np.ravel(parts)),
                              np.array(parts)),
-                            (g @ h, g.matrix @ h.matrix),
+                            (g @ h, _reference_product(g.matrix, h.matrix)),
                             (LorentzTransform.identity(), np.eye(4))):
                 m = t.matrix
                 assert m.dtype == np.float64 and m.shape == (4, 4)
