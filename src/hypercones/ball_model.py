@@ -191,20 +191,6 @@ def ball_distance(u: BallPoint, w: BallPoint, shell: Hyperboloid) -> float:
     return shell.tau * math.asinh(math.sqrt(num) / den)
 
 
-def ball_distance_many(center: np.ndarray, pts: np.ndarray,
-                       tau: float) -> np.ndarray:
-    """Vectorized shell distance from one ball point to (n, 3) ball points,
-    by the sinh form of ball_distance."""
-    pts = np.atleast_2d(pts)
-    diff = center - pts
-    cross = np.cross(center, diff)
-    num = np.maximum(np.einsum("ij,ij->i", diff, diff)
-                     - np.einsum("ij,ij->i", cross, cross), 0.0)
-    den = np.sqrt((1.0 - float(center @ center))
-                  * (1.0 - np.einsum("ij,ij->i", pts, pts)))
-    return tau * np.arcsinh(np.sqrt(num) / den)
-
-
 def shadow_radius(sigma: float, tau: float) -> float:
     """Radius (in the shell-tau metric) of the causal shadow that a point on
     shell sigma casts on shell tau: cosh(radius / tau) = (sigma/tau +

@@ -20,9 +20,9 @@ mapped through ``cones._map`` on 16-float matrices. They read apexes,
 axes and half-angles from each cone's record (``exit_scalars``, ``psi``)
 and the apex frame from ``apex_frame_scalars``, and take callers'
 vectors through ``FourVector``, with no numpy. The contracting boosts
-(A11, ``_frame_boost``) and the orbit words (A12, ``_orbit_words``) are
-16-float products (``_compose``); the orbit's products with the identity
-reuse their ring member's image.
+(A11, ``_frame_boost``) and the orbit words (A12) are 16-float products
+(``_compose``); the orbit's products with the identity reuse their ring
+member's image.
 """
 from __future__ import annotations
 
@@ -759,19 +759,6 @@ def escape_ball(cone: BallCone, ball: Hyperball, direction: SphereDirection,
         f"boosts up to {nmax} never cleared the ball")
 
 
-def _orbit_words(generators: Sequence[LorentzTransform]
-                 ) -> list[tuple[float, ...] | None]:
-    """The orbit words as 16 floats each: the ring of the identity and each
-    generator followed by its inverse, then every product a b of two ring
-    members (_compose), a-major as itertools.product(ring, ring) lists
-    them. A product with the identity is None, since it is its other
-    factor; products that overflow are left inf or nan."""
-    ring = [LorentzTransform.identity()._f,
-            *(f for g in generators for f in (g._f, _inverse(g._f)))]
-    return ring + [None if 0 in (i, j) else _compose(a, b)
-                   for i, a in enumerate(ring) for j, b in enumerate(ring)]
-
-
 def robust_enclosure_lorentz(cone: BallCone,
                              generators: Sequence[LorentzTransform]
                              ) -> BallCone:
@@ -779,18 +766,21 @@ def robust_enclosure_lorentz(cone: BallCone,
     inverses, and all products of two such factors.
 
     A finite surrogate for robustness under a neighborhood of the identity:
-    the enclosure covers the sampled orbit with an explicit margin. It is
-    the hull enclosure (cones._enclosure) of the images (cones._map),
-    certified when cone_leq's kernel _leq holds each. Each distinct word is
-    mapped and checked once: I r and r I reuse r's image. A word with no
-    image cone in floats raises ConstructionFailure naming it.
+    the enclosure covers the sampled orbit with an explicit margin. The
+    words are the ring of the identity and each generator followed by its
+    inverse, then every product a b of two ring members (_compose), a-major,
+    as 16 floats. It is the hull enclosure (cones._enclosure) of the images
+    (cones._map), certified when cone_leq's kernel _leq holds each. Each
+    distinct word is mapped and checked once: I r and r I reuse r's image.
+    A word with no image cone in floats raises ConstructionFailure naming
+    its index.
     """
-    ring, images, distinct = 1 + 2 * len(generators), [], []
-    for i, w in enumerate(_orbit_words(generators)):
-        if w is None:  # I r or r I, past the ring: the image of r
-            a, b = divmod(i - ring, ring)
-            images.append(images[a or b])
-            continue
+    ring = [LorentzTransform.identity()._f,
+            *(f for g in generators for f in (g._f, _inverse(g._f)))]
+    images, distinct = [], []
+
+    def mapped(w):
+        i = len(images)
         try:
             if not all(map(math.isfinite, w)):
                 raise ValueError("its matrix overflows")
@@ -799,8 +789,15 @@ def robust_enclosure_lorentz(cone: BallCone,
             raise ConstructionFailure(
                 f"orbit word {i} has no image cone in floats ({err}); the "
                 "generators are too large", failing_index=i) from None
-        images.append(image)
         distinct.append(image)
+        return image
+
+    for w in ring:
+        images.append(mapped(w))
+    for a, u in enumerate(ring):
+        for b, w in enumerate(ring):
+            images.append(images[a or b] if 0 in (a, b)
+                          else mapped(_compose(u, w)))
     region = _enclosure(images, distinct)
     _require(region is not None
              and all(_leq(image, region)[0] for image in distinct),
@@ -826,8 +823,8 @@ def lightray_point(u: float, tau: float,
     """Point at parameter u on the shell's asymptotic light ray toward a
     unit direction: time u*tau + v(u), position v(u)*direction."""
     v = lightray_offset(u, tau)
-    d = FourVector.from_parts(0.0, direction)
-    return FourVector(u * tau + v, v * d._x1, v * d._x2, v * d._x3)
+    dx, dy, dz = direction
+    return FourVector(u * tau + v, v * dx, v * dy, v * dz)
 
 
 def interval_expansion(u: float, u_prime: float, t: float,

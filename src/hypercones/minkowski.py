@@ -274,9 +274,14 @@ def _rotation(n, angle: float) -> tuple[float, ...]:
 
 
 def _direction(v, message: str) -> tuple[float, float, float]:
-    """The 3-vector v over its norm by hypot, finite where the squares
-    overflow or underflow; ValueError(message) unless 0 < norm < inf."""
+    """The 3-vector v over its norm by hypot, unit where the squares
+    overflow or underflow; ValueError(message) unless 0 < norm < inf.
+    v is first scaled by the power of two that puts its largest entry in
+    [1/2, 1), which is exact and moves no bit of the quotient: hypot of a
+    subnormal v rounds onto the subnormal grid, off unit after division."""
     x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    e = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    x, y, z = math.ldexp(x, e), math.ldexp(y, e), math.ldexp(z, e)
     norm = math.hypot(x, y, z)
     if not 0.0 < norm < math.inf:  # NaN fails it too
         raise ValueError(message)

@@ -68,10 +68,13 @@ class TestModelValidation:
     @pytest.mark.parametrize("v, want", [
         ([1e170, 1e170, 0.0], (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
         ([0.0, -1e-170, 0.0], (0.0, -1.0, 0.0)),
-        ([3e-320, 0.0, 4e-320], (0.6, 0.0, 0.8))],
-        ids=["squares-overflow", "squares-underflow", "subnormal"])
+        ([3e-320, 0.0, 4e-320], (0.6, 0.0, 0.8)),
+        ([1e-323, 1e-323, 0.0], (math.sqrt(0.5), math.sqrt(0.5), 0.0))],
+        ids=["squares-overflow", "squares-underflow", "subnormal",
+             "deep-subnormal"])
     def test_normalized_takes_the_norm_by_hypot(self, v, want):
-        # a sum of squares is inf or 0 here, which refused the first two
+        # a sum of squares is inf or 0 here, which refused the first two;
+        # hypot of the last rounds onto the subnormal grid
         got = SphereDirection.normalized(v).v
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-16)
 

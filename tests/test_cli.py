@@ -415,12 +415,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("axis, unit", [("1e170,1e170,0", "1,1,0"),
                                             ("1e-170,0,0", "x"),
-                                            ("0,-1e-170,0", "0,-1,0")])
+                                            ("0,-1e-170,0", "0,-1,0"),
+                                            ("1e-323,1e-323,0", "1,1,0")])
     @pytest.mark.parametrize("kind", ["boost", "rot"])
     def test_generator_axes_whose_squares_leave_the_floats(
             self, capsys, tmp_path, kind, axis, unit):
-        # hypot normalizes these axes, whose squares overflow or underflow:
-        # the orbit is the one of the unit axis, with no numpy warning
+        # hypot normalizes these axes, whose squares overflow or underflow,
+        # and whose norm may be subnormal: the orbit is the one of the unit
+        # axis, with no numpy warning
         regions = []
         for spec in (axis, unit):
             out = str(tmp_path / "out.json")

@@ -22,8 +22,8 @@ from hypercones import (BallCone, BallPoint, Cap, ConstructionFailure,
                         hyperball_in_cone, in_causal_completion,
                         lift_from_ball, lorentz_ball_action, map_cone,
                         opposite, point_margin, shadow_radius)
-from hypercones.ball_model import (ball_action_many, ball_distance_many,
-                                   homology_through_many, ray_exits)
+from hypercones.ball_model import (ball_action_many, homology_through_many,
+                                   ray_exits)
 from hypercones import cones as cone_module, constructions
 from hypercones.ball_model import cap_image
 from hypercones.ball_model import _act, _cap_seen
@@ -1458,6 +1458,19 @@ def _inside_and_outside_points(rng, cone, n):
     return inside, np.array(outside)
 
 
+def _ball_distance_many(center, pts, tau):
+    """Shell distance from one ball point to (n, 3) ball points, by
+    ball_distance's sinh form in numpy: the grid searches' oracle."""
+    pts = np.atleast_2d(pts)
+    diff = center - pts
+    cross = np.cross(center, diff)
+    num = np.maximum(np.einsum("ij,ij->i", diff, diff)
+                     - np.einsum("ij,ij->i", cross, cross), 0.0)
+    den = np.sqrt((1.0 - float(center @ center))
+                  * (1.0 - np.einsum("ij,ij->i", pts, pts)))
+    return tau * np.arcsinh(np.sqrt(num) / den)
+
+
 def _searched_boundary_distance(cone, center, tau):
     """Reference value by direct search over the lateral surface: the
     closest point of a theta x s grid, polished by Nelder-Mead."""
@@ -1467,14 +1480,14 @@ def _searched_boundary_distance(cone, center, tau):
     ring = cone.base.boundary_points(len(thetas))
     a = cone.apex.v
     pts = (a + s_grid[:, None, None] * (ring[None, :, :] - a)).reshape(-1, 3)
-    dists = ball_distance_many(center.v, pts, tau)
+    dists = _ball_distance_many(center.v, pts, tau)
     best = int(np.argmin(dists))
 
     def objective(x):
         th, s = x
         s = min(max(s, 0.0), 0.999999)
         q = a + s * (cone.base.boundary_point(th) - a)
-        return float(ball_distance_many(center.v, q[None, :], tau)[0])
+        return float(_ball_distance_many(center.v, q[None, :], tau)[0])
 
     start = np.array([thetas[best % len(thetas)],
                       s_grid[best // len(thetas)]])
@@ -1496,7 +1509,7 @@ def _sampled_boundary_distance(cone, center, tau):
         ring = math.cos(psi) * n + math.sin(psi) * (
             np.outer(np.cos(thetas), e1) + np.outer(np.sin(thetas), e2))
         pts = a + s[:, None, None] * (ring[None, :, :] - a)
-        dists = ball_distance_many(center, pts.reshape(-1, 3), tau)
+        dists = _ball_distance_many(center, pts.reshape(-1, 3), tau)
         best = int(np.argmin(dists))
         return (float(dists[best]), best // len(thetas),
                 best % len(thetas))

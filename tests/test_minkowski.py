@@ -236,11 +236,15 @@ class TestLorentzTransform:
     @pytest.mark.parametrize("v, unit", [
         ([1e170, 1e170, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
         ([1e-170, 0.0, 0.0], [1.0, 0.0, 0.0]),
-        ([0.0, 3e-320, -4e-320], [0.0, 0.6, -0.8])],
-        ids=["squares-overflow", "squares-underflow", "subnormal"])
+        ([0.0, 3e-320, -4e-320], [0.0, 0.6, -0.8]),
+        ([1e-323, 1e-323, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0])],
+        ids=["squares-overflow", "squares-underflow", "subnormal",
+             "deep-subnormal"])
     def test_direction_norm_is_taken_by_hypot(self, make, v, unit):
         # a sum of squares is inf or 0 on these, which would give a matrix
-        # off the group for the first and refuse the others as zero
+        # off the group for the first and refuse the others as zero; on the
+        # last, hypot of v itself rounds onto the subnormal grid (3 units
+        # for 2.83), which would give a direction of norm 0.943
         got = make(v, 0.5)
         assert got.verify()
         np.testing.assert_allclose(got.matrix, make(unit, 0.5).matrix,
