@@ -208,12 +208,15 @@ def euclidean_radius_of_centered_ball(radius: float, tau: float) -> float:
 
 def ball_action_many(transform: LorentzTransform,
                      pts: np.ndarray) -> np.ndarray:
-    """Projective action on (n, 3) rows of the closed ball."""
-    m = transform.matrix
+    """Projective action on (n, 3) rows of the closed ball: _act column by
+    column, with the same elementwise operations in the same order, so each
+    row is _act's to the bit and no product goes through BLAS (ray_exits)."""
+    m = transform._f
     pts = np.atleast_2d(pts)
-    den = m[0, 0] + pts @ m[0, 1:]
-    num = m[1:, 0] + pts @ m[1:, 1:].T
-    return num / den[:, None]
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    den = m[0] + m[1] * x + m[2] * y + m[3] * z
+    return np.stack([(m[i] + m[i + 1] * x + m[i + 2] * y + m[i + 3] * z) / den
+                     for i in (4, 8, 12)], axis=1)
 
 
 def lorentz_ball_action(transform: LorentzTransform, u):

@@ -15,9 +15,10 @@ hull (`_chord`, the one line-in-hull solver) holds a common point within a
 factor 2 of the deepest. The level search starts from the lens depth of
 the two caps, a closed-form lower bound on the deepest common depth, since
 points near the sphere in both caps lie in both cones at their caps'
-depths, and settles in two tests when that bound is tight. Against a
-metric ball (`cone_hyperball_disjoint`) the margin is a shell distance and
-the certificate the plane bisecting the common perpendicular.
+depths, and settles in two tests when that bound is tight, in one for a
+shared apex, where it is exact. Against a metric ball
+(`cone_hyperball_disjoint`) the margin is a shell distance and the
+certificate the plane bisecting the common perpendicular.
 
 Point margins (`point_margin`), ball inclusion (`hyperball_in_cone`,
 `cone_hyperball_disjoint`) and completion membership
@@ -109,18 +110,18 @@ class BallCone:
     __hash__ = None  # unhashable, as its apex and base are
 
     def __init__(self, apex: BallPoint, base: Cap):
-        object.__setattr__(self, "exit_scalars", _pointed(
-            apex._t, base.axis._t, math.cos(base.half_angle)))
-        object.__setattr__(self, "psi", base.half_angle)
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "base", base)
+        fields = vars(self)  # one item write each, past the frozen guard
+        fields["exit_scalars"] = _pointed(apex._t, base.axis._t,
+                                          math.cos(base.half_angle))
+        fields["psi"], fields["apex"], fields["base"] = (base.half_angle,
+                                                         apex, base)
 
     @classmethod
     def _of(cls, record: tuple[float, ...], psi: float) -> "BallCone":
         """The cone of a record that _pointed has checked."""
         cone = object.__new__(cls)
-        object.__setattr__(cone, "exit_scalars", record)
-        object.__setattr__(cone, "psi", psi)
+        fields = vars(cone)
+        fields["exit_scalars"], fields["psi"] = record, psi
         return cone
 
     @_cached
@@ -314,13 +315,18 @@ def point_margin(cone: BallCone, p: np.ndarray) -> float:
     return dist if inside else -dist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LeqResult:
     """Outcome of a containment test between two cones."""
 
     holds: bool
     cap_margin: float     # radians of cap-inclusion slack
     apex_margin: float    # cos-space closed-membership margin of the apex
+
+    def __init__(self, holds: bool, cap_margin: float, apex_margin: float):
+        fields = vars(self)  # as BallCone's, with no object.__setattr__
+        fields["holds"], fields["cap_margin"], fields["apex_margin"] = (
+            holds, cap_margin, apex_margin)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -345,7 +351,7 @@ def _leq(inner: BallCone, outer: BallCone) -> tuple[bool, float, float]:
     return cap >= -_WINDOW and apex >= -_WINDOW, cap, apex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DisjointResult:
     """Outcome of a disjointness test, with its witness: a common point,
     or a separating plane that `separation` builds when first read."""
@@ -354,6 +360,11 @@ class DisjointResult:
     margin: float
     common_point: np.ndarray | None = None
     separation: Callable[[], tuple] | None = field(default=None, repr=False)
+
+    def __init__(self, disjoint, margin, common_point=None, separation=None):
+        fields = vars(self)  # as LeqResult's
+        fields["disjoint"], fields["margin"] = disjoint, margin
+        fields["common_point"], fields["separation"] = common_point, separation
 
     def __bool__(self) -> bool:
         return self.disjoint
@@ -394,10 +405,13 @@ def _hull_gap(n1, psi1: float, q, n2, c2: float, s2: float):
     x = turn(n2, n1, psi2)
     if q is None:
         return gap - psi1, x
-    # n1 in the frame of Q, u toward n2 and v toward n1's nearer edge
-    big_q = unit(q)
-    u = turn(big_q, n2, 0.5 * math.pi)
-    sin_d, cos_d = dot(n2, u), dot(n2, big_q)
+    # n1 in the frame of Q, u toward n2 and v toward n1's nearer edge;
+    # spherical's unit, dot and cross written out, operation for operation
+    (ax, ay, az), (nx, ny, nz), (mx, my, mz) = q, n2, n1
+    size = math.sqrt(ax * ax + ay * ay + az * az)
+    qx, qy, qz = big_q = ax / size, ay / size, az / size
+    ux, uy, uz = u = turn(big_q, n2, 0.5 * math.pi)
+    sin_d, cos_d = nx * ux + ny * uy + nz * uz, nx * qx + ny * qy + nz * qz
     if math.atan2(sin_d, cos_d) <= psi2:  # Q in the cap: S is the cap
         return gap - psi1, x
     if sin_d <= 0.0:  # -Q is n2: the origin lies in the hull
@@ -405,10 +419,11 @@ def _hull_gap(n1, psi1: float, q, n2, c2: float, s2: float):
     root = math.sqrt(max(0.0, (sin_d - s2) * (sin_d + s2)))
     sb, cb = min(1.0, s2 / sin_d), root / sin_d
     reach = math.atan2(root, cos_d) if c2 > 0.0 else math.pi
-    v = cross(big_q, u)
-    if dot(n1, v) < 0.0:
-        v = [-a for a in v]
-    pq, pu, pv = dot(n1, big_q), dot(n1, u), dot(n1, v)
+    vx, vy, vz = qy * uz - qz * uy, qz * ux - qx * uz, qx * uy - qy * ux
+    if mx * vx + my * vy + mz * vz < 0.0:
+        vx, vy, vz = -vx, -vy, -vz
+    pq, pu, pv = (mx * qx + my * qy + mz * qz, mx * ux + my * uy + mz * uz,
+                  mx * vx + my * vy + mz * vz)
     po, pe = cb * pv - sb * pu, cb * pu + sb * pv  # off and along the edge
     rho = math.atan2(math.hypot(pu, pv), pq)
     if po <= 0.0 and rho <= reach:
@@ -416,8 +431,10 @@ def _hull_gap(n1, psi1: float, q, n2, c2: float, s2: float):
     foot = math.atan2(pe, pq)
     edge = rho if foot < 0.0 else math.atan2(abs(po), math.hypot(pe, pq))
     if foot <= reach and edge < gap:  # the foot is pq Q + pe e
-        gap, x = edge, (big_q if foot < 0.0 else unit(
-            [pq * a + pe * (cb * b + sb * c) for a, b, c in zip(big_q, u, v)]))
+        gap, x = edge, (big_q if foot < 0.0 else unit((
+            pq * qx + pe * (cb * ux + sb * vx),
+            pq * qy + pe * (cb * uy + sb * vy),
+            pq * qz + pe * (cb * uz + sb * vz))))
     return gap - psi1, x
 
 
@@ -519,8 +536,10 @@ def _overlap(k1: BallCone, k2: BallCone, m, q,
     shared apex). So the search tests the level of that bound divided by
     1.2, then 1.5 times that level, then bisects up to 1 - cos psi;
     without the bound beyond the window, or should rounding deny it, it
-    bisects from the window. The witness is the middle of the stretch of
-    the ray along n1, or x turned into S, in k2's hull (_chord)."""
+    bisects from the window. For a shared apex a seed that succeeds ends
+    the search: it brackets D within 1.5, and the next level, 1.25 D, lies
+    past D. The witness is the middle of the stretch of the ray along n1,
+    or x turned into S, in k2's hull (_chord)."""
     def meets(t):  # the caps at level t and, unless inner > t, the gap
         caps = _caps(k1, k2, t, m)
         if caps is None or inner > t:
@@ -535,6 +554,8 @@ def _overlap(k1: BallCone, k2: BallCone, m, q,
         found, mid = meets(lo) if lo < hi else None, math.sqrt(lo * hi)
     else:
         lo, mid = seed, 1.5 * seed
+        if q is None:  # the seed is D / 1.2, so the level mid misses
+            hi = mid
     depth = -math.inf
     while found is not None and hi > 1.5 * lo:
         hit = meets(mid)
@@ -716,10 +737,14 @@ def enclosing_cone(k1: BallCone, k2: BallCone) -> BallCone | None:
     return region if held else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InclusionResult:
     holds: bool
     margin: float  # shell-metric clearance of the ball from the boundary
+
+    def __init__(self, holds: bool, margin: float):
+        fields = vars(self)  # as LeqResult's
+        fields["holds"], fields["margin"] = holds, margin
 
     def __bool__(self) -> bool:
         return self.holds
@@ -1132,6 +1157,21 @@ def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
     return _map(transform._f, cone)
 
 
+def _foot(cone: BallCone, center, inside: bool) -> tuple:
+    """The apex frame m and cap axis n of cone_hyperball_disjoint, C seen
+    there, X (C when inside) and `ahead`, from C toward X or the apex."""
+    *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
+    n, c = (nx, ny, nz), _act(m, center)
+    start, ahead = c, [-a for a in c]
+    if not inside:
+        start = (0.0, 0.0, 0.0)
+        if angle(c, n) - psi < 0.5 * math.pi:
+            b = turn(n, c, psi)
+            start = [dot(c, b) * a for a in b]
+            ahead = [-a for a in turn(n, c, psi + 0.5 * math.pi)]
+    return m, n, c, start, ahead
+
+
 def cone_hyperball_disjoint(cone: BallCone,
                             ball: Hyperball) -> DisjointResult:
     """Disjointness of a cone from a closed metric ball, with the contract
@@ -1144,9 +1184,10 @@ def cone_hyperball_disjoint(cone: BallCone,
     nearest boundary ray b, or the apex. The certificate is the plane
     {Z : <Z, X - Y> = 0} for the ball point Y nearest X, normal to the
     geodesic CX at (D + R)/2, which each body clears by (D - R)/2, built
-    when first read. The witness steps from X (C when inside) toward n'/2
-    by half the overlap, bounded in the shell metric by 1/(1 - |z|^2)
-    times the Euclidean step.
+    when first read: the disjoint branch forms only the margin, and C's
+    image in the apex frame, X and the plane wait for that read. The
+    witness steps from X (C when inside) toward n'/2 by half the overlap,
+    bounded in the shell metric by 1/(1 - |z|^2) times the Euclidean step.
     """
     tau, radius, center = ball.shell.tau, ball.radius, ball.center._t
     dist, inside = _frame_clearance(cone, center, tau)
@@ -1154,20 +1195,11 @@ def cone_hyperball_disjoint(cone: BallCone,
     if abs(margin) <= _WINDOW:
         raise DegenerateGeometry(
             "ball touches the cone boundary within the window")
-    *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
-    n = (nx, ny, nz)
-    c = _act(m, center)
-    start, ahead = c, [-a for a in c]
-    if not inside:
-        start = (0.0, 0.0, 0.0)
-        if angle(c, n) - psi < 0.5 * math.pi:
-            b = turn(n, c, psi)
-            start = [dot(c, b) * a for a in b]
-            ahead = [-a for a in turn(n, c, psi + 0.5 * math.pi)]
     if margin > 0.0:
         def separation():
             # the unit tangent at C toward X: the lift's derivative along
             # ahead, carried (D + R)/2 along the geodesic from C
+            m, _, c, _, ahead = _foot(cone, center, inside)
             room, za = 1.0 - dot(c, c), dot(c, ahead)
             t = [za, *(room * a + za * b for a, b in zip(ahead, c))]
             size = math.sqrt(t[1] ** 2 + t[2] ** 2 + t[3] ** 2 - t[0] ** 2)
@@ -1175,6 +1207,7 @@ def cone_hyperball_disjoint(cone: BallCone,
             return _plane(m, [math.sinh(s) * g * a + math.cosh(s) * b / size
                               for a, b in zip((1.0, *c), t)])
         return DisjointResult(True, margin, separation=separation)
+    m, n, _, start, _ = _foot(cone, center, inside)
     way = [0.5 * a - b for a, b in zip(n, start)]
     length = math.sqrt(dot(way, way)) or 1.0
     step = min((1.0 - max(dot(start, start), 0.25)) * 0.5 * (

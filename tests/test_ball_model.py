@@ -470,9 +470,11 @@ def _numpy_cap_image(transform, cap):
 
 
 def _numpy_ball_action(transform, u):
-    """The ball action as a one-row ball_action_many: lorentz_ball_action
-    as it was before it ran on the float kernel, kept as a reference."""
-    w = ball_action_many(transform, u.v[None, :])[0]
+    """The ball action as numpy matrix products, as ball_action_many formed
+    it on one row: lorentz_ball_action as it was before it ran on the float
+    kernel, kept as a reference."""
+    m = transform.matrix
+    w = (m[1:, 0] + m[1:, 1:] @ u.v) / (m[0, 0] + u.v @ m[0, 1:])
     if isinstance(u, BallPoint):
         return BallPoint(w)
     return SphereDirection.normalized(w)
@@ -553,6 +555,25 @@ class TestFloatKernels:
             assert back.apex is cone.apex
             assert cap_gap(back.base, cone.base) <= 4e-15 / (
                 1.0 - float(cone.apex.v @ cone.apex.v))
+
+    def test_batch_action_is_the_point_kernel_to_the_bit(self):
+        # each row of ball_action_many is _act's on that point, and each
+        # row of sphere_action is that row over its norm, on 2,000 seeded
+        # points of the closed ball (half on the sphere) under each seeded
+        # transform, so neither reads the BLAS kernel's rounding
+        rng = np.random.default_rng(3404)
+        pts = np.array([interior_point(rng, 0.999) if k % 2
+                        else unit_vector(rng) for k in range(2_000)])
+        dirs = pts[::2]
+        for _, g, _ in kernel_pairs(n=10, seed=3405):
+            rows = ball_action_many(g, pts)
+            assert rows.shape == pts.shape
+            for row, p in zip(rows.tolist(), pts.tolist()):
+                assert [x.hex() for x in row] == [
+                    x.hex() for x in ball_model._act(g._f, p)]
+            on_sphere = sphere_action(g, dirs)
+            assert np.array_equal(on_sphere, rows[::2] / np.linalg.norm(
+                rows[::2], axis=1)[:, None])
 
     def test_image_caps_are_built_one_way(self):
         # cap_image and apex_frame wrap _cap_seen's floats as _map does, so

@@ -6,6 +6,7 @@ their packed bytes, so a -0.0 where the reference gives 0.0 fails.
 """
 
 import math
+import random
 import struct
 
 import numpy as np
@@ -14,14 +15,17 @@ import pytest
 from hypercones.ball_model import (BallPoint, Cap, Hyperboloid,
                                    SphereDirection, _act, _cap_seen, _Triple,
                                    apex_matrix)
-from hypercones.cones import (_LIGHT_BAND, BallCone, Hypercone, _cone,
-                              _frame_clearance, _lead, _leq, _line_entry,
-                              _map, _plane, _plane_terms, cone_leq,
+from hypercones import cones as cone_module
+from hypercones.cones import (_LIGHT_BAND, BallCone, DisjointResult,
+                              Hyperball, Hypercone, _cone, _frame_clearance,
+                              _hull_gap, _lead, _leq, _line_entry, _map,
+                              _plane, _plane_terms, cone_hyperball_disjoint,
+                              cone_leq, disjoint, hyperball_in_cone,
                               in_causal_completion, map_cone, opposite)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.errors import DegenerateGeometry
 from hypercones.minkowski import (FourVector, LorentzTransform, _apply,
-                                  _compose, _inverse)
+                                  _boost, _compose, _inverse, _rotation)
 from hypercones.spherical import angle, cross, dot, perpendicular, turn, unit
 from tests.conftest import random_cone
 
@@ -837,3 +841,294 @@ def test_leq_kernel_keeps_cone_leqs_margins():
                                          and ref[1] >= -window)
         answers.add(holds)
     assert answers == {True, False}
+
+
+# -- the contact predicates: the lazy and one-test paths against the
+# eager ones
+
+
+WINDOW = DEFAULT_TOLERANCES.degenerate_window
+
+
+def _reference_hull_gap(n1, psi1, q, n2, c2, s2):
+    """_hull_gap as it was, through spherical's unit, dot and cross."""
+    psi2 = math.atan2(s2, c2)
+    gap = angle(n1, n2) - psi2
+    if gap <= 0.0:
+        return -psi1, n1
+    x = turn(n2, n1, psi2)
+    if q is None:
+        return gap - psi1, x
+    big_q = unit(q)
+    u = turn(big_q, n2, 0.5 * math.pi)
+    sin_d, cos_d = dot(n2, u), dot(n2, big_q)
+    if math.atan2(sin_d, cos_d) <= psi2:
+        return gap - psi1, x
+    if sin_d <= 0.0:
+        return -psi1, n1
+    root = math.sqrt(max(0.0, (sin_d - s2) * (sin_d + s2)))
+    sb, cb = min(1.0, s2 / sin_d), root / sin_d
+    reach = math.atan2(root, cos_d) if c2 > 0.0 else math.pi
+    v = cross(big_q, u)
+    if dot(n1, v) < 0.0:
+        v = [-a for a in v]
+    pq, pu, pv = dot(n1, big_q), dot(n1, u), dot(n1, v)
+    po, pe = cb * pv - sb * pu, cb * pu + sb * pv
+    rho = math.atan2(math.hypot(pu, pv), pq)
+    if po <= 0.0 and rho <= reach:
+        return -psi1, n1
+    foot = math.atan2(pe, pq)
+    edge = rho if foot < 0.0 else math.atan2(abs(po), math.hypot(pe, pq))
+    if foot <= reach and edge < gap:
+        gap, x = edge, (big_q if foot < 0.0 else unit(
+            [pq * a + pe * (cb * b + sb * c) for a, b, c in zip(big_q, u, v)]))
+    return gap - psi1, x
+
+
+def _reference_overlap(k1, k2, m, q, inner):
+    """_overlap as it was: after the seeded level, the level 1.5 times it
+    is tested for a shared apex too, and the gap is _reference_hull_gap."""
+    def meets(t):
+        caps = cone_module._caps(k1, k2, t, m)
+        if caps is None or inner > t:
+            return None if caps is None else (caps, None)
+        hit = _reference_hull_gap(caps[0], caps[1], q, *caps[2:])
+        return (caps, hit) if hit[0] < 0.0 else None
+
+    lo, hi = WINDOW, min(1.0 - k1.exit_scalars[7], 1.0 - k2.exit_scalars[7])
+    seed = cone_module._lens_depth(k1, k2) / 1.2
+    found = meets(seed) if lo < seed < hi else None
+    if found is None:
+        found, mid = meets(lo) if lo < hi else None, math.sqrt(lo * hi)
+    else:
+        lo, mid = seed, 1.5 * seed
+    depth = -math.inf
+    while found is not None and hi > 1.5 * lo:
+        hit = meets(mid)
+        lo, hi, found = (lo, mid, found) if hit is None else (mid, hi, hit)
+        mid = math.sqrt(lo * hi)
+    if found is not None:
+        (n1, psi1, n2, c2, s2), hit = found
+        d = n1 if hit is None else turn(
+            hit[1], n2, min(-0.5 * hit[0], 0.5 * angle(hit[1], n2)))
+        lo, hi = cone_module._chord(q or (0.0, 0.0, 0.0), n2, c2, d)
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+        p = _act(_inverse(m), [0.5 * (lo + hi) * a for a in d])
+        if lo < hi and dot(p, p) < 1.0:
+            depth = min(k1.margin(p), k2.margin(p))
+    if depth <= WINDOW:
+        raise DegenerateGeometry(
+            "cones meet only within the degenerate window; perturb inputs")
+    return DisjointResult(False, -depth, np.array(p))
+
+
+def _reference_disjoint(monkeypatch, k1, k2):
+    """disjoint on _reference_overlap and _reference_hull_gap."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cone_module, "_overlap", _reference_overlap)
+        patch.setattr(cone_module, "_hull_gap", _reference_hull_gap)
+        return _contact_outcome(disjoint, k1, k2)
+
+
+def _reference_cone_hyperball_disjoint(cone, ball):
+    """cone_hyperball_disjoint as it was: the frame image of the centre,
+    the nearest cone point and the direction away from it formed before
+    either branch."""
+    tau, radius, center = ball.shell.tau, ball.radius, ball.center._t
+    dist, inside = _frame_clearance(cone, center, tau)
+    margin = -(dist + radius) if inside else dist - radius
+    if abs(margin) <= WINDOW:
+        raise DegenerateGeometry(
+            "ball touches the cone boundary within the window")
+    *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
+    n = (nx, ny, nz)
+    c = _act(m, center)
+    start, ahead = c, [-a for a in c]
+    if not inside:
+        start = (0.0, 0.0, 0.0)
+        if angle(c, n) - psi < 0.5 * math.pi:
+            b = turn(n, c, psi)
+            start = [dot(c, b) * a for a in b]
+            ahead = [-a for a in turn(n, c, psi + 0.5 * math.pi)]
+    if margin > 0.0:
+        def separation():
+            room, za = 1.0 - dot(c, c), dot(c, ahead)
+            t = [za, *(room * a + za * b for a, b in zip(ahead, c))]
+            size = math.sqrt(t[1] ** 2 + t[2] ** 2 + t[3] ** 2 - t[0] ** 2)
+            s, g = 0.5 * (dist + radius) / tau, 1.0 / math.sqrt(room)
+            return _plane(m, [math.sinh(s) * g * a + math.cosh(s) * b / size
+                              for a, b in zip((1.0, *c), t)])
+        return DisjointResult(True, margin, separation=separation)
+    way = [0.5 * a - b for a, b in zip(n, start)]
+    length = math.sqrt(dot(way, way)) or 1.0
+    step = min((1.0 - max(dot(start, start), 0.25)) * 0.5 * (
+        radius - (0.0 if inside else dist)) / tau, 0.5 * length) / length
+    p = _act(_inverse(m), [a + step * b for a, b in zip(start, way)])
+    return DisjointResult(False, margin, np.array(p))
+
+
+def _reference_inclusion(ball, cone):
+    """hyperball_in_cone's answer and margin, from _frame_clearance."""
+    boundary, inside = _frame_clearance(cone, ball.center._t, ball.shell.tau)
+    margin = boundary - ball.radius if inside else -(boundary + ball.radius)
+    if abs(boundary - ball.radius) <= WINDOW:
+        raise DegenerateGeometry(
+            "ball touches the cone boundary within the window")
+    return inside and boundary > ball.radius, bits([margin])
+
+
+def _contact_outcome(fn, *args):
+    """A predicate's outcome as plain data: its error's type and message,
+    or its answer and margin bytes, and for a DisjointResult the bytes of
+    the common point and of the plane, read here for the first time."""
+    try:
+        r = fn(*args)
+    except (ValueError, DegenerateGeometry) as err:
+        return type(err), str(err)
+    if isinstance(r, tuple):  # a reference's outcome
+        return r
+    if not isinstance(r, DisjointResult):
+        return r.holds, bits([r.margin])
+    plane = r.plane
+    return (r.disjoint, bits([r.margin]),
+            None if r.common_point is None else r.common_point.tobytes(),
+            None if plane is None else plane[0].tobytes() + bits(plane[1:]))
+
+
+# The contact draws take their floats from random.Random, whose draws cost
+# a small share of numpy's one at a time.
+
+
+def _unit_draw(rnd):
+    return unit([rnd.gauss(0.0, 1.0) for _ in range(3)])
+
+
+def _frame(rnd):
+    """16 floats of a rotation after a boost of rapidity up to 3."""
+    return _compose(_rotation(_unit_draw(rnd), rnd.uniform(-3.0, 3.0)),
+                    _boost(_unit_draw(rnd), rnd.uniform(-3.0, 3.0)))
+
+
+def _signed_gap(rnd, overlap=0.5):
+    """A gap log-uniform in [1e-10, 1], negative with chance `overlap`."""
+    return math.copysign(10.0 ** rnd.uniform(-10.0, 0.0),
+                         rnd.random() - overlap)
+
+
+def _free_cone(rnd):
+    """A cone with its apex out to 0.9 and half-angle 0.12 to 1.4."""
+    while True:
+        try:
+            return _cone([rnd.uniform(0.0, 0.9) * x for x in _unit_draw(rnd)],
+                         _unit_draw(rnd), rnd.uniform(0.12, 1.4))
+        except ValueError:
+            continue
+
+
+def _contact_pair(rnd, kind):
+    """A seeded cone pair of one kind: 0 and 1 a shared apex out to 1 -
+    1e-12 from the sphere, caps a signed gap apart in its frame (mostly
+    overlapping); 2 a mirror pair a signed gap from contact; 3 nested
+    cones; 4 independent ones. Each is moved by a frame of rapidity up to
+    3. ValueError when a cone is refused."""
+    if kind < 2:
+        psi1, psi2 = rnd.uniform(0.05, 1.5), rnd.uniform(0.05, 1.5)
+        n1 = _unit_draw(rnd)
+        gamma = min(psi1 + psi2 + _signed_gap(rnd, 0.8), math.pi)
+        n2 = turn(n1, _unit_draw(rnd), gamma)
+        r = 1.0 - 10.0 ** rnd.uniform(-12.0, 0.0)
+        m = _compose(_frame(rnd), _inverse(apex_matrix(
+            *(r * x for x in _unit_draw(rnd)))))
+        pair = (_cone((0.0, 0.0, 0.0), n1, psi1),
+                _cone((0.0, 0.0, 0.0), n2, psi2))
+    elif kind == 2:  # the hull reaches x = g through its cap, then mirrored
+        psi = rnd.uniform(0.2, 1.0)
+        ax, depth = -rnd.uniform(0.05, 0.4), rnd.uniform(0.0, 0.4)
+        az = rnd.uniform(0.0, 2.0 * math.pi)
+        theta = psi + math.acos(0.1 * _signed_gap(rnd))
+        v = (math.cos(az), math.sin(az))
+        axis = (math.cos(theta), *(math.sin(theta) * x for x in v))
+        apex = (ax, *(-depth * x for x in v))
+        pair = (_cone(apex, axis, psi),
+                _cone((-apex[0], *apex[1:]), (-axis[0], *axis[1:]), psi))
+        m = _frame(rnd)
+    elif kind == 3:  # the same cap about a deeper apex, or a nearby cap
+        a = _free_cone(rnd)
+        s = a.exit_scalars
+        apex = [x - rnd.uniform(0.0, 0.3) * n for x, n in zip(s[:3], s[4:7])]
+        axis = turn(s[4:7], _unit_draw(rnd), 10.0 ** rnd.uniform(-10.0, 0.0))
+        pair = a, _cone(apex, axis, a.psi + 0.1 * _signed_gap(rnd))
+        m = _frame(rnd)
+    else:
+        pair, m = (_free_cone(rnd), _free_cone(rnd)), _frame(rnd)
+    return tuple(_map(m, cone) for cone in pair)
+
+
+def _contact_ball(rnd, cone):
+    """A metric ball on a shell of tau in [0.5, 2] whose radius is its
+    centre's distance to the cone's boundary shifted by a signed gap, or
+    free; the centre is anywhere out to 1 - 1e-6 from the sphere."""
+    tau = rnd.uniform(0.5, 2.0)
+    c = [rnd.uniform(0.0, 1.0 - 1e-6) * x for x in _unit_draw(rnd)]
+    radius = _frame_clearance(cone, c, tau)[0] + _signed_gap(rnd) * tau
+    if rnd.random() < 0.3 or not radius > 0.0:
+        radius = tau * 10.0 ** rnd.uniform(-3.0, 0.5)
+    return Hyperball(Hyperboloid(tau), BallPoint._of(c), radius)
+
+
+def test_hull_gap_keeps_the_bits():
+    """_hull_gap's written-out unit, dot and cross are spherical's to the
+    bit: the gap and the nearest point on 20,000 seeded inputs, q the
+    origin, inside the cap's cone, across it, and anywhere."""
+    rng = np.random.default_rng(349)
+    branches = set()
+    for k in range(2 * N):
+        n1, n2 = _direction(rng), _direction(rng)
+        psi1, psi2 = rng.uniform(0.01, 1.5, size=2)
+        q = (None if k % 4 == 0 else _vector(rng) if k % 4 == 1
+             else [rng.uniform(0.1, 2.0) * x for x in turn(
+                 n2, _direction(rng), rng.uniform(0.0, math.pi))])
+        args = (n1, psi1, q, n2, math.cos(psi2), math.sin(psi2))
+        gap, x = _hull_gap(*args)
+        ref_gap, ref_x = _reference_hull_gap(*args)
+        assert bits([gap, *x]) == bits([ref_gap, *ref_x])
+        branches.add((q is None, gap == -psi1, x is n1))
+    assert len(branches) >= 4
+
+
+def test_contact_predicates_keep_every_bit(monkeypatch):
+    """disjoint, cone_leq, hyperball_in_cone and cone_hyperball_disjoint
+    give the eager references' answers, errors, margins, common points and
+    planes, to the bit, on 50,000 seeded draws of a cone pair and a ball
+    (_contact_pair, _contact_ball)."""
+    rnd = random.Random(350)
+    draws, k, seen, shared = 0, 0, set(), 0
+    while draws < 5 * N:
+        k += 1
+        try:
+            pair = _contact_pair(rnd, k % 5)
+        except ValueError:
+            continue
+        draws += 1
+        a, b = pair if k // 5 % 2 else pair[::-1]
+        got = _contact_outcome(disjoint, a, b)
+        assert got == _reference_disjoint(monkeypatch, a, b)
+        seen.add(("disjoint", k % 5, got[0]))
+        shared += k % 5 < 2 and got[0] is False
+        holds, cap_margin, apex_margin = _leq(a, b)
+        result = cone_leq(a, b)
+        assert (result.holds, bits([result.cap_margin, result.apex_margin])
+                ) == (holds, bits([cap_margin, apex_margin]))
+        seen.add(("leq", holds))
+        ball = _contact_ball(rnd, a)
+        assert _contact_outcome(hyperball_in_cone, ball, a) == \
+            _contact_outcome(_reference_inclusion, ball, a)
+        got = _contact_outcome(cone_hyperball_disjoint, a, ball)
+        assert got == _contact_outcome(_reference_cone_hyperball_disjoint,
+                                       a, ball)
+        seen.add(("ball", got[0]))
+    assert shared > 5_000
+    assert {("ball", True), ("ball", False), ("ball", DegenerateGeometry),
+            ("leq", True), ("leq", False)} <= seen
+    for kind in range(5):
+        assert {("disjoint", kind, True), ("disjoint", kind, False)} <= seen
