@@ -344,10 +344,16 @@ def cone_leq(inner: BallCone, outer: BallCone) -> LeqResult:
 
 
 def _leq(inner: BallCone, outer: BallCone) -> tuple[bool, float, float]:
-    """cone_leq's holds and margins, on the cones' records."""
-    a = inner.exit_scalars
-    cap = outer.psi - inner.psi - angle(a[4:7], outer.exit_scalars[4:7])
-    apex = outer.margin(a[:3])
+    """cone_leq's holds and margins, on the cones' records: the cap margin
+    psi_outer - psi_inner - angle(n_inner, n_outer), with spherical's angle
+    written out operation for operation on the unpacked records, and the
+    apex margin outer.margin(apex_inner)."""
+    ax, ay, az, _, mx, my, mz, _ = inner.exit_scalars
+    _, _, _, _, nx, ny, nz, _ = outer.exit_scalars
+    cx, cy, cz = my * nz - mz * ny, mz * nx - mx * nz, mx * ny - my * nx
+    cap = outer.psi - inner.psi - math.atan2(
+        math.sqrt(cx * cx + cy * cy + cz * cz), mx * nx + my * ny + mz * nz)
+    apex = outer.margin((ax, ay, az))
     return cap >= -_WINDOW and apex >= -_WINDOW, cap, apex
 
 
@@ -656,25 +662,32 @@ def opposite(cone: BallCone) -> BallCone:
     return BallCone(cone.apex, Cap(SphereDirection._of(n), math.atan2(s, c)))
 
 
-def _covering_cap(caps) -> tuple | None:
-    """Cap (axis, half-angle) containing the given caps (axis, half-angle),
-    axes three unit floats, folding each into the least cap holding it and
-    the cover so far: the least cover of two caps, not always of more.
-    None when the half-angle leaves the valid range."""
-    axis, half = caps[0]
-    for n, psi in caps[1:]:
-        gamma = angle(axis, n)
+def _covering_cap(cones) -> tuple | None:
+    """Cap (axis, half-angle) containing the caps of the given cones, in
+    order, folding each into the least cap holding it and the cover so
+    far: the least cover of two caps, not always of more. None when the
+    half-angle leaves the valid range. Each record is unpacked once, and
+    spherical's angle is written out operation for operation; a cap that
+    grows the cover turns its axis by spherical's turn."""
+    _, _, _, _, x, y, z, _ = cones[0].exit_scalars
+    half = cones[0].psi
+    for k in cones[1:]:
+        _, _, _, _, nx, ny, nz, _ = k.exit_scalars
+        psi = k.psi
+        cx, cy, cz = y * nz - z * ny, z * nx - x * nz, x * ny - y * nx
+        gamma = math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz),
+                           x * nx + y * ny + z * nz)
         if gamma + psi <= half:
             continue
         if gamma + half <= psi:
-            axis, half = n, psi
+            x, y, z, half = nx, ny, nz, psi
             continue
         new_half = 0.5 * (gamma + half + psi)
-        axis = turn(axis, n, new_half - half)
+        x, y, z = turn((x, y, z), (nx, ny, nz), new_half - half)
         half = new_half
     if half >= math.pi - _CAP_LIMIT:
         return None
-    return unit(axis), half
+    return unit((x, y, z)), half
 
 
 # how far below its base-circle plane a built cone's apex must sit
@@ -699,26 +712,42 @@ def _enclosure(cones, distinct=None) -> BallCone | None:
     apexes leave the sphere. Its apex -rho n holds one below the base
     plane once |a_p| (cos psi + rho) <= sin psi (a.n + rho); rho is
     halfway to 1 from the largest such depth and the pointedness floor
-    _CLEARANCE - cos psi."""
-    cover = _covering_cap([(k.exit_scalars[4:7], k.psi) for k in cones])
+    _CLEARANCE - cos psi.
+
+    Each record is unpacked once, and spherical's dot and angle are written
+    out operation for operation, as are the maxima: built-in max keeps an
+    entry only when it is greater than the one kept so far, and so do the
+    comparisons here, in the same order.
+    """
+    cover = _covering_cap(cones)
     if cover is None:
         return None
     n, need, apexes = cover[0], 0.0, []
+    nx, ny, nz = n
     for k in distinct or cones:
-        a, half = k.exit_scalars, k.psi
-        along = dot(a, n)
-        off = [x - along * y for x, y in zip(a, n)]  # zip reads a's apex only
-        across = math.sqrt(dot(off, off))
-        need = max(need, angle(n, a[4:7]) + half,
-                   2.0 * math.atan2(across, 1.0 + along))
+        ax, ay, az, _, mx, my, mz, _ = k.exit_scalars
+        along = ax * nx + ay * ny + az * nz
+        ox, oy, oz = ax - along * nx, ay - along * ny, az - along * nz
+        across = math.sqrt(ox * ox + oy * oy + oz * oz)
+        cx, cy, cz = ny * mz - nz * my, nz * mx - nx * mz, nx * my - ny * mx
+        wide = math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz),
+                          nx * mx + ny * my + nz * mz) + k.psi
+        if wide > need:
+            need = wide
+        wide = 2.0 * math.atan2(across, 1.0 + along)
+        if wide > need:
+            need = wide
         apexes.append((along, across))
     psi = 0.05 + need
     if psi >= math.pi - _CAP_LIMIT:
         return None
     c, s = math.cos(psi), math.sin(psi)
-    depth = max([_CLEARANCE - c, *((c * across - s * along) / (s - across)
-                                   for along, across in apexes
-                                   if along < c)])
+    depth = _CLEARANCE - c
+    for along, across in apexes:
+        if along < c:
+            low = (c * across - s * along) / (s - across)
+            if low > depth:
+                depth = low
     rho = 0.5 * (1.0 + depth)
     return _cone([-rho * x for x in n], n, psi)
 
@@ -1158,18 +1187,17 @@ def map_cone(transform: LorentzTransform, cone: BallCone) -> BallCone:
 
 
 def _foot(cone: BallCone, center, inside: bool) -> tuple:
-    """The apex frame m and cap axis n of cone_hyperball_disjoint, C seen
-    there, X (C when inside) and `ahead`, from C toward X or the apex."""
+    """The apex frame m and cap axis n of cone_hyperball_disjoint's
+    overlap branch, and X (C when inside), the cone point nearest C."""
     *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
-    n, c = (nx, ny, nz), _act(m, center)
-    start, ahead = c, [-a for a in c]
+    n = (nx, ny, nz)
+    start = c = _act(m, center)
     if not inside:
         start = (0.0, 0.0, 0.0)
         if angle(c, n) - psi < 0.5 * math.pi:
             b = turn(n, c, psi)
             start = [dot(c, b) * a for a in b]
-            ahead = [-a for a in turn(n, c, psi + 0.5 * math.pi)]
-    return m, n, c, start, ahead
+    return m, n, start
 
 
 def cone_hyperball_disjoint(cone: BallCone,
@@ -1188,6 +1216,11 @@ def cone_hyperball_disjoint(cone: BallCone,
     image in the apex frame, X and the plane wait for that read. The
     witness steps from X (C when inside) toward n'/2 by half the overlap,
     bounded in the shell metric by 1/(1 - |z|^2) times the Euclidean step.
+
+    Domain: the plane needs C's apex-frame image c inside the sphere in
+    floats. For a centre within rounding of the sphere 1 - |c|^2 can round
+    to 0 or below, though the answer and margin stand; reading the plane
+    then raises DegenerateGeometry.
     """
     tau, radius, center = ball.shell.tau, ball.radius, ball.center._t
     dist, inside = _frame_clearance(cone, center, tau)
@@ -1198,16 +1231,25 @@ def cone_hyperball_disjoint(cone: BallCone,
     if margin > 0.0:
         def separation():
             # the unit tangent at C toward X: the lift's derivative along
-            # ahead, carried (D + R)/2 along the geodesic from C
-            m, _, c, _, ahead = _foot(cone, center, inside)
+            # ahead, away from the nearest boundary ray or toward the
+            # apex, carried (D + R)/2 along the geodesic from C
+            *m, nx, ny, nz, psi, _, _ = cone.apex_frame_scalars
+            n, c = (nx, ny, nz), _act(m, center)
+            ahead = [-a for a in (turn(n, c, psi + 0.5 * math.pi)
+                                  if angle(c, n) - psi < 0.5 * math.pi
+                                  else c)]
             room, za = 1.0 - dot(c, c), dot(c, ahead)
+            if room <= 0.0:
+                raise DegenerateGeometry(
+                    "ball centre rounds onto the sphere in the cone's apex "
+                    "frame; no separating plane in floats")
             t = [za, *(room * a + za * b for a, b in zip(ahead, c))]
             size = math.sqrt(t[1] ** 2 + t[2] ** 2 + t[3] ** 2 - t[0] ** 2)
             s, g = 0.5 * (dist + radius) / tau, 1.0 / math.sqrt(room)
             return _plane(m, [math.sinh(s) * g * a + math.cosh(s) * b / size
                               for a, b in zip((1.0, *c), t)])
         return DisjointResult(True, margin, separation=separation)
-    m, n, _, start, _ = _foot(cone, center, inside)
+    m, n, start = _foot(cone, center, inside)
     way = [0.5 * a - b for a, b in zip(n, start)]
     length = math.sqrt(dot(way, way)) or 1.0
     step = min((1.0 - max(dot(start, start), 0.25)) * 0.5 * (

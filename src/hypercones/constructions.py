@@ -26,6 +26,7 @@ member's image.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -768,36 +769,45 @@ def robust_enclosure_lorentz(cone: BallCone,
     A finite surrogate for robustness under a neighborhood of the identity:
     the enclosure covers the sampled orbit with an explicit margin. The
     words are the ring of the identity and each generator followed by its
-    inverse, then every product a b of two ring members (_compose), a-major,
-    as 16 floats. It is the hull enclosure (cones._enclosure) of the images
-    (cones._map), certified when cone_leq's kernel _leq holds each. Each
-    distinct word is mapped and checked once: I r and r I reuse r's image.
+    inverse, then every product a b of two ring members, a-major, as 16
+    floats: (1 + 2g)(2 + 2g) words for g generators. I r and r I are the
+    ring member r, so only the 1 + 2g ring words and the (2g)^2 products
+    of two non-identity members (_compose, each formed once) are distinct;
+    each is mapped once (cones._map). The region is the hull enclosure
+    (cones._enclosure) of the images of all the words, folded in word
+    order, which takes the distinct images by slices; it is certified when
+    cone_leq's kernel _leq holds each distinct image.
+
     A word with no image cone in floats raises ConstructionFailure naming
-    its index.
+    its index among all the words, not among the distinct ones: the j-th
+    distinct word is ring word j for j < 1 + 2g, else the product of the
+    non-identity members a, b (from 1) with (a - 1, b - 1) = divmod(j - 1
+    - 2g, 2g), word (1 + 2g)(1 + a) + b. A word's entries are finite when
+    their sum is: a sum over an infinite or NaN entry is never finite, so
+    the entries are tested one by one only when the sum is not finite.
     """
     ring = [LorentzTransform.identity()._f,
             *(f for g in generators for f in (g._f, _inverse(g._f)))]
-    images, distinct = [], []
-
-    def mapped(w):
-        i = len(images)
-        try:
-            if not all(map(math.isfinite, w)):
+    size, others = len(ring), ring[1:]
+    products = (_compose(u, v) for u in others for v in others)
+    distinct = []
+    try:
+        for w in itertools.chain(ring, products):
+            if not math.isfinite(sum(w)) and not all(map(math.isfinite, w)):
                 raise ValueError("its matrix overflows")
-            image = _map(w, cone)
-        except ValueError as err:
-            raise ConstructionFailure(
-                f"orbit word {i} has no image cone in floats ({err}); the "
-                "generators are too large", failing_index=i) from None
-        distinct.append(image)
-        return image
-
-    for w in ring:
-        images.append(mapped(w))
-    for a, u in enumerate(ring):
-        for b, w in enumerate(ring):
-            images.append(images[a or b] if 0 in (a, b)
-                          else mapped(_compose(u, w)))
+            distinct.append(_map(w, cone))
+    except ValueError as err:
+        i = len(distinct)
+        if i >= size:
+            a, b = divmod(i - size, size - 1)
+            i = size * (a + 2) + b + 1
+        raise ConstructionFailure(
+            f"orbit word {i} has no image cone in floats ({err}); the "
+            "generators are too large", failing_index=i) from None
+    images = distinct[:size] * 2  # the ring, then I r
+    for a in range(1, size):  # a I, then a b
+        first = size + (a - 1) * (size - 1)
+        images += [distinct[a], *distinct[first:first + size - 1]]
     region = _enclosure(images, distinct)
     _require(region is not None
              and all(_leq(image, region)[0] for image in distinct),

@@ -11,6 +11,8 @@ import pytest
 from hypercones import cli
 from hypercones import scene as scene_mod
 from hypercones.cli import main
+from hypercones.cones import cone_hyperball_disjoint
+from hypercones.errors import DegenerateGeometry
 
 DEMO = "examples_scenes/demo.json"
 OBSTACLE = "examples_scenes/obstacle.json"
@@ -51,6 +53,26 @@ def edge_scene(tmp_path_factory):
     doc["balls"] = dict(doc["balls"], edge2={
         "center": [0.6, 0.0, 0.7999999999999999], "radius": 0.2})
     path = tmp_path_factory.mktemp("scenes") / "edge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def rim_ball_scene(tmp_path_factory):
+    """The demo scene on the shell tau = 17.43827825806208 with a ball Q
+    whose centre is 1.8e-8 inside the sphere and a narrow cone K clear of
+    it: in K's apex frame 1 - |c|^2 of Q's centre rounds to 0."""
+    doc = json.loads(open(DEMO, encoding="utf-8").read())
+    doc["tau"] = 17.43827825806208
+    doc["balls"]["Q"] = {
+        "center": [0.774698307163586, 0.5731170262604303,
+                   -0.2671691814067285], "radius": 0.03606171348490635}
+    doc["cones"]["K"] = {
+        "apex": [0.2579466037521366, 0.8016502149644444, 0.5392777414830812],
+        "axis": [0.16483655362541308, 0.7745107483988972,
+                 0.6107061578234467],
+        "half_angle_deg": math.degrees(0.011659281194841838)}
+    path = tmp_path_factory.mktemp("scenes") / "rim.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
@@ -476,6 +498,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("degenerate:")
 
+    def test_ball_plane_past_the_floats_exits_degenerate(self, capsys,
+                                                         rim_ball_scene):
+        # the ball clears the cone by 198 in shell distance, but the
+        # separating plane A4 builds on needs 1 - |c|^2 > 0 for the ball's
+        # centre c in the cone's apex frame, and it rounds to 0
+        rim = scene_mod.load(rim_ball_scene)
+        sep = cone_hyperball_disjoint(rim.cones["K"], rim.balls["Q"])
+        assert (sep.disjoint, sep.margin) == (True, 198.2474518394811)
+        message = ("ball centre rounds onto the sphere in the cone's apex "
+                   "frame; no separating plane in floats")
+        with pytest.raises(DegenerateGeometry) as err:
+            sep.plane
+        assert str(err.value) == message
+        assert run(capsys, "construct", rim_ball_scene, "A4", "Q", "K") == (
+            2, "", f"degenerate: {message}\n")
+
 
 class TestNonFiniteScenes:
     @pytest.mark.parametrize("section, name, field, value, query, message", [
@@ -656,6 +694,10 @@ _PINNED = [
      "error: generator axis needs three components\n"),
     (DEMO, "construct A12 A --generator boost:x:abc", 1, "",
      "error: bad generator amount 'abc'\n"),
+    (DEMO, "construct A12 A --generator boost:x:6.25", 1, "",
+     "error: orbit word 7 has no image cone in floats (apex must lie "
+     "strictly below the base-circle plane); the generators are too "
+     "large\n"),
     (DEMO, "render --plane z=1.2.3", 1, "",
      "error: bad plane offset in 'z=1.2.3'\n"),
     (DEMO, "construct A10 A --sigma 1e192 --tau 1e-43", 1, "",

@@ -504,6 +504,31 @@ class TestDeferredPlane:
             res.plane
             assert "_act" in calls
 
+    def test_each_branch_turns_only_for_the_point_it_reads(
+            self, shell, monkeypatch):
+        # the overlap branch turns to the nearest boundary ray's foot and
+        # the plane toward the direction away from it; neither forms the
+        # other's
+        turns = []
+        monkeypatch.setattr(cone_module, "turn", lambda *a, f=cone_module.turn:
+                            turns.append(a) or f(*a))
+        rng = np.random.default_rng(315)
+        seen = set()
+        for _ in range(400):
+            cone = random_cone(rng, psi_max=0.7)
+            center = rng.uniform(0.0, 0.8) * unit_vector(rng)
+            ball = Hyperball(shell, BallPoint(center), rng.uniform(0.05, 1.0))
+            turns.clear()
+            try:
+                res = cone_hyperball_disjoint(cone, ball)
+            except DegenerateGeometry:
+                continue
+            if res.disjoint:
+                res.plane
+            assert len(turns) <= 1
+            seen.add((res.disjoint, len(turns)))
+        assert {(True, 1), (False, 0), (False, 1)} <= seen
+
 
 def _declared_record(cls):
     """cls as it was declared: a frozen dataclass of the same fields, with
@@ -1288,17 +1313,16 @@ _ENCLOSURE_PADS = (0.05, 0.12, 0.25, 0.45, 0.7, 1.0, 1.35, 1.8, 2.2)
 _ENCLOSURE_DEPTHS = (0.3, 0.6, 0.85, 0.97, 0.995, 0.9995)
 
 
-def _enclosures(caps, apexes=None, axis=None):
+def _enclosures(caps, apexes=None, axis=None, cones=None):
     """Cones holding the caps in their caps and the apex points in their
     closed hulls, in the order to try them: pad by pad, then depth by
     depth, the apex -rho n on the given axis n (one cap) or the covering
-    cap's, and the half-angle pad plus the larger need, the caps' widest
-    angle from n or the widest from n to where the rays from -rho n
-    through the apexes leave the sphere (ray_exits, once per depth).
-    Rungs failing _cap_fits are skipped."""
+    cap of the cones' caps, and the half-angle pad plus the larger need,
+    the caps' widest angle from n or the widest from n to where the rays
+    from -rho n through the apexes leave the sphere (ray_exits, once per
+    depth). Rungs failing _cap_fits are skipped."""
     if axis is None:
-        cover = _covering_cap([(c.axis.v.tolist(), c.half_angle)
-                               for c in caps])
+        cover = _covering_cap(cones)
         if cover is None:
             return
         axis = SphereDirection(np.array(cover[0]))
@@ -1324,7 +1348,8 @@ def _covers_wherever_the_ladder_did(groups):
     for i, cones in enumerate(groups):
         caps, apexes = [k.base for k in cones], [k.apex.v for k in cones]
         if not any(all(cone_leq(k, rung) for k in cones)
-                   for rung in _enclosures(caps, apexes)):
+                   for rung in _enclosures(caps, apexes,
+                                           cones=cones)):
             continue
         covered += 1
         region = _enclosure(cones)

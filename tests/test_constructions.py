@@ -27,8 +27,8 @@ from hypercones import (BallCone, BallPoint, Cap, ConstructionFailure,
 import hypercones
 from hypercones import charges, constructions, scene
 from hypercones.ball_model import _act, ball_action_many, ball_distance
-from hypercones.cones import _cap_fits, _cone, _enclosure, \
-    _frame_clearance, _map, _plane_margin
+from hypercones.cones import _cap_fits, _cone, _frame_clearance, _map, \
+    _plane_margin
 from hypercones.convex import hyperball_ellipsoid
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.spherical import angle_between, orthonormal_frame, \
@@ -40,6 +40,7 @@ from tests.conftest import (ball_disjoint_from_cone, benchmark_instances,
 from tests.test_acceptance import certify_ball_inside, certify_disjoint
 from tests.test_ball_model import _numpy_cap_image
 from tests.test_cones import _numpy_plane_margin
+from tests.test_kernel_bits import _reference_enclosure
 from tests.test_minkowski import _reference_product
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -1165,7 +1166,7 @@ def _reference_robust_enclosure(cone, generators):
     """robust_enclosure_lorentz as it was before the products with the
     identity reused their ring member's image: the ring, then every
     product a @ b of itertools.product(ring, ring), each word mapped, and
-    every image checked."""
+    every image checked, the region built by _reference_enclosure."""
     ring = [LorentzTransform.identity(),
             *(h for g in generators for h in (g, g.inverse()))]
     words = ring + [a @ b for a, b in itertools.product(ring, ring)]
@@ -1180,7 +1181,7 @@ def _reference_robust_enclosure(cone, generators):
             raise ConstructionFailure(
                 f"orbit word {i} has no image cone in floats ({err}); the "
                 "generators are too large", failing_index=i) from None
-    region = _enclosure(images)
+    region = _reference_enclosure(images)
     if not (region is not None
             and all(cone_leq(img, region) for img in images)):
         raise ConstructionFailure(
@@ -1250,15 +1251,30 @@ class TestRobustEnclosure:
                 assert maps == 1 + 2 * g + (2 * g) ** 2
         assert built >= 1_500
 
-    @pytest.mark.parametrize("rapidity", [15.0, 40.0, 710.0])
-    def test_words_beyond_floats_keep_their_index_and_message(self,
-                                                              rapidity):
+    @pytest.mark.parametrize("gens, index, cause", [
+        ([("boost", 15.0)], 1, "apex must lie strictly below"),
+        ([("boost", 40.0)], 1, None),
+        ([("boost", 710.0)], 1, None),
+        # the ring images are cones, and g g, word 7, is the first that
+        # is not; with a rotation first it is word 23 of 30, the last
+        # product's, 16th of the 21 distinct words
+        ([("boost", 6.25)], 7, "apex must lie strictly below"),
+        ([("boost", 9.75)], 7, "ball point must satisfy |u| < 1"),
+        ([("rot", 0.5), ("boost", 6.25)], 23, "apex must lie strictly"),
+    ], ids=["15.0", "40.0", "710.0", "6.25", "9.75", "rot-0.5-6.25"])
+    def test_words_beyond_floats_keep_their_index_and_message(
+            self, gens, index, cause):
         cone = scene.load("examples_scenes/demo.json").cones["A"]
-        gens = [LorentzTransform.boost([1.0, 0.0, 0.0], rapidity)]
+        gens = [LorentzTransform.boost([1.0, 0.0, 0.0], amount)
+                if kind == "boost" else
+                LorentzTransform.rotation([0.0, 0.0, 1.0], amount)
+                for kind, amount in gens]
         with np.errstate(all="raise"):
             got = _enclosure_outcome(robust_enclosure_lorentz, cone, gens)
             ref = _enclosure_outcome(_reference_robust_enclosure, cone, gens)
         assert got == ref and got[0].startswith(f"orbit word {got[1]} ")
+        assert got[1] == index
+        assert cause is None or f"({cause}" in got[0]
 
     def test_generator_words_stay_inside(self):
         rng = np.random.default_rng(12)

@@ -5,6 +5,7 @@ reference, so every result must match to the bit. Floats are compared as
 their packed bytes, so a -0.0 where the reference gives 0.0 fails.
 """
 
+import itertools
 import math
 import random
 import struct
@@ -16,12 +17,14 @@ from hypercones.ball_model import (BallPoint, Cap, Hyperboloid,
                                    SphereDirection, _act, _cap_seen, _Triple,
                                    apex_matrix)
 from hypercones import cones as cone_module
-from hypercones.cones import (_LIGHT_BAND, BallCone, DisjointResult,
-                              Hyperball, Hypercone, _cone, _frame_clearance,
-                              _hull_gap, _lead, _leq, _line_entry, _map,
-                              _plane, _plane_terms, cone_hyperball_disjoint,
-                              cone_leq, disjoint, hyperball_in_cone,
-                              in_causal_completion, map_cone, opposite)
+from hypercones.cones import (_CAP_LIMIT, _CLEARANCE, _LIGHT_BAND,
+                              BallCone, DisjointResult, Hyperball, Hypercone,
+                              _cone, _covering_cap, _enclosure,
+                              _frame_clearance, _hull_gap, _lead, _leq,
+                              _line_entry, _map, _plane, _plane_terms,
+                              cone_hyperball_disjoint, cone_leq, disjoint,
+                              hyperball_in_cone, in_causal_completion,
+                              map_cone, opposite)
 from hypercones.config import DEFAULT_TOLERANCES
 from hypercones.errors import DegenerateGeometry
 from hypercones.minkowski import (FourVector, LorentzTransform, _apply,
@@ -841,6 +844,127 @@ def test_leq_kernel_keeps_cone_leqs_margins():
                                          and ref[1] >= -window)
         answers.add(holds)
     assert answers == {True, False}
+
+
+# -- the hull enclosure: the fold and the hull loop on unpacked records
+
+
+def _reference_covering_cap(caps):
+    """_covering_cap as it was, on (axis, half-angle) pairs through
+    spherical's angle, turn and unit."""
+    axis, half = caps[0]
+    for n, psi in caps[1:]:
+        gamma = angle(axis, n)
+        if gamma + psi <= half:
+            continue
+        if gamma + half <= psi:
+            axis, half = n, psi
+            continue
+        new_half = 0.5 * (gamma + half + psi)
+        axis = turn(axis, n, new_half - half)
+        half = new_half
+    if half >= math.pi - _CAP_LIMIT:
+        return None
+    return unit(axis), half
+
+
+def _reference_enclosure(cones, distinct=None):
+    """_enclosure as it was: a per-cone (axis, half-angle) list for the
+    fold, and the hull loop through dot, angle and max on slices."""
+    cover = _reference_covering_cap([(k.exit_scalars[4:7], k.psi)
+                                     for k in cones])
+    if cover is None:
+        return None
+    n, need, apexes = cover[0], 0.0, []
+    for k in distinct or cones:
+        a, half = k.exit_scalars, k.psi
+        along = dot(a, n)
+        off = [x - along * y for x, y in zip(a, n)]  # zip reads a's apex only
+        across = math.sqrt(dot(off, off))
+        need = max(need, angle(n, a[4:7]) + half,
+                   2.0 * math.atan2(across, 1.0 + along))
+        apexes.append((along, across))
+    psi = 0.05 + need
+    if psi >= math.pi - _CAP_LIMIT:
+        return None
+    c, s = math.cos(psi), math.sin(psi)
+    depth = max([_CLEARANCE - c, *((c * across - s * along) / (s - across)
+                                   for along, across in apexes
+                                   if along < c)])
+    rho = 0.5 * (1.0 + depth)
+    return _cone([-rho * x for x in n], n, psi)
+
+
+def _orbit_lists(rng, cone, count):
+    """A12's fold list and distinct images for `count` (1-3) generators,
+    boosts to rapidity 2 and rotations to 3 rad: the ring, I r, then a I
+    and a b for each non-identity member a, the products formed by
+    _compose; None when a word has no image cone."""
+    gens = [_boost(_direction(rng), rng.uniform(-2.0, 2.0))
+            if rng.random() < 0.5 else
+            _rotation(_direction(rng), rng.uniform(-3.0, 3.0))
+            for _ in range(count)]
+    ring = [LorentzTransform.identity()._f,
+            *(f for g in gens for f in (g, _inverse(g)))]
+    try:
+        images = [_map(w, cone) for w in ring]
+        products = [[_map(_compose(u, w), cone) for w in ring[1:]]
+                    for u in ring[1:]]
+    except ValueError:
+        return None
+    fold = images * 2
+    for r, row in zip(images[1:], products):
+        fold += [r, *row]
+    return fold, images + [k for row in products for k in row]
+
+
+def _enclosure_lists(rng):
+    """20,000 seeded lists of cones, each with the cones its maxima run
+    over: A12 orbits of 1-3 generators with their distinct images (and
+    alone), enclosing_cone pairs, and 2-6 wide cones in any directions,
+    most of them past the covering limit."""
+    lists = 0
+    for k in itertools.count():
+        if lists >= 2 * N:
+            return
+        if k % 3 == 0:
+            got = _orbit_lists(rng, random_cone(rng, psi_max=0.8),
+                               1 + k // 3 % 3)
+            if got is not None:
+                yield got
+                yield got[0], None
+                lists += 2
+            continue
+        yield ([random_cone(rng, psi_max=1.4) for _ in range(2)]
+               if k % 3 == 1 else
+               [random_cone(rng, psi_min=0.8, psi_max=2.4)
+                for _ in range(rng.integers(2, 7))]), None
+        lists += 1
+
+
+def _record(cone):
+    return None if cone is None else bits([*cone.exit_scalars, cone.psi])
+
+
+def test_enclosure_is_the_reference_to_the_bit():
+    """_enclosure and its fold _covering_cap give _reference_enclosure's
+    region and cover to the bit, None past the covering limit alike, on
+    20,000 seeded lists (_enclosure_lists)."""
+    rng = np.random.default_rng(351)
+    seen = set()
+    for cones, distinct in _enclosure_lists(rng):
+        cover = _covering_cap(cones)
+        ref = _reference_covering_cap([(k.exit_scalars[4:7], k.psi)
+                                       for k in cones])
+        assert (cover is None) is (ref is None)
+        if cover is not None:
+            assert bits([*cover[0], cover[1]]) == bits([*ref[0], ref[1]])
+        got, err = _failure(_enclosure, cones, distinct)
+        want, want_err = _failure(_reference_enclosure, cones, distinct)
+        assert (_record(got), err) == (_record(want), want_err)
+        seen.add((distinct is not None, cover is None, got is None))
+    assert {(True, False, False), (False, False, False), (False, True, True),
+            (False, False, True)} <= seen
 
 
 # -- the contact predicates: the lazy and one-test paths against the
